@@ -5,8 +5,6 @@ around it (BM25 first stage, MRR/NDCG, RaB/ARaB, synthetic corpora)."""
 from .backpack import (
     Backpack,
     BackpackConfig,
-    ContextWeights,
-    LMHead,
     RelevanceHead,
     SenseTable,
     aggregate,
@@ -38,7 +36,6 @@ from .metrics import (
     Qrels,
     arab,
     bias_report,
-    filter_gendered_queries,
     mag_bool,
     mag_tf,
     mean_metric,
@@ -75,15 +72,15 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "AttributeScores", "Backpack", "BackpackConfig", "BackrankError",
-    "BiasReport", "Collection", "ContextWeights", "ContractError",
-    "DomainError", "EvalSet", "GenderLexicon", "LMHead", "ParseError",
+    "BiasReport", "Collection", "ContractError",
+    "DomainError", "EvalSet", "GenderLexicon", "ParseError",
     "PolarityPair", "Qrels", "RankedList", "RelevanceHead", "RunRecord",
     "SenseMap", "SenseTable", "ShapeError", "SplitMix64", "SynthConfig",
     "Tape", "Tensor", "TrainConfig", "TrainExample", "Vocab",
     "aggregate", "arab", "attribute_scores", "backward", "bias_report",
     "bm25_retrieve", "build_eval_set", "build_sense_map",
     "build_train_examples", "cosine_similarity", "default_pairs_path",
-    "filter_gendered_queries", "finite_diff_check", "generate_synthetic",
+    "finite_diff_check", "generate_synthetic",
     "group_run", "listwise_loss", "load_checkpoint", "load_collection",
     "load_polarity_lexicon", "mag_bool", "mag_tf", "mean_metric",
     "mrr_at_k", "ndcg_at_k", "rab", "rank", "rank_all", "read_qrels",

@@ -3,15 +3,20 @@
 Every vocabulary token owns k context-independent sense vectors (a learned
 multi-vector extension of a classic embedding table). A transformer-style
 encoder reads the input once and emits nonnegative contextualization weights
-alpha of shape k x n x n, row-normalized per (sense, position); the output at
-position i is the alpha-weighted sum of the sense vectors of all visible
-tokens. Because that sum is linear in the senses, scaling chosen senses by a
-factor in (0, 1] at inference time suppresses whatever those senses encode
-without retraining; the all-ones weighting reproduces the plain forward pass
-bit for bit.
+alpha of shape k x n x n, row-normalized per (sense, position) under a
+causal mask; the output at position i is the alpha-weighted sum of the sense
+vectors of tokens 0..i. Because that sum is linear in the senses, scaling
+chosen senses by a factor in (0, 1] at inference time suppresses whatever
+those senses encode without retraining; the all-ones weighting reproduces
+the plain forward pass bit for bit.
+
+Every component works on a batch: a B x n matrix of token ids, right-padded
+with id 0. The causal mask keeps each real position blind to the padding
+after it, so a padded row computes what the row would compute alone.
 
 For ranking, query and document are packed as query ++ <sep> ++ document,
-pooled, and passed through a two-layer MLP with a sigmoid output.
+pooled at the last real position, and passed through a two-layer MLP; the
+sigmoid of its output is the relevance score.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .numkernel import Tensor
 from .rng import SplitMix64
 
 CHECKPOINT_MAGIC = b"BPCKPT1\n"
+CHECKPOINT_FORMAT = 2
 _MASK_VALUE = -1e30
 
 
@@ -44,9 +50,7 @@ class BackpackConfig:
     context_layers: int = 1
     context_heads: int = 2
     max_seq_len: int = 32
-    causal: bool = True
     head_hidden: int = 16
-    pooling: str = "last"
     sep_index: int = 2
 
     def __post_init__(self):
@@ -68,8 +72,6 @@ class BackpackConfig:
             raise DomainError("max_seq_len must be >= 1")
         if self.head_hidden < 1:
             raise DomainError("head_hidden must be >= 1")
-        if self.pooling not in ("last", "mean"):
-            raise DomainError("pooling must be 'last' or 'mean'")
         if not 0 <= self.sep_index < self.vocab_size:
             raise DomainError("sep_index must be a valid vocab index")
 
@@ -79,14 +81,6 @@ class BackpackConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "BackpackConfig":
         return cls(**d)
-
-
-@dataclass
-class ContextWeights:
-    """alpha[l, i, j]: weight of token j's sense l in the output at i."""
-
-    alpha: Tensor
-    causal: bool
 
 
 def _param(rng: SplitMix64, shape: tuple[int, ...], sigma: float) -> Tensor:
@@ -120,21 +114,15 @@ class SenseTable:
         self.w2 = _param(rng, (k, p, d), 1.0 / math.sqrt(p))
         self.b2 = _zeros((k, 1, d))
         self._k = k
-        self._d = d
         self._p = p
 
-    def senses_for(self, token_ids: Sequence[int]) -> Tensor:
-        """Sense vectors for a token sequence, shaped k x n x d."""
-        n = len(token_ids)
-        e = nk.take_rows(self.base, list(token_ids))
+    def senses_for(self, ids) -> Tensor:
+        """Sense vectors for a B x n id matrix, shaped B x k x n x d."""
+        b, n = np.shape(ids)
+        e = nk.take_rows(self.base, ids)
         h = nk.tanh(nk.add(nk.matmul(e, self.w1), self.b1))
-        h = nk.transpose(nk.reshape(h, (n, self._k, self._p)), (1, 0, 2))
+        h = nk.transpose(nk.reshape(h, (b, n, self._k, self._p)), (0, 2, 1, 3))
         return nk.add(nk.matmul(h, self.w2), self.b2)
-
-    def sense_vectors(self, token: int) -> Tensor:
-        """d x k matrix for one token; column l is its l-th sense vector."""
-        s = self.senses_for([token])
-        return nk.transpose(nk.reshape(s, (self._k, self._d)), (1, 0))
 
 
 class _EncoderLayer:
@@ -156,6 +144,20 @@ class _EncoderLayer:
         self.fb2 = _zeros((d,))
 
 
+def _causal_scores(q: Tensor, key: Tensor) -> Tensor:
+    """Scaled dot products q key^T over the last two axes, with -1e30 added
+    wherever the key position follows the query position."""
+    n, dh = q.shape[-2], q.shape[-1]
+    scores = nk.scale(nk.matmul(q, nk.transpose(key, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    return nk.add(scores, Tensor(np.triu(np.full((n, n), _MASK_VALUE), k=1)))
+
+
+def _split(x: Tensor, parts: int) -> Tensor:
+    """B x n x (parts * w) -> B x parts x n x w."""
+    b, n, width = x.shape
+    return nk.transpose(nk.reshape(x, (b, n, parts, width // parts)), (0, 2, 1, 3))
+
+
 class ContextEncoder:
     """Produces the per-sense contextualization weights from the raw tokens."""
 
@@ -172,63 +174,36 @@ class ContextEncoder:
         self.ak = _param(rng, (d, k * self.alpha_dim), w_sigma)
         self.abk = _zeros((k * self.alpha_dim,))
 
-    def _mask(self, n: int) -> Tensor | None:
-        if not self.cfg.causal:
-            return None
-        m = np.triu(np.full((n, n), _MASK_VALUE), k=1)
-        return Tensor(m)
-
-    def _attention(self, layer: _EncoderLayer, hs: Tensor, mask: Tensor | None) -> Tensor:
-        n = hs.shape[0]
+    def _attention(self, layer: _EncoderLayer, hs: Tensor) -> Tensor:
         heads = self.cfg.context_heads
-        dh = self.cfg.embed_dim // heads
-
-        def split(x: Tensor) -> Tensor:
-            return nk.transpose(nk.reshape(x, (n, heads, dh)), (1, 0, 2))
-
-        q = split(nk.add(nk.matmul(hs, layer.wq), layer.bq))
-        k = split(nk.add(nk.matmul(hs, layer.wk), layer.bk))
-        v = split(nk.add(nk.matmul(hs, layer.wv), layer.bv))
-        scores = nk.scale(nk.matmul(q, nk.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-        if mask is not None:
-            scores = nk.add(scores, mask)
-        ctx = nk.matmul(nk.softmax(scores, axis=-1), v)
-        merged = nk.reshape(nk.transpose(ctx, (1, 0, 2)), (n, self.cfg.embed_dim))
+        q = _split(nk.add(nk.matmul(hs, layer.wq), layer.bq), heads)
+        k = _split(nk.add(nk.matmul(hs, layer.wk), layer.bk), heads)
+        v = _split(nk.add(nk.matmul(hs, layer.wv), layer.bv), heads)
+        ctx = nk.matmul(nk.softmax(_causal_scores(q, k), axis=-1), v)
+        merged = nk.reshape(nk.transpose(ctx, (0, 2, 1, 3)), hs.shape)
         return nk.add(nk.matmul(merged, layer.wo), layer.bo)
 
-    def encode(self, token_ids: Sequence[int]) -> Tensor:
-        n = len(token_ids)
-        mask = self._mask(n)
-        tok = nk.take_rows(self.tok_emb, list(token_ids))
-        pos = nk.take_rows(self.pos_emb, list(range(n)))
-        hs = nk.add(tok, pos)
+    def encode(self, ids) -> Tensor:
+        """Hidden states for a B x n id matrix, shaped B x n x d."""
+        n = np.shape(ids)[1]
+        hs = nk.add(nk.take_rows(self.tok_emb, ids), nk.take_rows(self.pos_emb, np.arange(n)))
         for layer in self.layers:
-            hs = nk.add(hs, self._attention(layer, hs, mask))
+            hs = nk.add(hs, self._attention(layer, hs))
             ff = nk.tanh(nk.add(nk.matmul(hs, layer.f1), layer.fb1))
             hs = nk.add(hs, nk.add(nk.matmul(ff, layer.f2), layer.fb2))
         return hs
 
-    def alpha(self, token_ids: Sequence[int]) -> Tensor:
-        """k x n x n weights, softmax-normalized over j for every (l, i)."""
-        n = len(token_ids)
+    def alpha(self, ids) -> Tensor:
+        """B x k x n x n weights, softmax-normalized over j for every (l, i)."""
+        hs = self.encode(ids)
         k = self.cfg.num_senses
-        ah = self.alpha_dim
-        hs = self.encode(token_ids)
-
-        def split(x: Tensor) -> Tensor:
-            return nk.transpose(nk.reshape(x, (n, k, ah)), (1, 0, 2))
-
-        q = split(nk.add(nk.matmul(hs, self.aq), self.abq))
-        key = split(nk.add(nk.matmul(hs, self.ak), self.abk))
-        scores = nk.scale(nk.matmul(q, nk.transpose(key, (0, 2, 1))), 1.0 / math.sqrt(ah))
-        mask = self._mask(n)
-        if mask is not None:
-            scores = nk.add(scores, mask)
-        return nk.softmax(scores, axis=-1)
+        q = _split(nk.add(nk.matmul(hs, self.aq), self.abq), k)
+        key = _split(nk.add(nk.matmul(hs, self.ak), self.abk), k)
+        return nk.softmax(_causal_scores(q, key), axis=-1)
 
 
 class RelevanceHead:
-    """Pooled representation -> two dense layers -> scalar logit."""
+    """Pooled representation -> two dense layers -> one logit per row."""
 
     def __init__(self, cfg: BackpackConfig, rng: SplitMix64):
         d, h = cfg.embed_dim, cfg.head_hidden
@@ -238,29 +213,23 @@ class RelevanceHead:
         self.b2 = _zeros((1,))
 
     def logit(self, pooled: Tensor) -> Tensor:
+        """B x d pooled vectors -> (B,) logits."""
         h = nk.tanh(nk.add(nk.matmul(pooled, self.w1), self.b1))
         out = nk.add(nk.matmul(h, self.w2), self.b2)
-        return nk.reshape(out, ())
-
-
-class LMHead:
-    """Linear map from output vectors to vocabulary logits."""
-
-    def __init__(self, cfg: BackpackConfig, rng: SplitMix64):
-        self.w = _param(rng, (cfg.embed_dim, cfg.vocab_size),
-                        1.0 / math.sqrt(cfg.embed_dim))
+        return nk.reshape(out, (pooled.shape[0],))
 
 
 def aggregate(alpha: Tensor, senses: Tensor, weights=None) -> Tensor:
-    """Weighted sense aggregation: out[i] = sum_l w_l sum_j alpha[l,i,j] senses[l,j].
+    """Weighted sense aggregation, B x n x d:
+    out[b, i] = sum_l w_l sum_j alpha[b, l, i, j] senses[b, l, j].
 
     ``weights`` is an optional length-k positive per-sense multiplier applied
     outside alpha with no renormalization, so the all-ones weighting is
     bit-identical to the plain sum.
     """
-    if alpha.ndim != 3 or senses.ndim != 3:
-        raise DomainError("aggregate expects k x n x n weights and k x n x d senses")
-    k = alpha.shape[0]
+    if alpha.ndim != 4 or senses.ndim != 4:
+        raise DomainError("aggregate expects B x k x n x n weights and B x k x n x d senses")
+    k = alpha.shape[1]
     ctx = nk.matmul(alpha, senses)
     if weights is not None:
         w = np.asarray(weights, dtype=np.float64)
@@ -269,11 +238,11 @@ def aggregate(alpha: Tensor, senses: Tensor, weights=None) -> Tensor:
         if np.any(w <= 0.0):
             raise DomainError("sense weights must be strictly positive")
         ctx = nk.mul(ctx, Tensor(w.reshape(k, 1, 1)))
-    return nk.tensor_sum(ctx, axis=0)
+    return nk.tensor_sum(ctx, axis=1)
 
 
 class Backpack:
-    """The full model: sense table, contextualizer, relevance and LM heads."""
+    """The full model: sense table, contextualizer and relevance head."""
 
     def __init__(self, config: BackpackConfig, seed: int = 0):
         self.config = config
@@ -281,7 +250,6 @@ class Backpack:
         self.senses = SenseTable(config, rng)
         self.context = ContextEncoder(config, rng)
         self.head = RelevanceHead(config, rng)
-        self.lm = LMHead(config, rng)
 
     # ------------------------------------------------------------------
     # parameter registry
@@ -291,7 +259,6 @@ class Backpack:
             "sense": self.senses,
             "ctx": self.context,
             "head": self.head,
-            "lm": self.lm,
         }
         for i, layer in enumerate(self.context.layers):
             comps[f"ctx.layer{i}"] = layer
@@ -318,45 +285,32 @@ class Backpack:
         setattr(comp, attr, tensor)
 
     # ------------------------------------------------------------------
-    # forward paths
+    # forward
 
-    def _check_tokens(self, token_ids: Sequence[int]) -> list[int]:
-        ids = [int(t) for t in token_ids]
-        if not ids:
+    def _pad(self, seqs: Sequence[Sequence[int]]) -> np.ndarray:
+        """Checked sequences as a B x n id matrix, right-padded with id 0."""
+        rows = [[int(t) for t in seq] for seq in seqs]
+        if not rows:
+            raise DomainError("batch must hold at least one sequence")
+        n = max(len(r) for r in rows)
+        if min(len(r) for r in rows) == 0:
             raise DomainError("token sequence must be non-empty")
-        if len(ids) > self.config.max_seq_len:
+        if n > self.config.max_seq_len:
             raise DomainError(
-                f"sequence length {len(ids)} exceeds max_seq_len {self.config.max_seq_len}")
-        for t in ids:
-            if not 0 <= t < self.config.vocab_size:
-                raise DomainError(f"token index {t} outside vocabulary")
+                f"sequence length {n} exceeds max_seq_len {self.config.max_seq_len}")
+        ids = np.zeros((len(rows), n), dtype=np.intp)
+        for b, row in enumerate(rows):
+            ids[b, :len(row)] = row
+        bad = (ids < 0) | (ids >= self.config.vocab_size)
+        if bad.any():
+            raise DomainError(f"token index {ids[bad][0]} outside vocabulary")
         return ids
 
-    def sense_vectors(self, token: int) -> Tensor:
-        if not 0 <= int(token) < self.config.vocab_size:
-            raise DomainError(f"token index {token} outside vocabulary")
-        return self.senses.sense_vectors(int(token))
-
-    def contextualize(self, token_ids: Sequence[int]) -> ContextWeights:
-        ids = self._check_tokens(token_ids)
-        return ContextWeights(self.context.alpha(ids), self.config.causal)
-
-    @staticmethod
-    def _map_weights(sense_map) -> Sequence[float]:
-        return getattr(sense_map, "weights", sense_map)
-
-    def forward(self, token_ids: Sequence[int]) -> Tensor:
-        """Per-position output vectors, shaped n x d."""
-        ids = self._check_tokens(token_ids)
-        return aggregate(self.context.alpha(ids), self.senses.senses_for(ids))
-
-    def forward_reweighted(self, token_ids: Sequence[int], sense_map) -> Tensor:
-        """Forward pass with per-sense multipliers applied inside the sum."""
-        if sense_map is None:
-            return self.forward(token_ids)
-        ids = self._check_tokens(token_ids)
-        return aggregate(self.context.alpha(ids), self.senses.senses_for(ids),
-                         self._map_weights(sense_map))
+    def forward(self, seqs: Sequence[Sequence[int]], weights=None) -> Tensor:
+        """Per-position output vectors, B x n x d, for B token sequences
+        right-padded to the longest; ``weights`` scales whole senses."""
+        ids = self._pad(seqs)
+        return aggregate(self.context.alpha(ids), self.senses.senses_for(ids), weights)
 
     def pack_sequence(self, query_ids: Sequence[int], doc_ids: Sequence[int]) -> list[int]:
         """query ++ <sep> ++ document, truncating the document tail first."""
@@ -369,31 +323,23 @@ class Backpack:
             room = 0
         return q + [self.config.sep_index] + d[:room]
 
-    def _pool(self, out: Tensor) -> Tensor:
-        if self.config.pooling == "mean":
-            return nk.reshape(nk.tensor_mean(out, axis=0), (1, out.shape[1]))
-        return nk.take_rows(out, [out.shape[0] - 1])
+    def relevance_logit(self, query_ids: Sequence[int], docs: Sequence[Sequence[int]],
+                        weights=None) -> Tensor:
+        """Pre-sigmoid relevance of each document to the query, shaped (B,).
 
-    def relevance_logit(self, query_ids: Sequence[int], doc_ids: Sequence[int],
-                        sense_map=None) -> Tensor:
-        """Pre-sigmoid relevance of the document to the query (scalar tensor)."""
-        seq = self.pack_sequence(query_ids, doc_ids)
-        out = self.forward_reweighted(seq, sense_map)
-        return self.head.logit(self._pool(out))
+        Each row is pooled at its own last real position by a one-hot mask,
+        which is exact: the padding after that position gets weight 0.
+        """
+        seqs = [self.pack_sequence(query_ids, d) for d in docs]
+        out = self.forward(seqs, weights)
+        last = np.zeros(out.shape[:2] + (1,))
+        last[np.arange(len(seqs)), [len(s) - 1 for s in seqs]] = 1.0
+        return self.head.logit(nk.tensor_sum(nk.mul(out, Tensor(last)), axis=1))
 
-    def relevance_score(self, query_ids: Sequence[int], doc_ids: Sequence[int],
-                        sense_map=None) -> float:
-        """Sigmoid relevance in (0, 1)."""
-        z = self.relevance_logit(query_ids, doc_ids, sense_map).item()
-        if z >= 0.0:
-            return 1.0 / (1.0 + math.exp(-z))
-        e = math.exp(z)
-        return e / (1.0 + e)
-
-    def lm_logits(self, token_ids: Sequence[int]) -> Tensor:
-        """Per-position distribution over the vocabulary (rows sum to 1)."""
-        out = self.forward(token_ids)
-        return nk.softmax(nk.matmul(out, self.lm.w), axis=-1)
+    def relevance_score(self, query_ids: Sequence[int], docs: Sequence[Sequence[int]],
+                        weights=None) -> np.ndarray:
+        """Sigmoid relevance in (0, 1) of each document, shaped (B,)."""
+        return nk.sigmoid(self.relevance_logit(query_ids, docs, weights)).data
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +350,7 @@ def save_checkpoint(path, model: Backpack, vocab_tokens: Sequence[str],
                     meta: dict | None = None) -> None:
     """Binary checkpoint: magic, JSON header (config, vocab, meta), tensors."""
     header = {
-        "format_version": 1,
+        "format_version": CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
         "vocab": list(vocab_tokens),
         "meta": dict(meta or {}),
@@ -417,26 +363,49 @@ def save_checkpoint(path, model: Backpack, vocab_tokens: Sequence[str],
         nk.write_snapshot(fh, {n: t.data for n, t in model.parameters().items()})
 
 
+def _read_header(fh, where: str) -> dict:
+    (hlen,) = nk.read_struct(fh, "<I", "checkpoint header length")
+    blob = nk.read_exact(fh, hlen, "checkpoint header")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"checkpoint header is not JSON: {exc}", path=where) from None
+    if not isinstance(header, dict):
+        raise ParseError("checkpoint header is not a JSON object", path=where)
+    version = header.get("format_version")
+    if version != CHECKPOINT_FORMAT:
+        raise ParseError(f"checkpoint format {version} is not supported "
+                         f"(this version reads format {CHECKPOINT_FORMAT})", path=where)
+    for key, kind in (("config", dict), ("vocab", list), ("meta", dict)):
+        if not isinstance(header.get(key), kind):
+            raise ParseError(f"checkpoint header field {key!r} is missing or not a "
+                             f"{kind.__name__}", path=where)
+    return header
+
+
 def load_checkpoint(path) -> tuple[Backpack, list[str], dict]:
     """Rebuild a model bit-identically from a checkpoint file."""
+    where = str(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
-            raise ParseError("not a checkpoint file (bad magic)", path=str(path))
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+            raise ParseError("not a checkpoint file (bad magic)", path=where)
+        header = _read_header(fh, where)
         tensors = nk.read_snapshot(fh)
-    config = BackpackConfig.from_dict(header["config"])
+    try:
+        config = BackpackConfig.from_dict(header["config"])
+    except (TypeError, DomainError) as exc:
+        raise ParseError(f"bad checkpoint config: {exc}", path=where) from None
     model = Backpack(config, seed=0)
     params = model.parameters()
     if set(tensors) != set(params):
         missing = sorted(set(params) - set(tensors))
         extra = sorted(set(tensors) - set(params))
         raise ParseError(f"checkpoint parameter mismatch: missing={missing} extra={extra}",
-                         path=str(path))
+                         path=where)
     for name, arr in tensors.items():
         if arr.shape != params[name].shape:
             raise ParseError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                             f"expected {params[name].shape}", path=str(path))
+                             f"expected {params[name].shape}", path=where)
         model.set_param(name, Tensor(arr, requires_grad=True))
     return model, list(header["vocab"]), dict(header["meta"])

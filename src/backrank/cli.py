@@ -26,7 +26,7 @@ from . import __version__
 from .backpack import Backpack, BackpackConfig, load_checkpoint, save_checkpoint
 from .corpus import (SynthConfig, Vocab, build_eval_set, build_train_examples,
                      generate_synthetic, group_run, load_collection,
-                     read_corpus_tsv, read_qrels, read_run,
+                     read_qrels, read_run, read_tsv,
                      records_from_ranking, write_collection, write_run)
 from .errors import BackrankError, DomainError, ParseError
 from .metrics import bias_report, mean_metric
@@ -253,7 +253,7 @@ def cmd_bias(args) -> int:
     grouped = group_run(read_run(args.run))
     if not grouped:
         raise DomainError(f"run file {args.run} holds no records")
-    doc_tokens = read_corpus_tsv(args.corpus)
+    doc_tokens = read_tsv(args.corpus)
     for qid, ids in grouped.items():
         for did in ids:
             if did not in doc_tokens:

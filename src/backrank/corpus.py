@@ -330,7 +330,8 @@ def generate_synthetic(cfg: SynthConfig) -> Collection:
 # file IO
 
 
-def _read_tsv(path) -> dict[str, list[str]]:
+def read_tsv(path) -> dict[str, list[str]]:
+    """``id<TAB>text`` records (corpus or queries), tokenized."""
     out: dict[str, list[str]] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not raw.strip():
@@ -345,16 +346,6 @@ def _read_tsv(path) -> dict[str, list[str]]:
             raise ParseError(f"duplicate id {rid!r}", path=str(path), line=lineno)
         out[rid] = tokenize(text)
     return out
-
-
-def read_corpus_tsv(path) -> dict[str, list[str]]:
-    """``doc_id<TAB>text`` records, tokenized."""
-    return _read_tsv(path)
-
-
-def read_queries_tsv(path) -> dict[str, list[str]]:
-    """``query_id<TAB>text`` records, tokenized."""
-    return _read_tsv(path)
 
 
 def _write_tsv(path, records: Mapping[str, Sequence[str]]) -> None:
@@ -379,8 +370,8 @@ def write_collection(coll: Collection, outdir) -> dict[str, Path]:
 
 
 def load_collection(corpus_path, queries_path, qrels_path=None) -> Collection:
-    docs = read_corpus_tsv(corpus_path)
-    queries = read_queries_tsv(queries_path)
+    docs = read_tsv(corpus_path)
+    queries = read_tsv(queries_path)
     qrels = read_qrels(qrels_path) if qrels_path is not None else None
     return Collection(docs, queries, qrels)
 
@@ -424,6 +415,8 @@ def read_run(path) -> list[RunRecord]:
             score = float(score_s)
         except ValueError:
             raise ParseError(f"bad score {score_s!r}", path=str(path), line=lineno) from None
+        if not math.isfinite(score):
+            raise ParseError(f"non-finite score {score_s!r}", path=str(path), line=lineno)
         records.append(RunRecord(qid, did, rank, score, tag))
     return records
 

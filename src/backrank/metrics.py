@@ -38,10 +38,6 @@ class GenderLexicon:
         object.__setattr__(self, "female", frozenset(self.female))
         object.__setattr__(self, "male", frozenset(self.male))
 
-    @property
-    def all_terms(self) -> frozenset[str]:
-        return self.female | self.male
-
 
 DEFAULT_LEXICON = GenderLexicon()
 
@@ -220,22 +216,6 @@ def mean_metric(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
     for qid in sorted(ranked):
         total += fn(qid, ranked[qid], qrels, k)
     return total / len(ranked)
-
-
-def filter_gendered_queries(
-    queries: Mapping[str, Sequence[str]],
-    lexicon: GenderLexicon = DEFAULT_LEXICON,
-) -> tuple[dict[str, list[str]], int]:
-    """Drop queries containing any gender term; returns (kept, dropped count)."""
-    terms = lexicon.all_terms
-    kept: dict[str, list[str]] = {}
-    dropped = 0
-    for qid, tokens in queries.items():
-        if any(t in terms for t in tokens):
-            dropped += 1
-        else:
-            kept[qid] = list(tokens)
-    return kept, dropped
 
 
 # ---------------------------------------------------------------------------

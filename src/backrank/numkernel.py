@@ -14,6 +14,7 @@ accumulating: call `reset_grads` (or clear `.grad` yourself) between steps.
 
 from __future__ import annotations
 
+import io
 import struct
 import threading
 from typing import Callable, Iterable, Sequence
@@ -41,10 +42,6 @@ class Tape:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._consumed = False
-
-    @property
-    def consumed(self) -> bool:
-        return self._consumed
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -108,34 +105,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; all semantics live in the module-level ops
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def sum(self, axis: int | None = None) -> "Tensor":
-        return tensor_sum(self, axis)
-
-    def mean(self, axis: int | None = None) -> "Tensor":
-        return tensor_mean(self, axis)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self, axes) -> "Tensor":
-        return transpose(self, axes)
 
 
 def _record(inputs: tuple[Tensor, ...], out: Tensor, backward_fn) -> None:
@@ -226,36 +195,23 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make((a,), a.data * c, backward_fn)
 
 
-def shift(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def backward_fn(g):
-        return (g,)
-
-    return _make((a,), a.data + c, backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: 2-D x 2-D, or 3-D x 3-D with equal leading batch."""
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    elif a.ndim == 3 and b.ndim == 3:
-        if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-            raise ShapeError(f"matmul: batched shapes incompatible, {a.shape} x {b.shape}")
-    else:
-        raise ShapeError(f"matmul: expects 2-D or batched 3-D operands, got {a.shape} x {b.shape}")
+    """Matrix product over the last two axes; leading axes broadcast."""
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: shapes incompatible, {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    arr = ad @ bd
+    try:
+        arr = ad @ bd
+    except ValueError:
+        raise ShapeError(f"matmul: batch axes do not broadcast, {a.shape} x {b.shape}") from None
 
     def backward_fn(g):
-        if ad.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
+        return (_unbroadcast(g @ bd.swapaxes(-1, -2), a.shape),
+                _unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape))
 
     return _make((a, b), arr, backward_fn)
 
@@ -291,12 +247,11 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
-    """Select rows of a 2-D tensor; backward scatter-adds into the source."""
+    """Rows of a 2-D tensor at an index array of any shape, shaped
+    idx.shape + (columns,); backward scatter-adds into the source."""
     if a.ndim != 2:
         raise ShapeError(f"take_rows: expects a 2-D tensor, got {a.shape}")
     ix = np.asarray(idx, dtype=np.intp)
-    if ix.ndim != 1:
-        raise ShapeError("take_rows: index must be 1-D")
     if ix.size and (ix.min() < 0 or ix.max() >= a.shape[0]):
         raise DomainError(f"take_rows: index out of range for {a.shape[0]} rows")
     shape = a.shape
@@ -307,23 +262,6 @@ def take_rows(a: Tensor, idx) -> Tensor:
         return (z,)
 
     return _make((a,), a.data[ix].copy(), backward_fn)
-
-
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack same-shape tensors along a new leading axis."""
-    ts = tuple(tensors)
-    if not ts:
-        raise ShapeError("stack: needs at least one tensor")
-    shape0 = ts[0].shape
-    for t in ts[1:]:
-        if t.shape != shape0:
-            raise ShapeError("stack: mismatched shapes")
-    arr = np.stack([t.data for t in ts])
-
-    def backward_fn(g):
-        return tuple(g[i] for i in range(len(ts)))
-
-    return _make(ts, arr, backward_fn)
 
 
 def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
@@ -555,32 +493,43 @@ def write_snapshot(fh, named: dict[str, np.ndarray]) -> None:
         fh.write(a.tobytes(order="C"))
 
 
+def read_exact(fh, n: int, what: str) -> bytes:
+    """Exactly n bytes from fh; a short read is a ParseError naming `what`."""
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise ParseError(f"truncated while reading {what}", path=getattr(fh, "name", None))
+    return buf
+
+
+def read_struct(fh, fmt: str, what: str) -> tuple:
+    """Unpack one struct of format `fmt`; a short read is a ParseError."""
+    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), what))
+
+
 def read_snapshot(fh) -> dict[str, np.ndarray]:
-    magic = fh.read(len(SNAPSHOT_MAGIC))
-    if magic != SNAPSHOT_MAGIC:
-        raise ParseError("bad snapshot magic")
-    (count,) = struct.unpack("<I", fh.read(4))
+    """Tensors from a seekable stream; any truncation or bad field is a
+    ParseError, and no tensor is read past the end of the stream."""
+    path = getattr(fh, "name", None)
+    start = fh.tell()
+    end = fh.seek(0, io.SEEK_END)
+    fh.seek(start)
+    if fh.read(len(SNAPSHOT_MAGIC)) != SNAPSHOT_MAGIC:
+        raise ParseError("bad snapshot magic", path=path)
+    (count,) = read_struct(fh, "<I", "snapshot tensor count")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack("<H", fh.read(2))
-        name = fh.read(nlen).decode("utf-8")
-        (ndim,) = struct.unpack("<B", fh.read(1))
-        dims = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
+        (nlen,) = read_struct(fh, "<H", "tensor name length")
+        try:
+            name = read_exact(fh, nlen, "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError("tensor name is not UTF-8", path=path) from None
+        (ndim,) = read_struct(fh, "<B", f"rank of tensor {name!r}")
+        dims = read_struct(fh, f"<{ndim}Q", f"dims of tensor {name!r}")
         n = 1
         for d in dims:
             n *= d
-        buf = fh.read(8 * n)
-        if len(buf) != 8 * n:
-            raise ParseError(f"snapshot truncated while reading tensor {name!r}")
+        if 8 * n > end - fh.tell():
+            raise ParseError(f"tensor {name!r} dims {dims} exceed the bytes left", path=path)
+        buf = read_exact(fh, 8 * n, f"tensor {name!r}")
         out[name] = np.frombuffer(buf, dtype="<f8").reshape(dims).copy()
     return out
-
-
-def save_tensors(path, named: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        write_snapshot(fh, named)
-
-
-def load_tensors(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        return read_snapshot(fh)

@@ -10,6 +10,7 @@ ascending as the tie-break so results are exactly reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -54,7 +55,6 @@ class TrainConfig:
     learning_rate: float = 1e-5
     batch_size: int = 1
     seed: int = 0
-    optimizer: str = "sgd"
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -63,15 +63,13 @@ class TrainConfig:
             raise DomainError("learning_rate must be >= 0")
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
-        if self.optimizer != "sgd":
-            raise DomainError(f"unsupported optimizer {self.optimizer!r}")
         if self.seed < 0:
             raise DomainError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
 class RankedList:
-    """Documents for one query, scores strictly non-increasing, ids unique."""
+    """Documents for one query, scores finite and non-increasing, ids unique."""
 
     query_id: str
     items: tuple[tuple[str, float], ...]
@@ -81,6 +79,8 @@ class RankedList:
         if len(set(ids)) != len(ids):
             raise DomainError(f"duplicate doc ids in ranking for {self.query_id}")
         scores = [s for _, s in self.items]
+        if not all(math.isfinite(s) for s in scores):
+            raise DomainError(f"ranked scores for {self.query_id} must be finite")
         for a, b in zip(scores, scores[1:]):
             if b > a:
                 raise DomainError("ranked scores must be non-increasing")
@@ -133,9 +133,7 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
             for idx in batch:
                 ex = dataset[idx]
                 with Tape() as tape:
-                    logits = nk.stack([model.relevance_logit(ex.query, doc)
-                                       for doc in ex.docs])
-                    loss = listwise_loss(ex.labels, logits)
+                    loss = listwise_loss(ex.labels, model.relevance_logit(ex.query, ex.docs))
                 backward(tape, loss)
                 history.append(loss.item())
                 for name, p in params.items():
@@ -154,12 +152,14 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
 
 def rank(model, query_id: str, query: Sequence[int],
          candidates: Sequence[tuple[str, Sequence[int]]], sense_map=None) -> RankedList:
-    """Score candidates and sort: score descending, doc id ascending on ties."""
+    """Score candidates in one batch and sort: score descending, doc id
+    ascending on ties. ``sense_map`` is a SenseMap or None."""
     if not candidates:
         raise DomainError(f"no candidates to rank for query {query_id}")
-    scored = [(doc_id, model.relevance_score(query, doc, sense_map))
-              for doc_id, doc in candidates]
-    scored.sort(key=lambda e: (-e[1], e[0]))
+    weights = None if sense_map is None else sense_map.weights
+    scores = model.relevance_score(query, [doc for _, doc in candidates], weights)
+    scored = sorted(zip([doc_id for doc_id, _ in candidates], scores.tolist()),
+                    key=lambda e: (-e[1], e[0]))
     return RankedList(query_id, tuple(scored))
 
 

@@ -17,9 +17,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DomainError, ParseError
+from .numkernel import cosine_similarity
 
 log = logging.getLogger(__name__)
 
@@ -91,15 +90,13 @@ def sense_similarity(model, token_a: int, token_b: int, sense: int) -> float:
     k = model.config.num_senses
     if not 0 <= sense < k:
         raise DomainError(f"sense index {sense} out of range for k={k}")
-    va = model.sense_vectors(token_a).data[:, sense]
-    vb = model.sense_vectors(token_b).data[:, sense]
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
+    va, vb = model.senses.senses_for([[token_a, token_b]]).data[0, sense]
+    try:
+        return cosine_similarity(va, vb)
+    except DomainError:
         log.warning("zero sense vector in similarity (tokens %d/%d, sense %d); scoring 0",
                     token_a, token_b, sense)
         return 0.0
-    return min(1.0, max(-1.0, float(va @ vb) / (na * nb)))
 
 
 def attribute_scores(model, pairs: Sequence[PolarityPair], vocab) -> AttributeScores:

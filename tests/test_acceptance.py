@@ -52,8 +52,8 @@ def test_criterion_1_identity_map():
                              context_heads=heads, max_seq_len=8)
         model = Backpack(cfg, seed=trial)
         ids = [rng.randint(12) for _ in range(1 + rng.randint(8))]
-        plain = model.forward(ids).data
-        ones = model.forward_reweighted(ids, SenseMap.identity(k)).data
+        plain = model.forward([ids]).data
+        ones = model.forward([ids], SenseMap.identity(k).weights).data
         worst = max(worst, float(np.max(np.abs(plain - ones))))
     assert worst <= 1e-12
 
@@ -98,7 +98,7 @@ def test_criterion_2_forward_oracle():
                     model = Backpack(cfg, seed=seed)
                     rng = SplitMix64(1000 * n + 100 * k + 10 * d + seed)
                     ids = [rng.randint(5) for _ in range(n)]
-                    got = model.forward(ids).data
+                    got = model.forward([ids]).data[0]
                     want = forward_triple_loop(model, ids)
                     worst = max(worst, float(np.max(np.abs(got - want))))
                     tried += 1
@@ -117,7 +117,7 @@ def _central_diff_param_grads(model, q, doc, eps=1e-5):
     coordinate, analytic tape gradient vs central differences."""
     params = model.parameters()
     with Tape() as tape:
-        score = nk.sigmoid(model.relevance_logit(q, doc))
+        score = nk.reshape(nk.sigmoid(model.relevance_logit(q, [doc])), ())
     backward(tape, score)
     analytic = {n: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
                 for n, p in params.items()}
@@ -130,9 +130,9 @@ def _central_diff_param_grads(model, q, doc, eps=1e-5):
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps
-            hi = model.relevance_score(q, doc)
+            hi = model.relevance_score(q, [doc])[0]
             flat[i] = keep - eps
-            lo = model.relevance_score(q, doc)
+            lo = model.relevance_score(q, [doc])[0]
             flat[i] = keep
             fd = (hi - lo) / (2.0 * eps)
             err = abs(a[i] - fd) / max(1.0, abs(a[i]))
@@ -379,7 +379,7 @@ def test_criterion_8_format_round_trips(tmp_path):
     for _ in range(20):
         q = [rng.randint(30) for _ in range(3)]
         d = [rng.randint(30) for _ in range(5)]
-        ckpt_ok &= back.relevance_score(q, d) == model.relevance_score(q, d)
+        ckpt_ok &= back.relevance_score(q, [d])[0] == model.relevance_score(q, [d])[0]
 
     _verdict("criterion 8 (format round-trips)",
              run_ok and qrels_ok and ckpt_ok,

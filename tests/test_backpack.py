@@ -1,11 +1,16 @@
 """Model structure: sense table, contextualization, aggregation, checkpoints."""
 
+import io
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from backrank import (Backpack, BackpackConfig, DomainError, ParseError,
-                      SenseMap, SplitMix64, Tensor, aggregate,
-                      load_checkpoint, save_checkpoint)
+                      SenseMap, Tensor, aggregate, load_checkpoint,
+                      save_checkpoint)
+from backrank import numkernel as nk
 from helpers import forward_triple_loop
 
 
@@ -34,7 +39,7 @@ def test_config_validation():
     with pytest.raises(DomainError):
         BackpackConfig(**{**good, "sense_hidden": 0})
     with pytest.raises(DomainError):
-        BackpackConfig(**{**good, "pooling": "max"})
+        BackpackConfig(**{**good, "max_seq_len": 0})
     with pytest.raises(DomainError):
         BackpackConfig(**{**good, "sep_index": 10})
 
@@ -48,28 +53,20 @@ def test_config_dict_round_trip(small_cfg):
 
 
 def test_senses_shape_and_determinism(model, small_cfg):
-    s = model.senses.senses_for([1, 4, 7])
-    assert s.shape == (small_cfg.num_senses, 3, small_cfg.embed_dim)
-    again = Backpack(small_cfg, seed=11).senses.senses_for([1, 4, 7])
+    s = model.senses.senses_for([[1, 4, 7]])
+    assert s.shape == (1, small_cfg.num_senses, 3, small_cfg.embed_dim)
+    again = Backpack(small_cfg, seed=11).senses.senses_for([[1, 4, 7]])
     assert np.array_equal(s.data, again.data)
 
 
 def test_senses_are_non_contextual(model):
     """A token's sense vectors cannot depend on its neighbours."""
-    a = model.senses.senses_for([3, 5, 9]).data[:, 1, :]
-    b = model.senses.senses_for([8, 5, 1]).data[:, 1, :]
+    a = model.senses.senses_for([[3, 5, 9]]).data[0, :, 1, :]
+    b = model.senses.senses_for([[8, 5, 1]]).data[0, :, 1, :]
     assert np.array_equal(a, b)    # same length: bit-equal
     # different batch size hits a different matmul kernel; equal to precision
-    alone = model.senses.senses_for([5]).data[:, 0, :]
+    alone = model.senses.senses_for([[5]]).data[0, :, 0, :]
     assert np.allclose(alone, a, atol=1e-14, rtol=0)
-
-
-def test_sense_vectors_matches_senses_for(model):
-    sv = model.sense_vectors(4).data           # d x k
-    sf = model.senses.senses_for([4]).data     # k x 1 x d
-    assert np.array_equal(sv, sf[:, 0, :].T)
-    with pytest.raises(DomainError):
-        model.sense_vectors(99)
 
 
 # ---------------------------------------------------------------------------
@@ -77,33 +74,28 @@ def test_sense_vectors_matches_senses_for(model):
 
 
 def test_alpha_is_row_normalized(model, small_cfg):
-    cw = model.contextualize([1, 2, 3, 4])
-    alpha = cw.alpha.data
+    alpha = model.context.alpha([[1, 2, 3, 4]]).data[0]
     assert alpha.shape == (small_cfg.num_senses, 4, 4)
     assert np.all(alpha >= 0.0)
     assert np.allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_alpha_causal_mask(model):
-    alpha = model.contextualize([1, 2, 3, 4]).alpha.data
+    alpha = model.context.alpha([[1, 2, 3, 4]]).data[0]
     for i in range(4):
         for j in range(i + 1, 4):
             assert np.all(alpha[:, i, j] < 1e-12)
 
 
-def test_non_causal_alpha_attends_forward(small_cfg):
-    cfg = BackpackConfig(**{**small_cfg.to_dict(), "causal": False})
-    alpha = Backpack(cfg, seed=1).contextualize([1, 2, 3]).alpha.data
-    assert np.any(alpha[:, 0, 1:] > 1e-6)
-
-
 def test_token_validation(model):
     with pytest.raises(DomainError):
-        model.forward([])
+        model.forward([])          # no sequences
     with pytest.raises(DomainError):
-        model.forward([99])
+        model.forward([[]])
     with pytest.raises(DomainError):
-        model.forward([1] * 11)    # max_seq_len is 10
+        model.forward([[99]])
+    with pytest.raises(DomainError):
+        model.forward([[1, 2], [1] * 11])    # max_seq_len is 10
 
 
 # ---------------------------------------------------------------------------
@@ -112,35 +104,35 @@ def test_token_validation(model):
 
 def test_forward_matches_triple_loop(model):
     ids = [2, 7, 1, 9]
-    got = model.forward(ids).data
+    got = model.forward([ids]).data[0]
     want = forward_triple_loop(model, ids)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_aggregate_all_ones_is_bit_identical(model):
     ids = [3, 6, 2]
-    plain = model.forward(ids).data
-    ones = model.forward_reweighted(ids, SenseMap.identity(3)).data
+    plain = model.forward([ids]).data
+    ones = model.forward([ids], SenseMap.identity(3).weights).data
     assert np.array_equal(plain, ones)
     # a raw weight sequence works too
-    raw = model.forward_reweighted(ids, (1.0, 1.0, 1.0)).data
+    raw = model.forward([ids], (1.0, 1.0, 1.0)).data
     assert np.array_equal(plain, raw)
 
 
 def test_forward_reweighted_none_is_forward(model):
     ids = [1, 2]
-    assert np.array_equal(model.forward_reweighted(ids, None).data,
-                          model.forward(ids).data)
+    assert np.array_equal(model.forward([ids], None).data,
+                          model.forward([ids]).data)
 
 
 def test_reweighting_scales_chosen_sense_contributions(model):
     """out' - out must equal (w_l - 1) times sense l's aggregated term."""
     ids = [4, 8, 5]
-    alpha = model.context.alpha(ids).data
-    senses = model.senses.senses_for(ids).data
+    alpha = model.context.alpha([ids]).data[0]
+    senses = model.senses.senses_for([ids]).data[0]
     contrib = np.einsum("lij,ljd->lid", alpha, senses)
     weights = (1.0, 0.25, 1.0)
-    got = model.forward_reweighted(ids, weights).data
+    got = model.forward([ids], weights).data[0]
     want = contrib[0] + 0.25 * contrib[1] + contrib[2]
     assert np.allclose(got, want, atol=1e-12)
 
@@ -149,9 +141,9 @@ def test_reweighting_composes_multiplicatively(model):
     ids = [2, 3]
     w1 = np.array([0.5, 0.8, 1.0])
     w2 = np.array([0.6, 1.0, 0.9])
-    once = model.forward_reweighted(ids, tuple(w1 * w2)).data
-    alpha = model.context.alpha(ids).data
-    senses = model.senses.senses_for(ids).data
+    once = model.forward([ids], tuple(w1 * w2)).data[0]
+    alpha = model.context.alpha([ids]).data[0]
+    senses = model.senses.senses_for([ids]).data[0]
     contrib = np.einsum("lij,ljd->lid", alpha, senses)
     twice = (contrib * (w1[:, None, None] * w2[:, None, None])).sum(axis=0)
     assert np.allclose(once, twice, atol=1e-12)
@@ -160,9 +152,9 @@ def test_reweighting_composes_multiplicatively(model):
 def test_aggregate_validates_weights(model):
     ids = [1, 2]
     with pytest.raises(DomainError):
-        model.forward_reweighted(ids, (1.0, 1.0))          # wrong length
+        model.forward([ids], (1.0, 1.0))          # wrong length
     with pytest.raises(DomainError):
-        model.forward_reweighted(ids, (1.0, 0.0, 1.0))     # non-positive
+        model.forward([ids], (1.0, 0.0, 1.0))     # non-positive
     with pytest.raises(DomainError):
         aggregate(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2, 3))))
 
@@ -189,32 +181,31 @@ def test_pack_sequence_truncates_doc_tail_first(model):
 
 def test_relevance_score_is_sigmoid_of_logit(model):
     q, d = [1, 2], [5, 6, 7]
-    z = model.relevance_logit(q, d).item()
-    s = model.relevance_score(q, d)
+    z = model.relevance_logit(q, [d]).item()
+    s = model.relevance_score(q, [d])[0]
     assert 0.0 < s < 1.0
     assert s == pytest.approx(1.0 / (1.0 + np.exp(-z)), abs=1e-15)
 
 
+@pytest.mark.parametrize("query", [[1, 2, 3], [1] * 12])    # the second is over-long
+def test_relevance_logit_rows_match_single_documents(model, query):
+    """Each row of a ragged batch equals its document scored alone, and a
+    longer document added to the list moves no other row: padding cannot leak."""
+    docs = [[4], [5, 6, 7], [8] * 20]    # length 1, middle, longer than the budget of 10
+    batch = model.relevance_logit(query, docs).data
+    alone = np.array([model.relevance_logit(query, [d]).item() for d in docs])
+    assert batch.shape == (3,)
+    assert np.max(np.abs(batch - alone)) <= 1e-12
+    shorter = model.relevance_logit(query, docs[:2]).data
+    assert np.max(np.abs(batch[:2] - shorter)) <= 1e-12
+
+
 def test_sense_map_changes_relevance(model):
     q, d = [1, 2], [5, 6, 7]
-    plain = model.relevance_score(q, d)
-    damped = model.relevance_score(q, d, SenseMap((0.2, 1.0, 1.0), 0.2, frozenset({0})))
+    plain = model.relevance_score(q, [d])[0]
+    damped = model.relevance_score(q, [d], SenseMap((0.2, 1.0, 1.0), 0.2,
+                                                    frozenset({0})).weights)[0]
     assert plain != damped
-
-
-def test_mean_pooling_config(small_cfg):
-    cfg = BackpackConfig(**{**small_cfg.to_dict(), "pooling": "mean"})
-    m = Backpack(cfg, seed=3)
-    out = m.forward([1, 2, 3]).data
-    pooled = m._pool(m.forward([1, 2, 3])).data
-    assert np.allclose(pooled[0], out.mean(axis=0), atol=1e-12)
-
-
-def test_lm_logits_rows_are_distributions(model, small_cfg):
-    probs = model.lm_logits([1, 2, 3]).data
-    assert probs.shape == (3, small_cfg.vocab_size)
-    assert np.all(probs > 0.0)
-    assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +215,7 @@ def test_lm_logits_rows_are_distributions(model, small_cfg):
 def test_parameters_cover_all_components(model):
     params = model.parameters()
     prefixes = {name.split(".", 1)[0] for name in params}
-    assert prefixes == {"sense", "ctx", "head", "lm"}
+    assert prefixes == {"sense", "ctx", "head"}
     assert "ctx.layer0.wq" in params
     assert all(isinstance(t, Tensor) for t in params.values())
 
@@ -252,8 +243,8 @@ def test_checkpoint_round_trip_bit_identical_scores(tmp_path, model):
     assert tokens == vocab_tokens
     assert got_meta == meta
     q, d = [1, 2, 3], [7, 8]
-    assert back.relevance_score(q, d) == model.relevance_score(q, d)
-    assert np.array_equal(back.forward([1, 5, 9]).data, model.forward([1, 5, 9]).data)
+    assert back.relevance_score(q, [d])[0] == model.relevance_score(q, [d])[0]
+    assert np.array_equal(back.forward([[1, 5, 9]]).data, model.forward([[1, 5, 9]]).data)
     for name, tensor in model.parameters().items():
         assert np.array_equal(back.parameters()[name].data, tensor.data)
 
@@ -263,3 +254,61 @@ def test_checkpoint_rejects_garbage(tmp_path):
     bad.write_bytes(b"this is not a checkpoint")
     with pytest.raises(ParseError):
         load_checkpoint(bad)
+
+
+def _rewrite_header(path, out, edit):
+    """Copy a checkpoint with its JSON header replaced by edit(header)."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    new = json.dumps(edit(header)).encode("utf-8")
+    out.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
+
+
+def test_checkpoint_truncated_in_every_region_is_parse_error(tmp_path, model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, [f"w{i}" for i in range(12)], {"seed": 11})
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    snap = 12 + hlen
+    cuts = {"magic": 5, "length": 10, "header": 12 + hlen // 2,
+            "snapshot magic": snap + 3, "tensor count": snap + 8,
+            "tensor name": snap + 12, "tensor data": len(blob) - 4}
+    for region, cut in cuts.items():
+        short = tmp_path / f"cut_{cut}.ckpt"
+        short.write_bytes(blob[:cut])
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(short)
+        assert str(short) in str(err.value), region
+
+
+def test_checkpoint_rejects_bad_headers(tmp_path, model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, [f"w{i}" for i in range(12)], {})
+    blob = path.read_bytes()
+    cases = [
+        ("format 1 is not supported", lambda h: {**h, "format_version": 1}),
+        ("'config' is missing", lambda h: {k: v for k, v in h.items() if k != "config"}),
+        ("'vocab' is missing", lambda h: {k: v for k, v in h.items() if k != "vocab"}),
+        ("'meta' is missing", lambda h: {k: v for k, v in h.items() if k != "meta"}),
+        ("bad checkpoint config", lambda h: {**h, "config": {**h["config"], "causal": 1}}),
+    ]
+    for i, (needle, edit) in enumerate(cases):
+        bad = tmp_path / f"bad{i}.ckpt"
+        _rewrite_header(path, bad, edit)
+        with pytest.raises(ParseError, match=needle):
+            load_checkpoint(bad)
+    bad = tmp_path / "not_json.ckpt"
+    bad.write_bytes(blob[:12] + b"\xff" * 8 + blob[20:])
+    with pytest.raises(ParseError, match="not JSON"):
+        load_checkpoint(bad)
+
+
+def test_snapshot_dims_beyond_the_file_are_rejected():
+    buf = io.BytesIO()
+    nk.write_snapshot(buf, {"w": np.zeros((2, 3))})
+    raw = bytearray(buf.getvalue())
+    dims_at = raw.index(b"w") + 2              # name, then the u8 rank
+    raw[dims_at:dims_at + 8] = struct.pack("<Q", 2 ** 40)
+    with pytest.raises(ParseError, match="exceed"):
+        nk.read_snapshot(io.BytesIO(bytes(raw)))

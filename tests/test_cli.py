@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -188,8 +189,36 @@ def test_rank_rejects_lambda_zero(pipeline, tmp_path, capsys):
                  "--out", str(tmp_path / "x.txt"), "--lambda", "1.5"]) == 2
 
 
+def test_rank_rejects_bad_checkpoints(pipeline, tmp_path, capsys):
+    args = ["--corpus", str(pipeline["data"] / "corpus.tsv"),
+            "--queries", str(pipeline["data"] / "queries.tsv"),
+            "--out", str(tmp_path / "x.txt"), "--depth", "8"]
+    blob = pipeline["ckpt"].read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(blob[:20])
+    assert main(["rank", "--checkpoint", str(cut), *args]) == 2
+    assert str(cut) in capsys.readouterr().err
+    # a format-1 header: the layout of checkpoints that still carried lm.w
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    old = json.dumps({**header, "format_version": 1}).encode("utf-8")
+    v1 = tmp_path / "v1.ckpt"
+    v1.write_bytes(blob[:8] + struct.pack("<I", len(old)) + old + blob[12 + hlen:])
+    assert main(["rank", "--checkpoint", str(v1), *args]) == 2
+    assert "format 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval / bias
+
+
+def test_eval_non_finite_score_is_exit_2(pipeline, tmp_path, capsys):
+    run = tmp_path / "run.txt"
+    run.write_text("q0001 Q0 d000001 1 nan t\n")
+    assert main(["eval", "--run", str(run),
+                 "--qrels", str(pipeline["data"] / "qrels.txt"),
+                 "--out", str(tmp_path / "e.csv")]) == 2
+    assert f"{run}:1:" in capsys.readouterr().err
 
 
 def test_eval_csv_matches_library(pipeline, tmp_path):
@@ -326,6 +355,12 @@ def test_bad_cutoffs_is_exit_2(pipeline, tmp_path, capsys):
                  "--qrels", str(pipeline["data"] / "qrels.txt"),
                  "--out", str(tmp_path / "x.csv"), "--cutoffs", "a,b"]) == 2
     assert "cutoff" in capsys.readouterr().err
+
+
+def test_star_import_covers_all():
+    namespace = {}
+    exec("from backrank import *", namespace)
+    assert set(backrank.__all__) <= set(namespace)
 
 
 def test_console_script_entry_point(pipeline, tmp_path):

@@ -9,7 +9,7 @@ from backrank import (Collection, DomainError, ParseError, Qrels, RunRecord,
                       build_train_examples, generate_synthetic, group_run,
                       load_collection, read_qrels, read_run, tokenize,
                       write_collection, write_qrels, write_run)
-from backrank.corpus import read_corpus_tsv, records_from_ranking
+from backrank.corpus import read_tsv, records_from_ranking
 
 
 @pytest.fixture
@@ -249,10 +249,10 @@ def test_corpus_tsv_errors(tmp_path):
     p = tmp_path / "corpus.tsv"
     p.write_text("d1 no tab here\n")
     with pytest.raises(ParseError):
-        read_corpus_tsv(p)
+        read_tsv(p)
     p.write_text("d1\tok words\nd1\tagain\n")
     with pytest.raises(ParseError) as err:
-        read_corpus_tsv(p)
+        read_tsv(p)
     assert "duplicate" in str(err.value)
 
 
@@ -281,6 +281,11 @@ def test_read_run_rejects_malformed(tmp_path):
     p.write_text("q1 Q0 d1 1 0.5\n")
     with pytest.raises(ParseError):
         read_run(p)
+    for bad in ("nan", "inf", "-inf"):
+        p.write_text(f"q1 Q0 d1 1 0.5 sys\nq1 Q0 d2 2 {bad} sys\n")
+        with pytest.raises(ParseError) as err:
+            read_run(p)
+        assert f"{p}:2:" in str(err.value)
 
 
 def test_group_run_orders_by_rank():

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from backrank import (BiasReport, DomainError, GenderLexicon, Qrels, SplitMix64,
-                      arab, bias_report, filter_gendered_queries, mag_bool,
-                      mag_tf, mean_metric, mrr_at_k, ndcg_at_k, rab)
+                      arab, bias_report, mag_bool, mag_tf, mean_metric, mrr_at_k,
+                      ndcg_at_k, rab)
 
 LEX = GenderLexicon()
 
@@ -177,13 +177,6 @@ def test_mean_metric_sorted_order(simple_qrels):
 
 # ---------------------------------------------------------------------------
 # report and query filtering
-
-
-def test_filter_gendered_queries():
-    queries = {"q1": ["he", "runs"], "q2": ["plain", "words"], "q3": ["her", "cat"]}
-    kept, dropped = filter_gendered_queries(queries)
-    assert set(kept) == {"q2"}
-    assert dropped == 2
 
 
 def test_bias_report_gender_free_is_all_zero():

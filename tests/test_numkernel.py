@@ -34,7 +34,7 @@ def test_elementwise_forward_values():
     assert np.allclose(nk.mul(a, b).data, [0.5, -1.0, 1.5])
     assert np.allclose(nk.neg(a).data, [-1.0, 2.0, -3.0])
     assert np.allclose(nk.scale(a, 2.0).data, [2.0, -4.0, 6.0])
-    assert np.allclose(nk.shift(a, 1.0).data, [2.0, -1.0, 4.0])
+    assert np.allclose(nk.add(a, Tensor(1.0)).data, [2.0, -1.0, 4.0])
 
 
 def test_matmul_and_dot_against_numpy():
@@ -51,7 +51,7 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
     x = Tensor(np.array([[1.0, 2.0, 3.0], [1000.0, 1000.0, 1000.0]]))
     s = nk.softmax(x, axis=-1)
     assert np.allclose(s.data.sum(axis=-1), 1.0)
-    shifted = nk.softmax(nk.shift(x, 123.0), axis=-1)
+    shifted = nk.softmax(nk.add(x, Tensor(123.0)), axis=-1)
     assert np.allclose(s.data, shifted.data)
 
 
@@ -61,11 +61,13 @@ def test_log_softmax_matches_log_of_softmax():
 
 
 def test_stack_take_rows_transpose_reshape():
-    rows = [Tensor(np.array([float(i), float(i + 1)])) for i in range(3)]
-    st = nk.stack(rows)
+    st = Tensor(np.array([[float(i), float(i + 1)] for i in range(3)]))
     assert st.shape == (3, 2)
     taken = nk.take_rows(st, [2, 0])
     assert np.allclose(taken.data, [[2.0, 3.0], [0.0, 1.0]])
+    grid = nk.take_rows(st, [[2, 0], [1, 1]])     # index of any shape
+    assert grid.shape == (2, 2, 2)
+    assert np.array_equal(grid.data[1, 0], st.data[1])
     tr = nk.transpose(st, (1, 0))
     assert tr.shape == (2, 3)
     assert nk.reshape(st, (6,)).shape == (6,)
@@ -110,6 +112,21 @@ def test_matmul_gradient_shapes_and_values():
     assert np.allclose(gb, a.data.T @ w.data)
 
 
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((2, 3, 4), (4, 2)),            # batch x matrix
+    ((3, 4), (2, 4, 2)),            # matrix x batch
+    ((2, 1, 3, 4), (5, 4, 2)),      # both sides broadcast
+])
+def test_matmul_broadcasts_leading_axes(a_shape, b_shape):
+    rng = SplitMix64(8)
+    a = Tensor(rng.normal_array(a_shape))
+    b = Tensor(rng.normal_array(b_shape))
+    assert np.allclose(nk.matmul(a, b).data, a.data @ b.data, atol=1e-14, rtol=0)
+    w = Tensor(rng.normal_array((a.data @ b.data).shape))
+    assert finite_diff_check(lambda t: nk.tensor_sum(nk.mul(nk.matmul(t, b), w)), a) < 1e-8
+    assert finite_diff_check(lambda t: nk.tensor_sum(nk.mul(nk.matmul(a, t), w)), b) < 1e-8
+
+
 def test_fanout_accumulates():
     x = Tensor(np.array([2.0]), requires_grad=True)
     (gx,) = grad_of(lambda: nk.tensor_sum(nk.add(nk.mul(x, x), x)), x)
@@ -145,8 +162,8 @@ def test_finite_diff_random_composites():
         h = nk.tanh(nk.matmul(nk.reshape(x, (3, 6)), w))     # 3 x 4
         s = nk.softmax(h, axis=-1)
         pooled = nk.tensor_mean(nk.transpose(s, (1, 0)), axis=1)
-        both = nk.stack([pooled, nk.sigmoid(pooled)])
-        return nk.dot(nk.reshape(both, (8,)), v)
+        return nk.add(nk.dot(pooled, Tensor(v.data[:4])),
+                      nk.dot(nk.sigmoid(pooled), Tensor(v.data[4:])))
 
     for seed in range(5):
         x = Tensor(SplitMix64(seed).normal_array((18,)))
@@ -157,6 +174,9 @@ def test_take_rows_gradient_scatters_with_repeats():
     t = Tensor(np.eye(3), requires_grad=True)
     (gt,) = grad_of(lambda: nk.tensor_sum(nk.take_rows(t, [0, 0, 2])), t)
     assert np.allclose(gt, np.array([[2.0] * 3, [0.0] * 3, [1.0] * 3]))
+    t.grad = None
+    (gt,) = grad_of(lambda: nk.tensor_sum(nk.take_rows(t, [[0, 2], [0, 0]])), t)
+    assert np.allclose(gt, np.array([[3.0] * 3, [0.0] * 3, [1.0] * 3]))
 
 
 # ---------------------------------------------------------------------------

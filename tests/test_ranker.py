@@ -12,6 +12,7 @@ from backrank import (Backpack, BackpackConfig, DomainError, RankedList,
 from backrank.ranker import SWEEP_COLUMNS
 from backrank.senses import PolarityPair
 from backrank import Tape, backward, finite_diff_check
+from backrank.numkernel import reset_grads
 
 
 @pytest.fixture
@@ -52,7 +53,7 @@ def test_train_config_validation():
     with pytest.raises(DomainError):
         TrainConfig(learning_rate=-1e-3)
     with pytest.raises(DomainError):
-        TrainConfig(optimizer="adam")
+        TrainConfig(batch_size=0)
 
 
 def test_ranked_list_validation():
@@ -61,6 +62,10 @@ def test_ranked_list_validation():
         RankedList("q", (("a", 1.0), ("a", 0.5)))
     with pytest.raises(DomainError):
         RankedList("q", (("a", 1.0), ("b", 2.0)))
+    # every comparison with NaN is false, so the ordering check alone passes it
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError):
+            RankedList("q", (("a", 1.0), ("b", bad), ("c", 2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +149,38 @@ def test_zero_learning_rate_changes_nothing(tiny_model):
     assert all(np.array_equal(before[n], after[n].data) for n in before)
     # same parameters every step: per-example losses repeat across epochs
     assert sorted(history[:3]) == sorted(history[3:])
+
+
+def test_listwise_gradient_through_ragged_batch():
+    """The tape gradient of the listwise loss over one ragged 3-document
+    batch (one document past the budget) matches central differences."""
+    cfg = BackpackConfig(vocab_size=6, embed_dim=4, num_senses=2, sense_hidden=2,
+                         context_heads=1, max_seq_len=6, head_hidden=3)
+    model = Backpack(cfg, seed=4)
+    q, docs, y = (1, 2), ((3,), (4, 5, 3), (5, 4, 3, 2, 1)), (0.0, 1.0, 0.0)
+
+    def loss():
+        return listwise_loss(y, model.relevance_logit(q, docs))
+
+    params = model.parameters()
+    with Tape() as tape:
+        value = loss()
+    backward(tape, value)
+    eps, worst = 1e-5, 0.0
+    for p in params.values():
+        analytic = (p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
+        flat = p.data.ravel()
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + eps
+            hi = loss().item()
+            flat[i] = keep - eps
+            lo = loss().item()
+            flat[i] = keep
+            fd = (hi - lo) / (2.0 * eps)
+            worst = max(worst, abs(analytic[i] - fd) / max(1.0, abs(analytic[i])))
+    reset_grads(list(params.values()))
+    assert worst <= 1e-4
 
 
 def test_train_rejects_empty_dataset(tiny_model):

@@ -55,8 +55,8 @@ def test_sense_similarity_matches_manual_cosine(toy):
     import numpy as np
     model, vocab = toy
     a, b = vocab.token_id("he"), vocab.token_id("she")
-    va = model.sense_vectors(a).data[:, 1]
-    vb = model.sense_vectors(b).data[:, 1]
+    va = model.senses.senses_for([[a]]).data[0, 1, 0]
+    vb = model.senses.senses_for([[b]]).data[0, 1, 0]
     manual = float(va @ vb) / (np.linalg.norm(va) * np.linalg.norm(vb))
     assert sense_similarity(model, a, b, 1) == pytest.approx(manual, abs=1e-12)
     with pytest.raises(DomainError):
