@@ -407,5 +407,7 @@ def load_checkpoint(path) -> tuple[Backpack, list[str], dict]:
         if arr.shape != params[name].shape:
             raise ParseError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
                              f"expected {params[name].shape}", path=where)
+        if not np.all(np.isfinite(arr)):
+            raise ParseError(f"checkpoint tensor {name!r} holds non-finite values", path=where)
         model.set_param(name, Tensor(arr, requires_grad=True))
     return model, list(header["vocab"]), dict(header["meta"])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, read_lines
 from .metrics import DEFAULT_LEXICON, Qrels
 from .ranker import EvalSet, RankedList, TrainExample
 from .rng import SplitMix64
@@ -95,14 +95,6 @@ class Vocab:
 
     def decode(self, ids: Sequence[int]) -> list[str]:
         return [self.id_token(i) for i in ids]
-
-    def save(self, path) -> None:
-        Path(path).write_text("\n".join(self._id2tok) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls([ln for ln in lines if ln])
 
 
 class Collection:
@@ -246,7 +238,7 @@ class SynthConfig:
         """Parse a flat key=value file; unknown keys are an error."""
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         values: dict[str, object] = {}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in read_lines(path):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -333,7 +325,7 @@ def generate_synthetic(cfg: SynthConfig) -> Collection:
 def read_tsv(path) -> dict[str, list[str]]:
     """``id<TAB>text`` records (corpus or queries), tokenized."""
     out: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in read_lines(path):
         if not raw.strip():
             continue
         if "\t" not in raw:
@@ -399,7 +391,7 @@ def write_run(path, records: Iterable[RunRecord | tuple]) -> None:
 def read_run(path) -> list[RunRecord]:
     """Parse a run file; ranks need not be contiguous and are preserved."""
     records: list[RunRecord] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in read_lines(path):
         if not raw.strip():
             continue
         parts = raw.split()
@@ -528,7 +520,7 @@ def read_qrels(path) -> Qrels:
     """Parse ``qid 0 docid rel`` lines; on duplicates the last value wins."""
     grades: dict[tuple[str, str], int] = {}
     dupes = 0
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in read_lines(path):
         if not raw.strip():
             continue
         parts = raw.split()

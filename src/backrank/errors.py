@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file line reader."""
+
+from pathlib import Path
 
 
 class BackrankError(Exception):
@@ -32,3 +34,21 @@ class ParseError(BackrankError, ValueError):
         if line is not None:
             prefix += f":{line}"
         super().__init__(f"{prefix}: {message}" if prefix else message)
+
+
+def read_lines(path) -> list[tuple[int, str]]:
+    """(line number, line) pairs of a UTF-8 text file, split by str.splitlines.
+
+    An unreadable file is a ParseError naming the path; a byte that is not
+    UTF-8 is one naming the path and the byte's line.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(exc.strerror or str(exc), path=str(path)) from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not valid UTF-8", path=str(path),
+                         line=1 + data.count(b"\n", 0, exc.start)) from None
+    return list(enumerate(text.splitlines(), 1))

@@ -70,9 +70,6 @@ class Qrels:
     def has_query(self, query_id: str) -> bool:
         return query_id in self._by_query
 
-    def query_ids(self) -> list[str]:
-        return list(self._by_query)
-
     def relevant(self, query_id: str) -> dict[str, int]:
         """Docs with positive grade for the query."""
         return {d: g for d, g in self._by_query.get(query_id, {}).items() if g > 0}
@@ -82,14 +79,9 @@ class Qrels:
 # gender magnitudes
 
 
-def mag_tf(doc_tokens: Sequence[str], terms: Iterable[str],
-           log_one_plus: bool = False, base: float | None = None) -> float:
-    """Sum of log term counts over the lexicon terms present in the document.
-
-    With the verbatim form (default) a single occurrence contributes
-    log(1) = 0; ``log_one_plus`` switches to log(1 + count). Natural log by
-    default; ``base`` rescales uniformly.
-    """
+def mag_tf(doc_tokens: Sequence[str], terms: Iterable[str]) -> float:
+    """Sum of natural-log term counts over the lexicon terms present in the
+    document; a single occurrence contributes log(1) = 0."""
     counts: dict[str, int] = {}
     for tok in doc_tokens:
         counts[tok] = counts.get(tok, 0) + 1
@@ -97,11 +89,7 @@ def mag_tf(doc_tokens: Sequence[str], terms: Iterable[str],
     for term in sorted(set(terms)):
         c = counts.get(term, 0)
         if c > 0:
-            total += math.log(1 + c) if log_one_plus else math.log(c)
-    if base is not None:
-        if base <= 0.0 or base == 1.0:
-            raise DomainError("log base must be positive and != 1")
-        total /= math.log(base)
+            total += math.log(c)
     return total
 
 
@@ -111,55 +99,57 @@ def mag_bool(doc_tokens: Sequence[str], terms: Iterable[str]) -> int:
     return 1 if any(tok in term_set for tok in doc_tokens) else 0
 
 
-def _gender_delta(doc_tokens: Sequence[str], lexicon: GenderLexicon,
-                  variant: str, log_one_plus: bool) -> float:
+def _gender_delta(doc_tokens: Sequence[str], lexicon: GenderLexicon, variant: str) -> float:
     if variant == "tf":
-        return (mag_tf(doc_tokens, lexicon.female, log_one_plus)
-                - mag_tf(doc_tokens, lexicon.male, log_one_plus))
+        return mag_tf(doc_tokens, lexicon.female) - mag_tf(doc_tokens, lexicon.male)
     if variant == "bool":
         return float(mag_bool(doc_tokens, lexicon.female)
                      - mag_bool(doc_tokens, lexicon.male))
     raise DomainError(f"unknown magnitude variant {variant!r}")
 
 
-def _effective_cutoff(n_docs: int, t: int | None, what: str) -> int:
-    if t is None:
-        return n_docs
-    if t < 1:
-        raise DomainError(f"{what} cutoff must be >= 1")
-    if t > n_docs:
-        log.warning("%s cutoff %d exceeds list length %d; using the prefix",
-                    what, t, n_docs)
-        return n_docs
-    return t
+def _prefix_bias(ranked_docs: Sequence[Sequence[str]], lexicon: GenderLexicon,
+                 variant: str, cutoffs: Sequence[int | None]) -> list[tuple[float, float]]:
+    """(RaB, ARaB) at each cutoff from one left-to-right pass over the list.
+
+    A cutoff of None means the whole list; one past its end uses the list,
+    with a warning. Each document's gender delta is computed once. RaB@x is
+    the running sum of the first x deltas over x, and ARaB@t adds those prefix
+    means left to right, so the float operations are those of the definitions.
+    """
+    n = len(ranked_docs)
+    if n == 0:
+        raise DomainError("bias metrics need at least one ranked document")
+    ts = []
+    for t in cutoffs:
+        if t is not None and t < 1:
+            raise DomainError("bias cutoff must be >= 1")
+        if t is not None and t > n:
+            log.warning("bias cutoff %d exceeds list length %d; using the prefix", t, n)
+        ts.append(n if t is None else min(t, n))
+    prefixes: list[tuple[float, float]] = []
+    total = acc = 0.0
+    for x, doc in enumerate(ranked_docs[:max(ts, default=0)], 1):
+        total += _gender_delta(doc, lexicon, variant)
+        acc += total / x
+        prefixes.append((total / x, acc / x))
+    return [prefixes[t - 1] for t in ts]
 
 
 def rab(ranked_docs: Sequence[Sequence[str]], lexicon: GenderLexicon = DEFAULT_LEXICON,
-        variant: str = "tf", t: int | None = None, log_one_plus: bool = False) -> float:
+        variant: str = "tf", t: int | None = None) -> float:
     """Mean female-minus-male magnitude over the top-t documents.
 
     ``ranked_docs`` are token sequences in rank order. Lists shorter than t
     are evaluated over the available prefix with a warning.
     """
-    if not ranked_docs:
-        raise DomainError("rab needs at least one ranked document")
-    t = _effective_cutoff(len(ranked_docs), t, "rab")
-    total = 0.0
-    for doc in ranked_docs[:t]:
-        total += _gender_delta(doc, lexicon, variant, log_one_plus)
-    return total / t
+    return _prefix_bias(ranked_docs, lexicon, variant, [t])[0][0]
 
 
 def arab(ranked_docs: Sequence[Sequence[str]], lexicon: GenderLexicon = DEFAULT_LEXICON,
-         variant: str = "tf", t: int | None = None, log_one_plus: bool = False) -> float:
+         variant: str = "tf", t: int | None = None) -> float:
     """Mean of RaB over all prefixes 1..t; weights the top ranks more."""
-    if not ranked_docs:
-        raise DomainError("arab needs at least one ranked document")
-    t = _effective_cutoff(len(ranked_docs), t, "arab")
-    total = 0.0
-    for x in range(1, t + 1):
-        total += rab(ranked_docs, lexicon, variant, x, log_one_plus)
-    return total / t
+    return _prefix_bias(ranked_docs, lexicon, variant, [t])[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +216,14 @@ def mean_metric(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
 class BiasReport:
     """Mean RaB/ARaB per cutoff and variant over an evaluated query set.
 
-    With ``absolute`` (the default) each query contributes the absolute value
-    of its RaB/ARaB, so the mean reads as "lower is less biased" regardless
-    of the bias direction; per-query values stay signed.
+    Each query contributes the absolute value of its RaB/ARaB, so the mean
+    reads as "lower is less biased" regardless of the bias direction;
+    ``rab`` and ``arab`` give the signed per-query values.
     """
 
     cutoffs: tuple[int, ...]
     variants: tuple[str, ...]
     num_queries: int
-    absolute: bool
     mean_rab: dict = field(default_factory=dict)    # (variant, cutoff) -> float
     mean_arab: dict = field(default_factory=dict)   # (variant, cutoff) -> float
 
@@ -257,10 +246,12 @@ def bias_report(
     lexicon: GenderLexicon = DEFAULT_LEXICON,
     cutoffs: Sequence[int] = (10, 20, 30, 40),
     variants: Sequence[str] = VARIANTS,
-    absolute: bool = True,
-    log_one_plus: bool = False,
 ) -> BiasReport:
-    """Aggregate RaB/ARaB over a run: ranked doc ids per query id."""
+    """Aggregate RaB/ARaB over a run: ranked doc ids per query id.
+
+    Each query's list is read once per variant, and every cutoff is filled
+    from that one pass.
+    """
     if not ranked:
         raise DomainError("no queries to evaluate")
     for v in variants:
@@ -269,21 +260,17 @@ def bias_report(
     cutoffs = tuple(int(c) for c in cutoffs)
     if any(c < 1 for c in cutoffs):
         raise DomainError("cutoffs must be >= 1")
-    report = BiasReport(cutoffs=cutoffs, variants=tuple(variants),
-                        num_queries=len(ranked), absolute=absolute)
+    report = BiasReport(cutoffs=cutoffs, variants=tuple(variants), num_queries=len(ranked))
     qids = sorted(ranked)
     for variant in variants:
-        for cutoff in cutoffs:
-            rab_sum = 0.0
-            arab_sum = 0.0
-            for qid in qids:
-                docs = [doc_tokens[d] for d in ranked[qid]]
-                r = rab(docs, lexicon, variant, cutoff, log_one_plus)
-                a = arab(docs, lexicon, variant, cutoff, log_one_plus)
-                if absolute:
-                    r, a = abs(r), abs(a)
-                rab_sum += r
-                arab_sum += a
+        per_query = [_prefix_bias([doc_tokens[d] for d in ranked[qid]],
+                                  lexicon, variant, cutoffs)
+                     for qid in qids]
+        for i, cutoff in enumerate(cutoffs):
+            rab_sum = arab_sum = 0.0
+            for values in per_query:
+                rab_sum += abs(values[i][0])
+                arab_sum += abs(values[i][1])
             report.mean_rab[(variant, cutoff)] = rab_sum / len(qids)
             report.mean_arab[(variant, cutoff)] = arab_sum / len(qids)
     return report

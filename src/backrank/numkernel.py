@@ -154,18 +154,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make((a, b), arr, backward_fn)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        arr = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-    def backward_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _make((a, b), arr, backward_fn)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         arr = a.data * b.data
@@ -279,33 +267,8 @@ def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
     return _make((a,), a.data.sum(axis=axis), backward_fn)
 
 
-def tensor_mean(a: Tensor, axis: int | None = None) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
-    return scale(tensor_sum(a, axis), 1.0 / n)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
-
-
-def exp(a: Tensor) -> Tensor:
-    arr = np.exp(a.data)
-
-    def backward_fn(g):
-        return (g * arr,)
-
-    return _make((a,), arr, backward_fn)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: input must be strictly positive")
-    ad = a.data
-
-    def backward_fn(g):
-        return (g / ad,)
-
-    return _make((a,), np.log(ad), backward_fn)
 
 
 def tanh(a: Tensor) -> Tensor:

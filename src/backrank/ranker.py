@@ -59,8 +59,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise DomainError("epochs must be >= 1")
-        if self.learning_rate < 0.0:
-            raise DomainError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise DomainError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
         if self.seed < 0:
@@ -116,7 +116,8 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
 
     Deterministic under cfg.seed: example order is reshuffled each epoch with
     the package PRNG. Token indices must already be in-vocabulary (string
-    tokens are mapped to <unk> upstream by the vocabulary encoder).
+    tokens are mapped to <unk> upstream by the vocabulary encoder). A diverged
+    run (non-finite loss or parameters) raises DomainError naming the step.
     """
     if not dataset:
         raise DomainError("training dataset is empty")
@@ -134,8 +135,11 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
                 ex = dataset[idx]
                 with Tape() as tape:
                     loss = listwise_loss(ex.labels, model.relevance_logit(ex.query, ex.docs))
-                backward(tape, loss)
                 history.append(loss.item())
+                if not math.isfinite(history[-1]):
+                    raise DomainError(f"training diverged at step {len(history)}: "
+                                      f"loss is {history[-1]}")
+                backward(tape, loss)
                 for name, p in params.items():
                     if p.grad is not None:
                         if name in acc:
@@ -147,6 +151,10 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
             for name, g in acc.items():
                 p = params[name]
                 p.data = p.data - step * g
+    for name, p in params.items():
+        if not np.all(np.isfinite(p.data)):
+            raise DomainError(f"training diverged at step {len(history)}: "
+                              f"parameter {name!r} is not finite")
     return model, history
 
 
@@ -194,7 +202,6 @@ def sweep_lambda(
     cutoffs: Sequence[int] = (10, 20, 30, 40),
     m: int = 2,
     lexicon: GenderLexicon = DEFAULT_LEXICON,
-    absolute: bool = True,
 ) -> list[dict]:
     """Effectiveness/bias trade-off rows, one per (lambda, cutoff).
 
@@ -214,8 +221,7 @@ def sweep_lambda(
         ranked_ids = {qid: rl.doc_ids for qid, rl in ranked_lists.items()}
         mrr = mean_metric(ranked_ids, eval_set.qrels, "mrr", 10)
         ndcg = mean_metric(ranked_ids, eval_set.qrels, "ndcg", 10)
-        report = bias_report(ranked_ids, eval_set.doc_tokens, lexicon,
-                             cutoffs=cutoffs, absolute=absolute)
+        report = bias_report(ranked_ids, eval_set.doc_tokens, lexicon, cutoffs=cutoffs)
         for cutoff in report.cutoffs:
             rows.append({
                 "lambda": lam,

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, read_lines
 from .numkernel import cosine_similarity
 
 log = logging.getLogger(__name__)
@@ -156,7 +156,7 @@ def load_polarity_lexicon(path, vocab=None) -> list[PolarityPair]:
     pairs: list[PolarityPair] = []
     seen: set[tuple[str, str]] = set()
     dropped = 0
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in read_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -256,6 +256,16 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(bad)
 
 
+def test_checkpoint_non_finite_tensor_is_parse_error(tmp_path, model):
+    name, tensor = sorted(model.parameters().items())[0]
+    tensor.data[(0,) * tensor.ndim] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(path, model, [f"w{i}" for i in range(12)], {})
+    with pytest.raises(ParseError, match="non-finite") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value) and repr(name) in str(err.value)
+
+
 def _rewrite_header(path, out, edit):
     """Copy a checkpoint with its JSON header replaced by edit(header)."""
     blob = path.read_bytes()

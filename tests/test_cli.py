@@ -140,6 +140,21 @@ def test_train_missing_corpus_is_exit_2(pipeline, tmp_path, capsys):
     assert "corpus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lr,message", [("nan", "learning_rate"),
+                                        ("1e300", "diverged at step")])
+def test_train_diverged_is_exit_2_and_writes_nothing(pipeline, tmp_path, capsys, lr, message):
+    data = pipeline["data"]
+    ckpt, loss = tmp_path / "x.ckpt", tmp_path / "loss.csv"
+    args = [*TRAIN_ARGS]
+    args[args.index("--lr") + 1] = lr
+    assert main(["train", "--corpus", str(data / "corpus.tsv"),
+                 "--queries", str(data / "queries.tsv"),
+                 "--qrels", str(data / "qrels.txt"),
+                 "--out", str(ckpt), "--loss-csv", str(loss), *args]) == 2
+    assert not ckpt.exists() and not loss.exists()
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # rank
 
@@ -219,6 +234,28 @@ def test_eval_non_finite_score_is_exit_2(pipeline, tmp_path, capsys):
                  "--qrels", str(pipeline["data"] / "qrels.txt"),
                  "--out", str(tmp_path / "e.csv")]) == 2
     assert f"{run}:1:" in capsys.readouterr().err
+
+
+def test_bad_utf8_byte_in_any_input_is_exit_2_with_its_line(pipeline, tmp_path, capsys):
+    data, bad = pipeline["data"], tmp_path / "bad"
+    good_run = tmp_path / "good.run"
+    good_run.write_text("q0001 Q0 d000001 1 0.5 t\n")
+    cases = {
+        "corpus": (b"d000001\tshe runs\n", ["bias", "--run", str(good_run), "--corpus", str(bad)]),
+        "run": (b"q0001 Q0 d000001 1 0.5 t\n",
+                ["eval", "--run", str(bad), "--qrels", str(data / "qrels.txt")]),
+        "qrels": (b"q0001 0 d000001 1\n", ["eval", "--run", str(good_run), "--qrels", str(bad)]),
+        "synth config": (b"seed = 7\n", ["synth", "--config", str(bad)]),
+        "pairs": (b"he she\n", ["senses", "--checkpoint", str(pipeline["ckpt"]),
+                                  "--pairs", str(bad)]),
+    }
+    for name, (first_line, argv) in cases.items():
+        bad.write_bytes(first_line + b"caf\xff\n")
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2, name
+        assert f"{bad}:2:" in capsys.readouterr().err, name
+    assert main(["eval", "--run", str(tmp_path), "--qrels", str(data / "qrels.txt"),
+                 "--out", str(tmp_path / "e.csv")]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
 
 
 def test_eval_csv_matches_library(pipeline, tmp_path):

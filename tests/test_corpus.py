@@ -54,13 +54,6 @@ def test_vocab_rejects_bad_layouts():
         Vocab(["<pad>", "<unk>", "<sep>", "x", "x"])
 
 
-def test_vocab_file_round_trip(tmp_path):
-    v = Vocab.build([["alpha", "beta", "alpha"]])
-    p = tmp_path / "vocab.txt"
-    v.save(p)
-    assert Vocab.load(p).tokens == v.tokens
-
-
 # ---------------------------------------------------------------------------
 # BM25
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from backrank import metrics
 from backrank import (BiasReport, DomainError, GenderLexicon, Qrels, SplitMix64,
                       arab, bias_report, mag_bool, mag_tf, mean_metric, mrr_at_k,
                       ndcg_at_k, rab)
@@ -33,14 +34,6 @@ def test_mag_tf_log_counts():
 def test_mag_tf_single_occurrence_is_zero():
     # log(count) form: a term seen once contributes log(1) = 0
     assert mag_tf(["she", "x"], LEX.female) == 0.0
-    assert mag_tf(["she", "x"], LEX.female, log_one_plus=True) == pytest.approx(math.log(2))
-
-
-def test_mag_tf_base_rescales():
-    doc = ["he"] * 8
-    assert mag_tf(doc, LEX.male, base=2.0) == pytest.approx(3.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        mag_tf(doc, LEX.male, base=1.0)
 
 
 def test_mag_bool():
@@ -58,39 +51,90 @@ def test_worked_fixture_values():
     assert arab(docs, t=2) == ARAB2
 
 
+def naive_delta(doc, variant):
+    # female magnitude minus male magnitude, each computed on its own
+    if variant == "bool":
+        return float(any(t in LEX.female for t in doc)) - float(
+            any(t in LEX.male for t in doc))
+    fem = 0.0
+    for term in sorted({t for t in doc if t in LEX.female}):
+        fem += math.log(doc.count(term))
+    mal = 0.0
+    for term in sorted({t for t in doc if t in LEX.male}):
+        mal += math.log(doc.count(term))
+    return fem - mal
+
+
+def naive_rab(docs, variant, t):
+    return sum(naive_delta(d, variant) for d in docs[:t]) / t
+
+
+def naive_arab(docs, variant, t):
+    return sum(naive_rab(docs, variant, x) for x in range(1, t + 1)) / t
+
+
+WORDS = ["she", "he", "her", "him", "woman", "man", "alpha", "beta", "gamma"]
+
+
+def random_docs(rng, max_docs):
+    return [[WORDS[rng.randint(len(WORDS))] for _ in range(1 + rng.randint(10))]
+            for _d in range(1 + rng.randint(max_docs))]
+
+
 def test_rab_arab_match_naive_fold_on_random_lists():
     """Bit-equality against a directly-transcribed definition."""
-
-    def naive_delta(doc, variant):
-        # female magnitude minus male magnitude, each computed on its own
-        if variant == "bool":
-            return float(any(t in LEX.female for t in doc)) - float(
-                any(t in LEX.male for t in doc))
-        fem = 0.0
-        for term in sorted({t for t in doc if t in LEX.female}):
-            fem += math.log(doc.count(term))
-        mal = 0.0
-        for term in sorted({t for t in doc if t in LEX.male}):
-            mal += math.log(doc.count(term))
-        return fem - mal
-
-    def naive_rab(docs, variant, t):
-        return sum(naive_delta(d, variant) for d in docs[:t]) / t
-
-    def naive_arab(docs, variant, t):
-        return sum(naive_rab(docs, variant, x) for x in range(1, t + 1)) / t
-
-    words = ["she", "he", "her", "him", "woman", "man", "alpha", "beta", "gamma"]
     rng = SplitMix64(77)
     for _ in range(200):
-        docs = []
-        for _d in range(1 + rng.randint(8)):
-            docs.append([words[rng.randint(len(words))]
-                         for _ in range(1 + rng.randint(10))])
+        docs = random_docs(rng, 8)
         t = 1 + rng.randint(len(docs))
         for variant in ("tf", "bool"):
             assert rab(docs, variant=variant, t=t) == naive_rab(docs, variant, t)
             assert arab(docs, variant=variant, t=t) == naive_arab(docs, variant, t)
+
+
+def test_bias_report_matches_naive_means_on_random_runs():
+    """Every cutoff, including ones past a list's end, is bit-equal to the
+    mean over sorted query ids of the absolute naive per-query values."""
+    rng = SplitMix64(91)
+    cutoffs = (1, 3, 5, 40)
+    for _ in range(200):
+        ranked, tokens = {}, {}
+        for q in range(1 + rng.randint(4)):
+            qid = f"q{q}"
+            docs = random_docs(rng, 45)
+            ranked[qid] = [f"{qid}-d{i}" for i in range(len(docs))]
+            tokens.update(zip(ranked[qid], docs))
+        report = bias_report(ranked, tokens, cutoffs=cutoffs)
+        for variant in ("tf", "bool"):
+            for c in cutoffs:
+                lists = [[tokens[d] for d in ranked[q]] for q in sorted(ranked)]
+                rabs = [abs(naive_rab(docs, variant, min(c, len(docs)))) for docs in lists]
+                arabs = [abs(naive_arab(docs, variant, min(c, len(docs)))) for docs in lists]
+                assert report.mean_rab[(variant, c)] == sum(rabs) / len(lists)
+                assert report.mean_arab[(variant, c)] == sum(arabs) / len(lists)
+
+
+def test_bias_report_computes_each_delta_once(monkeypatch):
+    """One pass per list and variant: no more deltas than documents read."""
+    calls = {"tf": 0, "bool": 0}
+    real = metrics._gender_delta
+
+    def counting(doc, lexicon, variant):
+        calls[variant] += 1
+        return real(doc, lexicon, variant)
+
+    monkeypatch.setattr(metrics, "_gender_delta", counting)
+    rng = SplitMix64(5)
+    ranked, tokens = {}, {}
+    for q in range(20):
+        docs = random_docs(rng, 60)
+        ranked[f"q{q}"] = [f"q{q}-d{i}" for i in range(len(docs))]
+        tokens.update(zip(ranked[f"q{q}"], docs))
+    cutoffs = (10, 20, 30, 40)
+    bias_report(ranked, tokens, cutoffs=cutoffs)
+    bound = sum(min(len(ids), max(cutoffs)) for ids in ranked.values())
+    assert 0 < calls["tf"] <= bound
+    assert 0 < calls["bool"] <= bound
 
 
 def test_cutoff_beyond_list_uses_prefix():
@@ -189,13 +233,13 @@ def test_bias_report_gender_free_is_all_zero():
 
 
 def test_bias_report_absolute_vs_signed():
-    # q1 leans female, q2 leans male, same strength: signed means cancel,
-    # absolute means do not
+    # q1 leans female, q2 leans male, same strength: signed per-query values
+    # cancel, the report's absolute means do not
     ranked = {"q1": ["df"], "q2": ["dm"]}
     docs = {"df": ["she", "she"], "dm": ["he", "he"]}
-    signed = bias_report(ranked, docs, cutoffs=(1,), absolute=False)
+    signed = [rab([docs[d] for d in ranked[q]], t=1) for q in sorted(ranked)]
     absr = bias_report(ranked, docs, cutoffs=(1,))
-    assert signed.mean_rab[("tf", 1)] == pytest.approx(0.0, abs=1e-15)
+    assert sum(signed) / len(signed) == pytest.approx(0.0, abs=1e-15)
     assert absr.mean_rab[("tf", 1)] == pytest.approx(math.log(2), abs=1e-12)
     assert isinstance(absr, BiasReport)
 

