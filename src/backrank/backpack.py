@@ -323,18 +323,31 @@ class Backpack:
             room = 0
         return q + [self.config.sep_index] + d[:room]
 
-    def relevance_logit(self, query_ids: Sequence[int], docs: Sequence[Sequence[int]],
-                        weights=None) -> Tensor:
-        """Pre-sigmoid relevance of each document to the query, shaped (B,).
+    def relevance_logits(self, query_ids: Sequence[int], docs: Sequence[Sequence[int]],
+                         weight_sets: Sequence) -> list[Tensor]:
+        """Pre-sigmoid relevance of each document to the query, one (B,)
+        tensor per entry of ``weight_sets`` (each None or a per-sense weight
+        vector).
 
+        The encoder and the sense table run once for the whole list; only
+        the weighted aggregation, the pooling and the head run per entry.
         Each row is pooled at its own last real position by a one-hot mask,
         which is exact: the padding after that position gets weight 0.
         """
         seqs = [self.pack_sequence(query_ids, d) for d in docs]
-        out = self.forward(seqs, weights)
-        last = np.zeros(out.shape[:2] + (1,))
+        ids = self._pad(seqs)
+        alpha = self.context.alpha(ids)
+        senses = self.senses.senses_for(ids)
+        last = np.zeros(ids.shape + (1,))
         last[np.arange(len(seqs)), [len(s) - 1 for s in seqs]] = 1.0
-        return self.head.logit(nk.tensor_sum(nk.mul(out, Tensor(last)), axis=1))
+        mask = Tensor(last)
+        return [self.head.logit(nk.tensor_sum(nk.mul(aggregate(alpha, senses, w), mask), axis=1))
+                for w in weight_sets]
+
+    def relevance_logit(self, query_ids: Sequence[int], docs: Sequence[Sequence[int]],
+                        weights=None) -> Tensor:
+        """Pre-sigmoid relevance of each document to the query, shaped (B,)."""
+        return self.relevance_logits(query_ids, docs, [weights])[0]
 
     def relevance_score(self, query_ids: Sequence[int], docs: Sequence[Sequence[int]],
                         weights=None) -> np.ndarray:

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import DomainError, ParseError, read_lines
 from .metrics import DEFAULT_LEXICON, Qrels
 from .ranker import EvalSet, RankedList, TrainExample
@@ -123,19 +125,27 @@ class Collection:
 
 
 class _Bm25Index:
-    """Document frequencies, postings, and length statistics for BM25."""
+    """Document frequencies, postings, and length statistics for BM25.
+
+    Documents are numbered in sorted doc-id order, so ascending row order is
+    ascending doc-id order. Each term's postings are parallel (row, tf)
+    arrays, rows ascending.
+    """
 
     def __init__(self, docs: Mapping[str, Sequence[str]]):
-        self.num_docs = len(docs)
-        self.doc_len: dict[str, int] = {}
-        self.postings: dict[str, list[tuple[str, int]]] = {}
-        total = 0
-        for did, tokens in docs.items():
-            self.doc_len[did] = len(tokens)
-            total += len(tokens)
-            for term, tf in Counter(tokens).items():
-                self.postings.setdefault(term, []).append((did, tf))
-        self.avgdl = total / self.num_docs if self.num_docs else 0.0
+        self.doc_ids = sorted(docs)
+        self.num_docs = len(self.doc_ids)
+        self.doc_len = np.array([len(docs[did]) for did in self.doc_ids], dtype=np.int64)
+        rows: dict[str, list[int]] = {}
+        tfs: dict[str, list[int]] = {}
+        for row, did in enumerate(self.doc_ids):
+            for term, tf in Counter(docs[did]).items():
+                rows.setdefault(term, []).append(row)
+                tfs.setdefault(term, []).append(tf)
+        self.postings: dict[str, tuple[np.ndarray, np.ndarray]] = {
+            term: (np.array(r, dtype=np.intp), np.array(tfs[term], dtype=np.int64))
+            for term, r in rows.items()}
+        self.avgdl = int(self.doc_len.sum()) / self.num_docs if self.num_docs else 0.0
 
 
 def bm25_retrieve(
@@ -161,21 +171,23 @@ def bm25_retrieve(
     tokens = tokenize(query) if isinstance(query, str) else list(query)
     idx = collection.bm25_index()
     n = idx.num_docs
-    scores: dict[str, float] = {}
+    scores = np.zeros(n)
     for term in tokens:
         plist = idx.postings.get(term)
-        if not plist:
+        if plist is None:
             continue
-        df = len(plist)
+        rows, tf = plist
+        df = len(rows)
         idf = max(0.0, math.log((n - df + 0.5) / (df + 0.5)))
         if idf == 0.0:
             continue
-        for did, tf in plist:
-            norm = k1 * (1.0 - b + b * idx.doc_len[did] / idx.avgdl)
-            scores[did] = scores.get(did, 0.0) + idf * tf * (k1 + 1.0) / (tf + norm)
-    kept = [(did, s) for did, s in scores.items() if s > 0.0]
-    kept.sort(key=lambda e: (-e[1], e[0]))
-    return RankedList(query_id, tuple(kept[:top_n]))
+        norm = k1 * (1.0 - b + b * idx.doc_len[rows] / idx.avgdl)
+        scores[rows] += idf * tf * (k1 + 1.0) / (tf + norm)
+    kept = np.flatnonzero(scores > 0.0)
+    # stable over ascending rows: ties stay in doc-id order
+    order = kept[np.argsort(-scores[kept], kind="stable")[:top_n]]
+    return RankedList(query_id, tuple(zip([idx.doc_ids[r] for r in order.tolist()],
+                                          scores[order].tolist())))
 
 
 # ---------------------------------------------------------------------------

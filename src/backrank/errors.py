@@ -49,6 +49,8 @@ def read_lines(path) -> list[tuple[int, str]]:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
+        # numbered as str.splitlines numbers the lines the parsers see
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not valid UTF-8", path=str(path),
-                         line=1 + data.count(b"\n", 0, exc.start)) from None
+                         line=line) from None
     return list(enumerate(text.splitlines(), 1))

@@ -125,37 +125,46 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
     tensors = list(params.values())
     rng = SplitMix64(cfg.seed)
     history: list[float] = []
-    for _epoch in range(cfg.epochs):
-        order = list(range(len(dataset)))
-        rng.shuffle(order)
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            acc: dict[str, np.ndarray] = {}
-            for idx in batch:
-                ex = dataset[idx]
-                with Tape() as tape:
-                    loss = listwise_loss(ex.labels, model.relevance_logit(ex.query, ex.docs))
-                history.append(loss.item())
-                if not math.isfinite(history[-1]):
-                    raise DomainError(f"training diverged at step {len(history)}: "
-                                      f"loss is {history[-1]}")
-                backward(tape, loss)
-                for name, p in params.items():
-                    if p.grad is not None:
-                        if name in acc:
-                            acc[name] += p.grad
-                        else:
-                            acc[name] = p.grad.copy()
-                reset_grads(tensors)
-            step = cfg.learning_rate / len(batch)
-            for name, g in acc.items():
-                p = params[name]
-                p.data = p.data - step * g
+    # A diverging run overflows to inf and nan; it is reported below and by the
+    # per-step loss check as a DomainError, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _epoch in range(cfg.epochs):
+            order = list(range(len(dataset)))
+            rng.shuffle(order)
+            for start in range(0, len(order), cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                acc: dict[str, np.ndarray] = {}
+                for idx in batch:
+                    ex = dataset[idx]
+                    with Tape() as tape:
+                        loss = listwise_loss(ex.labels, model.relevance_logit(ex.query, ex.docs))
+                    history.append(loss.item())
+                    if not math.isfinite(history[-1]):
+                        raise DomainError(f"training diverged at step {len(history)}: "
+                                          f"loss is {history[-1]}")
+                    backward(tape, loss)
+                    for name, p in params.items():
+                        if p.grad is not None:
+                            if name in acc:
+                                acc[name] += p.grad
+                            else:
+                                acc[name] = p.grad.copy()
+                    reset_grads(tensors)
+                step = cfg.learning_rate / len(batch)
+                for name, g in acc.items():
+                    p = params[name]
+                    p.data = p.data - step * g
     for name, p in params.items():
         if not np.all(np.isfinite(p.data)):
             raise DomainError(f"training diverged at step {len(history)}: "
                               f"parameter {name!r} is not finite")
     return model, history
+
+
+def _ranked(query_id: str, doc_ids: Sequence[str], scores: np.ndarray) -> RankedList:
+    """Score descending, doc id ascending on ties."""
+    return RankedList(query_id, tuple(sorted(zip(doc_ids, scores.tolist()),
+                                             key=lambda e: (-e[1], e[0]))))
 
 
 def rank(model, query_id: str, query: Sequence[int],
@@ -166,9 +175,7 @@ def rank(model, query_id: str, query: Sequence[int],
         raise DomainError(f"no candidates to rank for query {query_id}")
     weights = None if sense_map is None else sense_map.weights
     scores = model.relevance_score(query, [doc for _, doc in candidates], weights)
-    scored = sorted(zip([doc_id for doc_id, _ in candidates], scores.tolist()),
-                    key=lambda e: (-e[1], e[0]))
-    return RankedList(query_id, tuple(scored))
+    return _ranked(query_id, [doc_id for doc_id, _ in candidates], scores)
 
 
 @dataclass(frozen=True)
@@ -214,14 +221,24 @@ def sweep_lambda(
     for lam in lambdas:
         if not 0.0 < lam <= 1.0:
             raise DomainError(f"lambda {lam} outside (0, 1]")
+    sense_maps = [build_sense_map(scores, lam, m) for lam in lambdas]
+    # One encoder pass per query serves every lambda; only doc ids are kept
+    # across queries.
+    ranked_ids: list[dict[str, list[str]]] = [{} for _ in lambdas]
+    for qid in sorted(eval_set.queries):
+        candidates = eval_set.candidates[qid]
+        if not candidates:
+            raise DomainError(f"no candidates to rank for query {qid}")
+        doc_ids = [doc_id for doc_id, _ in candidates]
+        logits = model.relevance_logits(eval_set.queries[qid], [doc for _, doc in candidates],
+                                        [sm.weights for sm in sense_maps])
+        for per_lambda, z in zip(ranked_ids, logits):
+            per_lambda[qid] = _ranked(qid, doc_ids, nk.sigmoid(z).data).doc_ids
     rows: list[dict] = []
-    for lam in lambdas:
-        sense_map = build_sense_map(scores, lam, m)
-        ranked_lists = rank_all(model, eval_set, sense_map)
-        ranked_ids = {qid: rl.doc_ids for qid, rl in ranked_lists.items()}
-        mrr = mean_metric(ranked_ids, eval_set.qrels, "mrr", 10)
-        ndcg = mean_metric(ranked_ids, eval_set.qrels, "ndcg", 10)
-        report = bias_report(ranked_ids, eval_set.doc_tokens, lexicon, cutoffs=cutoffs)
+    for lam, ranked in zip(lambdas, ranked_ids):
+        mrr = mean_metric(ranked, eval_set.qrels, "mrr", 10)
+        ndcg = mean_metric(ranked, eval_set.qrels, "ndcg", 10)
+        report = bias_report(ranked, eval_set.doc_tokens, lexicon, cutoffs=cutoffs)
         for cutoff in report.cutoffs:
             rows.append({
                 "lambda": lam,

@@ -5,6 +5,7 @@ import json
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -147,12 +148,16 @@ def test_train_diverged_is_exit_2_and_writes_nothing(pipeline, tmp_path, capsys,
     ckpt, loss = tmp_path / "x.ckpt", tmp_path / "loss.csv"
     args = [*TRAIN_ARGS]
     args[args.index("--lr") + 1] = lr
-    assert main(["train", "--corpus", str(data / "corpus.tsv"),
-                 "--queries", str(data / "queries.tsv"),
-                 "--qrels", str(data / "qrels.txt"),
-                 "--out", str(ckpt), "--loss-csv", str(loss), *args]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--corpus", str(data / "corpus.tsv"),
+                     "--queries", str(data / "queries.tsv"),
+                     "--qrels", str(data / "qrels.txt"),
+                     "--out", str(ckpt), "--loss-csv", str(loss), *args]) == 2
     assert not ckpt.exists() and not loss.exists()
     assert message in capsys.readouterr().err
+    # the divergence is reported once, as the error above, not as numpy warnings
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +261,19 @@ def test_bad_utf8_byte_in_any_input_is_exit_2_with_its_line(pipeline, tmp_path, 
     assert main(["eval", "--run", str(tmp_path), "--qrels", str(data / "qrels.txt"),
                  "--out", str(tmp_path / "e.csv")]) == 2
     assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_bad_utf8_byte_line_counts_every_line_break(pipeline, tmp_path, capsys):
+    """The reported line of a bad byte is the line the parsers number, with
+    CR-only and CRLF endings as with LF."""
+    good_run = tmp_path / "good.run"
+    good_run.write_text("q0001 Q0 d000001 1 0.5 t\n")
+    bad = tmp_path / "bad.qrels"
+    for eol in (b"\r", b"\r\n", b"\n"):
+        bad.write_bytes(eol.join([b"q0001 0 d000001 1", b"q0001 0 d000002 0", b"caf\xff", b""]))
+        assert main(["eval", "--run", str(good_run), "--qrels", str(bad),
+                     "--out", str(tmp_path / "e.csv")]) == 2
+        assert f"{bad}:3:" in capsys.readouterr().err, eol
 
 
 def test_eval_csv_matches_library(pipeline, tmp_path):

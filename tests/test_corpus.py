@@ -5,7 +5,7 @@ import math
 import pytest
 
 from backrank import (Collection, DomainError, ParseError, Qrels, RunRecord,
-                      SynthConfig, Vocab, bm25_retrieve, build_eval_set,
+                      SplitMix64, SynthConfig, Vocab, bm25_retrieve, build_eval_set,
                       build_train_examples, generate_synthetic, group_run,
                       load_collection, read_qrels, read_run, tokenize,
                       write_collection, write_qrels, write_run)
@@ -63,15 +63,11 @@ def test_bm25_prefers_matching_doc(tiny_coll):
     assert ranked.doc_ids[0] == "d3"
 
 
-def test_bm25_matches_direct_formula(tiny_coll):
-    """Every returned score equals the Okapi formula computed straight from
-    the definition (k1=0.9, b=0.4, idf floored at zero)."""
-    k1, b = 0.9, 0.4
-    docs = tiny_coll.docs
+def direct_bm25(docs, query, k1=0.9, b=0.4):
+    """doc id -> Okapi BM25 score > 0, straight from the definition (idf
+    floored at zero), adding the query terms in their order."""
     n = len(docs)
     avgdl = sum(len(t) for t in docs.values()) / n
-    query = ["black", "cat"]
-
     expected = {}
     for did, toks in docs.items():
         score = 0.0
@@ -86,12 +82,61 @@ def test_bm25_matches_direct_formula(tiny_coll):
             score += idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len(toks) / avgdl))
         if score > 0.0:
             expected[did] = score
+    return expected
+
+
+def test_bm25_matches_direct_formula(tiny_coll):
+    """Every returned score equals the Okapi formula computed straight from
+    the definition (k1=0.9, b=0.4, idf floored at zero)."""
+    k1, b = 0.9, 0.4
+    query = ["black", "cat"]
+    expected = direct_bm25(tiny_coll.docs, query, k1, b)
 
     ranked = bm25_retrieve(query, tiny_coll, top_n=10, k1=k1, b=b)
     assert dict(ranked.items) == pytest.approx(expected, abs=1e-12)
     # sorted by score desc, id asc
     scores = ranked.scores
     assert scores == sorted(scores, reverse=True)
+
+
+def test_bm25_matches_direct_formula_on_random_collections():
+    """Scores and order equal the direct formula exactly, sorted by score
+    descending then doc id ascending, on seeded collections with duplicate
+    documents (tied scores, also across the top_n cut), repeated query
+    terms, a term in more than half of the documents, and ids whose string
+    order differs from their insertion order (d10 < d9)."""
+    rng = SplitMix64(21)
+    words = [f"w{i}" for i in range(8)]
+    seen = {"tie_at_cut": 0, "repeated_term": 0, "floored_term": 0}
+    for _ in range(150):
+        n = 4 + rng.randint(20)
+        numbers = list(range(1, n + 1))
+        rng.shuffle(numbers)
+        docs = {}
+        for i in numbers:
+            if docs and rng.uniform() < 0.3:
+                docs[f"d{i}"] = list(docs[rng.sample(sorted(docs), 1)[0]])
+            else:
+                docs[f"d{i}"] = [words[rng.randint(len(words))]
+                                 for _ in range(1 + rng.randint(6))]
+                if rng.uniform() < 0.8:
+                    docs[f"d{i}"].append("common")
+        query = [words[rng.randint(len(words))] for _ in range(1 + rng.randint(4))]
+        query += ["common"] * rng.randint(2) + ["oov"] * rng.randint(2)
+        k1, b = 0.5 + rng.uniform(), rng.uniform()
+        top_n = 1 + rng.randint(n)
+
+        expected = direct_bm25(docs, query, k1, b)
+        ordered = sorted(expected.items(), key=lambda e: (-e[1], e[0]))
+        ranked = bm25_retrieve(query, Collection(docs, {}), top_n=top_n, k1=k1, b=b)
+        assert ranked.items == tuple(ordered[:top_n])
+
+        if 0 < top_n < len(ordered) and ordered[top_n - 1][1] == ordered[top_n][1]:
+            seen["tie_at_cut"] += 1
+        seen["repeated_term"] += len(set(query)) < len(query)
+        seen["floored_term"] += ("common" in query
+                                 and 2 * sum("common" in t for t in docs.values()) > n)
+    assert all(count >= 5 for count in seen.values()), seen
 
 
 def test_bm25_oov_query_is_empty(tiny_coll):

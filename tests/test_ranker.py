@@ -9,6 +9,7 @@ from backrank import (Backpack, BackpackConfig, DomainError, RankedList,
                       build_eval_set, build_sense_map, build_train_examples,
                       generate_synthetic, listwise_loss, mean_metric, rank,
                       rank_all, sweep_lambda, train)
+from backrank.backpack import ContextEncoder
 from backrank.ranker import SWEEP_COLUMNS
 from backrank.senses import PolarityPair
 from backrank import Tape, backward, finite_diff_check
@@ -247,6 +248,52 @@ def test_sweep_identity_row_equals_direct_evaluation(synth_setup):
     assert base["arab_tf"] == report.mean_arab[("tf", 5)]
     assert base["rab_bool"] == report.mean_rab[("bool", 5)]
     assert base["arab_bool"] == report.mean_arab[("bool", 5)]
+
+
+def test_sweep_rows_equal_rank_all_under_each_lambda(synth_setup):
+    """Every row of a 3-lambda sweep is bit-equal to ranking the whole eval
+    set under that lambda's sense map and evaluating it directly."""
+    model, vocab, _, eval_set = synth_setup
+    scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
+    lambdas, cutoffs = [1.0, 0.6, 0.3], (3, 5)
+    rows = sweep_lambda(model, eval_set, scores, lambdas, cutoffs=cutoffs, m=2)
+
+    expected = []
+    for lam in lambdas:
+        ranked = {qid: rl.doc_ids for qid, rl in
+                  rank_all(model, eval_set, build_sense_map(scores, lam, 2)).items()}
+        mrr = mean_metric(ranked, eval_set.qrels, "mrr", 10)
+        ndcg = mean_metric(ranked, eval_set.qrels, "ndcg", 10)
+        report = bias_report(ranked, eval_set.doc_tokens, cutoffs=cutoffs)
+        for cutoff in cutoffs:
+            expected.append({
+                "lambda": lam, "mrr@10": mrr, "ndcg@10": ndcg,
+                "rab_tf": report.mean_rab[("tf", cutoff)],
+                "arab_tf": report.mean_arab[("tf", cutoff)],
+                "rab_bool": report.mean_rab[("bool", cutoff)],
+                "arab_bool": report.mean_arab[("bool", cutoff)],
+                "cutoff": cutoff,
+            })
+    assert rows == expected
+    assert len({(r["rab_tf"], r["arab_tf"]) for r in rows}) > 2   # the lambdas differ
+
+
+def test_sweep_runs_the_encoder_once_per_query(synth_setup, monkeypatch):
+    """The encoder's cost does not grow with the number of lambdas."""
+    model, vocab, _, eval_set = synth_setup
+    scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
+    calls = []
+    alpha = ContextEncoder.alpha
+
+    def counting(self, ids):
+        calls.append(len(ids))
+        return alpha(self, ids)
+
+    monkeypatch.setattr(ContextEncoder, "alpha", counting)
+    for lambdas in ([1.0], [1.0, 0.7, 0.5, 0.3]):
+        calls.clear()
+        sweep_lambda(model, eval_set, scores, lambdas, cutoffs=(5,), m=2)
+        assert calls == [len(eval_set.candidates[q]) for q in sorted(eval_set.queries)]
 
 
 def test_sweep_suppression_changes_rankings(synth_setup):
