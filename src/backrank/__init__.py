@@ -43,7 +43,7 @@ from .metrics import (
     ndcg_at_k,
     rab,
 )
-from .numkernel import Tape, Tensor, backward, cosine_similarity, finite_diff_check
+from .numkernel import Tape, Tensor, backward, cosine_similarity
 from .ranker import (
     EvalSet,
     RankedList,
@@ -80,10 +80,10 @@ __all__ = [
     "aggregate", "arab", "attribute_scores", "backward", "bias_report",
     "bm25_retrieve", "build_eval_set", "build_sense_map",
     "build_train_examples", "cosine_similarity", "default_pairs_path",
-    "finite_diff_check", "generate_synthetic",
-    "group_run", "listwise_loss", "load_checkpoint", "load_collection",
-    "load_polarity_lexicon", "mag_bool", "mag_tf", "mean_metric",
-    "mrr_at_k", "ndcg_at_k", "rab", "rank", "rank_all", "read_qrels",
-    "read_run", "save_checkpoint", "sense_similarity", "sweep_lambda",
-    "tokenize", "train", "write_collection", "write_qrels", "write_run",
+    "generate_synthetic", "group_run", "listwise_loss", "load_checkpoint",
+    "load_collection", "load_polarity_lexicon", "mag_bool", "mag_tf",
+    "mean_metric", "mrr_at_k", "ndcg_at_k", "rab", "rank", "rank_all",
+    "read_qrels", "read_run", "save_checkpoint", "sense_similarity",
+    "sweep_lambda", "tokenize", "train", "write_collection", "write_qrels",
+    "write_run",
 ]

@@ -3,12 +3,12 @@
 Every vocabulary token owns k context-independent sense vectors (a learned
 multi-vector extension of a classic embedding table). A transformer-style
 encoder reads the input once and emits nonnegative contextualization weights
-alpha of shape k x n x n, row-normalized per (sense, position) under a
-causal mask; the output at position i is the alpha-weighted sum of the sense
-vectors of tokens 0..i. Because that sum is linear in the senses, scaling
-chosen senses by a factor in (0, 1] at inference time suppresses whatever
-those senses encode without retraining; the all-ones weighting reproduces
-the plain forward pass bit for bit.
+alpha of shape k x m x n for m query positions, row-normalized per (sense,
+position) under a causal mask; the output at position i is the
+alpha-weighted sum of the sense vectors of tokens 0..i. Because that sum is
+linear in the senses, scaling chosen senses by a factor in (0, 1] at
+inference time suppresses whatever those senses encode without retraining;
+the all-ones weighting reproduces the plain forward pass bit for bit.
 
 Every component works on a batch: a B x n matrix of token ids, right-padded
 with id 0. The causal mask keeps each real position blind to the padding
@@ -16,7 +16,9 @@ after it, so a padded row computes what the row would compute alone.
 
 For ranking, query and document are packed as query ++ <sep> ++ document,
 pooled at the last real position, and passed through a two-layer MLP; the
-sigmoid of its output is the relevance score.
+sigmoid of its output is the relevance score. Only that position's alpha
+row reaches the score, so ranking and training compute alpha for it alone
+(m = 1); ``Backpack.forward`` computes every position (m = n).
 """
 
 from __future__ import annotations
@@ -114,15 +116,11 @@ class SenseTable:
         self.w2 = _param(rng, (k, p, d), 1.0 / math.sqrt(p))
         self.b2 = _zeros((k, 1, d))
         self._k = k
-        self._p = p
 
     def senses_for(self, ids) -> Tensor:
         """Sense vectors for a B x n id matrix, shaped B x k x n x d."""
-        b, n = np.shape(ids)
-        e = nk.take_rows(self.base, ids)
-        h = nk.tanh(nk.add(nk.matmul(e, self.w1), self.b1))
-        h = nk.transpose(nk.reshape(h, (b, n, self._k, self._p)), (0, 2, 1, 3))
-        return nk.add(nk.matmul(h, self.w2), self.b2)
+        h = nk.tanh(nk.linear(nk.take_rows(self.base, ids), self.w1, self.b1))
+        return nk.linear(nk.split_heads(h, self._k), self.w2, self.b2)
 
 
 class _EncoderLayer:
@@ -144,18 +142,9 @@ class _EncoderLayer:
         self.fb2 = _zeros((d,))
 
 
-def _causal_scores(q: Tensor, key: Tensor) -> Tensor:
-    """Scaled dot products q key^T over the last two axes, with -1e30 added
-    wherever the key position follows the query position."""
-    n, dh = q.shape[-2], q.shape[-1]
-    scores = nk.scale(nk.matmul(q, nk.transpose(key, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    return nk.add(scores, Tensor(np.triu(np.full((n, n), _MASK_VALUE), k=1)))
-
-
-def _split(x: Tensor, parts: int) -> Tensor:
-    """B x n x (parts * w) -> B x parts x n x w."""
-    b, n, width = x.shape
-    return nk.transpose(nk.reshape(x, (b, n, parts, width // parts)), (0, 2, 1, 3))
+def _causal_mask(positions: np.ndarray, n: int) -> np.ndarray:
+    """positions.shape + (n,): -1e30 where key j follows the query, else 0."""
+    return np.where(np.arange(n) > positions[..., None], _MASK_VALUE, 0.0)
 
 
 class ContextEncoder:
@@ -176,12 +165,12 @@ class ContextEncoder:
 
     def _attention(self, layer: _EncoderLayer, hs: Tensor) -> Tensor:
         heads = self.cfg.context_heads
-        q = _split(nk.add(nk.matmul(hs, layer.wq), layer.bq), heads)
-        k = _split(nk.add(nk.matmul(hs, layer.wk), layer.bk), heads)
-        v = _split(nk.add(nk.matmul(hs, layer.wv), layer.bv), heads)
-        ctx = nk.matmul(nk.softmax(_causal_scores(q, k), axis=-1), v)
-        merged = nk.reshape(nk.transpose(ctx, (0, 2, 1, 3)), hs.shape)
-        return nk.add(nk.matmul(merged, layer.wo), layer.bo)
+        q = nk.split_heads(nk.linear(hs, layer.wq, layer.bq), heads)
+        k = nk.split_heads(nk.linear(hs, layer.wk, layer.bk), heads)
+        v = nk.split_heads(nk.linear(hs, layer.wv, layer.bv), heads)
+        n = hs.shape[1]
+        probs = nk.attention_weights(q, k, _causal_mask(np.arange(n), n))
+        return nk.linear(nk.merge_heads(nk.matmul(probs, v)), layer.wo, layer.bo)
 
     def encode(self, ids) -> Tensor:
         """Hidden states for a B x n id matrix, shaped B x n x d."""
@@ -189,17 +178,25 @@ class ContextEncoder:
         hs = nk.add(nk.take_rows(self.tok_emb, ids), nk.take_rows(self.pos_emb, np.arange(n)))
         for layer in self.layers:
             hs = nk.add(hs, self._attention(layer, hs))
-            ff = nk.tanh(nk.add(nk.matmul(hs, layer.f1), layer.fb1))
-            hs = nk.add(hs, nk.add(nk.matmul(ff, layer.f2), layer.fb2))
+            ff = nk.tanh(nk.linear(hs, layer.f1, layer.fb1))
+            hs = nk.add(hs, nk.linear(ff, layer.f2, layer.fb2))
         return hs
 
-    def alpha(self, ids) -> Tensor:
-        """B x k x n x n weights, softmax-normalized over j for every (l, i)."""
+    def alpha(self, ids, positions) -> Tensor:
+        """B x k x m x n weights of query positions ``positions`` (B x m, or
+        m shared by every row) over key positions j, softmax-normalized over
+        j <= the query position. ``np.arange(n)`` gives the full k x n x n."""
         hs = self.encode(ids)
+        b, n, d = hs.shape
+        pos = np.asarray(positions, dtype=np.intp)
+        pos = np.broadcast_to(pos, (b, pos.shape[-1]))
+        if pos.size and (pos.min() < 0 or pos.max() >= n):
+            raise DomainError(f"alpha: query positions must lie in [0, {n})")
         k = self.cfg.num_senses
-        q = _split(nk.add(nk.matmul(hs, self.aq), self.abq), k)
-        key = _split(nk.add(nk.matmul(hs, self.ak), self.abk), k)
-        return nk.softmax(_causal_scores(q, key), axis=-1)
+        rows = nk.take_rows(nk.reshape(hs, (b * n, d)), pos + n * np.arange(b)[:, None])
+        q = nk.split_heads(nk.linear(rows, self.aq, self.abq), k)
+        key = nk.split_heads(nk.linear(hs, self.ak, self.abk), k)
+        return nk.attention_weights(q, key, _causal_mask(pos[:, None], n))
 
 
 class RelevanceHead:
@@ -213,22 +210,22 @@ class RelevanceHead:
         self.b2 = _zeros((1,))
 
     def logit(self, pooled: Tensor) -> Tensor:
-        """B x d pooled vectors -> (B,) logits."""
-        h = nk.tanh(nk.add(nk.matmul(pooled, self.w1), self.b1))
-        out = nk.add(nk.matmul(h, self.w2), self.b2)
+        """B x d, or B x 1 x d, pooled vectors -> (B,) logits."""
+        h = nk.tanh(nk.linear(pooled, self.w1, self.b1))
+        out = nk.linear(h, self.w2, self.b2)
         return nk.reshape(out, (pooled.shape[0],))
 
 
 def aggregate(alpha: Tensor, senses: Tensor, weights=None) -> Tensor:
-    """Weighted sense aggregation, B x n x d:
+    """Weighted sense aggregation, B x m x d for B x k x m x n weights:
     out[b, i] = sum_l w_l sum_j alpha[b, l, i, j] senses[b, l, j].
 
     ``weights`` is an optional length-k positive per-sense multiplier applied
     outside alpha with no renormalization, so the all-ones weighting is
-    bit-identical to the plain sum.
+    bit-identical to the plain sum. It is the only place weights act.
     """
     if alpha.ndim != 4 or senses.ndim != 4:
-        raise DomainError("aggregate expects B x k x n x n weights and B x k x n x d senses")
+        raise DomainError("aggregate expects B x k x m x n weights and B x k x n x d senses")
     k = alpha.shape[1]
     ctx = nk.matmul(alpha, senses)
     if weights is not None:
@@ -310,7 +307,8 @@ class Backpack:
         """Per-position output vectors, B x n x d, for B token sequences
         right-padded to the longest; ``weights`` scales whole senses."""
         ids = self._pad(seqs)
-        return aggregate(self.context.alpha(ids), self.senses.senses_for(ids), weights)
+        alpha = self.context.alpha(ids, np.arange(ids.shape[1]))
+        return aggregate(alpha, self.senses.senses_for(ids), weights)
 
     def pack_sequence(self, query_ids: Sequence[int], doc_ids: Sequence[int]) -> list[int]:
         """query ++ <sep> ++ document, truncating the document tail first."""
@@ -329,20 +327,16 @@ class Backpack:
         tensor per entry of ``weight_sets`` (each None or a per-sense weight
         vector).
 
-        The encoder and the sense table run once for the whole list; only
-        the weighted aggregation, the pooling and the head run per entry.
-        Each row is pooled at its own last real position by a one-hot mask,
-        which is exact: the padding after that position gets weight 0.
+        Each row is pooled at its own last real position: alpha is computed
+        for that position alone (B x k x 1 x n), so ``aggregate`` returns the
+        pooled B x 1 x d. The encoder and the sense table run once for the
+        list; only the weighted aggregation and the head run per entry.
         """
         seqs = [self.pack_sequence(query_ids, d) for d in docs]
         ids = self._pad(seqs)
-        alpha = self.context.alpha(ids)
+        alpha = self.context.alpha(ids, [[len(s) - 1] for s in seqs])
         senses = self.senses.senses_for(ids)
-        last = np.zeros(ids.shape + (1,))
-        last[np.arange(len(seqs)), [len(s) - 1 for s in seqs]] = 1.0
-        mask = Tensor(last)
-        return [self.head.logit(nk.tensor_sum(nk.mul(aggregate(alpha, senses, w), mask), axis=1))
-                for w in weight_sets]
+        return [self.head.logit(aggregate(alpha, senses, w)) for w in weight_sets]
 
     def relevance_logit(self, query_ids: Sequence[int], docs: Sequence[Sequence[int]],
                         weights=None) -> Tensor:

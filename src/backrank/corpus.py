@@ -184,6 +184,10 @@ def bm25_retrieve(
         norm = k1 * (1.0 - b + b * idx.doc_len[rows] / idx.avgdl)
         scores[rows] += idf * tf * (k1 + 1.0) / (tf + norm)
     kept = np.flatnonzero(scores > 0.0)
+    if kept.size > top_n:
+        # only rows scoring at least the top_n-th score can be returned
+        cut = np.partition(scores[kept], kept.size - top_n)[kept.size - top_n]
+        kept = kept[scores[kept] >= cut]
     # stable over ascending rows: ties stay in doc-id order
     order = kept[np.argsort(-scores[kept], kind="stable")[:top_n]]
     return RankedList(query_id, tuple(zip([idx.doc_ids[r] for r in order.tolist()],

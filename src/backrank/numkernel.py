@@ -1,10 +1,12 @@
 """Dense float64 tensors with a recorded reverse-mode gradient tape.
 
 Everything is 64-bit and row-major. Ops compute with numpy; gradients are
-hand-written per primitive and recorded onto the innermost active `Tape`
-(a context manager) whenever any input has `requires_grad`. Inference with
-no tape active records nothing and is safe to run from many threads;
-recording and `backward` are single-threaded by contract.
+hand-written per op and recorded onto the innermost active `Tape` (a context
+manager) whenever any input has `requires_grad`. The fused ops (`linear`,
+`split_heads`, `merge_heads`, `attention_weights`) record one node where
+their primitive chain would record several, with the chain's values and
+gradients bit for bit. Inference with no tape active records nothing and is
+safe to run from many threads; recording and `backward` are single-threaded.
 
 A tape can be replayed backward exactly once. Running `backward` twice on
 one tape, or starting a backward while some leaf still carries a gradient
@@ -15,9 +17,10 @@ accumulating: call `reset_grads` (or clear `.grad` yourself) between steps.
 from __future__ import annotations
 
 import io
+import math
 import struct
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -174,15 +177,6 @@ def neg(a: Tensor) -> Tensor:
     return _make((a,), -a.data, backward_fn)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def backward_fn(g):
-        return (g * c,)
-
-    return _make((a,), a.data * c, backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -204,6 +198,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make((a, b), arr, backward_fn)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node, broadcasting as add(matmul(x, w), b) does."""
+    if x.ndim < 2 or w.ndim < 2 or x.shape[-1] != w.shape[-2]:
+        raise ShapeError(f"linear: shapes incompatible, {x.shape} x {w.shape}")
+    xd, wd = x.data, w.data
+    try:
+        mm = xd @ wd
+        arr = mm + b.data
+    except ValueError:
+        raise ShapeError(f"linear: {x.shape} x {w.shape} + {b.shape} does not broadcast") from None
+
+    def backward_fn(g):
+        gm = _unbroadcast(g, mm.shape)
+        return (_unbroadcast(gm @ wd.swapaxes(-1, -2), x.shape),
+                _unbroadcast(xd.swapaxes(-1, -2) @ gm, w.shape),
+                _unbroadcast(g, b.shape))
+
+    return _make((x, w, b), arr, backward_fn)
+
+
 def dot(u: Tensor, v: Tensor) -> Tensor:
     if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
         raise ShapeError(f"dot: expects equal-length vectors, got {u.shape} and {v.shape}")
@@ -215,16 +229,6 @@ def dot(u: Tensor, v: Tensor) -> Tensor:
     return _make((u, v), np.einsum("i,i->", ud, vd), backward_fn)
 
 
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(int(i) for i in np.argsort(axes))
-
-    def backward_fn(g):
-        return (np.ascontiguousarray(g.transpose(inv)),)
-
-    return _make((a,), np.ascontiguousarray(a.data.transpose(axes)), backward_fn)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.shape
 
@@ -232,6 +236,32 @@ def reshape(a: Tensor, shape) -> Tensor:
         return (g.reshape(old),)
 
     return _make((a,), a.data.reshape(shape), backward_fn)
+
+
+def split_heads(x: Tensor, parts: int) -> Tensor:
+    """B x n x (parts * w) -> B x parts x n x w, as one node."""
+    if x.ndim != 3 or x.shape[-1] % parts:
+        raise ShapeError(f"split_heads: cannot split {x.shape} into {parts} parts")
+    b, n, width = x.shape
+
+    def backward_fn(g):
+        return (np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(b, n, width),)
+
+    arr = np.ascontiguousarray(x.data.reshape(b, n, parts, width // parts).transpose(0, 2, 1, 3))
+    return _make((x,), arr, backward_fn)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """B x parts x n x w -> B x n x (parts * w), the inverse of split_heads."""
+    if x.ndim != 4:
+        raise ShapeError(f"merge_heads: expects a 4-D tensor, got {x.shape}")
+    b, parts, n, w = x.shape
+
+    def backward_fn(g):
+        return (np.ascontiguousarray(g.reshape(b, n, parts, w).transpose(0, 2, 1, 3)),)
+
+    arr = np.ascontiguousarray(x.data.transpose(0, 2, 1, 3)).reshape(b, n, parts * w)
+    return _make((x,), arr, backward_fn)
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
@@ -294,17 +324,30 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make((a,), arr, backward_fn)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Shift-stabilized softmax along `axis`; rows sum to 1."""
-    x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    arr = e / e.sum(axis=axis, keepdims=True)
+def attention_weights(q: Tensor, key: Tensor, mask: np.ndarray) -> Tensor:
+    """Shift-stabilized softmax(q key^T / sqrt(w) + mask) over the last axis as
+    one node: q is ... x m x w, key ... x n x w and ``mask`` an additive
+    constant array (0 where a key is visible, -1e30 where it is not)."""
+    if q.ndim < 2 or key.ndim != q.ndim or q.shape[-1] != key.shape[-1]:
+        raise ShapeError(f"attention_weights: shapes incompatible, {q.shape} and {key.shape}")
+    qd = q.data
+    kt = np.ascontiguousarray(key.data.swapaxes(-1, -2))
+    c = 1.0 / math.sqrt(q.shape[-1])
+    try:
+        scores = qd @ kt
+        x = scores * c + mask
+    except ValueError:
+        raise ShapeError(f"attention_weights: mask {np.shape(mask)} does not broadcast") from None
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    arr = e / e.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
-        return (arr * (g - (g * arr).sum(axis=axis, keepdims=True)),)
+        gs = _unbroadcast(arr * (g - (g * arr).sum(axis=-1, keepdims=True)), scores.shape) * c
+        gkt = _unbroadcast(qd.swapaxes(-1, -2) @ gs, kt.shape)
+        return (_unbroadcast(gs @ kt.swapaxes(-1, -2), q.shape),
+                np.ascontiguousarray(gkt.swapaxes(-1, -2)))
 
-    return _make((a,), arr, backward_fn)
+    return _make((q, key), arr, backward_fn)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -375,43 +418,7 @@ def reset_grads(tensors: Iterable[Tensor]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verification oracle
-
-
-def finite_diff_check(
-    f: Callable[[Tensor], Tensor],
-    x: Tensor,
-    eps: float = 1e-5,
-) -> float:
-    """Max relative error between f's tape gradient and central differences.
-
-    Per coordinate: |analytic - (f(x+eps e) - f(x-eps e)) / 2 eps| scaled by
-    max(1, |analytic|). f must map a tensor to a scalar tensor.
-    """
-    if eps <= 0.0:
-        raise DomainError("finite_diff_check: eps must be positive")
-    xt = Tensor(x.data.copy(), requires_grad=True)
-    with Tape() as tape:
-        y = f(xt)
-    if not isinstance(y, Tensor) or y.data.ndim != 0:
-        raise ContractError("finite_diff_check: f must return a scalar tensor")
-    backward(tape, y)
-    analytic = xt.grad if xt.grad is not None else np.zeros_like(xt.data)
-    analytic = analytic.ravel()
-
-    flat = x.data.ravel()
-    worst = 0.0
-    for i in range(flat.size):
-        probe = flat.copy()
-        probe[i] = flat[i] + eps
-        hi = f(Tensor(probe.reshape(x.shape))).item()
-        probe[i] = flat[i] - eps
-        lo = f(Tensor(probe.reshape(x.shape))).item()
-        fd = (hi - lo) / (2.0 * eps)
-        err = abs(analytic[i] - fd) / max(1.0, abs(analytic[i]))
-        if err > worst:
-            worst = err
-    return worst
+# utilities
 
 
 def cosine_similarity(u: Tensor | np.ndarray, v: Tensor | np.ndarray) -> float:

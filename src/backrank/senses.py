@@ -76,10 +76,6 @@ class SenseMap:
     def identity(cls, num_senses: int) -> "SenseMap":
         return cls((1.0,) * num_senses, 1.0, frozenset())
 
-    @property
-    def is_identity(self) -> bool:
-        return all(w == 1.0 for w in self.weights)
-
 
 def sense_similarity(model, token_a: int, token_b: int, sense: int) -> float:
     """Cosine between the two tokens' sense-`sense` vectors, in [-1, 1].

@@ -1,8 +1,103 @@
-"""Shared fixtures-in-code for the model-layer tests."""
+"""Shared fixtures-in-code for the model-layer tests, the central-difference
+gradient oracle, and the primitive tape ops the fused numkernel nodes replace
+(kept here as their bit-for-bit reference)."""
+
+import math
 
 import numpy as np
 
-from backrank import Backpack, BackpackConfig, SplitMix64, Tensor, Vocab
+from backrank import (Backpack, BackpackConfig, ContractError, DomainError,
+                      SplitMix64, Tape, Tensor, Vocab, backward)
+from backrank import numkernel as nk
+
+
+def finite_diff_check(f, x, eps=1e-5):
+    """Max relative error between f's tape gradient and central differences.
+
+    Per coordinate: |analytic - (f(x+eps e) - f(x-eps e)) / 2 eps| scaled by
+    max(1, |analytic|). f must map a tensor to a scalar tensor.
+    """
+    if eps <= 0.0:
+        raise DomainError("finite_diff_check: eps must be positive")
+    xt = Tensor(x.data.copy(), requires_grad=True)
+    with Tape() as tape:
+        y = f(xt)
+    if not isinstance(y, Tensor) or y.data.ndim != 0:
+        raise ContractError("finite_diff_check: f must return a scalar tensor")
+    backward(tape, y)
+    analytic = xt.grad if xt.grad is not None else np.zeros_like(xt.data)
+    analytic = analytic.ravel()
+
+    flat = x.data.ravel()
+    worst = 0.0
+    for i in range(flat.size):
+        probe = flat.copy()
+        probe[i] = flat[i] + eps
+        hi = f(Tensor(probe.reshape(x.shape))).item()
+        probe[i] = flat[i] - eps
+        lo = f(Tensor(probe.reshape(x.shape))).item()
+        fd = (hi - lo) / (2.0 * eps)
+        err = abs(analytic[i] - fd) / max(1.0, abs(analytic[i]))
+        if err > worst:
+            worst = err
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# reference primitives: the chains that linear, split_heads, merge_heads and
+# attention_weights fuse are built from these
+
+
+def transpose(a, axes):
+    axes = tuple(axes)
+    inv = tuple(int(i) for i in np.argsort(axes))
+
+    def backward_fn(g):
+        return (np.ascontiguousarray(g.transpose(inv)),)
+
+    return nk._make((a,), np.ascontiguousarray(a.data.transpose(axes)), backward_fn)
+
+
+def scale(a, c):
+    c = float(c)
+
+    def backward_fn(g):
+        return (g * c,)
+
+    return nk._make((a,), a.data * c, backward_fn)
+
+
+def softmax(a, axis=-1):
+    """Shift-stabilized softmax along `axis`; rows sum to 1."""
+    x = a.data
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    arr = e / e.sum(axis=axis, keepdims=True)
+
+    def backward_fn(g):
+        return (arr * (g - (g * arr).sum(axis=axis, keepdims=True)),)
+
+    return nk._make((a,), arr, backward_fn)
+
+
+def linear_chain(x, w, b):
+    return nk.add(nk.matmul(x, w), b)
+
+
+def split_heads_chain(x, parts):
+    b, n, width = x.shape
+    return transpose(nk.reshape(x, (b, n, parts, width // parts)), (0, 2, 1, 3))
+
+
+def merge_heads_chain(x):
+    b, parts, n, w = x.shape
+    return nk.reshape(transpose(x, (0, 2, 1, 3)), (b, n, parts * w))
+
+
+def attention_weights_chain(q, key, mask):
+    perm = tuple(range(key.ndim - 2)) + (key.ndim - 1, key.ndim - 2)
+    scores = scale(nk.matmul(q, transpose(key, perm)), 1.0 / math.sqrt(q.shape[-1]))
+    return softmax(nk.add(scores, Tensor(mask)), axis=-1)
 
 
 def build_planted_model(seed, k=4, p=2, d=8):
@@ -50,7 +145,7 @@ def build_planted_model(seed, k=4, p=2, d=8):
 
 def forward_triple_loop(model, token_ids):
     """Independent evaluation of the aggregation sum, one scalar at a time."""
-    alpha = model.context.alpha([list(token_ids)]).data[0]
+    alpha = model.context.alpha([list(token_ids)], np.arange(len(token_ids))).data[0]
     senses = model.senses.senses_for([list(token_ids)]).data[0]
     k, n, d = senses.shape
     out = np.zeros((n, d))

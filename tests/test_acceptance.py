@@ -23,7 +23,7 @@ from backrank import (Backpack, BackpackConfig, GenderLexicon, PolarityPair,
 from backrank import numkernel as nk
 from backrank.corpus import RunRecord
 from backrank.senses import default_pairs_path, load_polarity_lexicon
-from helpers import build_planted_model, forward_triple_loop
+from helpers import build_planted_model, finite_diff_check, forward_triple_loop
 
 LEX = GenderLexicon()
 
@@ -146,7 +146,6 @@ def test_criterion_3_gradient_suite():
     t0 = time.monotonic()
     worst = 0.0
 
-    from backrank import finite_diff_check
     for seed in range(10):
         rng = SplitMix64(seed)
         m = 2 + rng.randint(6)

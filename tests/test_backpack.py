@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from backrank import (Backpack, BackpackConfig, DomainError, ParseError,
-                      SenseMap, Tensor, aggregate, load_checkpoint,
-                      save_checkpoint)
+                      SenseMap, SplitMix64, Tape, Tensor, aggregate,
+                      listwise_loss, load_checkpoint, save_checkpoint)
 from backrank import numkernel as nk
 from helpers import forward_triple_loop
 
@@ -74,14 +74,14 @@ def test_senses_are_non_contextual(model):
 
 
 def test_alpha_is_row_normalized(model, small_cfg):
-    alpha = model.context.alpha([[1, 2, 3, 4]]).data[0]
+    alpha = model.context.alpha([[1, 2, 3, 4]], np.arange(4)).data[0]
     assert alpha.shape == (small_cfg.num_senses, 4, 4)
     assert np.all(alpha >= 0.0)
     assert np.allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_alpha_causal_mask(model):
-    alpha = model.context.alpha([[1, 2, 3, 4]]).data[0]
+    alpha = model.context.alpha([[1, 2, 3, 4]], np.arange(4)).data[0]
     for i in range(4):
         for j in range(i + 1, 4):
             assert np.all(alpha[:, i, j] < 1e-12)
@@ -128,7 +128,7 @@ def test_forward_reweighted_none_is_forward(model):
 def test_reweighting_scales_chosen_sense_contributions(model):
     """out' - out must equal (w_l - 1) times sense l's aggregated term."""
     ids = [4, 8, 5]
-    alpha = model.context.alpha([ids]).data[0]
+    alpha = model.context.alpha([ids], np.arange(3)).data[0]
     senses = model.senses.senses_for([ids]).data[0]
     contrib = np.einsum("lij,ljd->lid", alpha, senses)
     weights = (1.0, 0.25, 1.0)
@@ -142,7 +142,7 @@ def test_reweighting_composes_multiplicatively(model):
     w1 = np.array([0.5, 0.8, 1.0])
     w2 = np.array([0.6, 1.0, 0.9])
     once = model.forward([ids], tuple(w1 * w2)).data[0]
-    alpha = model.context.alpha([ids]).data[0]
+    alpha = model.context.alpha([ids], np.arange(2)).data[0]
     senses = model.senses.senses_for([ids]).data[0]
     contrib = np.einsum("lij,ljd->lid", alpha, senses)
     twice = (contrib * (w1[:, None, None] * w2[:, None, None])).sum(axis=0)
@@ -198,6 +198,51 @@ def test_relevance_logit_rows_match_single_documents(model, query):
     assert np.max(np.abs(batch - alone)) <= 1e-12
     shorter = model.relevance_logit(query, docs[:2]).data
     assert np.max(np.abs(batch[:2] - shorter)) <= 1e-12
+
+
+def test_alpha_at_given_positions_equals_rows_of_the_full_alpha(model):
+    ids = model._pad([[1, 2, 3, 4, 5], [6, 7], [8, 9, 10]])
+    full = model.context.alpha(ids, np.arange(5)).data
+    last = np.array([[4], [1], [2]])
+    rows = model.context.alpha(ids, last).data
+    assert rows.shape == (3, 3, 1, 5)
+    for b in range(3):
+        assert np.max(np.abs(rows[b, :, 0] - full[b, :, last[b, 0]])) <= 1e-12
+    assert np.all(rows[1, :, 0, 2:] == 0.0) and np.all(rows[2, :, 0, 3:] == 0.0)
+    with pytest.raises(DomainError):
+        model.context.alpha(ids, [[5], [0], [0]])
+
+
+def _random_list(rng, n_docs):
+    query = [1 + rng.randint(11) for _ in range(1 + rng.randint(4))]
+    docs = [[1 + rng.randint(11) for _ in range(1 + rng.randint(12))] for _ in range(n_docs)]
+    return query, docs
+
+
+def test_relevance_logits_pool_forward_at_each_last_position(model):
+    """Row b of the pooled path is the head applied to forward's output at
+    row b's last real position, with and without sense weights."""
+    rng = SplitMix64(5)
+    weight_sets = [None, (1.0, 1.0, 1.0), (0.3, 1.0, 0.3)]
+    for _ in range(20):
+        query, docs = _random_list(rng, 1 + rng.randint(6))
+        seqs = [model.pack_sequence(query, d) for d in docs]
+        last = [len(s) - 1 for s in seqs]
+        logits = model.relevance_logits(query, docs, weight_sets)
+        for w, z in zip(weight_sets, logits):
+            out = model.forward(seqs, w).data
+            want = model.head.logit(Tensor(out[np.arange(len(seqs)), last])).data
+            assert z.shape == (len(docs),)
+            assert np.max(np.abs(z.data - want)) <= 1e-12
+        assert np.array_equal(logits[0].data, logits[1].data)    # all-ones is None, bit for bit
+
+
+def test_train_step_records_at_most_45_tape_nodes(model):
+    query, docs = _random_list(SplitMix64(9), 8)
+    labels = (1.0,) + (0.0,) * 7
+    with Tape() as tape:
+        listwise_loss(labels, model.relevance_logit(query, docs))
+    assert len(tape) <= 45
 
 
 def test_sense_map_changes_relevance(model):

@@ -1,4 +1,5 @@
-"""Tape autodiff: forward values, gradients vs central differences, policing."""
+"""Tape autodiff: forward values, gradients vs central differences, the fused
+nodes against the primitive chains they replace, policing."""
 
 import io
 import math
@@ -8,8 +9,9 @@ import pytest
 
 from backrank import numkernel as nk
 from backrank import (ContractError, DomainError, ShapeError, SplitMix64,
-                      Tape, Tensor, backward, cosine_similarity,
-                      finite_diff_check)
+                      Tape, Tensor, backward, cosine_similarity)
+from helpers import (attention_weights_chain, finite_diff_check, linear_chain,
+                     merge_heads_chain, split_heads_chain)
 
 TOL = 1e-9
 
@@ -32,7 +34,7 @@ def test_elementwise_forward_values():
     assert np.allclose(nk.add(a, b).data, [1.5, -1.5, 3.5])
     assert np.allclose(nk.mul(a, b).data, [0.5, -1.0, 1.5])
     assert np.allclose(nk.neg(a).data, [-1.0, 2.0, -3.0])
-    assert np.allclose(nk.scale(a, 2.0).data, [2.0, -4.0, 6.0])
+    assert np.allclose(nk.mul(a, Tensor(2.0)).data, [2.0, -4.0, 6.0])
     assert np.allclose(nk.add(a, Tensor(1.0)).data, [2.0, -1.0, 4.0])
 
 
@@ -46,17 +48,26 @@ def test_matmul_and_dot_against_numpy():
     assert nk.dot(u, v).item() == pytest.approx(float(u.data @ v.data), abs=1e-12)
 
 
+def _softmax_of(x):
+    """attention_weights with zero queries: the softmax of the mask rows."""
+    x = np.asarray(x, dtype=np.float64)
+    q = Tensor(np.zeros(x.shape[:-1] + (2,)))
+    key = Tensor(SplitMix64(4).normal_array(x.shape[:-2] + (x.shape[-1], 2)))
+    return nk.attention_weights(q, key, x)
+
+
 def test_softmax_rows_sum_to_one_and_shift_invariance():
-    x = Tensor(np.array([[1.0, 2.0, 3.0], [1000.0, 1000.0, 1000.0]]))
-    s = nk.softmax(x, axis=-1)
+    x = np.array([[1.0, 2.0, 3.0], [1000.0, 1000.0, 1000.0]])
+    s = _softmax_of(x)
     assert np.allclose(s.data.sum(axis=-1), 1.0)
-    shifted = nk.softmax(nk.add(x, Tensor(123.0)), axis=-1)
-    assert np.allclose(s.data, shifted.data)
+    assert np.allclose(s.data, _softmax_of(x + 123.0).data)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    assert np.allclose(s.data, e / e.sum(axis=-1, keepdims=True), atol=1e-15, rtol=0)
 
 
 def test_log_softmax_matches_log_of_softmax():
-    x = Tensor(np.array([0.3, -1.2, 2.2, 0.0]))
-    assert np.allclose(nk.log_softmax(x).data, np.log(nk.softmax(x).data))
+    x = np.array([0.3, -1.2, 2.2, 0.0])
+    assert np.allclose(nk.log_softmax(Tensor(x)).data, np.log(_softmax_of(x[None]).data[0]))
 
 
 def test_stack_take_rows_transpose_reshape():
@@ -67,8 +78,10 @@ def test_stack_take_rows_transpose_reshape():
     grid = nk.take_rows(st, [[2, 0], [1, 1]])     # index of any shape
     assert grid.shape == (2, 2, 2)
     assert np.array_equal(grid.data[1, 0], st.data[1])
-    tr = nk.transpose(st, (1, 0))
-    assert tr.shape == (2, 3)
+    heads = nk.split_heads(nk.reshape(st, (1, 3, 2)), 2)
+    assert heads.shape == (1, 2, 3, 1)
+    assert np.array_equal(heads.data[0, :, :, 0], st.data.T)
+    assert np.array_equal(nk.merge_heads(heads).data[0], st.data)
     assert nk.reshape(st, (6,)).shape == (6,)
 
 
@@ -146,10 +159,14 @@ def test_finite_diff_random_composites():
     w = Tensor(rng.normal_array((6, 4)))
     v = Tensor(rng.normal_array((8,)))
 
+    b = Tensor(rng.normal_array((4,)))
+    mask = np.triu(np.full((3, 3), -1e30), k=1)
+
     def f(x):
-        h = nk.tanh(nk.matmul(nk.reshape(x, (3, 6)), w))     # 3 x 4
-        s = nk.softmax(h, axis=-1)
-        pooled = nk.scale(nk.tensor_sum(nk.transpose(s, (1, 0)), axis=1), 1.0 / 3)
+        h = nk.tanh(nk.linear(nk.reshape(x, (1, 3, 6)), w, b))      # 1 x 3 x 4
+        heads = nk.split_heads(h, 2)                                  # 1 x 2 x 3 x 2
+        s = nk.matmul(nk.attention_weights(heads, heads, mask), heads)
+        pooled = nk.reshape(nk.tensor_sum(nk.merge_heads(s), axis=1), (4,))
         return nk.add(nk.dot(pooled, Tensor(v.data[:4])),
                       nk.dot(nk.sigmoid(pooled), Tensor(v.data[4:])))
 
@@ -168,13 +185,109 @@ def test_take_rows_gradient_scatters_with_repeats():
 
 
 # ---------------------------------------------------------------------------
+# fused nodes: bit-equal to the primitive chains they replace
+
+
+def _ragged_mask(rng, b, m, n):
+    """B x 1 x m x n additive mask: row b's query i sees keys j <= pos[b, i]."""
+    pos = np.array([[rng.randint(n) for _ in range(m)] for _ in range(b)])
+    return np.where(np.arange(n) > pos[:, None, :, None], -1e30, 0.0)
+
+
+def _fused_cases():
+    """(name, fused node, chain, input arrays, constants) on random shapes,
+    including B=1, n=1 and per-row ragged masks."""
+    rng = SplitMix64(21)
+    cases = []
+    for b, n, d, e in ((1, 1, 3, 2), (1, 5, 4, 6), (3, 7, 6, 4)):
+        cases.append(("linear", nk.linear, linear_chain,
+                      [rng.normal_array((b, n, d)), rng.normal_array((d, e)),
+                       rng.normal_array((e,))], ()))
+    # a batched weight and bias, as in the sense table
+    for b, k, n, p, d in ((1, 2, 1, 3, 4), (2, 3, 5, 2, 4)):
+        cases.append(("linear", nk.linear, linear_chain,
+                      [rng.normal_array((b, k, n, p)), rng.normal_array((k, p, d)),
+                       rng.normal_array((k, 1, d))], ()))
+    for b, n, parts, w in ((1, 1, 2, 3), (2, 5, 3, 2), (4, 3, 1, 5)):
+        cases.append(("split_heads", nk.split_heads, split_heads_chain,
+                      [rng.normal_array((b, n, parts * w))], (parts,)))
+        cases.append(("merge_heads", nk.merge_heads, merge_heads_chain,
+                      [rng.normal_array((b, parts, n, w))], ()))
+    for b, k, n, w in ((1, 1, 1, 2), (2, 3, 6, 4), (5, 2, 9, 3)):
+        causal = np.triu(np.full((n, n), -1e30), k=1)
+        cases.append(("attention_weights", nk.attention_weights, attention_weights_chain,
+                      [rng.normal_array((b, k, n, w)), rng.normal_array((b, k, n, w))],
+                      (causal,)))
+        for m in (1, 3):
+            cases.append(("attention_weights", nk.attention_weights, attention_weights_chain,
+                          [rng.normal_array((b, k, m, w)), rng.normal_array((b, k, n, w))],
+                          (_ragged_mask(rng, b, m, n),)))
+    return cases
+
+
+FUSED = _fused_cases()
+
+
+@pytest.mark.parametrize("name,fused,chain,arrays,consts", FUSED,
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(FUSED)])
+def test_fused_node_is_bit_equal_to_its_chain(name, fused, chain, arrays, consts):
+    """Output and every input gradient equal the chain's by np.array_equal,
+    and the fused node records one tape node."""
+    shape = fused(*map(Tensor, arrays), *consts).shape
+    upstream = Tensor(SplitMix64(3).normal_array(shape))
+    results = []
+    for op in (fused, chain):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = op(*leaves, *consts)
+            loss = nk.tensor_sum(nk.mul(out, upstream))
+        nodes = len(tape)
+        backward(tape, loss)
+        results.append((out.data, [t.grad for t in leaves], nodes))
+    (out_f, grads_f, nodes_f), (out_c, grads_c, nodes_c) = results
+    assert np.array_equal(out_f, out_c)
+    for gf, gc, a in zip(grads_f, grads_c, arrays):
+        assert gf.shape == a.shape
+        assert np.array_equal(gf, gc)
+    assert nodes_f == 3 and nodes_c > nodes_f
+
+
+@pytest.mark.parametrize("name,fused,chain,arrays,consts", FUSED,
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(FUSED)])
+def test_fused_node_gradients_match_central_differences(name, fused, chain, arrays, consts):
+    leaves = [Tensor(a) for a in arrays]
+    w = Tensor(SplitMix64(7).normal_array(fused(*leaves, *consts).shape))
+    for i in range(len(arrays)):
+        def f(t, i=i):
+            return nk.tensor_sum(nk.mul(fused(*leaves[:i], t, *leaves[i + 1:], *consts), w))
+
+        assert finite_diff_check(f, leaves[i]) < 1e-8, (name, i)
+
+
+def test_fused_node_shape_errors():
+    x = Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(ShapeError):
+        nk.linear(x, Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(ShapeError):
+        nk.linear(x, Tensor(np.ones((4, 2))), Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError):
+        nk.split_heads(x, 3)
+    with pytest.raises(ShapeError):
+        nk.merge_heads(x)
+    with pytest.raises(ShapeError):
+        nk.attention_weights(x, Tensor(np.ones((2, 5, 3))), np.zeros((3, 5)))
+    with pytest.raises(ShapeError):
+        nk.attention_weights(x, x, np.zeros((2, 4)))
+
+
+# ---------------------------------------------------------------------------
 # tape discipline
 
 
 def test_backward_requires_scalar_loss():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
-        y = nk.scale(x, 2.0)
+        y = nk.mul(x, Tensor(2.0))
     with pytest.raises(ContractError):
         backward(tape, y)
 
@@ -204,7 +317,7 @@ def test_stale_grad_detected():
     backward(tape, loss)
     assert x.grad is not None
     with Tape() as tape2:
-        loss2 = nk.tensor_sum(nk.scale(x, 3.0))
+        loss2 = nk.tensor_sum(nk.mul(x, Tensor(3.0)))
     with pytest.raises(ContractError):
         backward(tape2, loss2)   # grads were not reset
     nk.reset_grads([x])

@@ -12,8 +12,9 @@ from backrank import (Backpack, BackpackConfig, DomainError, RankedList,
 from backrank.backpack import ContextEncoder
 from backrank.ranker import SWEEP_COLUMNS
 from backrank.senses import PolarityPair
-from backrank import Tape, backward, finite_diff_check
+from backrank import Tape, backward
 from backrank.numkernel import reset_grads
+from helpers import finite_diff_check
 
 
 @pytest.fixture
@@ -285,9 +286,9 @@ def test_sweep_runs_the_encoder_once_per_query(synth_setup, monkeypatch):
     calls = []
     alpha = ContextEncoder.alpha
 
-    def counting(self, ids):
+    def counting(self, ids, positions):
         calls.append(len(ids))
-        return alpha(self, ids)
+        return alpha(self, ids, positions)
 
     monkeypatch.setattr(ContextEncoder, "alpha", counting)
     for lambdas in ([1.0], [1.0, 0.7, 0.5, 0.3]):

@@ -36,7 +36,7 @@ def test_sense_map_weight_pattern_enforced():
         SenseMap((1.0,), 0.0, frozenset())
     with pytest.raises(DomainError):
         SenseMap((1.0,), 1.0, frozenset({3}))
-    assert SenseMap.identity(3).is_identity
+    assert SenseMap.identity(3).weights == (1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +101,9 @@ def test_build_sense_map_selection_and_ties():
     assert m2.suppressed == {3, 0}     # most negative, then tie at lower index
     assert m2.weights == (0.5, 1.0, 1.0, 0.5)
     m0 = build_sense_map(scores, 0.5, m=0)
-    assert m0.is_identity
+    assert m0.weights == (1.0,) * 4
     lam1 = build_sense_map(scores, 1.0, m=2)
-    assert lam1.is_identity and lam1.suppressed == {3, 0}
+    assert lam1.weights == (1.0,) * 4 and lam1.suppressed == {3, 0}
 
 
 def test_build_sense_map_accepts_raw_sequence():
