@@ -260,9 +260,9 @@ def cmd_bias(args) -> int:
                 raise DomainError(
                     f"run document {did!r} (query {qid}) missing from corpus")
     report = bias_report(grouped, doc_tokens, cutoffs=cutoffs, variants=variants)
-    rows = [{"variant": r["variant"], "cutoff": r["cutoff"],
-             "rab": r["mean_rab"], "arab": r["mean_arab"]}
-            for r in report.rows()]
+    rows = [{"variant": v, "cutoff": c, "rab": report.mean_rab[(v, c)],
+             "arab": report.mean_arab[(v, c)]}
+            for v in report.variants for c in report.cutoffs]
     _write_csv(args.out, ("variant", "cutoff", "rab", "arab"), rows)
     return 0
 

@@ -20,8 +20,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -384,8 +385,7 @@ def load_collection(corpus_path, queries_path, qrels_path=None) -> Collection:
     return Collection(docs, queries, qrels)
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """One line of a TREC-format run file."""
 
     query_id: str
@@ -395,22 +395,22 @@ class RunRecord:
     tag: str = "backrank"
 
 
-def write_run(path, records: Iterable[RunRecord | tuple]) -> None:
+def write_run(path, records: Iterable[RunRecord]) -> None:
     """Write run lines ``qid Q0 docid rank score tag`` with %.6f scores."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            if not isinstance(rec, RunRecord):
-                rec = RunRecord(*rec)
-            fh.write(f"{rec.query_id} Q0 {rec.doc_id} {rec.rank} {rec.score:.6f} {rec.tag}\n")
+        for qid, did, rank, score, tag in records:
+            fh.write(f"{qid} Q0 {did} {rank} {score:.6f} {tag}\n")
 
 
 def read_run(path) -> list[RunRecord]:
-    """Parse a run file; ranks need not be contiguous and are preserved."""
+    """Parse a run file; ranks need not be contiguous and are preserved, and
+    no query may list a document twice."""
     records: list[RunRecord] = []
+    seen: set[str] = set()
     for lineno, raw in read_lines(path):
-        if not raw.strip():
-            continue
         parts = raw.split()
+        if not parts:
+            continue
         if len(parts) != 6:
             raise ParseError(f"expected 6 fields, got {len(parts)}",
                              path=str(path), line=lineno)
@@ -425,20 +425,22 @@ def read_run(path) -> list[RunRecord]:
             raise ParseError(f"bad score {score_s!r}", path=str(path), line=lineno) from None
         if not math.isfinite(score):
             raise ParseError(f"non-finite score {score_s!r}", path=str(path), line=lineno)
+        key = f"{qid} {did}"    # fields hold no whitespace, so the key is unambiguous
+        if key in seen:
+            raise ParseError(f"query {qid} lists document {did!r} twice",
+                             path=str(path), line=lineno)
+        seen.add(key)
         records.append(RunRecord(qid, did, rank, score, tag))
     return records
 
 
 def group_run(records: Iterable[RunRecord]) -> dict[str, list[str]]:
     """Per-query doc ids ordered by rank (stable on ties)."""
-    grouped: dict[str, list[tuple[int, str]]] = {}
+    grouped: dict[str, list[RunRecord]] = {}
     for rec in records:
-        grouped.setdefault(rec.query_id, []).append((rec.rank, rec.doc_id))
-    out: dict[str, list[str]] = {}
-    for qid, entries in grouped.items():
-        entries.sort(key=lambda e: e[0])
-        out[qid] = [did for _, did in entries]
-    return out
+        grouped.setdefault(rec.query_id, []).append(rec)
+    return {qid: [rec.doc_id for rec in sorted(recs, key=attrgetter("rank"))]
+            for qid, recs in grouped.items()}
 
 
 def records_from_ranking(ranked: RankedList, tag: str = "backrank") -> list[RunRecord]:
@@ -548,6 +550,8 @@ def read_qrels(path) -> Qrels:
             rel = int(rel_s)
         except ValueError:
             raise ParseError(f"bad relevance {rel_s!r}", path=str(path), line=lineno) from None
+        if rel < 0:
+            raise ParseError(f"negative relevance grade {rel_s!r}", path=str(path), line=lineno)
         if (qid, did) in grades:
             dupes += 1
         grades[(qid, did)] = rel

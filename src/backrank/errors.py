@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the text-file line reader."""
 
+from collections.abc import Iterator
 from pathlib import Path
 
 
@@ -36,7 +37,7 @@ class ParseError(BackrankError, ValueError):
         super().__init__(f"{prefix}: {message}" if prefix else message)
 
 
-def read_lines(path) -> list[tuple[int, str]]:
+def read_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, line) pairs of a UTF-8 text file, split by str.splitlines.
 
     An unreadable file is a ParseError naming the path; a byte that is not
@@ -53,4 +54,4 @@ def read_lines(path) -> list[tuple[int, str]]:
         line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not valid UTF-8", path=str(path),
                          line=line) from None
-    return list(enumerate(text.splitlines(), 1))
+    return enumerate(text.splitlines(), 1)

@@ -3,7 +3,9 @@
 Bias is scored from the gender vocabulary of the top-ranked documents: a
 per-document magnitude (term-frequency or Boolean) for female and for male
 term sets, their difference averaged over rank prefixes (RaB, ARaB), and
-corpus-level aggregation per cutoff. Effectiveness is MRR@k and NDCG@k.
+corpus-level aggregation per cutoff. Magnitudes are per document, so a
+report computes each document's delta once per variant. Effectiveness is
+MRR@k and NDCG@k.
 
 All functions here are pure and operate on tokenized text; aggregation
 iterates queries in sorted id order so results are reproducible bit for bit.
@@ -82,12 +84,9 @@ class Qrels:
 def mag_tf(doc_tokens: Sequence[str], terms: Iterable[str]) -> float:
     """Sum of natural-log term counts over the lexicon terms present in the
     document; a single occurrence contributes log(1) = 0."""
-    counts: dict[str, int] = {}
-    for tok in doc_tokens:
-        counts[tok] = counts.get(tok, 0) + 1
     total = 0.0
     for term in sorted(set(terms)):
-        c = counts.get(term, 0)
+        c = doc_tokens.count(term)
         if c > 0:
             total += math.log(c)
     return total
@@ -95,8 +94,7 @@ def mag_tf(doc_tokens: Sequence[str], terms: Iterable[str]) -> float:
 
 def mag_bool(doc_tokens: Sequence[str], terms: Iterable[str]) -> int:
     """1 iff any lexicon term occurs in the document."""
-    term_set = set(terms)
-    return 1 if any(tok in term_set for tok in doc_tokens) else 0
+    return 0 if set(terms).isdisjoint(doc_tokens) else 1
 
 
 def _gender_delta(doc_tokens: Sequence[str], lexicon: GenderLexicon, variant: str) -> float:
@@ -108,16 +106,17 @@ def _gender_delta(doc_tokens: Sequence[str], lexicon: GenderLexicon, variant: st
     raise DomainError(f"unknown magnitude variant {variant!r}")
 
 
-def _prefix_bias(ranked_docs: Sequence[Sequence[str]], lexicon: GenderLexicon,
-                 variant: str, cutoffs: Sequence[int | None]) -> list[tuple[float, float]]:
-    """(RaB, ARaB) at each cutoff from one left-to-right pass over the list.
+def _prefix_bias(deltas: Sequence[float], n: int,
+                 cutoffs: Sequence[int | None]) -> list[tuple[float, float]]:
+    """(RaB, ARaB) at each cutoff of an n-document list from one left-to-right
+    pass over its per-document gender deltas.
 
-    A cutoff of None means the whole list; one past its end uses the list,
-    with a warning. Each document's gender delta is computed once. RaB@x is
-    the running sum of the first x deltas over x, and ARaB@t adds those prefix
-    means left to right, so the float operations are those of the definitions.
+    ``deltas`` are those of the first min(n, largest cutoff) documents, in
+    rank order. A cutoff of None means the whole list; one past its end uses
+    the list, with a warning. RaB@x is the running sum of the first x deltas
+    over x, and ARaB@t adds those prefix means left to right, so the float
+    operations are those of the definitions.
     """
-    n = len(ranked_docs)
     if n == 0:
         raise DomainError("bias metrics need at least one ranked document")
     ts = []
@@ -129,8 +128,8 @@ def _prefix_bias(ranked_docs: Sequence[Sequence[str]], lexicon: GenderLexicon,
         ts.append(n if t is None else min(t, n))
     prefixes: list[tuple[float, float]] = []
     total = acc = 0.0
-    for x, doc in enumerate(ranked_docs[:max(ts, default=0)], 1):
-        total += _gender_delta(doc, lexicon, variant)
+    for x, delta in enumerate(deltas, 1):
+        total += delta
         acc += total / x
         prefixes.append((total / x, acc / x))
     return [prefixes[t - 1] for t in ts]
@@ -143,13 +142,15 @@ def rab(ranked_docs: Sequence[Sequence[str]], lexicon: GenderLexicon = DEFAULT_L
     ``ranked_docs`` are token sequences in rank order. Lists shorter than t
     are evaluated over the available prefix with a warning.
     """
-    return _prefix_bias(ranked_docs, lexicon, variant, [t])[0][0]
+    deltas = [_gender_delta(doc, lexicon, variant) for doc in ranked_docs[:t]]
+    return _prefix_bias(deltas, len(ranked_docs), [t])[0][0]
 
 
 def arab(ranked_docs: Sequence[Sequence[str]], lexicon: GenderLexicon = DEFAULT_LEXICON,
          variant: str = "tf", t: int | None = None) -> float:
     """Mean of RaB over all prefixes 1..t; weights the top ranks more."""
-    return _prefix_bias(ranked_docs, lexicon, variant, [t])[0][1]
+    deltas = [_gender_delta(doc, lexicon, variant) for doc in ranked_docs[:t]]
+    return _prefix_bias(deltas, len(ranked_docs), [t])[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +228,6 @@ class BiasReport:
     mean_rab: dict = field(default_factory=dict)    # (variant, cutoff) -> float
     mean_arab: dict = field(default_factory=dict)   # (variant, cutoff) -> float
 
-    def rows(self) -> list[dict]:
-        out = []
-        for variant in self.variants:
-            for cutoff in self.cutoffs:
-                out.append({
-                    "variant": variant,
-                    "cutoff": cutoff,
-                    "mean_rab": self.mean_rab[(variant, cutoff)],
-                    "mean_arab": self.mean_arab[(variant, cutoff)],
-                })
-        return out
-
 
 def bias_report(
     ranked: Mapping[str, Sequence[str]],
@@ -249,8 +238,9 @@ def bias_report(
 ) -> BiasReport:
     """Aggregate RaB/ARaB over a run: ranked doc ids per query id.
 
-    Each query's list is read once per variant, and every cutoff is filled
-    from that one pass.
+    Magnitudes are per document: each document within the largest cutoff of
+    some list gets its delta once per variant, reused by every list ranking
+    it. Every cutoff of a list is then filled from one pass over its deltas.
     """
     if not ranked:
         raise DomainError("no queries to evaluate")
@@ -262,10 +252,12 @@ def bias_report(
         raise DomainError("cutoffs must be >= 1")
     report = BiasReport(cutoffs=cutoffs, variants=tuple(variants), num_queries=len(ranked))
     qids = sorted(ranked)
+    tops = [ranked[qid][:max(cutoffs, default=0)] for qid in qids]
+    distinct = dict.fromkeys(d for top in tops for d in top)
     for variant in variants:
-        per_query = [_prefix_bias([doc_tokens[d] for d in ranked[qid]],
-                                  lexicon, variant, cutoffs)
-                     for qid in qids]
+        delta = {d: _gender_delta(doc_tokens[d], lexicon, variant) for d in distinct}
+        per_query = [_prefix_bias([delta[d] for d in top], len(ranked[qid]), cutoffs)
+                     for qid, top in zip(qids, tops)]
         for i, cutoff in enumerate(cutoffs):
             rab_sum = arab_sum = 0.0
             for values in per_query:

@@ -122,7 +122,6 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
     if not dataset:
         raise DomainError("training dataset is empty")
     params = model.parameters()
-    tensors = list(params.values())
     rng = SplitMix64(cfg.seed)
     history: list[float] = []
     # A diverging run overflows to inf and nan; it is reported below and by the
@@ -143,13 +142,11 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
                         raise DomainError(f"training diverged at step {len(history)}: "
                                           f"loss is {history[-1]}")
                     backward(tape, loss)
+                    # Out of place: add's backward hands one array to both inputs.
                     for name, p in params.items():
                         if p.grad is not None:
-                            if name in acc:
-                                acc[name] += p.grad
-                            else:
-                                acc[name] = p.grad.copy()
-                    reset_grads(tensors)
+                            acc[name] = acc[name] + p.grad if name in acc else p.grad
+                    reset_grads(params.values())
                 step = cfg.learning_rate / len(batch)
                 for name, g in acc.items():
                     p = params[name]

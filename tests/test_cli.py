@@ -241,6 +241,26 @@ def test_eval_non_finite_score_is_exit_2(pipeline, tmp_path, capsys):
     assert f"{run}:1:" in capsys.readouterr().err
 
 
+def test_run_listing_a_document_twice_is_exit_2(pipeline, tmp_path, capsys):
+    """Without the check eval wrote NDCG above 1 and bias counted d1 twice."""
+    run = tmp_path / "run.txt"
+    run.write_text("q0001 Q0 d000001 1 0.9 t\nq0001 Q0 d000001 2 0.5 t\n")
+    for argv in (["eval", "--qrels", str(pipeline["data"] / "qrels.txt")],
+                 ["bias", "--corpus", str(pipeline["data"] / "corpus.tsv")]):
+        assert main([*argv, "--run", str(run), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{run}:2:" in err and "q0001" in err and "d000001" in err, argv[0]
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_eval_negative_qrels_grade_is_exit_2_with_its_line(pipeline, tmp_path, capsys):
+    qrels = tmp_path / "neg.qrels"
+    qrels.write_text("q0001 0 d000002 1\nq0001 0 d000001 -1\n")
+    assert main(["eval", "--run", str(pipeline["run"]), "--qrels", str(qrels),
+                 "--out", str(tmp_path / "e.csv")]) == 2
+    assert f"{qrels}:2: negative relevance grade '-1'" in capsys.readouterr().err
+
+
 def test_bad_utf8_byte_in_any_input_is_exit_2_with_its_line(pipeline, tmp_path, capsys):
     data, bad = pipeline["data"], tmp_path / "bad"
     good_run = tmp_path / "good.run"

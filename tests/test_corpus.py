@@ -324,6 +324,10 @@ def test_read_run_rejects_malformed(tmp_path):
         with pytest.raises(ParseError) as err:
             read_run(p)
         assert f"{p}:2:" in str(err.value)
+    p.write_text("q1 Q0 d1 1 0.5 sys\nq2 Q0 d1 1 0.5 sys\nq1 Q0 d1 2 0.4 sys\n")
+    with pytest.raises(ParseError) as err:
+        read_run(p)
+    assert f"{p}:3: query q1 lists document 'd1' twice" in str(err.value)
 
 
 def test_group_run_orders_by_rank():
@@ -346,6 +350,14 @@ def test_read_qrels_duplicate_last_wins(tmp_path):
     p = tmp_path / "qrels.txt"
     p.write_text("q1 0 d1 1\nq1 0 d1 0\n")
     assert read_qrels(p).grade("q1", "d1") == 0
+
+
+def test_read_qrels_rejects_a_negative_grade_at_its_line(tmp_path):
+    p = tmp_path / "qrels.txt"
+    p.write_text("q1 0 d1 1\nq1 0 d2 -2\n")
+    with pytest.raises(ParseError) as err:
+        read_qrels(p)
+    assert f"{p}:2:" in str(err.value) and "-2" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -92,18 +92,31 @@ def test_rab_arab_match_naive_fold_on_random_lists():
             assert arab(docs, variant=variant, t=t) == naive_arab(docs, variant, t)
 
 
+def random_run(rng, num_queries, max_docs, shared):
+    """Ranked ids per query and their tokens. Shared runs draw every list
+    from one pool of documents, so lists overlap as in a real run file."""
+    ranked, tokens = {}, {}
+    pool = [f"p{i}" for i in range(max_docs + 5)]
+    for q in range(num_queries):
+        docs = random_docs(rng, max_docs)
+        if shared:
+            ranked[f"q{q}"] = rng.sample(pool, len(docs))
+            for did, doc in zip(ranked[f"q{q}"], docs):
+                tokens.setdefault(did, doc)
+        else:
+            ranked[f"q{q}"] = [f"q{q}-d{i}" for i in range(len(docs))]
+            tokens.update(zip(ranked[f"q{q}"], docs))
+    return ranked, tokens
+
+
 def test_bias_report_matches_naive_means_on_random_runs():
     """Every cutoff, including ones past a list's end, is bit-equal to the
-    mean over sorted query ids of the absolute naive per-query values."""
+    mean over sorted query ids of the absolute naive per-query values, with
+    disjoint lists and with lists that share documents."""
     rng = SplitMix64(91)
     cutoffs = (1, 3, 5, 40)
-    for _ in range(200):
-        ranked, tokens = {}, {}
-        for q in range(1 + rng.randint(4)):
-            qid = f"q{q}"
-            docs = random_docs(rng, 45)
-            ranked[qid] = [f"{qid}-d{i}" for i in range(len(docs))]
-            tokens.update(zip(ranked[qid], docs))
+    for trial in range(400):
+        ranked, tokens = random_run(rng, 1 + rng.randint(4), 45, shared=trial % 2 == 1)
         report = bias_report(ranked, tokens, cutoffs=cutoffs)
         for variant in ("tf", "bool"):
             for c in cutoffs:
@@ -135,6 +148,27 @@ def test_bias_report_computes_each_delta_once(monkeypatch):
     bound = sum(min(len(ids), max(cutoffs)) for ids in ranked.values())
     assert 0 < calls["tf"] <= bound
     assert 0 < calls["bool"] <= bound
+
+
+def test_bias_report_computes_each_document_delta_once(monkeypatch):
+    """Lists that share documents reuse one delta per (document, variant),
+    and documents ranked only below the largest cutoff are never scored."""
+    calls = []
+    real = metrics._gender_delta
+
+    def counting(doc, lexicon, variant):
+        calls.append((tuple(doc), variant))
+        return real(doc, lexicon, variant)
+
+    monkeypatch.setattr(metrics, "_gender_delta", counting)
+    rng = SplitMix64(8)
+    ranked, tokens = random_run(rng, 30, 30, shared=True)
+    tokens = {did: doc + [did] for did, doc in tokens.items()}    # tell documents apart
+    cutoffs = (3, 10)
+    bias_report(ranked, tokens, cutoffs=cutoffs)
+    within = {tuple(tokens[d]) for ids in ranked.values() for d in ids[:max(cutoffs)]}
+    assert len(within) < sum(min(len(ids), max(cutoffs)) for ids in ranked.values())
+    assert sorted(calls) == sorted((doc, v) for doc in within for v in ("tf", "bool"))
 
 
 def test_cutoff_beyond_list_uses_prefix():
@@ -227,9 +261,8 @@ def test_bias_report_gender_free_is_all_zero():
     ranked = {"q1": ["d1", "d2"], "q2": ["d2", "d1"]}
     docs = {"d1": ["alpha", "beta"], "d2": ["gamma", "alpha"]}
     report = bias_report(ranked, docs, cutoffs=(1, 2))
-    for row in report.rows():
-        assert row["mean_rab"] == 0.0
-        assert row["mean_arab"] == 0.0
+    assert len(report.mean_rab) == len(report.mean_arab) == 4
+    assert set(report.mean_rab.values()) == set(report.mean_arab.values()) == {0.0}
 
 
 def test_bias_report_absolute_vs_signed():

@@ -141,6 +141,36 @@ def test_train_is_deterministic():
     assert all(np.array_equal(p1[n], p2[n]) for n in p1)
 
 
+def test_batch_update_is_the_mean_of_single_example_gradients():
+    """At batch_size 3 one SGD step moves each parameter by lr / 3 times the
+    sum of the three single-example gradients, added in visiting order."""
+    def fresh():
+        return Backpack(BackpackConfig(vocab_size=30, embed_dim=8, num_senses=2,
+                                       sense_hidden=2, context_heads=2,
+                                       max_seq_len=16), seed=3)
+
+    rng = SplitMix64(4)
+    dataset = [make_example(rng) for _ in range(3)]
+    lr = 0.05
+    ref = fresh()
+    params = ref.parameters()
+    grads = []
+    for ex in dataset:
+        with Tape() as tape:
+            loss = listwise_loss(ex.labels, ref.relevance_logit(ex.query, ex.docs))
+        backward(tape, loss)
+        grads.append({n: p.grad.copy() for n, p in params.items() if p.grad is not None})
+        reset_grads(params.values())
+    order = [0, 1, 2]
+    SplitMix64(0).shuffle(order)
+    model, history = train(dataset, TrainConfig(epochs=1, learning_rate=lr,
+                                                batch_size=3, seed=0), fresh())
+    assert len(history) == 3
+    for name, p in model.parameters().items():
+        total = grads[order[0]][name] + grads[order[1]][name] + grads[order[2]][name]
+        assert np.array_equal(p.data, params[name].data - lr / 3 * total), name
+
+
 def test_zero_learning_rate_changes_nothing(tiny_model):
     rng = SplitMix64(4)
     dataset = [make_example(rng) for _ in range(3)]
