@@ -50,7 +50,6 @@ from .ranker import (
     TrainConfig,
     TrainExample,
     listwise_loss,
-    rank,
     rank_all,
     sweep_lambda,
     train,
@@ -64,7 +63,6 @@ from .senses import (
     build_sense_map,
     default_pairs_path,
     load_polarity_lexicon,
-    sense_similarity,
 )
 
 __version__ = "0.1.0"
@@ -82,8 +80,7 @@ __all__ = [
     "build_train_examples", "cosine_similarity", "default_pairs_path",
     "generate_synthetic", "group_run", "listwise_loss", "load_checkpoint",
     "load_collection", "load_polarity_lexicon", "mag_bool", "mag_tf",
-    "mean_metric", "mrr_at_k", "ndcg_at_k", "rab", "rank", "rank_all",
-    "read_qrels", "read_run", "save_checkpoint", "sense_similarity",
-    "sweep_lambda", "tokenize", "train", "write_collection", "write_qrels",
-    "write_run",
+    "mean_metric", "mrr_at_k", "ndcg_at_k", "rab", "rank_all",
+    "read_qrels", "read_run", "save_checkpoint", "sweep_lambda", "tokenize",
+    "train", "write_collection", "write_qrels", "write_run",
 ]

@@ -343,11 +343,6 @@ class Backpack:
         """Pre-sigmoid relevance of each document to the query, shaped (B,)."""
         return self.relevance_logits(query_ids, docs, [weights])[0]
 
-    def relevance_score(self, query_ids: Sequence[int], docs: Sequence[Sequence[int]],
-                        weights=None) -> np.ndarray:
-        """Sigmoid relevance in (0, 1) of each document, shaped (B,)."""
-        return nk.sigmoid(self.relevance_logit(query_ids, docs, weights)).data
-
 
 # ---------------------------------------------------------------------------
 # checkpoints

@@ -122,10 +122,9 @@ def _load_model(path):
     return model, Vocab(vocab_tokens), meta
 
 
-def _scored_map(model, vocab, pairs_path, lam: float, m: int):
+def _sense_scores(model, vocab, pairs_path):
     pairs = load_polarity_lexicon(pairs_path or default_pairs_path(), vocab=vocab)
-    scores = attribute_scores(model, pairs, vocab)
-    return scores, build_sense_map(scores, lam, m=m)
+    return attribute_scores(model, pairs, vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +204,8 @@ def cmd_train(args) -> int:
 
 def cmd_rank(args) -> int:
     _check_lambda(args.lam)
+    if any(ch.isspace() for ch in args.tag or ""):
+        raise DomainError(f"run tag {args.tag!r} must not contain whitespace")
     inputs = {"checkpoint": args.checkpoint, "corpus": args.corpus,
               "queries": args.queries}
     if args.pairs:
@@ -217,15 +218,14 @@ def cmd_rank(args) -> int:
     eval_set = build_eval_set(coll, vocab, candidate_depth=args.depth)
     sense_map = None
     if args.lam < 1.0:
-        _scores, sense_map = _scored_map(model, vocab, args.pairs,
-                                         args.lam, args.top_senses)
-    ranked = rank_all(model, eval_set, sense_map)
+        sense_map = build_sense_map(_sense_scores(model, vocab, args.pairs),
+                                    args.lam, args.top_senses)
     tag = args.tag or f"backrank-s{meta.get('seed', 0)}"
     records = []
-    for qid in sorted(ranked):
-        records.extend(records_from_ranking(ranked[qid], tag=tag))
+    for _qid, (ranked,) in rank_all(model, eval_set, (sense_map,)):
+        records.extend(records_from_ranking(ranked, tag=tag))
     write_run(args.out, records)
-    log.info("ranked %d queries into %s", len(ranked), args.out)
+    log.info("ranked %d queries into %s", len(eval_set.queries), args.out)
     return 0
 
 
@@ -274,8 +274,7 @@ def cmd_senses(args) -> int:
     outputs = {"csv": args.out} if args.out else {}
     RunManifest(subcommand="senses", inputs=inputs, outputs=outputs).validate()
     model, vocab, meta = _load_model(args.checkpoint)
-    pairs = load_polarity_lexicon(args.pairs or default_pairs_path(), vocab=vocab)
-    scores = attribute_scores(model, pairs, vocab)
+    scores = _sense_scores(model, vocab, args.pairs)
     rows = [{"sense": i, "score": s} for i, s in enumerate(scores.s)]
     if args.out:
         _write_csv(args.out, ("sense", "score"), rows,
@@ -304,8 +303,7 @@ def cmd_sweep(args) -> int:
     model, vocab, meta = _load_model(args.checkpoint)
     coll = load_collection(args.corpus, args.queries, args.qrels)
     eval_set = build_eval_set(coll, vocab, candidate_depth=args.depth)
-    pairs = load_polarity_lexicon(args.pairs or default_pairs_path(), vocab=vocab)
-    scores = attribute_scores(model, pairs, vocab)
+    scores = _sense_scores(model, vocab, args.pairs)
     rows = sweep_lambda(model, eval_set, scores, lambdas,
                         cutoffs=cutoffs, m=args.top_senses)
     _write_csv(args.out, SWEEP_COLUMNS, rows,

@@ -198,6 +198,9 @@ def bm25_retrieve(
 # ---------------------------------------------------------------------------
 # synthetic corpus
 
+_UNIT_FIELDS = ("skew", "gender_rate", "overlap_rate", "gender_mix_rate",
+                "gendered_query_rate")
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -228,17 +231,21 @@ class SynthConfig:
     gender_mix_rate: float = 0.45
     gendered_query_rate: float = 0.0
 
-    def __post_init__(self):
-        for name in ("num_queries", "docs_per_query", "relevant_per_query",
-                     "vocab_size", "query_len", "doc_len",
-                     "gender_min_repeat", "gender_max_repeat"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be positive")
-        for name in ("skew", "gender_rate", "overlap_rate", "gender_mix_rate",
-                     "gendered_query_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+    @staticmethod
+    def _check_value(name: str, value) -> None:
+        """The checks on a single field; DomainError names the field."""
+        if name == "seed":
+            if value < 0:
+                raise DomainError("seed must be non-negative")
+        elif name in _UNIT_FIELDS:
+            if not 0.0 <= value <= 1.0:
                 raise DomainError(f"{name} must be in [0, 1]")
+        elif value < 1:
+            raise DomainError(f"{name} must be positive")
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            self._check_value(f.name, getattr(self, f.name))
         if self.relevant_per_query >= self.docs_per_query:
             raise DomainError("relevant_per_query must be below docs_per_query")
         if self.query_len > self.vocab_size:
@@ -247,12 +254,10 @@ class SynthConfig:
             raise DomainError("query_len cannot exceed doc_len")
         if self.gender_min_repeat > self.gender_max_repeat:
             raise DomainError("gender_min_repeat must be <= gender_max_repeat")
-        if self.seed < 0:
-            raise DomainError("seed must be non-negative")
 
     @classmethod
     def from_file(cls, path) -> "SynthConfig":
-        """Parse a flat key=value file; unknown keys are an error."""
+        """Parse a flat key=value file; a bad key or value is a ParseError."""
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         values: dict[str, object] = {}
         for lineno, raw in read_lines(path):
@@ -268,10 +273,16 @@ class SynthConfig:
             caster = float if types[key] in ("float", float) else int
             try:
                 values[key] = caster(val)
+                cls._check_value(key, values[key])
+            except DomainError as exc:
+                raise ParseError(str(exc), path=str(path), line=lineno) from None
             except ValueError:
                 raise ParseError(f"bad value for {key!r}: {val!r}",
                                  path=str(path), line=lineno) from None
-        return cls(**values)
+        try:
+            return cls(**values)
+        except DomainError as exc:
+            raise ParseError(str(exc), path=str(path)) from None
 
     def to_file(self, path) -> None:
         lines = [f"{f.name}={getattr(self, f.name)}" for f in dataclasses.fields(self)]
@@ -351,6 +362,8 @@ def read_tsv(path) -> dict[str, list[str]]:
         rid = rid.strip()
         if not rid:
             raise ParseError("empty id", path=str(path), line=lineno)
+        if len(rid.split()) > 1:
+            raise ParseError(f"id {rid!r} contains whitespace", path=str(path), line=lineno)
         if rid in out:
             raise ParseError(f"duplicate id {rid!r}", path=str(path), line=lineno)
         out[rid] = tokenize(text)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import DomainError, ShapeError
 from .metrics import DEFAULT_LEXICON, GenderLexicon, Qrels, bias_report, mean_metric
 from .numkernel import Tape, Tensor, backward, reset_grads
 from .rng import SplitMix64
-from .senses import build_sense_map
+from .senses import AttributeScores, build_sense_map
 
 SWEEP_COLUMNS = ("lambda", "mrr@10", "ndcg@10",
                  "rab_tf", "arab_tf", "rab_bool", "arab_bool", "cutoff")
@@ -158,27 +158,10 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
     return model, history
 
 
-def _ranked(query_id: str, doc_ids: Sequence[str], scores: np.ndarray) -> RankedList:
-    """Score descending, doc id ascending on ties."""
-    return RankedList(query_id, tuple(sorted(zip(doc_ids, scores.tolist()),
-                                             key=lambda e: (-e[1], e[0]))))
-
-
-def rank(model, query_id: str, query: Sequence[int],
-         candidates: Sequence[tuple[str, Sequence[int]]], sense_map=None) -> RankedList:
-    """Score candidates in one batch and sort: score descending, doc id
-    ascending on ties. ``sense_map`` is a SenseMap or None."""
-    if not candidates:
-        raise DomainError(f"no candidates to rank for query {query_id}")
-    weights = None if sense_map is None else sense_map.weights
-    scores = model.relevance_score(query, [doc for _, doc in candidates], weights)
-    return _ranked(query_id, [doc_id for doc_id, _ in candidates], scores)
-
-
 @dataclass(frozen=True)
 class EvalSet:
-    """Everything the sweep needs: encoded queries and candidates, labels,
-    and the string tokens of each document for the gender magnitudes."""
+    """Everything the sweep needs: encoded queries with non-empty candidate
+    lists, labels, and each document's string tokens for the gender magnitudes."""
 
     queries: Mapping[str, Sequence[int]]
     candidates: Mapping[str, Sequence[tuple[str, Sequence[int]]]]
@@ -187,21 +170,28 @@ class EvalSet:
 
     def __post_init__(self):
         for qid in self.queries:
-            if qid not in self.candidates:
-                raise DomainError(f"query {qid} has no candidate list")
+            if not self.candidates.get(qid):
+                raise DomainError(f"no candidates to rank for query {qid}")
 
 
-def rank_all(model, eval_set: EvalSet, sense_map=None) -> dict[str, RankedList]:
-    """Rank every query in the eval set, iterating in sorted id order."""
-    return {qid: rank(model, qid, eval_set.queries[qid],
-                      eval_set.candidates[qid], sense_map)
-            for qid in sorted(eval_set.queries)}
+def rank_all(model, eval_set: EvalSet,
+             sense_maps=(None,)) -> Iterator[tuple[str, list[RankedList]]]:
+    """Rank every query of the eval set, in sorted id order, under each sense
+    map (a SenseMap or None): yields (query id, one RankedList per map), with
+    sigmoid scores. One ``relevance_logits`` call per query serves every map."""
+    weight_sets = [None if sm is None else sm.weights for sm in sense_maps]
+    for qid in sorted(eval_set.queries):
+        doc_ids, docs = zip(*eval_set.candidates[qid])
+        logits = model.relevance_logits(eval_set.queries[qid], docs, weight_sets)
+        yield qid, [RankedList(qid, tuple(sorted(zip(doc_ids, nk.sigmoid(z).data.tolist()),
+                                                 key=lambda e: (-e[1], e[0]))))
+                    for z in logits]
 
 
 def sweep_lambda(
     model,
     eval_set: EvalSet,
-    scores,
+    scores: AttributeScores,
     lambdas: Sequence[float],
     cutoffs: Sequence[int] = (10, 20, 30, 40),
     m: int = 2,
@@ -215,22 +205,12 @@ def sweep_lambda(
     """
     if not lambdas:
         raise DomainError("sweep needs at least one lambda")
-    for lam in lambdas:
-        if not 0.0 < lam <= 1.0:
-            raise DomainError(f"lambda {lam} outside (0, 1]")
     sense_maps = [build_sense_map(scores, lam, m) for lam in lambdas]
-    # One encoder pass per query serves every lambda; only doc ids are kept
-    # across queries.
+    # only doc ids are kept across queries
     ranked_ids: list[dict[str, list[str]]] = [{} for _ in lambdas]
-    for qid in sorted(eval_set.queries):
-        candidates = eval_set.candidates[qid]
-        if not candidates:
-            raise DomainError(f"no candidates to rank for query {qid}")
-        doc_ids = [doc_id for doc_id, _ in candidates]
-        logits = model.relevance_logits(eval_set.queries[qid], [doc for _, doc in candidates],
-                                        [sm.weights for sm in sense_maps])
-        for per_lambda, z in zip(ranked_ids, logits):
-            per_lambda[qid] = _ranked(qid, doc_ids, nk.sigmoid(z).data).doc_ids
+    for qid, lists in rank_all(model, eval_set, sense_maps):
+        for per_lambda, ranked in zip(ranked_ids, lists):
+            per_lambda[qid] = ranked.doc_ids
     rows: list[dict] = []
     for lam, ranked in zip(lambdas, ranked_ids):
         mrr = mean_metric(ranked, eval_set.qrels, "mrr", 10)

@@ -77,63 +77,48 @@ class SenseMap:
         return cls((1.0,) * num_senses, 1.0, frozenset())
 
 
-def sense_similarity(model, token_a: int, token_b: int, sense: int) -> float:
-    """Cosine between the two tokens' sense-`sense` vectors, in [-1, 1].
-
-    A zero sense vector yields 0 with a warning: an untrained toy model can
-    produce one, and 0 reads as "uninformative" rather than aborting.
-    """
-    k = model.config.num_senses
-    if not 0 <= sense < k:
-        raise DomainError(f"sense index {sense} out of range for k={k}")
-    va, vb = model.senses.senses_for([[token_a, token_b]]).data[0, sense]
-    try:
-        return cosine_similarity(va, vb)
-    except DomainError:
-        log.warning("zero sense vector in similarity (tokens %d/%d, sense %d); scoring 0",
-                    token_a, token_b, sense)
-        return 0.0
-
-
 def attribute_scores(model, pairs: Sequence[PolarityPair], vocab) -> AttributeScores:
-    """Mean pair cosine per sense.
+    """Mean pair cosine per sense, from one sense-table pass over every pair.
 
     ``vocab`` is anything with ``__contains__`` and ``token_id``. Pair order
     never matters: per-sense similarities are sorted before summation so the
-    mean is reproducible bit for bit under permutation.
+    mean is reproducible bit for bit under permutation. A zero sense vector
+    scores 0 with a warning: an untrained toy model can produce one, and 0
+    reads as "uninformative" rather than aborting.
     """
     if not pairs:
         raise DomainError("attribute_scores needs at least one polarity pair")
-    ids: list[tuple[int, int]] = []
     for p in pairs:
         for term in (p.negative, p.positive):
             if term not in vocab:
                 raise DomainError(f"polarity term {term!r} not in vocabulary")
-        ids.append((vocab.token_id(p.negative), vocab.token_id(p.positive)))
-    k = model.config.num_senses
+    ids = [[vocab.token_id(p.negative), vocab.token_id(p.positive)] for p in pairs]
+    vecs = model.senses.senses_for(ids).data    # pairs x k x 2 x d
     scores = []
-    for sense in range(k):
-        sims = sorted(sense_similarity(model, a, b, sense) for a, b in ids)
+    for sense in range(vecs.shape[1]):
+        sims = []
+        for (a, b), (va, vb) in zip(ids, vecs[:, sense]):
+            try:
+                sims.append(cosine_similarity(va, vb))
+            except DomainError:
+                log.warning("zero sense vector in similarity (tokens %d/%d, sense %d); "
+                            "scoring 0", a, b, sense)
+                sims.append(0.0)
+        sims.sort()
         scores.append(sum(sims) / len(sims))
     return AttributeScores(tuple(scores))
 
 
-def build_sense_map(scores, lam: float, m: int = 2) -> SenseMap:
+def build_sense_map(scores: AttributeScores, lam: float, m: int = 2) -> SenseMap:
     """Suppress the m most attribute-sensitive senses with weight lam.
 
     Ties on the score are broken toward the lower sense index. lam = 1 or
     m = 0 yields the all-ones (identity) map.
     """
-    if not 0.0 < lam <= 1.0:
-        raise DomainError("lambda must be in (0, 1]")
-    s = tuple(getattr(scores, "s", scores))
-    k = len(s)
+    k = len(scores.s)
     if not 0 <= m <= k:
         raise DomainError(f"m must be in [0, {k}]")
-    if m == 0:
-        return SenseMap((1.0,) * k, lam, frozenset())
-    order = sorted(range(k), key=lambda i: (s[i], i))
-    suppressed = frozenset(order[:m])
+    suppressed = frozenset(scores.ranked()[:m])
     weights = tuple(lam if i in suppressed else 1.0 for i in range(k))
     return SenseMap(weights, lam, suppressed)
 

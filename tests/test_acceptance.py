@@ -68,8 +68,8 @@ def test_criterion_1_identity_map():
                               sense_hidden=2, context_heads=2, max_seq_len=24)
         model = Backpack(mcfg, seed=trial)
         es = build_eval_set(coll, vocab, candidate_depth=6)
-        plain = rank_all(model, es, None)
-        ones = rank_all(model, es, SenseMap.identity(4))
+        plain = {q: rl for q, (rl,) in rank_all(model, es, (None,))}
+        ones = {q: rl for q, (rl,) in rank_all(model, es, (SenseMap.identity(4),))}
         if any(plain[q].doc_ids != ones[q].doc_ids for q in plain):
             mismatched += 1
     elapsed = time.monotonic() - t0
@@ -130,9 +130,9 @@ def _central_diff_param_grads(model, q, doc, eps=1e-5):
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps
-            hi = model.relevance_score(q, [doc])[0]
+            hi = nk.sigmoid(model.relevance_logit(q, [doc])).data[0]
             flat[i] = keep - eps
-            lo = model.relevance_score(q, [doc])[0]
+            lo = nk.sigmoid(model.relevance_logit(q, [doc])).data[0]
             flat[i] = keep
             fd = (hi - lo) / (2.0 * eps)
             err = abs(a[i] - fd) / max(1.0, abs(a[i]))
@@ -378,7 +378,8 @@ def test_criterion_8_format_round_trips(tmp_path):
     for _ in range(20):
         q = [rng.randint(30) for _ in range(3)]
         d = [rng.randint(30) for _ in range(5)]
-        ckpt_ok &= back.relevance_score(q, [d])[0] == model.relevance_score(q, [d])[0]
+        ckpt_ok &= (nk.sigmoid(back.relevance_logit(q, [d])).data[0]
+                    == nk.sigmoid(model.relevance_logit(q, [d])).data[0])
 
     _verdict("criterion 8 (format round-trips)",
              run_ok and qrels_ok and ckpt_ok,

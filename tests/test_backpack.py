@@ -7,9 +7,9 @@ import struct
 import numpy as np
 import pytest
 
-from backrank import (Backpack, BackpackConfig, DomainError, ParseError,
-                      SenseMap, SplitMix64, Tape, Tensor, aggregate,
-                      listwise_loss, load_checkpoint, save_checkpoint)
+from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, ParseError,
+                      Qrels, SenseMap, SplitMix64, Tape, Tensor, aggregate,
+                      listwise_loss, load_checkpoint, rank_all, save_checkpoint)
 from backrank import numkernel as nk
 from helpers import forward_triple_loop
 
@@ -180,9 +180,12 @@ def test_pack_sequence_truncates_doc_tail_first(model):
 
 
 def test_relevance_score_is_sigmoid_of_logit(model):
+    """The score a ranking reports is the sigmoid of the relevance logit."""
     q, d = [1, 2], [5, 6, 7]
     z = model.relevance_logit(q, [d]).item()
-    s = model.relevance_score(q, [d])[0]
+    es = EvalSet({"q": q}, {"q": [("d", d)]}, Qrels({}), {})
+    [(_, [ranked])] = rank_all(model, es)
+    s = ranked.scores[0]
     assert 0.0 < s < 1.0
     assert s == pytest.approx(1.0 / (1.0 + np.exp(-z)), abs=1e-15)
 
@@ -247,9 +250,9 @@ def test_train_step_records_at_most_45_tape_nodes(model):
 
 def test_sense_map_changes_relevance(model):
     q, d = [1, 2], [5, 6, 7]
-    plain = model.relevance_score(q, [d])[0]
-    damped = model.relevance_score(q, [d], SenseMap((0.2, 1.0, 1.0), 0.2,
-                                                    frozenset({0})).weights)[0]
+    plain = model.relevance_logit(q, [d]).item()
+    damped = model.relevance_logit(q, [d], SenseMap((0.2, 1.0, 1.0), 0.2,
+                                                    frozenset({0})).weights).item()
     assert plain != damped
 
 
@@ -288,7 +291,7 @@ def test_checkpoint_round_trip_bit_identical_scores(tmp_path, model):
     assert tokens == vocab_tokens
     assert got_meta == meta
     q, d = [1, 2, 3], [7, 8]
-    assert back.relevance_score(q, [d])[0] == model.relevance_score(q, [d])[0]
+    assert back.relevance_logit(q, [d]).item() == model.relevance_logit(q, [d]).item()
     assert np.array_equal(back.forward([[1, 5, 9]]).data, model.forward([[1, 5, 9]]).data)
     for name, tensor in model.parameters().items():
         assert np.array_equal(back.parameters()[name].data, tensor.data)

@@ -98,7 +98,11 @@ def test_synth_rejects_out_of_range_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("skew = 1.5\n")
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
-    assert "skew" in capsys.readouterr().err
+    assert f"error: {bad}:1: skew must be in [0, 1]" in capsys.readouterr().err
+    bad.write_text("docs_per_query = 20\nrelevant_per_query = 30\n")
+    assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    assert (f"error: {bad}: relevant_per_query must be below docs_per_query"
+            in capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +211,35 @@ def test_rank_rejects_lambda_zero(pipeline, tmp_path, capsys):
                  "--corpus", str(pipeline["data"] / "corpus.tsv"),
                  "--queries", str(pipeline["data"] / "queries.tsv"),
                  "--out", str(tmp_path / "x.txt"), "--lambda", "1.5"]) == 2
+
+
+def test_rank_rejects_ids_with_whitespace(pipeline, tmp_path, capsys):
+    """A run line naming such an id would have 7 fields; eval and bias
+    could not read the run back."""
+    data = pipeline["data"]
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text((data / "corpus.tsv").read_text().replace("d000002\t", "d 2\t", 1))
+    queries = tmp_path / "queries.tsv"
+    queries.write_text((data / "queries.tsv").read_text().replace("q0002\t", "q 2\t", 1))
+    for c, q, bad in ((corpus, data / "queries.tsv", corpus),
+                      (data / "corpus.tsv", queries, queries)):
+        assert main(["rank", "--checkpoint", str(pipeline["ckpt"]), "--corpus", str(c),
+                     "--queries", str(q), "--out", str(tmp_path / "x.run"),
+                     "--depth", "8"]) == 2
+        assert f"{bad}:2: id " in capsys.readouterr().err
+    assert not (tmp_path / "x.run").exists()
+
+
+def test_rank_rejects_a_tag_with_whitespace_before_loading(pipeline, tmp_path, capsys):
+    garbage = tmp_path / "garbage.ckpt"
+    garbage.write_bytes(b"not a checkpoint")
+    assert main(["rank", "--checkpoint", str(garbage),
+                 "--corpus", str(pipeline["data"] / "corpus.tsv"),
+                 "--queries", str(pipeline["data"] / "queries.tsv"),
+                 "--out", str(tmp_path / "x.run"), "--tag", "my run"]) == 2
+    err = capsys.readouterr().err
+    assert "tag 'my run'" in err and str(garbage) not in err
+    assert not (tmp_path / "x.run").exists()
 
 
 def test_rank_rejects_bad_checkpoints(pipeline, tmp_path, capsys):
@@ -413,6 +446,37 @@ def test_sweep_identity_row_matches_eval_and_bias(pipeline, tmp_path):
     tf = next(r for r in brows if r["variant"] == "tf")
     assert srows[0]["rab_tf"] == tf["rab"]
     assert srows[0]["arab_tf"] == tf["arab"]
+
+
+def test_rank_then_eval_and_bias_equal_the_sweep_row(tmp_path):
+    """Ranking under one lambda and scoring the run file gives the cells of
+    that lambda's sweep row."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CFG.replace("seed = 7", "seed = 3").replace("num_queries = 12",
+                                                               "num_queries = 40"))
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+    coll = ["--corpus", str(data / "corpus.tsv"), "--queries", str(data / "queries.tsv")]
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", *coll, "--qrels", str(data / "qrels.txt"), "--out", str(ckpt),
+                 "--loss-csv", str(tmp_path / "loss.csv"), *TRAIN_ARGS]) == 0
+    model = ["--checkpoint", str(ckpt), *coll, "--depth", "8", "--top-senses", "3"]
+    run, sweep = tmp_path / "r.run", tmp_path / "s.csv"
+    assert main(["rank", *model, "--lambda", "0.5", "--out", str(run)]) == 0
+    assert main(["sweep", *model, "--qrels", str(data / "qrels.txt"), "--out", str(sweep),
+                 "--lambdas", "1.0,0.5", "--cutoffs", "10"]) == 0
+    assert main(["eval", "--run", str(run), "--qrels", str(data / "qrels.txt"),
+                 "--out", str(tmp_path / "e.csv"), "--cutoffs", "10"]) == 0
+    assert main(["bias", "--run", str(run), "--corpus", str(data / "corpus.tsv"),
+                 "--out", str(tmp_path / "b.csv"), "--cutoffs", "10"]) == 0
+    _, srows, _ = read_csv(sweep)
+    [erow] = read_csv(tmp_path / "e.csv")[1]
+    brows = {r["variant"]: r for r in read_csv(tmp_path / "b.csv")[1]}
+    [row] = [r for r in srows if r["lambda"] == "0.500000"]
+    assert (row["mrr@10"], row["ndcg@10"]) == (erow["mrr"], erow["ndcg"])
+    for v in ("tf", "bool"):
+        assert (row[f"rab_{v}"], row[f"arab_{v}"]) == (brows[v]["rab"], brows[v]["arab"])
+    assert row != srows[0]    # suppression moved the row
 
 
 # ---------------------------------------------------------------------------

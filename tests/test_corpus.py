@@ -262,6 +262,17 @@ def test_synth_config_file_errors(tmp_path):
     p.write_text("skew 0.5\n")
     with pytest.raises(ParseError):
         SynthConfig.from_file(p)
+    # a bad value names its line; a bad combination of keys names the file
+    for text, where, message in (
+            ("seed = 1\nskew = 1.5\n", ":2: ", "skew must be in [0, 1]"),
+            ("# comment\nseed = -2\n", ":2: ", "seed must be non-negative"),
+            ("num_queries = 0\n", ":1: ", "num_queries must be positive"),
+            ("docs_per_query = 20\nrelevant_per_query = 30\n", ": ",
+             "relevant_per_query must be below docs_per_query")):
+        p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            SynthConfig.from_file(p)
+        assert str(err.value) == f"{p}{where}{message}"
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +303,13 @@ def test_corpus_tsv_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         read_tsv(p)
     assert "duplicate" in str(err.value)
+    # an id with whitespace would add a field to every run line naming it
+    for name, bad_id in (("corpus.tsv", "d 1"), ("queries.tsv", "q\u00a01")):
+        p = tmp_path / name
+        p.write_text(f"ok\tfine\n{bad_id}\ttext\n")
+        with pytest.raises(ParseError) as err:
+            read_tsv(p)
+        assert str(err.value).startswith(f"{p}:2: ") and "whitespace" in str(err.value)
 
 
 def test_run_file_round_trip(tmp_path):

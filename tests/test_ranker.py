@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from backrank import (Backpack, BackpackConfig, DomainError, RankedList,
-                      ShapeError, SplitMix64, SynthConfig, Tensor, TrainConfig,
-                      TrainExample, Vocab, attribute_scores, bias_report,
-                      build_eval_set, build_sense_map, build_train_examples,
-                      generate_synthetic, listwise_loss, mean_metric, rank,
-                      rank_all, sweep_lambda, train)
+from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, Qrels,
+                      RankedList, SenseMap, ShapeError, SplitMix64, SynthConfig,
+                      Tensor, TrainConfig, TrainExample, Vocab, attribute_scores,
+                      bias_report, build_eval_set, build_sense_map,
+                      build_train_examples, generate_synthetic, listwise_loss,
+                      mean_metric, rank_all, sweep_lambda, train)
 from backrank.backpack import ContextEncoder
 from backrank.ranker import SWEEP_COLUMNS
 from backrank.senses import PolarityPair
@@ -224,19 +224,38 @@ def test_train_rejects_empty_dataset(tiny_model):
 # ranking
 
 
+def _one_query_set(query, cands):
+    return EvalSet({"q1": query}, {"q1": cands}, Qrels({}), {})
+
+
 def test_rank_orders_by_score_then_id(tiny_model):
     cands = [("b", (5, 6)), ("a", (5, 6)), ("c", (9, 9))]
-    ranked = rank(tiny_model, "q1", (3, 4), cands)
-    assert len(ranked) == 3
+    [(qid, [ranked])] = rank_all(tiny_model, _one_query_set((3, 4), cands))
+    assert qid == "q1" and len(ranked) == 3
     # identical token lists score identically; id breaks the tie
     pos_a, pos_b = ranked.doc_ids.index("a"), ranked.doc_ids.index("b")
     assert pos_a < pos_b
     assert ranked.scores == sorted(ranked.scores, reverse=True)
 
 
-def test_rank_requires_candidates(tiny_model):
+def test_rank_requires_candidates():
+    """An eval set holds a non-empty candidate list for every query."""
     with pytest.raises(DomainError):
-        rank(tiny_model, "q1", (3,), [])
+        _one_query_set((3,), [])
+    with pytest.raises(DomainError):
+        EvalSet({"q1": (3,)}, {}, Qrels({}), {})
+
+
+def test_rank_all_gives_one_list_per_sense_map(tiny_model):
+    """Each map's list equals ranking under that map alone."""
+    es = _one_query_set((3, 4), [("a", (5, 6)), ("b", (7, 8, 9)), ("c", (9, 9))])
+    maps = (None, SenseMap((0.2, 1.0), 0.2, frozenset({0})), SenseMap.identity(2))
+    [(_, lists)] = rank_all(tiny_model, es, maps)
+    assert len(lists) == 3
+    for sm, got in zip(maps, lists):
+        [(_, [alone])] = rank_all(tiny_model, es, (sm,))
+        assert got == alone
+    assert lists[0] == lists[2] and lists[0].scores != lists[1].scores
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +273,7 @@ def synth_setup():
 
 def test_rank_all_covers_sorted_queries(synth_setup):
     model, _, _, eval_set = synth_setup
-    ranked = rank_all(model, eval_set)
+    ranked = dict((qid, rl) for qid, (rl,) in rank_all(model, eval_set))
     assert list(ranked) == sorted(eval_set.queries)
     for qid, rl in ranked.items():
         assert rl.query_id == qid
@@ -269,7 +288,7 @@ def test_sweep_identity_row_equals_direct_evaluation(synth_setup):
     assert len(rows) == 2
     assert set(rows[0]) == set(SWEEP_COLUMNS)
 
-    ranked = {qid: rl.doc_ids for qid, rl in rank_all(model, eval_set).items()}
+    ranked = {qid: rl.doc_ids for qid, (rl,) in rank_all(model, eval_set)}
     report = bias_report(ranked, eval_set.doc_tokens, cutoffs=(5,))
     base = rows[0]
     assert base["lambda"] == 1.0
@@ -291,8 +310,8 @@ def test_sweep_rows_equal_rank_all_under_each_lambda(synth_setup):
 
     expected = []
     for lam in lambdas:
-        ranked = {qid: rl.doc_ids for qid, rl in
-                  rank_all(model, eval_set, build_sense_map(scores, lam, 2)).items()}
+        ranked = {qid: rl.doc_ids for qid, (rl,) in
+                  rank_all(model, eval_set, (build_sense_map(scores, lam, 2),))}
         mrr = mean_metric(ranked, eval_set.qrels, "mrr", 10)
         ndcg = mean_metric(ranked, eval_set.qrels, "ndcg", 10)
         report = bias_report(ranked, eval_set.doc_tokens, cutoffs=cutoffs)
@@ -331,9 +350,8 @@ def test_sweep_suppression_changes_rankings(synth_setup):
     model, vocab, _, eval_set = synth_setup
     scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
     smap = build_sense_map(scores, 0.3, m=2)
-    plain = rank_all(model, eval_set)
-    damped = rank_all(model, eval_set, smap)
-    changed = sum(plain[q].scores != damped[q].scores for q in plain)
+    changed = sum(plain.scores != damped.scores
+                  for _, (plain, damped) in rank_all(model, eval_set, (None, smap)))
     assert changed > 0
 
 
@@ -352,9 +370,9 @@ def test_training_example_pipeline_end_to_end(synth_setup):
     examples = build_train_examples(coll, vocab, num_negatives=3, seed=2,
                                     candidate_depth=8)
     fresh = Backpack(model.config, seed=6)
-    before = mean_metric({q: r.doc_ids for q, r in rank_all(fresh, eval_set).items()},
+    before = mean_metric({q: r.doc_ids for q, (r,) in rank_all(fresh, eval_set)},
                          eval_set.qrels, "ndcg", 10)
     fresh, _ = train(examples, TrainConfig(epochs=3, learning_rate=0.05, seed=2), fresh)
-    after = mean_metric({q: r.doc_ids for q, r in rank_all(fresh, eval_set).items()},
+    after = mean_metric({q: r.doc_ids for q, (r,) in rank_all(fresh, eval_set)},
                         eval_set.qrels, "ndcg", 10)
     assert after > before

@@ -1,11 +1,14 @@
 """Per-sense attribute scoring and suppression maps."""
 
+import logging
+
+import numpy as np
 import pytest
 
 from backrank import (AttributeScores, Backpack, BackpackConfig, DomainError,
-                      ParseError, PolarityPair, SenseMap, Vocab,
+                      ParseError, PolarityPair, SenseMap, SenseTable, Vocab,
                       attribute_scores, build_sense_map, default_pairs_path,
-                      load_polarity_lexicon, sense_similarity)
+                      load_polarity_lexicon)
 from helpers import build_planted_model
 
 
@@ -51,16 +54,50 @@ def toy():
     return Backpack(cfg, seed=5), vocab
 
 
-def test_sense_similarity_matches_manual_cosine(toy):
-    import numpy as np
+def _manual_cosine(model, a, b, sense):
+    va = model.senses.senses_for([[a]]).data[0, sense, 0]
+    vb = model.senses.senses_for([[b]]).data[0, sense, 0]
+    return float(va @ vb) / (np.linalg.norm(va) * np.linalg.norm(vb))
+
+
+def test_attribute_scores_match_manual_cosine(toy):
+    """Each sense's score is the mean over pairs of the cosine between the
+    two words' vectors, each word looked up on its own."""
     model, vocab = toy
-    a, b = vocab.token_id("he"), vocab.token_id("she")
-    va = model.senses.senses_for([[a]]).data[0, 1, 0]
-    vb = model.senses.senses_for([[b]]).data[0, 1, 0]
-    manual = float(va @ vb) / (np.linalg.norm(va) * np.linalg.norm(vb))
-    assert sense_similarity(model, a, b, 1) == pytest.approx(manual, abs=1e-12)
-    with pytest.raises(DomainError):
-        sense_similarity(model, a, b, 3)
+    pairs = [PolarityPair("she", "he"), PolarityPair("queen", "king")]
+    ids = [(vocab.token_id(p.negative), vocab.token_id(p.positive)) for p in pairs]
+    got = attribute_scores(model, pairs, vocab).s
+    assert len(got) == 3
+    for sense in range(3):
+        want = np.mean([_manual_cosine(model, a, b, sense) for a, b in ids])
+        assert got[sense] == pytest.approx(want, abs=1e-12)
+
+
+def test_attribute_scores_run_the_sense_table_once(toy, monkeypatch):
+    model, vocab = toy
+    calls = []
+    senses_for = SenseTable.senses_for
+
+    def counting(self, ids):
+        calls.append(np.shape(ids))
+        return senses_for(self, ids)
+
+    monkeypatch.setattr(SenseTable, "senses_for", counting)
+    pairs = [PolarityPair("she", "he"), PolarityPair("queen", "king")]
+    attribute_scores(model, pairs, vocab)
+    assert calls == [(2, 2)]
+
+
+def test_zero_sense_vectors_score_zero_with_a_warning(toy, caplog):
+    model, vocab = toy
+    model.senses.w2.data[...] = 0.0
+    model.senses.b2.data[...] = 0.0
+    pairs = [PolarityPair("she", "he"), PolarityPair("queen", "king")]
+    with caplog.at_level(logging.WARNING, logger="backrank.senses"):
+        scores = attribute_scores(model, pairs, vocab)
+    assert scores.s == (0.0, 0.0, 0.0)
+    warnings = [r for r in caplog.records if "zero sense vector" in r.getMessage()]
+    assert len(warnings) == len(pairs) * 3    # one per (pair, sense)
 
 
 def test_attribute_scores_permutation_invariant(toy):
@@ -106,18 +143,16 @@ def test_build_sense_map_selection_and_ties():
     assert lam1.weights == (1.0,) * 4 and lam1.suppressed == {3, 0}
 
 
-def test_build_sense_map_accepts_raw_sequence():
-    m = build_sense_map((-0.1, 0.2), 0.7, m=1)
-    assert m.suppressed == {0}
-
-
 def test_build_sense_map_validates():
+    scores = AttributeScores((0.1, 0.2))
     with pytest.raises(DomainError):
-        build_sense_map((0.1, 0.2), 0.0, m=1)
+        build_sense_map(scores, 0.0, m=1)
     with pytest.raises(DomainError):
-        build_sense_map((0.1, 0.2), 1.1, m=1)
+        build_sense_map(scores, 1.1, m=1)
     with pytest.raises(DomainError):
-        build_sense_map((0.1, 0.2), 0.5, m=3)
+        build_sense_map(scores, 0.5, m=3)
+    with pytest.raises(DomainError):
+        build_sense_map(scores, 0.5, m=-1)
 
 
 # ---------------------------------------------------------------------------
