@@ -25,19 +25,19 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import numkernel as nk
+from .corpus import Vocab
 from .errors import DomainError, ParseError
 from .numkernel import Tensor
 from .rng import SplitMix64
 
 CHECKPOINT_MAGIC = b"BPCKPT1\n"
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 _MASK_VALUE = -1e30
 
 
@@ -350,26 +350,34 @@ class Backpack:
 
 def save_checkpoint(path, model: Backpack, vocab_tokens: Sequence[str],
                     meta: dict | None = None) -> None:
-    """Binary checkpoint: magic, JSON header (config, vocab, meta), tensors."""
+    """Checkpoint: magic, u32 little-endian header length, a UTF-8 JSON header
+    (format_version, config, vocab, meta, and tensors: [name, shape] for each
+    parameter in registry order), then each parameter's <f8 values,
+    row-major, in that same order."""
+    params = model.parameters()
     header = {
         "format_version": CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
         "vocab": list(vocab_tokens),
         "meta": dict(meta or {}),
+        "tensors": [[name, list(t.shape)] for name, t in params.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        nk.write_snapshot(fh, {n: t.data for n, t in model.parameters().items()})
+        fh.write(CHECKPOINT_MAGIC + len(blob).to_bytes(4, "little") + blob)
+        for t in params.values():
+            fh.write(t.data.astype("<f8", copy=False).tobytes())
 
 
-def _read_header(fh, where: str) -> dict:
-    (hlen,) = nk.read_struct(fh, "<I", "checkpoint header length")
-    blob = nk.read_exact(fh, hlen, "checkpoint header")
+def _read_header(data: bytes, where: str) -> tuple[dict, int]:
+    """The checked JSON header and the offset of the first value byte."""
+    n = len(CHECKPOINT_MAGIC)
+    # a short length field reads as a smaller length but still ends past the data
+    start = n + 4 + int.from_bytes(data[n:n + 4], "little")
+    if len(data) < start:
+        raise ParseError("truncated while reading the checkpoint header", path=where)
     try:
-        header = json.loads(blob.decode("utf-8"))
+        header = json.loads(data[n + 4:start].decode("utf-8"))
     except ValueError as exc:
         raise ParseError(f"checkpoint header is not JSON: {exc}", path=where) from None
     if not isinstance(header, dict):
@@ -378,38 +386,49 @@ def _read_header(fh, where: str) -> dict:
     if version != CHECKPOINT_FORMAT:
         raise ParseError(f"checkpoint format {version} is not supported "
                          f"(this version reads format {CHECKPOINT_FORMAT})", path=where)
-    for key, kind in (("config", dict), ("vocab", list), ("meta", dict)):
+    for key, kind in (("config", dict), ("vocab", list), ("meta", dict), ("tensors", list)):
         if not isinstance(header.get(key), kind):
             raise ParseError(f"checkpoint header field {key!r} is missing or not a "
                              f"{kind.__name__}", path=where)
-    return header
+    return header, start
 
 
 def load_checkpoint(path) -> tuple[Backpack, list[str], dict]:
-    """Rebuild a model bit-identically from a checkpoint file."""
+    """Rebuild a model bit-identically from a checkpoint file; returns
+    (model, vocabulary tokens, meta). Any malformed part is a ParseError."""
     where = str(path)
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ParseError("not a checkpoint file (bad magic)", path=where)
-        header = _read_header(fh, where)
-        tensors = nk.read_snapshot(fh)
+        data = fh.read()
+    if not data.startswith(CHECKPOINT_MAGIC):
+        raise ParseError("not a checkpoint file (bad magic)", path=where)
+    header, start = _read_header(data, where)
     try:
         config = BackpackConfig.from_dict(header["config"])
     except (TypeError, DomainError) as exc:
         raise ParseError(f"bad checkpoint config: {exc}", path=where) from None
+    vocab = header["vocab"]
+    try:
+        if len(vocab) != config.vocab_size:
+            raise DomainError(f"{len(vocab)} tokens for a config of {config.vocab_size}")
+        if not all(isinstance(t, str) for t in vocab):
+            raise DomainError("a token is not a string")
+        Vocab(vocab)
+    except DomainError as exc:
+        raise ParseError(f"bad checkpoint vocab: {exc}", path=where) from None
     model = Backpack(config, seed=0)
     params = model.parameters()
-    if set(tensors) != set(params):
-        missing = sorted(set(params) - set(tensors))
-        extra = sorted(set(tensors) - set(params))
-        raise ParseError(f"checkpoint parameter mismatch: missing={missing} extra={extra}",
-                         path=where)
-    for name, arr in tensors.items():
-        if arr.shape != params[name].shape:
-            raise ParseError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                             f"expected {params[name].shape}", path=where)
+    table = [[name, list(t.shape)] for name, t in params.items()]
+    if header["tensors"] != table:
+        raise ParseError("checkpoint tensor table does not match the parameters "
+                         "of its config", path=where)
+    size = 8 * sum(t.size for t in params.values())
+    if len(data) - start != size:
+        raise ParseError(f"checkpoint holds {len(data) - start} value bytes, "
+                         f"its tensor table {size}", path=where)
+    for name, t in params.items():
+        arr = np.frombuffer(data, "<f8", t.size, start).reshape(t.shape).astype(np.float64)
+        start += 8 * t.size
         if not np.all(np.isfinite(arr)):
             raise ParseError(f"checkpoint tensor {name!r} holds non-finite values", path=where)
         model.set_param(name, Tensor(arr, requires_grad=True))
-    return model, list(header["vocab"]), dict(header["meta"])
+    return model, vocab, dict(header["meta"])

@@ -171,7 +171,10 @@ def cmd_train(args) -> int:
     coll = load_collection(args.corpus, args.queries, args.qrels)
     if args.resume:
         model, vocab, meta = _load_model(args.resume)
-        step_base = int(meta.get("steps", 0))
+        step_base = meta.get("steps", 0)
+        if type(step_base) is not int or step_base < 0:
+            raise ParseError(f"checkpoint meta 'steps' must be a non-negative integer, "
+                             f"got {step_base!r}", path=args.resume)
     else:
         vocab = Vocab.build(list(coll.docs.values()) + list(coll.queries.values()))
         cfg = BackpackConfig(
@@ -413,7 +416,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ParseError, FileNotFoundError) as exc:
+    except (DomainError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BackrankError as exc:

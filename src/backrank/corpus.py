@@ -88,16 +88,8 @@ class Vocab:
     def token_id(self, token: str) -> int:
         return self._tok2id.get(token, self.UNK)
 
-    def id_token(self, index: int) -> str:
-        if not 0 <= index < len(self._id2tok):
-            raise DomainError(f"vocab index {index} out of range")
-        return self._id2tok[index]
-
     def encode(self, tokens: Sequence[str]) -> list[int]:
         return [self._tok2id.get(t, self.UNK) for t in tokens]
-
-    def decode(self, ids: Sequence[int]) -> list[str]:
-        return [self.id_token(i) for i in ids]
 
 
 class Collection:

@@ -8,23 +8,20 @@ their primitive chain would record several, with the chain's values and
 gradients bit for bit. Inference with no tape active records nothing and is
 safe to run from many threads; recording and `backward` are single-threaded.
 
-A tape can be replayed backward exactly once. Running `backward` twice on
-one tape, or starting a backward while some leaf still carries a gradient
-from an earlier pass, raises `ContractError` rather than silently
-accumulating: call `reset_grads` (or clear `.grad` yourself) between steps.
+A tape can be replayed backward exactly once; running `backward` twice on
+one tape raises `ContractError`. `backward` returns the gradients it was asked
+for and leaves no state on any tensor, so consecutive steps need no reset.
 """
 
 from __future__ import annotations
 
-import io
 import math
-import struct
 import threading
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ParseError, ShapeError
+from .errors import ContractError, DomainError, ShapeError
 
 _TLS = threading.local()
 
@@ -71,7 +68,7 @@ class _Node:
 class Tensor:
     """Dense float64 array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
@@ -79,14 +76,12 @@ class Tensor:
             raise DomainError("tensor values must be finite")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
         t = object.__new__(cls)
         t.data = arr
         t.requires_grad = requires_grad
-        t.grad = None
         return t
 
     @property
@@ -367,54 +362,32 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 # backward pass
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Populate .grad on every tracked tensor the loss depends on."""
+def backward(tape: Tape, loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
+    """Gradients of the scalar loss, one array per tensor of ``wrt`` in its
+    order; zeros where the loss does not reach the tensor. An array may be
+    shared by several tensors, so treat the arrays as read-only."""
     if not isinstance(loss, Tensor) or loss.data.ndim != 0:
         raise ContractError("backward: loss must be a scalar (0-d) tensor")
     if tape._consumed:
         raise ContractError("backward: this tape already ran backward; record a fresh tape")
-    produced = {id(n.out) for n in tape._nodes}
-    if id(loss) not in produced:
+    if not any(n.out is loss for n in tape._nodes):
         raise ContractError("backward: loss was not produced under this tape")
 
-    checked: set[int] = set()
-    for node in tape._nodes:
-        for t in node.inputs:
-            if t.requires_grad and id(t) not in produced and id(t) not in checked:
-                checked.add(id(t))
-                if t.grad is not None:
-                    raise ContractError(
-                        "backward: a leaf tensor still carries a gradient; "
-                        "reset grads before running another backward"
-                    )
-
     tape._consumed = True
+    wanted = {id(t) for t in wrt}
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-
     for node in reversed(tape._nodes):
-        g = grads.pop(id(node.out), None)
+        out = id(node.out)
+        # an unwanted intermediate gradient is freed once its node has used it
+        g = grads.get(out) if out in wanted else grads.pop(out, None)
         if g is None:
             continue
-        node.out.grad = g
         for t, gin in zip(node.inputs, node.backward_fn(g)):
             if gin is None or not t.requires_grad:
                 continue
             key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + gin
-            else:
-                grads[key] = gin
-                holders[key] = t
-
-    # anything left unpopped is a leaf
-    for key, g in grads.items():
-        holders[key].grad = g
-
-
-def reset_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
+            grads[key] = grads[key] + gin if key in grads else gin
+    return [grads[id(t)] if id(t) in grads else np.zeros(t.shape) for t in wrt]
 
 
 # ---------------------------------------------------------------------------
@@ -433,73 +406,3 @@ def cosine_similarity(u: Tensor | np.ndarray, v: Tensor | np.ndarray) -> float:
         raise DomainError("cosine_similarity: zero vector")
     c = float(ud @ vd) / (nu * nv)
     return min(1.0, max(-1.0, c))
-
-
-# ---------------------------------------------------------------------------
-# snapshot container
-#
-# Layout (little-endian):
-#   magic "BRTS1\n"
-#   u32   tensor count
-#   per tensor:
-#     u16  name length, then UTF-8 name
-#     u8   ndim, then ndim x u64 dims
-#     float64 values, row-major
-
-SNAPSHOT_MAGIC = b"BRTS1\n"
-
-
-def write_snapshot(fh, named: dict[str, np.ndarray]) -> None:
-    fh.write(SNAPSHOT_MAGIC)
-    fh.write(struct.pack("<I", len(named)))
-    for name, arr in named.items():
-        a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-        nb = name.encode("utf-8")
-        fh.write(struct.pack("<H", len(nb)))
-        fh.write(nb)
-        fh.write(struct.pack("<B", a.ndim))
-        for d in a.shape:
-            fh.write(struct.pack("<Q", d))
-        fh.write(a.tobytes(order="C"))
-
-
-def read_exact(fh, n: int, what: str) -> bytes:
-    """Exactly n bytes from fh; a short read is a ParseError naming `what`."""
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise ParseError(f"truncated while reading {what}", path=getattr(fh, "name", None))
-    return buf
-
-
-def read_struct(fh, fmt: str, what: str) -> tuple:
-    """Unpack one struct of format `fmt`; a short read is a ParseError."""
-    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), what))
-
-
-def read_snapshot(fh) -> dict[str, np.ndarray]:
-    """Tensors from a seekable stream; any truncation or bad field is a
-    ParseError, and no tensor is read past the end of the stream."""
-    path = getattr(fh, "name", None)
-    start = fh.tell()
-    end = fh.seek(0, io.SEEK_END)
-    fh.seek(start)
-    if fh.read(len(SNAPSHOT_MAGIC)) != SNAPSHOT_MAGIC:
-        raise ParseError("bad snapshot magic", path=path)
-    (count,) = read_struct(fh, "<I", "snapshot tensor count")
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = read_struct(fh, "<H", "tensor name length")
-        try:
-            name = read_exact(fh, nlen, "tensor name").decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError("tensor name is not UTF-8", path=path) from None
-        (ndim,) = read_struct(fh, "<B", f"rank of tensor {name!r}")
-        dims = read_struct(fh, f"<{ndim}Q", f"dims of tensor {name!r}")
-        n = 1
-        for d in dims:
-            n *= d
-        if 8 * n > end - fh.tell():
-            raise ParseError(f"tensor {name!r} dims {dims} exceed the bytes left", path=path)
-        buf = read_exact(fh, 8 * n, f"tensor {name!r}")
-        out[name] = np.frombuffer(buf, dtype="<f8").reshape(dims).copy()
-    return out

@@ -19,7 +19,7 @@ import numpy as np
 from . import numkernel as nk
 from .errors import DomainError, ShapeError
 from .metrics import DEFAULT_LEXICON, GenderLexicon, Qrels, bias_report, mean_metric
-from .numkernel import Tape, Tensor, backward, reset_grads
+from .numkernel import Tape, Tensor, backward
 from .rng import SplitMix64
 from .senses import AttributeScores, build_sense_map
 
@@ -122,6 +122,7 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
     if not dataset:
         raise DomainError("training dataset is empty")
     params = model.parameters()
+    tensors = list(params.values())
     rng = SplitMix64(cfg.seed)
     history: list[float] = []
     # A diverging run overflows to inf and nan; it is reported below and by the
@@ -132,7 +133,7 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
             rng.shuffle(order)
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
-                acc: dict[str, np.ndarray] = {}
+                acc: list[np.ndarray] = []
                 for idx in batch:
                     ex = dataset[idx]
                     with Tape() as tape:
@@ -141,15 +142,11 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
                     if not math.isfinite(history[-1]):
                         raise DomainError(f"training diverged at step {len(history)}: "
                                           f"loss is {history[-1]}")
-                    backward(tape, loss)
-                    # Out of place: add's backward hands one array to both inputs.
-                    for name, p in params.items():
-                        if p.grad is not None:
-                            acc[name] = acc[name] + p.grad if name in acc else p.grad
-                    reset_grads(params.values())
+                    grads = backward(tape, loss, tensors)
+                    # Out of place: one gradient array may serve several tensors.
+                    acc = [a + g for a, g in zip(acc, grads)] if acc else grads
                 step = cfg.learning_rate / len(batch)
-                for name, g in acc.items():
-                    p = params[name]
+                for p, g in zip(tensors, acc):
                     p.data = p.data - step * g
     for name, p in params.items():
         if not np.all(np.isfinite(p.data)):

@@ -2,7 +2,9 @@
 gradient oracle, and the primitive tape ops the fused numkernel nodes replace
 (kept here as their bit-for-bit reference)."""
 
+import json
 import math
+import struct
 
 import numpy as np
 
@@ -24,8 +26,7 @@ def finite_diff_check(f, x, eps=1e-5):
         y = f(xt)
     if not isinstance(y, Tensor) or y.data.ndim != 0:
         raise ContractError("finite_diff_check: f must return a scalar tensor")
-    backward(tape, y)
-    analytic = xt.grad if xt.grad is not None else np.zeros_like(xt.data)
+    (analytic,) = backward(tape, y, [xt])
     analytic = analytic.ravel()
 
     flat = x.data.ravel()
@@ -155,3 +156,11 @@ def forward_triple_loop(model, token_ids):
                 for c in range(d):
                     out[i, c] += alpha[l, i, j] * senses[l, j, c]
     return out
+
+
+def rewrite_checkpoint_header(src, dst, edit):
+    """Copy a checkpoint with its JSON header replaced by edit(header)."""
+    blob = src.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    new = json.dumps(edit(json.loads(blob[12:12 + hlen]))).encode("utf-8")
+    dst.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])

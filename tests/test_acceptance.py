@@ -118,10 +118,7 @@ def _central_diff_param_grads(model, q, doc, eps=1e-5):
     params = model.parameters()
     with Tape() as tape:
         score = nk.reshape(nk.sigmoid(model.relevance_logit(q, [doc])), ())
-    backward(tape, score)
-    analytic = {n: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for n, p in params.items()}
-    nk.reset_grads(list(params.values()))
+    analytic = dict(zip(params, backward(tape, score, list(params.values()))))
 
     worst = 0.0
     for name, p in params.items():
@@ -371,7 +368,8 @@ def test_criterion_8_format_round_trips(tmp_path):
                           sense_hidden=2, context_heads=2, max_seq_len=12)
     model = Backpack(mcfg, seed=9)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, [f"w{i}" for i in range(30)], {"seed": 9})
+    tokens = ["<pad>", "<unk>", "<sep>"] + [f"w{i}" for i in range(3, 30)]
+    save_checkpoint(path, model, tokens, {"seed": 9})
     back, _tokens, _meta = load_checkpoint(path)
     rng = SplitMix64(2)
     ckpt_ok = True

@@ -1,6 +1,5 @@
 """Model structure: sense table, contextualization, aggregation, checkpoints."""
 
-import io
 import json
 import struct
 
@@ -10,8 +9,7 @@ import pytest
 from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, ParseError,
                       Qrels, SenseMap, SplitMix64, Tape, Tensor, aggregate,
                       listwise_loss, load_checkpoint, rank_all, save_checkpoint)
-from backrank import numkernel as nk
-from helpers import forward_triple_loop
+from helpers import forward_triple_loop, rewrite_checkpoint_header
 
 
 @pytest.fixture
@@ -282,19 +280,43 @@ def test_set_param_round_trip(model):
 # checkpoints
 
 
+TOKENS = ["<pad>", "<unk>", "<sep>"] + [f"w{i}" for i in range(3, 12)]
+
+
+def _header_end(blob):
+    """Offset of the first value byte of a checkpoint."""
+    return 12 + struct.unpack("<I", blob[8:12])[0]
+
+
 def test_checkpoint_round_trip_bit_identical_scores(tmp_path, model):
-    vocab_tokens = [f"w{i}" for i in range(12)]
     meta = {"seed": 11, "note": "unit"}
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, vocab_tokens, meta)
+    save_checkpoint(path, model, TOKENS, meta)
     back, tokens, got_meta = load_checkpoint(path)
-    assert tokens == vocab_tokens
+    assert tokens == TOKENS
     assert got_meta == meta
     q, d = [1, 2, 3], [7, 8]
     assert back.relevance_logit(q, [d]).item() == model.relevance_logit(q, [d]).item()
     assert np.array_equal(back.forward([[1, 5, 9]]).data, model.forward([[1, 5, 9]]).data)
     for name, tensor in model.parameters().items():
         assert np.array_equal(back.parameters()[name].data, tensor.data)
+
+
+def test_checkpoint_layout_and_determinism(tmp_path, model):
+    """Header table in registry order, then exactly the <f8 values; two saves
+    of one model are byte-identical."""
+    a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(a, model, TOKENS, {"seed": 11})
+    save_checkpoint(b, model, TOKENS, {"seed": 11})
+    blob = a.read_bytes()
+    assert blob == b.read_bytes()
+    assert blob.startswith(b"BPCKPT1\n")
+    start = _header_end(blob)
+    header = json.loads(blob[12:start])
+    params = model.parameters()
+    assert header["format_version"] == 3
+    assert header["tensors"] == [[n, list(t.shape)] for n, t in params.items()]
+    assert blob[start:] == b"".join(t.data.astype("<f8").tobytes() for t in params.values())
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -308,30 +330,19 @@ def test_checkpoint_non_finite_tensor_is_parse_error(tmp_path, model):
     name, tensor = sorted(model.parameters().items())[0]
     tensor.data[(0,) * tensor.ndim] = np.nan
     path = tmp_path / "nan.ckpt"
-    save_checkpoint(path, model, [f"w{i}" for i in range(12)], {})
+    save_checkpoint(path, model, TOKENS, {})
     with pytest.raises(ParseError, match="non-finite") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value) and repr(name) in str(err.value)
 
 
-def _rewrite_header(path, out, edit):
-    """Copy a checkpoint with its JSON header replaced by edit(header)."""
-    blob = path.read_bytes()
-    (hlen,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12:12 + hlen])
-    new = json.dumps(edit(header)).encode("utf-8")
-    out.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
-
-
 def test_checkpoint_truncated_in_every_region_is_parse_error(tmp_path, model):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, [f"w{i}" for i in range(12)], {"seed": 11})
+    save_checkpoint(path, model, TOKENS, {"seed": 11})
     blob = path.read_bytes()
-    (hlen,) = struct.unpack("<I", blob[8:12])
-    snap = 12 + hlen
-    cuts = {"magic": 5, "length": 10, "header": 12 + hlen // 2,
-            "snapshot magic": snap + 3, "tensor count": snap + 8,
-            "tensor name": snap + 12, "tensor data": len(blob) - 4}
+    start = _header_end(blob)
+    cuts = {"empty": 0, "magic": 5, "length": 10, "header": (12 + start) // 2,
+            "no values": start, "first value": start + 3, "last value": len(blob) - 4}
     for region, cut in cuts.items():
         short = tmp_path / f"cut_{cut}.ckpt"
         short.write_bytes(blob[:cut])
@@ -340,33 +351,73 @@ def test_checkpoint_truncated_in_every_region_is_parse_error(tmp_path, model):
         assert str(short) in str(err.value), region
 
 
+def test_checkpoint_trailing_bytes_are_parse_error(tmp_path, model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, TOKENS, {})
+    for extra in (b"\x00", b"\x00" * 8):
+        long = tmp_path / f"long{len(extra)}.ckpt"
+        long.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(ParseError, match="value bytes") as err:
+            load_checkpoint(long)
+        assert str(long) in str(err.value)
+
+
+def test_checkpoint_rejects_an_edited_tensor_table(tmp_path, model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, TOKENS, {})
+    edits = [
+        lambda t: t[1:],                                     # an entry dropped
+        lambda t: t[1:] + t[:1],                             # order changed
+        lambda t: [["sense.basis", t[0][1]]] + t[1:],        # a name changed
+        lambda t: [[t[0][0], t[0][1][::-1]]] + t[1:],        # a shape transposed
+        lambda t: t + [["extra", [1]]],                      # an entry added
+    ]
+    for i, edit in enumerate(edits):
+        bad = tmp_path / f"table{i}.ckpt"
+        rewrite_checkpoint_header(path, bad, lambda h: {**h, "tensors": edit(h["tensors"])})
+        with pytest.raises(ParseError, match="tensor table") as err:
+            load_checkpoint(bad)
+        assert str(bad) in str(err.value), i
+
+
 def test_checkpoint_rejects_bad_headers(tmp_path, model):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, [f"w{i}" for i in range(12)], {})
+    save_checkpoint(path, model, TOKENS, {})
     blob = path.read_bytes()
     cases = [
         ("format 1 is not supported", lambda h: {**h, "format_version": 1}),
+        ("format 2 is not supported", lambda h: {**h, "format_version": 2}),
         ("'config' is missing", lambda h: {k: v for k, v in h.items() if k != "config"}),
         ("'vocab' is missing", lambda h: {k: v for k, v in h.items() if k != "vocab"}),
         ("'meta' is missing", lambda h: {k: v for k, v in h.items() if k != "meta"}),
+        ("'tensors' is missing", lambda h: {k: v for k, v in h.items() if k != "tensors"}),
         ("bad checkpoint config", lambda h: {**h, "config": {**h["config"], "causal": 1}}),
     ]
     for i, (needle, edit) in enumerate(cases):
         bad = tmp_path / f"bad{i}.ckpt"
-        _rewrite_header(path, bad, edit)
-        with pytest.raises(ParseError, match=needle):
+        rewrite_checkpoint_header(path, bad, edit)
+        with pytest.raises(ParseError, match=needle) as err:
             load_checkpoint(bad)
+        assert str(bad) in str(err.value), needle
     bad = tmp_path / "not_json.ckpt"
     bad.write_bytes(blob[:12] + b"\xff" * 8 + blob[20:])
     with pytest.raises(ParseError, match="not JSON"):
         load_checkpoint(bad)
 
 
-def test_snapshot_dims_beyond_the_file_are_rejected():
-    buf = io.BytesIO()
-    nk.write_snapshot(buf, {"w": np.zeros((2, 3))})
-    raw = bytearray(buf.getvalue())
-    dims_at = raw.index(b"w") + 2              # name, then the u8 rank
-    raw[dims_at:dims_at + 8] = struct.pack("<Q", 2 ** 40)
-    with pytest.raises(ParseError, match="exceed"):
-        nk.read_snapshot(io.BytesIO(bytes(raw)))
+def test_checkpoint_rejects_a_bad_vocabulary(tmp_path, model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, TOKENS, {})
+    cases = [
+        ("5 tokens for a config of 12", TOKENS[:5]),
+        ("13 tokens for a config of 12", TOKENS + ["w12"]),
+        ("a token is not a string", TOKENS[:-1] + [7]),
+        ("reserved tokens", ["w0"] + TOKENS[1:]),
+        ("unique", TOKENS[:-1] + ["w3"]),
+    ]
+    for i, (needle, vocab) in enumerate(cases):
+        bad = tmp_path / f"vocab{i}.ckpt"
+        rewrite_checkpoint_header(path, bad, lambda h: {**h, "vocab": vocab})
+        with pytest.raises(ParseError, match=needle) as err:
+            load_checkpoint(bad)
+        assert str(err.value).startswith(f"{bad}: "), needle

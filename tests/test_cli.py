@@ -2,7 +2,6 @@
 
 import csv
 import json
-import struct
 import subprocess
 import sys
 import warnings
@@ -14,6 +13,7 @@ import backrank
 from backrank import __version__, load_checkpoint, read_run
 from backrank.cli import main
 from backrank.ranker import SWEEP_COLUMNS
+from helpers import rewrite_checkpoint_header
 
 CFG = """\
 seed = 7
@@ -251,18 +251,62 @@ def test_rank_rejects_bad_checkpoints(pipeline, tmp_path, capsys):
     cut.write_bytes(blob[:20])
     assert main(["rank", "--checkpoint", str(cut), *args]) == 2
     assert str(cut) in capsys.readouterr().err
-    # a format-1 header: the layout of checkpoints that still carried lm.w
-    (hlen,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12:12 + hlen])
-    old = json.dumps({**header, "format_version": 1}).encode("utf-8")
-    v1 = tmp_path / "v1.ckpt"
-    v1.write_bytes(blob[:8] + struct.pack("<I", len(old)) + old + blob[12 + hlen:])
-    assert main(["rank", "--checkpoint", str(v1), *args]) == 2
-    assert "format 1" in capsys.readouterr().err
+    # format 1 still carried lm.w; format 2 nested a second tensor container
+    for version in (1, 2):
+        old = tmp_path / f"v{version}.ckpt"
+        rewrite_checkpoint_header(pipeline["ckpt"], old,
+                                  lambda h: {**h, "format_version": version})
+        assert main(["rank", "--checkpoint", str(old), *args]) == 2
+        assert f"{old}: checkpoint format {version}" in capsys.readouterr().err
+
+
+def test_checkpoint_vocab_is_checked_at_its_path(pipeline, tmp_path, capsys):
+    """A vocabulary that does not fit the model would map most words to <unk>."""
+    data = pipeline["data"]
+    _, tokens, _ = load_checkpoint(pipeline["ckpt"])
+    rank = ["rank", "--corpus", str(data / "corpus.tsv"), "--queries", str(data / "queries.tsv"),
+            "--out", str(tmp_path / "x.txt"), "--depth", "8"]
+    resume = ["train", "--corpus", str(data / "corpus.tsv"), "--queries", str(data / "queries.tsv"),
+              "--qrels", str(data / "qrels.txt"), "--out", str(tmp_path / "x.ckpt"),
+              "--loss-csv", str(tmp_path / "x.csv"), *TRAIN_ARGS]
+    for i, (vocab, needle) in enumerate([(tokens[:50], "50 tokens for a config of"),
+                                         (tokens[3:] + tokens[:3], "reserved tokens")]):
+        bad = tmp_path / f"vocab{i}.ckpt"
+        rewrite_checkpoint_header(pipeline["ckpt"], bad, lambda h: {**h, "vocab": vocab})
+        assert main([*rank, "--checkpoint", str(bad)]) == 2
+        assert f"error: {bad}: " in capsys.readouterr().err
+        assert main([*resume, "--resume", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: " in err and needle in err
+    assert not (tmp_path / "x.txt").exists() and not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("steps", ["12", -1, 2.5, None, True])
+def test_resume_with_bad_meta_steps_is_exit_2(pipeline, tmp_path, capsys, steps):
+    data = pipeline["data"]
+    bad = tmp_path / "steps.ckpt"
+    rewrite_checkpoint_header(pipeline["ckpt"], bad,
+                              lambda h: {**h, "meta": {**h["meta"], "steps": steps}})
+    assert main(["train", "--corpus", str(data / "corpus.tsv"),
+                 "--queries", str(data / "queries.tsv"), "--qrels", str(data / "qrels.txt"),
+                 "--resume", str(bad), "--out", str(tmp_path / "x.ckpt"),
+                 "--loss-csv", str(tmp_path / "x.csv"), *TRAIN_ARGS]) == 2
+    assert f"error: {bad}: checkpoint meta 'steps'" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 # ---------------------------------------------------------------------------
 # eval / bias
+
+
+def test_output_path_that_cannot_be_opened_is_exit_2(pipeline, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    for out in (tmp_path, blocker / "x.csv"):
+        assert main(["eval", "--run", str(pipeline["run"]),
+                     "--qrels", str(pipeline["data"] / "qrels.txt"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err, out
 
 
 def test_eval_non_finite_score_is_exit_2(pipeline, tmp_path, capsys):
