@@ -251,35 +251,18 @@ class Backpack:
     # ------------------------------------------------------------------
     # parameter registry
 
-    def _components(self) -> dict[str, object]:
-        comps: dict[str, object] = {
-            "sense": self.senses,
-            "ctx": self.context,
-            "head": self.head,
-        }
-        for i, layer in enumerate(self.context.layers):
-            comps[f"ctx.layer{i}"] = layer
-        return comps
-
     def parameters(self) -> dict[str, Tensor]:
         """Stable name -> tensor mapping over every trainable parameter."""
+        comps: dict[str, object] = {"sense": self.senses, "ctx": self.context,
+                                    "head": self.head}
+        for i, layer in enumerate(self.context.layers):
+            comps[f"ctx.layer{i}"] = layer
         out: dict[str, Tensor] = {}
-        for prefix, comp in self._components().items():
+        for prefix, comp in comps.items():
             for attr, value in vars(comp).items():
                 if isinstance(value, Tensor):
                     out[f"{prefix}.{attr}"] = value
         return out
-
-    def set_param(self, name: str, tensor: Tensor) -> None:
-        """Replace a parameter tensor by registry name."""
-        prefix, _, attr = name.rpartition(".")
-        comp = self._components().get(prefix)
-        if comp is None or not isinstance(getattr(comp, attr, None), Tensor):
-            raise DomainError(f"unknown parameter {name!r}")
-        if tensor.shape != getattr(comp, attr).shape:
-            raise DomainError(f"parameter {name!r} expects shape "
-                              f"{getattr(comp, attr).shape}, got {tensor.shape}")
-        setattr(comp, attr, tensor)
 
     # ------------------------------------------------------------------
     # forward
@@ -348,12 +331,27 @@ class Backpack:
 # checkpoints
 
 
+def _check_vocab(config: BackpackConfig, vocab: Sequence) -> None:
+    """A checkpoint's vocabulary fits its config: config.vocab_size strings
+    that form a ``Vocab``, whose separator the config packs with."""
+    if len(vocab) != config.vocab_size:
+        raise DomainError(f"{len(vocab)} tokens for a config of {config.vocab_size}")
+    if not all(isinstance(t, str) for t in vocab):
+        raise DomainError("a token is not a string")
+    Vocab(vocab)
+    if config.sep_index != Vocab.SEP:
+        raise DomainError(f"config sep_index {config.sep_index} is not the "
+                          f"{Vocab.SEP_TOKEN} id {Vocab.SEP}")
+
+
 def save_checkpoint(path, model: Backpack, vocab_tokens: Sequence[str],
                     meta: dict | None = None) -> None:
     """Checkpoint: magic, u32 little-endian header length, a UTF-8 JSON header
     (format_version, config, vocab, meta, and tensors: [name, shape] for each
     parameter in registry order), then each parameter's <f8 values,
-    row-major, in that same order."""
+    row-major, in that same order. A vocabulary that does not fit the
+    model's config is a DomainError, and nothing is written."""
+    _check_vocab(model.config, vocab_tokens)
     params = model.parameters()
     header = {
         "format_version": CHECKPOINT_FORMAT,
@@ -408,11 +406,7 @@ def load_checkpoint(path) -> tuple[Backpack, list[str], dict]:
         raise ParseError(f"bad checkpoint config: {exc}", path=where) from None
     vocab = header["vocab"]
     try:
-        if len(vocab) != config.vocab_size:
-            raise DomainError(f"{len(vocab)} tokens for a config of {config.vocab_size}")
-        if not all(isinstance(t, str) for t in vocab):
-            raise DomainError("a token is not a string")
-        Vocab(vocab)
+        _check_vocab(config, vocab)
     except DomainError as exc:
         raise ParseError(f"bad checkpoint vocab: {exc}", path=where) from None
     model = Backpack(config, seed=0)
@@ -430,5 +424,5 @@ def load_checkpoint(path) -> tuple[Backpack, list[str], dict]:
         start += 8 * t.size
         if not np.all(np.isfinite(arr)):
             raise ParseError(f"checkpoint tensor {name!r} holds non-finite values", path=where)
-        model.set_param(name, Tensor(arr, requires_grad=True))
+        t.data = arr
     return model, vocab, dict(header["meta"])

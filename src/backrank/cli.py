@@ -19,7 +19,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -37,42 +36,30 @@ from .senses import (attribute_scores, build_sense_map, default_pairs_path,
 log = logging.getLogger("backrank.cli")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What a subcommand is about to do: validated before any work starts."""
-
-    subcommand: str
-    inputs: dict
-    outputs: dict
-    seed: int | None = None
-    config: str | None = None
-    lam: float | None = None
-    top_senses: int | None = None
-    cutoffs: tuple[int, ...] | None = None
-
-    def validate(self) -> None:
-        for name, path in sorted(self.inputs.items()):
-            if not Path(path).exists():
-                raise FileNotFoundError(f"{name} path does not exist: {path}")
-        for _name, path in sorted(self.outputs.items()):
-            parent = Path(path).parent
-            if parent and not parent.exists():
-                parent.mkdir(parents=True, exist_ok=True)
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["version"] = __version__
-        return d
+def _check_paths(inputs: dict, outputs) -> None:
+    """Before any work starts: every input named in ``inputs`` exists, and
+    the directory of every output exists or is created. None stands for an
+    option not given and is skipped. A file where an output's directory
+    should be is left alone, so opening that output fails naming it."""
+    for name, path in sorted(inputs.items()):
+        if path is not None and not Path(path).exists():
+            raise FileNotFoundError(f"{name} path does not exist: {path}")
+    for path in outputs:
+        if path is not None and not Path(path).parent.exists():
+            Path(path).parent.mkdir(parents=True)
 
 
-def _meta_comment(seed, lam) -> str:
+def _check_tag(tag: str, checkpoint=None) -> str:
+    """A run tag with whitespace writes run lines that do not parse back; a
+    default tag is built from ``checkpoint``'s meta.seed and names that file."""
+    if any(ch.isspace() for ch in tag):
+        raise ParseError(f"run tag {tag!r} must not contain whitespace", path=checkpoint)
+    return tag
+
+
+def _meta_comment(seed, lambdas) -> str:
     seed_s = "-" if seed is None else str(seed)
-    if lam is None:
-        lam_s = "-"
-    elif isinstance(lam, (list, tuple)):
-        lam_s = "|".join(repr(float(v)) for v in lam)
-    else:
-        lam_s = repr(float(lam))
+    lam_s = "-" if lambdas is None else "|".join(repr(float(v)) for v in lambdas)
     return f"# backrank={__version__} seed={seed_s} lambda={lam_s}\n"
 
 
@@ -82,13 +69,13 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path, columns, rows, seed=None, lam=None) -> None:
+def _write_csv(path, columns, rows, seed=None, lambdas=None) -> None:
     """Header + rows + one trailing metadata comment; floats at 6 decimals."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_cell(row[c]) for c in columns) + "\n")
-        fh.write(_meta_comment(seed, lam))
+        fh.write(_meta_comment(seed, lambdas))
 
 
 def _parse_cutoffs(text: str) -> tuple[int, ...]:
@@ -136,22 +123,17 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     outdir = Path(args.out)
-    manifest = RunManifest(
-        subcommand="synth",
-        inputs={"config": args.config} if args.config else {},
-        outputs={"corpus": str(outdir / "corpus.tsv")},
-        seed=cfg.seed,
-        config=args.config,
-    )
-    manifest.validate()
     coll = generate_synthetic(cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
     paths = write_collection(coll, outdir)
     cfg.to_file(outdir / "synth.cfg")
-    record = manifest.to_dict()
-    record["outputs"] = {k: str(v) for k, v in paths.items()}
-    record["config_values"] = {
-        f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+    record = {
+        "subcommand": "synth",
+        "inputs": {"config": args.config} if args.config else {},
+        "outputs": {k: str(v) for k, v in paths.items()},
+        "seed": cfg.seed,
+        "config": args.config,
+        "config_values": dataclasses.asdict(cfg),
+        "version": __version__,
     }
     (outdir / "manifest.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -161,12 +143,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    inputs = {"corpus": args.corpus, "queries": args.queries, "qrels": args.qrels}
-    if args.resume:
-        inputs["resume"] = args.resume
-    RunManifest(subcommand="train", inputs=inputs,
-                outputs={"checkpoint": args.out, "loss_csv": args.loss_csv},
-                seed=args.seed).validate()
+    _check_paths({"corpus": args.corpus, "queries": args.queries, "qrels": args.qrels,
+                  "resume": args.resume}, [args.out, args.loss_csv])
 
     coll = load_collection(args.corpus, args.queries, args.qrels)
     if args.resume:
@@ -207,23 +185,19 @@ def cmd_train(args) -> int:
 
 def cmd_rank(args) -> int:
     _check_lambda(args.lam)
-    if any(ch.isspace() for ch in args.tag or ""):
-        raise DomainError(f"run tag {args.tag!r} must not contain whitespace")
-    inputs = {"checkpoint": args.checkpoint, "corpus": args.corpus,
-              "queries": args.queries}
-    if args.pairs:
-        inputs["pairs"] = args.pairs
-    RunManifest(subcommand="rank", inputs=inputs, outputs={"run": args.out},
-                lam=args.lam, top_senses=args.top_senses).validate()
+    if args.tag:
+        _check_tag(args.tag)
+    _check_paths({"checkpoint": args.checkpoint, "corpus": args.corpus,
+                  "queries": args.queries, "pairs": args.pairs}, [args.out])
 
     model, vocab, meta = _load_model(args.checkpoint)
+    tag = args.tag or _check_tag(f"backrank-s{meta.get('seed', 0)}", args.checkpoint)
     coll = load_collection(args.corpus, args.queries)
     eval_set = build_eval_set(coll, vocab, candidate_depth=args.depth)
     sense_map = None
     if args.lam < 1.0:
         sense_map = build_sense_map(_sense_scores(model, vocab, args.pairs),
                                     args.lam, args.top_senses)
-    tag = args.tag or f"backrank-s{meta.get('seed', 0)}"
     records = []
     for _qid, (ranked,) in rank_all(model, eval_set, (sense_map,)):
         records.extend(records_from_ranking(ranked, tag=tag))
@@ -234,8 +208,7 @@ def cmd_rank(args) -> int:
 
 def cmd_eval(args) -> int:
     cutoffs = _parse_cutoffs(args.cutoffs)
-    RunManifest(subcommand="eval", inputs={"run": args.run, "qrels": args.qrels},
-                outputs={"csv": args.out}, cutoffs=cutoffs).validate()
+    _check_paths({"run": args.run, "qrels": args.qrels}, [args.out])
     grouped = group_run(read_run(args.run))
     if not grouped:
         raise DomainError(f"run file {args.run} holds no records")
@@ -251,8 +224,7 @@ def cmd_eval(args) -> int:
 def cmd_bias(args) -> int:
     cutoffs = _parse_cutoffs(args.cutoffs)
     variants = ("tf", "bool") if args.variant == "both" else (args.variant,)
-    RunManifest(subcommand="bias", inputs={"run": args.run, "corpus": args.corpus},
-                outputs={"csv": args.out}, cutoffs=cutoffs).validate()
+    _check_paths({"run": args.run, "corpus": args.corpus}, [args.out])
     grouped = group_run(read_run(args.run))
     if not grouped:
         raise DomainError(f"run file {args.run} holds no records")
@@ -271,11 +243,7 @@ def cmd_bias(args) -> int:
 
 
 def cmd_senses(args) -> int:
-    inputs = {"checkpoint": args.checkpoint}
-    if args.pairs:
-        inputs["pairs"] = args.pairs
-    outputs = {"csv": args.out} if args.out else {}
-    RunManifest(subcommand="senses", inputs=inputs, outputs=outputs).validate()
+    _check_paths({"checkpoint": args.checkpoint, "pairs": args.pairs}, [args.out])
     model, vocab, meta = _load_model(args.checkpoint)
     scores = _sense_scores(model, vocab, args.pairs)
     rows = [{"sense": i, "score": s} for i, s in enumerate(scores.s)]
@@ -296,12 +264,9 @@ def cmd_sweep(args) -> int:
     lambdas = _parse_lambdas(args.lambdas)
     for lam in lambdas:
         _check_lambda(lam)
-    inputs = {"checkpoint": args.checkpoint, "corpus": args.corpus,
-              "queries": args.queries, "qrels": args.qrels}
-    if args.pairs:
-        inputs["pairs"] = args.pairs
-    RunManifest(subcommand="sweep", inputs=inputs, outputs={"csv": args.out},
-                lam=None, top_senses=args.top_senses, cutoffs=cutoffs).validate()
+    _check_paths({"checkpoint": args.checkpoint, "corpus": args.corpus,
+                  "queries": args.queries, "qrels": args.qrels, "pairs": args.pairs},
+                 [args.out])
 
     model, vocab, meta = _load_model(args.checkpoint)
     coll = load_collection(args.corpus, args.queries, args.qrels)
@@ -310,7 +275,7 @@ def cmd_sweep(args) -> int:
     rows = sweep_lambda(model, eval_set, scores, lambdas,
                         cutoffs=cutoffs, m=args.top_senses)
     _write_csv(args.out, SWEEP_COLUMNS, rows,
-               seed=meta.get("seed"), lam=list(lambdas))
+               seed=meta.get("seed"), lambdas=lambdas)
     return 0
 
 

@@ -34,6 +34,8 @@ from .rng import SplitMix64
 log = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+BM25_K1 = 0.9
+BM25_B = 0.4
 
 
 def tokenize(text: str) -> list[str]:
@@ -141,15 +143,10 @@ class _Bm25Index:
         self.avgdl = int(self.doc_len.sum()) / self.num_docs if self.num_docs else 0.0
 
 
-def bm25_retrieve(
-    query: str | Sequence[str],
-    collection: Collection,
-    top_n: int = 100,
-    k1: float = 0.9,
-    b: float = 0.4,
-    query_id: str = "q",
-) -> RankedList:
-    """Okapi BM25 over the collection, descending score, doc-id tie-break.
+def bm25_retrieve(query: Sequence[str], collection: Collection, top_n: int = 100,
+                  query_id: str = "q") -> RankedList:
+    """Okapi BM25 (k1 = 0.9, b = 0.4) of a token sequence over the
+    collection, descending score, doc-id tie-break.
 
     IDF is floored at zero, so terms in more than half the documents
     contribute nothing; documents with total score 0 are omitted. A fully
@@ -157,15 +154,10 @@ def bm25_retrieve(
     """
     if top_n < 1:
         raise DomainError("top_n must be >= 1")
-    if k1 < 0.0:
-        raise DomainError("k1 must be >= 0")
-    if not 0.0 <= b <= 1.0:
-        raise DomainError("b must be in [0, 1]")
-    tokens = tokenize(query) if isinstance(query, str) else list(query)
     idx = collection.bm25_index()
     n = idx.num_docs
     scores = np.zeros(n)
-    for term in tokens:
+    for term in query:
         plist = idx.postings.get(term)
         if plist is None:
             continue
@@ -174,8 +166,8 @@ def bm25_retrieve(
         idf = max(0.0, math.log((n - df + 0.5) / (df + 0.5)))
         if idf == 0.0:
             continue
-        norm = k1 * (1.0 - b + b * idx.doc_len[rows] / idx.avgdl)
-        scores[rows] += idf * tf * (k1 + 1.0) / (tf + norm)
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * idx.doc_len[rows] / idx.avgdl)
+        scores[rows] += idf * tf * (BM25_K1 + 1.0) / (tf + norm)
     kept = np.flatnonzero(scores > 0.0)
     if kept.size > top_n:
         # only rows scoring at least the top_n-th score can be returned
@@ -504,23 +496,18 @@ def build_train_examples(
 def build_eval_set(
     coll: Collection,
     vocab: Vocab,
-    query_ids: Sequence[str] | None = None,
     candidate_depth: int = 100,
 ) -> EvalSet:
-    """First-stage candidates plus everything the reranker sweep consumes.
+    """First-stage candidates of every query plus everything the reranker
+    sweep consumes.
 
     Queries whose BM25 retrieval comes back empty are dropped with a warning.
     """
-    qids = list(query_ids) if query_ids is not None else list(coll.queries)
-    for qid in qids:
-        if qid not in coll.queries:
-            raise DomainError(f"unknown query id {qid!r}")
     queries: dict[str, tuple[int, ...]] = {}
     candidates: dict[str, list[tuple[str, tuple[int, ...]]]] = {}
     doc_tokens: dict[str, list[str]] = {}
     empty = 0
-    for qid in qids:
-        qtokens = coll.queries[qid]
+    for qid, qtokens in coll.queries.items():
         retrieved = bm25_retrieve(qtokens, coll, candidate_depth, query_id=qid)
         if not retrieved.items:
             empty += 1

@@ -97,12 +97,12 @@ def mag_bool(doc_tokens: Sequence[str], terms: Iterable[str]) -> int:
     return 0 if set(terms).isdisjoint(doc_tokens) else 1
 
 
-def _gender_delta(doc_tokens: Sequence[str], lexicon: GenderLexicon, variant: str) -> float:
+def _gender_delta(doc_tokens: Sequence[str], variant: str) -> float:
+    female, male = DEFAULT_LEXICON.female, DEFAULT_LEXICON.male
     if variant == "tf":
-        return mag_tf(doc_tokens, lexicon.female) - mag_tf(doc_tokens, lexicon.male)
+        return mag_tf(doc_tokens, female) - mag_tf(doc_tokens, male)
     if variant == "bool":
-        return float(mag_bool(doc_tokens, lexicon.female)
-                     - mag_bool(doc_tokens, lexicon.male))
+        return float(mag_bool(doc_tokens, female) - mag_bool(doc_tokens, male))
     raise DomainError(f"unknown magnitude variant {variant!r}")
 
 
@@ -135,21 +135,21 @@ def _prefix_bias(deltas: Sequence[float], n: int,
     return [prefixes[t - 1] for t in ts]
 
 
-def rab(ranked_docs: Sequence[Sequence[str]], lexicon: GenderLexicon = DEFAULT_LEXICON,
-        variant: str = "tf", t: int | None = None) -> float:
+def rab(ranked_docs: Sequence[Sequence[str]], variant: str = "tf",
+        t: int | None = None) -> float:
     """Mean female-minus-male magnitude over the top-t documents.
 
     ``ranked_docs`` are token sequences in rank order. Lists shorter than t
     are evaluated over the available prefix with a warning.
     """
-    deltas = [_gender_delta(doc, lexicon, variant) for doc in ranked_docs[:t]]
+    deltas = [_gender_delta(doc, variant) for doc in ranked_docs[:t]]
     return _prefix_bias(deltas, len(ranked_docs), [t])[0][0]
 
 
-def arab(ranked_docs: Sequence[Sequence[str]], lexicon: GenderLexicon = DEFAULT_LEXICON,
-         variant: str = "tf", t: int | None = None) -> float:
+def arab(ranked_docs: Sequence[Sequence[str]], variant: str = "tf",
+         t: int | None = None) -> float:
     """Mean of RaB over all prefixes 1..t; weights the top ranks more."""
-    deltas = [_gender_delta(doc, lexicon, variant) for doc in ranked_docs[:t]]
+    deltas = [_gender_delta(doc, variant) for doc in ranked_docs[:t]]
     return _prefix_bias(deltas, len(ranked_docs), [t])[0][1]
 
 
@@ -232,7 +232,6 @@ class BiasReport:
 def bias_report(
     ranked: Mapping[str, Sequence[str]],
     doc_tokens: Mapping[str, Sequence[str]],
-    lexicon: GenderLexicon = DEFAULT_LEXICON,
     cutoffs: Sequence[int] = (10, 20, 30, 40),
     variants: Sequence[str] = VARIANTS,
 ) -> BiasReport:
@@ -255,7 +254,7 @@ def bias_report(
     tops = [ranked[qid][:max(cutoffs, default=0)] for qid in qids]
     distinct = dict.fromkeys(d for top in tops for d in top)
     for variant in variants:
-        delta = {d: _gender_delta(doc_tokens[d], lexicon, variant) for d in distinct}
+        delta = {d: _gender_delta(doc_tokens[d], variant) for d in distinct}
         per_query = [_prefix_bias([delta[d] for d in top], len(ranked[qid]), cutoffs)
                      for qid, top in zip(qids, tops)]
         for i, cutoff in enumerate(cutoffs):

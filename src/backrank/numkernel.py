@@ -394,10 +394,10 @@ def backward(tape: Tape, loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray
 # utilities
 
 
-def cosine_similarity(u: Tensor | np.ndarray, v: Tensor | np.ndarray) -> float:
-    """cos(u, v) for equal-length 1-D vectors, clamped to [-1, 1]."""
-    ud = u.data if isinstance(u, Tensor) else np.asarray(u, dtype=np.float64)
-    vd = v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
+def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
+    """cos(u, v) for equal-length 1-D arrays, clamped to [-1, 1]."""
+    ud = np.asarray(u, dtype=np.float64)
+    vd = np.asarray(v, dtype=np.float64)
     if ud.ndim != 1 or vd.ndim != 1 or ud.shape != vd.shape or ud.size < 1:
         raise ShapeError(f"cosine_similarity: expects equal-length vectors, got {ud.shape} and {vd.shape}")
     nu = float(np.linalg.norm(ud))

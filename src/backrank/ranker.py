@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import DomainError, ShapeError
-from .metrics import DEFAULT_LEXICON, GenderLexicon, Qrels, bias_report, mean_metric
+from .metrics import Qrels, bias_report, mean_metric
 from .numkernel import Tape, Tensor, backward
 from .rng import SplitMix64
 from .senses import AttributeScores, build_sense_map
@@ -97,9 +97,10 @@ class RankedList:
         return len(self.items)
 
 
-def listwise_loss(y, y_hat: Tensor) -> Tensor:
-    """-sum_j y_j log softmax(y_hat)_j as a differentiable scalar."""
-    target = y if isinstance(y, Tensor) else Tensor(np.asarray(y, dtype=np.float64))
+def listwise_loss(y: Sequence[float], y_hat: Tensor) -> Tensor:
+    """-sum_j y_j log softmax(y_hat)_j as a differentiable scalar; the labels
+    y are a plain sequence."""
+    target = Tensor(np.asarray(y, dtype=np.float64))
     if target.ndim != 1 or y_hat.ndim != 1:
         raise ShapeError("listwise_loss expects 1-D score and label vectors")
     if target.shape != y_hat.shape:
@@ -192,7 +193,6 @@ def sweep_lambda(
     lambdas: Sequence[float],
     cutoffs: Sequence[int] = (10, 20, 30, 40),
     m: int = 2,
-    lexicon: GenderLexicon = DEFAULT_LEXICON,
 ) -> list[dict]:
     """Effectiveness/bias trade-off rows, one per (lambda, cutoff).
 
@@ -212,7 +212,7 @@ def sweep_lambda(
     for lam, ranked in zip(lambdas, ranked_ids):
         mrr = mean_metric(ranked, eval_set.qrels, "mrr", 10)
         ndcg = mean_metric(ranked, eval_set.qrels, "ndcg", 10)
-        report = bias_report(ranked, eval_set.doc_tokens, lexicon, cutoffs=cutoffs)
+        report = bias_report(ranked, eval_set.doc_tokens, cutoffs=cutoffs)
         for cutoff in report.cutoffs:
             rows.append({
                 "lambda": lam,

@@ -137,10 +137,9 @@ def build_planted_model(seed, k=4, p=2, d=8):
     b1[planted * p:(planted + 1) * p] = 0.0
     w2 = rng.normal_array((k, p, d), 0.5)
 
-    model.set_param("sense.base", Tensor(base, requires_grad=True))
-    model.set_param("sense.w1", Tensor(w1, requires_grad=True))
-    model.set_param("sense.b1", Tensor(b1, requires_grad=True))
-    model.set_param("sense.w2", Tensor(w2, requires_grad=True))
+    params = model.parameters()
+    for name, value in (("base", base), ("w1", w1), ("b1", b1), ("w2", w2)):
+        params[f"sense.{name}"].data = value
     return model, vocab, planted
 
 

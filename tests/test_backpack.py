@@ -1,5 +1,6 @@
 """Model structure: sense table, contextualization, aggregation, checkpoints."""
 
+import dataclasses
 import json
 import struct
 
@@ -266,16 +267,6 @@ def test_parameters_cover_all_components(model):
     assert all(isinstance(t, Tensor) for t in params.values())
 
 
-def test_set_param_round_trip(model):
-    new = Tensor(np.zeros(model.parameters()["head.b2"].shape), requires_grad=True)
-    model.set_param("head.b2", new)
-    assert model.parameters()["head.b2"] is new
-    with pytest.raises(DomainError):
-        model.set_param("head.nope", new)
-    with pytest.raises(DomainError):
-        model.set_param("head.b2", Tensor(np.zeros((5,)), requires_grad=True))
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -421,3 +412,32 @@ def test_checkpoint_rejects_a_bad_vocabulary(tmp_path, model):
         with pytest.raises(ParseError, match=needle) as err:
             load_checkpoint(bad)
         assert str(err.value).startswith(f"{bad}: "), needle
+
+
+def test_checkpoint_rejects_a_separator_the_vocab_does_not_hold(tmp_path, model):
+    """A config that packs another token as <sep> would rank a different run."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, TOKENS, {})
+    bad = tmp_path / "sep.ckpt"
+    rewrite_checkpoint_header(path, bad,
+                              lambda h: {**h, "config": {**h["config"], "sep_index": 7}})
+    with pytest.raises(ParseError, match="sep_index 7") as err:
+        load_checkpoint(bad)
+    assert str(err.value).startswith(f"{bad}: bad checkpoint vocab: ")
+
+
+def test_save_checkpoint_rejects_what_load_would_reject(tmp_path, model, small_cfg):
+    """The vocabulary rules hold at save time too, before the file is opened."""
+    cases = [
+        ("2 tokens for a config of 12", model, ["a", "b"]),
+        ("a token is not a string", model, TOKENS[:-1] + [7]),
+        ("reserved tokens", model, ["w0"] + TOKENS[1:]),
+        ("unique", model, TOKENS[:-1] + ["w3"]),
+        ("sep_index 7", Backpack(dataclasses.replace(small_cfg, sep_index=7)),
+         TOKENS),
+    ]
+    for i, (needle, net, vocab) in enumerate(cases):
+        path = tmp_path / f"save{i}.ckpt"
+        with pytest.raises(DomainError, match=needle):
+            save_checkpoint(path, net, vocab, {})
+        assert not path.exists(), needle

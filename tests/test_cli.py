@@ -79,6 +79,17 @@ def test_synth_outputs_and_manifest(pipeline):
     assert manifest["config_values"]["num_queries"] == 12
 
 
+def test_synth_manifest_holds_only_what_synth_fills(pipeline):
+    data = pipeline["data"]
+    manifest = json.loads((data / "manifest.json").read_text())
+    assert set(manifest) == {"subcommand", "inputs", "outputs", "seed", "config",
+                             "config_values", "version"}
+    assert manifest["inputs"] == {"config": str(pipeline["cfg"])}
+    assert manifest["outputs"] == {"corpus": str(data / "corpus.tsv"),
+                                   "queries": str(data / "queries.tsv"),
+                                   "qrels": str(data / "qrels.txt")}
+
+
 def test_synth_rerun_is_byte_identical(pipeline, tmp_path):
     again = tmp_path / "again"
     assert main(["synth", "--config", str(pipeline["cfg"]), "--out", str(again)]) == 0
@@ -240,6 +251,24 @@ def test_rank_rejects_a_tag_with_whitespace_before_loading(pipeline, tmp_path, c
     err = capsys.readouterr().err
     assert "tag 'my run'" in err and str(garbage) not in err
     assert not (tmp_path / "x.run").exists()
+
+
+def test_rank_checks_the_tag_it_would_write(pipeline, tmp_path, capsys):
+    """The default tag comes from the checkpoint's meta.seed; a seed with
+    whitespace would write 7-field run lines that eval cannot read back."""
+    data = pipeline["data"]
+    bad = tmp_path / "seed.ckpt"
+    rewrite_checkpoint_header(pipeline["ckpt"], bad,
+                              lambda h: {**h, "meta": {**h["meta"], "seed": "3 x"}})
+    rank = ["rank", "--checkpoint", str(bad), "--corpus", str(data / "corpus.tsv"),
+            "--queries", str(data / "queries.tsv"), "--depth", "8"]
+    out = tmp_path / "x.run"
+    assert main([*rank, "--out", str(out)]) == 2
+    assert f"error: {bad}: run tag 'backrank-s3 x' must not contain" in capsys.readouterr().err
+    assert not out.exists()
+    # an explicit tag is the one written, so the seed no longer matters
+    assert main([*rank, "--out", str(out), "--tag", "mine"]) == 0
+    assert {r.tag for r in read_run(out)} == {"mine"}
 
 
 def test_rank_rejects_bad_checkpoints(pipeline, tmp_path, capsys):
@@ -538,6 +567,55 @@ def test_bad_cutoffs_is_exit_2(pipeline, tmp_path, capsys):
                  "--qrels", str(pipeline["data"] / "qrels.txt"),
                  "--out", str(tmp_path / "x.csv"), "--cutoffs", "a,b"]) == 2
     assert "cutoff" in capsys.readouterr().err
+
+
+def _writing_commands(pipeline, out):
+    """Each subcommand that writes files, with every output under ``out``."""
+    data = pipeline["data"]
+    coll = ["--corpus", str(data / "corpus.tsv"), "--queries", str(data / "queries.tsv")]
+    model = ["--checkpoint", str(pipeline["ckpt"]), *coll, "--depth", "8"]
+    qrels = ["--qrels", str(data / "qrels.txt")]
+    return {
+        "train": (["train", *coll, *qrels, "--out", str(out / "a" / "m.ckpt"),
+                   "--loss-csv", str(out / "b" / "loss.csv"), *TRAIN_ARGS],
+                  ["a/m.ckpt", "b/loss.csv"]),
+        "rank": (["rank", *model, "--out", str(out / "c" / "x.run")], ["c/x.run"]),
+        "eval": (["eval", "--run", str(pipeline["run"]), *qrels,
+                  "--out", str(out / "d" / "eval.csv")], ["d/eval.csv"]),
+        "bias": (["bias", "--run", str(pipeline["run"]), "--corpus", str(data / "corpus.tsv"),
+                  "--out", str(out / "e" / "bias.csv")], ["e/bias.csv"]),
+        "senses": (["senses", "--checkpoint", str(pipeline["ckpt"]),
+                    "--out", str(out / "f" / "senses.csv")], ["f/senses.csv"]),
+        "sweep": (["sweep", *model, *qrels, "--lambdas", "1.0,0.5",
+                   "--out", str(out / "g" / "sweep.csv")], ["g/sweep.csv"]),
+    }
+
+
+@pytest.mark.parametrize("command", ["train", "rank", "eval", "bias", "senses", "sweep"])
+def test_each_writing_subcommand_creates_missing_output_directories(pipeline, tmp_path,
+                                                                    command):
+    out = tmp_path / "new"
+    argv, outputs = _writing_commands(pipeline, out)[command]
+    assert main(argv) == 0
+    for rel in outputs:
+        assert (out / rel).is_file(), rel
+
+
+@pytest.mark.parametrize("command,flag", [("train", "--resume"), ("rank", "--pairs"),
+                                          ("senses", "--pairs"), ("sweep", "--pairs"),
+                                          ("synth", "--config")])
+def test_a_missing_optional_input_is_exit_2_naming_it(pipeline, tmp_path, capsys,
+                                                      command, flag):
+    missing = tmp_path / "missing.txt"
+    out = tmp_path / "new"
+    if command == "synth":
+        argv = ["synth", "--out", str(out)]
+    else:
+        argv = _writing_commands(pipeline, out)[command][0]
+    assert main([*argv, flag, str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))
 
 
 def test_star_import_covers_all():

@@ -132,9 +132,9 @@ def test_bias_report_computes_each_delta_once(monkeypatch):
     calls = {"tf": 0, "bool": 0}
     real = metrics._gender_delta
 
-    def counting(doc, lexicon, variant):
+    def counting(doc, variant):
         calls[variant] += 1
-        return real(doc, lexicon, variant)
+        return real(doc, variant)
 
     monkeypatch.setattr(metrics, "_gender_delta", counting)
     rng = SplitMix64(5)
@@ -156,9 +156,9 @@ def test_bias_report_computes_each_document_delta_once(monkeypatch):
     calls = []
     real = metrics._gender_delta
 
-    def counting(doc, lexicon, variant):
+    def counting(doc, variant):
         calls.append((tuple(doc), variant))
-        return real(doc, lexicon, variant)
+        return real(doc, variant)
 
     monkeypatch.setattr(metrics, "_gender_delta", counting)
     rng = SplitMix64(8)
