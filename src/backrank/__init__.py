@@ -58,7 +58,6 @@ from .rng import SplitMix64
 from .senses import (
     AttributeScores,
     PolarityPair,
-    SenseMap,
     attribute_scores,
     build_sense_map,
     default_pairs_path,
@@ -73,7 +72,7 @@ __all__ = [
     "BiasReport", "Collection", "ContractError",
     "DomainError", "EvalSet", "GenderLexicon", "ParseError",
     "PolarityPair", "Qrels", "RankedList", "RelevanceHead", "RunRecord",
-    "SenseMap", "SenseTable", "ShapeError", "SplitMix64", "SynthConfig",
+    "SenseTable", "ShapeError", "SplitMix64", "SynthConfig",
     "Tape", "Tensor", "TrainConfig", "TrainExample", "Vocab",
     "aggregate", "arab", "attribute_scores", "backward", "bias_report",
     "bm25_retrieve", "build_eval_set", "build_sense_map",

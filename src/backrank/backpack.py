@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -37,13 +37,14 @@ from .numkernel import Tensor
 from .rng import SplitMix64
 
 CHECKPOINT_MAGIC = b"BPCKPT1\n"
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 _MASK_VALUE = -1e30
 
 
 @dataclass(frozen=True)
 class BackpackConfig:
-    """Model hyperparameters; embed_dim must be divisible by context_heads."""
+    """Model hyperparameters, each an int >= 1; embed_dim must be divisible
+    by context_heads."""
 
     vocab_size: int
     embed_dim: int = 24
@@ -53,36 +54,16 @@ class BackpackConfig:
     context_heads: int = 2
     max_seq_len: int = 32
     head_hidden: int = 16
-    sep_index: int = 2
 
     def __post_init__(self):
-        if self.vocab_size < 1:
-            raise DomainError("vocab_size must be >= 1")
-        if self.embed_dim < 1:
-            raise DomainError("embed_dim must be >= 1")
-        if self.num_senses < 1:
-            raise DomainError("num_senses must be >= 1")
-        if self.sense_hidden < 1:
-            raise DomainError("sense_hidden must be >= 1")
-        if self.context_layers < 1:
-            raise DomainError("context_layers must be >= 1")
-        if self.context_heads < 1:
-            raise DomainError("context_heads must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:
+                raise DomainError(f"{f.name} must be an int, got {value!r}")
+            if value < 1:
+                raise DomainError(f"{f.name} must be >= 1")
         if self.embed_dim % self.context_heads != 0:
             raise DomainError("context_heads must divide embed_dim")
-        if self.max_seq_len < 1:
-            raise DomainError("max_seq_len must be >= 1")
-        if self.head_hidden < 1:
-            raise DomainError("head_hidden must be >= 1")
-        if not 0 <= self.sep_index < self.vocab_size:
-            raise DomainError("sep_index must be a valid vocab index")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BackpackConfig":
-        return cls(**d)
 
 
 def _param(rng: SplitMix64, shape: tuple[int, ...], sigma: float) -> Tensor:
@@ -302,7 +283,7 @@ class Backpack:
         if room < 0:
             q = q[:budget - 1]
             room = 0
-        return q + [self.config.sep_index] + d[:room]
+        return q + [Vocab.SEP] + d[:room]
 
     def relevance_logits(self, query_ids: Sequence[int], docs: Sequence[Sequence[int]],
                          weight_sets: Sequence) -> list[Tensor]:
@@ -333,15 +314,12 @@ class Backpack:
 
 def _check_vocab(config: BackpackConfig, vocab: Sequence) -> None:
     """A checkpoint's vocabulary fits its config: config.vocab_size strings
-    that form a ``Vocab``, whose separator the config packs with."""
+    that form a ``Vocab``."""
     if len(vocab) != config.vocab_size:
         raise DomainError(f"{len(vocab)} tokens for a config of {config.vocab_size}")
     if not all(isinstance(t, str) for t in vocab):
         raise DomainError("a token is not a string")
     Vocab(vocab)
-    if config.sep_index != Vocab.SEP:
-        raise DomainError(f"config sep_index {config.sep_index} is not the "
-                          f"{Vocab.SEP_TOKEN} id {Vocab.SEP}")
 
 
 def save_checkpoint(path, model: Backpack, vocab_tokens: Sequence[str],
@@ -355,7 +333,7 @@ def save_checkpoint(path, model: Backpack, vocab_tokens: Sequence[str],
     params = model.parameters()
     header = {
         "format_version": CHECKPOINT_FORMAT,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "vocab": list(vocab_tokens),
         "meta": dict(meta or {}),
         "tensors": [[name, list(t.shape)] for name, t in params.items()],
@@ -401,7 +379,7 @@ def load_checkpoint(path) -> tuple[Backpack, list[str], dict]:
         raise ParseError("not a checkpoint file (bad magic)", path=where)
     header, start = _read_header(data, where)
     try:
-        config = BackpackConfig.from_dict(header["config"])
+        config = BackpackConfig(**header["config"])
     except (TypeError, DomainError) as exc:
         raise ParseError(f"bad checkpoint config: {exc}", path=where) from None
     vocab = header["vocab"]

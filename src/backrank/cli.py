@@ -194,12 +194,12 @@ def cmd_rank(args) -> int:
     tag = args.tag or _check_tag(f"backrank-s{meta.get('seed', 0)}", args.checkpoint)
     coll = load_collection(args.corpus, args.queries)
     eval_set = build_eval_set(coll, vocab, candidate_depth=args.depth)
-    sense_map = None
+    weights = None
     if args.lam < 1.0:
-        sense_map = build_sense_map(_sense_scores(model, vocab, args.pairs),
-                                    args.lam, args.top_senses)
+        weights = build_sense_map(_sense_scores(model, vocab, args.pairs),
+                                  args.lam, args.top_senses)
     records = []
-    for _qid, (ranked,) in rank_all(model, eval_set, (sense_map,)):
+    for _qid, (ranked,) in rank_all(model, eval_set, (weights,)):
         records.extend(records_from_ranking(ranked, tag=tag))
     write_run(args.out, records)
     log.info("ranked %d queries into %s", len(eval_set.queries), args.out)

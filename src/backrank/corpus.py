@@ -376,10 +376,22 @@ def write_collection(coll: Collection, outdir) -> dict[str, Path]:
 
 
 def load_collection(corpus_path, queries_path, qrels_path=None) -> Collection:
+    """A collection from its files; a qrels line naming an unknown query or
+    document is a ParseError at that line."""
     docs = read_tsv(corpus_path)
     queries = read_tsv(queries_path)
-    qrels = read_qrels(qrels_path) if qrels_path is not None else None
-    return Collection(docs, queries, qrels)
+    if qrels_path is None:
+        return Collection(docs, queries)
+    try:
+        return Collection(docs, queries, read_qrels(qrels_path))
+    except DomainError as exc:
+        # Qrels keeps each pair where it first appears, so the pair Collection
+        # rejects is on the first line that names an unknown id.
+        for lineno, raw in read_lines(qrels_path):
+            parts = raw.split()
+            if parts and (parts[0] not in queries or parts[2] not in docs):
+                raise ParseError(str(exc), path=str(qrels_path), line=lineno) from None
+        raise
 
 
 class RunRecord(NamedTuple):

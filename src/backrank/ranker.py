@@ -89,10 +89,6 @@ class RankedList:
     def doc_ids(self) -> list[str]:
         return [d for d, _ in self.items]
 
-    @property
-    def scores(self) -> list[float]:
-        return [s for _, s in self.items]
-
     def __len__(self) -> int:
         return len(self.items)
 
@@ -173,11 +169,11 @@ class EvalSet:
 
 
 def rank_all(model, eval_set: EvalSet,
-             sense_maps=(None,)) -> Iterator[tuple[str, list[RankedList]]]:
-    """Rank every query of the eval set, in sorted id order, under each sense
-    map (a SenseMap or None): yields (query id, one RankedList per map), with
-    sigmoid scores. One ``relevance_logits`` call per query serves every map."""
-    weight_sets = [None if sm is None else sm.weights for sm in sense_maps]
+             weight_sets=(None,)) -> Iterator[tuple[str, list[RankedList]]]:
+    """Rank every query of the eval set, in sorted id order, under each entry
+    of ``weight_sets`` (None or a per-sense weight tuple): yields (query id,
+    one RankedList per entry), with sigmoid scores. One ``relevance_logits``
+    call per query serves every entry."""
     for qid in sorted(eval_set.queries):
         doc_ids, docs = zip(*eval_set.candidates[qid])
         logits = model.relevance_logits(eval_set.queries[qid], docs, weight_sets)
@@ -202,10 +198,10 @@ def sweep_lambda(
     """
     if not lambdas:
         raise DomainError("sweep needs at least one lambda")
-    sense_maps = [build_sense_map(scores, lam, m) for lam in lambdas]
+    weight_sets = [build_sense_map(scores, lam, m) for lam in lambdas]
     # only doc ids are kept across queries
     ranked_ids: list[dict[str, list[str]]] = [{} for _ in lambdas]
-    for qid, lists in rank_all(model, eval_set, sense_maps):
+    for qid, lists in rank_all(model, eval_set, weight_sets):
         for per_lambda, ranked in zip(ranked_ids, lists):
             per_lambda[qid] = ranked.doc_ids
     rows: list[dict] = []

@@ -4,9 +4,9 @@ For an opposite-gender word pair (negative, positive), the cosine between the
 two words' l-th sense vectors says how that sense treats the pair: near +1
 means the sense ignores the contrast, near -1 means the sense encodes it with
 opposite signs. Averaging over a pair lexicon gives a per-sense score s_l;
-the most negative senses are the most gender-sensitive, and a sense map
-assigns those a weight lambda < 1 (all others 1) for inference-time
-suppression.
+the most negative senses are the most gender-sensitive, and a sense map, a
+tuple of per-sense weights, gives those lambda < 1 (all others 1) for
+inference-time suppression.
 """
 
 from __future__ import annotations
@@ -53,30 +53,6 @@ class AttributeScores:
         return sorted(range(len(self.s)), key=lambda i: (self.s[i], i))
 
 
-@dataclass(frozen=True)
-class SenseMap:
-    """Positive per-sense multipliers: lambda on the suppressed set, 1 elsewhere."""
-
-    weights: tuple[float, ...]
-    lam: float
-    suppressed: frozenset[int]
-
-    def __post_init__(self):
-        if not 0.0 < self.lam <= 1.0:
-            raise DomainError("lambda must be in (0, 1]")
-        for i in self.suppressed:
-            if not 0 <= i < len(self.weights):
-                raise DomainError(f"suppressed sense {i} out of range")
-        for i, w in enumerate(self.weights):
-            want = self.lam if i in self.suppressed else 1.0
-            if w != want:
-                raise DomainError(f"weight for sense {i} must be {want}, got {w}")
-
-    @classmethod
-    def identity(cls, num_senses: int) -> "SenseMap":
-        return cls((1.0,) * num_senses, 1.0, frozenset())
-
-
 def attribute_scores(model, pairs: Sequence[PolarityPair], vocab) -> AttributeScores:
     """Mean pair cosine per sense, from one sense-table pass over every pair.
 
@@ -109,18 +85,20 @@ def attribute_scores(model, pairs: Sequence[PolarityPair], vocab) -> AttributeSc
     return AttributeScores(tuple(scores))
 
 
-def build_sense_map(scores: AttributeScores, lam: float, m: int = 2) -> SenseMap:
-    """Suppress the m most attribute-sensitive senses with weight lam.
+def build_sense_map(scores: AttributeScores, lam: float, m: int = 2) -> tuple[float, ...]:
+    """Per-sense weights: lam on the m most attribute-sensitive senses, 1.0
+    on every other sense.
 
     Ties on the score are broken toward the lower sense index. lam = 1 or
-    m = 0 yields the all-ones (identity) map.
+    m = 0 yields the all-ones (identity) weights.
     """
     k = len(scores.s)
+    if not 0.0 < lam <= 1.0:
+        raise DomainError("lambda must be in (0, 1]")
     if not 0 <= m <= k:
         raise DomainError(f"m must be in [0, {k}]")
-    suppressed = frozenset(scores.ranked()[:m])
-    weights = tuple(lam if i in suppressed else 1.0 for i in range(k))
-    return SenseMap(weights, lam, suppressed)
+    suppressed = scores.ranked()[:m]
+    return tuple(lam if i in suppressed else 1.0 for i in range(k))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from backrank import (Backpack, BackpackConfig, GenderLexicon, PolarityPair,
-                      Qrels, SenseMap, SplitMix64, SynthConfig, Tape, Tensor,
+                      Qrels, SplitMix64, SynthConfig, Tape, Tensor,
                       TrainConfig, TrainExample, Vocab, arab, attribute_scores,
                       backward, build_eval_set, build_sense_map,
                       build_train_examples, bm25_retrieve, generate_synthetic,
@@ -53,7 +53,7 @@ def test_criterion_1_identity_map():
         model = Backpack(cfg, seed=trial)
         ids = [rng.randint(12) for _ in range(1 + rng.randint(8))]
         plain = model.forward([ids]).data
-        ones = model.forward([ids], SenseMap.identity(k).weights).data
+        ones = model.forward([ids], (1.0,) * k).data
         worst = max(worst, float(np.max(np.abs(plain - ones))))
     assert worst <= 1e-12
 
@@ -69,7 +69,7 @@ def test_criterion_1_identity_map():
         model = Backpack(mcfg, seed=trial)
         es = build_eval_set(coll, vocab, candidate_depth=6)
         plain = {q: rl for q, (rl,) in rank_all(model, es, (None,))}
-        ones = {q: rl for q, (rl,) in rank_all(model, es, (SenseMap.identity(4),))}
+        ones = {q: rl for q, (rl,) in rank_all(model, es, ((1.0,) * 4,))}
         if any(plain[q].doc_ids != ones[q].doc_ids for q in plain):
             mismatched += 1
     elapsed = time.monotonic() - t0
@@ -259,8 +259,9 @@ def test_criterion_5_sense_detection():
         scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
         others = [v for i, v in enumerate(scores.s) if i != planted]
         unique_min = scores.s[planted] < min(others) - 1e-9
-        smap = build_sense_map(scores, 0.5, m=1)
-        if not (unique_min and smap.suppressed == frozenset({planted})):
+        weights = build_sense_map(scores, 0.5, m=1)
+        want = tuple(0.5 if i == planted else 1.0 for i in range(len(scores.s)))
+        if not (unique_min and weights == want):
             failures.append(seed)
     elapsed = time.monotonic() - t0
     _verdict("criterion 5 (planted sense detected and suppressed)",

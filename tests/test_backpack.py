@@ -1,6 +1,5 @@
 """Model structure: sense table, contextualization, aggregation, checkpoints."""
 
-import dataclasses
 import json
 import struct
 
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 
 from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, ParseError,
-                      Qrels, SenseMap, SplitMix64, Tape, Tensor, aggregate,
+                      Qrels, SplitMix64, Tape, Tensor, Vocab, aggregate,
                       listwise_loss, load_checkpoint, rank_all, save_checkpoint)
 from helpers import forward_triple_loop, rewrite_checkpoint_header
 
@@ -39,12 +38,6 @@ def test_config_validation():
         BackpackConfig(**{**good, "sense_hidden": 0})
     with pytest.raises(DomainError):
         BackpackConfig(**{**good, "max_seq_len": 0})
-    with pytest.raises(DomainError):
-        BackpackConfig(**{**good, "sep_index": 10})
-
-
-def test_config_dict_round_trip(small_cfg):
-    assert BackpackConfig.from_dict(small_cfg.to_dict()) == small_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +104,10 @@ def test_forward_matches_triple_loop(model):
 def test_aggregate_all_ones_is_bit_identical(model):
     ids = [3, 6, 2]
     plain = model.forward([ids]).data
-    ones = model.forward([ids], SenseMap.identity(3).weights).data
+    ones = model.forward([ids], (1.0,) * 3).data
     assert np.array_equal(plain, ones)
-    # a raw weight sequence works too
-    raw = model.forward([ids], (1.0, 1.0, 1.0)).data
+    # any weight sequence works, not only a tuple
+    raw = model.forward([ids], [1.0, 1.0, 1.0]).data
     assert np.array_equal(plain, raw)
 
 
@@ -164,7 +157,7 @@ def test_aggregate_validates_weights(model):
 
 def test_pack_sequence_layout(model, small_cfg):
     seq = model.pack_sequence([1, 2], [5, 6, 7])
-    assert seq == [1, 2, small_cfg.sep_index, 5, 6, 7]
+    assert seq == [1, 2, Vocab.SEP, 5, 6, 7]
 
 
 def test_pack_sequence_truncates_doc_tail_first(model):
@@ -184,7 +177,7 @@ def test_relevance_score_is_sigmoid_of_logit(model):
     z = model.relevance_logit(q, [d]).item()
     es = EvalSet({"q": q}, {"q": [("d", d)]}, Qrels({}), {})
     [(_, [ranked])] = rank_all(model, es)
-    s = ranked.scores[0]
+    [s] = [s for _, s in ranked.items]
     assert 0.0 < s < 1.0
     assert s == pytest.approx(1.0 / (1.0 + np.exp(-z)), abs=1e-15)
 
@@ -250,8 +243,7 @@ def test_train_step_records_at_most_45_tape_nodes(model):
 def test_sense_map_changes_relevance(model):
     q, d = [1, 2], [5, 6, 7]
     plain = model.relevance_logit(q, [d]).item()
-    damped = model.relevance_logit(q, [d], SenseMap((0.2, 1.0, 1.0), 0.2,
-                                                    frozenset({0})).weights).item()
+    damped = model.relevance_logit(q, [d], (0.2, 1.0, 1.0)).item()
     assert plain != damped
 
 
@@ -305,7 +297,7 @@ def test_checkpoint_layout_and_determinism(tmp_path, model):
     start = _header_end(blob)
     header = json.loads(blob[12:start])
     params = model.parameters()
-    assert header["format_version"] == 3
+    assert header["format_version"] == 4
     assert header["tensors"] == [[n, list(t.shape)] for n, t in params.items()]
     assert blob[start:] == b"".join(t.data.astype("<f8").tobytes() for t in params.values())
 
@@ -378,11 +370,18 @@ def test_checkpoint_rejects_bad_headers(tmp_path, model):
     cases = [
         ("format 1 is not supported", lambda h: {**h, "format_version": 1}),
         ("format 2 is not supported", lambda h: {**h, "format_version": 2}),
+        ("format 3 is not supported", lambda h: {**h, "format_version": 3}),
         ("'config' is missing", lambda h: {k: v for k, v in h.items() if k != "config"}),
         ("'vocab' is missing", lambda h: {k: v for k, v in h.items() if k != "vocab"}),
         ("'meta' is missing", lambda h: {k: v for k, v in h.items() if k != "meta"}),
         ("'tensors' is missing", lambda h: {k: v for k, v in h.items() if k != "tensors"}),
         ("bad checkpoint config", lambda h: {**h, "config": {**h["config"], "causal": 1}}),
+        ("bad checkpoint config: embed_dim must be an int, got 8.0",
+         lambda h: {**h, "config": {**h["config"], "embed_dim": 8.0}}),
+        ("bad checkpoint config: max_seq_len must be an int, got 10.5",
+         lambda h: {**h, "config": {**h["config"], "max_seq_len": 10.5}}),
+        ("bad checkpoint config: num_senses must be an int, got True",
+         lambda h: {**h, "config": {**h["config"], "num_senses": True}}),
     ]
     for i, (needle, edit) in enumerate(cases):
         bad = tmp_path / f"bad{i}.ckpt"
@@ -415,26 +414,25 @@ def test_checkpoint_rejects_a_bad_vocabulary(tmp_path, model):
 
 
 def test_checkpoint_rejects_a_separator_the_vocab_does_not_hold(tmp_path, model):
-    """A config that packs another token as <sep> would rank a different run."""
+    """Every model packs Vocab.SEP; a header that still names another
+    separator is not a format-4 config."""
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model, TOKENS, {})
     bad = tmp_path / "sep.ckpt"
     rewrite_checkpoint_header(path, bad,
                               lambda h: {**h, "config": {**h["config"], "sep_index": 7}})
-    with pytest.raises(ParseError, match="sep_index 7") as err:
+    with pytest.raises(ParseError, match="sep_index") as err:
         load_checkpoint(bad)
-    assert str(err.value).startswith(f"{bad}: bad checkpoint vocab: ")
+    assert str(err.value).startswith(f"{bad}: bad checkpoint config: ")
 
 
-def test_save_checkpoint_rejects_what_load_would_reject(tmp_path, model, small_cfg):
+def test_save_checkpoint_rejects_what_load_would_reject(tmp_path, model):
     """The vocabulary rules hold at save time too, before the file is opened."""
     cases = [
         ("2 tokens for a config of 12", model, ["a", "b"]),
         ("a token is not a string", model, TOKENS[:-1] + [7]),
         ("reserved tokens", model, ["w0"] + TOKENS[1:]),
         ("unique", model, TOKENS[:-1] + ["w3"]),
-        ("sep_index 7", Backpack(dataclasses.replace(small_cfg, sep_index=7)),
-         TOKENS),
     ]
     for i, (needle, net, vocab) in enumerate(cases):
         path = tmp_path / f"save{i}.ckpt"

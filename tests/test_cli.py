@@ -280,8 +280,9 @@ def test_rank_rejects_bad_checkpoints(pipeline, tmp_path, capsys):
     cut.write_bytes(blob[:20])
     assert main(["rank", "--checkpoint", str(cut), *args]) == 2
     assert str(cut) in capsys.readouterr().err
-    # format 1 still carried lm.w; format 2 nested a second tensor container
-    for version in (1, 2):
+    # format 1 still carried lm.w; format 2 nested a second tensor container;
+    # format 3 named the separator id in its config
+    for version in (1, 2, 3):
         old = tmp_path / f"v{version}.ckpt"
         rewrite_checkpoint_header(pipeline["ckpt"], old,
                                   lambda h: {**h, "format_version": version})
@@ -365,6 +366,23 @@ def test_eval_negative_qrels_grade_is_exit_2_with_its_line(pipeline, tmp_path, c
     assert main(["eval", "--run", str(pipeline["run"]), "--qrels", str(qrels),
                  "--out", str(tmp_path / "e.csv")]) == 2
     assert f"{qrels}:2: negative relevance grade '-1'" in capsys.readouterr().err
+
+
+def test_qrels_naming_an_unknown_id_is_exit_2_with_its_line(pipeline, tmp_path, capsys):
+    data = pipeline["data"]
+    inputs = ["--corpus", str(data / "corpus.tsv"), "--queries", str(data / "queries.tsv")]
+    commands = {"train": ["train", "--loss-csv", str(tmp_path / "l.csv"), *TRAIN_ARGS],
+                "sweep": ["sweep", "--checkpoint", str(pipeline["ckpt"]), "--depth", "8"]}
+    for line, unknown in (("q9999 0 d000001 1", "query 'q9999'"),
+                          ("q0001 0 dXXXX 1", "document 'dXXXX'")):
+        qrels = tmp_path / "unknown.qrels"
+        qrels.write_text(f"q0001 0 d000001 1\n\n{line}\nq0001 0 d000002 0\n")
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}.out"
+            assert main([*argv, *inputs, "--qrels", str(qrels), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"{qrels}:3: qrels references unknown {unknown}" in err, name
+            assert not out.exists(), name
 
 
 def test_bad_utf8_byte_in_any_input_is_exit_2_with_its_line(pipeline, tmp_path, capsys):

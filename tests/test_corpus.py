@@ -94,7 +94,7 @@ def test_bm25_matches_direct_formula(tiny_coll):
     ranked = bm25_retrieve(query, tiny_coll, top_n=10)
     assert dict(ranked.items) == pytest.approx(expected, abs=1e-12)
     # sorted by score desc, id asc
-    scores = ranked.scores
+    scores = [s for _, s in ranked.items]
     assert scores == sorted(scores, reverse=True)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, Qrels,
-                      RankedList, SenseMap, ShapeError, SplitMix64, SynthConfig,
+                      RankedList, ShapeError, SplitMix64, SynthConfig,
                       Tensor, TrainConfig, TrainExample, Vocab, attribute_scores,
                       bias_report, build_eval_set, build_sense_map,
                       build_train_examples, generate_synthetic, listwise_loss,
@@ -231,7 +231,8 @@ def test_rank_orders_by_score_then_id(tiny_model):
     # identical token lists score identically; id breaks the tie
     pos_a, pos_b = ranked.doc_ids.index("a"), ranked.doc_ids.index("b")
     assert pos_a < pos_b
-    assert ranked.scores == sorted(ranked.scores, reverse=True)
+    scores = [s for _, s in ranked.items]
+    assert scores == sorted(scores, reverse=True)
 
 
 def test_rank_requires_candidates():
@@ -245,13 +246,14 @@ def test_rank_requires_candidates():
 def test_rank_all_gives_one_list_per_sense_map(tiny_model):
     """Each map's list equals ranking under that map alone."""
     es = _one_query_set((3, 4), [("a", (5, 6)), ("b", (7, 8, 9)), ("c", (9, 9))])
-    maps = (None, SenseMap((0.2, 1.0), 0.2, frozenset({0})), SenseMap.identity(2))
+    maps = (None, (0.2, 1.0), (1.0, 1.0))
     [(_, lists)] = rank_all(tiny_model, es, maps)
     assert len(lists) == 3
-    for sm, got in zip(maps, lists):
-        [(_, [alone])] = rank_all(tiny_model, es, (sm,))
+    for weights, got in zip(maps, lists):
+        [(_, [alone])] = rank_all(tiny_model, es, (weights,))
         assert got == alone
-    assert lists[0] == lists[2] and lists[0].scores != lists[1].scores
+    assert lists[0] == lists[2]
+    assert [s for _, s in lists[0].items] != [s for _, s in lists[1].items]
 
 
 @pytest.fixture(scope="module")
@@ -345,9 +347,9 @@ def test_sweep_runs_the_encoder_once_per_query(synth_setup, monkeypatch):
 def test_sweep_suppression_changes_rankings(synth_setup):
     model, vocab, _, eval_set = synth_setup
     scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
-    smap = build_sense_map(scores, 0.3, m=2)
-    changed = sum(plain.scores != damped.scores
-                  for _, (plain, damped) in rank_all(model, eval_set, (None, smap)))
+    weights = build_sense_map(scores, 0.3, m=2)
+    changed = sum([s for _, s in plain.items] != [s for _, s in damped.items]
+                  for _, (plain, damped) in rank_all(model, eval_set, (None, weights)))
     assert changed > 0
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from backrank import (AttributeScores, Backpack, BackpackConfig, DomainError,
-                      ParseError, PolarityPair, SenseMap, SenseTable, Vocab,
+                      ParseError, PolarityPair, SenseTable, Vocab,
                       attribute_scores, build_sense_map, default_pairs_path,
                       load_polarity_lexicon)
 from helpers import build_planted_model
@@ -29,17 +29,6 @@ def test_attribute_scores_bounds_and_ranking():
         AttributeScores(())
     with pytest.raises(DomainError):
         AttributeScores((1.5,))
-
-
-def test_sense_map_weight_pattern_enforced():
-    SenseMap((0.5, 1.0), 0.5, frozenset({0}))
-    with pytest.raises(DomainError):
-        SenseMap((0.5, 0.5), 0.5, frozenset({0}))    # sense 1 should be 1.0
-    with pytest.raises(DomainError):
-        SenseMap((1.0,), 0.0, frozenset())
-    with pytest.raises(DomainError):
-        SenseMap((1.0,), 1.0, frozenset({3}))
-    assert SenseMap.identity(3).weights == (1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +112,8 @@ def test_planted_sense_is_detected_and_suppressed():
     assert scores.s[planted] == pytest.approx(-1.0, abs=1e-9)
     others = [v for i, v in enumerate(scores.s) if i != planted]
     assert min(others) > scores.s[planted] + 0.5
-    smap = build_sense_map(scores, 0.4, m=1)
-    assert smap.suppressed == frozenset({planted})
-    assert smap.weights[planted] == 0.4
+    weights = build_sense_map(scores, 0.4, m=1)
+    assert weights == tuple(0.4 if i == planted else 1.0 for i in range(len(scores.s)))
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +122,10 @@ def test_planted_sense_is_detected_and_suppressed():
 
 def test_build_sense_map_selection_and_ties():
     scores = AttributeScores((-0.5, 0.9, -0.5, -0.8))
-    m2 = build_sense_map(scores, 0.5, m=2)
-    assert m2.suppressed == {3, 0}     # most negative, then tie at lower index
-    assert m2.weights == (0.5, 1.0, 1.0, 0.5)
-    m0 = build_sense_map(scores, 0.5, m=0)
-    assert m0.weights == (1.0,) * 4
-    lam1 = build_sense_map(scores, 1.0, m=2)
-    assert lam1.weights == (1.0,) * 4 and lam1.suppressed == {3, 0}
+    # most negative (3), then the tie at the lower index (0)
+    assert build_sense_map(scores, 0.5, m=2) == (0.5, 1.0, 1.0, 0.5)
+    assert build_sense_map(scores, 0.5, m=0) == (1.0,) * 4
+    assert build_sense_map(scores, 1.0, m=2) == (1.0,) * 4
 
 
 def test_build_sense_map_validates():
