@@ -15,10 +15,13 @@ synthetic config      flat ``key=value`` lines, ``#`` comments allowed
 from __future__ import annotations
 
 import dataclasses
+import gc
 import logging
 import math
 import re
+import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -41,9 +44,10 @@ BM25_B = 0.4
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumerics, dropping empty tokens.
 
-    Only ASCII letters and digits survive; everything else separates.
+    Only ASCII letters and digits survive; everything else separates. Tokens
+    are interned, so every occurrence of a word is one string object.
     """
-    return _TOKEN_RE.findall(text.lower())
+    return list(map(sys.intern, _TOKEN_RE.findall(text.lower())))
 
 
 class Vocab:
@@ -334,6 +338,20 @@ def generate_synthetic(cfg: SynthConfig) -> Collection:
 # file IO
 
 
+@contextmanager
+def _gc_paused():
+    """Cyclic collection off for a parse, which only allocates records that
+    stay alive; the prior state is restored however the parse ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def read_tsv(path) -> dict[str, list[str]]:
     """``id<TAB>text`` records (corpus or queries), tokenized."""
     out: dict[str, list[str]] = {}
@@ -350,7 +368,7 @@ def read_tsv(path) -> dict[str, list[str]]:
             raise ParseError(f"id {rid!r} contains whitespace", path=str(path), line=lineno)
         if rid in out:
             raise ParseError(f"duplicate id {rid!r}", path=str(path), line=lineno)
-        out[rid] = tokenize(text)
+        out[sys.intern(rid)] = tokenize(text)
     return out
 
 
@@ -411,11 +429,12 @@ def write_run(path, records: Iterable[RunRecord]) -> None:
             fh.write(f"{qid} Q0 {did} {rank} {score:.6f} {tag}\n")
 
 
+@_gc_paused()
 def read_run(path) -> list[RunRecord]:
     """Parse a run file; ranks need not be contiguous and are preserved, and
-    no query may list a document twice."""
+    no query may list a document twice. Ids and tags are interned strings."""
     records: list[RunRecord] = []
-    seen: set[str] = set()
+    seen: dict[str, set[str]] = {}    # query id -> its document ids so far
     for lineno, raw in read_lines(path):
         parts = raw.split()
         if not parts:
@@ -434,11 +453,14 @@ def read_run(path) -> list[RunRecord]:
             raise ParseError(f"bad score {score_s!r}", path=str(path), line=lineno) from None
         if not math.isfinite(score):
             raise ParseError(f"non-finite score {score_s!r}", path=str(path), line=lineno)
-        key = f"{qid} {did}"    # fields hold no whitespace, so the key is unambiguous
-        if key in seen:
+        qid, did, tag = sys.intern(qid), sys.intern(did), sys.intern(tag)
+        listed = seen.get(qid)
+        if listed is None:
+            listed = seen[qid] = set()
+        if did in listed:
             raise ParseError(f"query {qid} lists document {did!r} twice",
                              path=str(path), line=lineno)
-        seen.add(key)
+        listed.add(did)
         records.append(RunRecord(qid, did, rank, score, tag))
     return records
 
@@ -538,6 +560,7 @@ def build_eval_set(
                    qrels=coll.qrels, doc_tokens=doc_tokens)
 
 
+@_gc_paused()
 def read_qrels(path) -> Qrels:
     """Parse ``qid 0 docid rel`` lines; on duplicates the last value wins."""
     grades: dict[tuple[str, str], int] = {}

@@ -113,9 +113,9 @@ def _prefix_bias(deltas: Sequence[float], n: int,
 
     ``deltas`` are those of the first min(n, largest cutoff) documents, in
     rank order. A cutoff of None means the whole list; one past its end uses
-    the list, with a warning. RaB@x is the running sum of the first x deltas
-    over x, and ARaB@t adds those prefix means left to right, so the float
-    operations are those of the definitions.
+    the list, and the caller warns. RaB@x is the running sum of the first x
+    deltas over x, and ARaB@t adds those prefix means left to right, so the
+    float operations are those of the definitions.
     """
     if n == 0:
         raise DomainError("bias metrics need at least one ranked document")
@@ -123,8 +123,6 @@ def _prefix_bias(deltas: Sequence[float], n: int,
     for t in cutoffs:
         if t is not None and t < 1:
             raise DomainError("bias cutoff must be >= 1")
-        if t is not None and t > n:
-            log.warning("bias cutoff %d exceeds list length %d; using the prefix", t, n)
         ts.append(n if t is None else min(t, n))
     prefixes: list[tuple[float, float]] = []
     total = acc = 0.0
@@ -135,6 +133,17 @@ def _prefix_bias(deltas: Sequence[float], n: int,
     return [prefixes[t - 1] for t in ts]
 
 
+def _bias_at(ranked_docs: Sequence[Sequence[str]], variant: str,
+             t: int | None) -> tuple[float, float]:
+    """(RaB, ARaB) of one list at one cutoff, warning once past its end."""
+    deltas = [_gender_delta(doc, variant) for doc in ranked_docs[:t]]
+    values = _prefix_bias(deltas, len(ranked_docs), [t])[0]
+    if t is not None and t > len(ranked_docs):
+        log.warning("bias cutoff %d exceeds list length %d; using the prefix",
+                    t, len(ranked_docs))
+    return values
+
+
 def rab(ranked_docs: Sequence[Sequence[str]], variant: str = "tf",
         t: int | None = None) -> float:
     """Mean female-minus-male magnitude over the top-t documents.
@@ -142,15 +151,13 @@ def rab(ranked_docs: Sequence[Sequence[str]], variant: str = "tf",
     ``ranked_docs`` are token sequences in rank order. Lists shorter than t
     are evaluated over the available prefix with a warning.
     """
-    deltas = [_gender_delta(doc, variant) for doc in ranked_docs[:t]]
-    return _prefix_bias(deltas, len(ranked_docs), [t])[0][0]
+    return _bias_at(ranked_docs, variant, t)[0]
 
 
 def arab(ranked_docs: Sequence[Sequence[str]], variant: str = "tf",
          t: int | None = None) -> float:
     """Mean of RaB over all prefixes 1..t; weights the top ranks more."""
-    deltas = [_gender_delta(doc, variant) for doc in ranked_docs[:t]]
-    return _prefix_bias(deltas, len(ranked_docs), [t])[0][1]
+    return _bias_at(ranked_docs, variant, t)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +247,8 @@ def bias_report(
     Magnitudes are per document: each document within the largest cutoff of
     some list gets its delta once per variant, reused by every list ranking
     it. Every cutoff of a list is then filled from one pass over its deltas.
+    A cutoff past the end of some lists is one warning, naming how many and
+    the shortest.
     """
     if not ranked:
         raise DomainError("no queries to evaluate")
@@ -264,4 +273,10 @@ def bias_report(
                 arab_sum += abs(values[i][1])
             report.mean_rab[(variant, cutoff)] = rab_sum / len(qids)
             report.mean_arab[(variant, cutoff)] = arab_sum / len(qids)
+    lengths = [len(ranked[qid]) for qid in qids]
+    for cutoff in dict.fromkeys(cutoffs):
+        short = [n for n in lengths if n < cutoff]
+        if short:
+            log.warning("bias cutoff %d exceeds the length of %d of %d lists (shortest %d); "
+                        "using their prefix", cutoff, len(short), len(lengths), min(short))
     return report

@@ -75,11 +75,23 @@ class SplitMix64:
         return pool[:k]
 
     def normal_array(self, shape, sigma: float = 1.0) -> np.ndarray:
-        """Row-major array of normal(0, sigma) draws."""
+        """Row-major array of normal(0, sigma) draws, bit-equal to calling
+        ``normal(0.0, sigma)`` once per element.
+
+        The 2n raw outputs are mixed as uint64 arrays (which wrap mod 2^64);
+        the transcendental functions stay the scalar ``math`` ones.
+        """
         n = 1
         for s in shape:
             n *= s
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = self.normal(0.0, sigma)
-        return out.reshape(shape)
+        z = np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self._state)
+        self._state = (self._state + 2 * n * _GAMMA) & _MASK64
+        z = (z ^ (z >> 30)) * np.uint64(_MIX1)
+        z = (z ^ (z >> 27)) * np.uint64(_MIX2)
+        z = (z ^ (z >> 31)) >> 11
+        u1 = ((z[0::2] + 1) / _TWO53).tolist()
+        u2 = (z[1::2] / _TWO53).tolist()
+        two_pi = 2.0 * math.pi
+        out = [0.0 + sigma * math.sqrt(-2.0 * math.log(a)) * math.cos(two_pi * b)
+               for a, b in zip(u1, u2)]
+        return np.array(out, dtype=np.float64).reshape(shape)

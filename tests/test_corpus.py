@@ -1,6 +1,8 @@
 """Collections: tokenization, vocab, BM25, synthesis, and the file formats."""
 
+import gc
 import math
+import tracemalloc
 
 import pytest
 
@@ -9,6 +11,7 @@ from backrank import (Collection, DomainError, ParseError, Qrels, RunRecord,
                       build_train_examples, generate_synthetic, group_run,
                       load_collection, read_qrels, read_run, tokenize,
                       write_collection, write_qrels, write_run)
+from backrank import corpus
 from backrank.corpus import read_tsv, records_from_ranking
 
 
@@ -341,6 +344,99 @@ def test_read_run_rejects_malformed(tmp_path):
     with pytest.raises(ParseError) as err:
         read_run(p)
     assert f"{p}:3: query q1 lists document 'd1' twice" in str(err.value)
+    # queries interleaved: the first repeat in file order, whichever query
+    p.write_text("q1 Q0 d1 1 0.9 s\nq2 Q0 d2 1 0.9 s\nq2 Q0 d1 2 0.8 s\n"
+                 "q1 Q0 d2 2 0.8 s\nq2 Q0 d3 3 0.7 s\nq1 Q0 d3 3 0.7 s\n"
+                 "q2 Q0 d1 4 0.6 s\nq1 Q0 d1 4 0.6 s\n")
+    with pytest.raises(ParseError) as err:
+        read_run(p)
+    assert str(err.value) == f"{p}:7: query q2 lists document 'd1' twice"
+
+
+def retained_bytes(parse, path):
+    """What parse(path) returns, and the bytes its allocations still hold."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = parse(path)
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained
+
+
+def test_read_run_retains_at_most_180_bytes_per_line(tmp_path):
+    # a depth-100 run over a shared pool of documents, like a BM25 run
+    rng = SplitMix64(5)
+    pool = [f"d{i:06d}" for i in range(2000)]
+    lines = [f"q{q:04d} Q0 {did} {r + 1} {1.0 / (r + 1):.6f} bm25\n"
+             for q in range(200) for r, did in enumerate(rng.sample(pool, 100))]
+    p = tmp_path / "run.txt"
+    p.write_text("".join(lines))
+    records, retained = retained_bytes(read_run, p)
+    assert len(records) == 20_000
+    assert retained / len(records) <= 180
+
+
+def test_read_tsv_retains_at_most_35_bytes_per_token(tmp_path):
+    rng = SplitMix64(6)
+    words = [f"w{i:03d}" for i in range(200)]
+    p = tmp_path / "corpus.tsv"
+    p.write_text("".join(f"d{i:06d}\t{' '.join(words[rng.randint(200)] for _ in range(15))}\n"
+                         for i in range(2000)))
+    docs, retained = retained_bytes(read_tsv, p)
+    assert sum(map(len, docs.values())) == 30_000
+    assert retained / 30_000 <= 35
+
+
+def test_parsed_tokens_and_ids_are_shared_objects(tmp_path):
+    corpus_path = tmp_path / "corpus.tsv"
+    corpus_path.write_text("d1\tThe cat sat\nd2\tthe CAT ran\n")
+    docs = read_tsv(corpus_path)
+    assert docs["d1"][0] is docs["d2"][0] and docs["d1"][1] is docs["d2"][1]
+    assert tokenize("cat".upper())[0] is docs["d1"][1]
+    run_path = tmp_path / "run.txt"
+    run_path.write_text("q1 Q0 d2 1 0.5 sys\nq2 Q0 d2 1 0.5 sys\nq1 Q0 d1 2 0.4 sys\n")
+    records = read_run(run_path)
+    corpus_ids = {did: did for did in docs}
+    assert records[0].doc_id is records[1].doc_id is corpus_ids["d2"]
+    assert records[0].query_id is records[2].query_id
+    assert records[0].tag is records[1].tag is records[2].tag
+
+
+PARSERS = {    # parser, a good file, a file it rejects
+    "read_tsv": (read_tsv, "d1\tsome text\n", "d1\tsome text\nd1\tagain\n"),
+    "read_run": (read_run, "q1 Q0 d1 1 0.5 s\n", "q1 Q0 d1 1 0.5 s\nq1 Q0 d1 2 0.4 s\n"),
+    "read_qrels": (read_qrels, "q1 0 d1 1\n", "q1 0 d1 1\nq1 0 d2 x\n"),
+}
+
+
+@pytest.mark.parametrize("name", PARSERS)
+def test_parsers_pause_the_collector_and_restore_it(tmp_path, monkeypatch, name):
+    parse, good, bad = PARSERS[name]
+    states = []
+    read_lines = corpus.read_lines
+
+    def recording_read_lines(path):
+        states.append(gc.isenabled())
+        return read_lines(path)
+
+    monkeypatch.setattr(corpus, "read_lines", recording_read_lines)
+    good_path, bad_path = tmp_path / "good", tmp_path / "bad"
+    good_path.write_text(good)
+    bad_path.write_text(bad)
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            parse(good_path)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ParseError):
+                parse(bad_path)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert states == [False] * 4
 
 
 def test_group_run_orders_by_rank():

@@ -1,5 +1,6 @@
 """Effectiveness and bias metrics against hand-worked and brute-force oracles."""
 
+import logging
 import math
 
 import pytest
@@ -171,9 +172,33 @@ def test_bias_report_computes_each_document_delta_once(monkeypatch):
     assert sorted(calls) == sorted((doc, v) for doc in within for v in ("tf", "bool"))
 
 
-def test_cutoff_beyond_list_uses_prefix():
+def test_cutoff_beyond_list_uses_prefix(caplog):
     docs = [DOC1]
-    assert rab(docs, t=5) == rab(docs, t=1)
+    with caplog.at_level(logging.WARNING, logger="backrank.metrics"):
+        assert rab(docs, t=5) == rab(docs, t=1)
+        assert arab(docs, t=5) == arab(docs, t=1)
+    # one warning per call past the end, none within the list
+    assert [r.getMessage() for r in caplog.records] == [
+        "bias cutoff 5 exceeds list length 1; using the prefix"] * 2
+
+
+def test_cutoffs_past_list_ends_warn_once_per_cutoff(caplog):
+    ranked = {f"q{q:02d}": [f"q{q:02d}-d{i}" for i in range(20)] for q in range(60)}
+    tokens = {d: DOC2 for ids in ranked.values() for d in ids}
+    with caplog.at_level(logging.WARNING, logger="backrank.metrics"):
+        report = bias_report(ranked, tokens, cutoffs=(10, 20, 30, 40))
+    assert [r.getMessage() for r in caplog.records] == [
+        f"bias cutoff {c} exceeds the length of 60 of 60 lists (shortest 20); "
+        "using their prefix" for c in (30, 40)]
+    assert report.mean_arab[("tf", 40)] == report.mean_arab[("tf", 20)]
+    caplog.clear()
+    ranked = {f"q{n}": [f"q{n}-d{i}" for i in range(n)] for n in (35, 5, 25)}
+    tokens = {d: DOC1 for ids in ranked.values() for d in ids}
+    with caplog.at_level(logging.WARNING, logger="backrank.metrics"):
+        bias_report(ranked, tokens, cutoffs=(30, 10, 30))
+    assert [r.getMessage() for r in caplog.records] == [
+        "bias cutoff 30 exceeds the length of 2 of 3 lists (shortest 5); using their prefix",
+        "bias cutoff 10 exceeds the length of 1 of 3 lists (shortest 5); using their prefix"]
 
 
 def test_rab_rejects_empty():

@@ -86,6 +86,15 @@ def test_normal_array_row_major_from_scalar_stream():
     flat = [g.normal(0.0, 0.5) for _ in range(12)]
     assert arr.shape == (3, 4)
     assert np.array_equal(arr.ravel(), np.array(flat))
+    # bit for bit at any seed and shape, and the stream goes on in step
+    for seed in (0, 1, 7, 2**63 + 5):
+        for shape, sigma in (((3, 4), 0.5), ((), 1.0), ((0,), 1.0), ((2, 1000), 0.02)):
+            g, ref = SplitMix64(seed), SplitMix64(seed)
+            arr = g.normal_array(shape, sigma)
+            flat = [ref.normal(0.0, sigma) for _ in range(math.prod(shape))]
+            assert arr.shape == shape and arr.dtype == np.float64
+            assert arr.ravel().tobytes() == np.array(flat, dtype=np.float64).tobytes()
+            assert g.next_u64() == ref.next_u64()
 
 
 def test_moments_are_sane():
