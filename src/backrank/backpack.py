@@ -12,7 +12,7 @@ the all-ones weighting reproduces the plain forward pass bit for bit.
 
 Every component works on a batch: a B x n matrix of token ids, right-padded
 with id 0. The causal mask keeps each real position blind to the padding
-after it, so a padded row computes what the row would compute alone.
+after it: a padded row matches the row alone up to rounding (about 1e-16).
 
 For ranking, query and document are packed as query ++ <sep> ++ document,
 pooled at the last real position, and passed through a two-layer MLP; the
@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -250,21 +251,21 @@ class Backpack:
 
     def _pad(self, seqs: Sequence[Sequence[int]]) -> np.ndarray:
         """Checked sequences as a B x n id matrix, right-padded with id 0."""
-        rows = [[int(t) for t in seq] for seq in seqs]
-        if not rows:
+        if len(seqs) == 0:
             raise DomainError("batch must hold at least one sequence")
-        n = max(len(r) for r in rows)
-        if min(len(r) for r in rows) == 0:
+        lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+        flat = np.fromiter(chain.from_iterable(seqs), dtype=np.intp, count=int(lengths.sum()))
+        if lengths.min() == 0:
             raise DomainError("token sequence must be non-empty")
+        n = int(lengths.max())
         if n > self.config.max_seq_len:
             raise DomainError(
                 f"sequence length {n} exceeds max_seq_len {self.config.max_seq_len}")
-        ids = np.zeros((len(rows), n), dtype=np.intp)
-        for b, row in enumerate(rows):
-            ids[b, :len(row)] = row
-        bad = (ids < 0) | (ids >= self.config.vocab_size)
+        bad = (flat < 0) | (flat >= self.config.vocab_size)
         if bad.any():
-            raise DomainError(f"token index {ids[bad][0]} outside vocabulary")
+            raise DomainError(f"token index {flat[bad][0]} outside vocabulary")
+        ids = np.zeros((len(seqs), n), dtype=np.intp)
+        ids[np.arange(n) < lengths[:, None]] = flat
         return ids
 
     def forward(self, seqs: Sequence[Sequence[int]], weights=None) -> Tensor:
@@ -276,27 +277,21 @@ class Backpack:
 
     def pack_sequence(self, query_ids: Sequence[int], doc_ids: Sequence[int]) -> list[int]:
         """query ++ <sep> ++ document, truncating the document tail first."""
-        q = [int(t) for t in query_ids]
-        d = [int(t) for t in doc_ids]
-        budget = self.config.max_seq_len
-        room = budget - len(q) - 1
-        if room < 0:
-            q = q[:budget - 1]
-            room = 0
-        return q + [Vocab.SEP] + d[:room]
+        q = list(query_ids[:self.config.max_seq_len - 1])
+        return q + [Vocab.SEP] + list(doc_ids[:self.config.max_seq_len - 1 - len(q)])
 
-    def relevance_logits(self, query_ids: Sequence[int], docs: Sequence[Sequence[int]],
+    def relevance_logits(self, seqs: Sequence[Sequence[int]],
                          weight_sets: Sequence) -> list[Tensor]:
-        """Pre-sigmoid relevance of each document to the query, one (B,)
-        tensor per entry of ``weight_sets`` (each None or a per-sense weight
-        vector).
+        """Pre-sigmoid relevance of each packed sequence (``pack_sequence``),
+        one (B,) tensor per entry of ``weight_sets`` (each None or a per-sense
+        weight vector): the one scoring path, for training and ranking.
 
         Each row is pooled at its own last real position: alpha is computed
         for that position alone (B x k x 1 x n), so ``aggregate`` returns the
         pooled B x 1 x d. The encoder and the sense table run once for the
-        list; only the weighted aggregation and the head run per entry.
+        batch; only the weighted aggregation and the head run per entry.
+        Rows of one length are bit-identical to each row scored alone.
         """
-        seqs = [self.pack_sequence(query_ids, d) for d in docs]
         ids = self._pad(seqs)
         alpha = self.context.alpha(ids, [[len(s) - 1] for s in seqs])
         senses = self.senses.senses_for(ids)
@@ -305,7 +300,8 @@ class Backpack:
     def relevance_logit(self, query_ids: Sequence[int], docs: Sequence[Sequence[int]],
                         weights=None) -> Tensor:
         """Pre-sigmoid relevance of each document to the query, shaped (B,)."""
-        return self.relevance_logits(query_ids, docs, [weights])[0]
+        return self.relevance_logits([self.pack_sequence(query_ids, d) for d in docs],
+                                     [weights])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -434,10 +434,12 @@ def read_run(path) -> list[RunRecord]:
     """Parse a run file; ranks need not be contiguous and are preserved, and
     no query may list a document twice. Ids and tags are interned strings."""
     records: list[RunRecord] = []
-    seen: dict[str, set[str]] = {}    # query id -> its document ids so far
+    listed: dict[str, list[str]] = {}    # query id -> its document ids
+    blank: list[int] = []                # blank line numbers, to number a repeat's line
     for lineno, raw in read_lines(path):
         parts = raw.split()
         if not parts:
+            blank.append(lineno)
             continue
         if len(parts) != 6:
             raise ParseError(f"expected 6 fields, got {len(parts)}",
@@ -454,14 +456,17 @@ def read_run(path) -> list[RunRecord]:
         if not math.isfinite(score):
             raise ParseError(f"non-finite score {score_s!r}", path=str(path), line=lineno)
         qid, did, tag = sys.intern(qid), sys.intern(did), sys.intern(tag)
-        listed = seen.get(qid)
-        if listed is None:
-            listed = seen[qid] = set()
-        if did in listed:
-            raise ParseError(f"query {qid} lists document {did!r} twice",
-                             path=str(path), line=lineno)
-        listed.add(did)
+        listed.setdefault(qid, []).append(did)
         records.append(RunRecord(qid, did, rank, score, tag))
+    if any(len(set(dids)) != len(dids) for dids in listed.values()):
+        seen: set[tuple[str, str]] = set()
+        for i, rec in enumerate(records):
+            if (rec.query_id, rec.doc_id) in seen:
+                # record i follows the k-th blank line (from 0) iff b - k <= i + 1
+                line = i + 1 + sum(b - k <= i + 1 for k, b in enumerate(blank))
+                raise ParseError(f"query {rec.query_id} lists document {rec.doc_id!r} twice",
+                                 path=str(path), line=line)
+            seen.add((rec.query_id, rec.doc_id))
     return records
 
 
@@ -547,11 +552,8 @@ def build_eval_set(
             empty += 1
             continue
         queries[qid] = tuple(vocab.encode(qtokens))
-        cand = []
-        for did in retrieved.doc_ids:
-            cand.append((did, tuple(vocab.encode(coll.docs[did]))))
-            doc_tokens[did] = list(coll.docs[did])
-        candidates[qid] = cand
+        candidates[qid] = [(did, tuple(vocab.encode(coll.docs[did]))) for did in retrieved.doc_ids]
+        doc_tokens.update((did, coll.docs[did]) for did in retrieved.doc_ids)  # not copied
     if empty:
         log.warning("dropped %d queries with no retrievable candidates", empty)
     if not queries:

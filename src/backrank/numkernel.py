@@ -322,22 +322,25 @@ def sigmoid(a: Tensor) -> Tensor:
 def attention_weights(q: Tensor, key: Tensor, mask: np.ndarray) -> Tensor:
     """Shift-stabilized softmax(q key^T / sqrt(w) + mask) over the last axis as
     one node: q is ... x m x w, key ... x n x w and ``mask`` an additive
-    constant array (0 where a key is visible, -1e30 where it is not)."""
+    constant array (0 where a key is visible, -1e30 where it is not) that
+    broadcasts to the ... x m x n scores."""
     if q.ndim < 2 or key.ndim != q.ndim or q.shape[-1] != key.shape[-1]:
         raise ShapeError(f"attention_weights: shapes incompatible, {q.shape} and {key.shape}")
     qd = q.data
     kt = np.ascontiguousarray(key.data.swapaxes(-1, -2))
     c = 1.0 / math.sqrt(q.shape[-1])
     try:
-        scores = qd @ kt
-        x = scores * c + mask
+        arr = qd @ kt
+        arr *= c
+        arr += mask
     except ValueError:
         raise ShapeError(f"attention_weights: mask {np.shape(mask)} does not broadcast") from None
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    arr = e / e.sum(axis=-1, keepdims=True)
+    arr -= arr.max(axis=-1, keepdims=True)
+    np.exp(arr, out=arr)
+    arr /= arr.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
-        gs = _unbroadcast(arr * (g - (g * arr).sum(axis=-1, keepdims=True)), scores.shape) * c
+        gs = arr * (g - (g * arr).sum(axis=-1, keepdims=True)) * c
         gkt = _unbroadcast(qd.swapaxes(-1, -2) @ gs, kt.shape)
         return (_unbroadcast(gs @ kt.swapaxes(-1, -2), q.shape),
                 np.ascontiguousarray(gkt.swapaxes(-1, -2)))

@@ -23,6 +23,8 @@ from .numkernel import Tape, Tensor, backward
 from .rng import SplitMix64
 from .senses import AttributeScores, build_sense_map
 
+_CHUNK_ROWS = 32    # most pairs per relevance_logits call in rank_all
+
 SWEEP_COLUMNS = ("lambda", "mrr@10", "ndcg@10",
                  "rab_tf", "arab_tf", "rab_bool", "arab_bool", "cutoff")
 
@@ -172,14 +174,30 @@ def rank_all(model, eval_set: EvalSet,
              weight_sets=(None,)) -> Iterator[tuple[str, list[RankedList]]]:
     """Rank every query of the eval set, in sorted id order, under each entry
     of ``weight_sets`` (None or a per-sense weight tuple): yields (query id,
-    one RankedList per entry), with sigmoid scores. One ``relevance_logits``
-    call per query serves every entry."""
-    for qid in sorted(eval_set.queries):
-        doc_ids, docs = zip(*eval_set.candidates[qid])
-        logits = model.relevance_logits(eval_set.queries[qid], docs, weight_sets)
-        yield qid, [RankedList(qid, tuple(sorted(zip(doc_ids, nk.sigmoid(z).data.tolist()),
+    one RankedList per entry), with sigmoid scores. Every pair is scored
+    first, in calls of at most ``_CHUNK_ROWS`` pairs of one packed length:
+    no row is padded, so a pair's logit is bit-identical to it scored alone."""
+    qids = sorted(eval_set.queries)
+    counts = [len(eval_set.candidates[qid]) for qid in qids]
+    query_of = np.repeat(np.arange(len(qids)), counts)
+    docs = [doc for qid in qids for _, doc in eval_set.candidates[qid]]
+    lengths = np.fromiter((len(model.pack_sequence(eval_set.queries[qid], d)) for qid in qids
+                           for _, d in eval_set.candidates[qid]), dtype=np.intp, count=len(docs))
+    order = np.argsort(lengths, kind="stable")
+    logits = np.empty((len(weight_sets), len(docs)))
+    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        for start in range(0, len(group), _CHUNK_ROWS):
+            rows = group[start:start + _CHUNK_ROWS]
+            seqs = [model.pack_sequence(eval_set.queries[qids[q]], docs[p])
+                    for q, p in zip(query_of[rows].tolist(), rows.tolist())]
+            for out, z in zip(logits, model.relevance_logits(seqs, weight_sets)):
+                out[rows] = z.data
+    scores = nk.sigmoid(Tensor(logits)).data
+    for qid, block in zip(qids, np.split(scores, np.cumsum(counts)[:-1], axis=1)):
+        doc_ids = [did for did, _ in eval_set.candidates[qid]]
+        yield qid, [RankedList(qid, tuple(sorted(zip(doc_ids, s.tolist()),
                                                  key=lambda e: (-e[1], e[0]))))
-                    for z in logits]
+                    for s in block]
 
 
 def sweep_lambda(

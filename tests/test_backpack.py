@@ -195,6 +195,21 @@ def test_relevance_logit_rows_match_single_documents(model, query):
     assert np.max(np.abs(batch[:2] - shorter)) <= 1e-12
 
 
+def test_pad_builds_ragged_and_equal_length_batches_alike(model):
+    """One id matrix, right-padded with 0, whatever the row lengths; every
+    check names what it rejects."""
+    ids = model._pad([(1, 2, 3), [4], np.array([5, 6])])
+    assert ids.dtype == np.intp
+    assert ids.tolist() == [[1, 2, 3], [4, 0, 0], [5, 6, 0]]
+    assert model._pad([[7, 8], (9, 10)]).tolist() == [[7, 8], [9, 10]]
+    for seqs, needle in (([], "at least one sequence"), ([[1], []], "non-empty"),
+                         ([[1] * 11], "sequence length 11 exceeds max_seq_len 10"),
+                         ([[1, 2], [3, 12, -1]], "token index 12 outside vocabulary"),
+                         ([[-1]], "token index -1 outside vocabulary")):
+        with pytest.raises(DomainError, match=needle):
+            model._pad(seqs)
+
+
 def test_alpha_at_given_positions_equals_rows_of_the_full_alpha(model):
     ids = model._pad([[1, 2, 3, 4, 5], [6, 7], [8, 9, 10]])
     full = model.context.alpha(ids, np.arange(5)).data
@@ -223,7 +238,7 @@ def test_relevance_logits_pool_forward_at_each_last_position(model):
         query, docs = _random_list(rng, 1 + rng.randint(6))
         seqs = [model.pack_sequence(query, d) for d in docs]
         last = [len(s) - 1 for s in seqs]
-        logits = model.relevance_logits(query, docs, weight_sets)
+        logits = model.relevance_logits(seqs, weight_sets)
         for w, z in zip(weight_sets, logits):
             out = model.forward(seqs, w).data
             want = model.head.logit(Tensor(out[np.arange(len(seqs)), last])).data

@@ -354,28 +354,42 @@ def test_read_run_rejects_malformed(tmp_path):
 
 
 def retained_bytes(parse, path):
-    """What parse(path) returns, and the bytes its allocations still hold."""
+    """What parse(path) returns, the bytes its allocations still hold, and
+    their peak while it ran."""
     gc.collect()
     tracemalloc.start()
     try:
         result = parse(path)
-        retained, _peak = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, retained
+    return result, retained, peak
 
 
-def test_read_run_retains_at_most_180_bytes_per_line(tmp_path):
-    # a depth-100 run over a shared pool of documents, like a BM25 run
+def _bm25_like_run(tmp_path):
+    """A depth-100 run of 200 queries over a shared pool of documents."""
     rng = SplitMix64(5)
     pool = [f"d{i:06d}" for i in range(2000)]
     lines = [f"q{q:04d} Q0 {did} {r + 1} {1.0 / (r + 1):.6f} bm25\n"
              for q in range(200) for r, did in enumerate(rng.sample(pool, 100))]
     p = tmp_path / "run.txt"
     p.write_text("".join(lines))
-    records, retained = retained_bytes(read_run, p)
+    return p
+
+
+def test_read_run_retains_at_most_180_bytes_per_line(tmp_path):
+    records, retained, _peak = retained_bytes(read_run, _bm25_like_run(tmp_path))
     assert len(records) == 20_000
     assert retained / len(records) <= 180
+
+
+def test_read_run_repeat_check_holds_no_set_per_query(tmp_path):
+    """Beyond what it returns, read_run peaks at the file's text and lines
+    plus one list of ids per query; a set per query would add about 4 KB each."""
+    p = _bm25_like_run(tmp_path)
+    records, retained, peak = retained_bytes(read_run, p)
+    assert len(records) == 20_000
+    assert peak - retained <= 4 * p.stat().st_size
 
 
 def test_read_tsv_retains_at_most_35_bytes_per_token(tmp_path):
@@ -384,7 +398,7 @@ def test_read_tsv_retains_at_most_35_bytes_per_token(tmp_path):
     p = tmp_path / "corpus.tsv"
     p.write_text("".join(f"d{i:06d}\t{' '.join(words[rng.randint(200)] for _ in range(15))}\n"
                          for i in range(2000)))
-    docs, retained = retained_bytes(read_tsv, p)
+    docs, retained, _peak = retained_bytes(read_tsv, p)
     assert sum(map(len, docs.values())) == 30_000
     assert retained / 30_000 <= 35
 
@@ -512,6 +526,15 @@ def test_build_eval_set(tiny_coll):
         for did, enc in cand:
             assert es.doc_tokens[did] == tiny_coll.docs[did]
             assert list(enc) == v.encode(tiny_coll.docs[did])
+
+
+def test_build_eval_set_shares_document_tokens(tiny_coll):
+    """The eval set holds the collection's token lists, not copies of them."""
+    v = Vocab.build(list(tiny_coll.docs.values()) + list(tiny_coll.queries.values()))
+    es = build_eval_set(tiny_coll, v, candidate_depth=10)
+    assert es.doc_tokens
+    for did in es.doc_tokens:
+        assert es.doc_tokens[did] is tiny_coll.docs[did]
 
 
 def test_records_from_ranking_tags_and_ranks(tiny_coll):

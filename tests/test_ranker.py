@@ -13,6 +13,7 @@ from backrank.backpack import ContextEncoder
 from backrank.ranker import SWEEP_COLUMNS
 from backrank.senses import PolarityPair
 from backrank import Tape, backward
+from backrank import numkernel as nk
 from helpers import finite_diff_check
 
 
@@ -256,6 +257,32 @@ def test_rank_all_gives_one_list_per_sense_map(tiny_model):
     assert [s for _, s in lists[0].items] != [s for _, s in lists[1].items]
 
 
+def test_rank_all_logits_equal_each_pair_scored_alone(tiny_model):
+    """Across queries whose candidates pack to mixed lengths, with more pairs
+    of one length than one scoring call holds, every score is bit-identical
+    to its pair scored alone: nothing else in a list moves it."""
+    rng = SplitMix64(11)
+    queries, cands = {}, {}
+    for i in range(8):
+        qid = f"q{i}"
+        queries[qid] = tuple(3 + rng.randint(27) for _ in range(1 + i % 2))
+        # every third document is truncated to the budget of 16, the rest are
+        # short: ragged lists, and 40 pairs of length 16 across queries
+        cands[qid] = [(f"d{j}", tuple(3 + rng.randint(27)
+                                     for _ in range(20 if j % 3 == 0 else 2 + j % 2)))
+                      for j in range(15)]
+    es = EvalSet(queries, cands, Qrels({}), {})
+    packed = [len(tiny_model.pack_sequence(queries[q], d)) for q in cands for _, d in cands[q]]
+    assert max(packed.count(n) for n in set(packed)) > 32 and len(set(packed)) > 3
+    weight_sets = (None, (1.0, 1.0), (0.3, 1.0))
+    for qid, lists in rank_all(tiny_model, es, weight_sets):
+        for weights, ranked in zip(weight_sets, lists):
+            for did, score in ranked.items:
+                doc = dict(cands[qid])[did]
+                alone = tiny_model.relevance_logit(queries[qid], [doc], weights)
+                assert score == nk.sigmoid(alone).item()
+
+
 @pytest.fixture(scope="module")
 def synth_setup():
     cfg = SynthConfig(seed=2, num_queries=20, docs_per_query=8,
@@ -326,22 +353,26 @@ def test_sweep_rows_equal_rank_all_under_each_lambda(synth_setup):
     assert len({(r["rab_tf"], r["arab_tf"]) for r in rows}) > 2   # the lambdas differ
 
 
-def test_sweep_runs_the_encoder_once_per_query(synth_setup, monkeypatch):
-    """The encoder's cost does not grow with the number of lambdas."""
+def test_sweep_encodes_each_pair_once(synth_setup, monkeypatch):
+    """The encoder's cost does not grow with the number of lambdas: its rows
+    add up to the number of pairs, and 1 and 4 lambdas make the same calls."""
     model, vocab, _, eval_set = synth_setup
     scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
     calls = []
     alpha = ContextEncoder.alpha
 
     def counting(self, ids, positions):
-        calls.append(len(ids))
+        calls.append(np.shape(ids))
         return alpha(self, ids, positions)
 
     monkeypatch.setattr(ContextEncoder, "alpha", counting)
+    per_sweep = []
     for lambdas in ([1.0], [1.0, 0.7, 0.5, 0.3]):
         calls.clear()
         sweep_lambda(model, eval_set, scores, lambdas, cutoffs=(5,), m=2)
-        assert calls == [len(eval_set.candidates[q]) for q in sorted(eval_set.queries)]
+        per_sweep.append(list(calls))
+    assert sum(rows for rows, _ in per_sweep[0]) == sum(map(len, eval_set.candidates.values()))
+    assert per_sweep[0] == per_sweep[1]
 
 
 def test_sweep_suppression_changes_rankings(synth_setup):
