@@ -58,7 +58,8 @@ def _check_tag(tag: str, checkpoint=None) -> str:
 
 
 def _meta_comment(seed, lambdas) -> str:
-    seed_s = "-" if seed is None else str(seed)
+    # a checkpoint's meta.seed is free-form: json keeps it on the comment line
+    seed_s = "-" if seed is None else json.dumps(seed)
     lam_s = "-" if lambdas is None else "|".join(repr(float(v)) for v in lambdas)
     return f"# backrank={__version__} seed={seed_s} lambda={lam_s}\n"
 
@@ -145,6 +146,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     _check_paths({"corpus": args.corpus, "queries": args.queries, "qrels": args.qrels,
                   "resume": args.resume}, [args.out, args.loss_csv])
+    tcfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
 
     coll = load_collection(args.corpus, args.queries, args.qrels)
     if args.resume:
@@ -169,8 +171,6 @@ def cmd_train(args) -> int:
 
     examples = build_train_examples(coll, vocab, num_negatives=args.negatives,
                                     seed=args.seed, candidate_depth=args.depth)
-    tcfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr,
-                       batch_size=args.batch_size, seed=args.seed)
     model, history = train(examples, tcfg, model)
 
     meta = {"seed": args.seed, "steps": step_base + len(history),
@@ -306,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", help="checkpoint to continue training from")
     p.add_argument("--epochs", type=int, default=4)
     p.add_argument("--lr", type=float, default=1e-5)
-    p.add_argument("--batch-size", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--negatives", type=int, default=7)
     p.add_argument("--depth", type=int, default=100,

@@ -55,7 +55,6 @@ class TrainExample:
 class TrainConfig:
     epochs: int = 4
     learning_rate: float = 1e-5
-    batch_size: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -63,8 +62,6 @@ class TrainConfig:
             raise DomainError("epochs must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise DomainError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise DomainError("batch_size must be >= 1")
         if self.seed < 0:
             raise DomainError("seed must be non-negative")
 
@@ -111,7 +108,7 @@ def listwise_loss(y: Sequence[float], y_hat: Tensor) -> Tensor:
 
 
 def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[object, list[float]]:
-    """SGD over listwise examples; returns (model, per-step loss history).
+    """One SGD step per listwise example; returns (model, per-step loss history).
 
     Deterministic under cfg.seed: example order is reshuffled each epoch with
     the package PRNG. Token indices must already be in-vocabulary (string
@@ -130,23 +127,16 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
         for _epoch in range(cfg.epochs):
             order = list(range(len(dataset)))
             rng.shuffle(order)
-            for start in range(0, len(order), cfg.batch_size):
-                batch = order[start:start + cfg.batch_size]
-                acc: list[np.ndarray] = []
-                for idx in batch:
-                    ex = dataset[idx]
-                    with Tape() as tape:
-                        loss = listwise_loss(ex.labels, model.relevance_logit(ex.query, ex.docs))
-                    history.append(loss.item())
-                    if not math.isfinite(history[-1]):
-                        raise DomainError(f"training diverged at step {len(history)}: "
-                                          f"loss is {history[-1]}")
-                    grads = backward(tape, loss, tensors)
-                    # Out of place: one gradient array may serve several tensors.
-                    acc = [a + g for a, g in zip(acc, grads)] if acc else grads
-                step = cfg.learning_rate / len(batch)
-                for p, g in zip(tensors, acc):
-                    p.data = p.data - step * g
+            for idx in order:
+                ex = dataset[idx]
+                with Tape() as tape:
+                    loss = listwise_loss(ex.labels, model.relevance_logit(ex.query, ex.docs))
+                history.append(loss.item())
+                if not math.isfinite(history[-1]):
+                    raise DomainError(f"training diverged at step {len(history)}: "
+                                      f"loss is {history[-1]}")
+                for p, g in zip(tensors, backward(tape, loss, tensors)):
+                    p.data = p.data - cfg.learning_rate * g
     for name, p in params.items():
         if not np.all(np.isfinite(p.data)):
             raise DomainError(f"training diverged at step {len(history)}: "

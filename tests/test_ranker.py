@@ -54,8 +54,6 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(DomainError):
         TrainConfig(learning_rate=-1e-3)
-    with pytest.raises(DomainError):
-        TrainConfig(batch_size=0)
 
 
 def test_ranked_list_validation():
@@ -141,9 +139,10 @@ def test_train_is_deterministic():
     assert all(np.array_equal(p1[n], p2[n]) for n in p1)
 
 
-def test_batch_update_is_the_mean_of_single_example_gradients():
-    """At batch_size 3 one SGD step moves each parameter by lr / 3 times the
-    sum of the three single-example gradients, added in visiting order."""
+def test_each_example_takes_one_sgd_step_in_shuffle_order():
+    """One epoch over 3 examples applies p - lr * g_i for each example in the
+    SplitMix64(seed) shuffle order, g_i taken at the previous step's
+    parameters."""
     def fresh():
         return Backpack(BackpackConfig(vocab_size=30, embed_dim=8, num_senses=2,
                                        sense_hidden=2, context_heads=2,
@@ -152,21 +151,24 @@ def test_batch_update_is_the_mean_of_single_example_gradients():
     rng = SplitMix64(4)
     dataset = [make_example(rng) for _ in range(3)]
     lr = 0.05
-    ref = fresh()
-    params = ref.parameters()
-    grads = []
-    for ex in dataset:
-        with Tape() as tape:
-            loss = listwise_loss(ex.labels, ref.relevance_logit(ex.query, ex.docs))
-        grads.append(dict(zip(params, backward(tape, loss, list(params.values())))))
     order = [0, 1, 2]
     SplitMix64(0).shuffle(order)
-    model, history = train(dataset, TrainConfig(epochs=1, learning_rate=lr,
-                                                batch_size=3, seed=0), fresh())
-    assert len(history) == 3
+    ref = fresh()
+    params = ref.parameters()
+    tensors = list(params.values())
+    losses = []
+    for idx in order:
+        ex = dataset[idx]
+        with Tape() as tape:
+            loss = listwise_loss(ex.labels, ref.relevance_logit(ex.query, ex.docs))
+        losses.append(loss.item())
+        for p, g in zip(tensors, backward(tape, loss, tensors)):
+            p.data = p.data - lr * g
+    model, history = train(dataset, TrainConfig(epochs=1, learning_rate=lr, seed=0),
+                           fresh())
+    assert history == losses
     for name, p in model.parameters().items():
-        total = grads[order[0]][name] + grads[order[1]][name] + grads[order[2]][name]
-        assert np.array_equal(p.data, params[name].data - lr / 3 * total), name
+        assert np.array_equal(p.data, params[name].data), name
 
 
 def test_zero_learning_rate_changes_nothing(tiny_model):
