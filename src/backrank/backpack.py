@@ -100,9 +100,20 @@ class SenseTable:
         self._k = k
 
     def senses_for(self, ids) -> Tensor:
-        """Sense vectors for a B x n id matrix, shaped B x k x n x d."""
-        h = nk.tanh(nk.linear(nk.take_rows(self.base, ids), self.w1, self.b1))
-        return nk.linear(nk.split_heads(h, self._k), self.w2, self.b2)
+        """Sense vectors for a B x n id matrix, shaped B x k x n x d: one node."""
+        params = (self.base, self.w1, self.b1, self.w2, self.b2)
+        base, w1, b1, w2, b2 = (t.data for t in params)
+        ix, rows = nk.gather_rows(base, ids)
+        h = np.tanh(nk.linear(rows, w1, b1))
+        hk = nk.split_heads(h, self._k)
+
+        def backward_fn(g):
+            ghk, gw2, gb2 = nk.linear_grads(g, hk, w2, b2.shape)
+            grows, gw1, gb1 = nk.linear_grads(nk.merge_heads(ghk) * (1.0 - h * h),
+                                              rows, w1, b1.shape)
+            return nk.scatter_rows(base.shape, ix, grows), gw1, gb1, gw2, gb2
+
+        return nk.record(params, nk.linear(hk, w2, b2), backward_fn)
 
 
 class _EncoderLayer:
@@ -122,6 +133,39 @@ class _EncoderLayer:
         self.fb1 = _zeros((hidden,))
         self.f2 = _param(rng, (hidden, d), 1.0 / math.sqrt(hidden))
         self.fb2 = _zeros((d,))
+
+    def forward(self, hs: Tensor, heads: int) -> Tensor:
+        """hs + attention, then + a tanh feed-forward block: one node."""
+        params = (self.wq, self.bq, self.wk, self.bk, self.wv, self.bv,
+                  self.wo, self.bo, self.f1, self.fb1, self.f2, self.fb2)
+        wq, bq, wk, bk, wv, bv, wo, bo, f1, fb1, f2, fb2 = (t.data for t in params)
+        x = hs.data
+        n = x.shape[1]
+        q = nk.split_heads(nk.linear(x, wq, bq), heads)
+        probs, kt = nk.attention(q, nk.split_heads(nk.linear(x, wk, bk), heads),
+                                 _causal_mask(np.arange(n), n))
+        v = nk.split_heads(nk.linear(x, wv, bv), heads)
+        merged = nk.merge_heads(probs @ v)
+        mid = x + nk.linear(merged, wo, bo)
+        ff = np.tanh(nk.linear(mid, f1, fb1))
+
+        def backward_fn(g):
+            gff, gf2, gfb2 = nk.linear_grads(g, ff, f2, fb2.shape)
+            gmid, gf1, gfb1 = nk.linear_grads(gff * (1.0 - ff * ff), mid, f1, fb1.shape)
+            # fan-out gradients add up in the order a reverse pass over the
+            # primitive chain meets them: the residual first, then v, k, q
+            gmid = g + gmid
+            gmerged, gwo, gbo = nk.linear_grads(gmid, merged, wo, bo.shape)
+            gctx = nk.split_heads(gmerged, heads)
+            gq, gk = nk.attention_grads(gctx @ v.swapaxes(-1, -2), probs, q, kt)
+            gxv, gwv, gbv = nk.linear_grads(nk.merge_heads(probs.swapaxes(-1, -2) @ gctx),
+                                            x, wv, bv.shape)
+            gxk, gwk, gbk = nk.linear_grads(nk.merge_heads(gk), x, wk, bk.shape)
+            gxq, gwq, gbq = nk.linear_grads(nk.merge_heads(gq), x, wq, bq.shape)
+            return (gmid + gxv + gxk + gxq, gwq, gbq, gwk, gbk, gwv, gbv,
+                    gwo, gbo, gf1, gfb1, gf2, gfb2)
+
+        return nk.record((hs,) + params, mid + nk.linear(ff, f2, fb2), backward_fn)
 
 
 def _causal_mask(positions: np.ndarray, n: int) -> np.ndarray:
@@ -145,23 +189,23 @@ class ContextEncoder:
         self.ak = _param(rng, (d, k * self.alpha_dim), w_sigma)
         self.abk = _zeros((k * self.alpha_dim,))
 
-    def _attention(self, layer: _EncoderLayer, hs: Tensor) -> Tensor:
-        heads = self.cfg.context_heads
-        q = nk.split_heads(nk.linear(hs, layer.wq, layer.bq), heads)
-        k = nk.split_heads(nk.linear(hs, layer.wk, layer.bk), heads)
-        v = nk.split_heads(nk.linear(hs, layer.wv, layer.bv), heads)
-        n = hs.shape[1]
-        probs = nk.attention_weights(q, k, _causal_mask(np.arange(n), n))
-        return nk.linear(nk.merge_heads(nk.matmul(probs, v)), layer.wo, layer.bo)
+    def _embed(self, ids) -> Tensor:
+        """Token plus position embeddings, B x n x d: one node."""
+        tok, pos = self.tok_emb.data, self.pos_emb.data
+        ix, rows = nk.gather_rows(tok, ids)
+        pix, prows = nk.gather_rows(pos, np.arange(np.shape(ids)[1]))
+
+        def backward_fn(g):
+            return (nk.scatter_rows(tok.shape, ix, g),
+                    nk.scatter_rows(pos.shape, pix, g.sum(axis=0)))
+
+        return nk.record((self.tok_emb, self.pos_emb), rows + prows, backward_fn)
 
     def encode(self, ids) -> Tensor:
         """Hidden states for a B x n id matrix, shaped B x n x d."""
-        n = np.shape(ids)[1]
-        hs = nk.add(nk.take_rows(self.tok_emb, ids), nk.take_rows(self.pos_emb, np.arange(n)))
+        hs = self._embed(ids)
         for layer in self.layers:
-            hs = nk.add(hs, self._attention(layer, hs))
-            ff = nk.tanh(nk.linear(hs, layer.f1, layer.fb1))
-            hs = nk.add(hs, nk.linear(ff, layer.f2, layer.fb2))
+            hs = layer.forward(hs, self.cfg.context_heads)
         return hs
 
     def alpha(self, ids, positions) -> Tensor:
@@ -169,16 +213,35 @@ class ContextEncoder:
         m shared by every row) over key positions j, softmax-normalized over
         j <= the query position. ``np.arange(n)`` gives the full k x n x n."""
         hs = self.encode(ids)
-        b, n, d = hs.shape
+        b, n, _ = hs.shape
         pos = np.asarray(positions, dtype=np.intp)
         pos = np.broadcast_to(pos, (b, pos.shape[-1]))
         if pos.size and (pos.min() < 0 or pos.max() >= n):
             raise DomainError(f"alpha: query positions must lie in [0, {n})")
+        return self._sense_attention(hs, pos)
+
+    def _sense_attention(self, hs: Tensor, pos: np.ndarray) -> Tensor:
+        """Per-sense attention of the B x m query positions ``pos`` over the
+        hidden states hs: one node."""
+        params = (self.aq, self.abq, self.ak, self.abk)
+        aq, abq, ak, abk = (t.data for t in params)
+        x = hs.data
+        b, n, d = x.shape
         k = self.cfg.num_senses
-        rows = nk.take_rows(nk.reshape(hs, (b * n, d)), pos + n * np.arange(b)[:, None])
-        q = nk.split_heads(nk.linear(rows, self.aq, self.abq), k)
-        key = nk.split_heads(nk.linear(hs, self.ak, self.abk), k)
-        return nk.attention_weights(q, key, _causal_mask(pos[:, None], n))
+        ix, rows = nk.gather_rows(x.reshape(b * n, d), pos + n * np.arange(b)[:, None])
+        q = nk.split_heads(nk.linear(rows, aq, abq), k)
+        out, kt = nk.attention(q, nk.split_heads(nk.linear(x, ak, abk), k),
+                               _causal_mask(pos[:, None], n))
+
+        def backward_fn(g):
+            gq, gkey = nk.attention_grads(g, out, q, kt)
+            gx, gak, gabk = nk.linear_grads(nk.merge_heads(gkey), x, ak, abk.shape)
+            grows, gaq, gabq = nk.linear_grads(nk.merge_heads(gq), rows, aq, abq.shape)
+            # the key projection's gradient first, then the gathered rows'
+            gx = gx + nk.scatter_rows((b * n, d), ix, grows).reshape(b, n, d)
+            return gx, gaq, gabq, gak, gabk
+
+        return nk.record((hs,) + params, out, backward_fn)
 
 
 class RelevanceHead:
@@ -192,10 +255,19 @@ class RelevanceHead:
         self.b2 = _zeros((1,))
 
     def logit(self, pooled: Tensor) -> Tensor:
-        """B x d, or B x 1 x d, pooled vectors -> (B,) logits."""
-        h = nk.tanh(nk.linear(pooled, self.w1, self.b1))
-        out = nk.linear(h, self.w2, self.b2)
-        return nk.reshape(out, (pooled.shape[0],))
+        """B x d, or B x 1 x d, pooled vectors -> (B,) logits: one node."""
+        params = (self.w1, self.b1, self.w2, self.b2)
+        w1, b1, w2, b2 = (t.data for t in params)
+        x = pooled.data
+        h = np.tanh(nk.linear(x, w1, b1))
+        out = nk.linear(h, w2, b2)
+
+        def backward_fn(g):
+            gh, gw2, gb2 = nk.linear_grads(g.reshape(out.shape), h, w2, b2.shape)
+            gx, gw1, gb1 = nk.linear_grads(gh * (1.0 - h * h), x, w1, b1.shape)
+            return gx, gw1, gb1, gw2, gb2
+
+        return nk.record((pooled,) + params, out.reshape(x.shape[0]), backward_fn)
 
 
 def aggregate(alpha: Tensor, senses: Tensor, weights=None) -> Tensor:
@@ -206,18 +278,29 @@ def aggregate(alpha: Tensor, senses: Tensor, weights=None) -> Tensor:
     outside alpha with no renormalization, so the all-ones weighting is
     bit-identical to the plain sum. It is the only place weights act.
     """
-    if alpha.ndim != 4 or senses.ndim != 4:
+    if (alpha.ndim != 4 or senses.ndim != 4 or alpha.shape[:2] != senses.shape[:2]
+            or alpha.shape[3] != senses.shape[2]):
         raise DomainError("aggregate expects B x k x m x n weights and B x k x n x d senses")
     k = alpha.shape[1]
-    ctx = nk.matmul(alpha, senses)
+    a, s = alpha.data, senses.data
+    ctx = a @ s
+    w = None
     if weights is not None:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (k,):
             raise DomainError(f"sense weights must have length {k}, got shape {w.shape}")
         if np.any(w <= 0.0):
             raise DomainError("sense weights must be strictly positive")
-        ctx = nk.mul(ctx, Tensor(w.reshape(k, 1, 1)))
-    return nk.tensor_sum(ctx, axis=1)
+        w = Tensor(w.reshape(k, 1, 1)).data
+        ctx = ctx * w
+
+    def backward_fn(g):
+        gctx = np.broadcast_to(np.expand_dims(g, 1), ctx.shape).copy()
+        if w is not None:
+            gctx = gctx * w
+        return gctx @ s.swapaxes(-1, -2), a.swapaxes(-1, -2) @ gctx
+
+    return nk.record((alpha, senses), ctx.sum(axis=1), backward_fn)
 
 
 class Backpack:
@@ -275,10 +358,16 @@ class Backpack:
         alpha = self.context.alpha(ids, np.arange(ids.shape[1]))
         return aggregate(alpha, self.senses.senses_for(ids), weights)
 
+    def packed_length(self, query_len: int, doc_len: int) -> int:
+        """Length of the packed sequence of a query and a document of these
+        lengths: max_seq_len cuts the document tail first, then the query's."""
+        return min(query_len + 1 + doc_len, self.config.max_seq_len)
+
     def pack_sequence(self, query_ids: Sequence[int], doc_ids: Sequence[int]) -> list[int]:
-        """query ++ <sep> ++ document, truncating the document tail first."""
-        q = list(query_ids[:self.config.max_seq_len - 1])
-        return q + [Vocab.SEP] + list(doc_ids[:self.config.max_seq_len - 1 - len(q)])
+        """query ++ <sep> ++ document, cut to ``packed_length``."""
+        n = self.packed_length(len(query_ids), len(doc_ids))
+        q = list(query_ids[:n - 1])
+        return q + [Vocab.SEP] + list(doc_ids[:n - 1 - len(q)])
 
     def relevance_logits(self, seqs: Sequence[Sequence[int]],
                          weight_sets: Sequence) -> list[Tensor]:

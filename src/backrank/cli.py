@@ -99,6 +99,13 @@ def _parse_lambdas(text: str) -> tuple[float, ...]:
     return lams
 
 
+def _check_counts(**flags: int) -> None:
+    """Count options that must be >= 1, checked before anything is loaded."""
+    for flag, value in flags.items():
+        if value < 1:
+            raise DomainError(f"--{flag} must be >= 1, got {value}")
+
+
 def _check_lambda(lam: float) -> float:
     if not 0.0 < lam <= 1.0:
         raise DomainError(f"lambda must be in (0, 1], got {lam}")
@@ -147,6 +154,7 @@ def cmd_train(args) -> int:
     _check_paths({"corpus": args.corpus, "queries": args.queries, "qrels": args.qrels,
                   "resume": args.resume}, [args.out, args.loss_csv])
     tcfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
+    _check_counts(depth=args.depth, negatives=args.negatives)
 
     coll = load_collection(args.corpus, args.queries, args.qrels)
     if args.resume:
@@ -185,6 +193,7 @@ def cmd_train(args) -> int:
 
 def cmd_rank(args) -> int:
     _check_lambda(args.lam)
+    _check_counts(depth=args.depth)
     if args.tag:
         _check_tag(args.tag)
     _check_paths({"checkpoint": args.checkpoint, "corpus": args.corpus,
@@ -264,6 +273,7 @@ def cmd_sweep(args) -> int:
     lambdas = _parse_lambdas(args.lambdas)
     for lam in lambdas:
         _check_lambda(lam)
+    _check_counts(depth=args.depth)
     _check_paths({"checkpoint": args.checkpoint, "corpus": args.corpus,
                   "queries": args.queries, "qrels": args.qrels, "pairs": args.pairs},
                  [args.out])

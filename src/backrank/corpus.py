@@ -124,27 +124,43 @@ class Collection:
 
 
 class _Bm25Index:
-    """Document frequencies, postings, and length statistics for BM25.
+    """Per-term BM25 impacts.
 
     Documents are numbered in sorted doc-id order, so ascending row order is
-    ascending doc-id order. Each term's postings are parallel (row, tf)
-    arrays, rows ascending.
+    ascending doc-id order. Each term's postings are parallel (row, impact)
+    arrays, rows ascending, where the impact idf * tf * (k1 + 1) / (tf + norm)
+    is the term's whole contribution to that document's score. A term whose
+    idf is floored at zero contributes nothing and has no postings.
     """
 
     def __init__(self, docs: Mapping[str, Sequence[str]]):
         self.doc_ids = sorted(docs)
-        self.num_docs = len(self.doc_ids)
-        self.doc_len = np.array([len(docs[did]) for did in self.doc_ids], dtype=np.int64)
+        n = len(self.doc_ids)
+        doc_len = np.array([len(docs[did]) for did in self.doc_ids], dtype=np.int64)
+        avgdl = int(doc_len.sum()) / n if n else 0.0
         rows: dict[str, list[int]] = {}
         tfs: dict[str, list[int]] = {}
         for row, did in enumerate(self.doc_ids):
             for term, tf in Counter(docs[did]).items():
                 rows.setdefault(term, []).append(row)
                 tfs.setdefault(term, []).append(tf)
-        self.postings: dict[str, tuple[np.ndarray, np.ndarray]] = {
-            term: (np.array(r, dtype=np.intp), np.array(tfs[term], dtype=np.int64))
-            for term, r in rows.items()}
-        self.avgdl = int(self.doc_len.sum()) / self.num_docs if self.num_docs else 0.0
+        # avgdl is 0 only when no document holds a term; then nothing reads norm
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len / (avgdl or 1.0))
+        # a term allocates only the two arrays it keeps; buf holds its tf + norm
+        buf = np.empty(max(map(len, rows.values()), default=0))
+        self.postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for term, r in rows.items():
+            idf = max(0.0, math.log((n - len(r) + 0.5) / (len(r) + 0.5)))
+            if idf == 0.0:
+                continue
+            rr = np.array(r, dtype=np.intp)
+            impact = np.array(tfs[term], dtype=np.float64)
+            denom = np.take(norm, rr, out=buf[:len(r)])
+            denom += impact
+            impact *= idf
+            impact *= BM25_K1 + 1.0
+            impact /= denom
+            self.postings[term] = (rr, impact)
 
 
 def bm25_retrieve(query: Sequence[str], collection: Collection, top_n: int = 100,
@@ -159,19 +175,11 @@ def bm25_retrieve(query: Sequence[str], collection: Collection, top_n: int = 100
     if top_n < 1:
         raise DomainError("top_n must be >= 1")
     idx = collection.bm25_index()
-    n = idx.num_docs
-    scores = np.zeros(n)
+    scores = np.zeros(len(idx.doc_ids))
     for term in query:
         plist = idx.postings.get(term)
-        if plist is None:
-            continue
-        rows, tf = plist
-        df = len(rows)
-        idf = max(0.0, math.log((n - df + 0.5) / (df + 0.5)))
-        if idf == 0.0:
-            continue
-        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * idx.doc_len[rows] / idx.avgdl)
-        scores[rows] += idf * tf * (BM25_K1 + 1.0) / (tf + norm)
+        if plist is not None:
+            scores[plist[0]] += plist[1]
     kept = np.flatnonzero(scores > 0.0)
     if kept.size > top_n:
         # only rows scoring at least the top_n-th score can be returned

@@ -1,12 +1,15 @@
-"""Dense float64 tensors with a recorded reverse-mode gradient tape.
+"""Dense float64 tensors, a reverse-mode gradient tape, and the plain-array
+kernels the model's components are built from.
 
-Everything is 64-bit and row-major. Ops compute with numpy; gradients are
-hand-written per op and recorded onto the innermost active `Tape` (a context
-manager) whenever any input has `requires_grad`. The fused ops (`linear`,
-`split_heads`, `merge_heads`, `attention_weights`) record one node where
-their primitive chain would record several, with the chain's values and
-gradients bit for bit. Inference with no tape active records nothing and is
-safe to run from many threads; recording and `backward` are single-threaded.
+Everything is 64-bit and row-major. A model component computes its forward
+pass with the kernels below and records one node through `record`, whose
+backward function returns the gradient of every input. Each component's
+backward replays, in the same order, the numpy operations that a tape of
+primitive ops (kept in the tests as the oracle) would apply, so its values and
+gradients equal that chain's bit for bit. A node is recorded onto the
+innermost active `Tape` (a context manager) whenever any input has
+`requires_grad`. Inference with no tape active records nothing and is safe to
+run from many threads; recording and `backward` are single-threaded.
 
 A tape can be replayed backward exactly once; running `backward` twice on
 one tape raises `ContractError`. `backward` returns the gradients it was asked
@@ -35,7 +38,7 @@ def _tapes() -> list:
 
 
 class Tape:
-    """Ordered record of primitive ops, replayable backward once."""
+    """Ordered record of nodes, replayable backward once."""
 
     __slots__ = ("_nodes", "_consumed")
 
@@ -77,13 +80,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
 
-    @classmethod
-    def _wrap(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
-        t = object.__new__(cls)
-        t.data = arr
-        t.requires_grad = requires_grad
-        return t
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
@@ -105,21 +101,21 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _record(inputs: tuple[Tensor, ...], out: Tensor, backward_fn) -> None:
-    stack = _tapes()
-    if not stack:
-        return
-    tape = stack[-1]
-    if tape._consumed:
-        raise ContractError("recording onto a tape that already ran backward")
-    tape._nodes.append(_Node(inputs, out, backward_fn))
-
-
-def _make(inputs: tuple[Tensor, ...], arr: np.ndarray, backward_fn) -> Tensor:
+def record(inputs: tuple[Tensor, ...], arr: np.ndarray, backward_fn) -> Tensor:
+    """Wrap ``arr`` as the output of a node over ``inputs``. If any input
+    requires a gradient, the output does too and the node goes onto the
+    innermost active tape; ``backward_fn(g)`` then maps the output's gradient
+    to one gradient per input, in order."""
     rg = any(t.requires_grad for t in inputs)
-    out = Tensor._wrap(arr, rg)
-    if rg:
-        _record(inputs, out, backward_fn)
+    out = object.__new__(Tensor)
+    out.data = arr
+    out.requires_grad = rg
+    stack = _tapes()
+    if rg and stack:
+        tape = stack[-1]
+        if tape._consumed:
+            raise ContractError("recording onto a tape that already ran backward")
+        tape._nodes.append(_Node(inputs, out, backward_fn))
     return out
 
 
@@ -137,7 +133,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops
+# tensor ops
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -149,79 +145,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def backward_fn(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _make((a, b), arr, backward_fn)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        arr = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
-    ad, bd = a.data, b.data
-
-    def backward_fn(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
-
-    return _make((a, b), arr, backward_fn)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward_fn(g):
-        return (-g,)
-
-    return _make((a,), -a.data, backward_fn)
-
-
-# ---------------------------------------------------------------------------
-# linear algebra
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast."""
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: shapes incompatible, {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-    try:
-        arr = ad @ bd
-    except ValueError:
-        raise ShapeError(f"matmul: batch axes do not broadcast, {a.shape} x {b.shape}") from None
-
-    def backward_fn(g):
-        return (_unbroadcast(g @ bd.swapaxes(-1, -2), a.shape),
-                _unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape))
-
-    return _make((a, b), arr, backward_fn)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b as one node, broadcasting as add(matmul(x, w), b) does."""
-    if x.ndim < 2 or w.ndim < 2 or x.shape[-1] != w.shape[-2]:
-        raise ShapeError(f"linear: shapes incompatible, {x.shape} x {w.shape}")
-    xd, wd = x.data, w.data
-    try:
-        mm = xd @ wd
-        arr = mm + b.data
-    except ValueError:
-        raise ShapeError(f"linear: {x.shape} x {w.shape} + {b.shape} does not broadcast") from None
-
-    def backward_fn(g):
-        gm = _unbroadcast(g, mm.shape)
-        return (_unbroadcast(gm @ wd.swapaxes(-1, -2), x.shape),
-                _unbroadcast(xd.swapaxes(-1, -2) @ gm, w.shape),
-                _unbroadcast(g, b.shape))
-
-    return _make((x, w, b), arr, backward_fn)
-
-
-def dot(u: Tensor, v: Tensor) -> Tensor:
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise ShapeError(f"dot: expects equal-length vectors, got {u.shape} and {v.shape}")
-    ud, vd = u.data, v.data
-
-    def backward_fn(g):
-        return g * vd, g * ud
-
-    return _make((u, v), np.einsum("i,i->", ud, vd), backward_fn)
+    return record((a, b), arr, backward_fn)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -230,79 +154,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def backward_fn(g):
         return (g.reshape(old),)
 
-    return _make((a,), a.data.reshape(shape), backward_fn)
-
-
-def split_heads(x: Tensor, parts: int) -> Tensor:
-    """B x n x (parts * w) -> B x parts x n x w, as one node."""
-    if x.ndim != 3 or x.shape[-1] % parts:
-        raise ShapeError(f"split_heads: cannot split {x.shape} into {parts} parts")
-    b, n, width = x.shape
-
-    def backward_fn(g):
-        return (np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(b, n, width),)
-
-    arr = np.ascontiguousarray(x.data.reshape(b, n, parts, width // parts).transpose(0, 2, 1, 3))
-    return _make((x,), arr, backward_fn)
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """B x parts x n x w -> B x n x (parts * w), the inverse of split_heads."""
-    if x.ndim != 4:
-        raise ShapeError(f"merge_heads: expects a 4-D tensor, got {x.shape}")
-    b, parts, n, w = x.shape
-
-    def backward_fn(g):
-        return (np.ascontiguousarray(g.reshape(b, n, parts, w).transpose(0, 2, 1, 3)),)
-
-    arr = np.ascontiguousarray(x.data.transpose(0, 2, 1, 3)).reshape(b, n, parts * w)
-    return _make((x,), arr, backward_fn)
-
-
-def take_rows(a: Tensor, idx) -> Tensor:
-    """Rows of a 2-D tensor at an index array of any shape, shaped
-    idx.shape + (columns,); backward scatter-adds into the source."""
-    if a.ndim != 2:
-        raise ShapeError(f"take_rows: expects a 2-D tensor, got {a.shape}")
-    ix = np.asarray(idx, dtype=np.intp)
-    if ix.size and (ix.min() < 0 or ix.max() >= a.shape[0]):
-        raise DomainError(f"take_rows: index out of range for {a.shape[0]} rows")
-    shape = a.shape
-
-    def backward_fn(g):
-        z = np.zeros(shape, dtype=np.float64)
-        np.add.at(z, ix, g)
-        return (z,)
-
-    return _make((a,), a.data[ix].copy(), backward_fn)
-
-
-def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    shape = a.shape
-
-    if axis is None:
-        def backward_fn(g):
-            return (np.broadcast_to(g, shape).copy(),)
-
-        return _make((a,), a.data.sum(), backward_fn)
-
-    def backward_fn(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return _make((a,), a.data.sum(axis=axis), backward_fn)
-
-
-# ---------------------------------------------------------------------------
-# nonlinearities
-
-
-def tanh(a: Tensor) -> Tensor:
-    arr = np.tanh(a.data)
-
-    def backward_fn(g):
-        return (g * (1.0 - arr * arr),)
-
-    return _make((a,), arr, backward_fn)
+    return record((a,), a.data.reshape(shape), backward_fn)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -316,49 +168,75 @@ def sigmoid(a: Tensor) -> Tensor:
     def backward_fn(g):
         return (g * arr * (1.0 - arr),)
 
-    return _make((a,), arr, backward_fn)
+    return record((a,), arr, backward_fn)
 
 
-def attention_weights(q: Tensor, key: Tensor, mask: np.ndarray) -> Tensor:
-    """Shift-stabilized softmax(q key^T / sqrt(w) + mask) over the last axis as
-    one node: q is ... x m x w, key ... x n x w and ``mask`` an additive
+# ---------------------------------------------------------------------------
+# array kernels: forward values and gradients on plain numpy arrays
+
+
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b over the last two axes, where x carries every leading axis
+    of the result and b broadcasts to it."""
+    return x @ w + b
+
+
+def linear_grads(g, x, w, b_shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of ``linear(x, w, b)`` for its output gradient g, as (x, w, b)."""
+    return (g @ w.swapaxes(-1, -2), _unbroadcast(x.swapaxes(-1, -2) @ g, w.shape),
+            _unbroadcast(g, b_shape))
+
+
+def split_heads(x: np.ndarray, parts: int) -> np.ndarray:
+    """B x n x (parts * w) -> B x parts x n x w; also merge_heads' gradient."""
+    b, n, width = x.shape
+    return np.ascontiguousarray(x.reshape(b, n, parts, width // parts).transpose(0, 2, 1, 3))
+
+
+def merge_heads(x: np.ndarray) -> np.ndarray:
+    """B x parts x n x w -> B x n x (parts * w); also split_heads' gradient."""
+    b, parts, n, w = x.shape
+    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, n, parts * w)
+
+
+def attention(q: np.ndarray, key: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shift-stabilized softmax(q key^T / sqrt(w) + mask) over the last axis,
+    and the contiguous key^T that ``attention_grads`` needs: q is ... x m x w,
+    key ... x n x w with the same leading axes, and ``mask`` an additive
     constant array (0 where a key is visible, -1e30 where it is not) that
     broadcasts to the ... x m x n scores."""
-    if q.ndim < 2 or key.ndim != q.ndim or q.shape[-1] != key.shape[-1]:
-        raise ShapeError(f"attention_weights: shapes incompatible, {q.shape} and {key.shape}")
-    qd = q.data
-    kt = np.ascontiguousarray(key.data.swapaxes(-1, -2))
-    c = 1.0 / math.sqrt(q.shape[-1])
-    try:
-        arr = qd @ kt
-        arr *= c
-        arr += mask
-    except ValueError:
-        raise ShapeError(f"attention_weights: mask {np.shape(mask)} does not broadcast") from None
+    kt = np.ascontiguousarray(key.swapaxes(-1, -2))
+    arr = q @ kt
+    arr *= 1.0 / math.sqrt(q.shape[-1])
+    arr += mask
     arr -= arr.max(axis=-1, keepdims=True)
     np.exp(arr, out=arr)
     arr /= arr.sum(axis=-1, keepdims=True)
-
-    def backward_fn(g):
-        gs = arr * (g - (g * arr).sum(axis=-1, keepdims=True)) * c
-        gkt = _unbroadcast(qd.swapaxes(-1, -2) @ gs, kt.shape)
-        return (_unbroadcast(gs @ kt.swapaxes(-1, -2), q.shape),
-                np.ascontiguousarray(gkt.swapaxes(-1, -2)))
-
-    return _make((q, key), arr, backward_fn)
+    return arr, kt
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    arr = shifted - lse
-    sm = np.exp(arr)
+def attention_grads(g, probs, q, kt) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of ``attention`` for its output gradient g, as (q, key)."""
+    gs = probs * (g - (g * probs).sum(axis=-1, keepdims=True)) * (1.0 / math.sqrt(q.shape[-1]))
+    gkt = q.swapaxes(-1, -2) @ gs
+    return gs @ kt.swapaxes(-1, -2), np.ascontiguousarray(gkt.swapaxes(-1, -2))
 
-    def backward_fn(g):
-        return (g - sm * g.sum(axis=axis, keepdims=True),)
 
-    return _make((a,), arr, backward_fn)
+def gather_rows(table: np.ndarray, idx) -> tuple[np.ndarray, np.ndarray]:
+    """(index array, rows of a 2-D table at it, shaped idx.shape + (columns,))."""
+    ix = np.asarray(idx, dtype=np.intp)
+    if ix.size and (ix.min() < 0 or ix.max() >= table.shape[0]):
+        raise DomainError(f"row index out of range for {table.shape[0]} rows")
+    return ix, table[ix]
+
+
+def scatter_rows(shape: tuple[int, int], ix: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of ``gather_rows``: the rows of g summed into zeros of
+    ``shape`` at ix. Each bin adds its rows in index order starting from 0.0,
+    as np.add.at does, so the sums are bit-equal to it."""
+    rows, cols = shape
+    bins = (ix[..., None] * cols + np.arange(cols)).ravel()
+    return np.bincount(bins, weights=g.ravel(), minlength=rows * cols).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

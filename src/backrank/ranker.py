@@ -93,18 +93,26 @@ class RankedList:
 
 
 def listwise_loss(y: Sequence[float], y_hat: Tensor) -> Tensor:
-    """-sum_j y_j log softmax(y_hat)_j as a differentiable scalar; the labels
-    y are a plain sequence."""
-    target = Tensor(np.asarray(y, dtype=np.float64))
+    """-sum_j y_j log softmax(y_hat)_j as a differentiable scalar, one tape
+    node; the labels y are a plain sequence."""
+    target = Tensor(y).data
     if target.ndim != 1 or y_hat.ndim != 1:
         raise ShapeError("listwise_loss expects 1-D score and label vectors")
     if target.shape != y_hat.shape:
         raise ShapeError(f"label/score length mismatch: {target.shape} vs {y_hat.shape}")
-    if np.any(target.data < 0.0):
+    if np.any(target < 0.0):
         raise DomainError("relevance labels must be >= 0")
-    if not np.any(target.data > 0.0):
+    if not np.any(target > 0.0):
         raise DomainError("listwise loss undefined for an all-zero relevance vector")
-    return nk.neg(nk.dot(target, nk.log_softmax(y_hat, axis=-1)))
+    x = y_hat.data
+    shifted = x - x.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    def backward_fn(g):
+        gl = -g * target
+        return (gl - np.exp(logp) * gl.sum(axis=-1, keepdims=True),)
+
+    return nk.record((y_hat,), -np.einsum("i,i->", target, logp), backward_fn)
 
 
 def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[object, list[float]]:
@@ -119,6 +127,10 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
         raise DomainError("training dataset is empty")
     params = model.parameters()
     tensors = list(params.values())
+    # each parameter becomes a view of one flat array, so a step is one update
+    flat = np.concatenate([p.data.ravel() for p in tensors])
+    for p, view in zip(tensors, np.split(flat, np.cumsum([p.size for p in tensors])[:-1])):
+        p.data = view.reshape(p.shape)
     rng = SplitMix64(cfg.seed)
     history: list[float] = []
     # A diverging run overflows to inf and nan; it is reported below and by the
@@ -135,8 +147,8 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
                 if not math.isfinite(history[-1]):
                     raise DomainError(f"training diverged at step {len(history)}: "
                                       f"loss is {history[-1]}")
-                for p, g in zip(tensors, backward(tape, loss, tensors)):
-                    p.data = p.data - cfg.learning_rate * g
+                grads = backward(tape, loss, tensors)
+                flat -= cfg.learning_rate * np.concatenate([g.ravel() for g in grads])
     for name, p in params.items():
         if not np.all(np.isfinite(p.data)):
             raise DomainError(f"training diverged at step {len(history)}: "
@@ -165,14 +177,16 @@ def rank_all(model, eval_set: EvalSet,
     """Rank every query of the eval set, in sorted id order, under each entry
     of ``weight_sets`` (None or a per-sense weight tuple): yields (query id,
     one RankedList per entry), with sigmoid scores. Every pair is scored
-    first, in calls of at most ``_CHUNK_ROWS`` pairs of one packed length:
+    first, in calls of at most ``_CHUNK_ROWS`` pairs of one packed length
+    (``packed_length``, so each pair is packed once, when it is scored):
     no row is padded, so a pair's logit is bit-identical to it scored alone."""
     qids = sorted(eval_set.queries)
     counts = [len(eval_set.candidates[qid]) for qid in qids]
     query_of = np.repeat(np.arange(len(qids)), counts)
     docs = [doc for qid in qids for _, doc in eval_set.candidates[qid]]
-    lengths = np.fromiter((len(model.pack_sequence(eval_set.queries[qid], d)) for qid in qids
-                           for _, d in eval_set.candidates[qid]), dtype=np.intp, count=len(docs))
+    lengths = np.fromiter((model.packed_length(len(eval_set.queries[qids[q]]), len(d))
+                           for q, d in zip(query_of.tolist(), docs)),
+                          dtype=np.intp, count=len(docs))
     order = np.argsort(lengths, kind="stable")
     logits = np.empty((len(weight_sets), len(docs)))
     for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):

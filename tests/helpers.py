@@ -1,6 +1,6 @@
 """Shared fixtures-in-code for the model-layer tests, the central-difference
-gradient oracle, and the primitive tape ops the fused numkernel nodes replace
-(kept here as their bit-for-bit reference)."""
+gradient oracle, and the primitive tape ops and chains that the model's
+one-node components replace (kept here as their bit-for-bit reference)."""
 
 import json
 import math
@@ -9,8 +9,9 @@ import struct
 import numpy as np
 
 from backrank import (Backpack, BackpackConfig, ContractError, DomainError,
-                      SplitMix64, Tape, Tensor, Vocab, backward)
+                      ShapeError, SplitMix64, Tape, Tensor, Vocab, backward)
 from backrank import numkernel as nk
+from backrank.backpack import _causal_mask
 
 
 def finite_diff_check(f, x, eps=1e-5):
@@ -45,8 +46,189 @@ def finite_diff_check(f, x, eps=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# reference primitives: the chains that linear, split_heads, merge_heads and
-# attention_weights fuse are built from these
+# reference tape ops: one node per primitive operation, recorded through
+# nk.record. The fused ones (linear, split_heads, merge_heads,
+# attention_weights) are checked against the chains of finer ops below.
+
+
+_unbroadcast = nk._unbroadcast
+
+
+def mul(a, b):
+    try:
+        arr = a.data * b.data
+    except ValueError:
+        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
+    ad, bd = a.data, b.data
+
+    def backward_fn(g):
+        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+
+    return nk.record((a, b), arr, backward_fn)
+
+
+def neg(a):
+    def backward_fn(g):
+        return (-g,)
+
+    return nk.record((a,), -a.data, backward_fn)
+
+
+def matmul(a, b):
+    """Matrix product over the last two axes; leading axes broadcast."""
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: shapes incompatible, {a.shape} x {b.shape}")
+    ad, bd = a.data, b.data
+    try:
+        arr = ad @ bd
+    except ValueError:
+        raise ShapeError(f"matmul: batch axes do not broadcast, {a.shape} x {b.shape}") from None
+
+    def backward_fn(g):
+        return (_unbroadcast(g @ bd.swapaxes(-1, -2), a.shape),
+                _unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape))
+
+    return nk.record((a, b), arr, backward_fn)
+
+
+def linear(x, w, b):
+    """x @ w + b as one node, broadcasting as add(matmul(x, w), b) does."""
+    if x.ndim < 2 or w.ndim < 2 or x.shape[-1] != w.shape[-2]:
+        raise ShapeError(f"linear: shapes incompatible, {x.shape} x {w.shape}")
+    xd, wd = x.data, w.data
+    try:
+        mm = xd @ wd
+        arr = mm + b.data
+    except ValueError:
+        raise ShapeError(f"linear: {x.shape} x {w.shape} + {b.shape} does not broadcast") from None
+
+    def backward_fn(g):
+        gm = _unbroadcast(g, mm.shape)
+        return (_unbroadcast(gm @ wd.swapaxes(-1, -2), x.shape),
+                _unbroadcast(xd.swapaxes(-1, -2) @ gm, w.shape),
+                _unbroadcast(g, b.shape))
+
+    return nk.record((x, w, b), arr, backward_fn)
+
+
+def dot(u, v):
+    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
+        raise ShapeError(f"dot: expects equal-length vectors, got {u.shape} and {v.shape}")
+    ud, vd = u.data, v.data
+
+    def backward_fn(g):
+        return g * vd, g * ud
+
+    return nk.record((u, v), np.einsum("i,i->", ud, vd), backward_fn)
+
+
+def split_heads(x, parts):
+    """B x n x (parts * w) -> B x parts x n x w, as one node."""
+    if x.ndim != 3 or x.shape[-1] % parts:
+        raise ShapeError(f"split_heads: cannot split {x.shape} into {parts} parts")
+    b, n, width = x.shape
+
+    def backward_fn(g):
+        return (np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(b, n, width),)
+
+    arr = np.ascontiguousarray(x.data.reshape(b, n, parts, width // parts).transpose(0, 2, 1, 3))
+    return nk.record((x,), arr, backward_fn)
+
+
+def merge_heads(x):
+    """B x parts x n x w -> B x n x (parts * w), the inverse of split_heads."""
+    if x.ndim != 4:
+        raise ShapeError(f"merge_heads: expects a 4-D tensor, got {x.shape}")
+    b, parts, n, w = x.shape
+
+    def backward_fn(g):
+        return (np.ascontiguousarray(g.reshape(b, n, parts, w).transpose(0, 2, 1, 3)),)
+
+    arr = np.ascontiguousarray(x.data.transpose(0, 2, 1, 3)).reshape(b, n, parts * w)
+    return nk.record((x,), arr, backward_fn)
+
+
+def take_rows(a, idx):
+    """Rows of a 2-D tensor at an index array of any shape, shaped
+    idx.shape + (columns,); backward scatter-adds into the source with
+    np.add.at, the reference for nk.scatter_rows."""
+    if a.ndim != 2:
+        raise ShapeError(f"take_rows: expects a 2-D tensor, got {a.shape}")
+    ix = np.asarray(idx, dtype=np.intp)
+    if ix.size and (ix.min() < 0 or ix.max() >= a.shape[0]):
+        raise DomainError(f"take_rows: index out of range for {a.shape[0]} rows")
+    shape = a.shape
+
+    def backward_fn(g):
+        z = np.zeros(shape, dtype=np.float64)
+        np.add.at(z, ix, g)
+        return (z,)
+
+    return nk.record((a,), a.data[ix].copy(), backward_fn)
+
+
+def tensor_sum(a, axis=None):
+    shape = a.shape
+
+    if axis is None:
+        def backward_fn(g):
+            return (np.broadcast_to(g, shape).copy(),)
+
+        return nk.record((a,), a.data.sum(), backward_fn)
+
+    def backward_fn(g):
+        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
+
+    return nk.record((a,), a.data.sum(axis=axis), backward_fn)
+
+
+def tanh(a):
+    arr = np.tanh(a.data)
+
+    def backward_fn(g):
+        return (g * (1.0 - arr * arr),)
+
+    return nk.record((a,), arr, backward_fn)
+
+
+def attention_weights(q, key, mask):
+    """Shift-stabilized softmax(q key^T / sqrt(w) + mask) over the last axis
+    as one node, for an additive constant mask array."""
+    if q.ndim < 2 or key.ndim != q.ndim or q.shape[-1] != key.shape[-1]:
+        raise ShapeError(f"attention_weights: shapes incompatible, {q.shape} and {key.shape}")
+    qd = q.data
+    kt = np.ascontiguousarray(key.data.swapaxes(-1, -2))
+    c = 1.0 / math.sqrt(q.shape[-1])
+    try:
+        arr = qd @ kt
+        arr *= c
+        arr += mask
+    except ValueError:
+        raise ShapeError(f"attention_weights: mask {np.shape(mask)} does not broadcast") from None
+    arr -= arr.max(axis=-1, keepdims=True)
+    np.exp(arr, out=arr)
+    arr /= arr.sum(axis=-1, keepdims=True)
+
+    def backward_fn(g):
+        gs = arr * (g - (g * arr).sum(axis=-1, keepdims=True)) * c
+        gkt = _unbroadcast(qd.swapaxes(-1, -2) @ gs, kt.shape)
+        return (_unbroadcast(gs @ kt.swapaxes(-1, -2), q.shape),
+                np.ascontiguousarray(gkt.swapaxes(-1, -2)))
+
+    return nk.record((q, key), arr, backward_fn)
+
+
+def log_softmax(a, axis=-1):
+    x = a.data
+    shifted = x - x.max(axis=axis, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    arr = shifted - lse
+    sm = np.exp(arr)
+
+    def backward_fn(g):
+        return (g - sm * g.sum(axis=axis, keepdims=True),)
+
+    return nk.record((a,), arr, backward_fn)
 
 
 def transpose(a, axes):
@@ -56,7 +238,7 @@ def transpose(a, axes):
     def backward_fn(g):
         return (np.ascontiguousarray(g.transpose(inv)),)
 
-    return nk._make((a,), np.ascontiguousarray(a.data.transpose(axes)), backward_fn)
+    return nk.record((a,), np.ascontiguousarray(a.data.transpose(axes)), backward_fn)
 
 
 def scale(a, c):
@@ -65,7 +247,7 @@ def scale(a, c):
     def backward_fn(g):
         return (g * c,)
 
-    return nk._make((a,), a.data * c, backward_fn)
+    return nk.record((a,), a.data * c, backward_fn)
 
 
 def softmax(a, axis=-1):
@@ -78,11 +260,11 @@ def softmax(a, axis=-1):
     def backward_fn(g):
         return (arr * (g - (g * arr).sum(axis=axis, keepdims=True)),)
 
-    return nk._make((a,), arr, backward_fn)
+    return nk.record((a,), arr, backward_fn)
 
 
 def linear_chain(x, w, b):
-    return nk.add(nk.matmul(x, w), b)
+    return nk.add(matmul(x, w), b)
 
 
 def split_heads_chain(x, parts):
@@ -97,8 +279,72 @@ def merge_heads_chain(x):
 
 def attention_weights_chain(q, key, mask):
     perm = tuple(range(key.ndim - 2)) + (key.ndim - 1, key.ndim - 2)
-    scores = scale(nk.matmul(q, transpose(key, perm)), 1.0 / math.sqrt(q.shape[-1]))
+    scores = scale(matmul(q, transpose(key, perm)), 1.0 / math.sqrt(q.shape[-1]))
     return softmax(nk.add(scores, Tensor(mask)), axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# the model's components as chains of the reference ops: each backpack and
+# ranker component records one node whose values and gradients equal these
+
+
+def senses_chain(table, ids):
+    h = tanh(linear(take_rows(table.base, ids), table.w1, table.b1))
+    return linear(split_heads(h, table._k), table.w2, table.b2)
+
+
+def embed_chain(enc, ids):
+    n = np.shape(ids)[1]
+    return nk.add(take_rows(enc.tok_emb, ids), take_rows(enc.pos_emb, np.arange(n)))
+
+
+def layer_chain(layer, hs, heads):
+    q = split_heads(linear(hs, layer.wq, layer.bq), heads)
+    k = split_heads(linear(hs, layer.wk, layer.bk), heads)
+    v = split_heads(linear(hs, layer.wv, layer.bv), heads)
+    n = hs.shape[1]
+    probs = attention_weights(q, k, _causal_mask(np.arange(n), n))
+    hs = nk.add(hs, linear(merge_heads(matmul(probs, v)), layer.wo, layer.bo))
+    ff = tanh(linear(hs, layer.f1, layer.fb1))
+    return nk.add(hs, linear(ff, layer.f2, layer.fb2))
+
+
+def sense_attention_chain(enc, hs, pos):
+    b, n, d = hs.shape
+    k = enc.cfg.num_senses
+    rows = take_rows(nk.reshape(hs, (b * n, d)), pos + n * np.arange(b)[:, None])
+    q = split_heads(linear(rows, enc.aq, enc.abq), k)
+    key = split_heads(linear(hs, enc.ak, enc.abk), k)
+    return attention_weights(q, key, _causal_mask(pos[:, None], n))
+
+
+def aggregate_chain(alpha, senses, weights=None):
+    ctx = matmul(alpha, senses)
+    if weights is not None:
+        ctx = mul(ctx, Tensor(np.asarray(weights, dtype=np.float64).reshape(-1, 1, 1)))
+    return tensor_sum(ctx, axis=1)
+
+
+def head_chain(head, pooled):
+    h = tanh(linear(pooled, head.w1, head.b1))
+    return nk.reshape(linear(h, head.w2, head.b2), (pooled.shape[0],))
+
+
+def listwise_loss_chain(y, y_hat):
+    return neg(dot(Tensor(np.asarray(y, dtype=np.float64)), log_softmax(y_hat, axis=-1)))
+
+
+def relevance_logit_chain(model, query, docs, weights=None):
+    """Backpack.relevance_logit through the reference chains."""
+    seqs = [model.pack_sequence(query, d) for d in docs]
+    ids = model._pad(seqs)
+    hs = embed_chain(model.context, ids)
+    for layer in model.context.layers:
+        hs = layer_chain(layer, hs, model.config.context_heads)
+    pos = np.array([[len(s) - 1] for s in seqs], dtype=np.intp)
+    alpha = sense_attention_chain(model.context, hs, pos)
+    pooled = aggregate_chain(alpha, senses_chain(model.senses, ids), weights)
+    return head_chain(model.head, pooled)
 
 
 def build_planted_model(seed, k=4, p=2, d=8):

@@ -1,5 +1,6 @@
 """Model structure: sense table, contextualization, aggregation, checkpoints."""
 
+import dataclasses
 import json
 import struct
 
@@ -247,12 +248,25 @@ def test_relevance_logits_pool_forward_at_each_last_position(model):
         assert np.array_equal(logits[0].data, logits[1].data)    # all-ones is None, bit for bit
 
 
-def test_train_step_records_at_most_45_tape_nodes(model):
+def test_train_step_records_one_tape_node_per_component(small_cfg):
+    """Sense table, embedding, each encoder layer, sense attention,
+    aggregation, head and loss record one node each."""
     query, docs = _random_list(SplitMix64(9), 8)
     labels = (1.0,) + (0.0,) * 7
-    with Tape() as tape:
-        listwise_loss(labels, model.relevance_logit(query, docs))
-    assert len(tape) <= 45
+    for layers in (1, 2, 3):
+        model = Backpack(dataclasses.replace(small_cfg, context_layers=layers), seed=11)
+        with Tape() as tape:
+            listwise_loss(labels, model.relevance_logit(query, docs))
+        assert len(tape) == 6 + layers
+
+
+def test_packed_length_is_the_length_pack_sequence_returns(model, small_cfg):
+    rng = SplitMix64(8)
+    for _ in range(300):
+        q = [1 + rng.randint(11) for _ in range(rng.randint(14))]
+        d = [1 + rng.randint(11) for _ in range(rng.randint(14))]
+        n = model.packed_length(len(q), len(d))
+        assert n == len(model.pack_sequence(q, d)) <= small_cfg.max_seq_len
 
 
 def test_sense_map_changes_relevance(model):

@@ -176,7 +176,9 @@ def test_train_diverged_is_exit_2_and_writes_nothing(pipeline, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("flag,value,message", [("--epochs", "0", "epochs"),
-                                                ("--lr", "nan", "learning_rate")])
+                                                ("--lr", "nan", "learning_rate"),
+                                                ("--depth", "0", "--depth must be >= 1"),
+                                                ("--negatives", "0", "--negatives must be >= 1")])
 def test_train_checks_its_options_before_loading(pipeline, tmp_path, capsys, monkeypatch,
                                                  flag, value, message):
     calls = []
@@ -269,6 +271,23 @@ def test_rank_rejects_a_tag_with_whitespace_before_loading(pipeline, tmp_path, c
     err = capsys.readouterr().err
     assert "tag 'my run'" in err and str(garbage) not in err
     assert not (tmp_path / "x.run").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["rank", "sweep"])
+def test_depth_is_checked_before_loading(pipeline, tmp_path, capsys, monkeypatch, subcommand):
+    calls = []
+    for name in ("load_collection", "load_checkpoint"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real: calls.append(a) or real(*a))
+    data = pipeline["data"]
+    argv = [subcommand, "--checkpoint", str(pipeline["ckpt"]),
+            "--corpus", str(data / "corpus.tsv"), "--queries", str(data / "queries.tsv"),
+            "--out", str(tmp_path / "x.out"), "--depth", "0"]
+    if subcommand == "sweep":
+        argv += ["--qrels", str(data / "qrels.txt")]
+    assert main(argv) == 2
+    assert "error: --depth must be >= 1, got 0" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "x.out").exists()
 
 
 def test_rank_checks_the_tag_it_would_write(pipeline, tmp_path, capsys):

@@ -14,7 +14,7 @@ from backrank.ranker import SWEEP_COLUMNS
 from backrank.senses import PolarityPair
 from backrank import Tape, backward
 from backrank import numkernel as nk
-from helpers import finite_diff_check
+from helpers import finite_diff_check, listwise_loss_chain, relevance_logit_chain
 
 
 @pytest.fixture
@@ -283,6 +283,55 @@ def test_rank_all_logits_equal_each_pair_scored_alone(tiny_model):
                 doc = dict(cands[qid])[did]
                 alone = tiny_model.relevance_logit(queries[qid], [doc], weights)
                 assert score == nk.sigmoid(alone).item()
+
+
+def test_rank_all_packs_each_pair_once(tiny_model, monkeypatch):
+    """Lengths come from packed_length; pack_sequence runs only when a pair
+    is scored."""
+    rng = SplitMix64(12)
+    queries = {f"q{i}": tuple(3 + rng.randint(27) for _ in range(1 + i)) for i in range(3)}
+    cands = {qid: [(f"d{j}", tuple(3 + rng.randint(27) for _ in range(1 + 4 * j)))
+                   for j in range(5)] for qid in queries}
+    calls = []
+    real = Backpack.pack_sequence
+    monkeypatch.setattr(Backpack, "pack_sequence",
+                        lambda self, q, d: calls.append(1) or real(self, q, d))
+    list(rank_all(tiny_model, EvalSet(queries, cands, Qrels({}), {}), (None, (0.5, 1.0))))
+    assert len(calls) == 15
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_train_steps_are_bit_equal_to_the_reference_chain(layers):
+    """20 SGD steps of train give the loss history and parameters of the same
+    steps taken through the primitive reference chain, bit for bit."""
+    cfg = BackpackConfig(vocab_size=30, embed_dim=8, num_senses=3, sense_hidden=2,
+                         context_layers=layers, context_heads=2, max_seq_len=12)
+    rng = SplitMix64(40 + layers)
+    data = []
+    for i in range(20):
+        m = 2 + rng.randint(7)
+        docs = tuple(tuple(3 + rng.randint(27) for _ in range(1 + rng.randint(14)))
+                     for _ in range(m))                 # ragged, some over the budget
+        labels = (1.0,) + tuple(float(rng.randint(3) == 0) for _ in range(m - 1))
+        query = tuple(3 + rng.randint(27) for _ in range(1 + rng.randint(4)))
+        data.append(TrainExample(f"q{i}", query, tuple(f"d{j}" for j in range(m)), docs, labels))
+    model, history = train(data, TrainConfig(epochs=1, learning_rate=0.05, seed=6),
+                           Backpack(cfg, seed=layers))
+    ref = Backpack(cfg, seed=layers)
+    params = list(ref.parameters().values())
+    order = list(range(len(data)))
+    SplitMix64(6).shuffle(order)
+    want = []
+    for i in order:
+        with Tape() as tape:
+            loss = listwise_loss_chain(data[i].labels,
+                                       relevance_logit_chain(ref, data[i].query, data[i].docs))
+        want.append(loss.item())
+        for p, g in zip(params, backward(tape, loss, params)):
+            p.data = p.data - 0.05 * g
+    assert history == want
+    for (name, got), p in zip(model.parameters().items(), params):
+        assert got.data.tobytes() == p.data.tobytes(), name
 
 
 @pytest.fixture(scope="module")
