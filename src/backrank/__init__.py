@@ -29,7 +29,7 @@ from .corpus import (
     write_qrels,
     write_run,
 )
-from .errors import BackrankError, ContractError, DomainError, ParseError, ShapeError
+from .errors import BackrankError, DomainError, ParseError, ShapeError
 from .metrics import (
     BiasReport,
     GenderLexicon,
@@ -43,7 +43,7 @@ from .metrics import (
     ndcg_at_k,
     rab,
 )
-from .numkernel import Tape, Tensor, backward, cosine_similarity
+from .numkernel import Tensor, cosine_similarity
 from .ranker import (
     EvalSet,
     RankedList,
@@ -69,12 +69,12 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "AttributeScores", "Backpack", "BackpackConfig", "BackrankError",
-    "BiasReport", "Collection", "ContractError",
+    "BiasReport", "Collection",
     "DomainError", "EvalSet", "GenderLexicon", "ParseError",
     "PolarityPair", "Qrels", "RankedList", "RelevanceHead", "RunRecord",
     "SenseTable", "ShapeError", "SplitMix64", "SynthConfig",
-    "Tape", "Tensor", "TrainConfig", "TrainExample", "Vocab",
-    "aggregate", "arab", "attribute_scores", "backward", "bias_report",
+    "Tensor", "TrainConfig", "TrainExample", "Vocab",
+    "aggregate", "arab", "attribute_scores", "bias_report",
     "bm25_retrieve", "build_eval_set", "build_sense_map",
     "build_train_examples", "cosine_similarity", "default_pairs_path",
     "generate_synthetic", "group_run", "listwise_loss", "load_checkpoint",

@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,6 +40,10 @@ from .rng import SplitMix64
 CHECKPOINT_MAGIC = b"BPCKPT1\n"
 CHECKPOINT_FORMAT = 4
 _MASK_VALUE = -1e30
+
+# a component's backward: its output's gradient -> the gradient of its
+# activation input (if it has one), then of its parameters in registry order
+Backward = Callable[[np.ndarray], tuple]
 
 
 @dataclass(frozen=True)
@@ -68,11 +72,11 @@ class BackpackConfig:
 
 
 def _param(rng: SplitMix64, shape: tuple[int, ...], sigma: float) -> Tensor:
-    return Tensor(rng.normal_array(shape, sigma), requires_grad=True)
+    return Tensor(rng.normal_array(shape, sigma))
 
 
 def _zeros(shape: tuple[int, ...]) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
+    return Tensor(np.zeros(shape))
 
 
 class SenseTable:
@@ -99,21 +103,21 @@ class SenseTable:
         self.b2 = _zeros((k, 1, d))
         self._k = k
 
-    def senses_for(self, ids) -> Tensor:
-        """Sense vectors for a B x n id matrix, shaped B x k x n x d: one node."""
-        params = (self.base, self.w1, self.b1, self.w2, self.b2)
-        base, w1, b1, w2, b2 = (t.data for t in params)
+    def senses_for(self, ids) -> tuple[np.ndarray, Backward]:
+        """Sense vectors for a B x n id matrix, shaped B x k x n x d, and
+        their backward: g -> gradients of base, w1, b1, w2, b2."""
+        base, w1, b1, w2, b2 = (t.data for t in (self.base, self.w1, self.b1, self.w2, self.b2))
         ix, rows = nk.gather_rows(base, ids)
         h = np.tanh(nk.linear(rows, w1, b1))
         hk = nk.split_heads(h, self._k)
 
-        def backward_fn(g):
+        def backward(g):
             ghk, gw2, gb2 = nk.linear_grads(g, hk, w2, b2.shape)
             grows, gw1, gb1 = nk.linear_grads(nk.merge_heads(ghk) * (1.0 - h * h),
                                               rows, w1, b1.shape)
             return nk.scatter_rows(base.shape, ix, grows), gw1, gb1, gw2, gb2
 
-        return nk.record(params, nk.linear(hk, w2, b2), backward_fn)
+        return nk.linear(hk, w2, b2), backward
 
 
 class _EncoderLayer:
@@ -134,12 +138,12 @@ class _EncoderLayer:
         self.f2 = _param(rng, (hidden, d), 1.0 / math.sqrt(hidden))
         self.fb2 = _zeros((d,))
 
-    def forward(self, hs: Tensor, heads: int) -> Tensor:
-        """hs + attention, then + a tanh feed-forward block: one node."""
+    def forward(self, x: np.ndarray, heads: int) -> tuple[np.ndarray, Backward]:
+        """x + attention, then + a tanh feed-forward block, and its backward:
+        g -> gradients of x and of every parameter."""
         params = (self.wq, self.bq, self.wk, self.bk, self.wv, self.bv,
                   self.wo, self.bo, self.f1, self.fb1, self.f2, self.fb2)
         wq, bq, wk, bk, wv, bv, wo, bo, f1, fb1, f2, fb2 = (t.data for t in params)
-        x = hs.data
         n = x.shape[1]
         q = nk.split_heads(nk.linear(x, wq, bq), heads)
         probs, kt = nk.attention(q, nk.split_heads(nk.linear(x, wk, bk), heads),
@@ -149,7 +153,7 @@ class _EncoderLayer:
         mid = x + nk.linear(merged, wo, bo)
         ff = np.tanh(nk.linear(mid, f1, fb1))
 
-        def backward_fn(g):
+        def backward(g):
             gff, gf2, gfb2 = nk.linear_grads(g, ff, f2, fb2.shape)
             gmid, gf1, gfb1 = nk.linear_grads(gff * (1.0 - ff * ff), mid, f1, fb1.shape)
             # fan-out gradients add up in the order a reverse pass over the
@@ -165,7 +169,7 @@ class _EncoderLayer:
             return (gmid + gxv + gxk + gxq, gwq, gbq, gwk, gbk, gwv, gbv,
                     gwo, gbo, gf1, gfb1, gf2, gfb2)
 
-        return nk.record((hs,) + params, mid + nk.linear(ff, f2, fb2), backward_fn)
+        return mid + nk.linear(ff, f2, fb2), backward
 
 
 def _causal_mask(positions: np.ndarray, n: int) -> np.ndarray:
@@ -189,43 +193,38 @@ class ContextEncoder:
         self.ak = _param(rng, (d, k * self.alpha_dim), w_sigma)
         self.abk = _zeros((k * self.alpha_dim,))
 
-    def _embed(self, ids) -> Tensor:
-        """Token plus position embeddings, B x n x d: one node."""
+    def _embed(self, ids) -> tuple[np.ndarray, Backward]:
+        """Token plus position embeddings, B x n x d, and their backward:
+        g -> gradients of tok_emb and pos_emb."""
         tok, pos = self.tok_emb.data, self.pos_emb.data
         ix, rows = nk.gather_rows(tok, ids)
         pix, prows = nk.gather_rows(pos, np.arange(np.shape(ids)[1]))
 
-        def backward_fn(g):
+        def backward(g):
             return (nk.scatter_rows(tok.shape, ix, g),
                     nk.scatter_rows(pos.shape, pix, g.sum(axis=0)))
 
-        return nk.record((self.tok_emb, self.pos_emb), rows + prows, backward_fn)
+        return rows + prows, backward
 
-    def encode(self, ids) -> Tensor:
-        """Hidden states for a B x n id matrix, shaped B x n x d."""
-        hs = self._embed(ids)
-        for layer in self.layers:
-            hs = layer.forward(hs, self.cfg.context_heads)
-        return hs
-
-    def alpha(self, ids, positions) -> Tensor:
+    def alpha(self, ids, positions) -> np.ndarray:
         """B x k x m x n weights of query positions ``positions`` (B x m, or
         m shared by every row) over key positions j, softmax-normalized over
         j <= the query position. ``np.arange(n)`` gives the full k x n x n."""
-        hs = self.encode(ids)
+        hs = self._embed(ids)[0]
+        for layer in self.layers:
+            hs = layer.forward(hs, self.cfg.context_heads)[0]
         b, n, _ = hs.shape
         pos = np.asarray(positions, dtype=np.intp)
         pos = np.broadcast_to(pos, (b, pos.shape[-1]))
         if pos.size and (pos.min() < 0 or pos.max() >= n):
             raise DomainError(f"alpha: query positions must lie in [0, {n})")
-        return self._sense_attention(hs, pos)
+        return self._sense_attention(hs, pos)[0]
 
-    def _sense_attention(self, hs: Tensor, pos: np.ndarray) -> Tensor:
+    def _sense_attention(self, x: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, Backward]:
         """Per-sense attention of the B x m query positions ``pos`` over the
-        hidden states hs: one node."""
-        params = (self.aq, self.abq, self.ak, self.abk)
-        aq, abq, ak, abk = (t.data for t in params)
-        x = hs.data
+        hidden states x, and its backward: g -> gradients of x, aq, abq, ak
+        and abk."""
+        aq, abq, ak, abk = (t.data for t in (self.aq, self.abq, self.ak, self.abk))
         b, n, d = x.shape
         k = self.cfg.num_senses
         ix, rows = nk.gather_rows(x.reshape(b * n, d), pos + n * np.arange(b)[:, None])
@@ -233,7 +232,7 @@ class ContextEncoder:
         out, kt = nk.attention(q, nk.split_heads(nk.linear(x, ak, abk), k),
                                _causal_mask(pos[:, None], n))
 
-        def backward_fn(g):
+        def backward(g):
             gq, gkey = nk.attention_grads(g, out, q, kt)
             gx, gak, gabk = nk.linear_grads(nk.merge_heads(gkey), x, ak, abk.shape)
             grows, gaq, gabq = nk.linear_grads(nk.merge_heads(gq), rows, aq, abq.shape)
@@ -241,7 +240,7 @@ class ContextEncoder:
             gx = gx + nk.scatter_rows((b * n, d), ix, grows).reshape(b, n, d)
             return gx, gaq, gabq, gak, gabk
 
-        return nk.record((hs,) + params, out, backward_fn)
+        return out, backward
 
 
 class RelevanceHead:
@@ -254,53 +253,52 @@ class RelevanceHead:
         self.w2 = _param(rng, (h, 1), 1.0 / math.sqrt(h))
         self.b2 = _zeros((1,))
 
-    def logit(self, pooled: Tensor) -> Tensor:
-        """B x d, or B x 1 x d, pooled vectors -> (B,) logits: one node."""
-        params = (self.w1, self.b1, self.w2, self.b2)
-        w1, b1, w2, b2 = (t.data for t in params)
-        x = pooled.data
+    def logit(self, x: np.ndarray) -> tuple[np.ndarray, Backward]:
+        """B x d, or B x 1 x d, pooled vectors -> (B,) logits, and their
+        backward: g -> gradients of x, w1, b1, w2 and b2."""
+        w1, b1, w2, b2 = (t.data for t in (self.w1, self.b1, self.w2, self.b2))
         h = np.tanh(nk.linear(x, w1, b1))
         out = nk.linear(h, w2, b2)
 
-        def backward_fn(g):
+        def backward(g):
             gh, gw2, gb2 = nk.linear_grads(g.reshape(out.shape), h, w2, b2.shape)
             gx, gw1, gb1 = nk.linear_grads(gh * (1.0 - h * h), x, w1, b1.shape)
             return gx, gw1, gb1, gw2, gb2
 
-        return nk.record((pooled,) + params, out.reshape(x.shape[0]), backward_fn)
+        return out.reshape(x.shape[0]), backward
 
 
-def aggregate(alpha: Tensor, senses: Tensor, weights=None) -> Tensor:
-    """Weighted sense aggregation, B x m x d for B x k x m x n weights:
-    out[b, i] = sum_l w_l sum_j alpha[b, l, i, j] senses[b, l, j].
+def aggregate(a: np.ndarray, s: np.ndarray, weights=None) -> tuple[np.ndarray, Backward]:
+    """Weighted sense aggregation, B x m x d for B x k x m x n weights a and
+    B x k x n x d senses s: out[b, i] = sum_l w_l sum_j a[b, l, i, j] s[b, l, j],
+    and its backward: g -> gradients of a and s.
 
-    ``weights`` is an optional length-k positive per-sense multiplier applied
-    outside alpha with no renormalization, so the all-ones weighting is
-    bit-identical to the plain sum. It is the only place weights act.
+    ``weights`` is an optional length-k finite positive per-sense multiplier
+    applied outside alpha with no renormalization, so the all-ones weighting
+    is bit-identical to the plain sum. It is the only place weights act.
     """
-    if (alpha.ndim != 4 or senses.ndim != 4 or alpha.shape[:2] != senses.shape[:2]
-            or alpha.shape[3] != senses.shape[2]):
+    if a.ndim != 4 or s.ndim != 4 or a.shape[:2] != s.shape[:2] or a.shape[3] != s.shape[2]:
         raise DomainError("aggregate expects B x k x m x n weights and B x k x n x d senses")
-    k = alpha.shape[1]
-    a, s = alpha.data, senses.data
+    k = a.shape[1]
     ctx = a @ s
     w = None
     if weights is not None:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (k,):
             raise DomainError(f"sense weights must have length {k}, got shape {w.shape}")
-        if np.any(w <= 0.0):
-            raise DomainError("sense weights must be strictly positive")
-        w = Tensor(w.reshape(k, 1, 1)).data
+        # nan fails every comparison, so a check of w <= 0 alone would pass it
+        if not np.all(np.isfinite(w) & (w > 0.0)):
+            raise DomainError("sense weights must be finite and strictly positive")
+        w = w.reshape(k, 1, 1)
         ctx = ctx * w
 
-    def backward_fn(g):
+    def backward(g):
         gctx = np.broadcast_to(np.expand_dims(g, 1), ctx.shape).copy()
         if w is not None:
             gctx = gctx * w
         return gctx @ s.swapaxes(-1, -2), a.swapaxes(-1, -2) @ gctx
 
-    return nk.record((alpha, senses), ctx.sum(axis=1), backward_fn)
+    return ctx.sum(axis=1), backward
 
 
 class Backpack:
@@ -351,12 +349,12 @@ class Backpack:
         ids[np.arange(n) < lengths[:, None]] = flat
         return ids
 
-    def forward(self, seqs: Sequence[Sequence[int]], weights=None) -> Tensor:
+    def forward(self, seqs: Sequence[Sequence[int]], weights=None) -> np.ndarray:
         """Per-position output vectors, B x n x d, for B token sequences
         right-padded to the longest; ``weights`` scales whole senses."""
         ids = self._pad(seqs)
         alpha = self.context.alpha(ids, np.arange(ids.shape[1]))
-        return aggregate(alpha, self.senses.senses_for(ids), weights)
+        return aggregate(alpha, self.senses.senses_for(ids)[0], weights)[0]
 
     def packed_length(self, query_len: int, doc_len: int) -> int:
         """Length of the packed sequence of a query and a document of these
@@ -370,10 +368,10 @@ class Backpack:
         return q + [Vocab.SEP] + list(doc_ids[:n - 1 - len(q)])
 
     def relevance_logits(self, seqs: Sequence[Sequence[int]],
-                         weight_sets: Sequence) -> list[Tensor]:
+                         weight_sets: Sequence) -> list[np.ndarray]:
         """Pre-sigmoid relevance of each packed sequence (``pack_sequence``),
-        one (B,) tensor per entry of ``weight_sets`` (each None or a per-sense
-        weight vector): the one scoring path, for training and ranking.
+        one (B,) array per entry of ``weight_sets`` (each None or a per-sense
+        weight vector): the one inference path.
 
         Each row is pooled at its own last real position: alpha is computed
         for that position alone (B x k x 1 x n), so ``aggregate`` returns the
@@ -383,14 +381,41 @@ class Backpack:
         """
         ids = self._pad(seqs)
         alpha = self.context.alpha(ids, [[len(s) - 1] for s in seqs])
-        senses = self.senses.senses_for(ids)
-        return [self.head.logit(aggregate(alpha, senses, w)) for w in weight_sets]
+        senses = self.senses.senses_for(ids)[0]
+        return [self.head.logit(aggregate(alpha, senses, w)[0])[0] for w in weight_sets]
 
-    def relevance_logit(self, query_ids: Sequence[int], docs: Sequence[Sequence[int]],
-                        weights=None) -> Tensor:
-        """Pre-sigmoid relevance of each document to the query, shaped (B,)."""
-        return self.relevance_logits([self.pack_sequence(query_ids, d) for d in docs],
-                                     [weights])[0]
+    def logits_and_backward(self, seqs: Sequence[Sequence[int]]
+                            ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """The (B,) logits ``relevance_logits`` gives with no sense weights,
+        and one closure that maps their gradient to the gradient of every
+        parameter, concatenated flat in ``parameters()`` order. Each
+        component's backward runs once, in reverse; no output feeds two
+        components, so no gradient is summed across them."""
+        ids = self._pad(seqs)
+        hs, embed_back = self.context._embed(ids)
+        layer_backs = []
+        for layer in self.context.layers:
+            hs, back = layer.forward(hs, self.config.context_heads)
+            layer_backs.append(back)
+        pos = np.array([[len(s) - 1] for s in seqs], dtype=np.intp)
+        alpha, alpha_back = self.context._sense_attention(hs, pos)
+        senses, senses_back = self.senses.senses_for(ids)
+        pooled, aggregate_back = aggregate(alpha, senses)
+        z, head_back = self.head.logit(pooled)
+
+        def backward(g):
+            gpooled, *ghead = head_back(g)
+            galpha, gsenses = aggregate_back(gpooled)
+            ghs, *galpha_params = alpha_back(galpha)
+            glayers = []
+            for back in reversed(layer_backs):
+                ghs, *grads = back(ghs)
+                glayers.append(grads)
+            grads = chain(senses_back(gsenses), embed_back(ghs), galpha_params, ghead,
+                          *reversed(glayers))
+            return np.concatenate([g.ravel() for g in grads])
+
+        return z, backward
 
 
 # ---------------------------------------------------------------------------

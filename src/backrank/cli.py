@@ -99,11 +99,12 @@ def _parse_lambdas(text: str) -> tuple[float, ...]:
     return lams
 
 
-def _check_counts(**flags: int) -> None:
-    """Count options that must be >= 1, checked before anything is loaded."""
+def _check_counts(minimum: int = 1, **flags: int) -> None:
+    """Count options that must be >= ``minimum``, checked before anything
+    is loaded."""
     for flag, value in flags.items():
-        if value < 1:
-            raise DomainError(f"--{flag} must be >= 1, got {value}")
+        if value < minimum:
+            raise DomainError(f"--{flag.replace('_', '-')} must be >= {minimum}, got {value}")
 
 
 def _check_lambda(lam: float) -> float:
@@ -194,6 +195,7 @@ def cmd_train(args) -> int:
 def cmd_rank(args) -> int:
     _check_lambda(args.lam)
     _check_counts(depth=args.depth)
+    _check_counts(0, top_senses=args.top_senses)
     if args.tag:
         _check_tag(args.tag)
     _check_paths({"checkpoint": args.checkpoint, "corpus": args.corpus,
@@ -274,6 +276,7 @@ def cmd_sweep(args) -> int:
     for lam in lambdas:
         _check_lambda(lam)
     _check_counts(depth=args.depth)
+    _check_counts(0, top_senses=args.top_senses)
     _check_paths({"checkpoint": args.checkpoint, "corpus": args.corpus,
                   "queries": args.queries, "qrels": args.qrels, "pairs": args.pairs},
                  [args.out])

@@ -16,10 +16,6 @@ class DomainError(BackrankError, ValueError):
     """An argument is outside an operation's documented domain."""
 
 
-class ContractError(BackrankError, RuntimeError):
-    """An API was used against its stated usage contract."""
-
-
 class ParseError(BackrankError, ValueError):
     """A data file is malformed.
 

@@ -19,7 +19,6 @@ import numpy as np
 from . import numkernel as nk
 from .errors import DomainError, ShapeError
 from .metrics import Qrels, bias_report, mean_metric
-from .numkernel import Tape, Tensor, backward
 from .rng import SplitMix64
 from .senses import AttributeScores, build_sense_map
 
@@ -92,27 +91,25 @@ class RankedList:
         return len(self.items)
 
 
-def listwise_loss(y: Sequence[float], y_hat: Tensor) -> Tensor:
-    """-sum_j y_j log softmax(y_hat)_j as a differentiable scalar, one tape
-    node; the labels y are a plain sequence."""
-    target = Tensor(y).data
-    if target.ndim != 1 or y_hat.ndim != 1:
+def listwise_loss(y: Sequence[float], z: np.ndarray) -> tuple[float, np.ndarray]:
+    """-sum_j y_j log softmax(z)_j for labels y and scores z, and its
+    gradient with respect to z."""
+    target = np.asarray(y, dtype=np.float64)
+    if not np.all(np.isfinite(target)):
+        raise DomainError("relevance labels must be finite")
+    if target.ndim != 1 or z.ndim != 1:
         raise ShapeError("listwise_loss expects 1-D score and label vectors")
-    if target.shape != y_hat.shape:
-        raise ShapeError(f"label/score length mismatch: {target.shape} vs {y_hat.shape}")
+    if target.shape != z.shape:
+        raise ShapeError(f"label/score length mismatch: {target.shape} vs {z.shape}")
     if np.any(target < 0.0):
         raise DomainError("relevance labels must be >= 0")
     if not np.any(target > 0.0):
         raise DomainError("listwise loss undefined for an all-zero relevance vector")
-    x = y_hat.data
-    shifted = x - x.max(axis=-1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-    def backward_fn(g):
-        gl = -g * target
-        return (gl - np.exp(logp) * gl.sum(axis=-1, keepdims=True),)
-
-    return nk.record((y_hat,), -np.einsum("i,i->", target, logp), backward_fn)
+    gl = -target
+    return (float(-np.einsum("i,i->", target, logp)),
+            gl - np.exp(logp) * gl.sum(axis=-1, keepdims=True))
 
 
 def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[object, list[float]]:
@@ -141,14 +138,15 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
             rng.shuffle(order)
             for idx in order:
                 ex = dataset[idx]
-                with Tape() as tape:
-                    loss = listwise_loss(ex.labels, model.relevance_logit(ex.query, ex.docs))
-                history.append(loss.item())
-                if not math.isfinite(history[-1]):
+                z, back = model.logits_and_backward(
+                    [model.pack_sequence(ex.query, d) for d in ex.docs])
+                loss, gz = listwise_loss(ex.labels, z)
+                history.append(loss)
+                if not math.isfinite(loss):
                     raise DomainError(f"training diverged at step {len(history)}: "
-                                      f"loss is {history[-1]}")
-                grads = backward(tape, loss, tensors)
-                flat -= cfg.learning_rate * np.concatenate([g.ravel() for g in grads])
+                                      f"loss is {loss}")
+                flat -= cfg.learning_rate * back(gz)
+                del back    # free this step's intermediates before the next forward
     for name, p in params.items():
         if not np.all(np.isfinite(p.data)):
             raise DomainError(f"training diverged at step {len(history)}: "
@@ -195,8 +193,11 @@ def rank_all(model, eval_set: EvalSet,
             seqs = [model.pack_sequence(eval_set.queries[qids[q]], docs[p])
                     for q, p in zip(query_of[rows].tolist(), rows.tolist())]
             for out, z in zip(logits, model.relevance_logits(seqs, weight_sets)):
-                out[rows] = z.data
-    scores = nk.sigmoid(Tensor(logits)).data
+                out[rows] = z
+    # an infinite logit has a finite sigmoid, so it is rejected here
+    if not np.all(np.isfinite(logits)):
+        raise DomainError("relevance logits must be finite")
+    scores = nk.sigmoid(logits)
     for qid, block in zip(qids, np.split(scores, np.cumsum(counts)[:-1], axis=1)):
         doc_ids = [did for did, _ in eval_set.candidates[qid]]
         yield qid, [RankedList(qid, tuple(sorted(zip(doc_ids, s.tolist()),

@@ -69,7 +69,7 @@ def attribute_scores(model, pairs: Sequence[PolarityPair], vocab) -> AttributeSc
             if term not in vocab:
                 raise DomainError(f"polarity term {term!r} not in vocabulary")
     ids = [[vocab.token_id(p.negative), vocab.token_id(p.positive)] for p in pairs]
-    vecs = model.senses.senses_for(ids).data    # pairs x k x 2 x d
+    vecs = model.senses.senses_for(ids)[0]    # pairs x k x 2 x d
     scores = []
     for sense in range(vecs.shape[1]):
         sims = []

@@ -1,57 +1,234 @@
 """Shared fixtures-in-code for the model-layer tests, the central-difference
-gradient oracle, and the primitive tape ops and chains that the model's
-one-node components replace (kept here as their bit-for-bit reference)."""
+gradient oracle, and the reverse-mode tape with the primitive ops and chains
+that the model's components replace (kept here as their bit-for-bit
+reference)."""
 
+import copy
 import json
 import math
 import struct
 
 import numpy as np
 
-from backrank import (Backpack, BackpackConfig, ContractError, DomainError,
-                      ShapeError, SplitMix64, Tape, Tensor, Vocab, backward)
+from backrank import (Backpack, BackpackConfig, DomainError, ShapeError, SplitMix64,
+                      Vocab)
 from backrank import numkernel as nk
 from backrank.backpack import _causal_mask
 
 
-def finite_diff_check(f, x, eps=1e-5):
-    """Max relative error between f's tape gradient and central differences.
+class ContractError(RuntimeError):
+    """The oracle tape was used against its stated usage contract."""
+
+
+# ---------------------------------------------------------------------------
+# the oracle tape: a node per op, replayed backward once. Single-threaded.
+
+_TAPES: list = []
+
+
+class Tape:
+    """Ordered record of nodes, replayable backward once."""
+
+    __slots__ = ("_nodes", "_consumed")
+
+    def __init__(self):
+        self._nodes: list[_Node] = []
+        self._consumed = False
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def __enter__(self) -> "Tape":
+        _TAPES.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if _TAPES.pop() is not self:
+            raise ContractError("tape stack corrupted: exited a tape that is not innermost")
+
+
+class _Node:
+    __slots__ = ("inputs", "out", "backward_fn")
+
+    def __init__(self, inputs, out, backward_fn):
+        self.inputs = inputs
+        self.out = out
+        self.backward_fn = backward_fn
+
+
+class Tensor(nk.Tensor):
+    """A finite float64 array the tape can track; a model parameter too, so
+    ``Backpack.parameters`` lists it (see ``tracked``)."""
+
+    __slots__ = ("requires_grad",)
+
+    def __init__(self, data, requires_grad: bool = False):
+        super().__init__(data)
+        self.requires_grad = bool(requires_grad)
+
+    @property
+    def ndim(self) -> int:
+        return self.data.ndim
+
+    def item(self) -> float:
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
+        return float(self.data.reshape(()))
+
+
+def record(inputs, arr, backward_fn):
+    """Wrap ``arr`` as the output of a node over ``inputs``. If any input
+    requires a gradient, the output does too and the node goes onto the
+    innermost active tape; ``backward_fn(g)`` then maps the output's gradient
+    to one gradient per input, in order."""
+    rg = any(t.requires_grad for t in inputs)
+    out = object.__new__(Tensor)
+    out.data = arr
+    out.requires_grad = rg
+    if rg and _TAPES:
+        tape = _TAPES[-1]
+        if tape._consumed:
+            raise ContractError("recording onto a tape that already ran backward")
+        tape._nodes.append(_Node(inputs, out, backward_fn))
+    return out
+
+
+def backward(tape, loss, wrt):
+    """Gradients of the scalar loss, one array per tensor of ``wrt`` in its
+    order; zeros where the loss does not reach the tensor."""
+    if not isinstance(loss, Tensor) or loss.data.ndim != 0:
+        raise ContractError("backward: loss must be a scalar (0-d) tensor")
+    if tape._consumed:
+        raise ContractError("backward: this tape already ran backward; record a fresh tape")
+    if not any(n.out is loss for n in tape._nodes):
+        raise ContractError("backward: loss was not produced under this tape")
+
+    tape._consumed = True
+    wanted = {id(t) for t in wrt}
+    grads = {id(loss): np.ones((), dtype=np.float64)}
+    for node in reversed(tape._nodes):
+        out = id(node.out)
+        # an unwanted intermediate gradient is freed once its node has used it
+        g = grads.get(out) if out in wanted else grads.pop(out, None)
+        if g is None:
+            continue
+        for t, gin in zip(node.inputs, node.backward_fn(g)):
+            if gin is None or not t.requires_grad:
+                continue
+            key = id(t)
+            grads[key] = grads[key] + gin if key in grads else gin
+    return [grads[id(t)] if id(t) in grads else np.zeros(t.shape) for t in wrt]
+
+
+def node(fn, inputs, *consts, params=()):
+    """``fn(*input arrays, *consts)``, a model component that returns
+    ``(out, backward)``, recorded as one node over the tensors ``inputs``
+    and then ``params``: the order its backward returns gradients in."""
+    out, back = fn(*(t.data for t in inputs), *consts)
+    return record(tuple(inputs) + tuple(params), out, back)
+
+
+def tracked(model):
+    """A copy of model whose parameters are tape leaves sharing its arrays,
+    listed by ``parameters()`` in registry order; the model is unchanged."""
+    def leaves(comp):
+        clone = copy.copy(comp)
+        for name, value in vars(comp).items():
+            if isinstance(value, nk.Tensor):
+                setattr(clone, name, Tensor(value.data, requires_grad=True))
+        return clone
+
+    clone = copy.copy(model)
+    clone.senses, clone.context, clone.head = map(leaves, (model.senses, model.context,
+                                                           model.head))
+    clone.context.layers = [leaves(layer) for layer in model.context.layers]
+    return clone
+
+
+# ---------------------------------------------------------------------------
+# central differences
+
+
+def central_diff_error(f, x, analytic, eps=1e-5):
+    """Max relative error between an analytic gradient of the scalar f()
+    with respect to the array x and central differences.
 
     Per coordinate: |analytic - (f(x+eps e) - f(x-eps e)) / 2 eps| scaled by
-    max(1, |analytic|). f must map a tensor to a scalar tensor.
+    max(1, |analytic|). f reads x, whose coordinates move in place and are
+    restored.
     """
     if eps <= 0.0:
-        raise DomainError("finite_diff_check: eps must be positive")
+        raise DomainError("central differences need a positive eps")
+    flat = x.reshape(-1)
+    analytic = np.asarray(analytic).ravel()
+    worst = 0.0
+    for i in range(flat.size):
+        keep = flat[i]
+        flat[i] = keep + eps
+        hi = f()
+        flat[i] = keep - eps
+        lo = f()
+        flat[i] = keep
+        fd = (hi - lo) / (2.0 * eps)
+        worst = max(worst, abs(analytic[i] - fd) / max(1.0, abs(analytic[i])))
+    return worst
+
+
+def finite_diff_check(f, x, eps=1e-5):
+    """``central_diff_error`` of f's tape gradient at the tensor x, where f
+    maps a tensor to a scalar tensor."""
     xt = Tensor(x.data.copy(), requires_grad=True)
     with Tape() as tape:
         y = f(xt)
     if not isinstance(y, Tensor) or y.data.ndim != 0:
         raise ContractError("finite_diff_check: f must return a scalar tensor")
     (analytic,) = backward(tape, y, [xt])
-    analytic = analytic.ravel()
+    probe = Tensor(x.data.copy())
+    return central_diff_error(lambda: f(probe).item(), probe.data, analytic, eps)
 
-    flat = x.data.ravel()
-    worst = 0.0
-    for i in range(flat.size):
-        probe = flat.copy()
-        probe[i] = flat[i] + eps
-        hi = f(Tensor(probe.reshape(x.shape))).item()
-        probe[i] = flat[i] - eps
-        lo = f(Tensor(probe.reshape(x.shape))).item()
-        fd = (hi - lo) / (2.0 * eps)
-        err = abs(analytic[i] - fd) / max(1.0, abs(analytic[i]))
-        if err > worst:
-            worst = err
-    return worst
+
+def logits(model, query, docs, weights=None):
+    """The (B,) relevance logits of each document of docs for the query."""
+    return model.relevance_logits([model.pack_sequence(query, d) for d in docs], [weights])[0]
 
 
 # ---------------------------------------------------------------------------
 # reference tape ops: one node per primitive operation, recorded through
-# nk.record. The fused ones (linear, split_heads, merge_heads,
+# record. The fused ones (linear, split_heads, merge_heads,
 # attention_weights) are checked against the chains of finer ops below.
 
 
 _unbroadcast = nk._unbroadcast
+
+
+def add(a, b):
+    try:
+        arr = a.data + b.data
+    except ValueError:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
+
+    def backward_fn(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+
+    return record((a, b), arr, backward_fn)
+
+
+def reshape(a, shape):
+    old = a.shape
+
+    def backward_fn(g):
+        return (g.reshape(old),)
+
+    return record((a,), a.data.reshape(shape), backward_fn)
+
+
+def sigmoid(a):
+    arr = nk.sigmoid(a.data)
+
+    def backward_fn(g):
+        return (g * arr * (1.0 - arr),)
+
+    return record((a,), arr, backward_fn)
 
 
 def mul(a, b):
@@ -64,14 +241,14 @@ def mul(a, b):
     def backward_fn(g):
         return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
 
-    return nk.record((a, b), arr, backward_fn)
+    return record((a, b), arr, backward_fn)
 
 
 def neg(a):
     def backward_fn(g):
         return (-g,)
 
-    return nk.record((a,), -a.data, backward_fn)
+    return record((a,), -a.data, backward_fn)
 
 
 def matmul(a, b):
@@ -88,7 +265,7 @@ def matmul(a, b):
         return (_unbroadcast(g @ bd.swapaxes(-1, -2), a.shape),
                 _unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape))
 
-    return nk.record((a, b), arr, backward_fn)
+    return record((a, b), arr, backward_fn)
 
 
 def linear(x, w, b):
@@ -108,7 +285,7 @@ def linear(x, w, b):
                 _unbroadcast(xd.swapaxes(-1, -2) @ gm, w.shape),
                 _unbroadcast(g, b.shape))
 
-    return nk.record((x, w, b), arr, backward_fn)
+    return record((x, w, b), arr, backward_fn)
 
 
 def dot(u, v):
@@ -119,7 +296,7 @@ def dot(u, v):
     def backward_fn(g):
         return g * vd, g * ud
 
-    return nk.record((u, v), np.einsum("i,i->", ud, vd), backward_fn)
+    return record((u, v), np.einsum("i,i->", ud, vd), backward_fn)
 
 
 def split_heads(x, parts):
@@ -132,7 +309,7 @@ def split_heads(x, parts):
         return (np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(b, n, width),)
 
     arr = np.ascontiguousarray(x.data.reshape(b, n, parts, width // parts).transpose(0, 2, 1, 3))
-    return nk.record((x,), arr, backward_fn)
+    return record((x,), arr, backward_fn)
 
 
 def merge_heads(x):
@@ -145,7 +322,7 @@ def merge_heads(x):
         return (np.ascontiguousarray(g.reshape(b, n, parts, w).transpose(0, 2, 1, 3)),)
 
     arr = np.ascontiguousarray(x.data.transpose(0, 2, 1, 3)).reshape(b, n, parts * w)
-    return nk.record((x,), arr, backward_fn)
+    return record((x,), arr, backward_fn)
 
 
 def take_rows(a, idx):
@@ -164,7 +341,7 @@ def take_rows(a, idx):
         np.add.at(z, ix, g)
         return (z,)
 
-    return nk.record((a,), a.data[ix].copy(), backward_fn)
+    return record((a,), a.data[ix].copy(), backward_fn)
 
 
 def tensor_sum(a, axis=None):
@@ -174,12 +351,12 @@ def tensor_sum(a, axis=None):
         def backward_fn(g):
             return (np.broadcast_to(g, shape).copy(),)
 
-        return nk.record((a,), a.data.sum(), backward_fn)
+        return record((a,), a.data.sum(), backward_fn)
 
     def backward_fn(g):
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
-    return nk.record((a,), a.data.sum(axis=axis), backward_fn)
+    return record((a,), a.data.sum(axis=axis), backward_fn)
 
 
 def tanh(a):
@@ -188,7 +365,7 @@ def tanh(a):
     def backward_fn(g):
         return (g * (1.0 - arr * arr),)
 
-    return nk.record((a,), arr, backward_fn)
+    return record((a,), arr, backward_fn)
 
 
 def attention_weights(q, key, mask):
@@ -215,7 +392,7 @@ def attention_weights(q, key, mask):
         return (_unbroadcast(gs @ kt.swapaxes(-1, -2), q.shape),
                 np.ascontiguousarray(gkt.swapaxes(-1, -2)))
 
-    return nk.record((q, key), arr, backward_fn)
+    return record((q, key), arr, backward_fn)
 
 
 def log_softmax(a, axis=-1):
@@ -228,7 +405,7 @@ def log_softmax(a, axis=-1):
     def backward_fn(g):
         return (g - sm * g.sum(axis=axis, keepdims=True),)
 
-    return nk.record((a,), arr, backward_fn)
+    return record((a,), arr, backward_fn)
 
 
 def transpose(a, axes):
@@ -238,7 +415,7 @@ def transpose(a, axes):
     def backward_fn(g):
         return (np.ascontiguousarray(g.transpose(inv)),)
 
-    return nk.record((a,), np.ascontiguousarray(a.data.transpose(axes)), backward_fn)
+    return record((a,), np.ascontiguousarray(a.data.transpose(axes)), backward_fn)
 
 
 def scale(a, c):
@@ -247,7 +424,7 @@ def scale(a, c):
     def backward_fn(g):
         return (g * c,)
 
-    return nk.record((a,), a.data * c, backward_fn)
+    return record((a,), a.data * c, backward_fn)
 
 
 def softmax(a, axis=-1):
@@ -260,32 +437,32 @@ def softmax(a, axis=-1):
     def backward_fn(g):
         return (arr * (g - (g * arr).sum(axis=axis, keepdims=True)),)
 
-    return nk.record((a,), arr, backward_fn)
+    return record((a,), arr, backward_fn)
 
 
 def linear_chain(x, w, b):
-    return nk.add(matmul(x, w), b)
+    return add(matmul(x, w), b)
 
 
 def split_heads_chain(x, parts):
     b, n, width = x.shape
-    return transpose(nk.reshape(x, (b, n, parts, width // parts)), (0, 2, 1, 3))
+    return transpose(reshape(x, (b, n, parts, width // parts)), (0, 2, 1, 3))
 
 
 def merge_heads_chain(x):
     b, parts, n, w = x.shape
-    return nk.reshape(transpose(x, (0, 2, 1, 3)), (b, n, parts * w))
+    return reshape(transpose(x, (0, 2, 1, 3)), (b, n, parts * w))
 
 
 def attention_weights_chain(q, key, mask):
     perm = tuple(range(key.ndim - 2)) + (key.ndim - 1, key.ndim - 2)
     scores = scale(matmul(q, transpose(key, perm)), 1.0 / math.sqrt(q.shape[-1]))
-    return softmax(nk.add(scores, Tensor(mask)), axis=-1)
+    return softmax(add(scores, Tensor(mask)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # the model's components as chains of the reference ops: each backpack and
-# ranker component records one node whose values and gradients equal these
+# ranker component's output and backward equal these, bit for bit
 
 
 def senses_chain(table, ids):
@@ -295,7 +472,7 @@ def senses_chain(table, ids):
 
 def embed_chain(enc, ids):
     n = np.shape(ids)[1]
-    return nk.add(take_rows(enc.tok_emb, ids), take_rows(enc.pos_emb, np.arange(n)))
+    return add(take_rows(enc.tok_emb, ids), take_rows(enc.pos_emb, np.arange(n)))
 
 
 def layer_chain(layer, hs, heads):
@@ -304,15 +481,15 @@ def layer_chain(layer, hs, heads):
     v = split_heads(linear(hs, layer.wv, layer.bv), heads)
     n = hs.shape[1]
     probs = attention_weights(q, k, _causal_mask(np.arange(n), n))
-    hs = nk.add(hs, linear(merge_heads(matmul(probs, v)), layer.wo, layer.bo))
+    hs = add(hs, linear(merge_heads(matmul(probs, v)), layer.wo, layer.bo))
     ff = tanh(linear(hs, layer.f1, layer.fb1))
-    return nk.add(hs, linear(ff, layer.f2, layer.fb2))
+    return add(hs, linear(ff, layer.f2, layer.fb2))
 
 
 def sense_attention_chain(enc, hs, pos):
     b, n, d = hs.shape
     k = enc.cfg.num_senses
-    rows = take_rows(nk.reshape(hs, (b * n, d)), pos + n * np.arange(b)[:, None])
+    rows = take_rows(reshape(hs, (b * n, d)), pos + n * np.arange(b)[:, None])
     q = split_heads(linear(rows, enc.aq, enc.abq), k)
     key = split_heads(linear(hs, enc.ak, enc.abk), k)
     return attention_weights(q, key, _causal_mask(pos[:, None], n))
@@ -327,7 +504,7 @@ def aggregate_chain(alpha, senses, weights=None):
 
 def head_chain(head, pooled):
     h = tanh(linear(pooled, head.w1, head.b1))
-    return nk.reshape(linear(h, head.w2, head.b2), (pooled.shape[0],))
+    return reshape(linear(h, head.w2, head.b2), (pooled.shape[0],))
 
 
 def listwise_loss_chain(y, y_hat):
@@ -335,7 +512,9 @@ def listwise_loss_chain(y, y_hat):
 
 
 def relevance_logit_chain(model, query, docs, weights=None):
-    """Backpack.relevance_logit through the reference chains."""
+    """The relevance logits of each document of docs for the query through
+    the reference chains; only the parameters of a ``tracked`` model are
+    leaves the tape follows."""
     seqs = [model.pack_sequence(query, d) for d in docs]
     ids = model._pad(seqs)
     hs = embed_chain(model.context, ids)
@@ -391,8 +570,8 @@ def build_planted_model(seed, k=4, p=2, d=8):
 
 def forward_triple_loop(model, token_ids):
     """Independent evaluation of the aggregation sum, one scalar at a time."""
-    alpha = model.context.alpha([list(token_ids)], np.arange(len(token_ids))).data[0]
-    senses = model.senses.senses_for([list(token_ids)]).data[0]
+    alpha = model.context.alpha([list(token_ids)], np.arange(len(token_ids)))[0]
+    senses = model.senses.senses_for([list(token_ids)])[0][0]
     k, n, d = senses.shape
     out = np.zeros((n, d))
     for i in range(n):

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from backrank import (Backpack, BackpackConfig, GenderLexicon, PolarityPair,
-                      Qrels, SplitMix64, SynthConfig, Tape, Tensor,
+                      Qrels, SplitMix64, SynthConfig,
                       TrainConfig, TrainExample, Vocab, arab, attribute_scores,
-                      backward, build_eval_set, build_sense_map,
+                      build_eval_set, build_sense_map,
                       build_train_examples, bm25_retrieve, generate_synthetic,
                       listwise_loss, load_checkpoint, mrr_at_k, ndcg_at_k, rab,
                       rank_all, read_qrels, read_run, save_checkpoint,
@@ -23,7 +23,7 @@ from backrank import (Backpack, BackpackConfig, GenderLexicon, PolarityPair,
 from backrank import numkernel as nk
 from backrank.corpus import RunRecord
 from backrank.senses import default_pairs_path, load_polarity_lexicon
-from helpers import build_planted_model, finite_diff_check, forward_triple_loop
+from helpers import build_planted_model, central_diff_error, forward_triple_loop, logits
 
 LEX = GenderLexicon()
 
@@ -52,8 +52,8 @@ def test_criterion_1_identity_map():
                              context_heads=heads, max_seq_len=8)
         model = Backpack(cfg, seed=trial)
         ids = [rng.randint(12) for _ in range(1 + rng.randint(8))]
-        plain = model.forward([ids]).data
-        ones = model.forward([ids], (1.0,) * k).data
+        plain = model.forward([ids])
+        ones = model.forward([ids], (1.0,) * k)
         worst = max(worst, float(np.max(np.abs(plain - ones))))
     assert worst <= 1e-12
 
@@ -98,7 +98,7 @@ def test_criterion_2_forward_oracle():
                     model = Backpack(cfg, seed=seed)
                     rng = SplitMix64(1000 * n + 100 * k + 10 * d + seed)
                     ids = [rng.randint(5) for _ in range(n)]
-                    got = model.forward([ids]).data[0]
+                    got = model.forward([ids])[0]
                     want = forward_triple_loop(model, ids)
                     worst = max(worst, float(np.max(np.abs(got - want))))
                     tried += 1
@@ -112,29 +112,15 @@ def test_criterion_2_forward_oracle():
 # 3. gradients against central finite differences
 
 
-def _central_diff_param_grads(model, q, doc, eps=1e-5):
+def _central_diff_param_grads(model, q, doc):
     """Max relative error of d(sigmoid(logit))/d(theta) over every parameter
-    coordinate, analytic tape gradient vs central differences."""
-    params = model.parameters()
-    with Tape() as tape:
-        score = nk.reshape(nk.sigmoid(model.relevance_logit(q, [doc])), ())
-    analytic = dict(zip(params, backward(tape, score, list(params.values()))))
-
-    worst = 0.0
-    for name, p in params.items():
-        flat = p.data.ravel()
-        a = analytic[name].ravel()
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
-            hi = nk.sigmoid(model.relevance_logit(q, [doc])).data[0]
-            flat[i] = keep - eps
-            lo = nk.sigmoid(model.relevance_logit(q, [doc])).data[0]
-            flat[i] = keep
-            fd = (hi - lo) / (2.0 * eps)
-            err = abs(a[i] - fd) / max(1.0, abs(a[i]))
-            worst = max(worst, err)
-    return worst
+    coordinate, analytic gradient vs central differences."""
+    params = list(model.parameters().values())
+    z, back = model.logits_and_backward([model.pack_sequence(q, doc)])
+    s = nk.sigmoid(z)
+    analytic = np.split(back(s * (1.0 - s)), np.cumsum([p.size for p in params])[:-1])
+    return max(central_diff_error(lambda: nk.sigmoid(logits(model, q, [doc]))[0], p.data, a)
+               for p, a in zip(params, analytic))
 
 
 def test_criterion_3_gradient_suite():
@@ -148,8 +134,9 @@ def test_criterion_3_gradient_suite():
         m = 2 + rng.randint(6)
         y = tuple(1.0 if i == rng.randint(m) else 0.0 for i in range(m))
         y = y if any(y) else (1.0,) + (0.0,) * (m - 1)
-        z = Tensor(rng.normal_array((m,)))
-        worst = max(worst, finite_diff_check(lambda t: listwise_loss(y, t), z))
+        z = rng.normal_array((m,))
+        worst = max(worst, central_diff_error(lambda: listwise_loss(y, z)[0], z,
+                                              listwise_loss(y, z)[1]))
 
     cfg = BackpackConfig(vocab_size=6, embed_dim=4, num_senses=2, sense_hidden=2,
                          context_heads=1, max_seq_len=5, head_hidden=3)
@@ -377,8 +364,8 @@ def test_criterion_8_format_round_trips(tmp_path):
     for _ in range(20):
         q = [rng.randint(30) for _ in range(3)]
         d = [rng.randint(30) for _ in range(5)]
-        ckpt_ok &= (nk.sigmoid(back.relevance_logit(q, [d])).data[0]
-                    == nk.sigmoid(model.relevance_logit(q, [d])).data[0])
+        ckpt_ok &= (nk.sigmoid(logits(back, q, [d]))[0]
+                    == nk.sigmoid(logits(model, q, [d]))[0])
 
     _verdict("criterion 8 (format round-trips)",
              run_ok and qrels_ok and ckpt_ok,

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, ParseError,
-                      Qrels, SplitMix64, Tape, Tensor, Vocab, aggregate,
-                      listwise_loss, load_checkpoint, rank_all, save_checkpoint)
-from helpers import forward_triple_loop, rewrite_checkpoint_header
+                      Qrels, SplitMix64, Tensor, Vocab, aggregate, load_checkpoint,
+                      rank_all, save_checkpoint)
+from helpers import forward_triple_loop, logits, rewrite_checkpoint_header
 
 
 @pytest.fixture
@@ -46,19 +46,19 @@ def test_config_validation():
 
 
 def test_senses_shape_and_determinism(model, small_cfg):
-    s = model.senses.senses_for([[1, 4, 7]])
+    s = model.senses.senses_for([[1, 4, 7]])[0]
     assert s.shape == (1, small_cfg.num_senses, 3, small_cfg.embed_dim)
-    again = Backpack(small_cfg, seed=11).senses.senses_for([[1, 4, 7]])
-    assert np.array_equal(s.data, again.data)
+    again = Backpack(small_cfg, seed=11).senses.senses_for([[1, 4, 7]])[0]
+    assert np.array_equal(s, again)
 
 
 def test_senses_are_non_contextual(model):
     """A token's sense vectors cannot depend on its neighbours."""
-    a = model.senses.senses_for([[3, 5, 9]]).data[0, :, 1, :]
-    b = model.senses.senses_for([[8, 5, 1]]).data[0, :, 1, :]
+    a = model.senses.senses_for([[3, 5, 9]])[0][0, :, 1, :]
+    b = model.senses.senses_for([[8, 5, 1]])[0][0, :, 1, :]
     assert np.array_equal(a, b)    # same length: bit-equal
     # different batch size hits a different matmul kernel; equal to precision
-    alone = model.senses.senses_for([[5]]).data[0, :, 0, :]
+    alone = model.senses.senses_for([[5]])[0][0, :, 0, :]
     assert np.allclose(alone, a, atol=1e-14, rtol=0)
 
 
@@ -67,14 +67,14 @@ def test_senses_are_non_contextual(model):
 
 
 def test_alpha_is_row_normalized(model, small_cfg):
-    alpha = model.context.alpha([[1, 2, 3, 4]], np.arange(4)).data[0]
+    alpha = model.context.alpha([[1, 2, 3, 4]], np.arange(4))[0]
     assert alpha.shape == (small_cfg.num_senses, 4, 4)
     assert np.all(alpha >= 0.0)
     assert np.allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_alpha_causal_mask(model):
-    alpha = model.context.alpha([[1, 2, 3, 4]], np.arange(4)).data[0]
+    alpha = model.context.alpha([[1, 2, 3, 4]], np.arange(4))[0]
     for i in range(4):
         for j in range(i + 1, 4):
             assert np.all(alpha[:, i, j] < 1e-12)
@@ -97,35 +97,35 @@ def test_token_validation(model):
 
 def test_forward_matches_triple_loop(model):
     ids = [2, 7, 1, 9]
-    got = model.forward([ids]).data[0]
+    got = model.forward([ids])[0]
     want = forward_triple_loop(model, ids)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_aggregate_all_ones_is_bit_identical(model):
     ids = [3, 6, 2]
-    plain = model.forward([ids]).data
-    ones = model.forward([ids], (1.0,) * 3).data
+    plain = model.forward([ids])
+    ones = model.forward([ids], (1.0,) * 3)
     assert np.array_equal(plain, ones)
     # any weight sequence works, not only a tuple
-    raw = model.forward([ids], [1.0, 1.0, 1.0]).data
+    raw = model.forward([ids], [1.0, 1.0, 1.0])
     assert np.array_equal(plain, raw)
 
 
 def test_forward_reweighted_none_is_forward(model):
     ids = [1, 2]
-    assert np.array_equal(model.forward([ids], None).data,
-                          model.forward([ids]).data)
+    assert np.array_equal(model.forward([ids], None),
+                          model.forward([ids]))
 
 
 def test_reweighting_scales_chosen_sense_contributions(model):
     """out' - out must equal (w_l - 1) times sense l's aggregated term."""
     ids = [4, 8, 5]
-    alpha = model.context.alpha([ids], np.arange(3)).data[0]
-    senses = model.senses.senses_for([ids]).data[0]
+    alpha = model.context.alpha([ids], np.arange(3))[0]
+    senses = model.senses.senses_for([ids])[0][0]
     contrib = np.einsum("lij,ljd->lid", alpha, senses)
     weights = (1.0, 0.25, 1.0)
-    got = model.forward([ids], weights).data[0]
+    got = model.forward([ids], weights)[0]
     want = contrib[0] + 0.25 * contrib[1] + contrib[2]
     assert np.allclose(got, want, atol=1e-12)
 
@@ -134,9 +134,9 @@ def test_reweighting_composes_multiplicatively(model):
     ids = [2, 3]
     w1 = np.array([0.5, 0.8, 1.0])
     w2 = np.array([0.6, 1.0, 0.9])
-    once = model.forward([ids], tuple(w1 * w2)).data[0]
-    alpha = model.context.alpha([ids], np.arange(2)).data[0]
-    senses = model.senses.senses_for([ids]).data[0]
+    once = model.forward([ids], tuple(w1 * w2))[0]
+    alpha = model.context.alpha([ids], np.arange(2))[0]
+    senses = model.senses.senses_for([ids])[0][0]
     contrib = np.einsum("lij,ljd->lid", alpha, senses)
     twice = (contrib * (w1[:, None, None] * w2[:, None, None])).sum(axis=0)
     assert np.allclose(once, twice, atol=1e-12)
@@ -149,7 +149,14 @@ def test_aggregate_validates_weights(model):
     with pytest.raises(DomainError):
         model.forward([ids], (1.0, 0.0, 1.0))     # non-positive
     with pytest.raises(DomainError):
-        aggregate(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2, 3))))
+        aggregate(np.ones((2, 2)), np.ones((2, 2, 3)))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_aggregate_rejects_non_finite_weights(model, bad):
+    """nan passes a check of w <= 0, and inf passes it too."""
+    with pytest.raises(DomainError, match="finite"):
+        model.forward([[1, 2]], (1.0, bad, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +182,7 @@ def test_pack_sequence_truncates_doc_tail_first(model):
 def test_relevance_score_is_sigmoid_of_logit(model):
     """The score a ranking reports is the sigmoid of the relevance logit."""
     q, d = [1, 2], [5, 6, 7]
-    z = model.relevance_logit(q, [d]).item()
+    z = logits(model, q, [d]).item()
     es = EvalSet({"q": q}, {"q": [("d", d)]}, Qrels({}), {})
     [(_, [ranked])] = rank_all(model, es)
     [s] = [s for _, s in ranked.items]
@@ -188,11 +195,11 @@ def test_relevance_logit_rows_match_single_documents(model, query):
     """Each row of a ragged batch equals its document scored alone, and a
     longer document added to the list moves no other row: padding cannot leak."""
     docs = [[4], [5, 6, 7], [8] * 20]    # length 1, middle, longer than the budget of 10
-    batch = model.relevance_logit(query, docs).data
-    alone = np.array([model.relevance_logit(query, [d]).item() for d in docs])
+    batch = logits(model, query, docs)
+    alone = np.array([logits(model, query, [d]).item() for d in docs])
     assert batch.shape == (3,)
     assert np.max(np.abs(batch - alone)) <= 1e-12
-    shorter = model.relevance_logit(query, docs[:2]).data
+    shorter = logits(model, query, docs[:2])
     assert np.max(np.abs(batch[:2] - shorter)) <= 1e-12
 
 
@@ -213,9 +220,9 @@ def test_pad_builds_ragged_and_equal_length_batches_alike(model):
 
 def test_alpha_at_given_positions_equals_rows_of_the_full_alpha(model):
     ids = model._pad([[1, 2, 3, 4, 5], [6, 7], [8, 9, 10]])
-    full = model.context.alpha(ids, np.arange(5)).data
+    full = model.context.alpha(ids, np.arange(5))
     last = np.array([[4], [1], [2]])
-    rows = model.context.alpha(ids, last).data
+    rows = model.context.alpha(ids, last)
     assert rows.shape == (3, 3, 1, 5)
     for b in range(3):
         assert np.max(np.abs(rows[b, :, 0] - full[b, :, last[b, 0]])) <= 1e-12
@@ -239,25 +246,27 @@ def test_relevance_logits_pool_forward_at_each_last_position(model):
         query, docs = _random_list(rng, 1 + rng.randint(6))
         seqs = [model.pack_sequence(query, d) for d in docs]
         last = [len(s) - 1 for s in seqs]
-        logits = model.relevance_logits(seqs, weight_sets)
-        for w, z in zip(weight_sets, logits):
-            out = model.forward(seqs, w).data
-            want = model.head.logit(Tensor(out[np.arange(len(seqs)), last])).data
+        zs = model.relevance_logits(seqs, weight_sets)
+        for w, z in zip(weight_sets, zs):
+            out = model.forward(seqs, w)
+            want = model.head.logit(out[np.arange(len(seqs)), last])[0]
             assert z.shape == (len(docs),)
-            assert np.max(np.abs(z.data - want)) <= 1e-12
-        assert np.array_equal(logits[0].data, logits[1].data)    # all-ones is None, bit for bit
+            assert np.max(np.abs(z - want)) <= 1e-12
+        assert np.array_equal(zs[0], zs[1])    # all-ones is None, bit for bit
 
 
-def test_train_step_records_one_tape_node_per_component(small_cfg):
-    """Sense table, embedding, each encoder layer, sense attention,
-    aggregation, head and loss record one node each."""
+def test_logits_and_backward_scores_as_inference_does(small_cfg):
+    """The training chain's logits are the unweighted inference logits, bit
+    for bit, and its closure returns one gradient entry per parameter
+    value, at one to three encoder layers."""
     query, docs = _random_list(SplitMix64(9), 8)
-    labels = (1.0,) + (0.0,) * 7
     for layers in (1, 2, 3):
         model = Backpack(dataclasses.replace(small_cfg, context_layers=layers), seed=11)
-        with Tape() as tape:
-            listwise_loss(labels, model.relevance_logit(query, docs))
-        assert len(tape) == 6 + layers
+        seqs = [model.pack_sequence(query, d) for d in docs]
+        z, back = model.logits_and_backward(seqs)
+        assert np.array_equal(z, model.relevance_logits(seqs, [None])[0])
+        grad = back(np.ones_like(z))
+        assert grad.shape == (sum(p.size for p in model.parameters().values()),)
 
 
 def test_packed_length_is_the_length_pack_sequence_returns(model, small_cfg):
@@ -271,8 +280,8 @@ def test_packed_length_is_the_length_pack_sequence_returns(model, small_cfg):
 
 def test_sense_map_changes_relevance(model):
     q, d = [1, 2], [5, 6, 7]
-    plain = model.relevance_logit(q, [d]).item()
-    damped = model.relevance_logit(q, [d], (0.2, 1.0, 1.0)).item()
+    plain = logits(model, q, [d]).item()
+    damped = logits(model, q, [d], (0.2, 1.0, 1.0)).item()
     assert plain != damped
 
 
@@ -308,8 +317,8 @@ def test_checkpoint_round_trip_bit_identical_scores(tmp_path, model):
     assert tokens == TOKENS
     assert got_meta == meta
     q, d = [1, 2, 3], [7, 8]
-    assert back.relevance_logit(q, [d]).item() == model.relevance_logit(q, [d]).item()
-    assert np.array_equal(back.forward([[1, 5, 9]]).data, model.forward([[1, 5, 9]]).data)
+    assert logits(back, q, [d]).item() == logits(model, q, [d]).item()
+    assert np.array_equal(back.forward([[1, 5, 9]]), model.forward([[1, 5, 9]]))
     for name, tensor in model.parameters().items():
         assert np.array_equal(back.parameters()[name].data, tensor.data)
 
@@ -340,7 +349,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 def test_checkpoint_non_finite_tensor_is_parse_error(tmp_path, model):
     name, tensor = sorted(model.parameters().items())[0]
-    tensor.data[(0,) * tensor.ndim] = np.nan
+    tensor.data[(0,) * len(tensor.shape)] = np.nan
     path = tmp_path / "nan.ckpt"
     save_checkpoint(path, model, TOKENS, {})
     with pytest.raises(ParseError, match="non-finite") as err:

@@ -273,8 +273,10 @@ def test_rank_rejects_a_tag_with_whitespace_before_loading(pipeline, tmp_path, c
     assert not (tmp_path / "x.run").exists()
 
 
-@pytest.mark.parametrize("subcommand", ["rank", "sweep"])
-def test_depth_is_checked_before_loading(pipeline, tmp_path, capsys, monkeypatch, subcommand):
+def _exits_before_loading(pipeline, tmp_path, capsys, monkeypatch, subcommand, options,
+                          message):
+    """``subcommand`` with ``options`` exits 2 with ``message`` before it loads
+    the checkpoint or the collection, and writes nothing."""
     calls = []
     for name in ("load_collection", "load_checkpoint"):
         real = getattr(cli, name)
@@ -282,12 +284,27 @@ def test_depth_is_checked_before_loading(pipeline, tmp_path, capsys, monkeypatch
     data = pipeline["data"]
     argv = [subcommand, "--checkpoint", str(pipeline["ckpt"]),
             "--corpus", str(data / "corpus.tsv"), "--queries", str(data / "queries.tsv"),
-            "--out", str(tmp_path / "x.out"), "--depth", "0"]
+            "--out", str(tmp_path / "x.out"), *options]
     if subcommand == "sweep":
         argv += ["--qrels", str(data / "qrels.txt")]
     assert main(argv) == 2
-    assert "error: --depth must be >= 1, got 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert calls == [] and not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["rank", "sweep"])
+def test_depth_is_checked_before_loading(pipeline, tmp_path, capsys, monkeypatch, subcommand):
+    _exits_before_loading(pipeline, tmp_path, capsys, monkeypatch, subcommand,
+                          ["--depth", "0"], "error: --depth must be >= 1, got 0")
+
+
+@pytest.mark.parametrize("subcommand,lam", [("rank", "--lambda=1.0"), ("rank", "--lambda=0.5"),
+                                            ("sweep", "--lambdas=1.0,0.5")])
+def test_negative_top_senses_is_rejected_before_loading(pipeline, tmp_path, capsys,
+                                                        monkeypatch, subcommand, lam):
+    """At every lambda, including 1 where no sense is suppressed."""
+    _exits_before_loading(pipeline, tmp_path, capsys, monkeypatch, subcommand,
+                          [lam, "--top-senses", "-3"], "error: --top-senses must be >= 0, got -3")
 
 
 def test_rank_checks_the_tag_it_would_write(pipeline, tmp_path, capsys):
@@ -695,6 +712,21 @@ def test_star_import_covers_all():
     namespace = {}
     exec("from backrank import *", namespace)
     assert set(backrank.__all__) <= set(namespace)
+
+
+def test_bench_workloads_run_correct_on_the_toy_collection():
+    """bench/run.py drives the program through its CLI, checkpoints and
+    parameters (it sums ``p.data`` of every value of ``parameters()``): each
+    workload it benchmarks runs ``correct`` at the toy size, in a child
+    process. bench/ is only read; its work directory is removed."""
+    root = Path(__file__).resolve().parents[1]
+    code = ("import json, sys; sys.path.insert(0, 'bench'); import run; "
+            "print(json.dumps({n: run.run_workload(n, 1, 0.01, False, size='toy')['failures'] "
+            "for n in ('train', 'sweep', 'audit')}))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"train": [], "sweep": [], "audit": []}
 
 
 def test_src_stays_within_its_line_cap():

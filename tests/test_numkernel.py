@@ -1,6 +1,6 @@
-"""Tape autodiff: forward values, gradients vs central differences, the fused
-reference ops and the model's one-node components against the primitive
-chains they replace, policing."""
+"""The oracle tape (tests/helpers.py): forward values, gradients vs central
+differences, the fused reference ops and the model's components against the
+primitive chains they replace, policing; and numkernel's kernels."""
 
 import copy
 import math
@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from backrank import numkernel as nk
-from backrank import (Backpack, BackpackConfig, ContractError, DomainError, ShapeError,
-                      SplitMix64, Tape, Tensor, aggregate, backward, cosine_similarity,
-                      listwise_loss)
+from backrank import (Backpack, BackpackConfig, DomainError, ShapeError, SplitMix64,
+                      aggregate, cosine_similarity, listwise_loss)
 from backrank.backpack import ContextEncoder, RelevanceHead, SenseTable, _EncoderLayer
-from helpers import (aggregate_chain, attention_weights, attention_weights_chain, dot,
-                     embed_chain, finite_diff_check, head_chain, layer_chain, linear,
-                     linear_chain, listwise_loss_chain, log_softmax, matmul, merge_heads,
-                     merge_heads_chain, mul, neg, sense_attention_chain, senses_chain,
+from helpers import (ContractError, Tape, Tensor, add, aggregate_chain, attention_weights,
+                     attention_weights_chain, backward, dot, embed_chain, finite_diff_check,
+                     head_chain, layer_chain, linear, linear_chain, listwise_loss_chain,
+                     log_softmax, matmul, merge_heads, merge_heads_chain, mul, neg, node,
+                     record, reshape, sense_attention_chain, senses_chain, sigmoid,
                      split_heads, split_heads_chain, take_rows, tanh, tensor_sum)
 
 TOL = 1e-9
@@ -36,11 +36,11 @@ def grad_of(build, *leaves):
 def test_elementwise_forward_values():
     a = Tensor(np.array([1.0, -2.0, 3.0]))
     b = Tensor(np.array([0.5, 0.5, 0.5]))
-    assert np.allclose(nk.add(a, b).data, [1.5, -1.5, 3.5])
+    assert np.allclose(add(a, b).data, [1.5, -1.5, 3.5])
     assert np.allclose(mul(a, b).data, [0.5, -1.0, 1.5])
     assert np.allclose(neg(a).data, [-1.0, 2.0, -3.0])
     assert np.allclose(mul(a, Tensor(2.0)).data, [2.0, -4.0, 6.0])
-    assert np.allclose(nk.add(a, Tensor(1.0)).data, [2.0, -1.0, 4.0])
+    assert np.allclose(add(a, Tensor(1.0)).data, [2.0, -1.0, 4.0])
 
 
 def test_matmul_and_dot_against_numpy():
@@ -83,11 +83,11 @@ def test_stack_take_rows_transpose_reshape():
     grid = take_rows(st, [[2, 0], [1, 1]])     # index of any shape
     assert grid.shape == (2, 2, 2)
     assert np.array_equal(grid.data[1, 0], st.data[1])
-    heads = split_heads(nk.reshape(st, (1, 3, 2)), 2)
+    heads = split_heads(reshape(st, (1, 3, 2)), 2)
     assert heads.shape == (1, 2, 3, 1)
     assert np.array_equal(heads.data[0, :, :, 0], st.data.T)
     assert np.array_equal(merge_heads(heads).data[0], st.data)
-    assert nk.reshape(st, (6,)).shape == (6,)
+    assert reshape(st, (6,)).shape == (6,)
 
 
 def test_reductions():
@@ -103,7 +103,7 @@ def test_reductions():
 def test_add_mul_chain_gradient():
     a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-    ga, gb = grad_of(lambda: tensor_sum(mul(nk.add(a, b), a)), a, b)
+    ga, gb = grad_of(lambda: tensor_sum(mul(add(a, b), a)), a, b)
     # d/da sum((a+b)*a) = 2a + b ; d/db = a
     assert np.allclose(ga, 2 * a.data + b.data)
     assert np.allclose(gb, a.data)
@@ -112,7 +112,7 @@ def test_add_mul_chain_gradient():
 def test_broadcast_add_gradient_unbroadcasts():
     a = Tensor(np.ones((3, 4)), requires_grad=True)
     bias = Tensor(np.zeros((4,)), requires_grad=True)
-    _, gb = grad_of(lambda: tensor_sum(nk.add(a, bias)), a, bias)
+    _, gb = grad_of(lambda: tensor_sum(add(a, bias)), a, bias)
     assert gb.shape == (4,)
     assert np.allclose(gb, 3.0)
 
@@ -144,13 +144,13 @@ def test_matmul_broadcasts_leading_axes(a_shape, b_shape):
 
 def test_fanout_accumulates():
     x = Tensor(np.array([2.0]), requires_grad=True)
-    (gx,) = grad_of(lambda: tensor_sum(nk.add(mul(x, x), x)), x)
+    (gx,) = grad_of(lambda: tensor_sum(add(mul(x, x), x)), x)
     assert np.allclose(gx, 2 * x.data + 1.0)   # x*x + x -> 2x + 1
 
 
 @pytest.mark.parametrize("fn,deriv", [
     (tanh, lambda x: 1 - np.tanh(x) ** 2),
-    (nk.sigmoid, lambda x: (1 / (1 + np.exp(-x))) * (1 - 1 / (1 + np.exp(-x)))),
+    (sigmoid, lambda x: (1 / (1 + np.exp(-x))) * (1 - 1 / (1 + np.exp(-x)))),
 ])
 def test_unary_gradients(fn, deriv):
     x = Tensor(np.array([-1.5, 0.0, 0.7]), requires_grad=True)
@@ -168,12 +168,12 @@ def test_finite_diff_random_composites():
     mask = np.triu(np.full((3, 3), -1e30), k=1)
 
     def f(x):
-        h = tanh(linear(nk.reshape(x, (1, 3, 6)), w, b))      # 1 x 3 x 4
+        h = tanh(linear(reshape(x, (1, 3, 6)), w, b))      # 1 x 3 x 4
         heads = split_heads(h, 2)                                  # 1 x 2 x 3 x 2
         s = matmul(attention_weights(heads, heads, mask), heads)
-        pooled = nk.reshape(tensor_sum(merge_heads(s), axis=1), (4,))
-        return nk.add(dot(pooled, Tensor(v.data[:4])),
-                      dot(nk.sigmoid(pooled), Tensor(v.data[4:])))
+        pooled = reshape(tensor_sum(merge_heads(s), axis=1), (4,))
+        return add(dot(pooled, Tensor(v.data[:4])),
+                      dot(sigmoid(pooled), Tensor(v.data[4:])))
 
     for seed in range(5):
         x = Tensor(SplitMix64(seed).normal_array((18,)))
@@ -259,6 +259,24 @@ def _bound(obj, names, method):
     return call
 
 
+def _component(obj, names, method):
+    """``_bound`` for a component method on plain arrays: one node over its
+    activation input (the tensors among the rest), then the parameters."""
+    def call(*args):
+        params, rest = args[:len(names)], args[len(names):]
+        inputs = tuple(a for a in rest if isinstance(a, Tensor))
+        run = _bound(obj, names, method)
+        return node(lambda *a: run(*params, *a), inputs, *rest[len(inputs):], params=params)
+    return call
+
+
+def _loss_node(z, y):
+    """listwise_loss as one node; its gradient is the loss's own, scaled by
+    the upstream gradient."""
+    loss, gz = listwise_loss(y, z.data)
+    return record((z,), np.array(loss), lambda g: (g * gz,))
+
+
 def _component_cases(rng):
     """(name, component node, its reference chain, input arrays, constants)
     for every model component, on random parameters, with ragged rows
@@ -289,15 +307,15 @@ def _component_cases(rng):
         ]
         for name, obj, names, method, chain, extra, consts in parts:
             arrays = [rng.normal_array(getattr(obj, a).shape, 0.5) for a in names]
-            cases.append((name, _bound(obj, names, method), _bound(obj, names, chain),
+            cases.append((name, _component(obj, names, method), _bound(obj, names, chain),
                           arrays + [rng.normal_array(shape) for shape in extra], consts))
         for weights in (None, (1.0, 1.0, 1.0), (0.05, 1.0, 0.5)):
-            cases.append(("aggregate", aggregate, aggregate_chain,
+            cases.append(("aggregate", lambda a, s, w: node(aggregate, (a, s), w),
+                          aggregate_chain,
                           [rng.normal_array((b, 3, 1, n)), rng.normal_array((b, 3, n, 6))],
                           (weights,)))
         labels = tuple(float(i % 2 == 0) for i in range(b + 1))
-        cases.append(("listwise_loss", lambda z, y: listwise_loss(y, z),
-                      lambda z, y: listwise_loss_chain(y, z),
+        cases.append(("listwise_loss", _loss_node, lambda z, y: listwise_loss_chain(y, z),
                       [rng.normal_array((b + 1,))], (labels,)))
     return cases
 
@@ -309,9 +327,11 @@ FUSED = _fused_cases()
                          ids=[f"{c[0]}-{i}" for i, c in enumerate(FUSED)])
 def test_fused_node_is_bit_equal_to_its_chain(name, fused, chain, arrays, consts):
     """Output and every input gradient equal the chain's by np.array_equal,
-    and the fused node records one tape node."""
+    and the fused node records one tape node. The loss (the one scalar
+    output) returns its gradient at the root, as training takes it, so its
+    upstream gradient is 1."""
     shape = fused(*map(Tensor, arrays), *consts).shape
-    upstream = Tensor(SplitMix64(3).normal_array(shape))
+    upstream = Tensor(SplitMix64(3).normal_array(shape) if shape else 1.0)
     results = []
     for op in (fused, chain):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]

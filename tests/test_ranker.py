@@ -5,16 +5,16 @@ import pytest
 
 from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, Qrels,
                       RankedList, ShapeError, SplitMix64, SynthConfig,
-                      Tensor, TrainConfig, TrainExample, Vocab, attribute_scores,
+                      TrainConfig, TrainExample, Vocab, attribute_scores,
                       bias_report, build_eval_set, build_sense_map,
                       build_train_examples, generate_synthetic, listwise_loss,
                       mean_metric, rank_all, sweep_lambda, train)
 from backrank.backpack import ContextEncoder
 from backrank.ranker import SWEEP_COLUMNS
 from backrank.senses import PolarityPair
-from backrank import Tape, backward
 from backrank import numkernel as nk
-from helpers import finite_diff_check, listwise_loss_chain, relevance_logit_chain
+from helpers import (Tape, backward, central_diff_error, listwise_loss_chain, logits,
+                     relevance_logit_chain, tracked)
 
 
 @pytest.fixture
@@ -74,8 +74,8 @@ def test_ranked_list_validation():
 
 def test_listwise_loss_hand_value():
     # two equal scores, one positive label: -log(1/2)
-    loss = listwise_loss((1.0, 0.0), Tensor(np.array([0.0, 0.0])))
-    assert loss.item() == pytest.approx(np.log(2.0), abs=1e-15)
+    loss, _ = listwise_loss((1.0, 0.0), np.array([0.0, 0.0]))
+    assert loss == pytest.approx(np.log(2.0), abs=1e-15)
 
 
 def test_listwise_loss_matches_manual_softmax():
@@ -85,26 +85,35 @@ def test_listwise_loss_matches_manual_softmax():
         y = np.array([1.0] + [0.0] * (n - 1))
         z = rng.normal_array((n,))
         manual = -float(y @ (z - np.log(np.exp(z - z.max()).sum()) - z.max()))
-        got = listwise_loss(tuple(y), Tensor(z)).item()
+        got, _ = listwise_loss(tuple(y), z)
         assert got == pytest.approx(manual, abs=1e-12)
 
 
 def test_listwise_loss_validation():
     with pytest.raises(DomainError):
-        listwise_loss((0.0, 0.0), Tensor(np.zeros(2)))
+        listwise_loss((0.0, 0.0), np.zeros(2))
     with pytest.raises(DomainError):
-        listwise_loss((1.0, -1.0), Tensor(np.zeros(2)))
+        listwise_loss((1.0, -1.0), np.zeros(2))
     with pytest.raises(ShapeError):
-        listwise_loss((1.0, 0.0), Tensor(np.zeros(3)))
+        listwise_loss((1.0, 0.0), np.zeros(3))
     with pytest.raises(ShapeError):
-        listwise_loss((1.0, 0.0), Tensor(np.zeros((2, 2))))
+        listwise_loss((1.0, 0.0), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_listwise_loss_rejects_non_finite_labels(bad):
+    """nan passes both label checks (>= 0 and some > 0) when another label
+    is positive; inf passes them too."""
+    with pytest.raises(DomainError, match="finite"):
+        listwise_loss((1.0, bad), np.zeros(2))
 
 
 def test_listwise_loss_gradient():
     y = (0.0, 1.0, 0.0)
     for seed in range(5):
-        z = Tensor(SplitMix64(seed).normal_array((3,)))
-        assert finite_diff_check(lambda t: listwise_loss(y, t), z) < 1e-8
+        z = SplitMix64(seed).normal_array((3,))
+        _, gz = listwise_loss(y, z)
+        assert central_diff_error(lambda: listwise_loss(y, z)[0], z, gz) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +168,12 @@ def test_each_example_takes_one_sgd_step_in_shuffle_order():
     losses = []
     for idx in order:
         ex = dataset[idx]
-        with Tape() as tape:
-            loss = listwise_loss(ex.labels, ref.relevance_logit(ex.query, ex.docs))
-        losses.append(loss.item())
-        for p, g in zip(tensors, backward(tape, loss, tensors)):
-            p.data = p.data - lr * g
+        z, back = ref.logits_and_backward([ref.pack_sequence(ex.query, d) for d in ex.docs])
+        loss, gz = listwise_loss(ex.labels, z)
+        losses.append(loss)
+        grads = np.split(back(gz), np.cumsum([p.size for p in tensors])[:-1])
+        for p, g in zip(tensors, grads):
+            p.data = p.data - lr * g.reshape(p.shape)
     model, history = train(dataset, TrainConfig(epochs=1, learning_rate=lr, seed=0),
                            fresh())
     assert history == losses
@@ -184,34 +194,21 @@ def test_zero_learning_rate_changes_nothing(tiny_model):
 
 
 def test_listwise_gradient_through_ragged_batch():
-    """The tape gradient of the listwise loss over one ragged 3-document
-    batch (one document past the budget) matches central differences."""
+    """The gradient of the listwise loss over one ragged 3-document batch
+    (one document past the budget) matches central differences."""
     cfg = BackpackConfig(vocab_size=6, embed_dim=4, num_senses=2, sense_hidden=2,
                          context_heads=1, max_seq_len=6, head_hidden=3)
     model = Backpack(cfg, seed=4)
     q, docs, y = (1, 2), ((3,), (4, 5, 3), (5, 4, 3, 2, 1)), (0.0, 1.0, 0.0)
+    seqs = [model.pack_sequence(q, d) for d in docs]
+    z, back = model.logits_and_backward(seqs)
+    params = list(model.parameters().values())
+    grads = np.split(back(listwise_loss(y, z)[1]), np.cumsum([p.size for p in params])[:-1])
 
     def loss():
-        return listwise_loss(y, model.relevance_logit(q, docs))
+        return listwise_loss(y, model.relevance_logits(seqs, [None])[0])[0]
 
-    params = model.parameters()
-    with Tape() as tape:
-        value = loss()
-    grads = backward(tape, value, list(params.values()))
-    eps, worst = 1e-5, 0.0
-    for p, g in zip(params.values(), grads):
-        analytic = g.ravel()
-        flat = p.data.ravel()
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
-            hi = loss().item()
-            flat[i] = keep - eps
-            lo = loss().item()
-            flat[i] = keep
-            fd = (hi - lo) / (2.0 * eps)
-            worst = max(worst, abs(analytic[i] - fd) / max(1.0, abs(analytic[i])))
-    assert worst <= 1e-4
+    assert max(central_diff_error(loss, p.data, g) for p, g in zip(params, grads)) <= 1e-4
 
 
 def test_train_rejects_empty_dataset(tiny_model):
@@ -236,6 +233,15 @@ def test_rank_orders_by_score_then_id(tiny_model):
     assert pos_a < pos_b
     scores = [s for _, s in ranked.items]
     assert scores == sorted(scores, reverse=True)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_rank_all_rejects_non_finite_logits(tiny_model, bad):
+    """An infinite logit has a finite sigmoid (1 or 0), so RankedList alone
+    would pass it."""
+    tiny_model.head.b2.data = np.array([bad])
+    with pytest.raises(DomainError, match="finite"):
+        list(rank_all(tiny_model, _one_query_set((3, 4), [("a", (5, 6)), ("b", (7,))])))
 
 
 def test_rank_requires_candidates():
@@ -281,7 +287,7 @@ def test_rank_all_logits_equal_each_pair_scored_alone(tiny_model):
         for weights, ranked in zip(weight_sets, lists):
             for did, score in ranked.items:
                 doc = dict(cands[qid])[did]
-                alone = tiny_model.relevance_logit(queries[qid], [doc], weights)
+                alone = logits(tiny_model, queries[qid], [doc], weights)
                 assert score == nk.sigmoid(alone).item()
 
 
@@ -317,7 +323,7 @@ def test_train_steps_are_bit_equal_to_the_reference_chain(layers):
         data.append(TrainExample(f"q{i}", query, tuple(f"d{j}" for j in range(m)), docs, labels))
     model, history = train(data, TrainConfig(epochs=1, learning_rate=0.05, seed=6),
                            Backpack(cfg, seed=layers))
-    ref = Backpack(cfg, seed=layers)
+    ref = tracked(Backpack(cfg, seed=layers))
     params = list(ref.parameters().values())
     order = list(range(len(data)))
     SplitMix64(6).shuffle(order)

@@ -44,8 +44,8 @@ def toy():
 
 
 def _manual_cosine(model, a, b, sense):
-    va = model.senses.senses_for([[a]]).data[0, sense, 0]
-    vb = model.senses.senses_for([[b]]).data[0, sense, 0]
+    va = model.senses.senses_for([[a]])[0][0, sense, 0]
+    vb = model.senses.senses_for([[b]])[0][0, sense, 0]
     return float(va @ vb) / (np.linalg.norm(va) * np.linalg.norm(vb))
 
 
