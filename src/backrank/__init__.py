@@ -32,7 +32,6 @@ from .corpus import (
 from .errors import BackrankError, DomainError, ParseError, ShapeError
 from .metrics import (
     BiasReport,
-    GenderLexicon,
     Qrels,
     arab,
     bias_report,
@@ -70,7 +69,7 @@ __all__ = [
     "__version__",
     "AttributeScores", "Backpack", "BackpackConfig", "BackrankError",
     "BiasReport", "Collection",
-    "DomainError", "EvalSet", "GenderLexicon", "ParseError",
+    "DomainError", "EvalSet", "ParseError",
     "PolarityPair", "Qrels", "RankedList", "RelevanceHead", "RunRecord",
     "SenseTable", "ShapeError", "SplitMix64", "SynthConfig",
     "Tensor", "TrainConfig", "TrainExample", "Vocab",

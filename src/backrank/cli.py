@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -27,7 +28,7 @@ from .corpus import (SynthConfig, Vocab, build_eval_set, build_train_examples,
                      generate_synthetic, group_run, load_collection,
                      read_qrels, read_run, read_tsv,
                      records_from_ranking, write_collection, write_run)
-from .errors import BackrankError, DomainError, ParseError
+from .errors import BackrankError, DomainError, ParseError, read_lines
 from .metrics import bias_report, mean_metric
 from .ranker import SWEEP_COLUMNS, TrainConfig, rank_all, sweep_lambda, train
 from .senses import (attribute_scores, build_sense_map, default_pairs_path,
@@ -47,14 +48,6 @@ def _check_paths(inputs: dict, outputs) -> None:
     for path in outputs:
         if path is not None and not Path(path).parent.exists():
             Path(path).parent.mkdir(parents=True)
-
-
-def _check_tag(tag: str, checkpoint=None) -> str:
-    """A run tag with whitespace writes run lines that do not parse back; a
-    default tag is built from ``checkpoint``'s meta.seed and names that file."""
-    if any(ch.isspace() for ch in tag):
-        raise ParseError(f"run tag {tag!r} must not contain whitespace", path=checkpoint)
-    return tag
 
 
 def _meta_comment(seed, lambdas) -> str:
@@ -79,38 +72,40 @@ def _write_csv(path, columns, rows, seed=None, lambdas=None) -> None:
         fh.write(_meta_comment(seed, lambdas))
 
 
-def _parse_cutoffs(text: str) -> tuple[int, ...]:
-    try:
-        cutoffs = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise DomainError(f"bad cutoff list {text!r}") from None
-    if not cutoffs or any(c < 1 for c in cutoffs):
-        raise DomainError("cutoffs must be positive integers")
-    return cutoffs
+def _checked(convert, ok, rule: str):
+    """An argparse type: ``convert`` the text, then require ``ok`` of the
+    value. Every option is checked as it parses, so a subcommand starts with
+    final values and reads or creates nothing for a bad one."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    parse.__name__ = convert.__name__    # argparse names it in "invalid int value"
+    return parse
 
 
-def _parse_lambdas(text: str) -> tuple[float, ...]:
-    try:
-        lams = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise DomainError(f"bad lambda list {text!r}") from None
-    if not lams:
-        raise DomainError("need at least one lambda")
-    return lams
+def _list_of(item):
+    """A non-empty comma-separated list of ``item`` values, as a tuple."""
+    def parse(text):
+        values = tuple(item(part) for part in text.split(",") if part.strip())
+        if not values:
+            raise argparse.ArgumentTypeError(f"must list at least one value, got {text!r}")
+        return values
+    parse.__name__ = f"{item.__name__} list"
+    return parse
 
 
-def _check_counts(minimum: int = 1, **flags: int) -> None:
-    """Count options that must be >= ``minimum``, checked before anything
-    is loaded."""
-    for flag, value in flags.items():
-        if value < minimum:
-            raise DomainError(f"--{flag.replace('_', '-')} must be >= {minimum}, got {value}")
+def _tag(text: str) -> str:
+    """A run tag; whitespace in it would write run lines that do not parse back."""
+    if any(ch.isspace() for ch in text):
+        raise argparse.ArgumentTypeError(f"{text!r} must not contain whitespace")
+    return text
 
 
-def _check_lambda(lam: float) -> float:
-    if not 0.0 < lam <= 1.0:
-        raise DomainError(f"lambda must be in (0, 1], got {lam}")
-    return lam
+_COUNT = _checked(int, lambda v: v >= 1, ">= 1")
+_TOP_SENSES = _checked(int, lambda v: v >= 0, ">= 0")
+_LAMBDA = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
 def _load_model(path):
@@ -152,10 +147,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    tcfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
+    if not args.resume:    # vocab_size is filled in once the vocabulary is built
+        cfg = BackpackConfig(vocab_size=1, embed_dim=args.embed_dim, num_senses=args.senses,
+                             sense_hidden=args.sense_hidden, context_layers=args.layers,
+                             context_heads=args.heads, max_seq_len=args.max_seq_len)
     _check_paths({"corpus": args.corpus, "queries": args.queries, "qrels": args.qrels,
                   "resume": args.resume}, [args.out, args.loss_csv])
-    tcfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
-    _check_counts(depth=args.depth, negatives=args.negatives)
 
     coll = load_collection(args.corpus, args.queries, args.qrels)
     if args.resume:
@@ -166,16 +164,7 @@ def cmd_train(args) -> int:
                              f"got {step_base!r}", path=args.resume)
     else:
         vocab = Vocab.build(list(coll.docs.values()) + list(coll.queries.values()))
-        cfg = BackpackConfig(
-            vocab_size=len(vocab),
-            embed_dim=args.embed_dim,
-            num_senses=args.senses,
-            sense_hidden=args.sense_hidden,
-            context_layers=args.layers,
-            context_heads=args.heads,
-            max_seq_len=args.max_seq_len,
-        )
-        model = Backpack(cfg, seed=args.seed)
+        model = Backpack(dataclasses.replace(cfg, vocab_size=len(vocab)), seed=args.seed)
         step_base = 0
 
     examples = build_train_examples(coll, vocab, num_negatives=args.negatives,
@@ -193,16 +182,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    _check_lambda(args.lam)
-    _check_counts(depth=args.depth)
-    _check_counts(0, top_senses=args.top_senses)
-    if args.tag:
-        _check_tag(args.tag)
     _check_paths({"checkpoint": args.checkpoint, "corpus": args.corpus,
                   "queries": args.queries, "pairs": args.pairs}, [args.out])
 
     model, vocab, meta = _load_model(args.checkpoint)
-    tag = args.tag or _check_tag(f"backrank-s{meta.get('seed', 0)}", args.checkpoint)
+    tag = args.tag or f"backrank-s{meta.get('seed', 0)}"
+    if any(ch.isspace() for ch in tag):    # only a default tag: --tag is checked as it parses
+        raise ParseError(f"run tag {tag!r} must not contain whitespace", path=args.checkpoint)
     coll = load_collection(args.corpus, args.queries)
     eval_set = build_eval_set(coll, vocab, candidate_depth=args.depth)
     weights = None
@@ -218,7 +204,6 @@ def cmd_rank(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cutoffs = _parse_cutoffs(args.cutoffs)
     _check_paths({"run": args.run, "qrels": args.qrels}, [args.out])
     grouped = group_run(read_run(args.run))
     if not grouped:
@@ -227,25 +212,25 @@ def cmd_eval(args) -> int:
     rows = [{"cutoff": c,
              "mrr": mean_metric(grouped, qrels, "mrr", k=c),
              "ndcg": mean_metric(grouped, qrels, "ndcg", k=c)}
-            for c in cutoffs]
+            for c in args.cutoffs]
     _write_csv(args.out, ("cutoff", "mrr", "ndcg"), rows)
     return 0
 
 
 def cmd_bias(args) -> int:
-    cutoffs = _parse_cutoffs(args.cutoffs)
     variants = ("tf", "bool") if args.variant == "both" else (args.variant,)
     _check_paths({"run": args.run, "corpus": args.corpus}, [args.out])
     grouped = group_run(read_run(args.run))
     if not grouped:
         raise DomainError(f"run file {args.run} holds no records")
     doc_tokens = read_tsv(args.corpus)
-    for qid, ids in grouped.items():
-        for did in ids:
-            if did not in doc_tokens:
-                raise DomainError(
-                    f"run document {did!r} (query {qid}) missing from corpus")
-    report = bias_report(grouped, doc_tokens, cutoffs=cutoffs, variants=variants)
+    if any(did not in doc_tokens for ids in grouped.values() for did in ids):
+        for lineno, raw in read_lines(args.run):
+            parts = raw.split()
+            if parts and parts[2] not in doc_tokens:
+                raise ParseError(f"run document {parts[2]!r} (query {parts[0]}) missing "
+                                 "from corpus", path=args.run, line=lineno)
+    report = bias_report(grouped, doc_tokens, cutoffs=args.cutoffs, variants=variants)
     rows = [{"variant": v, "cutoff": c, "rab": report.mean_rab[(v, c)],
              "arab": report.mean_arab[(v, c)]}
             for v in report.variants for c in report.cutoffs]
@@ -271,12 +256,6 @@ def cmd_senses(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cutoffs = _parse_cutoffs(args.cutoffs)
-    lambdas = _parse_lambdas(args.lambdas)
-    for lam in lambdas:
-        _check_lambda(lam)
-    _check_counts(depth=args.depth)
-    _check_counts(0, top_senses=args.top_senses)
     _check_paths({"checkpoint": args.checkpoint, "corpus": args.corpus,
                   "queries": args.queries, "qrels": args.qrels, "pairs": args.pairs},
                  [args.out])
@@ -285,10 +264,9 @@ def cmd_sweep(args) -> int:
     coll = load_collection(args.corpus, args.queries, args.qrels)
     eval_set = build_eval_set(coll, vocab, candidate_depth=args.depth)
     scores = _sense_scores(model, vocab, args.pairs)
-    rows = sweep_lambda(model, eval_set, scores, lambdas,
-                        cutoffs=cutoffs, m=args.top_senses)
-    _write_csv(args.out, SWEEP_COLUMNS, rows,
-               seed=meta.get("seed"), lambdas=lambdas)
+    rows = sweep_lambda(model, eval_set, scores, args.lambdas,
+                        cutoffs=args.cutoffs, m=args.top_senses)
+    _write_csv(args.out, SWEEP_COLUMNS, rows, seed=meta.get("seed"), lambdas=args.lambdas)
     return 0
 
 
@@ -298,19 +276,20 @@ def cmd_sweep(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="backrank",
+        prog="backrank", exit_on_error=False,
         description="Bias-controllable ranking pipeline on a sense-vector model.")
     parser.add_argument("--version", action="version",
                         version=f"backrank {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub_parser = functools.partial(sub.add_parser, exit_on_error=False)
 
-    p = sub.add_parser("synth", help="generate a synthetic collection")
+    p = sub_parser("synth", help="generate a synthetic collection")
     p.add_argument("--config", help="key=value synthesis config file")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train the ranker on a collection")
+    p = sub_parser("train", help="train the ranker on a collection")
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
@@ -320,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=4)
     p.add_argument("--lr", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--negatives", type=int, default=7)
-    p.add_argument("--depth", type=int, default=100,
+    p.add_argument("--negatives", type=_COUNT, default=7)
+    p.add_argument("--depth", type=_COUNT, default=100,
                    help="first-stage candidate depth")
     p.add_argument("--embed-dim", type=int, default=24)
     p.add_argument("--senses", type=int, default=16)
@@ -331,52 +310,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-seq-len", type=int, default=32)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("rank", help="write a TREC run, optionally debiased")
+    p = sub_parser("rank", help="write a TREC run, optionally debiased")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--out", required=True, help="run file path")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
+    p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=1.0,
                    help="sense suppression factor in (0, 1]")
-    p.add_argument("--top-senses", type=int, default=2,
+    p.add_argument("--top-senses", type=_TOP_SENSES, default=2,
                    help="how many senses to suppress")
     p.add_argument("--pairs", help="polarity pair lexicon (default built-in)")
-    p.add_argument("--depth", type=int, default=100)
-    p.add_argument("--tag", help="run tag (default backrank-s<seed>)")
+    p.add_argument("--depth", type=_COUNT, default=100)
+    p.add_argument("--tag", type=_tag, help="run tag (default backrank-s<seed>)")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("eval", help="MRR/NDCG of a run against qrels")
+    p = sub_parser("eval", help="MRR/NDCG of a run against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--out", required=True, help="CSV path")
-    p.add_argument("--cutoffs", default="10,20,30,40")
+    p.add_argument("--cutoffs", type=_list_of(_COUNT), default=(10, 20, 30, 40))
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bias", help="RaB/ARaB bias report for a run")
+    p = sub_parser("bias", help="RaB/ARaB bias report for a run")
     p.add_argument("--run", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="CSV path")
-    p.add_argument("--cutoffs", default="10,20,30,40")
+    p.add_argument("--cutoffs", type=_list_of(_COUNT), default=(10, 20, 30, 40))
     p.add_argument("--variant", choices=("tf", "bool", "both"), default="both")
     p.set_defaults(func=cmd_bias)
 
-    p = sub.add_parser("senses", help="per-sense gender sensitivity scores")
+    p = sub_parser("senses", help="per-sense gender sensitivity scores")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--pairs", help="polarity pair lexicon (default built-in)")
     p.add_argument("--out", help="CSV path (prints a table when omitted)")
     p.set_defaults(func=cmd_senses)
 
-    p = sub.add_parser("sweep", help="lambda sweep: effectiveness vs bias CSV")
+    p = sub_parser("sweep", help="lambda sweep: effectiveness vs bias CSV")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--out", required=True, help="CSV path")
-    p.add_argument("--lambdas", default="1.0,0.7,0.5")
-    p.add_argument("--top-senses", type=int, default=2)
-    p.add_argument("--cutoffs", default="10,20,30,40")
+    p.add_argument("--lambdas", type=_list_of(_LAMBDA), default=(1.0, 0.7, 0.5))
+    p.add_argument("--top-senses", type=_TOP_SENSES, default=2)
+    p.add_argument("--cutoffs", type=_list_of(_COUNT), default=(10, 20, 30, 40))
     p.add_argument("--pairs", help="polarity pair lexicon (default built-in)")
-    p.add_argument("--depth", type=int, default=100)
+    p.add_argument("--depth", type=_COUNT, default=100)
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -390,9 +369,15 @@ def _configure_logging() -> None:
 
 def main(argv=None) -> int:
     _configure_logging()
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        if not (exc.argument_name or "").startswith("-"):
+            parser.error(str(exc))    # a bad subcommand: usage, SystemExit(2)
+        print(f"error: {exc.argument_name} {exc.message}", file=sys.stderr)
+        return 2
     except (DomainError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

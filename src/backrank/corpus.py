@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, ParseError, read_lines
-from .metrics import DEFAULT_LEXICON, Qrels
+from .metrics import FEMALE_TERMS, MALE_TERMS, Qrels
 from .ranker import EvalSet, RankedList, TrainExample
 from .rng import SplitMix64
 
@@ -298,8 +298,7 @@ def generate_synthetic(cfg: SynthConfig) -> Collection:
     """
     rng = SplitMix64(cfg.seed)
     topic = [f"t{i:04d}" for i in range(cfg.vocab_size)]
-    female = sorted(DEFAULT_LEXICON.female)
-    male = sorted(DEFAULT_LEXICON.male)
+    female, male = FEMALE_TERMS, MALE_TERMS
 
     docs: dict[str, list[str]] = {}
     queries: dict[str, list[str]] = {}

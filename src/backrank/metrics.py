@@ -23,25 +23,10 @@ from .errors import DomainError
 log = logging.getLogger(__name__)
 
 VARIANTS = ("tf", "bool")
-
-
-@dataclass(frozen=True)
-class GenderLexicon:
-    """Female- and male-associated term sets; must be disjoint and non-empty."""
-
-    female: frozenset[str] = frozenset({"she", "woman", "her"})
-    male: frozenset[str] = frozenset({"he", "man", "him"})
-
-    def __post_init__(self):
-        if not self.female or not self.male:
-            raise DomainError("gender term sets must be non-empty")
-        if self.female & self.male:
-            raise DomainError("gender term sets must be disjoint")
-        object.__setattr__(self, "female", frozenset(self.female))
-        object.__setattr__(self, "male", frozenset(self.male))
-
-
-DEFAULT_LEXICON = GenderLexicon()
+# The gender lexicon RaB/ARaB are defined over. Sorted, because
+# generate_synthetic draws its gender words from them by index.
+FEMALE_TERMS = ("her", "she", "woman")
+MALE_TERMS = ("he", "him", "man")
 
 
 class Qrels:
@@ -98,11 +83,10 @@ def mag_bool(doc_tokens: Sequence[str], terms: Iterable[str]) -> int:
 
 
 def _gender_delta(doc_tokens: Sequence[str], variant: str) -> float:
-    female, male = DEFAULT_LEXICON.female, DEFAULT_LEXICON.male
     if variant == "tf":
-        return mag_tf(doc_tokens, female) - mag_tf(doc_tokens, male)
+        return mag_tf(doc_tokens, FEMALE_TERMS) - mag_tf(doc_tokens, MALE_TERMS)
     if variant == "bool":
-        return float(mag_bool(doc_tokens, female) - mag_bool(doc_tokens, male))
+        return float(mag_bool(doc_tokens, FEMALE_TERMS) - mag_bool(doc_tokens, MALE_TERMS))
     raise DomainError(f"unknown magnitude variant {variant!r}")
 
 
@@ -204,15 +188,28 @@ def ndcg_at_k(query_id: str, ranked_ids: Sequence[str], qrels: Qrels, k: int = 1
 
 def mean_metric(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
                 metric: str, k: int = 10) -> float:
-    """Mean MRR@k or NDCG@k over queries, iterated in sorted id order."""
+    """Mean MRR@k or NDCG@k over queries, iterated in sorted id order.
+
+    A query absent from qrels scores 0; all such queries are one warning,
+    naming how many and the first.
+    """
     if metric not in ("mrr", "ndcg"):
         raise DomainError(f"unknown metric {metric!r}")
     if not ranked:
         raise DomainError("no queries to evaluate")
+    if k < 1:
+        raise DomainError("k must be >= 1")
     fn = mrr_at_k if metric == "mrr" else ndcg_at_k
     total = 0.0
+    absent = []
     for qid in sorted(ranked):
-        total += fn(qid, ranked[qid], qrels, k)
+        if qrels.has_query(qid):
+            total += fn(qid, ranked[qid], qrels, k)
+        else:
+            absent.append(qid)
+    if absent:
+        log.warning("%d of %d queries absent from qrels (first %s); scoring them 0",
+                    len(absent), len(ranked), absent[0])
     return total / len(ranked)
 
 

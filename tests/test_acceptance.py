@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from backrank import (Backpack, BackpackConfig, GenderLexicon, PolarityPair,
+from backrank import (Backpack, BackpackConfig, PolarityPair,
                       Qrels, SplitMix64, SynthConfig,
                       TrainConfig, TrainExample, Vocab, arab, attribute_scores,
                       build_eval_set, build_sense_map,
@@ -22,10 +22,9 @@ from backrank import (Backpack, BackpackConfig, GenderLexicon, PolarityPair,
                       sweep_lambda, train, write_qrels, write_run)
 from backrank import numkernel as nk
 from backrank.corpus import RunRecord
+from backrank.metrics import FEMALE_TERMS, MALE_TERMS
 from backrank.senses import default_pairs_path, load_polarity_lexicon
 from helpers import build_planted_model, central_diff_error, forward_triple_loop, logits
-
-LEX = GenderLexicon()
 
 
 def _verdict(name, ok, detail=""):
@@ -159,13 +158,13 @@ def test_criterion_3_gradient_suite():
 
 def _oracle_delta(doc, variant):
     if variant == "bool":
-        return float(any(t in LEX.female for t in doc)) - float(
-            any(t in LEX.male for t in doc))
+        return float(any(t in FEMALE_TERMS for t in doc)) - float(
+            any(t in MALE_TERMS for t in doc))
     fem = 0.0
-    for term in sorted({t for t in doc if t in LEX.female}):
+    for term in sorted({t for t in doc if t in FEMALE_TERMS}):
         fem += math.log(doc.count(term))
     mal = 0.0
-    for term in sorted({t for t in doc if t in LEX.male}):
+    for term in sorted({t for t in doc if t in MALE_TERMS}):
         mal += math.log(doc.count(term))
     return fem - mal
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import subprocess
 import sys
 import warnings
@@ -178,21 +179,26 @@ def test_train_diverged_is_exit_2_and_writes_nothing(pipeline, tmp_path, capsys,
 @pytest.mark.parametrize("flag,value,message", [("--epochs", "0", "epochs"),
                                                 ("--lr", "nan", "learning_rate"),
                                                 ("--depth", "0", "--depth must be >= 1"),
-                                                ("--negatives", "0", "--negatives must be >= 1")])
+                                                ("--negatives", "0", "--negatives must be >= 1"),
+                                                ("--heads", "5", "context_heads must divide"),
+                                                ("--senses", "0", "num_senses must be >= 1")])
 def test_train_checks_its_options_before_loading(pipeline, tmp_path, capsys, monkeypatch,
                                                  flag, value, message):
+    """Before it reads the collection or creates an output's directory."""
     calls = []
     real = cli.load_collection
     monkeypatch.setattr(cli, "load_collection", lambda *a: calls.append(a) or real(*a))
     data = pipeline["data"]
     args = [*TRAIN_ARGS]
     args[args.index(flag) + 1] = value
+    out = tmp_path / "out"
     assert main(["train", "--corpus", str(data / "corpus.tsv"),
                  "--queries", str(data / "queries.tsv"),
                  "--qrels", str(data / "qrels.txt"),
-                 "--out", str(tmp_path / "x.ckpt"), *args]) == 2
+                 "--out", str(out / "new1" / "sub" / "x.ckpt"),
+                 "--loss-csv", str(out / "new2" / "l.csv"), *args]) == 2
     assert message in capsys.readouterr().err
-    assert calls == []
+    assert calls == [] and not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +480,17 @@ def test_bad_utf8_byte_line_counts_every_line_break(pipeline, tmp_path, capsys):
         assert f"{bad}:3:" in capsys.readouterr().err, eol
 
 
+def test_eval_warns_once_per_metric_and_cutoff_for_queries_absent_from_qrels(
+        pipeline, tmp_path, caplog):
+    qrels = tmp_path / "partial.qrels"
+    qrels.write_text("".join((pipeline["data"] / "qrels.txt").read_text().splitlines(True)[:4]))
+    with caplog.at_level(logging.WARNING, logger="backrank.metrics"):
+        assert main(["eval", "--run", str(pipeline["run"]), "--qrels", str(qrels),
+                     "--out", str(tmp_path / "e.csv")]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "10 of 12 queries absent from qrels (first q0003); scoring them 0"] * 8
+
+
 def test_eval_csv_matches_library(pipeline, tmp_path):
     from backrank import group_run, mean_metric, read_qrels
     out = tmp_path / "eval.csv"
@@ -528,6 +545,23 @@ def test_bias_run_doc_missing_from_corpus_is_exit_2(tmp_path, capsys):
     assert main(["bias", "--run", str(run), "--corpus", str(corpus),
                  "--out", str(tmp_path / "b.csv")]) == 2
     assert "ghost" in capsys.readouterr().err
+
+
+def test_bias_names_the_first_run_line_whose_document_the_corpus_lacks(pipeline, tmp_path,
+                                                                      capsys):
+    run = tmp_path / "run.txt"
+    lines = pipeline["run"].read_text().splitlines(True)
+    run.write_text("".join(lines) + "q0001 Q0 dNOPE 1 0.5 x\n")
+    argv = ["bias", "--run", str(run), "--corpus", str(pipeline["data"] / "corpus.tsv"),
+            "--out", str(tmp_path / "b.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: {run}:{len(lines) + 1}: run document 'dNOPE' "
+                                       "(query q0001) missing from corpus\n")
+    # the first such line of the file, not the first by rank
+    run.write_text("q1 Q0 d000001 1 0.9 t\nq1 Q0 ghostB 3 0.1 t\nq1 Q0 ghostA 2 0.5 t\n")
+    assert main(argv) == 2
+    assert f"{run}:2: run document 'ghostB' (query q1)" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +723,37 @@ def test_each_writing_subcommand_creates_missing_output_directories(pipeline, tm
     assert main(argv) == 0
     for rel in outputs:
         assert (out / rel).is_file(), rel
+
+
+@pytest.mark.parametrize("command,flag,value,message", [
+    ("train", "--depth", "0", "--depth must be >= 1, got 0"),
+    ("train", "--negatives", "0", "--negatives must be >= 1, got 0"),
+    ("rank", "--lambda", "0", "--lambda must be in (0, 1], got 0.0"),
+    ("rank", "--lambda", "nan", "--lambda must be in (0, 1], got nan"),
+    ("rank", "--top-senses", "-3", "--top-senses must be >= 0, got -3"),
+    ("rank", "--depth", "0", "--depth must be >= 1, got 0"),
+    ("rank", "--tag", "my run", "--tag 'my run' must not contain whitespace"),
+    ("eval", "--cutoffs", "a,b", "--cutoffs invalid int list value: 'a,b'"),
+    ("eval", "--cutoffs", "10,0", "--cutoffs must be >= 1, got 0"),
+    ("bias", "--cutoffs", " , ", "--cutoffs must list at least one value, got ' , '"),
+    ("bias", "--cutoffs", "-5", "--cutoffs must be >= 1, got -5"),
+    ("sweep", "--lambdas", "1.0,1.5", "--lambdas must be in (0, 1], got 1.5"),
+    ("sweep", "--lambdas", "", "--lambdas must list at least one value, got ''"),
+    ("sweep", "--top-senses", "-1", "--top-senses must be >= 0, got -1"),
+    ("sweep", "--cutoffs", "0", "--cutoffs must be >= 1, got 0"),
+    ("sweep", "--depth", "0", "--depth must be >= 1, got 0"),
+])
+def test_a_rejected_option_reads_and_creates_nothing(pipeline, tmp_path, capsys, monkeypatch,
+                                                     command, flag, value, message):
+    calls = []
+    for name in ("load_collection", "load_checkpoint"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real: calls.append(a) or real(*a))
+    out = tmp_path / "new"
+    argv, _ = _writing_commands(pipeline, out)[command]
+    assert main([*argv, flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command,flag", [("train", "--resume"), ("rank", "--pairs"),

@@ -6,11 +6,10 @@ import math
 import pytest
 
 from backrank import metrics
-from backrank import (BiasReport, DomainError, GenderLexicon, Qrels, SplitMix64,
+from backrank import (BiasReport, DomainError, Qrels, SplitMix64,
                       arab, bias_report, mag_bool, mag_tf, mean_metric, mrr_at_k,
                       ndcg_at_k, rab)
-
-LEX = GenderLexicon()
+from backrank.metrics import FEMALE_TERMS, MALE_TERMS
 
 # Two-document worked fixture. doc1 carries one female term twice (ln 2), doc2
 # is gender-free, so RaB over both is ln(2)/2 and ARaB averages the two
@@ -28,18 +27,18 @@ ARAB2 = 0.5198603854199589
 def test_mag_tf_log_counts():
     doc = ["she", "she", "she", "her", "x"]
     # ln(3) for she, ln(1)=0 for her
-    assert mag_tf(doc, LEX.female) == pytest.approx(math.log(3), abs=1e-15)
-    assert mag_tf(doc, LEX.male) == 0.0
+    assert mag_tf(doc, FEMALE_TERMS) == pytest.approx(math.log(3), abs=1e-15)
+    assert mag_tf(doc, MALE_TERMS) == 0.0
 
 
 def test_mag_tf_single_occurrence_is_zero():
     # log(count) form: a term seen once contributes log(1) = 0
-    assert mag_tf(["she", "x"], LEX.female) == 0.0
+    assert mag_tf(["she", "x"], FEMALE_TERMS) == 0.0
 
 
 def test_mag_bool():
-    assert mag_bool(["he", "x"], LEX.male) == 1
-    assert mag_bool(["x", "y"], LEX.male) == 0
+    assert mag_bool(["he", "x"], MALE_TERMS) == 1
+    assert mag_bool(["x", "y"], MALE_TERMS) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +54,13 @@ def test_worked_fixture_values():
 def naive_delta(doc, variant):
     # female magnitude minus male magnitude, each computed on its own
     if variant == "bool":
-        return float(any(t in LEX.female for t in doc)) - float(
-            any(t in LEX.male for t in doc))
+        return float(any(t in FEMALE_TERMS for t in doc)) - float(
+            any(t in MALE_TERMS for t in doc))
     fem = 0.0
-    for term in sorted({t for t in doc if t in LEX.female}):
+    for term in sorted({t for t in doc if t in FEMALE_TERMS}):
         fem += math.log(doc.count(term))
     mal = 0.0
-    for term in sorted({t for t in doc if t in LEX.male}):
+    for term in sorted({t for t in doc if t in MALE_TERMS}):
         mal += math.log(doc.count(term))
     return fem - mal
 
@@ -276,6 +275,28 @@ def test_mean_metric_sorted_order(simple_qrels):
         mean_metric({}, simple_qrels, "mrr")
     with pytest.raises(DomainError):
         mean_metric(ranked, simple_qrels, "map")
+    with pytest.raises(DomainError):
+        mean_metric({"nope": ["d1"]}, simple_qrels, "mrr", k=0)
+
+
+@pytest.mark.parametrize("metric,fn", [("mrr", mrr_at_k), ("ndcg", ndcg_at_k)])
+def test_queries_absent_from_qrels_are_one_warning_and_score_0(simple_qrels, caplog,
+                                                               metric, fn):
+    ranked = {"q2": ["d9"], "zz": ["d1"], "q1": ["d3", "d1"], "aa": ["d9"], "mm": []}
+    with caplog.at_level(logging.WARNING, logger="backrank.metrics"):
+        got = mean_metric(ranked, simple_qrels, metric, k=10)
+    assert [r.getMessage() for r in caplog.records] == [
+        "3 of 5 queries absent from qrels (first aa); scoring them 0"]
+    # the absent queries count as 0 in the mean, as each metric scores them
+    with caplog.at_level(logging.ERROR, logger="backrank.metrics"):
+        total = 0.0
+        for qid in sorted(ranked):
+            total += fn(qid, ranked[qid], simple_qrels, 10)
+    assert got == total / 5
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="backrank.metrics"):
+        mean_metric({"q1": ["d1"], "q2": ["d9"]}, simple_qrels, metric, k=10)
+    assert caplog.records == []
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +332,6 @@ def test_bias_report_validates():
         bias_report(ranked, docs, cutoffs=(0,))
     with pytest.raises(DomainError):
         bias_report({}, docs)
-
-
-def test_lexicon_must_be_disjoint():
-    with pytest.raises(DomainError):
-        GenderLexicon(female=frozenset({"she"}), male=frozenset({"she"}))
-    with pytest.raises(DomainError):
-        GenderLexicon(female=frozenset(), male=frozenset({"he"}))
 
 
 def test_qrels_api():
