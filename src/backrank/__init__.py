@@ -20,9 +20,9 @@ from .corpus import (
     build_eval_set,
     build_train_examples,
     generate_synthetic,
-    group_run,
     load_collection,
     read_qrels,
+    read_ranking,
     read_run,
     tokenize,
     write_collection,
@@ -76,9 +76,9 @@ __all__ = [
     "aggregate", "arab", "attribute_scores", "bias_report",
     "bm25_retrieve", "build_eval_set", "build_sense_map",
     "build_train_examples", "cosine_similarity", "default_pairs_path",
-    "generate_synthetic", "group_run", "listwise_loss", "load_checkpoint",
+    "generate_synthetic", "listwise_loss", "load_checkpoint",
     "load_collection", "load_polarity_lexicon", "mag_bool", "mag_tf",
     "mean_metric", "mrr_at_k", "ndcg_at_k", "rab", "rank_all",
-    "read_qrels", "read_run", "save_checkpoint", "sweep_lambda", "tokenize",
-    "train", "write_collection", "write_qrels", "write_run",
+    "read_qrels", "read_ranking", "read_run", "save_checkpoint", "sweep_lambda",
+    "tokenize", "train", "write_collection", "write_qrels", "write_run",
 ]

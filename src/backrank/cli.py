@@ -25,8 +25,8 @@ from pathlib import Path
 from . import __version__
 from .backpack import Backpack, BackpackConfig, load_checkpoint, save_checkpoint
 from .corpus import (SynthConfig, Vocab, build_eval_set, build_train_examples,
-                     generate_synthetic, group_run, load_collection,
-                     read_qrels, read_run, read_tsv,
+                     generate_synthetic, load_collection, read_qrels,
+                     read_ranking, read_tsv,
                      records_from_ranking, write_collection, write_run)
 from .errors import BackrankError, DomainError, ParseError, read_lines
 from .metrics import bias_report, mean_metric
@@ -106,6 +106,10 @@ def _tag(text: str) -> str:
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _TOP_SENSES = _checked(int, lambda v: v >= 0, ">= 0")
 _LAMBDA = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+# train's model-shape options and the BackpackConfig fields they set
+_SHAPE_OPTIONS = (("--embed-dim", "embed_dim"), ("--senses", "num_senses"),
+                  ("--sense-hidden", "sense_hidden"), ("--layers", "context_layers"),
+                  ("--heads", "context_heads"), ("--max-seq-len", "max_seq_len"))
 
 
 def _load_model(path):
@@ -148,24 +152,30 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     tcfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
-    if not args.resume:    # vocab_size is filled in once the vocabulary is built
-        cfg = BackpackConfig(vocab_size=1, embed_dim=args.embed_dim, num_senses=args.senses,
-                             sense_hidden=args.sense_hidden, context_layers=args.layers,
-                             context_heads=args.heads, max_seq_len=args.max_seq_len)
+    shape = {field: getattr(args, field) for _flag, field in _SHAPE_OPTIONS
+             if getattr(args, field) is not None}
     _check_paths({"corpus": args.corpus, "queries": args.queries, "qrels": args.qrels,
-                  "resume": args.resume}, [args.out, args.loss_csv])
-
-    coll = load_collection(args.corpus, args.queries, args.qrels)
-    if args.resume:
+                  "resume": args.resume}, [])
+    if args.resume:    # the model comes from the checkpoint: a shape option must match it
         model, vocab, meta = _load_model(args.resume)
+        for flag, field in _SHAPE_OPTIONS:
+            saved = getattr(model.config, field)
+            if shape.get(field, saved) != saved:
+                raise DomainError(f"{flag} {shape[field]} does not match {field} {saved} "
+                                  f"of {args.resume}")
         step_base = meta.get("steps", 0)
         if type(step_base) is not int or step_base < 0:
             raise ParseError(f"checkpoint meta 'steps' must be a non-negative integer, "
                              f"got {step_base!r}", path=args.resume)
-    else:
+    else:    # vocab_size is filled in once the vocabulary is built
+        cfg = BackpackConfig(vocab_size=1, **shape)
+        step_base = 0
+    _check_paths({}, [args.out, args.loss_csv])
+
+    coll = load_collection(args.corpus, args.queries, args.qrels)
+    if not args.resume:
         vocab = Vocab.build(list(coll.docs.values()) + list(coll.queries.values()))
         model = Backpack(dataclasses.replace(cfg, vocab_size=len(vocab)), seed=args.seed)
-        step_base = 0
 
     examples = build_train_examples(coll, vocab, num_negatives=args.negatives,
                                     seed=args.seed, candidate_depth=args.depth)
@@ -205,7 +215,7 @@ def cmd_rank(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_paths({"run": args.run, "qrels": args.qrels}, [args.out])
-    grouped = group_run(read_run(args.run))
+    grouped = read_ranking(args.run)
     if not grouped:
         raise DomainError(f"run file {args.run} holds no records")
     qrels = read_qrels(args.qrels)
@@ -220,7 +230,7 @@ def cmd_eval(args) -> int:
 def cmd_bias(args) -> int:
     variants = ("tf", "bool") if args.variant == "both" else (args.variant,)
     _check_paths({"run": args.run, "corpus": args.corpus}, [args.out])
-    grouped = group_run(read_run(args.run))
+    grouped = read_ranking(args.run)
     if not grouped:
         raise DomainError(f"run file {args.run} holds no records")
     doc_tokens = read_tsv(args.corpus)
@@ -302,12 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negatives", type=_COUNT, default=7)
     p.add_argument("--depth", type=_COUNT, default=100,
                    help="first-stage candidate depth")
-    p.add_argument("--embed-dim", type=int, default=24)
-    p.add_argument("--senses", type=int, default=16)
-    p.add_argument("--sense-hidden", type=int, default=4)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--max-seq-len", type=int, default=32)
+    for flag, field in _SHAPE_OPTIONS:    # default: BackpackConfig's, or --resume's
+        p.add_argument(flag, dest=field, type=int, metavar=flag[2:].upper().replace("-", "_"))
     p.set_defaults(func=cmd_train)
 
     p = sub_parser("rank", help="write a TREC run, optionally debiased")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import logging
 import math
 import re
@@ -23,7 +24,6 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -436,54 +436,99 @@ def write_run(path, records: Iterable[RunRecord]) -> None:
             fh.write(f"{qid} Q0 {did} {rank} {score:.6f} {tag}\n")
 
 
+def _run_line_error(parts: list[str], path, lineno: int) -> ParseError:
+    """The ParseError of a run line that failed to parse: a field count other
+    than 6, a rank that is no int, or a score that is no finite float."""
+    if len(parts) != 6:
+        return ParseError(f"expected 6 fields, got {len(parts)}", path=str(path), line=lineno)
+    _qid, _q0, _did, rank, score, _tag = parts
+    message = f"bad rank {rank!r}"
+    try:    # the message names the first check that fails
+        int(rank)
+        message = f"bad score {score!r}"
+        float(score)
+        message = f"non-finite score {score!r}"
+    except ValueError:
+        pass
+    return ParseError(message, path=str(path), line=lineno)
+
+
+def _repeat_error(path, lines: Iterable[tuple[int, str, str]]) -> ParseError:
+    """The ParseError at the first repeated (query, document) pair of lines,
+    (line number, query id, document id) triples in file order."""
+    seen: set[tuple[str, str]] = set()
+    for lineno, qid, did in lines:
+        if (qid, did) in seen:
+            return ParseError(f"query {qid} lists document {did!r} twice",
+                              path=str(path), line=lineno)
+        seen.add((qid, did))
+    raise AssertionError("no repeated document")
+
+
 @_gc_paused()
 def read_run(path) -> list[RunRecord]:
     """Parse a run file; ranks need not be contiguous and are preserved, and
     no query may list a document twice. Ids and tags are interned strings."""
     records: list[RunRecord] = []
     listed: dict[str, list[str]] = {}    # query id -> its document ids
-    blank: list[int] = []                # blank line numbers, to number a repeat's line
+    blank: set[int] = set()              # blank line numbers, to number a repeat's line
     for lineno, raw in read_lines(path):
         parts = raw.split()
-        if not parts:
-            blank.append(lineno)
+        try:    # a blank line, or a fault that _run_line_error names, is a ValueError
+            qid, _q0, did, rank, score, tag = parts
+            rank, score = int(rank), float(score)
+            if not math.isfinite(score):
+                raise ValueError
+        except ValueError:
+            if parts:
+                raise _run_line_error(parts, path, lineno) from None
+            blank.add(lineno)
             continue
-        if len(parts) != 6:
-            raise ParseError(f"expected 6 fields, got {len(parts)}",
-                             path=str(path), line=lineno)
-        qid, _q0, did, rank_s, score_s, tag = parts
-        try:
-            rank = int(rank_s)
-        except ValueError:
-            raise ParseError(f"bad rank {rank_s!r}", path=str(path), line=lineno) from None
-        try:
-            score = float(score_s)
-        except ValueError:
-            raise ParseError(f"bad score {score_s!r}", path=str(path), line=lineno) from None
-        if not math.isfinite(score):
-            raise ParseError(f"non-finite score {score_s!r}", path=str(path), line=lineno)
         qid, did, tag = sys.intern(qid), sys.intern(did), sys.intern(tag)
         listed.setdefault(qid, []).append(did)
         records.append(RunRecord(qid, did, rank, score, tag))
     if any(len(set(dids)) != len(dids) for dids in listed.values()):
-        seen: set[tuple[str, str]] = set()
-        for i, rec in enumerate(records):
-            if (rec.query_id, rec.doc_id) in seen:
-                # record i follows the k-th blank line (from 0) iff b - k <= i + 1
-                line = i + 1 + sum(b - k <= i + 1 for k, b in enumerate(blank))
-                raise ParseError(f"query {rec.query_id} lists document {rec.doc_id!r} twice",
-                                 path=str(path), line=line)
-            seen.add((rec.query_id, rec.doc_id))
+        linenos = (n for n in itertools.count(1) if n not in blank)
+        raise _repeat_error(path, ((n, rec.query_id, rec.doc_id)
+                                   for n, rec in zip(linenos, records)))
     return records
 
 
-def group_run(records: Iterable[RunRecord]) -> dict[str, list[str]]:
-    """Per-query doc ids ordered by rank (stable on ties)."""
-    grouped: dict[str, list[RunRecord]] = {}
-    for rec in records:
-        grouped.setdefault(rec.query_id, []).append(rec)
-    return {qid: [rec.doc_id for rec in sorted(recs, key=attrgetter("rank"))]
-            for qid, recs in grouped.items()}
+@_gc_paused()
+def read_ranking(path) -> dict[str, list[str]]:
+    """Each query's document ids in rank order, ties in file order, from a
+    run file in one pass. It checks each line as read_run does but keeps only
+    ranks and ids, never a RunRecord; ids are interned strings."""
+    ranked: dict[str, tuple[list[int], list[str]]] = {}    # query id -> ranks, doc ids
+    line_qids: list[str | None] = []    # each line's query id, None if blank
+    for lineno, raw in read_lines(path):
+        parts = raw.split()
+        try:    # a blank line, or a fault that _run_line_error names, is a ValueError
+            qid, _q0, did, rank, score, _tag = parts
+            rank = int(rank)
+            if not math.isfinite(float(score)):
+                raise ValueError
+        except ValueError:
+            if parts:
+                raise _run_line_error(parts, path, lineno) from None
+            line_qids.append(None)
+            continue
+        qid = sys.intern(qid)
+        line_qids.append(qid)
+        try:
+            ranks, dids = ranked[qid]
+        except KeyError:
+            ranks, dids = ranked[qid] = ([], [])
+        ranks.append(rank)
+        dids.append(sys.intern(did))
+    if any(len(set(dids)) != len(dids) for _ranks, dids in ranked.values()):
+        in_file_order = {qid: iter(dids) for qid, (_ranks, dids) in ranked.items()}
+        raise _repeat_error(path, ((n, qid, next(in_file_order[qid]))
+                                   for n, qid in enumerate(line_qids, 1) if qid is not None))
+    # a stable sort: tied ranks keep file order
+    return {qid: dids if ranks == sorted(ranks)
+            else [dids[i] for i in sorted(range(len(ranks)), key=ranks.__getitem__)]
+            for qid, (ranks, dids) in ranked.items()}
 
 
 def records_from_ranking(ranked: RankedList, tag: str = "backrank") -> list[RunRecord]:

@@ -1,7 +1,7 @@
 """Shared fixtures-in-code for the model-layer tests, the central-difference
 gradient oracle, and the reverse-mode tape with the primitive ops and chains
 that the model's components replace (kept here as their bit-for-bit
-reference)."""
+reference), and the run-record grouping that ``read_ranking`` replaces."""
 
 import copy
 import json
@@ -588,3 +588,13 @@ def rewrite_checkpoint_header(src, dst, edit):
     (hlen,) = struct.unpack("<I", blob[8:12])
     new = json.dumps(edit(json.loads(blob[12:12 + hlen]))).encode("utf-8")
     dst.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
+
+
+def group_run(records):
+    """Per-query doc ids ordered by rank, stable on ties: the oracle for
+    ``read_ranking`` over ``read_run``'s records."""
+    grouped = {}
+    for rec in records:
+        grouped.setdefault(rec.query_id, []).append(rec)
+    return {qid: [rec.doc_id for rec in sorted(recs, key=lambda rec: rec.rank)]
+            for qid, recs in grouped.items()}

@@ -149,6 +149,36 @@ def test_train_resume_continues_step_count(pipeline, tmp_path):
     assert meta1["steps"] == meta0["steps"] + len(rows)
 
 
+def test_train_resume_rejects_a_shape_option_the_checkpoint_lacks(pipeline, tmp_path,
+                                                                  capsys, monkeypatch):
+    """The model comes from --resume: a shape option that differs from its
+    config is exit 2 before anything loads or is created; an equal one, or
+    none, trains on."""
+    calls = []
+    real = cli.load_collection
+    monkeypatch.setattr(cli, "load_collection", lambda *a: calls.append(a) or real(*a))
+    data = pipeline["data"]
+    out = tmp_path / "out"
+    resume = ["train", "--corpus", str(data / "corpus.tsv"),
+              "--queries", str(data / "queries.tsv"), "--qrels", str(data / "qrels.txt"),
+              "--resume", str(pipeline["ckpt"]), "--epochs", "1", "--lr", "0.01",
+              "--depth", "8", "--negatives", "4",
+              "--out", str(out / "a" / "m.ckpt"), "--loss-csv", str(out / "b" / "l.csv")]
+    for flag, value, field, saved in (("--heads", "4", "context_heads", 2),
+                                      ("--embed-dim", "7", "embed_dim", 16),
+                                      ("--max-seq-len", "64", "max_seq_len", 32)):
+        assert main([*resume, "--embed-dim", "16", flag, value]) == 2
+        assert capsys.readouterr().err == (f"error: {flag} {value} does not match {field} "
+                                           f"{saved} of {pipeline['ckpt']}\n")
+    assert calls == [] and not out.exists()
+    # equal to the checkpoint's (16 is not the --embed-dim default), or not given
+    model0, _, _ = load_checkpoint(pipeline["ckpt"])
+    for shape in (["--embed-dim", "16", "--senses", "4", "--heads", "2"], []):
+        assert main([*resume, *shape]) == 0
+        model1, _, _ = load_checkpoint(out / "a" / "m.ckpt")
+        assert model1.config == model0.config
+
+
 def test_train_missing_corpus_is_exit_2(pipeline, tmp_path, capsys):
     assert main(["train", "--corpus", str(tmp_path / "nope.tsv"),
                  "--queries", str(pipeline["data"] / "queries.tsv"),
@@ -492,7 +522,7 @@ def test_eval_warns_once_per_metric_and_cutoff_for_queries_absent_from_qrels(
 
 
 def test_eval_csv_matches_library(pipeline, tmp_path):
-    from backrank import group_run, mean_metric, read_qrels
+    from backrank import mean_metric, read_qrels, read_ranking
     out = tmp_path / "eval.csv"
     assert main(["eval", "--run", str(pipeline["run"]),
                  "--qrels", str(pipeline["data"] / "qrels.txt"),
@@ -500,7 +530,7 @@ def test_eval_csv_matches_library(pipeline, tmp_path):
     header, rows, comment = read_csv(out)
     assert header == ["cutoff", "mrr", "ndcg"]
     assert [r["cutoff"] for r in rows] == ["5", "8"]
-    grouped = group_run(read_run(pipeline["run"]))
+    grouped = read_ranking(pipeline["run"])
     qrels = read_qrels(pipeline["data"] / "qrels.txt")
     for row in rows:
         k = int(row["cutoff"])
@@ -509,6 +539,31 @@ def test_eval_csv_matches_library(pipeline, tmp_path):
         assert float(row["ndcg"]) == pytest.approx(
             mean_metric(grouped, qrels, "ndcg", k), abs=5e-7)
     assert comment.endswith("seed=- lambda=-")
+
+
+def test_eval_keeps_file_order_on_tied_ranks(tmp_path):
+    """Two documents tie at rank 1 and the relevant one comes second in the
+    file, so it is ranked second: MRR 0.5. Ordering ties by doc id would put
+    it first."""
+    run, qrels, out = tmp_path / "tie.run", tmp_path / "tie.qrels", tmp_path / "eval.csv"
+    run.write_text("q1 Q0 dz 1 0.5 s\nq1 Q0 da 1 0.5 s\n")
+    qrels.write_text("q1 0 da 1\n")
+    assert main(["eval", "--run", str(run), "--qrels", str(qrels), "--out", str(out),
+                 "--cutoffs", "10"]) == 0
+    _, rows, _ = read_csv(out)
+    assert rows == [{"cutoff": "10", "mrr": "0.500000", "ndcg": "0.630930"}]
+
+
+def test_eval_and_bias_build_no_run_records(pipeline, tmp_path, monkeypatch):
+    def no_records(*args):
+        raise AssertionError("a RunRecord was built")
+
+    monkeypatch.setattr(backrank.corpus, "RunRecord", no_records)
+    data = pipeline["data"]
+    assert main(["eval", "--run", str(pipeline["run"]), "--qrels", str(data / "qrels.txt"),
+                 "--out", str(tmp_path / "eval.csv")]) == 0
+    assert main(["bias", "--run", str(pipeline["run"]), "--corpus", str(data / "corpus.tsv"),
+                 "--out", str(tmp_path / "bias.csv")]) == 0
 
 
 def test_bias_csv_variants(pipeline, tmp_path):

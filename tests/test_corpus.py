@@ -8,11 +8,12 @@ import pytest
 
 from backrank import (Collection, DomainError, ParseError, Qrels, RunRecord,
                       SplitMix64, SynthConfig, Vocab, bm25_retrieve, build_eval_set,
-                      build_train_examples, generate_synthetic, group_run,
-                      load_collection, read_qrels, read_run, tokenize,
+                      build_train_examples, generate_synthetic, load_collection,
+                      read_qrels, read_ranking, read_run, tokenize,
                       write_collection, write_qrels, write_run)
 from backrank import corpus
 from backrank.corpus import read_tsv, records_from_ranking
+from helpers import group_run
 
 
 @pytest.fixture
@@ -327,30 +328,30 @@ def test_run_file_round_trip(tmp_path):
     assert p2.read_bytes() == p.read_bytes()
 
 
-def test_read_run_rejects_malformed(tmp_path):
+@pytest.mark.parametrize("parse", [read_run, read_ranking], ids=lambda f: f.__name__)
+def test_read_run_rejects_malformed(tmp_path, parse):
+    """Both run readers give each malformed file the same path:line message."""
     p = tmp_path / "run.txt"
-    p.write_text("q1 Q0 d1 first 0.5 sys\n")
-    with pytest.raises(ParseError):
-        read_run(p)
-    p.write_text("q1 Q0 d1 1 0.5\n")
-    with pytest.raises(ParseError):
-        read_run(p)
-    for bad in ("nan", "inf", "-inf"):
-        p.write_text(f"q1 Q0 d1 1 0.5 sys\nq1 Q0 d2 2 {bad} sys\n")
+    cases = [("q1 Q0 d1 first 0.5 sys\n", "1: bad rank 'first'"),
+             ("q1 Q0 d1 1 0.5\n", "1: expected 6 fields, got 5"),
+             ("q1 Q0 d1 1 0.5 sys\n\nq1 Q0 d2 2 high sys\n", "3: bad score 'high'"),
+             *((f"q1 Q0 d1 1 0.5 sys\nq1 Q0 d2 2 {bad} sys\n", f"2: non-finite score '{bad}'")
+               for bad in ("nan", "inf", "-inf")),
+             ("q1 Q0 d1 1 0.5 sys\nq2 Q0 d1 1 0.5 sys\nq1 Q0 d1 2 0.4 sys\n",
+              "3: query q1 lists document 'd1' twice"),
+             # after blank lines: numbered as the file's lines, not its records
+             ("\nq1 Q0 d1 1 0.5 sys\n\n\nq1 Q0 d1 2 0.4 sys\n",
+              "5: query q1 lists document 'd1' twice"),
+             # queries interleaved: the first repeat in file order, whichever query
+             ("q1 Q0 d1 1 0.9 s\nq2 Q0 d2 1 0.9 s\nq2 Q0 d1 2 0.8 s\n"
+              "q1 Q0 d2 2 0.8 s\nq2 Q0 d3 3 0.7 s\nq1 Q0 d3 3 0.7 s\n"
+              "q2 Q0 d1 4 0.6 s\nq1 Q0 d1 4 0.6 s\n",
+              "7: query q2 lists document 'd1' twice")]
+    for text, message in cases:
+        p.write_text(text)
         with pytest.raises(ParseError) as err:
-            read_run(p)
-        assert f"{p}:2:" in str(err.value)
-    p.write_text("q1 Q0 d1 1 0.5 sys\nq2 Q0 d1 1 0.5 sys\nq1 Q0 d1 2 0.4 sys\n")
-    with pytest.raises(ParseError) as err:
-        read_run(p)
-    assert f"{p}:3: query q1 lists document 'd1' twice" in str(err.value)
-    # queries interleaved: the first repeat in file order, whichever query
-    p.write_text("q1 Q0 d1 1 0.9 s\nq2 Q0 d2 1 0.9 s\nq2 Q0 d1 2 0.8 s\n"
-                 "q1 Q0 d2 2 0.8 s\nq2 Q0 d3 3 0.7 s\nq1 Q0 d3 3 0.7 s\n"
-                 "q2 Q0 d1 4 0.6 s\nq1 Q0 d1 4 0.6 s\n")
-    with pytest.raises(ParseError) as err:
-        read_run(p)
-    assert str(err.value) == f"{p}:7: query q2 lists document 'd1' twice"
+            parse(p)
+        assert str(err.value) == f"{p}:{message}"
 
 
 def retained_bytes(parse, path):
@@ -392,6 +393,24 @@ def test_read_run_repeat_check_holds_no_set_per_query(tmp_path):
     assert peak - retained <= 4 * p.stat().st_size
 
 
+def test_read_ranking_retains_at_most_17_bytes_per_line(tmp_path):
+    """Only the ranked id lists and the distinct ids survive: no record per
+    line (read_run retains about 130 bytes per line)."""
+    ranked, retained, _peak = retained_bytes(read_ranking, _bm25_like_run(tmp_path))
+    assert sum(map(len, ranked.values())) == 20_000
+    assert retained / 20_000 <= 17
+
+
+def test_read_ranking_peaks_at_most_5_file_sizes_above_what_it_returns(tmp_path):
+    """Its transient peak is the file's lines plus two short lists per query
+    and one query id per line; parsing records and then grouping them peaks
+    at over 6 times the file's size."""
+    p = _bm25_like_run(tmp_path)
+    ranked, retained, peak = retained_bytes(read_ranking, p)
+    assert sum(map(len, ranked.values())) == 20_000
+    assert peak - retained <= 5 * p.stat().st_size
+
+
 def test_read_tsv_retains_at_most_35_bytes_per_token(tmp_path):
     rng = SplitMix64(6)
     words = [f"w{i:03d}" for i in range(200)]
@@ -416,11 +435,16 @@ def test_parsed_tokens_and_ids_are_shared_objects(tmp_path):
     assert records[0].doc_id is records[1].doc_id is corpus_ids["d2"]
     assert records[0].query_id is records[2].query_id
     assert records[0].tag is records[1].tag is records[2].tag
+    ranked = read_ranking(run_path)
+    assert ranked["q1"][0] is ranked["q2"][0] is corpus_ids["d2"]
+    assert next(iter(ranked)) is records[0].query_id    # q1
 
 
 PARSERS = {    # parser, a good file, a file it rejects
     "read_tsv": (read_tsv, "d1\tsome text\n", "d1\tsome text\nd1\tagain\n"),
     "read_run": (read_run, "q1 Q0 d1 1 0.5 s\n", "q1 Q0 d1 1 0.5 s\nq1 Q0 d1 2 0.4 s\n"),
+    "read_ranking": (read_ranking, "q1 Q0 d1 1 0.5 s\n",
+                     "q1 Q0 d1 1 0.5 s\nq1 Q0 d1 2 0.4 s\n"),
     "read_qrels": (read_qrels, "q1 0 d1 1\n", "q1 0 d1 1\nq1 0 d2 x\n"),
 }
 
@@ -453,10 +477,28 @@ def test_parsers_pause_the_collector_and_restore_it(tmp_path, monkeypatch, name)
     assert states == [False] * 4
 
 
-def test_group_run_orders_by_rank():
-    records = [RunRecord("q1", "b", 2, 0.1), RunRecord("q1", "a", 1, 0.2),
-               RunRecord("q2", "z", 1, 0.9)]
-    assert group_run(records) == {"q1": ["a", "b"], "q2": ["z"]}
+def test_read_ranking_orders_by_rank(tmp_path):
+    p = tmp_path / "run.txt"
+    write_run(p, [RunRecord("q1", "b", 2, 0.1), RunRecord("q1", "a", 1, 0.2),
+                  RunRecord("q2", "z", 1, 0.9)])
+    assert read_ranking(p) == {"q1": ["a", "b"], "q2": ["z"]}
+
+
+def test_read_ranking_equals_grouped_read_run(tmp_path):
+    """Tied ranks keep file order; blank lines, interleaved queries and
+    ranks with gaps or out of order change nothing else."""
+    p = tmp_path / "run.txt"
+    p.write_text("q2 Q0 d5 7 0.1 s\n\nq1 Q0 d1 3 0.5 s\nq2 Q0 d4 1 0.9 s\n"
+                 "q1 Q0 d3 1 0.9 s\n   \nq1 Q0 d2 3 0.5 s\nq2 Q0 d1 7 0.1 s\n"
+                 "q1 Q0 d9 10 0.2 s\nq3 Q0 d1 1 1.0 s\nq1 Q0 d4 3 0.4 s\n\n")
+    ranked = read_ranking(p)
+    assert ranked == group_run(read_run(p))
+    assert ranked == {"q2": ["d4", "d5", "d1"], "q1": ["d3", "d1", "d2", "d4", "d9"],
+                      "q3": ["d1"]}
+    assert list(ranked) == ["q2", "q1", "q3"]
+    # a depth-100 run written in rank order
+    p = _bm25_like_run(tmp_path)
+    assert read_ranking(p) == group_run(read_run(p))
 
 
 def test_qrels_file_round_trip(tmp_path):
