@@ -367,21 +367,27 @@ class Backpack:
         q = list(query_ids[:n - 1])
         return q + [Vocab.SEP] + list(doc_ids[:n - 1 - len(q)])
 
-    def relevance_logits(self, seqs: Sequence[Sequence[int]],
-                         weight_sets: Sequence) -> list[np.ndarray]:
+    def relevance_logits(self, seqs: Sequence[Sequence[int]], weight_sets: Sequence,
+                         table: np.ndarray) -> list[np.ndarray]:
         """Pre-sigmoid relevance of each packed sequence (``pack_sequence``),
         one (B,) array per entry of ``weight_sets`` (each None or a per-sense
         weight vector): the one inference path.
 
+        ``table`` is the k x V x d sense table of the whole vocabulary,
+        ``senses.senses_for`` of the 1 x V ids 0..V-1: senses are
+        non-contextual, so a caller scoring many batches computes it once.
+        The senses gathered from it equal ``senses_for(ids)`` bit for bit
+        when the batch is two or more positions long.
+
         Each row is pooled at its own last real position: alpha is computed
         for that position alone (B x k x 1 x n), so ``aggregate`` returns the
-        pooled B x 1 x d. The encoder and the sense table run once for the
-        batch; only the weighted aggregation and the head run per entry.
-        Rows of one length are bit-identical to each row scored alone.
+        pooled B x 1 x d. The encoder runs once for the batch; only the
+        weighted aggregation and the head run per entry. Rows of one length
+        are bit-identical to each row scored alone.
         """
         ids = self._pad(seqs)
         alpha = self.context.alpha(ids, [[len(s) - 1] for s in seqs])
-        senses = self.senses.senses_for(ids)[0]
+        senses = table[np.arange(table.shape[0])[:, None], ids[:, None]]
         return [self.head.logit(aggregate(alpha, senses, w)[0])[0] for w in weight_sets]
 
     def logits_and_backward(self, seqs: Sequence[Sequence[int]]

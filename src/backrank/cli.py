@@ -240,7 +240,7 @@ def cmd_bias(args) -> int:
             if parts and parts[2] not in doc_tokens:
                 raise ParseError(f"run document {parts[2]!r} (query {parts[0]}) missing "
                                  "from corpus", path=args.run, line=lineno)
-    report = bias_report(grouped, doc_tokens, cutoffs=args.cutoffs, variants=variants)
+    [report] = bias_report([grouped], doc_tokens, cutoffs=args.cutoffs, variants=variants)
     rows = [{"variant": v, "cutoff": c, "rab": report.mean_rab[(v, c)],
              "arab": report.mean_arab[(v, c)]}
             for v in report.variants for c in report.cutoffs]

@@ -130,7 +130,8 @@ class _Bm25Index:
     ascending doc-id order. Each term's postings are parallel (row, impact)
     arrays, rows ascending, where the impact idf * tf * (k1 + 1) / (tf + norm)
     is the term's whole contribution to that document's score. A term whose
-    idf is floored at zero contributes nothing and has no postings.
+    idf is floored at zero contributes nothing and has no postings. Terms
+    are keyed in the order they first occur, reading documents by row.
     """
 
     def __init__(self, docs: Mapping[str, Sequence[str]]):
@@ -138,29 +139,45 @@ class _Bm25Index:
         n = len(self.doc_ids)
         doc_len = np.array([len(docs[did]) for did in self.doc_ids], dtype=np.int64)
         avgdl = int(doc_len.sum()) / n if n else 0.0
-        rows: dict[str, list[int]] = {}
-        tfs: dict[str, list[int]] = {}
-        for row, did in enumerate(self.doc_ids):
-            for term, tf in Counter(docs[did]).items():
-                rows.setdefault(term, []).append(row)
-                tfs.setdefault(term, []).append(tf)
+        # one pass numbers the terms in first-occurrence order; a stable sort
+        # by term then keeps each term's tokens in row order
+        tokens = [docs[did] for did in self.doc_ids]
+        terms = {t: i for i, t in enumerate(dict.fromkeys(itertools.chain.from_iterable(tokens)))}
+        term_ids = np.fromiter(map(terms.__getitem__, itertools.chain.from_iterable(tokens)),
+                               dtype=np.int32, count=int(doc_len.sum()))
+        order = np.argsort(term_ids, kind="stable")
+        term_ids = term_ids[order]
+        rows = np.repeat(np.arange(n, dtype=np.int32), doc_len)[order]
+        del order
+        # each run of one (term, row) is a posting; its length is the tf
+        first = np.ones(term_ids.size, dtype=bool)
+        np.not_equal(term_ids[1:], term_ids[:-1], out=first[1:])
+        first[1:] |= rows[1:] != rows[:-1]
+        starts = np.flatnonzero(first)
+        del first
+        df = np.bincount(term_ids[starts], minlength=len(terms))
+        rows = rows[starts]
+        tf = np.diff(starts, append=term_ids.size)
+        del term_ids, starts
+        idf = np.array([max(0.0, math.log((n - c + 0.5) / (c + 0.5))) for c in df.tolist()])
+        keep = idf > 0.0
+        posted = np.repeat(keep, df)
+        impact = tf[posted].astype(np.float64)
+        del tf
+        rows = rows[posted].astype(np.intp)
         # avgdl is 0 only when no document holds a term; then nothing reads norm
         norm = BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len / (avgdl or 1.0))
-        # a term allocates only the two arrays it keeps; buf holds its tf + norm
-        buf = np.empty(max(map(len, rows.values()), default=0))
-        self.postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for term, r in rows.items():
-            idf = max(0.0, math.log((n - len(r) + 0.5) / (len(r) + 0.5)))
-            if idf == 0.0:
-                continue
-            rr = np.array(r, dtype=np.intp)
-            impact = np.array(tfs[term], dtype=np.float64)
-            denom = np.take(norm, rr, out=buf[:len(r)])
-            denom += impact
-            impact *= idf
-            impact *= BM25_K1 + 1.0
-            impact /= denom
-            self.postings[term] = (rr, impact)
+        denom = norm[rows]
+        denom += impact
+        cuts = np.cumsum(df[keep])[:-1]
+        # views into the two arrays: a term's impacts scale by its idf in place
+        self.postings: dict[str, tuple[np.ndarray, np.ndarray]] = dict(zip(
+            itertools.compress(terms, keep),
+            zip(np.split(rows, cuts), np.split(impact, cuts))))
+        for (_, term_impact), v in zip(self.postings.values(), idf[keep]):
+            term_impact *= v
+        impact *= BM25_K1 + 1.0
+        impact /= denom
 
 
 def bm25_retrieve(query: Sequence[str], collection: Collection, top_n: int = 100,
@@ -593,10 +610,12 @@ def build_eval_set(
     sweep consumes.
 
     Queries whose BM25 retrieval comes back empty are dropped with a warning.
+    Each distinct candidate document is encoded once, and every list naming
+    it shares that tuple.
     """
     queries: dict[str, tuple[int, ...]] = {}
     candidates: dict[str, list[tuple[str, tuple[int, ...]]]] = {}
-    doc_tokens: dict[str, list[str]] = {}
+    encoded: dict[str, tuple[int, ...]] = {}
     empty = 0
     for qid, qtokens in coll.queries.items():
         retrieved = bm25_retrieve(qtokens, coll, candidate_depth, query_id=qid)
@@ -604,8 +623,11 @@ def build_eval_set(
             empty += 1
             continue
         queries[qid] = tuple(vocab.encode(qtokens))
-        candidates[qid] = [(did, tuple(vocab.encode(coll.docs[did]))) for did in retrieved.doc_ids]
-        doc_tokens.update((did, coll.docs[did]) for did in retrieved.doc_ids)  # not copied
+        for did in retrieved.doc_ids:
+            if did not in encoded:
+                encoded[did] = tuple(vocab.encode(coll.docs[did]))
+        candidates[qid] = [(did, encoded[did]) for did in retrieved.doc_ids]
+    doc_tokens = {did: coll.docs[did] for did in encoded}  # not copied
     if empty:
         log.warning("dropped %d queries with no retrievable candidates", empty)
     if not queries:

@@ -234,20 +234,23 @@ class BiasReport:
 
 
 def bias_report(
-    ranked: Mapping[str, Sequence[str]],
+    rankings: Sequence[Mapping[str, Sequence[str]]],
     doc_tokens: Mapping[str, Sequence[str]],
     cutoffs: Sequence[int] = (10, 20, 30, 40),
     variants: Sequence[str] = VARIANTS,
-) -> BiasReport:
-    """Aggregate RaB/ARaB over a run: ranked doc ids per query id.
+) -> list[BiasReport]:
+    """Aggregate RaB/ARaB over each of several runs, each ranked doc ids per
+    query id: one report per ranking, in order.
 
     Magnitudes are per document: each document within the largest cutoff of
-    some list gets its delta once per variant, reused by every list ranking
-    it. Every cutoff of a list is then filled from one pass over its deltas.
-    A cutoff past the end of some lists is one warning, naming how many and
-    the shortest.
+    some list of some ranking gets its delta once per variant, reused by
+    every list ranking it. Every cutoff of a list is then filled from one
+    pass over its deltas. A cutoff past the end of some lists of a ranking
+    is one warning for that ranking, naming how many and the shortest.
     """
-    if not ranked:
+    if isinstance(rankings, Mapping):
+        raise DomainError("bias_report takes a sequence of rankings, not one ranking")
+    if not all(rankings):
         raise DomainError("no queries to evaluate")
     for v in variants:
         if v not in VARIANTS:
@@ -255,25 +258,30 @@ def bias_report(
     cutoffs = tuple(int(c) for c in cutoffs)
     if any(c < 1 for c in cutoffs):
         raise DomainError("cutoffs must be >= 1")
-    report = BiasReport(cutoffs=cutoffs, variants=tuple(variants), num_queries=len(ranked))
-    qids = sorted(ranked)
-    tops = [ranked[qid][:max(cutoffs, default=0)] for qid in qids]
-    distinct = dict.fromkeys(d for top in tops for d in top)
-    for variant in variants:
-        delta = {d: _gender_delta(doc_tokens[d], variant) for d in distinct}
-        per_query = [_prefix_bias([delta[d] for d in top], len(ranked[qid]), cutoffs)
-                     for qid, top in zip(qids, tops)]
-        for i, cutoff in enumerate(cutoffs):
-            rab_sum = arab_sum = 0.0
-            for values in per_query:
-                rab_sum += abs(values[i][0])
-                arab_sum += abs(values[i][1])
-            report.mean_rab[(variant, cutoff)] = rab_sum / len(qids)
-            report.mean_arab[(variant, cutoff)] = arab_sum / len(qids)
-    lengths = [len(ranked[qid]) for qid in qids]
-    for cutoff in dict.fromkeys(cutoffs):
-        short = [n for n in lengths if n < cutoff]
-        if short:
-            log.warning("bias cutoff %d exceeds the length of %d of %d lists (shortest %d); "
-                        "using their prefix", cutoff, len(short), len(lengths), min(short))
-    return report
+    depth = max(cutoffs, default=0)
+    qids = [sorted(ranked) for ranked in rankings]
+    tops = [[ranked[qid][:depth] for qid in ids] for ranked, ids in zip(rankings, qids)]
+    distinct = dict.fromkeys(d for per_ranking in tops for top in per_ranking for d in top)
+    deltas = {variant: {d: _gender_delta(doc_tokens[d], variant) for d in distinct}
+              for variant in variants}
+    reports = []
+    for ranked, ids, per_ranking in zip(rankings, qids, tops):
+        report = BiasReport(cutoffs=cutoffs, variants=tuple(variants), num_queries=len(ranked))
+        for variant, delta in deltas.items():
+            per_query = [_prefix_bias([delta[d] for d in top], len(ranked[qid]), cutoffs)
+                         for qid, top in zip(ids, per_ranking)]
+            for i, cutoff in enumerate(cutoffs):
+                rab_sum = arab_sum = 0.0
+                for values in per_query:
+                    rab_sum += abs(values[i][0])
+                    arab_sum += abs(values[i][1])
+                report.mean_rab[(variant, cutoff)] = rab_sum / len(ids)
+                report.mean_arab[(variant, cutoff)] = arab_sum / len(ids)
+        lengths = [len(ranked[qid]) for qid in ids]
+        for cutoff in dict.fromkeys(cutoffs):
+            short = [n for n in lengths if n < cutoff]
+            if short:
+                log.warning("bias cutoff %d exceeds the length of %d of %d lists (shortest %d); "
+                            "using their prefix", cutoff, len(short), len(lengths), min(short))
+        reports.append(report)
+    return reports

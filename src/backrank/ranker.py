@@ -177,7 +177,9 @@ def rank_all(model, eval_set: EvalSet,
     one RankedList per entry), with sigmoid scores. Every pair is scored
     first, in calls of at most ``_CHUNK_ROWS`` pairs of one packed length
     (``packed_length``, so each pair is packed once, when it is scored):
-    no row is padded, so a pair's logit is bit-identical to it scored alone."""
+    no row is padded, so a pair's logit is bit-identical to it scored alone.
+    The sense table of the whole vocabulary is computed once per call and
+    shared by every chunk."""
     qids = sorted(eval_set.queries)
     counts = [len(eval_set.candidates[qid]) for qid in qids]
     query_of = np.repeat(np.arange(len(qids)), counts)
@@ -187,12 +189,13 @@ def rank_all(model, eval_set: EvalSet,
                           dtype=np.intp, count=len(docs))
     order = np.argsort(lengths, kind="stable")
     logits = np.empty((len(weight_sets), len(docs)))
+    table = model.senses.senses_for(np.arange(model.config.vocab_size)[None])[0][0]
     for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
         for start in range(0, len(group), _CHUNK_ROWS):
             rows = group[start:start + _CHUNK_ROWS]
             seqs = [model.pack_sequence(eval_set.queries[qids[q]], docs[p])
                     for q, p in zip(query_of[rows].tolist(), rows.tolist())]
-            for out, z in zip(logits, model.relevance_logits(seqs, weight_sets)):
+            for out, z in zip(logits, model.relevance_logits(seqs, weight_sets, table)):
                 out[rows] = z
     # an infinite logit has a finite sigmoid, so it is rejected here
     if not np.all(np.isfinite(logits)):
@@ -227,11 +230,11 @@ def sweep_lambda(
     for qid, lists in rank_all(model, eval_set, weight_sets):
         for per_lambda, ranked in zip(ranked_ids, lists):
             per_lambda[qid] = ranked.doc_ids
+    reports = bias_report(ranked_ids, eval_set.doc_tokens, cutoffs=cutoffs)
     rows: list[dict] = []
-    for lam, ranked in zip(lambdas, ranked_ids):
+    for lam, ranked, report in zip(lambdas, ranked_ids, reports):
         mrr = mean_metric(ranked, eval_set.qrels, "mrr", 10)
         ndcg = mean_metric(ranked, eval_set.qrels, "ndcg", 10)
-        report = bias_report(ranked, eval_set.doc_tokens, cutoffs=cutoffs)
         for cutoff in report.cutoffs:
             rows.append({
                 "lambda": lam,

@@ -1,12 +1,14 @@
 """Shared fixtures-in-code for the model-layer tests, the central-difference
 gradient oracle, and the reverse-mode tape with the primitive ops and chains
 that the model's components replace (kept here as their bit-for-bit
-reference), and the run-record grouping that ``read_ranking`` replaces."""
+reference), the run-record grouping that ``read_ranking`` replaces, and
+the per-document ``Counter`` BM25 index build."""
 
 import copy
 import json
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 
@@ -14,6 +16,7 @@ from backrank import (Backpack, BackpackConfig, DomainError, ShapeError, SplitMi
                       Vocab)
 from backrank import numkernel as nk
 from backrank.backpack import _causal_mask
+from backrank.corpus import BM25_B, BM25_K1
 
 
 class ContractError(RuntimeError):
@@ -187,9 +190,16 @@ def finite_diff_check(f, x, eps=1e-5):
     return central_diff_error(lambda: f(probe).item(), probe.data, analytic, eps)
 
 
+def sense_table(model):
+    """The k x V x d sense table of the model's whole vocabulary, as
+    ``rank_all`` computes it for ``relevance_logits``."""
+    return model.senses.senses_for(np.arange(model.config.vocab_size)[None])[0][0]
+
+
 def logits(model, query, docs, weights=None):
     """The (B,) relevance logits of each document of docs for the query."""
-    return model.relevance_logits([model.pack_sequence(query, d) for d in docs], [weights])[0]
+    return model.relevance_logits([model.pack_sequence(query, d) for d in docs], [weights],
+                                  sense_table(model))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -598,3 +608,34 @@ def group_run(records):
         grouped.setdefault(rec.query_id, []).append(rec)
     return {qid: [rec.doc_id for rec in sorted(recs, key=lambda rec: rec.rank)]
             for qid, recs in grouped.items()}
+
+
+class CounterBm25Index:
+    """The per-document ``Counter`` build of ``corpus._Bm25Index``: the oracle
+    for its doc ids, posting key order, rows and impacts."""
+
+    def __init__(self, docs):
+        self.doc_ids = sorted(docs)
+        n = len(self.doc_ids)
+        doc_len = np.array([len(docs[did]) for did in self.doc_ids], dtype=np.int64)
+        avgdl = int(doc_len.sum()) / n if n else 0.0
+        rows, tfs = {}, {}
+        for row, did in enumerate(self.doc_ids):
+            for term, tf in Counter(docs[did]).items():
+                rows.setdefault(term, []).append(row)
+                tfs.setdefault(term, []).append(tf)
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len / (avgdl or 1.0))
+        buf = np.empty(max(map(len, rows.values()), default=0))
+        self.postings = {}
+        for term, r in rows.items():
+            idf = max(0.0, math.log((n - len(r) + 0.5) / (len(r) + 0.5)))
+            if idf == 0.0:
+                continue
+            rr = np.array(r, dtype=np.intp)
+            impact = np.array(tfs[term], dtype=np.float64)
+            denom = np.take(norm, rr, out=buf[:len(r)])
+            denom += impact
+            impact *= idf
+            impact *= BM25_K1 + 1.0
+            impact /= denom
+            self.postings[term] = (rr, impact)

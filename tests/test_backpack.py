@@ -7,10 +7,11 @@ import struct
 import numpy as np
 import pytest
 
+from backrank import backpack
 from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, ParseError,
                       Qrels, SplitMix64, Tensor, Vocab, aggregate, load_checkpoint,
                       rank_all, save_checkpoint)
-from helpers import forward_triple_loop, logits, rewrite_checkpoint_header
+from helpers import forward_triple_loop, logits, rewrite_checkpoint_header, sense_table
 
 
 @pytest.fixture
@@ -246,13 +247,36 @@ def test_relevance_logits_pool_forward_at_each_last_position(model):
         query, docs = _random_list(rng, 1 + rng.randint(6))
         seqs = [model.pack_sequence(query, d) for d in docs]
         last = [len(s) - 1 for s in seqs]
-        zs = model.relevance_logits(seqs, weight_sets)
+        zs = model.relevance_logits(seqs, weight_sets, sense_table(model))
         for w, z in zip(weight_sets, zs):
             out = model.forward(seqs, w)
             want = model.head.logit(out[np.arange(len(seqs)), last])[0]
             assert z.shape == (len(docs),)
             assert np.max(np.abs(z - want)) <= 1e-12
         assert np.array_equal(zs[0], zs[1])    # all-ones is None, bit for bit
+
+
+def test_relevance_logits_gather_the_senses_senses_for_computes(model, monkeypatch):
+    """The senses relevance_logits gathers from the vocabulary-wide table
+    equal senses_for of the batch's padded ids bit for bit, on ragged
+    batches of one to nine sequences, padding included."""
+    seen = []
+    real = backpack.aggregate
+    monkeypatch.setattr(backpack, "aggregate",
+                        lambda a, s, w=None: seen.append(s) or real(a, s, w))
+    table = sense_table(model)
+    assert table.shape == (3, 12, 8)
+    rng = SplitMix64(14)
+    ragged = 0
+    for _ in range(40):
+        query, docs = _random_list(rng, 1 + rng.randint(9))
+        seqs = [model.pack_sequence(query, d) for d in docs]
+        ragged += len(set(map(len, seqs))) > 1
+        seen.clear()
+        model.relevance_logits(seqs, [None, (0.5, 1.0, 1.0)], table)
+        want = model.senses.senses_for(model._pad(seqs))[0]
+        assert len(seen) == 2 and all(np.array_equal(s, want) for s in seen)
+    assert ragged >= 20
 
 
 def test_logits_and_backward_scores_as_inference_does(small_cfg):
@@ -264,7 +288,7 @@ def test_logits_and_backward_scores_as_inference_does(small_cfg):
         model = Backpack(dataclasses.replace(small_cfg, context_layers=layers), seed=11)
         seqs = [model.pack_sequence(query, d) for d in docs]
         z, back = model.logits_and_backward(seqs)
-        assert np.array_equal(z, model.relevance_logits(seqs, [None])[0])
+        assert np.array_equal(z, model.relevance_logits(seqs, [None], sense_table(model))[0])
         grad = back(np.ones_like(z))
         assert grad.shape == (sum(p.size for p in model.parameters().values()),)
 

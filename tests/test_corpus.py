@@ -4,6 +4,7 @@ import gc
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from backrank import (Collection, DomainError, ParseError, Qrels, RunRecord,
@@ -13,7 +14,7 @@ from backrank import (Collection, DomainError, ParseError, Qrels, RunRecord,
                       write_collection, write_qrels, write_run)
 from backrank import corpus
 from backrank.corpus import read_tsv, records_from_ranking
-from helpers import group_run
+from helpers import CounterBm25Index, group_run
 
 
 @pytest.fixture
@@ -102,15 +103,13 @@ def test_bm25_matches_direct_formula(tiny_coll):
     assert scores == sorted(scores, reverse=True)
 
 
-def test_bm25_matches_direct_formula_on_random_collections():
-    """Scores and order equal the direct formula exactly, sorted by score
-    descending then doc id ascending, on seeded collections with duplicate
-    documents (tied scores, also across the top_n cut), repeated query
-    terms, a term in more than half of the documents, and ids whose string
-    order differs from their insertion order (d10 < d9)."""
+def random_bm25_cases():
+    """150 seeded (docs, query, top_n) cases: collections with duplicate
+    documents (tied scores), repeated query terms, a term in more than half
+    of the documents, and ids whose string order differs from their
+    insertion order (d10 < d9)."""
     rng = SplitMix64(21)
     words = [f"w{i}" for i in range(8)]
-    seen = {"tie_at_cut": 0, "repeated_term": 0, "floored_term": 0}
     for _ in range(150):
         n = 4 + rng.randint(20)
         numbers = list(range(1, n + 1))
@@ -127,8 +126,16 @@ def test_bm25_matches_direct_formula_on_random_collections():
         query = [words[rng.randint(len(words))] for _ in range(1 + rng.randint(4))]
         query += ["common"] * rng.randint(2) + ["oov"] * rng.randint(2)
         rng.uniform(), rng.uniform()    # formerly k1 and b; drawn to keep the collections
-        top_n = 1 + rng.randint(n)
+        yield docs, query, 1 + rng.randint(n)
 
+
+def test_bm25_matches_direct_formula_on_random_collections():
+    """Scores and order equal the direct formula exactly, sorted by score
+    descending then doc id ascending, on random_bm25_cases: tied scores
+    also across the top_n cut, repeated query terms and floored terms."""
+    seen = {"tie_at_cut": 0, "repeated_term": 0, "floored_term": 0}
+    for docs, query, top_n in random_bm25_cases():
+        n = len(docs)
         expected = direct_bm25(docs, query)
         ordered = sorted(expected.items(), key=lambda e: (-e[1], e[0]))
         ranked = bm25_retrieve(query, Collection(docs, {}), top_n=top_n)
@@ -140,6 +147,46 @@ def test_bm25_matches_direct_formula_on_random_collections():
         seen["floored_term"] += ("common" in query
                                  and 2 * sum("common" in t for t in docs.values()) > n)
     assert all(count >= 5 for count in seen.values()), seen
+
+
+def assert_same_index(got, want):
+    assert got.doc_ids == want.doc_ids
+    assert list(got.postings) == list(want.postings)
+    for term, (rows, impacts) in want.postings.items():
+        got_rows, got_impacts = got.postings[term]
+        assert got_rows.dtype == rows.dtype == np.intp, term
+        assert got_impacts.dtype == impacts.dtype == np.float64, term
+        assert np.array_equal(got_rows, rows), term
+        assert np.array_equal(got_impacts, impacts), term
+
+
+def test_bm25_index_equals_the_counter_build():
+    """Doc ids, posting key order, rows (intp) and impacts are bit-equal to
+    the per-document Counter build, on the seed-1 and seed-4 synthetic
+    collections, random_bm25_cases and the edge cases: no documents, one
+    empty document, only empty documents, and a term in every document (its
+    idf floors to 0, so it has no postings)."""
+    collections = [generate_synthetic(SynthConfig(seed=seed, skew=0.9)).docs
+                   for seed in (1, 4)]
+    collections += [docs for docs, _query, _top_n in random_bm25_cases()]
+    collections += [{}, {"d1": []}, {"d1": ["a", "b"], "d2": [], "d3": ["b", "c", "b"]},
+                    {"d1": [], "d2": [], "d3": []},
+                    {"d1": ["x", "y", "x"], "d2": ["x"], "d3": ["z", "x"]}]
+    for docs in collections:
+        assert_same_index(corpus._Bm25Index(docs), CounterBm25Index(docs))
+    assert "x" not in corpus._Bm25Index(collections[-1]).postings
+    assert corpus._Bm25Index({}).postings == {}
+
+
+def test_bm25_index_peaks_no_higher_than_the_counter_build():
+    """Building the seed-1 synthetic index allocates at its peak no more than
+    the per-document Counter build does."""
+    docs = generate_synthetic(SynthConfig(seed=1, skew=0.9)).docs
+    peaks = []
+    for build in (CounterBm25Index, corpus._Bm25Index):
+        _index, _retained, peak = retained_bytes(build, docs)
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0], peaks
 
 
 def test_bm25_oov_query_is_empty(tiny_coll):
@@ -568,6 +615,28 @@ def test_build_eval_set(tiny_coll):
         for did, enc in cand:
             assert es.doc_tokens[did] == tiny_coll.docs[did]
             assert list(enc) == v.encode(tiny_coll.docs[did])
+
+
+def test_build_eval_set_encodes_each_document_once(monkeypatch):
+    """Lists that name one document share one encoded tuple, and the
+    vocabulary encodes each query and each distinct candidate once."""
+    coll = generate_synthetic(SynthConfig(seed=3, num_queries=30, docs_per_query=6,
+                                          relevant_per_query=1, vocab_size=40))
+    vocab = Vocab.build(list(coll.docs.values()) + list(coll.queries.values()))
+    calls = []
+    real = Vocab.encode
+    monkeypatch.setattr(Vocab, "encode", lambda self, t: calls.append(1) or real(self, t))
+    es = build_eval_set(coll, vocab, candidate_depth=20)
+    first = {}
+    pairs = 0
+    for cand in es.candidates.values():
+        for did, enc in cand:
+            pairs += 1
+            assert enc is first.setdefault(did, enc)
+            assert list(enc) == real(vocab, coll.docs[did])
+    assert len(first) < pairs
+    assert len(calls) == len(es.queries) + len(first)
+    assert list(es.doc_tokens) == list(first)
 
 
 def test_build_eval_set_shares_document_tokens(tiny_coll):

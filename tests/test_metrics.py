@@ -117,7 +117,7 @@ def test_bias_report_matches_naive_means_on_random_runs():
     cutoffs = (1, 3, 5, 40)
     for trial in range(400):
         ranked, tokens = random_run(rng, 1 + rng.randint(4), 45, shared=trial % 2 == 1)
-        report = bias_report(ranked, tokens, cutoffs=cutoffs)
+        [report] = bias_report([ranked], tokens, cutoffs=cutoffs)
         for variant in ("tf", "bool"):
             for c in cutoffs:
                 lists = [[tokens[d] for d in ranked[q]] for q in sorted(ranked)]
@@ -144,7 +144,7 @@ def test_bias_report_computes_each_delta_once(monkeypatch):
         ranked[f"q{q}"] = [f"q{q}-d{i}" for i in range(len(docs))]
         tokens.update(zip(ranked[f"q{q}"], docs))
     cutoffs = (10, 20, 30, 40)
-    bias_report(ranked, tokens, cutoffs=cutoffs)
+    bias_report([ranked], tokens, cutoffs=cutoffs)
     bound = sum(min(len(ids), max(cutoffs)) for ids in ranked.values())
     assert 0 < calls["tf"] <= bound
     assert 0 < calls["bool"] <= bound
@@ -165,9 +165,54 @@ def test_bias_report_computes_each_document_delta_once(monkeypatch):
     ranked, tokens = random_run(rng, 30, 30, shared=True)
     tokens = {did: doc + [did] for did, doc in tokens.items()}    # tell documents apart
     cutoffs = (3, 10)
-    bias_report(ranked, tokens, cutoffs=cutoffs)
+    bias_report([ranked], tokens, cutoffs=cutoffs)
     within = {tuple(tokens[d]) for ids in ranked.values() for d in ids[:max(cutoffs)]}
     assert len(within) < sum(min(len(ids), max(cutoffs)) for ids in ranked.values())
+    assert sorted(calls) == sorted((doc, v) for doc in within for v in ("tf", "bool"))
+
+
+def _reorderings(rng, ranked, count):
+    """count rankings of ranked's documents: each list shuffled and cut,
+    every other query dropped from the odd ones."""
+    out = []
+    for i in range(count):
+        out.append({qid: rng.sample(ids, 1 + rng.randint(len(ids)))
+                    for j, (qid, ids) in enumerate(sorted(ranked.items()))
+                    if i % 2 == 0 or j % 2 == 0})
+    return out
+
+
+def test_bias_report_of_several_rankings_equals_each_alone():
+    """One report per ranking, in order, each equal to that ranking's report
+    on its own, bit for bit."""
+    rng = SplitMix64(17)
+    for trial in range(60):
+        ranked, tokens = random_run(rng, 2 + rng.randint(4), 30, shared=trial % 2 == 0)
+        rankings = [ranked] + _reorderings(rng, ranked, 3)
+        reports = bias_report(rankings, tokens, cutoffs=(1, 4, 10))
+        assert reports == [bias_report([r], tokens, cutoffs=(1, 4, 10))[0] for r in rankings]
+        assert [r.num_queries for r in reports] == [len(r) for r in rankings]
+
+
+def test_bias_report_computes_each_document_delta_once_across_rankings(monkeypatch):
+    """Rankings that share documents reuse one delta per (document, variant):
+    four reorderings cost as many delta calls as the documents they rank
+    within the largest cutoff."""
+    calls = []
+    real = metrics._gender_delta
+
+    def counting(doc, variant):
+        calls.append((tuple(doc), variant))
+        return real(doc, variant)
+
+    monkeypatch.setattr(metrics, "_gender_delta", counting)
+    rng = SplitMix64(19)
+    ranked, tokens = random_run(rng, 20, 30, shared=True)
+    tokens = {did: doc + [did] for did, doc in tokens.items()}    # tell documents apart
+    rankings = _reorderings(rng, ranked, 4)
+    cutoffs = (3, 10)
+    bias_report(rankings, tokens, cutoffs=cutoffs)
+    within = {tuple(tokens[d]) for r in rankings for ids in r.values() for d in ids[:10]}
     assert sorted(calls) == sorted((doc, v) for doc in within for v in ("tf", "bool"))
 
 
@@ -185,7 +230,7 @@ def test_cutoffs_past_list_ends_warn_once_per_cutoff(caplog):
     ranked = {f"q{q:02d}": [f"q{q:02d}-d{i}" for i in range(20)] for q in range(60)}
     tokens = {d: DOC2 for ids in ranked.values() for d in ids}
     with caplog.at_level(logging.WARNING, logger="backrank.metrics"):
-        report = bias_report(ranked, tokens, cutoffs=(10, 20, 30, 40))
+        [report] = bias_report([ranked], tokens, cutoffs=(10, 20, 30, 40))
     assert [r.getMessage() for r in caplog.records] == [
         f"bias cutoff {c} exceeds the length of 60 of 60 lists (shortest 20); "
         "using their prefix" for c in (30, 40)]
@@ -194,8 +239,20 @@ def test_cutoffs_past_list_ends_warn_once_per_cutoff(caplog):
     ranked = {f"q{n}": [f"q{n}-d{i}" for i in range(n)] for n in (35, 5, 25)}
     tokens = {d: DOC1 for ids in ranked.values() for d in ids}
     with caplog.at_level(logging.WARNING, logger="backrank.metrics"):
-        bias_report(ranked, tokens, cutoffs=(30, 10, 30))
+        bias_report([ranked], tokens, cutoffs=(30, 10, 30))
     assert [r.getMessage() for r in caplog.records] == [
+        "bias cutoff 30 exceeds the length of 2 of 3 lists (shortest 5); using their prefix",
+        "bias cutoff 10 exceeds the length of 1 of 3 lists (shortest 5); using their prefix"]
+    caplog.clear()
+    # several rankings: each warns once per cutoff, in ranking order
+    longer = {qid: ids + [f"{qid}-x{i}" for i in range(10)] for qid, ids in ranked.items()}
+    tokens.update((d, DOC2) for ids in longer.values() for d in ids)
+    with caplog.at_level(logging.WARNING, logger="backrank.metrics"):
+        bias_report([ranked, longer, ranked], tokens, cutoffs=(30, 10, 30))
+    assert [r.getMessage() for r in caplog.records] == [
+        "bias cutoff 30 exceeds the length of 2 of 3 lists (shortest 5); using their prefix",
+        "bias cutoff 10 exceeds the length of 1 of 3 lists (shortest 5); using their prefix",
+        "bias cutoff 30 exceeds the length of 1 of 3 lists (shortest 15); using their prefix",
         "bias cutoff 30 exceeds the length of 2 of 3 lists (shortest 5); using their prefix",
         "bias cutoff 10 exceeds the length of 1 of 3 lists (shortest 5); using their prefix"]
 
@@ -306,7 +363,7 @@ def test_queries_absent_from_qrels_are_one_warning_and_score_0(simple_qrels, cap
 def test_bias_report_gender_free_is_all_zero():
     ranked = {"q1": ["d1", "d2"], "q2": ["d2", "d1"]}
     docs = {"d1": ["alpha", "beta"], "d2": ["gamma", "alpha"]}
-    report = bias_report(ranked, docs, cutoffs=(1, 2))
+    [report] = bias_report([ranked], docs, cutoffs=(1, 2))
     assert len(report.mean_rab) == len(report.mean_arab) == 4
     assert set(report.mean_rab.values()) == set(report.mean_arab.values()) == {0.0}
 
@@ -317,7 +374,7 @@ def test_bias_report_absolute_vs_signed():
     ranked = {"q1": ["df"], "q2": ["dm"]}
     docs = {"df": ["she", "she"], "dm": ["he", "he"]}
     signed = [rab([docs[d] for d in ranked[q]], t=1) for q in sorted(ranked)]
-    absr = bias_report(ranked, docs, cutoffs=(1,))
+    [absr] = bias_report([ranked], docs, cutoffs=(1,))
     assert sum(signed) / len(signed) == pytest.approx(0.0, abs=1e-15)
     assert absr.mean_rab[("tf", 1)] == pytest.approx(math.log(2), abs=1e-12)
     assert isinstance(absr, BiasReport)
@@ -327,11 +384,14 @@ def test_bias_report_validates():
     ranked = {"q1": ["d1"]}
     docs = {"d1": ["x"]}
     with pytest.raises(DomainError):
-        bias_report(ranked, docs, variants=("nope",))
+        bias_report([ranked], docs, variants=("nope",))
     with pytest.raises(DomainError):
-        bias_report(ranked, docs, cutoffs=(0,))
+        bias_report([ranked], docs, cutoffs=(0,))
     with pytest.raises(DomainError):
-        bias_report({}, docs)
+        bias_report([ranked, {}], docs)
+    with pytest.raises(DomainError):
+        bias_report(ranked, docs)    # one ranking, not a sequence of them
+    assert bias_report([], docs) == []
 
 
 def test_qrels_api():

@@ -9,12 +9,13 @@ from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, Qrels,
                       bias_report, build_eval_set, build_sense_map,
                       build_train_examples, generate_synthetic, listwise_loss,
                       mean_metric, rank_all, sweep_lambda, train)
-from backrank.backpack import ContextEncoder
+from backrank import metrics
+from backrank.backpack import ContextEncoder, SenseTable
 from backrank.ranker import SWEEP_COLUMNS
 from backrank.senses import PolarityPair
 from backrank import numkernel as nk
 from helpers import (Tape, backward, central_diff_error, listwise_loss_chain, logits,
-                     relevance_logit_chain, tracked)
+                     relevance_logit_chain, sense_table, tracked)
 
 
 @pytest.fixture
@@ -206,7 +207,7 @@ def test_listwise_gradient_through_ragged_batch():
     grads = np.split(back(listwise_loss(y, z)[1]), np.cumsum([p.size for p in params])[:-1])
 
     def loss():
-        return listwise_loss(y, model.relevance_logits(seqs, [None])[0])[0]
+        return listwise_loss(y, model.relevance_logits(seqs, [None], sense_table(model))[0])[0]
 
     assert max(central_diff_error(loss, p.data, g) for p, g in zip(params, grads)) <= 1e-4
 
@@ -306,6 +307,27 @@ def test_rank_all_packs_each_pair_once(tiny_model, monkeypatch):
     assert len(calls) == 15
 
 
+@pytest.mark.parametrize("weight_sets", [(None,), (None, (0.5, 1.0), (1.0, 0.2), (1.0, 1.0))])
+def test_rank_all_computes_the_sense_table_once(tiny_model, monkeypatch, weight_sets):
+    """One vocabulary-wide sense table per call, however many chunks and
+    weight sets it scores."""
+    rng = SplitMix64(13)
+    queries = {f"q{i}": tuple(3 + rng.randint(27) for _ in range(1 + i % 3)) for i in range(6)}
+    cands = {qid: [(f"d{j}", tuple(3 + rng.randint(27) for _ in range(2 + j % 4)))
+                   for j in range(30)] for qid in queries}
+    calls = []
+    senses_for = SenseTable.senses_for
+
+    def counting(self, ids):
+        calls.append(np.shape(ids))
+        return senses_for(self, ids)
+
+    monkeypatch.setattr(SenseTable, "senses_for", counting)
+    ranked = list(rank_all(tiny_model, EvalSet(queries, cands, Qrels({}), {}), weight_sets))
+    assert len(ranked) == 6 and all(len(lists) == len(weight_sets) for _, lists in ranked)
+    assert calls == [(1, tiny_model.config.vocab_size)]
+
+
 @pytest.mark.parametrize("layers", [1, 2])
 def test_train_steps_are_bit_equal_to_the_reference_chain(layers):
     """20 SGD steps of train give the loss history and parameters of the same
@@ -371,7 +393,7 @@ def test_sweep_identity_row_equals_direct_evaluation(synth_setup):
     assert set(rows[0]) == set(SWEEP_COLUMNS)
 
     ranked = {qid: rl.doc_ids for qid, (rl,) in rank_all(model, eval_set)}
-    report = bias_report(ranked, eval_set.doc_tokens, cutoffs=(5,))
+    [report] = bias_report([ranked], eval_set.doc_tokens, cutoffs=(5,))
     base = rows[0]
     assert base["lambda"] == 1.0
     assert base["mrr@10"] == mean_metric(ranked, eval_set.qrels, "mrr", 10)
@@ -396,7 +418,7 @@ def test_sweep_rows_equal_rank_all_under_each_lambda(synth_setup):
                   rank_all(model, eval_set, (build_sense_map(scores, lam, 2),))}
         mrr = mean_metric(ranked, eval_set.qrels, "mrr", 10)
         ndcg = mean_metric(ranked, eval_set.qrels, "ndcg", 10)
-        report = bias_report(ranked, eval_set.doc_tokens, cutoffs=cutoffs)
+        [report] = bias_report([ranked], eval_set.doc_tokens, cutoffs=cutoffs)
         for cutoff in cutoffs:
             expected.append({
                 "lambda": lam, "mrr@10": mrr, "ndcg@10": ndcg,
@@ -430,6 +452,23 @@ def test_sweep_encodes_each_pair_once(synth_setup, monkeypatch):
         per_sweep.append(list(calls))
     assert sum(rows for rows, _ in per_sweep[0]) == sum(map(len, eval_set.candidates.values()))
     assert per_sweep[0] == per_sweep[1]
+
+
+def test_sweep_computes_each_gender_delta_once_across_lambdas(synth_setup, monkeypatch):
+    """Three lambdas make as many gender-delta calls as one: each document's
+    delta is computed once per variant for the whole sweep."""
+    model, vocab, _, eval_set = synth_setup
+    scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
+    calls = []
+    real = metrics._gender_delta
+    monkeypatch.setattr(metrics, "_gender_delta",
+                        lambda doc, variant: calls.append(variant) or real(doc, variant))
+    per_sweep = []
+    for lambdas in ((1.0,), (1.0, 1.0, 1.0)):
+        calls.clear()
+        sweep_lambda(model, eval_set, scores, lambdas, cutoffs=(3, 5), m=2)
+        per_sweep.append(len(calls))
+    assert per_sweep[0] == per_sweep[1] > 0
 
 
 def test_sweep_suppression_changes_rankings(synth_setup):
