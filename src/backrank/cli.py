@@ -25,8 +25,8 @@ from pathlib import Path
 from . import __version__
 from .backpack import Backpack, BackpackConfig, load_checkpoint, save_checkpoint
 from .corpus import (SynthConfig, Vocab, build_eval_set, build_train_examples,
-                     generate_synthetic, load_collection, read_qrels,
-                     read_ranking, read_tsv,
+                     generate_synthetic, load_collection, read_gender_tokens,
+                     read_qrels, read_ranking,
                      records_from_ranking, write_collection, write_run)
 from .errors import BackrankError, DomainError, ParseError, read_lines
 from .metrics import bias_report, mean_metric
@@ -233,7 +233,7 @@ def cmd_bias(args) -> int:
     grouped = read_ranking(args.run)
     if not grouped:
         raise DomainError(f"run file {args.run} holds no records")
-    doc_tokens = read_tsv(args.corpus)
+    doc_tokens = read_gender_tokens(args.corpus)    # all RaB/ARaB read of a document
     if any(did not in doc_tokens for ids in grouped.values() for did in ids):
         for lineno, raw in read_lines(args.run):
             parts = raw.split()

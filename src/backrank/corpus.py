@@ -19,7 +19,7 @@ import gc
 import itertools
 import logging
 import math
-import re
+import string
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -36,18 +36,39 @@ from .rng import SplitMix64
 
 log = logging.getLogger(__name__)
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 BM25_K1 = 0.9
 BM25_B = 0.4
+
+
+class _Separators(dict):
+    """A ``str.translate`` table that keeps ASCII lowercase letters and
+    digits and turns every other character, non-ASCII included, into a space."""
+
+    def __missing__(self, _char: int) -> str:
+        return " "
+
+
+# every ASCII character is listed, so __missing__ runs only for non-ASCII text
+_SEPARATORS = _Separators.fromkeys(range(128), " ")
+_SEPARATORS.update((ord(c), c) for c in string.ascii_lowercase + string.digits)
+_GENDER_LEXICON = frozenset(FEMALE_TERMS + MALE_TERMS)
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumerics, dropping empty tokens.
 
-    Only ASCII letters and digits survive; everything else separates. Tokens
-    are interned, so every occurrence of a word is one string object.
+    Only ASCII letters and digits survive; everything else separates, so the
+    tokens are those of ``[a-z0-9]+`` over the lowercased text. Tokens are
+    interned, so every occurrence of a word is one string object.
     """
-    return list(map(sys.intern, _TOKEN_RE.findall(text.lower())))
+    return list(map(sys.intern, text.lower().translate(_SEPARATORS).split()))
+
+
+def _gender_tokens(text: str) -> list[str]:
+    """The gender-lexicon tokens of ``text``, in order: its tokenize tokens,
+    filtered, without interning the rest."""
+    return list(map(sys.intern, filter(_GENDER_LEXICON.__contains__,
+                                       text.lower().translate(_SEPARATORS).split())))
 
 
 class Vocab:
@@ -376,8 +397,8 @@ def _gc_paused():
 
 
 @_gc_paused()
-def read_tsv(path) -> dict[str, list[str]]:
-    """``id<TAB>text`` records (corpus or queries), tokenized."""
+def _read_records(path, parse) -> dict[str, list[str]]:
+    """``id<TAB>text`` records, each text as ``parse`` returns it."""
     out: dict[str, list[str]] = {}
     for lineno, raw in read_lines(path):
         if not raw.strip():
@@ -392,8 +413,19 @@ def read_tsv(path) -> dict[str, list[str]]:
             raise ParseError(f"id {rid!r} contains whitespace", path=str(path), line=lineno)
         if rid in out:
             raise ParseError(f"duplicate id {rid!r}", path=str(path), line=lineno)
-        out[sys.intern(rid)] = tokenize(text)
+        out[sys.intern(rid)] = parse(text)
     return out
+
+
+def read_tsv(path) -> dict[str, list[str]]:
+    """``id<TAB>text`` records (corpus or queries), tokenized."""
+    return _read_records(path, tokenize)
+
+
+def read_gender_tokens(path) -> dict[str, list[str]]:
+    """A corpus TSV's records, each text as only its gender-lexicon tokens in
+    order: all RaB/ARaB read of a document. Checks each line as read_tsv does."""
+    return _read_records(path, _gender_tokens)
 
 
 def _write_tsv(path, records: Mapping[str, Sequence[str]]) -> None:
@@ -518,6 +550,7 @@ def read_ranking(path) -> dict[str, list[str]]:
     ranks and ids, never a RunRecord; ids are interned strings."""
     ranked: dict[str, tuple[list[int], list[str]]] = {}    # query id -> ranks, doc ids
     line_qids: list[str | None] = []    # each line's query id, None if blank
+    last_qid = None    # a query's lines come in runs: look its lists up once per run
     for lineno, raw in read_lines(path):
         parts = raw.split()
         try:    # a blank line, or a fault that _run_line_error names, is a ValueError
@@ -530,12 +563,13 @@ def read_ranking(path) -> dict[str, list[str]]:
                 raise _run_line_error(parts, path, lineno) from None
             line_qids.append(None)
             continue
-        qid = sys.intern(qid)
-        line_qids.append(qid)
-        try:
-            ranks, dids = ranked[qid]
-        except KeyError:
-            ranks, dids = ranked[qid] = ([], [])
+        if qid != last_qid:
+            last_qid = sys.intern(qid)
+            try:
+                ranks, dids = ranked[last_qid]
+            except KeyError:
+                ranks, dids = ranked[last_qid] = ([], [])
+        line_qids.append(last_qid)
         ranks.append(rank)
         dids.append(sys.intern(did))
     if any(len(set(dids)) != len(dids) for _ranks, dids in ranked.values()):
@@ -566,12 +600,14 @@ def build_train_examples(
 
     Negatives are sampled (seeded) from the query's BM25 candidates that
     carry no positive label. Queries without positives, or whose candidates
-    yield no negatives, are skipped with a warning.
+    yield no negatives, are skipped with a warning. Each distinct document
+    is encoded once, and every list naming it shares that tuple.
     """
     if num_negatives < 1:
         raise DomainError("num_negatives must be >= 1")
     rng = SplitMix64(seed)
     examples: list[TrainExample] = []
+    encoded: dict[str, tuple[int, ...]] = {}    # each distinct document, encoded once
     skipped = 0
     for qid, qtokens in coll.queries.items():
         positives = coll.qrels.relevant(qid)
@@ -587,11 +623,14 @@ def build_train_examples(
         for pos in sorted(positives):
             negs = rng.sample(pool, min(num_negatives, len(pool)))
             doc_ids = (pos, *negs)
+            for d in doc_ids:
+                if d not in encoded:
+                    encoded[d] = tuple(vocab.encode(coll.docs[d]))
             examples.append(TrainExample(
                 query_id=qid,
                 query=query_ids,
                 doc_ids=doc_ids,
-                docs=tuple(tuple(vocab.encode(coll.docs[d])) for d in doc_ids),
+                docs=tuple(encoded[d] for d in doc_ids),
                 labels=(1.0,) + (0.0,) * len(negs),
             ))
     if skipped:

@@ -69,8 +69,13 @@ class Qrels:
 def mag_tf(doc_tokens: Sequence[str], terms: Iterable[str]) -> float:
     """Sum of natural-log term counts over the lexicon terms present in the
     document; a single occurrence contributes log(1) = 0."""
+    return _log_counts(doc_tokens, sorted(set(terms)))
+
+
+def _log_counts(doc_tokens: Sequence[str], terms: Sequence[str]) -> float:
+    """mag_tf over distinct terms, summed in the given order."""
     total = 0.0
-    for term in sorted(set(terms)):
+    for term in terms:
         c = doc_tokens.count(term)
         if c > 0:
             total += math.log(c)
@@ -83,8 +88,8 @@ def mag_bool(doc_tokens: Sequence[str], terms: Iterable[str]) -> int:
 
 
 def _gender_delta(doc_tokens: Sequence[str], variant: str) -> float:
-    if variant == "tf":
-        return mag_tf(doc_tokens, FEMALE_TERMS) - mag_tf(doc_tokens, MALE_TERMS)
+    if variant == "tf":    # the lexicons are sorted and distinct, as mag_tf orders them
+        return _log_counts(doc_tokens, FEMALE_TERMS) - _log_counts(doc_tokens, MALE_TERMS)
     if variant == "bool":
         return float(mag_bool(doc_tokens, FEMALE_TERMS) - mag_bool(doc_tokens, MALE_TERMS))
     raise DomainError(f"unknown magnitude variant {variant!r}")

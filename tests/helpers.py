@@ -1,12 +1,14 @@
 """Shared fixtures-in-code for the model-layer tests, the central-difference
 gradient oracle, and the reverse-mode tape with the primitive ops and chains
 that the model's components replace (kept here as their bit-for-bit
-reference), the run-record grouping that ``read_ranking`` replaces, and
-the per-document ``Counter`` BM25 index build."""
+reference), the run-record grouping that ``read_ranking`` replaces, the
+per-document ``Counter`` BM25 index build, and the regular-expression
+tokenizer."""
 
 import copy
 import json
 import math
+import re
 import struct
 from collections import Counter
 
@@ -639,3 +641,12 @@ class CounterBm25Index:
             impact *= BM25_K1 + 1.0
             impact /= denom
             self.postings[term] = (rr, impact)
+
+
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def regex_tokenize(text):
+    """The runs of ASCII letters and digits in the lowercased text: the oracle
+    for ``corpus.tokenize``."""
+    return _TOKEN_RE.findall(text.lower())

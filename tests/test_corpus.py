@@ -2,6 +2,9 @@
 
 import gc
 import math
+import random
+import string
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,8 +16,9 @@ from backrank import (Collection, DomainError, ParseError, Qrels, RunRecord,
                       read_qrels, read_ranking, read_run, tokenize,
                       write_collection, write_qrels, write_run)
 from backrank import corpus
-from backrank.corpus import read_tsv, records_from_ranking
-from helpers import CounterBm25Index, group_run
+from backrank.corpus import read_gender_tokens, read_tsv, records_from_ranking
+from backrank.metrics import FEMALE_TERMS, MALE_TERMS
+from helpers import CounterBm25Index, group_run, regex_tokenize
 
 
 @pytest.fixture
@@ -340,22 +344,21 @@ def test_collection_files_round_trip(tmp_path, tiny_coll):
     assert back.qrels == tiny_coll.qrels
 
 
-def test_corpus_tsv_errors(tmp_path):
+@pytest.mark.parametrize("parse", [read_tsv, read_gender_tokens], ids=lambda f: f.__name__)
+def test_corpus_tsv_errors(tmp_path, parse):
+    """Both TSV readers give each malformed file the same path:line message."""
+    cases = [("d1 no tab here\n", "1: expected id<TAB>text"),
+             ("ok\tfine\n \ttext\n", "2: empty id"),
+             ("d1\tok words\nd1\tagain\n", "2: duplicate id 'd1'"),
+             # an id with whitespace would add a field to every run line naming it
+             ("ok\tfine\nd 1\ttext\n", "2: id 'd 1' contains whitespace"),
+             ("ok\tfine\nq\u00a01\ttext\n", "2: id 'q\\xa01' contains whitespace")]
     p = tmp_path / "corpus.tsv"
-    p.write_text("d1 no tab here\n")
-    with pytest.raises(ParseError):
-        read_tsv(p)
-    p.write_text("d1\tok words\nd1\tagain\n")
-    with pytest.raises(ParseError) as err:
-        read_tsv(p)
-    assert "duplicate" in str(err.value)
-    # an id with whitespace would add a field to every run line naming it
-    for name, bad_id in (("corpus.tsv", "d 1"), ("queries.tsv", "q\u00a01")):
-        p = tmp_path / name
-        p.write_text(f"ok\tfine\n{bad_id}\ttext\n")
+    for text, message in cases:
+        p.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError) as err:
-            read_tsv(p)
-        assert str(err.value).startswith(f"{p}:2: ") and "whitespace" in str(err.value)
+            parse(p)
+        assert str(err.value) == f"{p}:{message}"
 
 
 def test_run_file_round_trip(tmp_path):
@@ -489,6 +492,7 @@ def test_parsed_tokens_and_ids_are_shared_objects(tmp_path):
 
 PARSERS = {    # parser, a good file, a file it rejects
     "read_tsv": (read_tsv, "d1\tsome text\n", "d1\tsome text\nd1\tagain\n"),
+    "read_gender_tokens": (read_gender_tokens, "d1\tshe said\n", "d1\tshe said\nd1\the\n"),
     "read_run": (read_run, "q1 Q0 d1 1 0.5 s\n", "q1 Q0 d1 1 0.5 s\nq1 Q0 d1 2 0.4 s\n"),
     "read_ranking": (read_ranking, "q1 Q0 d1 1 0.5 s\n",
                      "q1 Q0 d1 1 0.5 s\nq1 Q0 d1 2 0.4 s\n"),
@@ -597,6 +601,26 @@ def test_build_train_examples_deterministic(tiny_coll):
     assert a == b
 
 
+def test_build_train_examples_encodes_each_document_once(monkeypatch):
+    """Examples that name one document share one encoded tuple, and the
+    vocabulary encodes each query and each distinct document at most once."""
+    coll = generate_synthetic(SynthConfig(seed=3, num_queries=30, docs_per_query=6,
+                                          relevant_per_query=2, vocab_size=40))
+    vocab = Vocab.build(list(coll.docs.values()) + list(coll.queries.values()))
+    calls = []
+    real = Vocab.encode
+    monkeypatch.setattr(Vocab, "encode", lambda self, t: calls.append(1) or real(self, t))
+    examples = build_train_examples(coll, vocab, num_negatives=3, seed=2, candidate_depth=6)
+    first = {}
+    for ex in examples:
+        assert ex.query == tuple(real(vocab, coll.queries[ex.query_id]))
+        assert ex.docs == tuple(tuple(real(vocab, coll.docs[d])) for d in ex.doc_ids)
+        for did, enc in zip(ex.doc_ids, ex.docs):
+            assert enc is first.setdefault(did, enc)
+    assert len(first) < sum(len(ex.doc_ids) for ex in examples)
+    assert len(calls) <= len(first) + len(coll.queries)
+
+
 def test_build_train_examples_needs_some_labels():
     docs = {"d1": ["a", "b"]}
     queries = {"q1": ["a"]}
@@ -653,3 +677,51 @@ def test_records_from_ranking_tags_and_ranks(tiny_coll):
     records = records_from_ranking(ranked, tag="mytag")
     assert [r.rank for r in records] == list(range(1, len(records) + 1))
     assert all(r.tag == "mytag" and r.query_id == "q9" for r in records)
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer oracle and the gender-token reader over whole corpora. Last in
+# this file: they intern many strings, and the tracemalloc tests above count
+# a growth of the interpreter's interned-string table that falls in their call.
+
+
+@pytest.fixture(scope="module", params=[1, 4])
+def synth_files(request, tmp_path_factory):
+    """corpus.tsv and queries.tsv of the default synthetic collection."""
+    paths = write_collection(generate_synthetic(SynthConfig(seed=request.param)),
+                             tmp_path_factory.mktemp(f"synth{request.param}"))
+    return paths["corpus"], paths["queries"]
+
+
+def test_tokenize_equals_the_regex_oracle_on_random_text():
+    """Characters whose case mapping is unusual, Unicode spaces and word
+    characters that are not alphanumeric all separate as the regex does."""
+    alphabet = ("\u0130\u01c5\u1e9e\u03a3\u212a\u00a0\u2003_\t\n"
+                + string.digits + string.punctuation + string.ascii_letters)
+    rng = random.Random(20)
+    for _ in range(50_000):
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 24)))
+        assert tokenize(text) == regex_tokenize(text), repr(text)
+
+
+def test_tokenize_equals_the_regex_oracle_on_synthetic_files(synth_files):
+    for path in synth_files:
+        for line in path.read_text(encoding="utf-8").splitlines():
+            text = line.partition("\t")[2]
+            assert tokenize(text) == regex_tokenize(text)
+
+
+def test_read_gender_tokens_equals_the_filtered_read_tsv(tmp_path, synth_files):
+    """Each record's gender-lexicon tokens of read_tsv, in order and interned."""
+    hand = tmp_path / "corpus.tsv"
+    hand.write_text("d1\tHE said he's here\nd2\tshe-he he2 hers\n\n"
+                    "d3\tHim! woman_ manhood\nd4\tno gender words\n")
+    assert read_gender_tokens(hand) == {"d1": ["he", "he"], "d2": ["she", "he"],
+                                        "d3": ["him", "woman"], "d4": []}
+    lexicon = set(FEMALE_TERMS + MALE_TERMS)
+    for path in (hand, synth_files[0]):
+        full, gendered = read_tsv(path), read_gender_tokens(path)
+        assert list(gendered) == list(full)
+        for did, tokens in full.items():
+            assert gendered[did] == [t for t in tokens if t in lexicon]
+            assert all(t is sys.intern(t) for t in gendered[did])
