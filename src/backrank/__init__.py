@@ -13,7 +13,6 @@ from .backpack import (
 )
 from .corpus import (
     Collection,
-    RunRecord,
     SynthConfig,
     Vocab,
     bm25_retrieve,
@@ -23,7 +22,6 @@ from .corpus import (
     load_collection,
     read_qrels,
     read_ranking,
-    read_run,
     tokenize,
     write_collection,
     write_qrels,
@@ -33,14 +31,11 @@ from .errors import BackrankError, DomainError, ParseError, ShapeError
 from .metrics import (
     BiasReport,
     Qrels,
-    arab,
     bias_report,
     mag_bool,
-    mag_tf,
     mean_metric,
     mrr_at_k,
     ndcg_at_k,
-    rab,
 )
 from .numkernel import Tensor, cosine_similarity
 from .ranker import (
@@ -70,15 +65,15 @@ __all__ = [
     "AttributeScores", "Backpack", "BackpackConfig", "BackrankError",
     "BiasReport", "Collection",
     "DomainError", "EvalSet", "ParseError",
-    "PolarityPair", "Qrels", "RankedList", "RelevanceHead", "RunRecord",
+    "PolarityPair", "Qrels", "RankedList", "RelevanceHead",
     "SenseTable", "ShapeError", "SplitMix64", "SynthConfig",
     "Tensor", "TrainConfig", "TrainExample", "Vocab",
-    "aggregate", "arab", "attribute_scores", "bias_report",
+    "aggregate", "attribute_scores", "bias_report",
     "bm25_retrieve", "build_eval_set", "build_sense_map",
     "build_train_examples", "cosine_similarity", "default_pairs_path",
     "generate_synthetic", "listwise_loss", "load_checkpoint",
-    "load_collection", "load_polarity_lexicon", "mag_bool", "mag_tf",
-    "mean_metric", "mrr_at_k", "ndcg_at_k", "rab", "rank_all",
-    "read_qrels", "read_ranking", "read_run", "save_checkpoint", "sweep_lambda",
+    "load_collection", "load_polarity_lexicon", "mag_bool",
+    "mean_metric", "mrr_at_k", "ndcg_at_k", "rank_all",
+    "read_qrels", "read_ranking", "save_checkpoint", "sweep_lambda",
     "tokenize", "train", "write_collection", "write_qrels", "write_run",
 ]

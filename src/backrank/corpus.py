@@ -25,7 +25,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -468,18 +468,9 @@ def load_collection(corpus_path, queries_path, qrels_path=None) -> Collection:
         raise
 
 
-class RunRecord(NamedTuple):
-    """One line of a TREC-format run file."""
-
-    query_id: str
-    doc_id: str
-    rank: int
-    score: float
-    tag: str = "backrank"
-
-
-def write_run(path, records: Iterable[RunRecord]) -> None:
-    """Write run lines ``qid Q0 docid rank score tag`` with %.6f scores."""
+def write_run(path, records: Iterable[tuple[str, str, int, float, str]]) -> None:
+    """Write ``(qid, docid, rank, score, tag)`` records as run lines
+    ``qid Q0 docid rank score tag`` with %.6f scores."""
     with open(path, "w", encoding="utf-8") as fh:
         for qid, did, rank, score, tag in records:
             fh.write(f"{qid} Q0 {did} {rank} {score:.6f} {tag}\n")
@@ -515,39 +506,11 @@ def _repeat_error(path, lines: Iterable[tuple[int, str, str]]) -> ParseError:
 
 
 @_gc_paused()
-def read_run(path) -> list[RunRecord]:
-    """Parse a run file; ranks need not be contiguous and are preserved, and
-    no query may list a document twice. Ids and tags are interned strings."""
-    records: list[RunRecord] = []
-    listed: dict[str, list[str]] = {}    # query id -> its document ids
-    blank: set[int] = set()              # blank line numbers, to number a repeat's line
-    for lineno, raw in read_lines(path):
-        parts = raw.split()
-        try:    # a blank line, or a fault that _run_line_error names, is a ValueError
-            qid, _q0, did, rank, score, tag = parts
-            rank, score = int(rank), float(score)
-            if not math.isfinite(score):
-                raise ValueError
-        except ValueError:
-            if parts:
-                raise _run_line_error(parts, path, lineno) from None
-            blank.add(lineno)
-            continue
-        qid, did, tag = sys.intern(qid), sys.intern(did), sys.intern(tag)
-        listed.setdefault(qid, []).append(did)
-        records.append(RunRecord(qid, did, rank, score, tag))
-    if any(len(set(dids)) != len(dids) for dids in listed.values()):
-        linenos = (n for n in itertools.count(1) if n not in blank)
-        raise _repeat_error(path, ((n, rec.query_id, rec.doc_id)
-                                   for n, rec in zip(linenos, records)))
-    return records
-
-
-@_gc_paused()
 def read_ranking(path) -> dict[str, list[str]]:
     """Each query's document ids in rank order, ties in file order, from a
-    run file in one pass. It checks each line as read_run does but keeps only
-    ranks and ids, never a RunRecord; ids are interned strings."""
+    run file in one pass; ranks need not be contiguous. Each line must hold
+    6 fields, an int rank and a finite score, and no query may list a
+    document twice. Only ranks and ids are kept; ids are interned strings."""
     ranked: dict[str, tuple[list[int], list[str]]] = {}    # query id -> ranks, doc ids
     line_qids: list[str | None] = []    # each line's query id, None if blank
     last_qid = None    # a query's lines come in runs: look its lists up once per run
@@ -582,11 +545,11 @@ def read_ranking(path) -> dict[str, list[str]]:
             for qid, (ranks, dids) in ranked.items()}
 
 
-def records_from_ranking(ranked: RankedList, tag: str = "backrank") -> list[RunRecord]:
-    return [
-        RunRecord(ranked.query_id, did, i + 1, score, tag)
-        for i, (did, score) in enumerate(ranked.items)
-    ]
+def records_from_ranking(ranked: RankedList,
+                         tag: str = "backrank") -> list[tuple[str, str, int, float, str]]:
+    """The ``write_run`` records of a ranked list, ranked from 1."""
+    return [(ranked.query_id, did, i + 1, score, tag)
+            for i, (did, score) in enumerate(ranked.items)]
 
 
 def build_train_examples(

@@ -66,14 +66,10 @@ class Qrels:
 # gender magnitudes
 
 
-def mag_tf(doc_tokens: Sequence[str], terms: Iterable[str]) -> float:
-    """Sum of natural-log term counts over the lexicon terms present in the
-    document; a single occurrence contributes log(1) = 0."""
-    return _log_counts(doc_tokens, sorted(set(terms)))
-
-
 def _log_counts(doc_tokens: Sequence[str], terms: Sequence[str]) -> float:
-    """mag_tf over distinct terms, summed in the given order."""
+    """The TF magnitude: the sum of natural-log counts of the distinct
+    ``terms`` present in the document, in the given order; a single
+    occurrence contributes log(1) = 0."""
     total = 0.0
     for term in terms:
         c = doc_tokens.count(term)
@@ -88,7 +84,7 @@ def mag_bool(doc_tokens: Sequence[str], terms: Iterable[str]) -> int:
 
 
 def _gender_delta(doc_tokens: Sequence[str], variant: str) -> float:
-    if variant == "tf":    # the lexicons are sorted and distinct, as mag_tf orders them
+    if variant == "tf":    # the lexicons are sorted and distinct: the definition's order
         return _log_counts(doc_tokens, FEMALE_TERMS) - _log_counts(doc_tokens, MALE_TERMS)
     if variant == "bool":
         return float(mag_bool(doc_tokens, FEMALE_TERMS) - mag_bool(doc_tokens, MALE_TERMS))
@@ -96,57 +92,25 @@ def _gender_delta(doc_tokens: Sequence[str], variant: str) -> float:
 
 
 def _prefix_bias(deltas: Sequence[float], n: int,
-                 cutoffs: Sequence[int | None]) -> list[tuple[float, float]]:
-    """(RaB, ARaB) at each cutoff of an n-document list from one left-to-right
-    pass over its per-document gender deltas.
+                 cutoffs: Sequence[int]) -> list[tuple[float, float]]:
+    """(RaB, ARaB) at each cutoff (>= 1) of an n-document list from one
+    left-to-right pass over its per-document gender deltas.
 
     ``deltas`` are those of the first min(n, largest cutoff) documents, in
-    rank order. A cutoff of None means the whole list; one past its end uses
-    the list, and the caller warns. RaB@x is the running sum of the first x
-    deltas over x, and ARaB@t adds those prefix means left to right, so the
-    float operations are those of the definitions.
+    rank order. A cutoff past the list's end uses the whole list, and the
+    caller warns. RaB@x is the running sum of the first x deltas over x, and
+    ARaB@t adds those prefix means left to right, so the float operations
+    are those of the definitions.
     """
     if n == 0:
         raise DomainError("bias metrics need at least one ranked document")
-    ts = []
-    for t in cutoffs:
-        if t is not None and t < 1:
-            raise DomainError("bias cutoff must be >= 1")
-        ts.append(n if t is None else min(t, n))
     prefixes: list[tuple[float, float]] = []
     total = acc = 0.0
     for x, delta in enumerate(deltas, 1):
         total += delta
         acc += total / x
         prefixes.append((total / x, acc / x))
-    return [prefixes[t - 1] for t in ts]
-
-
-def _bias_at(ranked_docs: Sequence[Sequence[str]], variant: str,
-             t: int | None) -> tuple[float, float]:
-    """(RaB, ARaB) of one list at one cutoff, warning once past its end."""
-    deltas = [_gender_delta(doc, variant) for doc in ranked_docs[:t]]
-    values = _prefix_bias(deltas, len(ranked_docs), [t])[0]
-    if t is not None and t > len(ranked_docs):
-        log.warning("bias cutoff %d exceeds list length %d; using the prefix",
-                    t, len(ranked_docs))
-    return values
-
-
-def rab(ranked_docs: Sequence[Sequence[str]], variant: str = "tf",
-        t: int | None = None) -> float:
-    """Mean female-minus-male magnitude over the top-t documents.
-
-    ``ranked_docs`` are token sequences in rank order. Lists shorter than t
-    are evaluated over the available prefix with a warning.
-    """
-    return _bias_at(ranked_docs, variant, t)[0]
-
-
-def arab(ranked_docs: Sequence[Sequence[str]], variant: str = "tf",
-         t: int | None = None) -> float:
-    """Mean of RaB over all prefixes 1..t; weights the top ranks more."""
-    return _bias_at(ranked_docs, variant, t)[1]
+    return [prefixes[min(t, n) - 1] for t in cutoffs]
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +188,11 @@ def mean_metric(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
 
 @dataclass(frozen=True)
 class BiasReport:
-    """Mean RaB/ARaB per cutoff and variant over an evaluated query set.
+    """RaB/ARaB per cutoff and variant over an evaluated query set.
 
-    Each query contributes the absolute value of its RaB/ARaB, so the mean
-    reads as "lower is less biased" regardless of the bias direction;
-    ``rab`` and ``arab`` give the signed per-query values.
+    ``per_query`` holds each query's signed (RaB, ARaB), in sorted query-id
+    order. The means sum their absolute values in that order, so a mean
+    reads as "lower is less biased" regardless of the bias direction.
     """
 
     cutoffs: tuple[int, ...]
@@ -236,6 +200,7 @@ class BiasReport:
     num_queries: int
     mean_rab: dict = field(default_factory=dict)    # (variant, cutoff) -> float
     mean_arab: dict = field(default_factory=dict)   # (variant, cutoff) -> float
+    per_query: dict = field(default_factory=dict)   # (variant, cutoff) -> [(rab, arab)]
 
 
 def bias_report(
@@ -273,15 +238,17 @@ def bias_report(
     for ranked, ids, per_ranking in zip(rankings, qids, tops):
         report = BiasReport(cutoffs=cutoffs, variants=tuple(variants), num_queries=len(ranked))
         for variant, delta in deltas.items():
-            per_query = [_prefix_bias([delta[d] for d in top], len(ranked[qid]), cutoffs)
-                         for qid, top in zip(ids, per_ranking)]
+            by_query = [_prefix_bias([delta[d] for d in top], len(ranked[qid]), cutoffs)
+                        for qid, top in zip(ids, per_ranking)]
             for i, cutoff in enumerate(cutoffs):
+                signed = [values[i] for values in by_query]
                 rab_sum = arab_sum = 0.0
-                for values in per_query:
-                    rab_sum += abs(values[i][0])
-                    arab_sum += abs(values[i][1])
+                for query_rab, query_arab in signed:
+                    rab_sum += abs(query_rab)
+                    arab_sum += abs(query_arab)
                 report.mean_rab[(variant, cutoff)] = rab_sum / len(ids)
                 report.mean_arab[(variant, cutoff)] = arab_sum / len(ids)
+                report.per_query[(variant, cutoff)] = signed
         lengths = [len(ranked[qid]) for qid in ids]
         for cutoff in dict.fromkeys(cutoffs):
             short = [n for n in lengths if n < cutoff]

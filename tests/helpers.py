@@ -1,9 +1,9 @@
 """Shared fixtures-in-code for the model-layer tests, the central-difference
 gradient oracle, and the reverse-mode tape with the primitive ops and chains
 that the model's components replace (kept here as their bit-for-bit
-reference), the run-record grouping that ``read_ranking`` replaces, the
-per-document ``Counter`` BM25 index build, and the regular-expression
-tokenizer."""
+reference), the run-file reader and record grouping that ``read_ranking``
+replaces, the scalar RaB/ARaB definitions, the per-document ``Counter`` BM25
+index build, and the regular-expression tokenizer."""
 
 import copy
 import json
@@ -14,11 +14,13 @@ from collections import Counter
 
 import numpy as np
 
-from backrank import (Backpack, BackpackConfig, DomainError, ShapeError, SplitMix64,
-                      Vocab)
+from backrank import (Backpack, BackpackConfig, DomainError, ParseError, ShapeError,
+                      SplitMix64, Vocab)
 from backrank import numkernel as nk
 from backrank.backpack import _causal_mask
 from backrank.corpus import BM25_B, BM25_K1
+from backrank.errors import read_lines
+from backrank.metrics import FEMALE_TERMS, MALE_TERMS
 
 
 class ContractError(RuntimeError):
@@ -602,14 +604,80 @@ def rewrite_checkpoint_header(src, dst, edit):
     dst.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
 
 
+def read_run(path):
+    """Each line of a run file as a ``(qid, docid, rank, score, tag)`` tuple,
+    in file order: the oracle for ``read_ranking``'s per-line checks. Every
+    line is checked first, then the first repeated (query, document) pair
+    is an error at its line."""
+    records, linenos = [], []
+    for lineno, raw in read_lines(path):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) != 6:
+            raise ParseError(f"expected 6 fields, got {len(parts)}", path=str(path), line=lineno)
+        qid, _q0, did, rank, score, tag = parts
+        try:
+            rank = int(rank)
+        except ValueError:
+            raise ParseError(f"bad rank {rank!r}", path=str(path), line=lineno) from None
+        try:
+            value = float(score)
+        except ValueError:
+            raise ParseError(f"bad score {score!r}", path=str(path), line=lineno) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite score {score!r}", path=str(path), line=lineno)
+        records.append((qid, did, rank, value, tag))
+        linenos.append(lineno)
+    seen = set()
+    for lineno, (qid, did, *_rest) in zip(linenos, records):
+        if (qid, did) in seen:
+            raise ParseError(f"query {qid} lists document {did!r} twice",
+                             path=str(path), line=lineno)
+        seen.add((qid, did))
+    return records
+
+
 def group_run(records):
     """Per-query doc ids ordered by rank, stable on ties: the oracle for
     ``read_ranking`` over ``read_run``'s records."""
     grouped = {}
-    for rec in records:
-        grouped.setdefault(rec.query_id, []).append(rec)
-    return {qid: [rec.doc_id for rec in sorted(recs, key=lambda rec: rec.rank)]
+    for qid, did, rank, _score, _tag in records:
+        grouped.setdefault(qid, []).append((rank, did))
+    return {qid: [did for _rank, did in sorted(recs, key=lambda rec: rec[0])]
             for qid, recs in grouped.items()}
+
+
+# ---------------------------------------------------------------------------
+# RaB / ARaB of one ranked list, transcribed from the definitions (Rekabsaz &
+# Schedl, SIGIR 2020): the oracles for ``bias_report``'s per-query values
+
+
+def mag_tf(doc, terms):
+    """The sum of natural-log counts of the distinct lexicon terms in the
+    document, in sorted order; a single occurrence contributes log(1) = 0."""
+    total = 0.0
+    for term in sorted({t for t in doc if t in terms}):
+        total += math.log(doc.count(term))
+    return total
+
+
+def gender_delta(doc, variant):
+    """Female magnitude minus male magnitude, each computed on its own."""
+    if variant == "bool":
+        return float(any(t in FEMALE_TERMS for t in doc)) - float(
+            any(t in MALE_TERMS for t in doc))
+    return mag_tf(doc, FEMALE_TERMS) - mag_tf(doc, MALE_TERMS)
+
+
+def rab(docs, variant, t):
+    """Mean gender delta of the top t of the token lists docs."""
+    return sum(gender_delta(d, variant) for d in docs[:t]) / t
+
+
+def arab(docs, variant, t):
+    """Mean of RaB over the prefixes 1..t."""
+    return sum(rab(docs, variant, x) for x in range(1, t + 1)) / t
 
 
 class CounterBm25Index:

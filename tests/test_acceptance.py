@@ -14,17 +14,17 @@ import pytest
 
 from backrank import (Backpack, BackpackConfig, PolarityPair,
                       Qrels, SplitMix64, SynthConfig,
-                      TrainConfig, TrainExample, Vocab, arab, attribute_scores,
-                      build_eval_set, build_sense_map,
+                      TrainConfig, TrainExample, Vocab, attribute_scores,
+                      bias_report, build_eval_set, build_sense_map,
                       build_train_examples, bm25_retrieve, generate_synthetic,
-                      listwise_loss, load_checkpoint, mrr_at_k, ndcg_at_k, rab,
-                      rank_all, read_qrels, read_run, save_checkpoint,
+                      listwise_loss, load_checkpoint, mrr_at_k, ndcg_at_k,
+                      rank_all, read_qrels, read_ranking, save_checkpoint,
                       sweep_lambda, train, write_qrels, write_run)
 from backrank import numkernel as nk
-from backrank.corpus import RunRecord
 from backrank.metrics import FEMALE_TERMS, MALE_TERMS
 from backrank.senses import default_pairs_path, load_polarity_lexicon
-from helpers import build_planted_model, central_diff_error, forward_triple_loop, logits
+from helpers import (build_planted_model, central_diff_error, forward_triple_loop, logits,
+                     read_run)
 
 
 def _verdict(name, ok, detail=""):
@@ -177,6 +177,15 @@ def _oracle_arab(docs, variant, t):
     return sum(_oracle_rab(docs, variant, x) for x in range(1, t + 1)) / t
 
 
+def _reported(docs, variant, t):
+    """The signed (RaB, ARaB) at cutoff t that bias_report keeps for one
+    query ranking the token lists docs: what bias and sweep compute."""
+    ids = [f"d{i}" for i in range(len(docs))]
+    [report] = bias_report([{"q": ids}], dict(zip(ids, docs)), cutoffs=(t,),
+                           variants=(variant,))
+    return report.per_query[(variant, t)][0]
+
+
 def test_criterion_4_metric_oracles():
     """RaB/ARaB bit-equal, MRR exact, NDCG within 1e-12 of direct-definition
     oracles over 200 random lists, plus the worked two-document fixture."""
@@ -184,8 +193,7 @@ def test_criterion_4_metric_oracles():
 
     # worked fixture: ln(2)/2 and the prefix mean [DERIVED]
     fixture = [["she", "she", "runs"], ["the", "program", "ends"]]
-    ok = (rab(fixture, t=2) == 0.34657359027997264
-          and arab(fixture, t=2) == 0.5198603854199589)
+    ok = _reported(fixture, "tf", 2) == (0.34657359027997264, 0.5198603854199589)
 
     words = ["she", "he", "her", "him", "woman", "man", "alpha", "beta", "gamma"]
     rng = SplitMix64(4242)
@@ -196,8 +204,9 @@ def test_criterion_4_metric_oracles():
                 for _d in range(1 + rng.randint(10))]
         t = 1 + rng.randint(len(docs))
         for variant in ("tf", "bool"):
-            rab_exact &= rab(docs, variant=variant, t=t) == _oracle_rab(docs, variant, t)
-            rab_exact &= arab(docs, variant=variant, t=t) == _oracle_arab(docs, variant, t)
+            rab_value, arab_value = _reported(docs, variant, t)
+            rab_exact &= rab_value == _oracle_rab(docs, variant, t)
+            rab_exact &= arab_value == _oracle_arab(docs, variant, t)
 
         n = len(docs)
         ids = [f"d{i}" for i in range(n)]
@@ -328,22 +337,26 @@ def test_criterion_7_overfit_sanity():
 
 
 def test_criterion_8_format_round_trips(tmp_path):
-    """Run and qrels files round-trip byte-identically; checkpoints reload to
+    """Run and qrels files round-trip byte-identically, and read_ranking reads
+    each query's written documents back in rank order; checkpoints reload to
     bit-identical scores."""
     cfg = SynthConfig(seed=6, num_queries=10, docs_per_query=8,
                       relevant_per_query=2, vocab_size=50)
     coll = generate_synthetic(cfg)
 
     records = []
+    written = {}
     for qid in sorted(coll.queries):
         ranked = bm25_retrieve(coll.queries[qid], coll, top_n=8, query_id=qid)
         for i, (did, score) in enumerate(ranked.items):
-            records.append(RunRecord(qid, did, i + 1, score, "accept"))
+            records.append((qid, did, i + 1, score, "accept"))
+        written[qid] = ranked.doc_ids
     run_a = tmp_path / "a.run"
     run_b = tmp_path / "b.run"
     write_run(run_a, records)
     write_run(run_b, read_run(run_a))
     run_ok = run_a.read_bytes() == run_b.read_bytes()
+    ranking_ok = read_ranking(run_a) == written
 
     qrels_a = tmp_path / "a.qrels"
     qrels_b = tmp_path / "b.qrels"
@@ -367,5 +380,6 @@ def test_criterion_8_format_round_trips(tmp_path):
                     == nk.sigmoid(logits(model, q, [d]))[0])
 
     _verdict("criterion 8 (format round-trips)",
-             run_ok and qrels_ok and ckpt_ok,
-             f"run={run_ok}, qrels={qrels_ok}, checkpoint scores bit-equal={ckpt_ok}")
+             run_ok and ranking_ok and qrels_ok and ckpt_ok,
+             f"run={run_ok}, read_ranking={ranking_ok}, qrels={qrels_ok}, "
+             f"checkpoint scores bit-equal={ckpt_ok}")

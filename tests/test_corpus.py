@@ -1,24 +1,28 @@
 """Collections: tokenization, vocab, BM25, synthesis, and the file formats."""
 
 import gc
+import json
 import math
+import os
 import random
 import string
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from backrank import (Collection, DomainError, ParseError, Qrels, RunRecord,
-                      SplitMix64, SynthConfig, Vocab, bm25_retrieve, build_eval_set,
+from backrank import (Collection, DomainError, ParseError, Qrels, SplitMix64,
+                      SynthConfig, Vocab, bm25_retrieve, build_eval_set,
                       build_train_examples, generate_synthetic, load_collection,
-                      read_qrels, read_ranking, read_run, tokenize,
+                      read_qrels, read_ranking, tokenize,
                       write_collection, write_qrels, write_run)
 from backrank import corpus
 from backrank.corpus import read_gender_tokens, read_tsv, records_from_ranking
 from backrank.metrics import FEMALE_TERMS, MALE_TERMS
-from helpers import CounterBm25Index, group_run, regex_tokenize
+from helpers import CounterBm25Index, group_run, read_run, regex_tokenize
 
 
 @pytest.fixture
@@ -362,11 +366,8 @@ def test_corpus_tsv_errors(tmp_path, parse):
 
 
 def test_run_file_round_trip(tmp_path):
-    records = [
-        RunRecord("q1", "d2", 1, 0.75, "sys"),
-        RunRecord("q1", "d1", 2, 0.5, "sys"),
-        RunRecord("q2", "d9", 1, 1.25, "sys"),
-    ]
+    records = [("q1", "d2", 1, 0.75, "sys"), ("q1", "d1", 2, 0.5, "sys"),
+               ("q2", "d9", 1, 1.25, "sys")]
     p = tmp_path / "run.txt"
     write_run(p, records)
     text = p.read_text()
@@ -380,7 +381,8 @@ def test_run_file_round_trip(tmp_path):
 
 @pytest.mark.parametrize("parse", [read_run, read_ranking], ids=lambda f: f.__name__)
 def test_read_run_rejects_malformed(tmp_path, parse):
-    """Both run readers give each malformed file the same path:line message."""
+    """read_ranking and its oracle give each malformed file the same
+    path:line message."""
     p = tmp_path / "run.txt"
     cases = [("q1 Q0 d1 first 0.5 sys\n", "1: bad rank 'first'"),
              ("q1 Q0 d1 1 0.5\n", "1: expected 6 fields, got 5"),
@@ -417,6 +419,27 @@ def retained_bytes(parse, path):
     return result, retained, peak
 
 
+_TRACED_READ = ("import gc, json, sys, tracemalloc; from backrank import corpus; "
+                "gc.collect(); tracemalloc.start(); "
+                "result = getattr(corpus, sys.argv[1])(sys.argv[2]); "
+                "print(json.dumps(tracemalloc.get_traced_memory()))")
+
+
+def traced_read(parse, path):
+    """``retained_bytes`` of a file reader of ``corpus``, traced in a fresh
+    interpreter. Interning ids may grow the interpreter's interned-string
+    table, and when that growth falls in a traced call depends on what was
+    interned before it: in a fresh interpreter that is the same whatever
+    tests ran earlier in this one. Warming up with an untraced call does not
+    do this; the strings it drops leave the table less room, not more."""
+    import_root = str(Path(corpus.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _TRACED_READ, parse.__name__, str(path)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": import_root})
+    retained, peak = json.loads(proc.stdout)
+    return parse(path), retained, peak
+
+
 def _bm25_like_run(tmp_path):
     """A depth-100 run of 200 queries over a shared pool of documents."""
     rng = SplitMix64(5)
@@ -428,25 +451,10 @@ def _bm25_like_run(tmp_path):
     return p
 
 
-def test_read_run_retains_at_most_180_bytes_per_line(tmp_path):
-    records, retained, _peak = retained_bytes(read_run, _bm25_like_run(tmp_path))
-    assert len(records) == 20_000
-    assert retained / len(records) <= 180
-
-
-def test_read_run_repeat_check_holds_no_set_per_query(tmp_path):
-    """Beyond what it returns, read_run peaks at the file's text and lines
-    plus one list of ids per query; a set per query would add about 4 KB each."""
-    p = _bm25_like_run(tmp_path)
-    records, retained, peak = retained_bytes(read_run, p)
-    assert len(records) == 20_000
-    assert peak - retained <= 4 * p.stat().st_size
-
-
 def test_read_ranking_retains_at_most_17_bytes_per_line(tmp_path):
     """Only the ranked id lists and the distinct ids survive: no record per
-    line (read_run retains about 130 bytes per line)."""
-    ranked, retained, _peak = retained_bytes(read_ranking, _bm25_like_run(tmp_path))
+    line (a tuple per line would retain over 100 bytes per line)."""
+    ranked, retained, _peak = traced_read(read_ranking, _bm25_like_run(tmp_path))
     assert sum(map(len, ranked.values())) == 20_000
     assert retained / 20_000 <= 17
 
@@ -456,7 +464,7 @@ def test_read_ranking_peaks_at_most_5_file_sizes_above_what_it_returns(tmp_path)
     and one query id per line; parsing records and then grouping them peaks
     at over 6 times the file's size."""
     p = _bm25_like_run(tmp_path)
-    ranked, retained, peak = retained_bytes(read_ranking, p)
+    ranked, retained, peak = traced_read(read_ranking, p)
     assert sum(map(len, ranked.values())) == 20_000
     assert peak - retained <= 5 * p.stat().st_size
 
@@ -467,7 +475,7 @@ def test_read_tsv_retains_at_most_35_bytes_per_token(tmp_path):
     p = tmp_path / "corpus.tsv"
     p.write_text("".join(f"d{i:06d}\t{' '.join(words[rng.randint(200)] for _ in range(15))}\n"
                          for i in range(2000)))
-    docs, retained, _peak = retained_bytes(read_tsv, p)
+    docs, retained, _peak = traced_read(read_tsv, p)
     assert sum(map(len, docs.values())) == 30_000
     assert retained / 30_000 <= 35
 
@@ -480,20 +488,15 @@ def test_parsed_tokens_and_ids_are_shared_objects(tmp_path):
     assert tokenize("cat".upper())[0] is docs["d1"][1]
     run_path = tmp_path / "run.txt"
     run_path.write_text("q1 Q0 d2 1 0.5 sys\nq2 Q0 d2 1 0.5 sys\nq1 Q0 d1 2 0.4 sys\n")
-    records = read_run(run_path)
     corpus_ids = {did: did for did in docs}
-    assert records[0].doc_id is records[1].doc_id is corpus_ids["d2"]
-    assert records[0].query_id is records[2].query_id
-    assert records[0].tag is records[1].tag is records[2].tag
     ranked = read_ranking(run_path)
     assert ranked["q1"][0] is ranked["q2"][0] is corpus_ids["d2"]
-    assert next(iter(ranked)) is records[0].query_id    # q1
+    assert next(iter(ranked)) is sys.intern("q1")
 
 
 PARSERS = {    # parser, a good file, a file it rejects
     "read_tsv": (read_tsv, "d1\tsome text\n", "d1\tsome text\nd1\tagain\n"),
     "read_gender_tokens": (read_gender_tokens, "d1\tshe said\n", "d1\tshe said\nd1\the\n"),
-    "read_run": (read_run, "q1 Q0 d1 1 0.5 s\n", "q1 Q0 d1 1 0.5 s\nq1 Q0 d1 2 0.4 s\n"),
     "read_ranking": (read_ranking, "q1 Q0 d1 1 0.5 s\n",
                      "q1 Q0 d1 1 0.5 s\nq1 Q0 d1 2 0.4 s\n"),
     "read_qrels": (read_qrels, "q1 0 d1 1\n", "q1 0 d1 1\nq1 0 d2 x\n"),
@@ -530,8 +533,8 @@ def test_parsers_pause_the_collector_and_restore_it(tmp_path, monkeypatch, name)
 
 def test_read_ranking_orders_by_rank(tmp_path):
     p = tmp_path / "run.txt"
-    write_run(p, [RunRecord("q1", "b", 2, 0.1), RunRecord("q1", "a", 1, 0.2),
-                  RunRecord("q2", "z", 1, 0.9)])
+    write_run(p, [("q1", "b", 2, 0.1, "s"), ("q1", "a", 1, 0.2, "s"),
+                  ("q2", "z", 1, 0.9, "s")])
     assert read_ranking(p) == {"q1": ["a", "b"], "q2": ["z"]}
 
 
@@ -675,14 +678,13 @@ def test_build_eval_set_shares_document_tokens(tiny_coll):
 def test_records_from_ranking_tags_and_ranks(tiny_coll):
     ranked = bm25_retrieve(["black", "dog"], tiny_coll, top_n=5, query_id="q9")
     records = records_from_ranking(ranked, tag="mytag")
-    assert [r.rank for r in records] == list(range(1, len(records) + 1))
-    assert all(r.tag == "mytag" and r.query_id == "q9" for r in records)
+    assert records == [("q9", did, i + 1, score, "mytag")
+                       for i, (did, score) in enumerate(ranked.items)]
+    assert len(records) > 1
 
 
 # ---------------------------------------------------------------------------
-# the tokenizer oracle and the gender-token reader over whole corpora. Last in
-# this file: they intern many strings, and the tracemalloc tests above count
-# a growth of the interpreter's interned-string table that falls in their call.
+# the tokenizer oracle and the gender-token reader over whole corpora
 
 
 @pytest.fixture(scope="module", params=[1, 4])

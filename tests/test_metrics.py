@@ -7,9 +7,9 @@ import pytest
 
 from backrank import metrics
 from backrank import (BiasReport, DomainError, Qrels, SplitMix64,
-                      arab, bias_report, mag_bool, mag_tf, mean_metric, mrr_at_k,
-                      ndcg_at_k, rab)
+                      bias_report, mag_bool, mean_metric, mrr_at_k, ndcg_at_k)
 from backrank.metrics import FEMALE_TERMS, MALE_TERMS
+from helpers import arab, mag_tf, rab
 
 # Two-document worked fixture. doc1 carries one female term twice (ln 2), doc2
 # is gender-free, so RaB over both is ln(2)/2 and ARaB averages the two
@@ -18,6 +18,16 @@ DOC1 = ["she", "she", "runs"]
 DOC2 = ["the", "program", "ends"]
 RAB2 = 0.34657359027997264
 ARAB2 = 0.5198603854199589
+
+
+def signed_bias(docs, variant="tf", t=None):
+    """The signed (RaB, ARaB) at cutoff t (default: the list's length) that
+    bias_report keeps for one query ranking the token lists docs."""
+    ids = [f"d{i}" for i in range(len(docs))]
+    t = len(docs) if t is None else t
+    [report] = bias_report([{"q": ids}], dict(zip(ids, docs)), cutoffs=(t,),
+                           variants=(variant,))
+    return report.per_query[(variant, t)][0]
 
 
 # ---------------------------------------------------------------------------
@@ -29,11 +39,18 @@ def test_mag_tf_log_counts():
     # ln(3) for she, ln(1)=0 for her
     assert mag_tf(doc, FEMALE_TERMS) == pytest.approx(math.log(3), abs=1e-15)
     assert mag_tf(doc, MALE_TERMS) == 0.0
+    # a one-document list's RaB is its delta, female minus male magnitude
+    assert signed_bias([doc])[0] == mag_tf(doc, FEMALE_TERMS)
+    male = ["he", "he", "man", "him", "him", "him"]
+    assert signed_bias([male])[0] == -mag_tf(male, MALE_TERMS)
+    assert mag_tf(male, MALE_TERMS) == pytest.approx(math.log(2) + math.log(3), abs=1e-15)
 
 
 def test_mag_tf_single_occurrence_is_zero():
     # log(count) form: a term seen once contributes log(1) = 0
     assert mag_tf(["she", "x"], FEMALE_TERMS) == 0.0
+    assert signed_bias([["she", "x"]]) == (0.0, 0.0)
+    assert signed_bias([["she", "x"]], variant="bool") == (1.0, 1.0)
 
 
 def test_mag_bool():
@@ -47,30 +64,8 @@ def test_mag_bool():
 
 def test_worked_fixture_values():
     docs = [DOC1, DOC2]
-    assert rab(docs, t=2) == RAB2
-    assert arab(docs, t=2) == ARAB2
-
-
-def naive_delta(doc, variant):
-    # female magnitude minus male magnitude, each computed on its own
-    if variant == "bool":
-        return float(any(t in FEMALE_TERMS for t in doc)) - float(
-            any(t in MALE_TERMS for t in doc))
-    fem = 0.0
-    for term in sorted({t for t in doc if t in FEMALE_TERMS}):
-        fem += math.log(doc.count(term))
-    mal = 0.0
-    for term in sorted({t for t in doc if t in MALE_TERMS}):
-        mal += math.log(doc.count(term))
-    return fem - mal
-
-
-def naive_rab(docs, variant, t):
-    return sum(naive_delta(d, variant) for d in docs[:t]) / t
-
-
-def naive_arab(docs, variant, t):
-    return sum(naive_rab(docs, variant, x) for x in range(1, t + 1)) / t
+    assert signed_bias(docs, t=2) == (RAB2, ARAB2)
+    assert (rab(docs, "tf", 2), arab(docs, "tf", 2)) == (RAB2, ARAB2)
 
 
 WORDS = ["she", "he", "her", "him", "woman", "man", "alpha", "beta", "gamma"]
@@ -82,14 +77,15 @@ def random_docs(rng, max_docs):
 
 
 def test_rab_arab_match_naive_fold_on_random_lists():
-    """Bit-equality against a directly-transcribed definition."""
+    """bias_report's per-query values are bit-equal to the directly
+    transcribed definitions."""
     rng = SplitMix64(77)
     for _ in range(200):
         docs = random_docs(rng, 8)
         t = 1 + rng.randint(len(docs))
         for variant in ("tf", "bool"):
-            assert rab(docs, variant=variant, t=t) == naive_rab(docs, variant, t)
-            assert arab(docs, variant=variant, t=t) == naive_arab(docs, variant, t)
+            assert signed_bias(docs, variant, t) == (rab(docs, variant, t),
+                                                     arab(docs, variant, t))
 
 
 def random_run(rng, num_queries, max_docs, shared):
@@ -110,9 +106,10 @@ def random_run(rng, num_queries, max_docs, shared):
 
 
 def test_bias_report_matches_naive_means_on_random_runs():
-    """Every cutoff, including ones past a list's end, is bit-equal to the
-    mean over sorted query ids of the absolute naive per-query values, with
-    disjoint lists and with lists that share documents."""
+    """At every cutoff, including ones past a list's end, the per-query
+    values are bit-equal to the naive signed ones in sorted query-id order,
+    and the means to the mean of their absolute values, with disjoint lists
+    and with lists that share documents."""
     rng = SplitMix64(91)
     cutoffs = (1, 3, 5, 40)
     for trial in range(400):
@@ -121,10 +118,12 @@ def test_bias_report_matches_naive_means_on_random_runs():
         for variant in ("tf", "bool"):
             for c in cutoffs:
                 lists = [[tokens[d] for d in ranked[q]] for q in sorted(ranked)]
-                rabs = [abs(naive_rab(docs, variant, min(c, len(docs)))) for docs in lists]
-                arabs = [abs(naive_arab(docs, variant, min(c, len(docs)))) for docs in lists]
-                assert report.mean_rab[(variant, c)] == sum(rabs) / len(lists)
-                assert report.mean_arab[(variant, c)] == sum(arabs) / len(lists)
+                signed = [(rab(docs, variant, min(c, len(docs))),
+                           arab(docs, variant, min(c, len(docs)))) for docs in lists]
+                assert report.per_query[(variant, c)] == signed
+                rabs, arabs = zip(*signed)
+                assert report.mean_rab[(variant, c)] == sum(map(abs, rabs)) / len(lists)
+                assert report.mean_arab[(variant, c)] == sum(map(abs, arabs)) / len(lists)
 
 
 def test_bias_report_computes_each_delta_once(monkeypatch):
@@ -219,11 +218,10 @@ def test_bias_report_computes_each_document_delta_once_across_rankings(monkeypat
 def test_cutoff_beyond_list_uses_prefix(caplog):
     docs = [DOC1]
     with caplog.at_level(logging.WARNING, logger="backrank.metrics"):
-        assert rab(docs, t=5) == rab(docs, t=1)
-        assert arab(docs, t=5) == arab(docs, t=1)
-    # one warning per call past the end, none within the list
+        assert signed_bias(docs, t=5) == signed_bias(docs, t=1)
+    # one warning per report past the end, none within the list
     assert [r.getMessage() for r in caplog.records] == [
-        "bias cutoff 5 exceeds list length 1; using the prefix"] * 2
+        "bias cutoff 5 exceeds the length of 1 of 1 lists (shortest 1); using their prefix"]
 
 
 def test_cutoffs_past_list_ends_warn_once_per_cutoff(caplog):
@@ -259,9 +257,9 @@ def test_cutoffs_past_list_ends_warn_once_per_cutoff(caplog):
 
 def test_rab_rejects_empty():
     with pytest.raises(DomainError):
-        rab([], t=1)
+        signed_bias([], t=1)
     with pytest.raises(DomainError):
-        arab([DOC1], t=0)
+        signed_bias([DOC1], t=0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +371,9 @@ def test_bias_report_absolute_vs_signed():
     # cancel, the report's absolute means do not
     ranked = {"q1": ["df"], "q2": ["dm"]}
     docs = {"df": ["she", "she"], "dm": ["he", "he"]}
-    signed = [rab([docs[d] for d in ranked[q]], t=1) for q in sorted(ranked)]
     [absr] = bias_report([ranked], docs, cutoffs=(1,))
+    signed = [query_rab for query_rab, _arab in absr.per_query[("tf", 1)]]
+    assert signed == [math.log(2), -math.log(2)]    # q1, q2
     assert sum(signed) / len(signed) == pytest.approx(0.0, abs=1e-15)
     assert absr.mean_rab[("tf", 1)] == pytest.approx(math.log(2), abs=1e-12)
     assert isinstance(absr, BiasReport)
