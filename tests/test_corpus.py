@@ -22,7 +22,7 @@ from backrank import (Collection, DomainError, ParseError, Qrels, SplitMix64,
 from backrank import corpus
 from backrank.corpus import read_gender_tokens, read_tsv, records_from_ranking
 from backrank.metrics import FEMALE_TERMS, MALE_TERMS
-from helpers import CounterBm25Index, group_run, read_run, regex_tokenize
+from helpers import CounterBm25Index, ScalarSplitMix64, group_run, read_run, regex_tokenize
 
 
 @pytest.fixture
@@ -287,6 +287,23 @@ def test_synthetic_mix_rate_adds_opposite_side():
         has_m = any(t in male for t in toks)
         has_f = any(t in female for t in toks)
         assert has_m and has_f    # mix rate 1: every gendered doc carries both
+
+
+# the bench collection, and one where every rate is strictly inside (0, 1)
+ORACLE_CONFIGS = (
+    SynthConfig(seed=1, skew=0.9, num_queries=500, docs_per_query=20,
+                relevant_per_query=2, vocab_size=200),
+    SynthConfig(seed=6, num_queries=60, skew=0.7, gender_rate=0.8, overlap_rate=0.6,
+                gender_mix_rate=0.3, gendered_query_rate=0.4),
+)
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=["bench", "open-rates"])
+def test_synthetic_collection_equals_the_scalar_oracle_stream(cfg, monkeypatch):
+    got = generate_synthetic(cfg)
+    monkeypatch.setattr(corpus, "SplitMix64", ScalarSplitMix64)
+    want = generate_synthetic(cfg)
+    assert (got.docs, got.queries, got.qrels) == (want.docs, want.queries, want.qrels)
 
 
 def test_synth_config_validation():
@@ -602,6 +619,14 @@ def test_build_train_examples_deterministic(tiny_coll):
     a = build_train_examples(tiny_coll, v, num_negatives=2, seed=5)
     b = build_train_examples(tiny_coll, v, num_negatives=2, seed=5)
     assert a == b
+
+
+def test_build_train_examples_negatives_equal_the_scalar_oracle_stream(monkeypatch):
+    coll = generate_synthetic(ORACLE_CONFIGS[1])
+    vocab = Vocab.build(list(coll.docs.values()) + list(coll.queries.values()))
+    got = build_train_examples(coll, vocab, num_negatives=7, seed=3)
+    monkeypatch.setattr(corpus, "SplitMix64", ScalarSplitMix64)
+    assert build_train_examples(coll, vocab, num_negatives=7, seed=3) == got
 
 
 def test_build_train_examples_encodes_each_document_once(monkeypatch):

@@ -9,13 +9,14 @@ from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, Qrels,
                       bias_report, build_eval_set, build_sense_map,
                       build_train_examples, generate_synthetic, listwise_loss,
                       mean_metric, rank_all, sweep_lambda, train)
-from backrank import metrics
+from backrank import metrics, ranker
 from backrank.backpack import ContextEncoder, SenseTable
 from backrank.ranker import SWEEP_COLUMNS
 from backrank.senses import PolarityPair
 from backrank import numkernel as nk
-from helpers import (Tape, backward, central_diff_error, listwise_loss_chain, logits,
-                     relevance_logit_chain, sense_table, tracked)
+from helpers import (ScalarSplitMix64, Tape, backward, central_diff_error,
+                     listwise_loss_chain, logits, relevance_logit_chain, sense_table,
+                     tracked)
 
 
 @pytest.fixture
@@ -147,6 +148,29 @@ def test_train_is_deterministic():
     h2, p2 = run()
     assert h1 == h2
     assert all(np.array_equal(p1[n], p2[n]) for n in p1)
+
+
+def test_train_shuffles_as_the_scalar_oracle_stream(monkeypatch):
+    """Three epochs over 400 examples draw 1,197 outputs, across a block edge."""
+    rng = SplitMix64(4)
+    dataset = [make_example(rng) for _ in range(400)]
+
+    def run(cls):
+        orders = []
+
+        class Recording(cls):
+            def shuffle(self, xs):
+                super().shuffle(xs)
+                orders.append(list(xs))
+
+        monkeypatch.setattr(ranker, "SplitMix64", Recording)
+        model = Backpack(BackpackConfig(vocab_size=30, embed_dim=8, num_senses=2,
+                                        sense_hidden=2, context_heads=2, max_seq_len=16),
+                         seed=3)
+        _, history = train(dataset, TrainConfig(epochs=3, learning_rate=0.05, seed=7), model)
+        return orders, history
+
+    assert run(SplitMix64) == run(ScalarSplitMix64)
 
 
 def test_each_example_takes_one_sgd_step_in_shuffle_order():
