@@ -32,10 +32,8 @@ from .metrics import (
     BiasReport,
     Qrels,
     bias_report,
+    effectiveness,
     mag_bool,
-    mean_metric,
-    mrr_at_k,
-    ndcg_at_k,
 )
 from .numkernel import Tensor, cosine_similarity
 from .ranker import (
@@ -71,9 +69,8 @@ __all__ = [
     "aggregate", "attribute_scores", "bias_report",
     "bm25_retrieve", "build_eval_set", "build_sense_map",
     "build_train_examples", "cosine_similarity", "default_pairs_path",
-    "generate_synthetic", "listwise_loss", "load_checkpoint",
-    "load_collection", "load_polarity_lexicon", "mag_bool",
-    "mean_metric", "mrr_at_k", "ndcg_at_k", "rank_all",
+    "effectiveness", "generate_synthetic", "listwise_loss", "load_checkpoint",
+    "load_collection", "load_polarity_lexicon", "mag_bool", "rank_all",
     "read_qrels", "read_ranking", "save_checkpoint", "sweep_lambda",
     "tokenize", "train", "write_collection", "write_qrels", "write_run",
 ]

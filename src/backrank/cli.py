@@ -29,7 +29,7 @@ from .corpus import (SynthConfig, Vocab, build_eval_set, build_train_examples,
                      read_qrels, read_ranking,
                      records_from_ranking, write_collection, write_run)
 from .errors import BackrankError, DomainError, ParseError, read_lines
-from .metrics import bias_report, mean_metric
+from .metrics import bias_report, effectiveness
 from .ranker import SWEEP_COLUMNS, TrainConfig, rank_all, sweep_lambda, train
 from .senses import (attribute_scores, build_sense_map, default_pairs_path,
                      load_polarity_lexicon)
@@ -219,9 +219,8 @@ def cmd_eval(args) -> int:
     if not grouped:
         raise DomainError(f"run file {args.run} holds no records")
     qrels = read_qrels(args.qrels)
-    rows = [{"cutoff": c,
-             "mrr": mean_metric(grouped, qrels, "mrr", k=c),
-             "ndcg": mean_metric(grouped, qrels, "ndcg", k=c)}
+    means = effectiveness(grouped, qrels, args.cutoffs)
+    rows = [{"cutoff": c, "mrr": means[("mrr", c)], "ndcg": means[("ndcg", c)]}
             for c in args.cutoffs]
     _write_csv(args.out, ("cutoff", "mrr", "ndcg"), rows)
     return 0

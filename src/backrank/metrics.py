@@ -16,7 +16,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -91,95 +94,51 @@ def _gender_delta(doc_tokens: Sequence[str], variant: str) -> float:
     raise DomainError(f"unknown magnitude variant {variant!r}")
 
 
-def _prefix_bias(deltas: Sequence[float], n: int,
-                 cutoffs: Sequence[int]) -> list[tuple[float, float]]:
-    """(RaB, ARaB) at each cutoff (>= 1) of an n-document list from one
-    left-to-right pass over its per-document gender deltas.
-
-    ``deltas`` are those of the first min(n, largest cutoff) documents, in
-    rank order. A cutoff past the list's end uses the whole list, and the
-    caller warns. RaB@x is the running sum of the first x deltas over x, and
-    ARaB@t adds those prefix means left to right, so the float operations
-    are those of the definitions.
-    """
-    if n == 0:
-        raise DomainError("bias metrics need at least one ranked document")
-    prefixes: list[tuple[float, float]] = []
-    total = acc = 0.0
-    for x, delta in enumerate(deltas, 1):
-        total += delta
-        acc += total / x
-        prefixes.append((total / x, acc / x))
-    return [prefixes[min(t, n) - 1] for t in cutoffs]
-
-
 # ---------------------------------------------------------------------------
 # effectiveness
 
 
-def mrr_at_k(query_id: str, ranked_ids: Sequence[str], qrels: Qrels, k: int = 10) -> float:
-    """Reciprocal rank of the first relevant doc in the top k, else 0."""
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if not qrels.has_query(query_id):
-        log.warning("query %s absent from qrels; scoring 0", query_id)
-        return 0.0
-    for i, did in enumerate(ranked_ids[:k]):
-        if qrels.grade(query_id, did) > 0:
-            return 1.0 / (i + 1)
-    return 0.0
+def _prefix_dcg(grades: Sequence[int]) -> list[float]:
+    """0.0, then the DCG of each prefix of ``grades`` in rank order, summed
+    left to right: gain 2^grade - 1 with a log2(rank + 1) discount."""
+    gains = ((2.0 ** g - 1.0) / math.log2(i + 2) for i, g in enumerate(grades))
+    return list(accumulate(gains, initial=0.0))
 
 
-def ndcg_at_k(query_id: str, ranked_ids: Sequence[str], qrels: Qrels, k: int = 10) -> float:
-    """Discounted cumulative gain over the top k, normalized by the ideal.
+def effectiveness(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
+                  cutoffs: Sequence[int]) -> dict[tuple[str, int], float]:
+    """Mean MRR@k and NDCG@k over queries at every cutoff k, keyed
+    ("mrr", k) and ("ndcg", k), from one walk of each query's list.
 
-    Gain is 2^grade - 1 with a log2(rank + 1) discount; 0 when the query has
-    no relevant documents.
+    MRR@k is the reciprocal rank of the first relevant document in the top
+    k, else 0. NDCG@k is the DCG of the top k over that of the k best
+    grades, 0 when the query has no relevant documents. Queries are summed
+    in sorted id order. A query absent from qrels scores 0; all such queries
+    are one warning, naming how many and the first.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if not qrels.has_query(query_id):
-        log.warning("query %s absent from qrels; scoring 0", query_id)
-        return 0.0
-    ideal = sorted(qrels.relevant(query_id).values(), reverse=True)
-    if not ideal:
-        return 0.0
-    dcg = 0.0
-    for i, did in enumerate(ranked_ids[:k]):
-        g = qrels.grade(query_id, did)
-        if g > 0:
-            dcg += (2.0 ** g - 1.0) / math.log2(i + 2)
-    idcg = 0.0
-    for i, g in enumerate(ideal[:k]):
-        idcg += (2.0 ** g - 1.0) / math.log2(i + 2)
-    return dcg / idcg
-
-
-def mean_metric(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
-                metric: str, k: int = 10) -> float:
-    """Mean MRR@k or NDCG@k over queries, iterated in sorted id order.
-
-    A query absent from qrels scores 0; all such queries are one warning,
-    naming how many and the first.
-    """
-    if metric not in ("mrr", "ndcg"):
-        raise DomainError(f"unknown metric {metric!r}")
     if not ranked:
         raise DomainError("no queries to evaluate")
-    if k < 1:
+    cutoffs = tuple(dict.fromkeys(int(c) for c in cutoffs))
+    if any(c < 1 for c in cutoffs):
         raise DomainError("k must be >= 1")
-    fn = mrr_at_k if metric == "mrr" else ndcg_at_k
-    total = 0.0
-    absent = []
+    depth = max(cutoffs, default=0)
+    totals = {(metric, k): 0.0 for k in cutoffs for metric in ("mrr", "ndcg")}
     for qid in sorted(ranked):
-        if qrels.has_query(qid):
-            total += fn(qid, ranked[qid], qrels, k)
-        else:
-            absent.append(qid)
+        relevant = qrels.relevant(qid)
+        grades = [relevant.get(did, 0) for did in ranked[qid][:depth]]
+        first = next((i + 1 for i, g in enumerate(grades) if g > 0), depth + 1)
+        dcg = _prefix_dcg(grades)
+        ideal = _prefix_dcg(sorted(relevant.values(), reverse=True)[:depth])
+        for k in cutoffs:
+            if first <= k:
+                totals[("mrr", k)] += 1.0 / first
+            if relevant:
+                totals[("ndcg", k)] += dcg[min(k, len(dcg) - 1)] / ideal[min(k, len(ideal) - 1)]
+    absent = sorted(qid for qid in ranked if not qrels.has_query(qid))
     if absent:
         log.warning("%d of %d queries absent from qrels (first %s); scoring them 0",
                     len(absent), len(ranked), absent[0])
-    return total / len(ranked)
+    return {key: total / len(ranked) for key, total in totals.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +173,10 @@ def bias_report(
 
     Magnitudes are per document: each document within the largest cutoff of
     some list of some ranking gets its delta once per variant, reused by
-    every list ranking it. Every cutoff of a list is then filled from one
-    pass over its deltas. A cutoff past the end of some lists of a ranking
-    is one warning for that ranking, naming how many and the shortest.
+    every list ranking it. Every cutoff of every list of a ranking is then
+    read from two cumulative sums over its queries x depth matrix of deltas.
+    A cutoff past the end of some lists of a ranking is one warning for that
+    ranking, naming how many and the shortest.
     """
     if isinstance(rankings, Mapping):
         raise DomainError("bias_report takes a sequence of rankings, not one ranking")
@@ -236,12 +196,23 @@ def bias_report(
               for variant in variants}
     reports = []
     for ranked, ids, per_ranking in zip(rankings, qids, tops):
+        lengths = [len(ranked[qid]) for qid in ids]
+        if 0 in lengths:
+            raise DomainError("bias metrics need at least one ranked document")
+        width = max(map(len, per_ranking))
+        # a cutoff past a list's end reads the whole list
+        at = np.minimum(np.array(cutoffs, dtype=np.intp), np.array(lengths)[:, None]) - 1
+        x = np.arange(1, width + 1)
         report = BiasReport(cutoffs=cutoffs, variants=tuple(variants), num_queries=len(ranked))
         for variant, delta in deltas.items():
-            by_query = [_prefix_bias([delta[d] for d in top], len(ranked[qid]), cutoffs)
-                        for qid, top in zip(ids, per_ranking)]
-            for i, cutoff in enumerate(cutoffs):
-                signed = [values[i] for values in by_query]
+            # RaB@x and ARaB@x of every query and depth x, zero-padded past a
+            # list's end; np.cumsum adds left to right, the definitions' order
+            rab = np.cumsum([[delta[d] for d in top] + [0.0] * (width - len(top))
+                             for top in per_ranking], axis=1) / x
+            arab = np.cumsum(rab, axis=1) / x
+            for cutoff, rabs, arabs in zip(cutoffs, np.take_along_axis(rab, at, 1).T.tolist(),
+                                           np.take_along_axis(arab, at, 1).T.tolist()):
+                signed = list(zip(rabs, arabs))
                 rab_sum = arab_sum = 0.0
                 for query_rab, query_arab in signed:
                     rab_sum += abs(query_rab)
@@ -249,7 +220,6 @@ def bias_report(
                 report.mean_rab[(variant, cutoff)] = rab_sum / len(ids)
                 report.mean_arab[(variant, cutoff)] = arab_sum / len(ids)
                 report.per_query[(variant, cutoff)] = signed
-        lengths = [len(ranked[qid]) for qid in ids]
         for cutoff in dict.fromkeys(cutoffs):
             short = [n for n in lengths if n < cutoff]
             if short:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import DomainError, ShapeError
-from .metrics import Qrels, bias_report, mean_metric
+from .metrics import Qrels, bias_report, effectiveness
 from .rng import SplitMix64
 from .senses import AttributeScores, build_sense_map
 
@@ -233,13 +233,12 @@ def sweep_lambda(
     reports = bias_report(ranked_ids, eval_set.doc_tokens, cutoffs=cutoffs)
     rows: list[dict] = []
     for lam, ranked, report in zip(lambdas, ranked_ids, reports):
-        mrr = mean_metric(ranked, eval_set.qrels, "mrr", 10)
-        ndcg = mean_metric(ranked, eval_set.qrels, "ndcg", 10)
+        means = effectiveness(ranked, eval_set.qrels, (10,))
         for cutoff in report.cutoffs:
             rows.append({
                 "lambda": lam,
-                "mrr@10": mrr,
-                "ndcg@10": ndcg,
+                "mrr@10": means[("mrr", 10)],
+                "ndcg@10": means[("ndcg", 10)],
                 "rab_tf": report.mean_rab[("tf", cutoff)],
                 "arab_tf": report.mean_arab[("tf", cutoff)],
                 "rab_bool": report.mean_rab[("bool", cutoff)],

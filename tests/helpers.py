@@ -2,20 +2,23 @@
 gradient oracle, and the reverse-mode tape with the primitive ops and chains
 that the model's components replace (kept here as their bit-for-bit
 reference), the run-file reader and record grouping that ``read_ranking``
-replaces, the scalar RaB/ARaB definitions, the per-document ``Counter`` BM25
+replaces, the scalar RaB/ARaB definitions, the per-(metric, cutoff) MRR and
+NDCG that ``effectiveness`` replaces, the per-document ``Counter`` BM25
 index build, the regular-expression tokenizer, and the scalar SplitMix64
 whose stream the block-mixed ``SplitMix64`` serves."""
 
 import copy
 import json
+import logging
 import math
 import re
 import struct
 from collections import Counter
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from backrank import (Backpack, BackpackConfig, DomainError, ParseError, ShapeError,
+from backrank import (Backpack, BackpackConfig, DomainError, ParseError, Qrels, ShapeError,
                       SplitMix64, Vocab)
 from backrank import numkernel as nk
 from backrank.backpack import _causal_mask
@@ -679,6 +682,78 @@ def rab(docs, variant, t):
 def arab(docs, variant, t):
     """Mean of RaB over the prefixes 1..t."""
     return sum(rab(docs, variant, x) for x in range(1, t + 1)) / t
+
+
+# ---------------------------------------------------------------------------
+# MRR@k and NDCG@k of one ranked list and their mean over queries, one walk
+# per (metric, cutoff): the oracles for ``effectiveness``
+
+log = logging.getLogger(__name__)
+
+
+def mrr_at_k(query_id: str, ranked_ids: Sequence[str], qrels: Qrels, k: int = 10) -> float:
+    """Reciprocal rank of the first relevant doc in the top k, else 0."""
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    if not qrels.has_query(query_id):
+        log.warning("query %s absent from qrels; scoring 0", query_id)
+        return 0.0
+    for i, did in enumerate(ranked_ids[:k]):
+        if qrels.grade(query_id, did) > 0:
+            return 1.0 / (i + 1)
+    return 0.0
+
+
+def ndcg_at_k(query_id: str, ranked_ids: Sequence[str], qrels: Qrels, k: int = 10) -> float:
+    """Discounted cumulative gain over the top k, normalized by the ideal.
+
+    Gain is 2^grade - 1 with a log2(rank + 1) discount; 0 when the query has
+    no relevant documents.
+    """
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    if not qrels.has_query(query_id):
+        log.warning("query %s absent from qrels; scoring 0", query_id)
+        return 0.0
+    ideal = sorted(qrels.relevant(query_id).values(), reverse=True)
+    if not ideal:
+        return 0.0
+    dcg = 0.0
+    for i, did in enumerate(ranked_ids[:k]):
+        g = qrels.grade(query_id, did)
+        if g > 0:
+            dcg += (2.0 ** g - 1.0) / math.log2(i + 2)
+    idcg = 0.0
+    for i, g in enumerate(ideal[:k]):
+        idcg += (2.0 ** g - 1.0) / math.log2(i + 2)
+    return dcg / idcg
+
+
+def mean_metric(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
+                metric: str, k: int = 10) -> float:
+    """Mean MRR@k or NDCG@k over queries, iterated in sorted id order.
+
+    A query absent from qrels scores 0; all such queries are one warning,
+    naming how many and the first.
+    """
+    if metric not in ("mrr", "ndcg"):
+        raise DomainError(f"unknown metric {metric!r}")
+    if not ranked:
+        raise DomainError("no queries to evaluate")
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    fn = mrr_at_k if metric == "mrr" else ndcg_at_k
+    total = 0.0
+    absent = []
+    for qid in sorted(ranked):
+        if qrels.has_query(qid):
+            total += fn(qid, ranked[qid], qrels, k)
+        else:
+            absent.append(qid)
+    if absent:
+        log.warning("%d of %d queries absent from qrels (first %s); scoring them 0",
+                    len(absent), len(ranked), absent[0])
+    return total / len(ranked)
 
 
 class CounterBm25Index:

@@ -17,7 +17,7 @@ from backrank import (Backpack, BackpackConfig, PolarityPair,
                       TrainConfig, TrainExample, Vocab, attribute_scores,
                       bias_report, build_eval_set, build_sense_map,
                       build_train_examples, bm25_retrieve, generate_synthetic,
-                      listwise_loss, load_checkpoint, mrr_at_k, ndcg_at_k,
+                      effectiveness, listwise_loss, load_checkpoint,
                       rank_all, read_qrels, read_ranking, save_checkpoint,
                       sweep_lambda, train, write_qrels, write_run)
 from backrank import numkernel as nk
@@ -223,14 +223,15 @@ def test_criterion_4_metric_oracles():
             if grades[("q", d)] > 0:
                 oracle_mrr = 1.0 / (i + 1)
                 break
-        mrr_exact &= mrr_at_k("q", order, qr, k) == oracle_mrr
+        means = effectiveness({"q": order}, qr, (k,))
+        mrr_exact &= means[("mrr", k)] == oracle_mrr
 
         dcg = sum((2.0 ** grades[("q", d)] - 1.0) / math.log2(i + 2)
                   for i, d in enumerate(order[:k]))
         best = sorted((g for g in grades.values() if g > 0), reverse=True)
         idcg = sum((2.0 ** g - 1.0) / math.log2(i + 2) for i, g in enumerate(best[:k]))
         oracle_ndcg = dcg / idcg if idcg > 0 else 0.0
-        ndcg_worst = max(ndcg_worst, abs(ndcg_at_k("q", order, qr, k) - oracle_ndcg))
+        ndcg_worst = max(ndcg_worst, abs(means[("ndcg", k)] - oracle_ndcg))
 
     elapsed = time.monotonic() - t0
     _verdict("criterion 4 (metrics equal direct-definition oracles)",

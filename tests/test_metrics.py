@@ -7,9 +7,9 @@ import pytest
 
 from backrank import metrics
 from backrank import (BiasReport, DomainError, Qrels, SplitMix64,
-                      bias_report, mag_bool, mean_metric, mrr_at_k, ndcg_at_k)
+                      bias_report, effectiveness, mag_bool)
 from backrank.metrics import FEMALE_TERMS, MALE_TERMS
-from helpers import arab, mag_tf, rab
+from helpers import arab, mag_tf, mean_metric, mrr_at_k, ndcg_at_k, rab
 
 # Two-document worked fixture. doc1 carries one female term twice (ln 2), doc2
 # is gender-free, so RaB over both is ln(2)/2 and ARaB averages the two
@@ -271,29 +271,35 @@ def simple_qrels():
     return Qrels({("q1", "d1"): 1, ("q1", "d3"): 2, ("q2", "d9"): 1})
 
 
+def one_query(order, qrels, k, qid="q1"):
+    """(MRR@k, NDCG@k) that effectiveness reports for one query's ranking."""
+    means = effectiveness({qid: order}, qrels, (k,))
+    return means[("mrr", k)], means[("ndcg", k)]
+
+
 def test_mrr_positions(simple_qrels):
-    assert mrr_at_k("q1", ["d0", "d1", "d2"], simple_qrels, k=10) == 0.5
-    assert mrr_at_k("q1", ["d3"], simple_qrels, k=10) == 1.0
-    assert mrr_at_k("q1", ["d0", "d2"], simple_qrels, k=10) == 0.0
+    assert one_query(["d0", "d1", "d2"], simple_qrels, k=10)[0] == 0.5
+    assert one_query(["d3"], simple_qrels, k=10)[0] == 1.0
+    assert one_query(["d0", "d2"], simple_qrels, k=10)[0] == 0.0
     # beyond the cutoff does not count
-    assert mrr_at_k("q1", ["d0", "d1"], simple_qrels, k=1) == 0.0
+    assert one_query(["d0", "d1"], simple_qrels, k=1)[0] == 0.0
 
 
 def test_mrr_unknown_query_scores_zero(simple_qrels):
-    assert mrr_at_k("nope", ["d1"], simple_qrels, k=10) == 0.0
+    assert one_query(["d1"], simple_qrels, k=10, qid="nope")[0] == 0.0
 
 
 def test_ndcg_hand_value(simple_qrels):
     # ranking d1(g=1), d0(g=0), d3(g=2):
     #   dcg  = 1/log2(2) + 0 + 3/log2(4) = 1 + 1.5
     #   idcg = 3/log2(2) + 1/log2(3)
-    got = ndcg_at_k("q1", ["d1", "d0", "d3"], simple_qrels, k=10)
+    got = one_query(["d1", "d0", "d3"], simple_qrels, k=10)[1]
     want = (1.0 + 1.5) / (3.0 + 1.0 / math.log2(3))
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_ndcg_perfect_is_one(simple_qrels):
-    assert ndcg_at_k("q1", ["d3", "d1"], simple_qrels, k=10) == pytest.approx(1.0, abs=1e-12)
+    assert one_query(["d3", "d1"], simple_qrels, k=10)[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mrr_ndcg_match_naive_on_random_lists():
@@ -318,20 +324,19 @@ def test_mrr_ndcg_match_naive_on_random_lists():
         idcg = sum((2.0 ** g - 1.0) / math.log2(i + 2) for i, g in enumerate(best[:k]))
         naive_ndcg = dcg / idcg if idcg > 0 else 0.0
 
-        assert mrr_at_k("q", order, qr, k) == naive_mrr
-        assert ndcg_at_k("q", order, qr, k) == pytest.approx(naive_ndcg, abs=1e-12)
+        mrr, ndcg = one_query(order, qr, k, qid="q")
+        assert mrr == naive_mrr
+        assert ndcg == pytest.approx(naive_ndcg, abs=1e-12)
 
 
-def test_mean_metric_sorted_order(simple_qrels):
+def test_effectiveness_sorted_order_and_errors(simple_qrels):
     # q1: first relevant at rank 2 -> 0.5; q2: rank 1 -> 1.0
     ranked = {"q2": ["d9"], "q1": ["d0", "d1"]}
-    assert mean_metric(ranked, simple_qrels, "mrr", k=10) == pytest.approx(0.75)
+    assert effectiveness(ranked, simple_qrels, (10,))[("mrr", 10)] == pytest.approx(0.75)
     with pytest.raises(DomainError):
-        mean_metric({}, simple_qrels, "mrr")
+        effectiveness({}, simple_qrels, (10,))
     with pytest.raises(DomainError):
-        mean_metric(ranked, simple_qrels, "map")
-    with pytest.raises(DomainError):
-        mean_metric({"nope": ["d1"]}, simple_qrels, "mrr", k=0)
+        effectiveness({"nope": ["d1"]}, simple_qrels, (10, 0))
 
 
 @pytest.mark.parametrize("metric,fn", [("mrr", mrr_at_k), ("ndcg", ndcg_at_k)])
@@ -339,19 +344,52 @@ def test_queries_absent_from_qrels_are_one_warning_and_score_0(simple_qrels, cap
                                                                metric, fn):
     ranked = {"q2": ["d9"], "zz": ["d1"], "q1": ["d3", "d1"], "aa": ["d9"], "mm": []}
     with caplog.at_level(logging.WARNING, logger="backrank.metrics"):
-        got = mean_metric(ranked, simple_qrels, metric, k=10)
+        got = effectiveness(ranked, simple_qrels, (10, 5, 10))
+    # one warning per call, whatever the number of metrics and cutoffs
     assert [r.getMessage() for r in caplog.records] == [
         "3 of 5 queries absent from qrels (first aa); scoring them 0"]
     # the absent queries count as 0 in the mean, as each metric scores them
-    with caplog.at_level(logging.ERROR, logger="backrank.metrics"):
-        total = 0.0
-        for qid in sorted(ranked):
-            total += fn(qid, ranked[qid], simple_qrels, 10)
-    assert got == total / 5
+    with caplog.at_level(logging.ERROR):
+        for k in (10, 5):
+            total = 0.0
+            for qid in sorted(ranked):
+                total += fn(qid, ranked[qid], simple_qrels, k)
+            assert got[(metric, k)] == total / 5
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="backrank.metrics"):
-        mean_metric({"q1": ["d1"], "q2": ["d9"]}, simple_qrels, metric, k=10)
+        effectiveness({"q1": ["d1"], "q2": ["d9"]}, simple_qrels, (10,))
     assert caplog.records == []
+
+
+def test_effectiveness_equals_oracle_means_bit_for_bit(caplog):
+    """One walk per list gives every (metric, cutoff) mean bit-equal to one
+    oracle walk per (metric, cutoff), on random runs with graded qrels 0-2,
+    lists shorter than a cutoff, repeated and unsorted cutoffs, queries
+    absent from qrels and queries with no relevant documents."""
+    rng = SplitMix64(2024)
+    for trial in range(150):
+        num_queries = 1 + rng.randint(6)
+        ranked, grades = {}, {}
+        for q in range(num_queries):
+            qid = f"q{rng.randint(100):02d}"
+            pool = [f"d{i}" for i in range(1 + rng.randint(25))]
+            rng.shuffle(pool)
+            ranked[qid] = pool[:rng.randint(len(pool) + 1)]
+            kind = rng.randint(4)    # 0: absent from qrels, 1: no relevant doc
+            if kind == 1:
+                grades[(qid, pool[0])] = 0
+            elif kind > 1:
+                for did in pool:
+                    grades[(qid, did)] = rng.randint(3)
+        qrels = Qrels(grades)
+        cutoffs = [1 + rng.randint(30) for _ in range(1 + rng.randint(5))]
+        cutoffs += [cutoffs[0]]
+        with caplog.at_level(logging.ERROR):
+            got = effectiveness(ranked, qrels, cutoffs)
+            want = {(metric, k): mean_metric(ranked, qrels, metric, k)
+                    for k in cutoffs for metric in ("mrr", "ndcg")}
+        assert got == want, (trial, cutoffs)
+        assert all(type(v) is float for v in got.values())
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, Qrels,
                       RankedList, ShapeError, SplitMix64, SynthConfig,
                       TrainConfig, TrainExample, Vocab, attribute_scores,
                       bias_report, build_eval_set, build_sense_map,
-                      build_train_examples, generate_synthetic, listwise_loss,
-                      mean_metric, rank_all, sweep_lambda, train)
+                      build_train_examples, effectiveness, generate_synthetic,
+                      listwise_loss, rank_all, sweep_lambda, train)
 from backrank import metrics, ranker
 from backrank.backpack import ContextEncoder, SenseTable
 from backrank.ranker import SWEEP_COLUMNS
@@ -420,8 +420,9 @@ def test_sweep_identity_row_equals_direct_evaluation(synth_setup):
     [report] = bias_report([ranked], eval_set.doc_tokens, cutoffs=(5,))
     base = rows[0]
     assert base["lambda"] == 1.0
-    assert base["mrr@10"] == mean_metric(ranked, eval_set.qrels, "mrr", 10)
-    assert base["ndcg@10"] == mean_metric(ranked, eval_set.qrels, "ndcg", 10)
+    means = effectiveness(ranked, eval_set.qrels, (10,))
+    assert base["mrr@10"] == means[("mrr", 10)]
+    assert base["ndcg@10"] == means[("ndcg", 10)]
     assert base["rab_tf"] == report.mean_rab[("tf", 5)]
     assert base["arab_tf"] == report.mean_arab[("tf", 5)]
     assert base["rab_bool"] == report.mean_rab[("bool", 5)]
@@ -440,8 +441,8 @@ def test_sweep_rows_equal_rank_all_under_each_lambda(synth_setup):
     for lam in lambdas:
         ranked = {qid: rl.doc_ids for qid, (rl,) in
                   rank_all(model, eval_set, (build_sense_map(scores, lam, 2),))}
-        mrr = mean_metric(ranked, eval_set.qrels, "mrr", 10)
-        ndcg = mean_metric(ranked, eval_set.qrels, "ndcg", 10)
+        means = effectiveness(ranked, eval_set.qrels, (10,))
+        mrr, ndcg = means[("mrr", 10)], means[("ndcg", 10)]
         [report] = bias_report([ranked], eval_set.doc_tokens, cutoffs=cutoffs)
         for cutoff in cutoffs:
             expected.append({
@@ -519,9 +520,9 @@ def test_training_example_pipeline_end_to_end(synth_setup):
     examples = build_train_examples(coll, vocab, num_negatives=3, seed=2,
                                     candidate_depth=8)
     fresh = Backpack(model.config, seed=6)
-    before = mean_metric({q: r.doc_ids for q, (r,) in rank_all(fresh, eval_set)},
-                         eval_set.qrels, "ndcg", 10)
+    before = effectiveness({q: r.doc_ids for q, (r,) in rank_all(fresh, eval_set)},
+                           eval_set.qrels, (10,))[("ndcg", 10)]
     fresh, _ = train(examples, TrainConfig(epochs=3, learning_rate=0.05, seed=2), fresh)
-    after = mean_metric({q: r.doc_ids for q, (r,) in rank_all(fresh, eval_set)},
-                        eval_set.qrels, "ndcg", 10)
+    after = effectiveness({q: r.doc_ids for q, (r,) in rank_all(fresh, eval_set)},
+                          eval_set.qrels, (10,))[("ndcg", 10)]
     assert after > before
