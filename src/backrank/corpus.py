@@ -476,73 +476,44 @@ def write_run(path, records: Iterable[tuple[str, str, int, float, str]]) -> None
             fh.write(f"{qid} Q0 {did} {rank} {score:.6f} {tag}\n")
 
 
-def _run_line_error(parts: list[str], path, lineno: int) -> ParseError:
-    """The ParseError of a run line that failed to parse: a field count other
-    than 6, a rank that is no int, or a score that is no finite float."""
-    if len(parts) != 6:
-        return ParseError(f"expected 6 fields, got {len(parts)}", path=str(path), line=lineno)
-    _qid, _q0, _did, rank, score, _tag = parts
-    message = f"bad rank {rank!r}"
-    try:    # the message names the first check that fails
-        int(rank)
-        message = f"bad score {score!r}"
-        float(score)
-        message = f"non-finite score {score!r}"
-    except ValueError:
-        pass
-    return ParseError(message, path=str(path), line=lineno)
-
-
-def _repeat_error(path, lines: Iterable[tuple[int, str, str]]) -> ParseError:
-    """The ParseError at the first repeated (query, document) pair of lines,
-    (line number, query id, document id) triples in file order."""
-    seen: set[tuple[str, str]] = set()
-    for lineno, qid, did in lines:
-        if (qid, did) in seen:
-            return ParseError(f"query {qid} lists document {did!r} twice",
-                              path=str(path), line=lineno)
-        seen.add((qid, did))
-    raise AssertionError("no repeated document")
-
-
 @_gc_paused()
 def read_ranking(path) -> dict[str, list[str]]:
     """Each query's document ids in rank order, ties in file order, from a
     run file in one pass; ranks need not be contiguous. Each line must hold
     6 fields, an int rank and a finite score, and no query may list a
-    document twice. Only ranks and ids are kept; ids are interned strings."""
-    ranked: dict[str, tuple[list[int], list[str]]] = {}    # query id -> ranks, doc ids
-    line_qids: list[str | None] = []    # each line's query id, None if blank
-    last_qid = None    # a query's lines come in runs: look its lists up once per run
+    document twice; the first faulty line is named. Only ranks and ids are
+    kept; ids are interned strings."""
+    ranked: dict[str, dict[str, int]] = {}    # query id -> doc id -> rank, in file order
+    last_qid = None    # a query's lines come in runs: look its map up once per run
     for lineno, raw in read_lines(path):
         parts = raw.split()
-        try:    # a blank line, or a fault that _run_line_error names, is a ValueError
-            qid, _q0, did, rank, score, _tag = parts
-            rank = int(rank)
-            if not math.isfinite(float(score)):
-                raise ValueError
-        except ValueError:
-            if parts:
-                raise _run_line_error(parts, path, lineno) from None
-            line_qids.append(None)
+        if not parts:
             continue
+        if len(parts) != 6:
+            raise ParseError(f"expected 6 fields, got {len(parts)}", path=str(path), line=lineno)
+        qid, _q0, did, rank, score, _tag = parts
+        try:
+            rank = int(rank)
+        except ValueError:
+            raise ParseError(f"bad rank {rank!r}", path=str(path), line=lineno) from None
+        try:
+            finite = math.isfinite(float(score))
+        except ValueError:
+            raise ParseError(f"bad score {score!r}", path=str(path), line=lineno) from None
+        if not finite:
+            raise ParseError(f"non-finite score {score!r}", path=str(path), line=lineno)
         if qid != last_qid:
             last_qid = sys.intern(qid)
             try:
-                ranks, dids = ranked[last_qid]
+                ranks = ranked[last_qid]
             except KeyError:
-                ranks, dids = ranked[last_qid] = ([], [])
-        line_qids.append(last_qid)
-        ranks.append(rank)
-        dids.append(sys.intern(did))
-    if any(len(set(dids)) != len(dids) for _ranks, dids in ranked.values()):
-        in_file_order = {qid: iter(dids) for qid, (_ranks, dids) in ranked.items()}
-        raise _repeat_error(path, ((n, qid, next(in_file_order[qid]))
-                                   for n, qid in enumerate(line_qids, 1) if qid is not None))
+                ranks = ranked[last_qid] = {}
+        if did in ranks:
+            raise ParseError(f"query {qid} lists document {did!r} twice",
+                             path=str(path), line=lineno)
+        ranks[sys.intern(did)] = rank
     # a stable sort: tied ranks keep file order
-    return {qid: dids if ranks == sorted(ranks)
-            else [dids[i] for i in sorted(range(len(ranks)), key=ranks.__getitem__)]
-            for qid, (ranks, dids) in ranked.items()}
+    return {qid: sorted(ranks, key=ranks.__getitem__) for qid, ranks in ranked.items()}
 
 
 def records_from_ranking(ranked: RankedList,

@@ -610,10 +610,10 @@ def rewrite_checkpoint_header(src, dst, edit):
 
 def read_run(path):
     """Each line of a run file as a ``(qid, docid, rank, score, tag)`` tuple,
-    in file order: the oracle for ``read_ranking``'s per-line checks. Every
-    line is checked first, then the first repeated (query, document) pair
-    is an error at its line."""
-    records, linenos = [], []
+    in file order: the oracle for ``read_ranking``'s per-line checks. Each
+    line is checked as it is read, a (query, document) pair seen on an
+    earlier line included, so the first faulty line is the one named."""
+    records, seen = [], set()
     for lineno, raw in read_lines(path):
         parts = raw.split()
         if not parts:
@@ -631,14 +631,11 @@ def read_run(path):
             raise ParseError(f"bad score {score!r}", path=str(path), line=lineno) from None
         if not math.isfinite(value):
             raise ParseError(f"non-finite score {score!r}", path=str(path), line=lineno)
-        records.append((qid, did, rank, value, tag))
-        linenos.append(lineno)
-    seen = set()
-    for lineno, (qid, did, *_rest) in zip(linenos, records):
         if (qid, did) in seen:
             raise ParseError(f"query {qid} lists document {did!r} twice",
                              path=str(path), line=lineno)
         seen.add((qid, did))
+        records.append((qid, did, rank, value, tag))
     return records
 
 

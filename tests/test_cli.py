@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline: files in, files out, exit codes."""
 
+import ast
 import csv
 import json
 import logging
@@ -856,6 +857,42 @@ def test_src_stays_within_its_line_cap():
     files = Path(backrank.__file__).parent.glob("*.py")
     lines = sum(f.read_bytes().count(b"\n") for f in files)
     assert lines <= 2700, f"src/ holds {lines} lines, over its cap of 2,700"
+
+
+def test_src_holds_no_dead_private_names_or_unused_imports():
+    """No module of src/ defines a module-level private name (one leading
+    underscore: a function, class or assigned constant) that no code in src/
+    reads, or imports a name it never reads. The package's re-exports and
+    ``from __future__ import annotations`` are exempt."""
+    trees = {f.name: ast.parse(f.read_text(encoding="utf-8"))
+             for f in Path(backrank.__file__).parent.glob("*.py")}
+    reads = {name: {n.id for n in ast.walk(tree)
+                    if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+             for name, tree in trees.items()}
+    read_anywhere = set().union(*reads.values(), *(
+        {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        for tree in trees.values()))
+    dead = []
+    for name, tree in sorted(trees.items()):
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{name}: private {d} is never read" for d in defined
+                     if d.startswith("_") and not d.startswith("__") and d not in read_anywhere]
+        if name == "__init__.py":
+            continue
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                dead += [f"{name}: import {a.name} is never read" for a in stmt.names
+                         if (a.asname or a.name.split(".")[0]) not in reads[name]]
+    assert not dead
 
 
 def test_console_script_entry_point(pipeline, tmp_path):

@@ -415,7 +415,12 @@ def test_read_run_rejects_malformed(tmp_path, parse):
              ("q1 Q0 d1 1 0.9 s\nq2 Q0 d2 1 0.9 s\nq2 Q0 d1 2 0.8 s\n"
               "q1 Q0 d2 2 0.8 s\nq2 Q0 d3 3 0.7 s\nq1 Q0 d3 3 0.7 s\n"
               "q2 Q0 d1 4 0.6 s\nq1 Q0 d1 4 0.6 s\n",
-              "7: query q2 lists document 'd1' twice")]
+              "7: query q2 lists document 'd1' twice"),
+             # two faults: the first faulty line in file order is named
+             ("q1 Q0 d1 1 0.5 sys\nq1 Q0 d1 2 0.4 sys\nq1 Q0 d2 3 high sys\n",
+              "2: query q1 lists document 'd1' twice"),
+             ("q1 Q0 d1 1 0.5 sys\nq1 Q0 d2 2 high sys\nq1 Q0 d1 3 0.4 sys\n",
+              "2: bad score 'high'")]
     for text, message in cases:
         p.write_text(text)
         with pytest.raises(ParseError) as err:
@@ -477,9 +482,9 @@ def test_read_ranking_retains_at_most_17_bytes_per_line(tmp_path):
 
 
 def test_read_ranking_peaks_at_most_5_file_sizes_above_what_it_returns(tmp_path):
-    """Its transient peak is the file's lines plus two short lists per query
-    and one query id per line; parsing records and then grouping them peaks
-    at over 6 times the file's size."""
+    """Its transient peak is the file's lines plus one doc id -> rank dict
+    per query; parsing records and then grouping them peaks at over 6 times
+    the file's size."""
     p = _bm25_like_run(tmp_path)
     ranked, retained, peak = traced_read(read_ranking, p)
     assert sum(map(len, ranked.values())) == 20_000
@@ -555,6 +560,23 @@ def test_read_ranking_orders_by_rank(tmp_path):
     assert read_ranking(p) == {"q1": ["a", "b"], "q2": ["z"]}
 
 
+def _random_run_text(rng):
+    """Run lines of up to 5 interleaved queries, each listing distinct
+    documents at ranks drawn from 1-6 (tied, gapped, out of order), with
+    blank and whitespace-only lines among them."""
+    queries = [f"q{i}" for i in range(1 + rng.randint(5))]
+    lines = []
+    for qid in queries:
+        lines += [(qid, did) for did in rng.sample([f"d{i}" for i in range(12)],
+                                                   1 + rng.randint(12))]
+    rng.shuffle(lines)
+    text = [f"{qid} Q0 {did} {1 + rng.randint(6)} {rng.uniform():.6f} s\n"
+            for qid, did in lines]
+    for _ in range(rng.randint(4)):
+        text.insert(rng.randint(len(text) + 1), ("\n", "  \n", "\t \n")[rng.randint(3)])
+    return "".join(text)
+
+
 def test_read_ranking_equals_grouped_read_run(tmp_path):
     """Tied ranks keep file order; blank lines, interleaved queries and
     ranks with gaps or out of order change nothing else."""
@@ -570,6 +592,14 @@ def test_read_ranking_equals_grouped_read_run(tmp_path):
     # a depth-100 run written in rank order
     p = _bm25_like_run(tmp_path)
     assert read_ranking(p) == group_run(read_run(p))
+    # random runs: queries keep the order they first appear in
+    rng = SplitMix64(24)
+    p = tmp_path / "random.txt"
+    for _ in range(100):
+        p.write_text(_random_run_text(rng))
+        ranked, records = read_ranking(p), read_run(p)
+        assert ranked == group_run(records)
+        assert list(ranked) == list(dict.fromkeys(qid for qid, *_rest in records))
 
 
 def test_qrels_file_round_trip(tmp_path):
