@@ -108,7 +108,7 @@ class SenseTable:
         their backward: g -> gradients of base, w1, b1, w2, b2."""
         base, w1, b1, w2, b2 = (t.data for t in (self.base, self.w1, self.b1, self.w2, self.b2))
         ix, rows = nk.gather_rows(base, ids)
-        h = np.tanh(nk.linear(rows, w1, b1))
+        h = np.tanh(rows @ w1 + b1)
         hk = nk.split_heads(h, self._k)
 
         def backward(g):
@@ -117,7 +117,7 @@ class SenseTable:
                                               rows, w1, b1.shape)
             return nk.scatter_rows(base.shape, ix, grows), gw1, gb1, gw2, gb2
 
-        return nk.linear(hk, w2, b2), backward
+        return hk @ w2 + b2, backward
 
 
 class _EncoderLayer:
@@ -145,13 +145,13 @@ class _EncoderLayer:
                   self.wo, self.bo, self.f1, self.fb1, self.f2, self.fb2)
         wq, bq, wk, bk, wv, bv, wo, bo, f1, fb1, f2, fb2 = (t.data for t in params)
         n = x.shape[1]
-        q = nk.split_heads(nk.linear(x, wq, bq), heads)
-        probs, kt = nk.attention(q, nk.split_heads(nk.linear(x, wk, bk), heads),
+        q = nk.split_heads(x @ wq + bq, heads)
+        probs, kt = nk.attention(q, nk.split_heads(x @ wk + bk, heads),
                                  _causal_mask(np.arange(n), n))
-        v = nk.split_heads(nk.linear(x, wv, bv), heads)
+        v = nk.split_heads(x @ wv + bv, heads)
         merged = nk.merge_heads(probs @ v)
-        mid = x + nk.linear(merged, wo, bo)
-        ff = np.tanh(nk.linear(mid, f1, fb1))
+        mid = x + (merged @ wo + bo)
+        ff = np.tanh(mid @ f1 + fb1)
 
         def backward(g):
             gff, gf2, gfb2 = nk.linear_grads(g, ff, f2, fb2.shape)
@@ -169,7 +169,7 @@ class _EncoderLayer:
             return (gmid + gxv + gxk + gxq, gwq, gbq, gwk, gbk, gwv, gbv,
                     gwo, gbo, gf1, gfb1, gf2, gfb2)
 
-        return mid + nk.linear(ff, f2, fb2), backward
+        return mid + (ff @ f2 + fb2), backward
 
 
 def _causal_mask(positions: np.ndarray, n: int) -> np.ndarray:
@@ -228,8 +228,8 @@ class ContextEncoder:
         b, n, d = x.shape
         k = self.cfg.num_senses
         ix, rows = nk.gather_rows(x.reshape(b * n, d), pos + n * np.arange(b)[:, None])
-        q = nk.split_heads(nk.linear(rows, aq, abq), k)
-        out, kt = nk.attention(q, nk.split_heads(nk.linear(x, ak, abk), k),
+        q = nk.split_heads(rows @ aq + abq, k)
+        out, kt = nk.attention(q, nk.split_heads(x @ ak + abk, k),
                                _causal_mask(pos[:, None], n))
 
         def backward(g):
@@ -257,8 +257,8 @@ class RelevanceHead:
         """B x d, or B x 1 x d, pooled vectors -> (B,) logits, and their
         backward: g -> gradients of x, w1, b1, w2 and b2."""
         w1, b1, w2, b2 = (t.data for t in (self.w1, self.b1, self.w2, self.b2))
-        h = np.tanh(nk.linear(x, w1, b1))
-        out = nk.linear(h, w2, b2)
+        h = np.tanh(x @ w1 + b1)
+        out = h @ w2 + b2
 
         def backward(g):
             gh, gw2, gb2 = nk.linear_grads(g.reshape(out.shape), h, w2, b2.shape)
@@ -273,29 +273,24 @@ def aggregate(a: np.ndarray, s: np.ndarray, weights=None) -> tuple[np.ndarray, B
     B x k x n x d senses s: out[b, i] = sum_l w_l sum_j a[b, l, i, j] s[b, l, j],
     and its backward: g -> gradients of a and s.
 
-    ``weights`` is an optional length-k finite positive per-sense multiplier
-    applied outside alpha with no renormalization, so the all-ones weighting
-    is bit-identical to the plain sum. It is the only place weights act.
+    ``weights`` is a length-k finite positive per-sense multiplier applied
+    outside alpha with no renormalization; None is all ones, applied by the
+    same multiply, which is exact. It is the only place weights act.
     """
     if a.ndim != 4 or s.ndim != 4 or a.shape[:2] != s.shape[:2] or a.shape[3] != s.shape[2]:
         raise DomainError("aggregate expects B x k x m x n weights and B x k x n x d senses")
     k = a.shape[1]
-    ctx = a @ s
-    w = None
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (k,):
-            raise DomainError(f"sense weights must have length {k}, got shape {w.shape}")
-        # nan fails every comparison, so a check of w <= 0 alone would pass it
-        if not np.all(np.isfinite(w) & (w > 0.0)):
-            raise DomainError("sense weights must be finite and strictly positive")
-        w = w.reshape(k, 1, 1)
-        ctx = ctx * w
+    w = np.ones(k) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != (k,):
+        raise DomainError(f"sense weights must have length {k}, got shape {w.shape}")
+    # nan fails every comparison, so a check of w <= 0 alone would pass it
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise DomainError("sense weights must be finite and strictly positive")
+    w = w.reshape(k, 1, 1)
+    ctx = (a @ s) * w
 
     def backward(g):
-        gctx = np.broadcast_to(np.expand_dims(g, 1), ctx.shape).copy()
-        if w is not None:
-            gctx = gctx * w
+        gctx = np.expand_dims(g, 1) * w
         return gctx @ s.swapaxes(-1, -2), a.swapaxes(-1, -2) @ gctx
 
     return ctx.sum(axis=1), backward
@@ -331,7 +326,7 @@ class Backpack:
     # forward
 
     def _pad(self, seqs: Sequence[Sequence[int]]) -> np.ndarray:
-        """Checked sequences as a B x n id matrix, right-padded with id 0."""
+        """A B x n id matrix, right-padded with id 0; ``_embed`` range-checks the ids."""
         if len(seqs) == 0:
             raise DomainError("batch must hold at least one sequence")
         lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
@@ -342,9 +337,6 @@ class Backpack:
         if n > self.config.max_seq_len:
             raise DomainError(
                 f"sequence length {n} exceeds max_seq_len {self.config.max_seq_len}")
-        bad = (flat < 0) | (flat >= self.config.vocab_size)
-        if bad.any():
-            raise DomainError(f"token index {flat[bad][0]} outside vocabulary")
         ids = np.zeros((len(seqs), n), dtype=np.intp)
         ids[np.arange(n) < lengths[:, None]] = flat
         return ids

@@ -532,10 +532,11 @@ def build_train_examples(
 ) -> list[TrainExample]:
     """Listwise training data: one list per labeled positive.
 
-    Negatives are sampled (seeded) from the query's BM25 candidates that
-    carry no positive label. Queries without positives, or whose candidates
-    yield no negatives, are skipped with a warning. Each distinct document
-    is encoded once, and every list naming it shares that tuple.
+    Queries are taken in sorted id order, so the lists and the seeded draw of
+    negatives do not depend on line order. Negatives come from the query's
+    BM25 candidates that carry no positive label. Queries without positives,
+    or whose candidates yield no negatives, are skipped with a warning. Each
+    distinct document is encoded once, and every list naming it shares it.
     """
     if num_negatives < 1:
         raise DomainError("num_negatives must be >= 1")
@@ -543,7 +544,7 @@ def build_train_examples(
     examples: list[TrainExample] = []
     encoded: dict[str, tuple[int, ...]] = {}    # each distinct document, encoded once
     skipped = 0
-    for qid, qtokens in coll.queries.items():
+    for qid, qtokens in sorted(coll.queries.items()):
         positives = coll.qrels.relevant(qid)
         if not positives:
             skipped += 1

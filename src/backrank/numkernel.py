@@ -2,8 +2,8 @@
 are built from.
 
 Everything is 64-bit and row-major. A model component computes its forward
-pass with the kernels below and returns it with a backward closure that maps
-the output's gradient to its input's and its parameters'. Each backward
+pass with numpy and the kernels below, and returns it with a backward closure
+from the output's gradient to its input's and its parameters'. Each backward
 replays, in the same order, the numpy operations that a tape of primitive ops
 (kept in the tests as the oracle) would apply, so its values and gradients
 equal that chain's bit for bit. Nothing here holds state between calls.
@@ -55,14 +55,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # array kernels: forward values and gradients on plain numpy arrays
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b over the last two axes, where x carries every leading axis
-    of the result and b broadcasts to it."""
-    return x @ w + b
-
-
 def linear_grads(g, x, w, b_shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of ``linear(x, w, b)`` for its output gradient g, as (x, w, b)."""
+    """Gradients of ``x @ w + b`` for its output gradient g, as (x, w, b),
+    where x carries every leading axis of the output and b broadcasts to it."""
     return (g @ w.swapaxes(-1, -2), _unbroadcast(x.swapaxes(-1, -2) @ g, w.shape),
             _unbroadcast(g, b_shape))
 
@@ -113,10 +108,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def gather_rows(table: np.ndarray, idx) -> tuple[np.ndarray, np.ndarray]:
-    """(index array, rows of a 2-D table at it, shaped idx.shape + (columns,))."""
+    """(index array, rows of a 2-D table at it, shaped idx.shape + (columns,));
+    the first index outside the table, in row-major order, is a DomainError."""
     ix = np.asarray(idx, dtype=np.intp)
     if ix.size and (ix.min() < 0 or ix.max() >= table.shape[0]):
-        raise DomainError(f"row index out of range for {table.shape[0]} rows")
+        bad = ix[(ix < 0) | (ix >= table.shape[0])][0]
+        raise DomainError(f"row index {bad} out of range for {table.shape[0]} rows")
     return ix, table[ix]
 
 

@@ -212,11 +212,21 @@ def test_pad_builds_ragged_and_equal_length_batches_alike(model):
     assert ids.tolist() == [[1, 2, 3], [4, 0, 0], [5, 6, 0]]
     assert model._pad([[7, 8], (9, 10)]).tolist() == [[7, 8], [9, 10]]
     for seqs, needle in (([], "at least one sequence"), ([[1], []], "non-empty"),
-                         ([[1] * 11], "sequence length 11 exceeds max_seq_len 10"),
-                         ([[1, 2], [3, 12, -1]], "token index 12 outside vocabulary"),
-                         ([[-1]], "token index -1 outside vocabulary")):
+                         ([[1] * 11], "sequence length 11 exceeds max_seq_len 10")):
         with pytest.raises(DomainError, match=needle):
             model._pad(seqs)
+
+
+def test_every_model_entry_point_names_the_first_id_outside_the_vocabulary(model):
+    """Token ids are range-checked once, where they are first gathered, before
+    any other use; the message names the first bad id in row-major order."""
+    entry_points = (model.forward, model.logits_and_backward,
+                    lambda seqs: model.relevance_logits(seqs, [None], sense_table(model)))
+    for seqs, needle in (([[1, 2], [3, 12, -1]], "row index 12 out of range for 12 rows"),
+                         ([[-1]], "row index -1 out of range for 12 rows")):
+        for call in entry_points:
+            with pytest.raises(DomainError, match=needle):
+                call(seqs)
 
 
 def test_alpha_at_given_positions_equals_rows_of_the_full_alpha(model):
