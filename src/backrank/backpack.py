@@ -71,8 +71,8 @@ class BackpackConfig:
             raise DomainError("context_heads must divide embed_dim")
 
 
-def _param(rng: SplitMix64, shape: tuple[int, ...], sigma: float) -> Tensor:
-    return Tensor(rng.normal_array(shape, sigma))
+def _param(rng: SplitMix64 | None, shape: tuple[int, ...], sigma: float) -> Tensor:
+    return Tensor(np.zeros(shape) if rng is None else rng.normal_array(shape, sigma))
 
 
 def _zeros(shape: tuple[int, ...]) -> Tensor:
@@ -91,7 +91,7 @@ class SenseTable:
     specialized under training.
     """
 
-    def __init__(self, cfg: BackpackConfig, rng: SplitMix64):
+    def __init__(self, cfg: BackpackConfig, rng: SplitMix64 | None):
         d, k, p = cfg.embed_dim, cfg.num_senses, cfg.sense_hidden
         self.base = _param(rng, (cfg.vocab_size, d), 0.1)
         self.w1 = _param(rng, (d, k * p), 1.0 / math.sqrt(d))
@@ -121,7 +121,7 @@ class SenseTable:
 
 
 class _EncoderLayer:
-    def __init__(self, cfg: BackpackConfig, rng: SplitMix64):
+    def __init__(self, cfg: BackpackConfig, rng: SplitMix64 | None):
         d = cfg.embed_dim
         hidden = 2 * d
         w_sigma = 1.0 / math.sqrt(d)
@@ -180,7 +180,7 @@ def _causal_mask(positions: np.ndarray, n: int) -> np.ndarray:
 class ContextEncoder:
     """Produces the per-sense contextualization weights from the raw tokens."""
 
-    def __init__(self, cfg: BackpackConfig, rng: SplitMix64):
+    def __init__(self, cfg: BackpackConfig, rng: SplitMix64 | None):
         d, k = cfg.embed_dim, cfg.num_senses
         self.cfg = cfg
         self.alpha_dim = d // cfg.context_heads
@@ -246,7 +246,7 @@ class ContextEncoder:
 class RelevanceHead:
     """Pooled representation -> two dense layers -> one logit per row."""
 
-    def __init__(self, cfg: BackpackConfig, rng: SplitMix64):
+    def __init__(self, cfg: BackpackConfig, rng: SplitMix64 | None):
         d, h = cfg.embed_dim, cfg.head_hidden
         self.w1 = _param(rng, (d, h), 1.0 / math.sqrt(d))
         self.b1 = _zeros((h,))
@@ -299,9 +299,9 @@ def aggregate(a: np.ndarray, s: np.ndarray, weights=None) -> tuple[np.ndarray, B
 class Backpack:
     """The full model: sense table, contextualizer and relevance head."""
 
-    def __init__(self, config: BackpackConfig, seed: int = 0):
+    def __init__(self, config: BackpackConfig, seed: int | None = 0):
         self.config = config
-        rng = SplitMix64(seed)
+        rng = None if seed is None else SplitMix64(seed)    # None: zeros, no draws
         self.senses = SenseTable(config, rng)
         self.context = ContextEncoder(config, rng)
         self.head = RelevanceHead(config, rng)
@@ -495,7 +495,7 @@ def load_checkpoint(path) -> tuple[Backpack, list[str], dict]:
         _check_vocab(config, vocab)
     except DomainError as exc:
         raise ParseError(f"bad checkpoint vocab: {exc}", path=where) from None
-    model = Backpack(config, seed=0)
+    model = Backpack(config, seed=None)
     params = model.parameters()
     table = [[name, list(t.shape)] for name, t in params.items()]
     if header["tensors"] != table:

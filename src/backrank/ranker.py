@@ -11,6 +11,9 @@ ascending as the tie-break so results are exactly reproducible.
 from __future__ import annotations
 
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -179,7 +182,9 @@ def rank_all(model, eval_set: EvalSet,
     (``packed_length``, so each pair is packed once, when it is scored):
     no row is padded, so a pair's logit is bit-identical to it scored alone.
     The sense table of the whole vocabulary is computed once per call and
-    shared by every chunk."""
+    shared by every chunk. The chunks are dealt round-robin into one share
+    per usable core, and forked helpers score every share but the first: a
+    chunk's logits are the same bits in any process."""
     qids = sorted(eval_set.queries)
     counts = [len(eval_set.candidates[qid]) for qid in qids]
     query_of = np.repeat(np.arange(len(qids)), counts)
@@ -188,15 +193,53 @@ def rank_all(model, eval_set: EvalSet,
                            for q, d in zip(query_of.tolist(), docs)),
                           dtype=np.intp, count=len(docs))
     order = np.argsort(lengths, kind="stable")
+    chunks = [group[start:start + _CHUNK_ROWS]
+              for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)
+              for start in range(0, len(group), _CHUNK_ROWS)]
     logits = np.empty((len(weight_sets), len(docs)))
     table = model.senses.senses_for(np.arange(model.config.vocab_size)[None])[0][0]
-    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-        for start in range(0, len(group), _CHUNK_ROWS):
-            rows = group[start:start + _CHUNK_ROWS]
+
+    def score(share):
+        for rows in share:
             seqs = [model.pack_sequence(eval_set.queries[qids[q]], docs[p])
                     for q, p in zip(query_of[rows].tolist(), rows.tolist())]
             for out, z in zip(logits, model.relevance_logits(seqs, weight_sets, table)):
                 out[rows] = z
+
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")  # Linux: has fork
+             and threading.active_count() == 1 else 1)  # a forked child inherits held locks
+    workers = max(1, min(cores, len(chunks)))
+    helpers = []    # (pid, None where fork failed; read end of its pipe; share)
+    try:
+        for share in (chunks[i::workers] for i in range(1, workers)):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:     # no process to spare: the share is scored below
+                pid = None
+            if pid == 0:    # leave through os._exit: never return into the
+                try:        # caller's frames, never flush its stdio buffers
+                    score(share)
+                    os.write(write_end, logits[:, np.concatenate(share)].tobytes())
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            helpers.append((pid, open(read_end, "rb"), share))
+        score(chunks[0::workers])
+        for _, pipe, share in helpers:
+            rows = np.concatenate(share)
+            data = pipe.read()
+            if len(data) == logits[:, rows].nbytes:     # written only once all scored
+                logits[:, rows] = np.frombuffer(data).reshape(len(weight_sets), len(rows))
+            else:   # scoring is deterministic: a helper's error is raised again here
+                score(share)
+    finally:
+        for pid, pipe, _ in helpers:
+            pipe.close()
+            if pid:
+                os.kill(pid, signal.SIGKILL)    # a no-op on one that has exited
+                os.waitpid(pid, 0)
     # an infinite logit has a finite sigmoid, so it is rejected here
     if not np.all(np.isfinite(logits)):
         raise DomainError("relevance logits must be finite")

@@ -343,10 +343,16 @@ def _header_end(blob):
     return 12 + struct.unpack("<I", blob[8:12])[0]
 
 
-def test_checkpoint_round_trip_bit_identical_scores(tmp_path, model):
+def test_checkpoint_round_trip_bit_identical_scores(tmp_path, model, monkeypatch):
+    """A reload draws no initial weights: it overwrites every parameter."""
     meta = {"seed": 11, "note": "unit"}
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model, TOKENS, meta)
+
+    def no_draw(self, shape, sigma=1.0):
+        raise AssertionError("load_checkpoint drew initial weights")
+
+    monkeypatch.setattr(SplitMix64, "normal_array", no_draw)
     back, tokens, got_meta = load_checkpoint(path)
     assert tokens == TOKENS
     assert got_meta == meta

@@ -1,5 +1,8 @@
 """Listwise training loop, ranking, and the lambda sweep."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -290,10 +293,36 @@ def test_rank_all_gives_one_list_per_sense_map(tiny_model):
     assert [s for _, s in lists[0].items] != [s for _, s in lists[1].items]
 
 
-def test_rank_all_logits_equal_each_pair_scored_alone(tiny_model):
-    """Across queries whose candidates pack to mixed lengths, with more pairs
-    of one length than one scoring call holds, every score is bit-identical
-    to its pair scored alone: nothing else in a list moves it."""
+def _pin_cores(monkeypatch, n):
+    """rank_all sees n usable cores, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _log_calls(monkeypatch, cls, name, path, record=lambda *args: "-"):
+    """Wrap cls.name so that each call, in this process or in a forked
+    helper, appends a line to path: the caller's pid and record(*args).
+    Calls counted in memory would miss the helpers' share."""
+    real = getattr(cls, name)
+
+    def logged(self, *args):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()} {record(*args)}\n")
+        return real(self, *args)
+
+    monkeypatch.setattr(cls, name, logged)
+
+
+def _logged(path):
+    """(pid, record) of each logged call, in the order written."""
+    if not path.exists():
+        return []
+    return [(int(pid), rec) for pid, rec in
+            (line.split(" ", 1) for line in path.read_text().splitlines())]
+
+
+def _ragged_set(model):
+    """8 queries whose candidates pack to mixed lengths, with more pairs of
+    one length (16, the budget) than one scoring call holds."""
     rng = SplitMix64(11)
     queries, cands = {}, {}
     for i in range(8):
@@ -304,31 +333,162 @@ def test_rank_all_logits_equal_each_pair_scored_alone(tiny_model):
         cands[qid] = [(f"d{j}", tuple(3 + rng.randint(27)
                                      for _ in range(20 if j % 3 == 0 else 2 + j % 2)))
                       for j in range(15)]
-    es = EvalSet(queries, cands, Qrels({}), {})
-    packed = [len(tiny_model.pack_sequence(queries[q], d)) for q in cands for _, d in cands[q]]
+    packed = [len(model.pack_sequence(queries[q], d)) for q in cands for _, d in cands[q]]
     assert max(packed.count(n) for n in set(packed)) > 32 and len(set(packed)) > 3
+    return EvalSet(queries, cands, Qrels({}), {})
+
+
+def test_rank_all_logits_equal_each_pair_scored_alone(tiny_model):
+    """Across queries whose candidates pack to mixed lengths, with more pairs
+    of one length than one scoring call holds, every score is bit-identical
+    to its pair scored alone: nothing else in a list moves it."""
+    es = _ragged_set(tiny_model)
     weight_sets = (None, (1.0, 1.0), (0.3, 1.0))
     for qid, lists in rank_all(tiny_model, es, weight_sets):
         for weights, ranked in zip(weight_sets, lists):
             for did, score in ranked.items:
-                doc = dict(cands[qid])[did]
-                alone = logits(tiny_model, queries[qid], [doc], weights)
+                doc = dict(es.candidates[qid])[did]
+                alone = logits(tiny_model, es.queries[qid], [doc], weights)
                 assert score == nk.sigmoid(alone).item()
 
 
-def test_rank_all_packs_each_pair_once(tiny_model, monkeypatch):
+def test_rank_all_gives_equal_bits_under_one_and_two_workers(tiny_model, monkeypatch, tmp_path):
+    """Forked helpers score part of the chunks, and every RankedList is the
+    one a single process gives, bit for bit (the scores are positive floats,
+    so == on them is equality of bits)."""
+    es = _ragged_set(tiny_model)
+    weight_sets = (None, (1.0, 1.0), (0.3, 1.0))
+    log = tmp_path / "calls"
+    _log_calls(monkeypatch, Backpack, "relevance_logits", log)
+    ranked, pids = {}, {}
+    for workers in (1, 2):
+        _pin_cores(monkeypatch, workers)
+        ranked[workers] = list(rank_all(tiny_model, es, weight_sets))
+        pids[workers] = [pid for pid, _ in _logged(log)]
+        log.unlink()
+    assert ranked[1] == ranked[2]
+    assert set(pids[1]) == {os.getpid()}
+    assert len(set(pids[2])) == 2 and len(pids[2]) == len(pids[1])
+
+
+def _two_chunk_set(doc_b):
+    """One query whose two candidates pack to two lengths: the short one is
+    chunk 0, scored in this process, and ``doc_b`` is chunk 1, the one helper's
+    share under two workers."""
+    return _one_query_set((3, 4), [("a", (5, 6)), ("b", doc_b)])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rank_all_raises_a_helpers_error_with_its_message(tiny_model, monkeypatch,
+                                                         tmp_path, workers):
+    """An id outside the vocabulary in the helper's share fails the helper;
+    this process scores that share again and raises the same DomainError."""
+    _pin_cores(monkeypatch, workers)
+    n_long = len(tiny_model.pack_sequence((3, 4), (7, 99, 8)))
+    log = tmp_path / "calls"
+    _log_calls(monkeypatch, Backpack, "relevance_logits", log,
+               lambda seqs, *_: len(seqs[0]))
+    with pytest.raises(DomainError, match="^row index 99 out of range for 30 rows$"):
+        list(rank_all(tiny_model, _two_chunk_set((7, 99, 8))))
+    long_calls = [pid for pid, n in _logged(log) if int(n) == n_long]
+    if workers == 1:
+        assert long_calls == [os.getpid()]
+    else:   # the helper hit it first, then this process did
+        assert len(long_calls) == 2 and long_calls[0] != os.getpid() == long_calls[1]
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_rank_all_rejects_non_finite_logits_from_a_helper(tiny_model, monkeypatch,
+                                                          tmp_path, bad):
+    """Non-finite logits that only the helper's share holds still fail the
+    whole call, after they arrive through the pipe."""
+    _pin_cores(monkeypatch, 2)
+    real = Backpack.relevance_logits
+    n_long = len(tiny_model.pack_sequence((3, 4), (7, 9, 8)))
+
+    def spoiled(self, seqs, weight_sets, table):
+        out = real(self, seqs, weight_sets, table)
+        return [z + bad for z in out] if len(seqs[0]) == n_long else out
+
+    monkeypatch.setattr(Backpack, "relevance_logits", spoiled)
+    log = tmp_path / "calls"
+    _log_calls(monkeypatch, Backpack, "relevance_logits", log,
+               lambda seqs, *_: len(seqs[0]))
+    with pytest.raises(DomainError, match="relevance logits must be finite"):
+        list(rank_all(tiny_model, _two_chunk_set((7, 9, 8))))
+    by_length = dict((int(n), pid) for pid, n in _logged(log))
+    assert len(by_length) == 2 and by_length[n_long] != os.getpid()
+
+
+def _forbid_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("rank_all forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+def test_rank_all_forks_nothing_for_no_pairs_or_one_chunk(tiny_model, monkeypatch):
+    """With no pairs, or all of them in one chunk, this process scores them
+    itself, however many cores it may use."""
+    _pin_cores(monkeypatch, 2)
+    _forbid_fork(monkeypatch)
+    assert list(rank_all(tiny_model, EvalSet({}, {}, Qrels({}), {}))) == []
+    es = _one_query_set((3, 4), [("a", (5, 6)), ("b", (7, 8)), ("c", (9, 9))])
+    [(qid, [ranked])] = rank_all(tiny_model, es)
+    assert qid == "q1" and sorted(ranked.doc_ids) == ["a", "b", "c"]
+
+
+def test_rank_all_forks_nothing_while_another_thread_runs(tiny_model, monkeypatch):
+    """A forked child would inherit any lock another thread holds, so with a
+    second thread alive every chunk is scored in this process."""
+    es = _ragged_set(tiny_model)
+    _pin_cores(monkeypatch, 1)
+    alone = list(rank_all(tiny_model, es))
+    _pin_cores(monkeypatch, 2)
+    _forbid_fork(monkeypatch)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert list(rank_all(tiny_model, es)) == alone
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+
+
+def test_rank_all_scores_a_share_itself_when_fork_fails(tiny_model, monkeypatch):
+    """A fork that fails costs time, not the call: the share it would have
+    gone to is scored in this process, to the same bits."""
+    es = _ragged_set(tiny_model)
+    _pin_cores(monkeypatch, 1)
+    alone = list(rank_all(tiny_model, es, (None, (0.3, 1.0))))
+    _pin_cores(monkeypatch, 3)
+    forks = []
+
+    def failing_fork():
+        forks.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert list(rank_all(tiny_model, es, (None, (0.3, 1.0)))) == alone
+    assert len(forks) == 2
+
+
+def test_rank_all_packs_each_pair_once(tiny_model, monkeypatch, tmp_path):
     """Lengths come from packed_length; pack_sequence runs only when a pair
-    is scored."""
+    is scored, by this process or by a helper."""
     rng = SplitMix64(12)
     queries = {f"q{i}": tuple(3 + rng.randint(27) for _ in range(1 + i)) for i in range(3)}
     cands = {qid: [(f"d{j}", tuple(3 + rng.randint(27) for _ in range(1 + 4 * j)))
                    for j in range(5)] for qid in queries}
-    calls = []
-    real = Backpack.pack_sequence
-    monkeypatch.setattr(Backpack, "pack_sequence",
-                        lambda self, q, d: calls.append(1) or real(self, q, d))
+    _pin_cores(monkeypatch, 2)
+    log = tmp_path / "calls"
+    _log_calls(monkeypatch, Backpack, "pack_sequence", log)
     list(rank_all(tiny_model, EvalSet(queries, cands, Qrels({}), {}), (None, (0.5, 1.0))))
+    calls = _logged(log)
     assert len(calls) == 15
+    assert len({pid for pid, _ in calls}) == 2
 
 
 @pytest.mark.parametrize("weight_sets", [(None,), (None, (0.5, 1.0), (1.0, 0.2), (1.0, 1.0))])
@@ -457,26 +617,30 @@ def test_sweep_rows_equal_rank_all_under_each_lambda(synth_setup):
     assert len({(r["rab_tf"], r["arab_tf"]) for r in rows}) > 2   # the lambdas differ
 
 
-def test_sweep_encodes_each_pair_once(synth_setup, monkeypatch):
+def test_sweep_encodes_each_pair_once(synth_setup, monkeypatch, tmp_path):
     """The encoder's cost does not grow with the number of lambdas: its rows
-    add up to the number of pairs, and 1 and 4 lambdas make the same calls."""
+    add up to the number of pairs, and 1 and 4 lambdas make the same calls,
+    in the same order in one process, and as the same multiset of shapes
+    when a helper encodes part of them."""
     model, vocab, _, eval_set = synth_setup
     scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
-    calls = []
-    alpha = ContextEncoder.alpha
-
-    def counting(self, ids, positions):
-        calls.append(np.shape(ids))
-        return alpha(self, ids, positions)
-
-    monkeypatch.setattr(ContextEncoder, "alpha", counting)
-    per_sweep = []
-    for lambdas in ([1.0], [1.0, 0.7, 0.5, 0.3]):
-        calls.clear()
-        sweep_lambda(model, eval_set, scores, lambdas, cutoffs=(5,), m=2)
-        per_sweep.append(list(calls))
-    assert sum(rows for rows, _ in per_sweep[0]) == sum(map(len, eval_set.candidates.values()))
-    assert per_sweep[0] == per_sweep[1]
+    log = tmp_path / "alpha"
+    _log_calls(monkeypatch, ContextEncoder, "alpha", log,
+               lambda ids, positions: "x".join(map(str, np.shape(ids))))
+    for workers in (1, 2):
+        _pin_cores(monkeypatch, workers)
+        per_sweep = []
+        for lambdas in ([1.0], [1.0, 0.7, 0.5, 0.3]):
+            sweep_lambda(model, eval_set, scores, lambdas, cutoffs=(5,), m=2)
+            calls = _logged(log)
+            log.unlink()
+            assert len({pid for pid, _ in calls}) == workers
+            per_sweep.append([tuple(map(int, shape.split("x"))) for _, shape in calls])
+        assert sum(rows for rows, _ in per_sweep[0]) == sum(map(len, eval_set.candidates.values()))
+        if workers == 1:
+            assert per_sweep[0] == per_sweep[1]
+        else:
+            assert sorted(per_sweep[0]) == sorted(per_sweep[1])
 
 
 def test_sweep_computes_each_gender_delta_once_across_lambdas(synth_setup, monkeypatch):
