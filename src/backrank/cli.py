@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-csv", default="loss.csv")
     p.add_argument("--resume", help="checkpoint to continue training from")
     p.add_argument("--epochs", type=int, default=4)
-    p.add_argument("--lr", type=float, default=1e-5)
+    p.add_argument("--lr", type=float, default=0.015)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--negatives", type=_COUNT, default=7)
     p.add_argument("--depth", type=_COUNT, default=100,

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, ParseError, read_lines
-from .metrics import FEMALE_TERMS, MALE_TERMS, Qrels
+from .metrics import FEMALE_TERMS, MALE_TERMS, MAX_GRADE, Qrels
 from .ranker import EvalSet, RankedList, TrainExample
 from .rng import SplitMix64
 
@@ -612,7 +612,7 @@ def build_eval_set(
 
 @_gc_paused()
 def read_qrels(path) -> Qrels:
-    """Parse ``qid 0 docid rel`` lines; on duplicates the last value wins."""
+    """Parse ``qid 0 docid rel`` lines, rel in 0..MAX_GRADE; on duplicates the last wins."""
     grades: dict[tuple[str, str], int] = {}
     dupes = 0
     for lineno, raw in read_lines(path):
@@ -627,8 +627,9 @@ def read_qrels(path) -> Qrels:
             rel = int(rel_s)
         except ValueError:
             raise ParseError(f"bad relevance {rel_s!r}", path=str(path), line=lineno) from None
-        if rel < 0:
-            raise ParseError(f"negative relevance grade {rel_s!r}", path=str(path), line=lineno)
+        if not 0 <= rel <= MAX_GRADE:
+            raise ParseError(f"{'negative' if rel < 0 else 'too large a'} relevance grade "
+                             f"{rel_s!r} (grades are 0..{MAX_GRADE})", path=str(path), line=lineno)
         if (qid, did) in grades:
             dupes += 1
         grades[(qid, did)] = rel

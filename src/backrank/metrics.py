@@ -30,18 +30,20 @@ VARIANTS = ("tf", "bool")
 # generate_synthetic draws its gender words from them by index.
 FEMALE_TERMS = ("her", "she", "woman")
 MALE_TERMS = ("he", "him", "man")
+# The largest grade: 2^1000 gain over up to 2^23 ranks keeps every DCG finite
+MAX_GRADE = 1000
 
 
 class Qrels:
-    """Relevance grades keyed by (query_id, doc_id); grades are >= 0 ints."""
+    """Relevance grades keyed by (query_id, doc_id); ints in 0..MAX_GRADE."""
 
     def __init__(self, grades: Mapping[tuple[str, str], int]):
         self._grades: dict[tuple[str, str], int] = {}
         self._by_query: dict[str, dict[str, int]] = {}
         for (qid, did), rel in grades.items():
             rel = int(rel)
-            if rel < 0:
-                raise DomainError(f"negative relevance grade for ({qid}, {did})")
+            if not 0 <= rel <= MAX_GRADE:
+                raise DomainError(f"grade {rel} for ({qid}, {did}) is outside 0..{MAX_GRADE}")
             self._grades[(qid, did)] = rel
             self._by_query.setdefault(qid, {})[did] = rel
 
@@ -87,11 +89,10 @@ def mag_bool(doc_tokens: Sequence[str], terms: Iterable[str]) -> int:
 
 
 def _gender_delta(doc_tokens: Sequence[str], variant: str) -> float:
+    """Female minus male magnitude; ``variant`` is in VARIANTS (bias_report checks)."""
     if variant == "tf":    # the lexicons are sorted and distinct: the definition's order
         return _log_counts(doc_tokens, FEMALE_TERMS) - _log_counts(doc_tokens, MALE_TERMS)
-    if variant == "bool":
-        return float(mag_bool(doc_tokens, FEMALE_TERMS) - mag_bool(doc_tokens, MALE_TERMS))
-    raise DomainError(f"unknown magnitude variant {variant!r}")
+    return float(mag_bool(doc_tokens, FEMALE_TERMS) - mag_bool(doc_tokens, MALE_TERMS))
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,12 @@ from .errors import DomainError, ShapeError
 
 
 class Tensor:
-    """A model parameter: a dense, finite float64 array."""
+    """A model parameter: a dense float64 array."""
 
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("tensor values must be finite")
-        self.data = arr
+        self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
 
     @property
     def shape(self) -> tuple[int, ...]:

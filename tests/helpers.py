@@ -608,6 +608,17 @@ def rewrite_checkpoint_header(src, dst, edit):
     dst.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
 
 
+def assert_ranking_invariants(ranked):
+    """A RankedList lists each document once, by finite score descending,
+    ties in ascending doc id: the order its producers give it, which the
+    type itself does not check."""
+    ids = ranked.doc_ids
+    assert len(set(ids)) == len(ids), ranked.query_id
+    assert all(math.isfinite(score) for _, score in ranked.items), ranked.query_id
+    for (da, sa), (db, sb) in zip(ranked.items, ranked.items[1:]):
+        assert sa > sb or (sa == sb and da < db), (ranked.query_id, da, sa, db, sb)
+
+
 def read_run(path):
     """Each line of a run file as a ``(qid, docid, rank, score, tag)`` tuple,
     in file order: the oracle for ``read_ranking``'s per-line checks. Each

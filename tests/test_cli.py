@@ -452,11 +452,16 @@ def test_run_listing_a_document_twice_is_exit_2(pipeline, tmp_path, capsys):
 
 
 def test_eval_negative_qrels_grade_is_exit_2_with_its_line(pipeline, tmp_path, capsys):
+    """A grade outside 0..1000 is exit 2 at its line. Without the range check
+    1024 overflowed 2.0 ** g (internal error) and three docs graded 1023 wrote nan."""
     qrels = tmp_path / "neg.qrels"
-    qrels.write_text("q0001 0 d000002 1\nq0001 0 d000001 -1\n")
-    assert main(["eval", "--run", str(pipeline["run"]), "--qrels", str(qrels),
-                 "--out", str(tmp_path / "e.csv")]) == 2
-    assert f"{qrels}:2: negative relevance grade '-1'" in capsys.readouterr().err
+    for grade, kind in (("-1", "negative"), ("1001", "too large a"), ("1024", "too large a"),
+                        (str(10 ** 30), "too large a")):
+        qrels.write_text(f"q0001 0 d000002 1\nq0001 0 d000001 {grade}\n")
+        assert main(["eval", "--run", str(pipeline["run"]), "--qrels", str(qrels),
+                     "--out", str(tmp_path / "e.csv")]) == 2
+        assert f"{qrels}:2: {kind} relevance grade '{grade}'" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
 
 
 def test_qrels_naming_an_unknown_id_is_exit_2_with_its_line(pipeline, tmp_path, capsys):
@@ -859,31 +864,48 @@ def test_src_stays_within_its_line_cap():
     assert lines <= 2700, f"src/ holds {lines} lines, over its cap of 2,700"
 
 
+def _defined_names(body):
+    """The function, class and assigned names that a block of statements defines."""
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield stmt.name
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def _private_definitions(tree):
+    """Each private name (one leading underscore) a module defines: at module
+    level, in a class body (methods and class attributes), or as an attribute
+    assigned on ``self``; qualified by its class or by ``self.``."""
+    scopes = [("", tree.body)] + [(f"{c.name}.", c.body) for c in ast.walk(tree)
+                                  if isinstance(c, ast.ClassDef)]
+    defined = [(prefix, d) for prefix, body in scopes for d in _defined_names(body)]
+    defined += [("self.", n.attr) for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                and isinstance(n.value, ast.Name) and n.value.id == "self"]
+    return [(prefix, d) for prefix, d in defined if d.startswith("_") and not d.startswith("__")]
+
+
 def test_src_holds_no_dead_private_names_or_unused_imports():
-    """No module of src/ defines a module-level private name (one leading
-    underscore: a function, class or assigned constant) that no code in src/
-    reads, or imports a name it never reads. The package's re-exports and
-    ``from __future__ import annotations`` are exempt."""
+    """No module of src/ defines a private name (a module-level function,
+    class or constant, a method or class attribute, or a ``self._x``
+    attribute) that no code in src/ reads, or imports a name it never reads.
+    The package's re-exports and ``from __future__ import annotations`` are
+    exempt."""
     trees = {f.name: ast.parse(f.read_text(encoding="utf-8"))
              for f in Path(backrank.__file__).parent.glob("*.py")}
     reads = {name: {n.id for n in ast.walk(tree)
                     if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
              for name, tree in trees.items()}
     read_anywhere = set().union(*reads.values(), *(
-        {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        {n.attr for n in ast.walk(tree)
+         if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store)}
         for tree in trees.values()))
     dead = []
     for name, tree in sorted(trees.items()):
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined = [stmt.name]
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                defined = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            dead += [f"{name}: private {d} is never read" for d in defined
-                     if d.startswith("_") and not d.startswith("__") and d not in read_anywhere]
+        dead += [f"{name}: private {prefix}{d} is never read"
+                 for prefix, d in _private_definitions(tree) if d not in read_anywhere]
         if name == "__init__.py":
             continue
         for stmt in ast.walk(tree):

@@ -22,7 +22,8 @@ from backrank import (Collection, DomainError, ParseError, Qrels, SplitMix64,
 from backrank import corpus
 from backrank.corpus import read_gender_tokens, read_tsv, records_from_ranking
 from backrank.metrics import FEMALE_TERMS, MALE_TERMS
-from helpers import CounterBm25Index, ScalarSplitMix64, group_run, read_run, regex_tokenize
+from helpers import (CounterBm25Index, ScalarSplitMix64, assert_ranking_invariants, group_run,
+                     read_run, regex_tokenize)
 
 
 @pytest.fixture
@@ -155,6 +156,19 @@ def test_bm25_matches_direct_formula_on_random_collections():
         seen["floored_term"] += ("common" in query
                                  and 2 * sum("common" in t for t in docs.values()) > n)
     assert all(count >= 5 for count in seen.values()), seen
+
+
+def test_bm25_lists_hold_the_ranking_invariants():
+    """On random_bm25_cases and every query of the seed-1 synthetic
+    collection, each list names a document once, by positive finite score
+    descending, ties in ascending doc id."""
+    synth = generate_synthetic(SynthConfig(seed=1))
+    cases = [(Collection(docs, {}), query, top_n) for docs, query, top_n in random_bm25_cases()]
+    cases += [(synth, query, 100) for _, query in sorted(synth.queries.items())]
+    for coll, query, top_n in cases:
+        ranked = bm25_retrieve(query, coll, top_n=top_n)
+        assert_ranking_invariants(ranked)
+        assert len(ranked.items) <= top_n and all(s > 0.0 for _, s in ranked.items)
 
 
 def assert_same_index(got, want):

@@ -300,6 +300,9 @@ def test_ndcg_hand_value(simple_qrels):
 
 def test_ndcg_perfect_is_one(simple_qrels):
     assert one_query(["d3", "d1"], simple_qrels, k=10)[1] == pytest.approx(1.0, abs=1e-12)
+    # at the largest grade every DCG stays finite (three docs graded 1023 gave nan)
+    top = Qrels({("q1", d): 1000 for d in ("d1", "d2", "d3")})
+    assert one_query(["d1", "d2", "d3"], top, k=10) == (1.0, 1.0)
 
 
 def test_mrr_ndcg_match_naive_on_random_lists():
@@ -437,5 +440,6 @@ def test_qrels_api():
     assert qr.grade("q", "missing") == 0
     assert qr.relevant("q") == {"a": 2}
     assert qr.has_query("q") and not qr.has_query("zz")
-    with pytest.raises(DomainError):
-        Qrels({("q", "a"): -1})
+    for bad in (-1, 1001, 10 ** 30):
+        with pytest.raises(DomainError, match="outside 0..1000"):
+            Qrels({("q", "a"): bad})

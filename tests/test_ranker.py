@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, Qrels,
-                      RankedList, ShapeError, SplitMix64, SynthConfig,
+                      ShapeError, SplitMix64, SynthConfig,
                       TrainConfig, TrainExample, Vocab, attribute_scores,
                       bias_report, build_eval_set, build_sense_map,
                       build_train_examples, effectiveness, generate_synthetic,
@@ -17,9 +17,9 @@ from backrank.backpack import ContextEncoder, SenseTable
 from backrank.ranker import SWEEP_COLUMNS
 from backrank.senses import PolarityPair
 from backrank import numkernel as nk
-from helpers import (ScalarSplitMix64, Tape, backward, central_diff_error,
-                     listwise_loss_chain, logits, relevance_logit_chain, sense_table,
-                     tracked)
+from helpers import (ScalarSplitMix64, Tape, assert_ranking_invariants, backward,
+                     central_diff_error, listwise_loss_chain, logits, relevance_logit_chain,
+                     sense_table, tracked)
 
 
 @pytest.fixture
@@ -47,8 +47,10 @@ def test_train_example_validation():
         TrainExample("q", (1,), ("a",), ((1, 2),), (1.0,))           # 1 candidate
     with pytest.raises(DomainError):
         TrainExample("q", (1,), ("a", "b"), ((1,), (2,)), (0.0, 0.0))  # no positive
-    with pytest.raises(DomainError):
-        TrainExample("q", (1,), ("a", "b"), ((1,), (2,)), (1.0, -1.0))
+    # nan and inf pass both the >= 0 and the some-positive test on their own
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="labels of query q must be finite"):
+            TrainExample("q", (1,), ("a", "b"), ((1,), (2,)), (1.0, bad))
     with pytest.raises(DomainError):
         TrainExample("q", (1,), ("a", "b"), ((1,), (2,)), (1.0,))    # misaligned
 
@@ -61,16 +63,11 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1e-3)
 
 
-def test_ranked_list_validation():
-    RankedList("q", (("a", 2.0), ("b", 1.0), ("c", 1.0)))
-    with pytest.raises(DomainError):
-        RankedList("q", (("a", 1.0), ("a", 0.5)))
-    with pytest.raises(DomainError):
-        RankedList("q", (("a", 1.0), ("b", 2.0)))
-    # every comparison with NaN is false, so the ordering check alone passes it
-    for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(DomainError):
-            RankedList("q", (("a", 1.0), ("b", bad), ("c", 2.0)))
+def test_eval_set_rejects_a_duplicate_candidate():
+    """rank_all lists each candidate once: a list naming one twice stops here."""
+    EvalSet({"q1": (3,)}, {"q1": [("a", (5,)), ("b", (5,))]}, Qrels({}), {})
+    with pytest.raises(DomainError, match="query q1 lists a candidate document twice"):
+        EvalSet({"q1": (3,)}, {"q1": [("a", (5,)), ("b", (6,)), ("a", (7,))]}, Qrels({}), {})
 
 
 # ---------------------------------------------------------------------------
@@ -95,22 +92,10 @@ def test_listwise_loss_matches_manual_softmax():
 
 
 def test_listwise_loss_validation():
-    with pytest.raises(DomainError):
-        listwise_loss((0.0, 0.0), np.zeros(2))
-    with pytest.raises(DomainError):
-        listwise_loss((1.0, -1.0), np.zeros(2))
     with pytest.raises(ShapeError):
         listwise_loss((1.0, 0.0), np.zeros(3))
     with pytest.raises(ShapeError):
         listwise_loss((1.0, 0.0), np.zeros((2, 2)))
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_listwise_loss_rejects_non_finite_labels(bad):
-    """nan passes both label checks (>= 0 and some > 0) when another label
-    is positive; inf passes them too."""
-    with pytest.raises(DomainError, match="finite"):
-        listwise_loss((1.0, bad), np.zeros(2))
 
 
 def test_listwise_loss_gradient():
@@ -255,7 +240,7 @@ def _one_query_set(query, cands):
 def test_rank_orders_by_score_then_id(tiny_model):
     cands = [("b", (5, 6)), ("a", (5, 6)), ("c", (9, 9))]
     [(qid, [ranked])] = rank_all(tiny_model, _one_query_set((3, 4), cands))
-    assert qid == "q1" and len(ranked) == 3
+    assert qid == "q1" and len(ranked.items) == 3
     # identical token lists score identically; id breaks the tie
     pos_a, pos_b = ranked.doc_ids.index("a"), ranked.doc_ids.index("b")
     assert pos_a < pos_b
@@ -265,8 +250,8 @@ def test_rank_orders_by_score_then_id(tiny_model):
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
 def test_rank_all_rejects_non_finite_logits(tiny_model, bad):
-    """An infinite logit has a finite sigmoid (1 or 0), so RankedList alone
-    would pass it."""
+    """An infinite logit has a finite sigmoid (1 or 0), so only the logits
+    show it."""
     tiny_model.head.b2.data = np.array([bad])
     with pytest.raises(DomainError, match="finite"):
         list(rank_all(tiny_model, _one_query_set((3, 4), [("a", (5, 6)), ("b", (7,))])))
@@ -369,6 +354,48 @@ def test_rank_all_gives_equal_bits_under_one_and_two_workers(tiny_model, monkeyp
     assert ranked[1] == ranked[2]
     assert set(pids[1]) == {os.getpid()}
     assert len(set(pids[2])) == 2 and len(pids[2]) == len(pids[1])
+
+
+def _random_eval_set(rng, permute=None):
+    """Up to 4 queries of 1 to 12 candidates, each drawn from 4 token lists
+    of 1 to 6 tokens, so that scores tie and lists pack to mixed lengths.
+    Candidates are listed in an order unrelated to their ids; ``permute``,
+    a SplitMix64, reorders each list once more."""
+    pool = [tuple(3 + rng.randint(27) for _ in range(1 + rng.randint(6))) for _ in range(4)]
+    queries, cands = {}, {}
+    for q in range(1 + rng.randint(4)):
+        queries[f"q{q}"] = tuple(3 + rng.randint(27) for _ in range(1 + rng.randint(3)))
+        cands[f"q{q}"] = [(f"d{j}", pool[rng.randint(len(pool))])
+                          for j in range(1 + rng.randint(12))]
+        rng.shuffle(cands[f"q{q}"])
+        if permute is not None:
+            permute.shuffle(cands[f"q{q}"])
+    return EvalSet(queries, cands, Qrels({}), {})
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rank_all_lists_hold_the_ranking_invariants(tiny_model, monkeypatch, workers):
+    """On random eval sets, under 1 to 3 weight sets, every yielded list
+    holds each candidate once, by finite score descending, ties in ascending
+    doc id; permuting each query's candidates leaves every list equal."""
+    _pin_cores(monkeypatch, workers)
+    choices = [None, (1.0, 1.0), (0.3, 1.0), (1.0, 0.05)]
+    ties = moved = 0
+    for seed in range(8):
+        rng = SplitMix64(seed)
+        weight_sets = rng.sample(choices, 1 + rng.randint(3))
+        es = _random_eval_set(SplitMix64(seed))
+        ranked = list(rank_all(tiny_model, es, weight_sets))
+        for qid, lists in ranked:
+            for r in lists:
+                assert sorted(r.doc_ids) == sorted(did for did, _ in es.candidates[qid])
+                assert_ranking_invariants(r)
+                scores = [s for _, s in r.items]
+                ties += len(scores) - len(set(scores))
+        permuted = _random_eval_set(SplitMix64(seed), permute=SplitMix64(100 + seed))
+        moved += permuted.candidates != es.candidates
+        assert list(rank_all(tiny_model, permuted, weight_sets)) == ranked
+    assert ties >= 10 and moved >= 6, (ties, moved)
 
 
 def _two_chunk_set(doc_b):
