@@ -47,12 +47,18 @@ def test_train_example_validation():
         TrainExample("q", (1,), ("a",), ((1, 2),), (1.0,))           # 1 candidate
     with pytest.raises(DomainError):
         TrainExample("q", (1,), ("a", "b"), ((1,), (2,)), (0.0, 0.0))  # no positive
-    # nan and inf pass both the >= 0 and the some-positive test on their own
-    for bad in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(DomainError, match="labels of query q must be finite"):
-            TrainExample("q", (1,), ("a", "b"), ((1,), (2,)), (1.0, bad))
+    with pytest.raises(DomainError, match="labels of query q must be finite"):
+        TrainExample("q", (1,), ("a", "b"), ((1,), (2,)), (1.0, -1.0))
     with pytest.raises(DomainError):
         TrainExample("q", (1,), ("a", "b"), ((1,), (2,)), (1.0,))    # misaligned
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_train_example_rejects_non_finite_labels(bad):
+    """nan passes both the >= 0 and the some-positive test when another label
+    is positive; inf passes them too."""
+    with pytest.raises(DomainError, match="labels of query q must be finite"):
+        TrainExample("q", (1,), ("a", "b"), ((1,), (2,)), (1.0, bad))
 
 
 def test_train_config_validation():
