@@ -23,6 +23,7 @@ row reaches the score, so ranking and training compute alpha for it alone
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -108,7 +109,7 @@ class SenseTable:
         their backward: g -> gradients of base, w1, b1, w2, b2."""
         base, w1, b1, w2, b2 = (t.data for t in (self.base, self.w1, self.b1, self.w2, self.b2))
         ix, rows = nk.gather_rows(base, ids)
-        h = np.tanh(rows @ w1 + b1)
+        h = nk.dense(rows, w1, b1, squash=True)
         hk = nk.split_heads(h, self._k)
 
         def backward(g):
@@ -117,7 +118,7 @@ class SenseTable:
                                               rows, w1, b1.shape)
             return nk.scatter_rows(base.shape, ix, grows), gw1, gb1, gw2, gb2
 
-        return hk @ w2 + b2, backward
+        return nk.dense(hk, w2, b2), backward
 
 
 class _EncoderLayer:
@@ -144,21 +145,20 @@ class _EncoderLayer:
         params = (self.wq, self.bq, self.wk, self.bk, self.wv, self.bv,
                   self.wo, self.bo, self.f1, self.fb1, self.f2, self.fb2)
         wq, bq, wk, bk, wv, bv, wo, bo, f1, fb1, f2, fb2 = (t.data for t in params)
-        n = x.shape[1]
-        q = nk.split_heads(x @ wq + bq, heads)
-        probs, kt = nk.attention(q, nk.split_heads(x @ wk + bk, heads),
-                                 _causal_mask(np.arange(n), n))
-        v = nk.split_heads(x @ wv + bv, heads)
+        q = nk.split_heads(nk.dense(x, wq, bq), heads)
+        probs, kt = nk.attention(q, nk.split_heads(nk.dense(x, wk, bk), heads),
+                                 _causal_mask(x.shape[1]))
+        v = nk.split_heads(nk.dense(x, wv, bv), heads)
         merged = nk.merge_heads(probs @ v)
-        mid = x + (merged @ wo + bo)
-        ff = np.tanh(mid @ f1 + fb1)
+        mid = x + nk.dense(merged, wo, bo)
+        ff = nk.dense(mid, f1, fb1, squash=True)
 
         def backward(g):
             gff, gf2, gfb2 = nk.linear_grads(g, ff, f2, fb2.shape)
             gmid, gf1, gfb1 = nk.linear_grads(gff * (1.0 - ff * ff), mid, f1, fb1.shape)
             # fan-out gradients add up in the order a reverse pass over the
             # primitive chain meets them: the residual first, then v, k, q
-            gmid = g + gmid
+            gmid += g
             gmerged, gwo, gbo = nk.linear_grads(gmid, merged, wo, bo.shape)
             gctx = nk.split_heads(gmerged, heads)
             gq, gk = nk.attention_grads(gctx @ v.swapaxes(-1, -2), probs, q, kt)
@@ -169,12 +169,15 @@ class _EncoderLayer:
             return (gmid + gxv + gxk + gxq, gwq, gbq, gwk, gbk, gwv, gbv,
                     gwo, gbo, gf1, gfb1, gf2, gfb2)
 
-        return mid + (ff @ f2 + fb2), backward
+        return mid + nk.dense(ff, f2, fb2), backward
 
 
-def _causal_mask(positions: np.ndarray, n: int) -> np.ndarray:
-    """positions.shape + (n,): -1e30 where key j follows the query, else 0."""
-    return np.where(np.arange(n) > positions[..., None], _MASK_VALUE, 0.0)
+@functools.lru_cache(maxsize=64)    # every length up to the default max_seq_len, and more
+def _causal_mask(n: int) -> np.ndarray:
+    """n x n: -1e30 where key j follows query i, else 0; one read-only array per n."""
+    mask = np.where(np.arange(n) > np.arange(n)[:, None], _MASK_VALUE, 0.0)
+    mask.flags.writeable = False
+    return mask
 
 
 class ContextEncoder:
@@ -198,13 +201,14 @@ class ContextEncoder:
         g -> gradients of tok_emb and pos_emb."""
         tok, pos = self.tok_emb.data, self.pos_emb.data
         ix, rows = nk.gather_rows(tok, ids)
-        pix, prows = nk.gather_rows(pos, np.arange(np.shape(ids)[1]))
+        n = ix.shape[1]
 
         def backward(g):
-            return (nk.scatter_rows(tok.shape, ix, g),
-                    nk.scatter_rows(pos.shape, pix, g.sum(axis=0)))
+            gpos = np.zeros(pos.shape)
+            gpos[:n] += np.add.reduce(g, axis=0)    # 0.0 + each sum, as the scatter adds
+            return nk.scatter_rows(tok.shape, ix, g), gpos
 
-        return rows + prows, backward
+        return np.add(rows, pos[:n], out=rows), backward
 
     def alpha(self, ids, positions) -> np.ndarray:
         """B x k x m x n weights of query positions ``positions`` (B x m, or
@@ -227,17 +231,18 @@ class ContextEncoder:
         aq, abq, ak, abk = (t.data for t in (self.aq, self.abq, self.ak, self.abk))
         b, n, d = x.shape
         k = self.cfg.num_senses
-        ix, rows = nk.gather_rows(x.reshape(b * n, d), pos + n * np.arange(b)[:, None])
-        q = nk.split_heads(rows @ aq + abq, k)
-        out, kt = nk.attention(q, nk.split_heads(x @ ak + abk, k),
-                               _causal_mask(pos[:, None], n))
+        ix = pos + n * np.arange(b)[:, None]    # in range: pos is checked by its callers
+        rows = x.reshape(b * n, d)[ix]
+        q = nk.split_heads(nk.dense(rows, aq, abq), k)
+        out, kt = nk.attention(q, nk.split_heads(nk.dense(x, ak, abk), k),
+                               _causal_mask(n)[pos[:, None]])
 
         def backward(g):
             gq, gkey = nk.attention_grads(g, out, q, kt)
             gx, gak, gabk = nk.linear_grads(nk.merge_heads(gkey), x, ak, abk.shape)
             grows, gaq, gabq = nk.linear_grads(nk.merge_heads(gq), rows, aq, abq.shape)
             # the key projection's gradient first, then the gathered rows'
-            gx = gx + nk.scatter_rows((b * n, d), ix, grows).reshape(b, n, d)
+            gx += nk.scatter_rows((b * n, d), ix, grows).reshape(b, n, d)
             return gx, gaq, gabq, gak, gabk
 
         return out, backward
@@ -257,8 +262,8 @@ class RelevanceHead:
         """B x d, or B x 1 x d, pooled vectors -> (B,) logits, and their
         backward: g -> gradients of x, w1, b1, w2 and b2."""
         w1, b1, w2, b2 = (t.data for t in (self.w1, self.b1, self.w2, self.b2))
-        h = np.tanh(x @ w1 + b1)
-        out = h @ w2 + b2
+        h = nk.dense(x, w1, b1, squash=True)
+        out = nk.dense(h, w2, b2)
 
         def backward(g):
             gh, gw2, gb2 = nk.linear_grads(g.reshape(out.shape), h, w2, b2.shape)
@@ -280,13 +285,15 @@ def aggregate(a: np.ndarray, s: np.ndarray, weights=None) -> tuple[np.ndarray, B
     if a.ndim != 4 or s.ndim != 4 or a.shape[:2] != s.shape[:2] or a.shape[3] != s.shape[2]:
         raise DomainError("aggregate expects B x k x m x n weights and B x k x n x d senses")
     k = a.shape[1]
-    w = np.ones(k) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (k,):
-        raise DomainError(f"sense weights must have length {k}, got shape {w.shape}")
-    # nan fails every comparison, so a check of w <= 0 alone would pass it
-    if not np.all(np.isfinite(w) & (w > 0.0)):
-        raise DomainError("sense weights must be finite and strictly positive")
-    w = w.reshape(k, 1, 1)
+    if weights is None:
+        w = np.ones((k, 1, 1))
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (k,):
+            raise DomainError(f"sense weights must have length {k}, got shape {w.shape}")
+        if not np.all(np.isfinite(w) & (w > 0.0)):    # w <= 0 alone would pass nan
+            raise DomainError("sense weights must be finite and strictly positive")
+        w = w.reshape(k, 1, 1)
     ctx = (a @ s) * w
 
     def backward(g):
@@ -329,16 +336,15 @@ class Backpack:
         """A B x n id matrix, right-padded with id 0; ``_embed`` range-checks the ids."""
         if len(seqs) == 0:
             raise DomainError("batch must hold at least one sequence")
-        lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
-        flat = np.fromiter(chain.from_iterable(seqs), dtype=np.intp, count=int(lengths.sum()))
-        if lengths.min() == 0:
+        if min(map(len, seqs)) == 0:
             raise DomainError("token sequence must be non-empty")
-        n = int(lengths.max())
+        n = max(map(len, seqs))
         if n > self.config.max_seq_len:
             raise DomainError(
                 f"sequence length {n} exceeds max_seq_len {self.config.max_seq_len}")
         ids = np.zeros((len(seqs), n), dtype=np.intp)
-        ids[np.arange(n) < lengths[:, None]] = flat
+        for row, seq in zip(ids, seqs):
+            row[:len(seq)] = seq
         return ids
 
     def forward(self, seqs: Sequence[Sequence[int]], weights=None) -> np.ndarray:

@@ -612,7 +612,7 @@ def build_eval_set(
 
 @_gc_paused()
 def read_qrels(path) -> Qrels:
-    """Parse ``qid 0 docid rel`` lines, rel in 0..MAX_GRADE; on duplicates the last wins."""
+    """Parse ``qid 0 docid rel`` lines, rel -?[0-9]+ in 0..MAX_GRADE; the last duplicate wins."""
     grades: dict[tuple[str, str], int] = {}
     dupes = 0
     for lineno, raw in read_lines(path):
@@ -623,10 +623,9 @@ def read_qrels(path) -> Qrels:
             raise ParseError(f"expected 4 fields, got {len(parts)}",
                              path=str(path), line=lineno)
         qid, _iter, did, rel_s = parts
-        try:
-            rel = int(rel_s)
-        except ValueError:
-            raise ParseError(f"bad relevance {rel_s!r}", path=str(path), line=lineno) from None
+        if not (rel_s.isascii() and rel_s.removeprefix("-").isdigit()):    # -?[0-9]+
+            raise ParseError(f"bad relevance {rel_s!r}", path=str(path), line=lineno)
+        rel = int(rel_s)
         if not 0 <= rel <= MAX_GRADE:
             raise ParseError(f"{'negative' if rel < 0 else 'too large a'} relevance grade "
                              f"{rel_s!r} (grades are 0..{MAX_GRADE})", path=str(path), line=lineno)

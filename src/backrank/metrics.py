@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
@@ -41,7 +42,10 @@ class Qrels:
         self._grades: dict[tuple[str, str], int] = {}
         self._by_query: dict[str, dict[str, int]] = {}
         for (qid, did), rel in grades.items():
-            rel = int(rel)
+            try:    # an int or a numpy integer; a float is not truncated
+                rel = int(operator.index(rel))
+            except TypeError:
+                raise DomainError(f"grade {rel!r} for ({qid}, {did}) is not an integer") from None
             if not 0 <= rel <= MAX_GRADE:
                 raise DomainError(f"grade {rel} for ({qid}, {did}) is outside 0..{MAX_GRADE}")
             self._grades[(qid, did)] = rel

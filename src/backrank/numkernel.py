@@ -36,20 +36,23 @@ class Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g down to `shape`, undoing numpy broadcasting."""
+    """Sum g down to `shape`: leading axes in one reduction, then any held as 1."""
+    g = np.add.reduce(g, axis=tuple(range(g.ndim - len(shape))))
     if g.shape == shape:
         return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
+    return np.add.reduce(g, axis=axes, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
 # array kernels: forward values and gradients on plain numpy arrays
+
+
+def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray, squash: bool = False) -> np.ndarray:
+    """``x @ w + b`` (with ``squash``, its tanh), in place on the fresh product."""
+    out = x @ w
+    out += b
+    return np.tanh(out, out=out) if squash else out
 
 
 def linear_grads(g, x, w, b_shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -60,15 +63,14 @@ def linear_grads(g, x, w, b_shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def split_heads(x: np.ndarray, parts: int) -> np.ndarray:
-    """B x n x (parts * w) -> B x parts x n x w; also merge_heads' gradient."""
-    b, n, width = x.shape
-    return np.ascontiguousarray(x.reshape(b, n, parts, width // parts).transpose(0, 2, 1, 3))
+    """B x n x (parts * w) -> a B x parts x n x w view; merge_heads' gradient."""
+    return x.reshape(*x.shape[:2], parts, -1).transpose(0, 2, 1, 3)
 
 
 def merge_heads(x: np.ndarray) -> np.ndarray:
-    """B x parts x n x w -> B x n x (parts * w); also split_heads' gradient."""
-    b, parts, n, w = x.shape
-    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, n, parts * w)
+    """B x parts x n x w -> B x n x (parts * w), a row-major copy whatever the
+    layout of x (as for kt in ``attention``); split_heads' gradient."""
+    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(x.shape[0], x.shape[2], -1)
 
 
 def attention(q: np.ndarray, key: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,22 +78,26 @@ def attention(q: np.ndarray, key: np.ndarray, mask: np.ndarray) -> tuple[np.ndar
     and the contiguous key^T that ``attention_grads`` needs: q is ... x m x w,
     key ... x n x w with the same leading axes, and ``mask`` an additive
     constant array (0 where a key is visible, -1e30 where it is not) that
-    broadcasts to the ... x m x n scores."""
+    broadcasts to the ... x m x n scores. key^T is a row-major copy, not a
+    view: numpy hands a transposed operand to another BLAS kernel, which sums
+    in another order and so changes the scores' last bits and every checkpoint."""
     kt = np.ascontiguousarray(key.swapaxes(-1, -2))
     arr = q @ kt
     arr *= 1.0 / math.sqrt(q.shape[-1])
     arr += mask
-    arr -= arr.max(axis=-1, keepdims=True)
+    arr -= np.maximum.reduce(arr, axis=-1, keepdims=True)
     np.exp(arr, out=arr)
-    arr /= arr.sum(axis=-1, keepdims=True)
+    arr /= np.add.reduce(arr, axis=-1, keepdims=True)
     return arr, kt
 
 
 def attention_grads(g, probs, q, kt) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``attention`` for its output gradient g, as (q, key)."""
-    gs = probs * (g - (g * probs).sum(axis=-1, keepdims=True)) * (1.0 / math.sqrt(q.shape[-1]))
+    """Gradients of ``attention`` for its output's g, as (q, key); key's is a view."""
+    gs = g - np.add.reduce(g * probs, axis=-1, keepdims=True)
+    gs *= probs
+    gs *= 1.0 / math.sqrt(q.shape[-1])
     gkt = q.swapaxes(-1, -2) @ gs
-    return gs @ kt.swapaxes(-1, -2), np.ascontiguousarray(gkt.swapaxes(-1, -2))
+    return gs @ kt.swapaxes(-1, -2), gkt.swapaxes(-1, -2)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -130,8 +130,9 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
                 if not math.isfinite(loss):
                     raise DomainError(f"training diverged at step {len(history)}: "
                                       f"loss is {loss}")
-                flat -= cfg.learning_rate * back(gz)
+                grad = back(gz)
                 del back    # free this step's intermediates before the next forward
+                flat -= np.multiply(grad, cfg.learning_rate, out=grad)
     for name, p in params.items():
         if not np.all(np.isfinite(p.data)):
             raise DomainError(f"training diverged at step {len(history)}: "

@@ -498,7 +498,7 @@ def layer_chain(layer, hs, heads):
     k = split_heads(linear(hs, layer.wk, layer.bk), heads)
     v = split_heads(linear(hs, layer.wv, layer.bv), heads)
     n = hs.shape[1]
-    probs = attention_weights(q, k, _causal_mask(np.arange(n), n))
+    probs = attention_weights(q, k, _causal_mask(n))
     hs = add(hs, linear(merge_heads(matmul(probs, v)), layer.wo, layer.bo))
     ff = tanh(linear(hs, layer.f1, layer.fb1))
     return add(hs, linear(ff, layer.f2, layer.fb2))
@@ -510,7 +510,7 @@ def sense_attention_chain(enc, hs, pos):
     rows = take_rows(reshape(hs, (b * n, d)), pos + n * np.arange(b)[:, None])
     q = split_heads(linear(rows, enc.aq, enc.abq), k)
     key = split_heads(linear(hs, enc.ak, enc.abk), k)
-    return attention_weights(q, key, _causal_mask(pos[:, None], n))
+    return attention_weights(q, key, _causal_mask(n)[pos[:, None]])
 
 
 def aggregate_chain(alpha, senses, weights=None):

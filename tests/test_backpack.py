@@ -81,6 +81,21 @@ def test_alpha_causal_mask(model):
             assert np.all(alpha[:, i, j] < 1e-12)
 
 
+def test_cached_causal_mask_cannot_be_written(model):
+    """Every call of one length shares the n x n mask, so it is read-only:
+    an in-place write raises and leaves the mask, and later alphas, as they were."""
+    mask = backpack._causal_mask(4)
+    assert mask is backpack._causal_mask(4) and not mask.flags.writeable
+    assert mask.tolist() == [[0.0 if j <= i else -1e30 for j in range(4)] for i in range(4)]
+    before = model.context.alpha([[1, 2, 3, 4]], np.arange(4))
+    for write in (lambda m: m.__iadd__(1.0), lambda m: m.__setitem__((0, 1), 0.0),
+                  lambda m: np.exp(m, out=m)):
+        with pytest.raises(ValueError, match="read-only"):
+            write(mask)
+    assert mask.tolist() == [[0.0 if j <= i else -1e30 for j in range(4)] for i in range(4)]
+    assert np.array_equal(model.context.alpha([[1, 2, 3, 4]], np.arange(4)), before)
+
+
 def test_token_validation(model):
     with pytest.raises(DomainError):
         model.forward([])          # no sequences

@@ -464,6 +464,23 @@ def test_eval_negative_qrels_grade_is_exit_2_with_its_line(pipeline, tmp_path, c
         assert not (tmp_path / "e.csv").exists()
 
 
+def test_eval_qrels_grade_that_is_not_plain_digits_is_exit_2_with_its_line(
+        pipeline, tmp_path, capsys):
+    """A grade is ASCII ``-?[0-9]+``: the other forms Python's int() reads
+    (an underscore, a plus sign, non-ASCII digits) and any other text are a
+    bad relevance; "-0" is grade 0."""
+    qrels = tmp_path / "odd.qrels"
+    for grade in ("1_0", "+7", "-", "--1", "\u0663", "1.0", "0x1", "1e2"):
+        qrels.write_text(f"q0001 0 d000002 1\nq0001 0 d000001 {grade}\n", encoding="utf-8")
+        assert main(["eval", "--run", str(pipeline["run"]), "--qrels", str(qrels),
+                     "--out", str(tmp_path / "e.csv")]) == 2
+        assert f"{qrels}:2: bad relevance {grade!r}" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+    qrels.write_text("q0001 0 d000002 1\nq0001 0 d000001 -0\n")
+    assert main(["eval", "--run", str(pipeline["run"]), "--qrels", str(qrels),
+                 "--out", str(tmp_path / "e.csv")]) == 0
+
+
 def test_qrels_naming_an_unknown_id_is_exit_2_with_its_line(pipeline, tmp_path, capsys):
     data = pipeline["data"]
     inputs = ["--corpus", str(data / "corpus.tsv"), "--queries", str(data / "queries.tsv")]

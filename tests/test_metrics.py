@@ -3,6 +3,7 @@
 import logging
 import math
 
+import numpy as np
 import pytest
 
 from backrank import metrics
@@ -443,3 +444,10 @@ def test_qrels_api():
     for bad in (-1, 1001, 10 ** 30):
         with pytest.raises(DomainError, match="outside 0..1000"):
             Qrels({("q", "a"): bad})
+    # a float grade is refused, not truncated; nan is a DomainError too
+    for bad in (2.7, 2.0, float("nan"), np.float64(1.0), "2"):
+        with pytest.raises(DomainError, match=r"grade .* for \(q, a\) is not an integer"):
+            Qrels({("q", "a"): bad})
+    qr = Qrels({("q", "a"): np.int64(3), ("q", "b"): np.uint8(1), ("q", "c"): True})
+    assert [type(g) for _, g in qr.items()] == [int, int, int]
+    assert qr.relevant("q") == {"a": 3, "b": 1, "c": 1}

@@ -277,21 +277,39 @@ def _loss_node(z, y):
     return record((z,), np.array(loss), lambda g: (g * gz,))
 
 
-def _component_cases(rng):
+SMALL_SHAPES = [(BackpackConfig(vocab_size=9, embed_dim=6, num_senses=3, sense_hidden=2,
+                                context_heads=heads, max_seq_len=7, head_hidden=4), b, n)
+                for heads, b, n in ((1, 1, 1), (2, 1, 4), (2, 3, 5))]
+# The criterion-6 model (d=24, k=4, 2 heads) on a training batch of 8 ragged
+# rows. BLAS picks its kernels by shape and memory layout, so the small
+# shapes alone could miss a layout change that moves the last bits.
+REAL_SHAPES = [(BackpackConfig(vocab_size=60, embed_dim=24, num_senses=4, sense_hidden=4,
+                               context_heads=2, max_seq_len=32, head_hidden=16), 8, n)
+               for n in (19, 32)]
+
+
+def _component_cases(rng, shapes=SMALL_SHAPES):
     """(name, component node, its reference chain, input arrays, constants)
     for every model component, on random parameters, with ragged rows
     (padded id matrices, per-row query positions), B = 1, repeated ids, one
-    and two heads, and sense weights None, all-ones and suppressing."""
+    and two heads, and sense weights None, all-ones and suppressing. Rows of
+    a batch of 8 are right-padded to random lengths, each pooled at its last
+    real position, as in training."""
     cases = []
-    for heads, b, n in ((1, 1, 1), (2, 1, 4), (2, 3, 5)):
-        cfg = BackpackConfig(vocab_size=9, embed_dim=6, num_senses=3, sense_hidden=2,
-                             context_heads=heads, max_seq_len=7, head_hidden=4)
+    for cfg, b, n in shapes:
+        d, k, v = cfg.embed_dim, cfg.num_senses, cfg.vocab_size
         model = Backpack(cfg, seed=b)
-        ids = np.array([[rng.randint(9) for _ in range(n)] for _ in range(b)])
+        ids = np.array([[rng.randint(v) for _ in range(n)] for _ in range(b)])
         ids[0, -1] = ids[0, 0]                     # a repeated id scatters twice
-        if b > 1:
-            ids[1, 2:] = 0                         # a padded row
-        pos = np.array([[rng.randint(n)] for _ in range(b)])
+        if b >= 8:
+            lengths = [n] + [2 + rng.randint(n - 1) for _ in range(b - 1)]
+            for row, length in zip(ids, lengths):
+                row[length:] = 0
+            pos = np.array([[length - 1] for length in lengths])
+        else:
+            if b > 1:
+                ids[1, 2:] = 0                     # a padded row
+            pos = np.array([[rng.randint(n)] for _ in range(b)])
         parts = [
             ("senses_for", model.senses, ("base", "w1", "b1", "w2", "b2"),
              SenseTable.senses_for, senses_chain, [], (ids,)),
@@ -299,20 +317,20 @@ def _component_cases(rng):
              ContextEncoder._embed, embed_chain, [], (ids,)),
             ("encoder_layer", model.context.layers[0],
              ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "f1", "fb1", "f2", "fb2"),
-             _EncoderLayer.forward, layer_chain, [(b, n, 6)], (heads,)),
+             _EncoderLayer.forward, layer_chain, [(b, n, d)], (cfg.context_heads,)),
             ("sense_attention", model.context, ("aq", "abq", "ak", "abk"),
-             ContextEncoder._sense_attention, sense_attention_chain, [(b, n, 6)], (pos,)),
+             ContextEncoder._sense_attention, sense_attention_chain, [(b, n, d)], (pos,)),
             ("head", model.head, ("w1", "b1", "w2", "b2"),
-             RelevanceHead.logit, head_chain, [(b, 1, 6)], ()),
+             RelevanceHead.logit, head_chain, [(b, 1, d)], ()),
         ]
         for name, obj, names, method, chain, extra, consts in parts:
             arrays = [rng.normal_array(getattr(obj, a).shape, 0.5) for a in names]
             cases.append((name, _component(obj, names, method), _bound(obj, names, chain),
                           arrays + [rng.normal_array(shape) for shape in extra], consts))
-        for weights in (None, (1.0, 1.0, 1.0), (0.05, 1.0, 0.5)):
+        for weights in (None, (1.0,) * k, (0.05, 1.0, 0.5) + (0.2,) * (k - 3)):
             cases.append(("aggregate", lambda a, s, w: node(aggregate, (a, s), w),
                           aggregate_chain,
-                          [rng.normal_array((b, 3, 1, n)), rng.normal_array((b, 3, n, 6))],
+                          [rng.normal_array((b, k, 1, n)), rng.normal_array((b, k, n, d))],
                           (weights,)))
         labels = tuple(float(i % 2 == 0) for i in range(b + 1))
         cases.append(("listwise_loss", _loss_node, lambda z, y: listwise_loss_chain(y, z),
@@ -321,10 +339,12 @@ def _component_cases(rng):
 
 
 FUSED = _fused_cases()
+REAL = _component_cases(SplitMix64(29), REAL_SHAPES)
 
 
-@pytest.mark.parametrize("name,fused,chain,arrays,consts", FUSED,
-                         ids=[f"{c[0]}-{i}" for i, c in enumerate(FUSED)])
+@pytest.mark.parametrize("name,fused,chain,arrays,consts", FUSED + REAL,
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(FUSED)]
+                         + [f"{c[0]}-real-{i}" for i, c in enumerate(REAL)])
 def test_fused_node_is_bit_equal_to_its_chain(name, fused, chain, arrays, consts):
     """Output and every input gradient equal the chain's by np.array_equal,
     and the fused node records one tape node. The loss (the one scalar
