@@ -453,28 +453,20 @@ def test_run_listing_a_document_twice_is_exit_2(pipeline, tmp_path, capsys):
 
 def test_eval_negative_qrels_grade_is_exit_2_with_its_line(pipeline, tmp_path, capsys):
     """A grade outside 0..1000 is exit 2 at its line. Without the range check
-    1024 overflowed 2.0 ** g (internal error) and three docs graded 1023 wrote nan."""
+    1024 overflowed 2.0 ** g (internal error) and three docs graded 1023 wrote nan.
+    A grade is ASCII ``-?[0-9]+``: the other forms Python's int() reads (an
+    underscore, a plus sign, non-ASCII digits) and any other text are a bad
+    relevance; "-0" is grade 0."""
     qrels = tmp_path / "neg.qrels"
-    for grade, kind in (("-1", "negative"), ("1001", "too large a"), ("1024", "too large a"),
-                        (str(10 ** 30), "too large a")):
-        qrels.write_text(f"q0001 0 d000002 1\nq0001 0 d000001 {grade}\n")
-        assert main(["eval", "--run", str(pipeline["run"]), "--qrels", str(qrels),
-                     "--out", str(tmp_path / "e.csv")]) == 2
-        assert f"{qrels}:2: {kind} relevance grade '{grade}'" in capsys.readouterr().err
-        assert not (tmp_path / "e.csv").exists()
-
-
-def test_eval_qrels_grade_that_is_not_plain_digits_is_exit_2_with_its_line(
-        pipeline, tmp_path, capsys):
-    """A grade is ASCII ``-?[0-9]+``: the other forms Python's int() reads
-    (an underscore, a plus sign, non-ASCII digits) and any other text are a
-    bad relevance; "-0" is grade 0."""
-    qrels = tmp_path / "odd.qrels"
-    for grade in ("1_0", "+7", "-", "--1", "\u0663", "1.0", "0x1", "1e2"):
+    too_large = "too large a relevance grade"
+    for grade, message in (("-1", "negative relevance grade"), ("1001", too_large),
+                           ("1024", too_large), (str(10 ** 30), too_large),
+                           *((odd, "bad relevance") for odd in
+                             ("1_0", "+7", "-", "--1", "\u0663", "1.0", "0x1", "1e2"))):
         qrels.write_text(f"q0001 0 d000002 1\nq0001 0 d000001 {grade}\n", encoding="utf-8")
         assert main(["eval", "--run", str(pipeline["run"]), "--qrels", str(qrels),
                      "--out", str(tmp_path / "e.csv")]) == 2
-        assert f"{qrels}:2: bad relevance {grade!r}" in capsys.readouterr().err
+        assert f"{qrels}:2: {message} {grade!r}" in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
     qrels.write_text("q0001 0 d000002 1\nq0001 0 d000001 -0\n")
     assert main(["eval", "--run", str(pipeline["run"]), "--qrels", str(qrels),
