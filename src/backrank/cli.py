@@ -30,6 +30,7 @@ from .corpus import (SynthConfig, Vocab, build_eval_set, build_train_examples,
                      records_from_ranking, write_collection, write_run)
 from .errors import BackrankError, DomainError, ParseError, read_lines
 from .metrics import bias_report, effectiveness
+from .parallel import run_forked
 from .ranker import SWEEP_COLUMNS, TrainConfig, rank_all, sweep_lambda, train
 from .senses import (attribute_scores, build_sense_map, default_pairs_path,
                      load_polarity_lexicon)
@@ -86,11 +87,15 @@ def _checked(convert, ok, rule: str):
 
 
 def _list_of(item):
-    """A non-empty comma-separated list of ``item`` values, as a tuple."""
+    """A non-empty comma-separated list of distinct ``item`` values, as a tuple."""
     def parse(text):
         values = tuple(item(part) for part in text.split(",") if part.strip())
         if not values:
             raise argparse.ArgumentTypeError(f"must list at least one value, got {text!r}")
+        for i, value in enumerate(values):
+            if value in values[:i]:    # it would write, or score, the same row twice
+                raise argparse.ArgumentTypeError(f"must list each value once, got {value} "
+                                                 "more than once")
         return values
     parse.__name__ = f"{item.__name__} list"
     return parse
@@ -115,6 +120,14 @@ _SHAPE_OPTIONS = (("--embed-dim", "embed_dim"), ("--senses", "num_senses"),
 def _load_model(path):
     model, vocab_tokens, meta = load_checkpoint(path)
     return model, Vocab(vocab_tokens), meta
+
+
+def _read_run(path):
+    """A run file's rankings (``read_ranking``); one with no records is an error."""
+    grouped = read_ranking(path)
+    if not grouped:
+        raise DomainError(f"run file {path} holds no records")
+    return grouped
 
 
 def _sense_scores(model, vocab, pairs_path):
@@ -215,9 +228,7 @@ def cmd_rank(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_paths({"run": args.run, "qrels": args.qrels}, [args.out])
-    grouped = read_ranking(args.run)
-    if not grouped:
-        raise DomainError(f"run file {args.run} holds no records")
+    grouped = _read_run(args.run)
     qrels = read_qrels(args.qrels)
     means = effectiveness(grouped, qrels, args.cutoffs)
     rows = [{"cutoff": c, "mrr": means[("mrr", c)], "ndcg": means[("ndcg", c)]}
@@ -229,10 +240,9 @@ def cmd_eval(args) -> int:
 def cmd_bias(args) -> int:
     variants = ("tf", "bool") if args.variant == "both" else (args.variant,)
     _check_paths({"run": args.run, "corpus": args.corpus}, [args.out])
-    grouped = read_ranking(args.run)
-    if not grouped:
-        raise DomainError(f"run file {args.run} holds no records")
-    doc_tokens = read_gender_tokens(args.corpus)    # all RaB/ARaB read of a document
+    # a helper reads the corpus (all RaB/ARaB read of a document) while this process reads the run
+    grouped, doc_tokens = run_forked([functools.partial(_read_run, args.run),
+                                      functools.partial(read_gender_tokens, args.corpus)])
     if any(did not in doc_tokens for ids in grouped.values() for did in ids):
         for lineno, raw in read_lines(args.run):
             parts = raw.split()

@@ -11,9 +11,6 @@ ascending as the tie-break so results are exactly reproducible.
 from __future__ import annotations
 
 import math
-import os
-import signal
-import threading
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -22,6 +19,7 @@ import numpy as np
 from . import numkernel as nk
 from .errors import DomainError, ShapeError
 from .metrics import Qrels, bias_report, effectiveness
+from .parallel import run_forked, usable_cores
 from .rng import SplitMix64
 from .senses import AttributeScores, build_sense_map
 
@@ -191,41 +189,13 @@ def rank_all(model, eval_set: EvalSet,
                     for q, p in zip(query_of[rows].tolist(), rows.tolist())]
             for out, z in zip(logits, model.relevance_logits(seqs, weight_sets, table)):
                 out[rows] = z
+        return logits   # a helper's copy holds the logits of its own share
 
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")  # Linux: has fork
-             and threading.active_count() == 1 else 1)  # a forked child inherits held locks
-    workers = max(1, min(cores, len(chunks)))
-    helpers = []    # (pid, None where fork failed; read end of its pipe; share)
-    try:
-        for share in (chunks[i::workers] for i in range(1, workers)):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:     # no process to spare: the share is scored below
-                pid = None
-            if pid == 0:    # leave through os._exit: never return into the
-                try:        # caller's frames, never flush its stdio buffers
-                    score(share)
-                    os.write(write_end, logits[:, np.concatenate(share)].tobytes())
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(write_end)
-            helpers.append((pid, open(read_end, "rb"), share))
-        score(chunks[0::workers])
-        for _, pipe, share in helpers:
-            rows = np.concatenate(share)
-            data = pipe.read()
-            if len(data) == logits[:, rows].nbytes:     # written only once all scored
-                logits[:, rows] = np.frombuffer(data).reshape(len(weight_sets), len(rows))
-            else:   # scoring is deterministic: a helper's error is raised again here
-                score(share)
-    finally:
-        for pid, pipe, _ in helpers:
-            pipe.close()
-            if pid:
-                os.kill(pid, signal.SIGKILL)    # a no-op on one that has exited
-                os.waitpid(pid, 0)
+    workers = max(1, min(usable_cores(), len(chunks)))
+    shares = [chunks[i::workers] for i in range(workers)]
+    for share, scored in zip(shares, run_forked([lambda s=s: score(s) for s in shares])):
+        for rows in share:
+            logits[:, rows] = scored[:, rows]
     # an infinite logit has a finite sigmoid, so it is rejected here
     if not np.all(np.isfinite(logits)):
         raise DomainError("relevance logits must be finite")

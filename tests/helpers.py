@@ -4,13 +4,15 @@ that the model's components replace (kept here as their bit-for-bit
 reference), the run-file reader and record grouping that ``read_ranking``
 replaces, the scalar RaB/ARaB definitions, the per-(metric, cutoff) MRR and
 NDCG that ``effectiveness`` replaces, the per-document ``Counter`` BM25
-index build, the regular-expression tokenizer, and the scalar SplitMix64
-whose stream the block-mixed ``SplitMix64`` serves."""
+index build, the regular-expression tokenizer, the scalar SplitMix64
+whose stream the block-mixed ``SplitMix64`` serves, and the patches that
+pin the usable cores or forbid a fork for the forked-helper tests."""
 
 import copy
 import json
 import logging
 import math
+import os
 import re
 import struct
 from collections import Counter
@@ -598,6 +600,18 @@ def forward_triple_loop(model, token_ids):
                 for c in range(d):
                     out[i, c] += alpha[l, i, j] * senses[l, j, c]
     return out
+
+
+def pin_cores(monkeypatch, n):
+    """The code under test sees n usable cores, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def forbid_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
 
 
 def rewrite_checkpoint_header(src, dst, edit):

@@ -2,10 +2,13 @@
 
 import ast
 import csv
+import functools
 import json
 import logging
+import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -15,7 +18,7 @@ import backrank
 from backrank import __version__, cli, load_checkpoint
 from backrank.cli import main
 from backrank.ranker import SWEEP_COLUMNS
-from helpers import read_run, rewrite_checkpoint_header
+from helpers import forbid_fork, pin_cores, read_run, rewrite_checkpoint_header
 
 CFG = """\
 seed = 7
@@ -636,6 +639,112 @@ def test_bias_names_the_first_run_line_whose_document_the_corpus_lacks(pipeline,
     assert not (tmp_path / "b.csv").exists()
 
 
+def _bias_argv(run, corpus, out):
+    return ["bias", "--run", str(run), "--corpus", str(corpus), "--out", str(out),
+            "--variant", "both"]
+
+
+def _counted_forks(monkeypatch):
+    """Count the forks this process makes; each still forks."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("gender_free", [False, True], ids=["pipeline", "gender-free"])
+def test_bias_writes_the_same_bytes_under_one_and_two_workers(pipeline, tmp_path,
+                                                              monkeypatch, gender_free):
+    """With two usable cores a forked helper reads the corpus while this
+    process reads the run, and the CSV is byte-identical to one process's."""
+    run, corpus = pipeline["run"], pipeline["data"] / "corpus.tsv"
+    if gender_free:
+        run, corpus = tmp_path / "run.txt", tmp_path / "corpus.tsv"
+        run.write_text("q1 Q0 d1 1 0.9 t\nq1 Q0 d2 2 0.5 t\n")
+        corpus.write_text("d1\talpha beta gamma\nd2\tdelta beta\n")
+    forks = _counted_forks(monkeypatch)
+    for workers in (1, 2):
+        pin_cores(monkeypatch, workers)
+        assert main(_bias_argv(run, corpus, tmp_path / f"{workers}.csv")) == 0
+        assert len(forks) == workers - 1
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+
+def test_bias_malformed_corpus_under_two_workers_is_exit_2_with_its_line(pipeline, tmp_path,
+                                                                         capsys, monkeypatch):
+    """The helper fails on the malformed corpus line; this process reads the
+    corpus itself and reports that line as one process does."""
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text((pipeline["data"] / "corpus.tsv").read_text() + "no tab here\n")
+    line = len(corpus.read_text().splitlines())
+    forks = _counted_forks(monkeypatch)
+    for workers in (1, 2):
+        pin_cores(monkeypatch, workers)
+        assert main(_bias_argv(pipeline["run"], corpus, tmp_path / "b.csv")) == 2
+        assert capsys.readouterr().err == f"error: {corpus}:{line}: expected id<TAB>text\n"
+    assert len(forks) == 1 and not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("run_text,message", [
+    ("q1 Q0 d1 1 0.5\n", "{run}:1: expected 6 fields, got 5"),
+    ("\n", "run file {run} holds no records"),
+])
+def test_bias_reports_the_runs_error_before_the_corpus(tmp_path, capsys, monkeypatch,
+                                                       workers, run_text, message):
+    """When the run and the corpus are both malformed, the run's error is the
+    one reported, the empty-run check included."""
+    run, corpus = tmp_path / "run.txt", tmp_path / "corpus.tsv"
+    run.write_text(run_text)
+    corpus.write_text("d1\tshe\nd1\the\n")
+    pin_cores(monkeypatch, workers)
+    assert main(_bias_argv(run, corpus, tmp_path / "b.csv")) == 2
+    assert capsys.readouterr().err == f"error: {message.format(run=run)}\n"
+
+
+def test_bias_reads_the_corpus_itself_when_fork_fails(pipeline, tmp_path, monkeypatch):
+    """A fork that fails costs time, not the call: this process reads the
+    corpus and writes the same bytes."""
+    argv = functools.partial(_bias_argv, pipeline["run"], pipeline["data"] / "corpus.tsv")
+    pin_cores(monkeypatch, 1)
+    assert main(argv(tmp_path / "1.csv")) == 0
+    pin_cores(monkeypatch, 2)
+    forks = []
+
+    def failing_fork():
+        forks.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert main(argv(tmp_path / "2.csv")) == 0
+    assert forks == [1]
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+
+def test_bias_forks_nothing_while_another_thread_runs(pipeline, tmp_path, monkeypatch):
+    """A forked child would inherit any lock another thread holds, so with a
+    second thread alive this process reads both files itself."""
+    argv = functools.partial(_bias_argv, pipeline["run"], pipeline["data"] / "corpus.tsv")
+    pin_cores(monkeypatch, 1)
+    assert main(argv(tmp_path / "1.csv")) == 0
+    pin_cores(monkeypatch, 2)
+    forbid_fork(monkeypatch)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert main(argv(tmp_path / "2.csv")) == 0
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # senses / sweep
 
@@ -809,6 +918,11 @@ def test_each_writing_subcommand_creates_missing_output_directories(pipeline, tm
     ("eval", "--cutoffs", "10,0", "--cutoffs must be >= 1, got 0"),
     ("bias", "--cutoffs", " , ", "--cutoffs must list at least one value, got ' , '"),
     ("bias", "--cutoffs", "-5", "--cutoffs must be >= 1, got -5"),
+    ("eval", "--cutoffs", "10,10,5", "--cutoffs must list each value once, got 10 more than once"),
+    ("bias", "--cutoffs", "10,10", "--cutoffs must list each value once, got 10 more than once"),
+    ("sweep", "--cutoffs", "10,20,010", "--cutoffs must list each value once, got 10 more than once"),
+    ("sweep", "--lambdas", "1.0,1.0", "--lambdas must list each value once, got 1.0 more than once"),
+    ("sweep", "--lambdas", "0.5,1,1.0", "--lambdas must list each value once, got 1.0 more than once"),
     ("sweep", "--lambdas", "1.0,1.5", "--lambdas must be in (0, 1], got 1.5"),
     ("sweep", "--lambdas", "", "--lambdas must list at least one value, got ''"),
     ("sweep", "--top-senses", "-1", "--top-senses must be >= 0, got -1"),
@@ -924,6 +1038,21 @@ def test_src_holds_no_dead_private_names_or_unused_imports():
                 dead += [f"{name}: import {a.name} is never read" for a in stmt.names
                          if (a.asname or a.name.split(".")[0]) not in reads[name]]
     assert not dead
+
+
+def test_src_forks_only_in_run_forked():
+    """``os.fork(`` appears once in src/, inside ``parallel.run_forked``: a
+    step that runs in parallel reuses that primitive rather than a copy."""
+    src = Path(backrank.__file__).parent
+    sites = [(f.name, n) for f in sorted(src.glob("*.py"))
+             for n, line in enumerate(f.read_text(encoding="utf-8").splitlines(), 1)
+             if "os.fork(" in line]
+    tree = ast.parse((src / "parallel.py").read_text(encoding="utf-8"))
+    [primitive] = [f for f in tree.body
+                   if isinstance(f, ast.FunctionDef) and f.name == "run_forked"]
+    assert len(sites) == 1, sites
+    [(name, line)] = sites
+    assert name == "parallel.py" and primitive.lineno < line <= primitive.end_lineno
 
 
 def test_console_script_entry_point(pipeline, tmp_path):

@@ -18,8 +18,8 @@ from backrank.ranker import SWEEP_COLUMNS
 from backrank.senses import PolarityPair
 from backrank import numkernel as nk
 from helpers import (ScalarSplitMix64, Tape, assert_ranking_invariants, backward,
-                     central_diff_error, listwise_loss_chain, logits, relevance_logit_chain,
-                     sense_table, tracked)
+                     central_diff_error, forbid_fork, listwise_loss_chain, logits,
+                     pin_cores, relevance_logit_chain, sense_table, tracked)
 
 
 @pytest.fixture
@@ -284,11 +284,6 @@ def test_rank_all_gives_one_list_per_sense_map(tiny_model):
     assert [s for _, s in lists[0].items] != [s for _, s in lists[1].items]
 
 
-def _pin_cores(monkeypatch, n):
-    """rank_all sees n usable cores, whatever the host has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def _log_calls(monkeypatch, cls, name, path, record=lambda *args: "-"):
     """Wrap cls.name so that each call, in this process or in a forked
     helper, appends a line to path: the caller's pid and record(*args).
@@ -353,7 +348,7 @@ def test_rank_all_gives_equal_bits_under_one_and_two_workers(tiny_model, monkeyp
     _log_calls(monkeypatch, Backpack, "relevance_logits", log)
     ranked, pids = {}, {}
     for workers in (1, 2):
-        _pin_cores(monkeypatch, workers)
+        pin_cores(monkeypatch, workers)
         ranked[workers] = list(rank_all(tiny_model, es, weight_sets))
         pids[workers] = [pid for pid, _ in _logged(log)]
         log.unlink()
@@ -384,7 +379,7 @@ def test_rank_all_lists_hold_the_ranking_invariants(tiny_model, monkeypatch, wor
     """On random eval sets, under 1 to 3 weight sets, every yielded list
     holds each candidate once, by finite score descending, ties in ascending
     doc id; permuting each query's candidates leaves every list equal."""
-    _pin_cores(monkeypatch, workers)
+    pin_cores(monkeypatch, workers)
     choices = [None, (1.0, 1.0), (0.3, 1.0), (1.0, 0.05)]
     ties = moved = 0
     for seed in range(8):
@@ -416,7 +411,7 @@ def test_rank_all_raises_a_helpers_error_with_its_message(tiny_model, monkeypatc
                                                          tmp_path, workers):
     """An id outside the vocabulary in the helper's share fails the helper;
     this process scores that share again and raises the same DomainError."""
-    _pin_cores(monkeypatch, workers)
+    pin_cores(monkeypatch, workers)
     n_long = len(tiny_model.pack_sequence((3, 4), (7, 99, 8)))
     log = tmp_path / "calls"
     _log_calls(monkeypatch, Backpack, "relevance_logits", log,
@@ -435,7 +430,7 @@ def test_rank_all_rejects_non_finite_logits_from_a_helper(tiny_model, monkeypatc
                                                           tmp_path, bad):
     """Non-finite logits that only the helper's share holds still fail the
     whole call, after they arrive through the pipe."""
-    _pin_cores(monkeypatch, 2)
+    pin_cores(monkeypatch, 2)
     real = Backpack.relevance_logits
     n_long = len(tiny_model.pack_sequence((3, 4), (7, 9, 8)))
 
@@ -453,18 +448,11 @@ def test_rank_all_rejects_non_finite_logits_from_a_helper(tiny_model, monkeypatc
     assert len(by_length) == 2 and by_length[n_long] != os.getpid()
 
 
-def _forbid_fork(monkeypatch):
-    def no_fork():
-        raise AssertionError("rank_all forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-
-
 def test_rank_all_forks_nothing_for_no_pairs_or_one_chunk(tiny_model, monkeypatch):
     """With no pairs, or all of them in one chunk, this process scores them
     itself, however many cores it may use."""
-    _pin_cores(monkeypatch, 2)
-    _forbid_fork(monkeypatch)
+    pin_cores(monkeypatch, 2)
+    forbid_fork(monkeypatch)
     assert list(rank_all(tiny_model, EvalSet({}, {}, Qrels({}), {}))) == []
     es = _one_query_set((3, 4), [("a", (5, 6)), ("b", (7, 8)), ("c", (9, 9))])
     [(qid, [ranked])] = rank_all(tiny_model, es)
@@ -475,10 +463,10 @@ def test_rank_all_forks_nothing_while_another_thread_runs(tiny_model, monkeypatc
     """A forked child would inherit any lock another thread holds, so with a
     second thread alive every chunk is scored in this process."""
     es = _ragged_set(tiny_model)
-    _pin_cores(monkeypatch, 1)
+    pin_cores(monkeypatch, 1)
     alone = list(rank_all(tiny_model, es))
-    _pin_cores(monkeypatch, 2)
-    _forbid_fork(monkeypatch)
+    pin_cores(monkeypatch, 2)
+    forbid_fork(monkeypatch)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
@@ -494,9 +482,9 @@ def test_rank_all_scores_a_share_itself_when_fork_fails(tiny_model, monkeypatch)
     """A fork that fails costs time, not the call: the share it would have
     gone to is scored in this process, to the same bits."""
     es = _ragged_set(tiny_model)
-    _pin_cores(monkeypatch, 1)
+    pin_cores(monkeypatch, 1)
     alone = list(rank_all(tiny_model, es, (None, (0.3, 1.0))))
-    _pin_cores(monkeypatch, 3)
+    pin_cores(monkeypatch, 3)
     forks = []
 
     def failing_fork():
@@ -515,7 +503,7 @@ def test_rank_all_packs_each_pair_once(tiny_model, monkeypatch, tmp_path):
     queries = {f"q{i}": tuple(3 + rng.randint(27) for _ in range(1 + i)) for i in range(3)}
     cands = {qid: [(f"d{j}", tuple(3 + rng.randint(27) for _ in range(1 + 4 * j)))
                    for j in range(5)] for qid in queries}
-    _pin_cores(monkeypatch, 2)
+    pin_cores(monkeypatch, 2)
     log = tmp_path / "calls"
     _log_calls(monkeypatch, Backpack, "pack_sequence", log)
     list(rank_all(tiny_model, EvalSet(queries, cands, Qrels({}), {}), (None, (0.5, 1.0))))
@@ -661,7 +649,7 @@ def test_sweep_encodes_each_pair_once(synth_setup, monkeypatch, tmp_path):
     _log_calls(monkeypatch, ContextEncoder, "alpha", log,
                lambda ids, positions: "x".join(map(str, np.shape(ids))))
     for workers in (1, 2):
-        _pin_cores(monkeypatch, workers)
+        pin_cores(monkeypatch, workers)
         per_sweep = []
         for lambdas in ([1.0], [1.0, 0.7, 0.5, 0.3]):
             sweep_lambda(model, eval_set, scores, lambdas, cutoffs=(5,), m=2)
