@@ -312,12 +312,21 @@ class Backpack:
         self.senses = SenseTable(config, rng)
         self.context = ContextEncoder(config, rng)
         self.head = RelevanceHead(config, rng)
+        # every parameter's data becomes a view of one flat array, in registry
+        # order, for the model's life; one at a time, so none is held twice
+        params = list(self.parameters().values())
+        ends = np.cumsum([p.data.size for p in params])
+        self.flat = np.empty(ends[-1])
+        for p, view in zip(params, np.split(self.flat, ends[:-1])):
+            view[:] = p.data.ravel()
+            p.data = view.reshape(p.data.shape)
 
     # ------------------------------------------------------------------
     # parameter registry
 
     def parameters(self) -> dict[str, Tensor]:
-        """Stable name -> tensor mapping over every trainable parameter."""
+        """Stable name -> tensor mapping over every trainable parameter; each
+        tensor's data is a view of ``flat``, in this order."""
         comps: dict[str, object] = {"sense": self.senses, "ctx": self.context,
                                     "head": self.head}
         for i, layer in enumerate(self.context.layers):
@@ -440,23 +449,21 @@ def save_checkpoint(path, model: Backpack, vocab_tokens: Sequence[str],
                     meta: dict | None = None) -> None:
     """Checkpoint: magic, u32 little-endian header length, a UTF-8 JSON header
     (format_version, config, vocab, meta, and tensors: [name, shape] for each
-    parameter in registry order), then each parameter's <f8 values,
-    row-major, in that same order. A vocabulary that does not fit the
-    model's config is a DomainError, and nothing is written."""
+    parameter in registry order), then ``model.flat`` as <f8: each
+    parameter's values, row-major, in that same order. A vocabulary that does
+    not fit the model's config is a DomainError, and nothing is written."""
     _check_vocab(model.config, vocab_tokens)
-    params = model.parameters()
     header = {
         "format_version": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
         "vocab": list(vocab_tokens),
         "meta": dict(meta or {}),
-        "tensors": [[name, list(t.shape)] for name, t in params.items()],
+        "tensors": [[name, list(t.data.shape)] for name, t in model.parameters().items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + len(blob).to_bytes(4, "little") + blob)
-        for t in params.values():
-            fh.write(t.data.astype("<f8", copy=False).tobytes())
+        fh.write(model.flat.astype("<f8", copy=False))
 
 
 def _read_header(data: bytes, where: str) -> tuple[dict, int]:
@@ -503,18 +510,14 @@ def load_checkpoint(path) -> tuple[Backpack, list[str], dict]:
         raise ParseError(f"bad checkpoint vocab: {exc}", path=where) from None
     model = Backpack(config, seed=None)
     params = model.parameters()
-    table = [[name, list(t.shape)] for name, t in params.items()]
-    if header["tensors"] != table:
+    if header["tensors"] != [[name, list(t.data.shape)] for name, t in params.items()]:
         raise ParseError("checkpoint tensor table does not match the parameters "
                          "of its config", path=where)
-    size = 8 * sum(t.size for t in params.values())
-    if len(data) - start != size:
+    if len(data) - start != 8 * model.flat.size:
         raise ParseError(f"checkpoint holds {len(data) - start} value bytes, "
-                         f"its tensor table {size}", path=where)
+                         f"its tensor table {8 * model.flat.size}", path=where)
+    model.flat[:] = np.frombuffer(data, "<f8", offset=start)
     for name, t in params.items():
-        arr = np.frombuffer(data, "<f8", t.size, start).reshape(t.shape).astype(np.float64)
-        start += 8 * t.size
-        if not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(t.data)):
             raise ParseError(f"checkpoint tensor {name!r} holds non-finite values", path=where)
-        t.data = arr
     return model, vocab, dict(header["meta"])

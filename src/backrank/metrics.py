@@ -103,6 +103,19 @@ def _gender_delta(doc_tokens: Sequence[str], variant: str) -> float:
 # effectiveness
 
 
+def _cutoffs(cutoffs: Sequence[int]) -> tuple[int, ...]:
+    """A non-empty tuple of distinct int cutoffs >= 1, as the CLI's --cutoffs
+    takes them: a repeated one would report, and write, its rows twice."""
+    ks = tuple(int(c) for c in cutoffs)
+    if not ks:
+        raise DomainError(f"cutoffs must list at least one value, got {ks}")
+    for i, k in enumerate(ks):
+        if k < 1 or k in ks[:i]:
+            raise DomainError(f"cutoffs must be >= 1, got {k}" if k < 1 else
+                              f"cutoffs must list each value once, got {k} more than once")
+    return ks
+
+
 def _prefix_dcg(grades: Sequence[int]) -> list[float]:
     """0.0, then the DCG of each prefix of ``grades`` in rank order, summed
     left to right: gain 2^grade - 1 with a log2(rank + 1) discount."""
@@ -123,10 +136,8 @@ def effectiveness(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
     """
     if not ranked:
         raise DomainError("no queries to evaluate")
-    cutoffs = tuple(dict.fromkeys(int(c) for c in cutoffs))
-    if any(c < 1 for c in cutoffs):
-        raise DomainError("k must be >= 1")
-    depth = max(cutoffs, default=0)
+    cutoffs = _cutoffs(cutoffs)
+    depth = max(cutoffs)
     totals = {(metric, k): 0.0 for k in cutoffs for metric in ("mrr", "ndcg")}
     for qid in sorted(ranked):
         relevant = qrels.relevant(qid)
@@ -190,10 +201,8 @@ def bias_report(
     for v in variants:
         if v not in VARIANTS:
             raise DomainError(f"unknown magnitude variant {v!r}")
-    cutoffs = tuple(int(c) for c in cutoffs)
-    if any(c < 1 for c in cutoffs):
-        raise DomainError("cutoffs must be >= 1")
-    depth = max(cutoffs, default=0)
+    cutoffs = _cutoffs(cutoffs)
+    depth = max(cutoffs)
     qids = [sorted(ranked) for ranked in rankings]
     tops = [[ranked[qid][:depth] for qid in ids] for ranked, ids in zip(rankings, qids)]
     distinct = dict.fromkeys(d for per_ranking in tops for top in per_ranking for d in top)
@@ -225,7 +234,7 @@ def bias_report(
                 report.mean_rab[(variant, cutoff)] = rab_sum / len(ids)
                 report.mean_arab[(variant, cutoff)] = arab_sum / len(ids)
                 report.per_query[(variant, cutoff)] = signed
-        for cutoff in dict.fromkeys(cutoffs):
+        for cutoff in cutoffs:
             short = [n for n in lengths if n < cutoff]
             if short:
                 log.warning("bias cutoff %d exceeds the length of %d of %d lists (shortest %d); "

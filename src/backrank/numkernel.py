@@ -19,20 +19,12 @@ from .errors import DomainError, ShapeError
 
 
 class Tensor:
-    """A model parameter: a dense float64 array."""
+    """A model parameter: a dense float64 array, ``data``."""
 
     __slots__ = ("data",)
 
     def __init__(self, data):
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -105,12 +105,6 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
     """
     if not dataset:
         raise DomainError("training dataset is empty")
-    params = model.parameters()
-    tensors = list(params.values())
-    # each parameter becomes a view of one flat array, so a step is one update
-    flat = np.concatenate([p.data.ravel() for p in tensors])
-    for p, view in zip(tensors, np.split(flat, np.cumsum([p.size for p in tensors])[:-1])):
-        p.data = view.reshape(p.shape)
     rng = SplitMix64(cfg.seed)
     history: list[float] = []
     # A diverging run overflows to inf and nan; it is reported below and by the
@@ -130,8 +124,9 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
                                       f"loss is {loss}")
                 grad = back(gz)
                 del back    # free this step's intermediates before the next forward
-                flat -= np.multiply(grad, cfg.learning_rate, out=grad)
-    for name, p in params.items():
+                # every parameter is a view of model.flat: a step is one update
+                model.flat -= np.multiply(grad, cfg.learning_rate, out=grad)
+    for name, p in model.parameters().items():
         if not np.all(np.isfinite(p.data)):
             raise DomainError(f"training diverged at step {len(history)}: "
                               f"parameter {name!r} is not finite")

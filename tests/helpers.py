@@ -80,6 +80,10 @@ class Tensor(nk.Tensor):
         self.requires_grad = bool(requires_grad)
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    @property
     def ndim(self) -> int:
         return self.data.ndim
 
@@ -584,7 +588,7 @@ def build_planted_model(seed, k=4, p=2, d=8):
 
     params = model.parameters()
     for name, value in (("base", base), ("w1", w1), ("b1", b1), ("w2", w2)):
-        params[f"sense.{name}"].data = value
+        params[f"sense.{name}"].data[...] = value    # in place: it stays in model.flat
     return model, vocab, planted
 
 

@@ -117,7 +117,7 @@ def _central_diff_param_grads(model, q, doc):
     params = list(model.parameters().values())
     z, back = model.logits_and_backward([model.pack_sequence(q, doc)])
     s = nk.sigmoid(z)
-    analytic = np.split(back(s * (1.0 - s)), np.cumsum([p.size for p in params])[:-1])
+    analytic = np.split(back(s * (1.0 - s)), np.cumsum([p.data.size for p in params])[:-1])
     return max(central_diff_error(lambda: nk.sigmoid(logits(model, q, [doc]))[0], p.data, a)
                for p, a in zip(params, analytic))
 

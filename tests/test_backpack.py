@@ -315,7 +315,7 @@ def test_logits_and_backward_scores_as_inference_does(small_cfg):
         z, back = model.logits_and_backward(seqs)
         assert np.array_equal(z, model.relevance_logits(seqs, [None], sense_table(model))[0])
         grad = back(np.ones_like(z))
-        assert grad.shape == (sum(p.size for p in model.parameters().values()),)
+        assert grad.shape == (sum(p.data.size for p in model.parameters().values()),)
 
 
 def test_packed_length_is_the_length_pack_sequence_returns(model, small_cfg):
@@ -391,7 +391,7 @@ def test_checkpoint_layout_and_determinism(tmp_path, model):
     header = json.loads(blob[12:start])
     params = model.parameters()
     assert header["format_version"] == 4
-    assert header["tensors"] == [[n, list(t.shape)] for n, t in params.items()]
+    assert header["tensors"] == [[n, list(t.data.shape)] for n, t in params.items()]
     assert blob[start:] == b"".join(t.data.astype("<f8").tobytes() for t in params.values())
 
 
@@ -404,7 +404,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 def test_checkpoint_non_finite_tensor_is_parse_error(tmp_path, model):
     name, tensor = sorted(model.parameters().items())[0]
-    tensor.data[(0,) * len(tensor.shape)] = np.nan
+    tensor.data[(0,) * len(tensor.data.shape)] = np.nan
     path = tmp_path / "nan.ckpt"
     save_checkpoint(path, model, TOKENS, {})
     with pytest.raises(ParseError, match="non-finite") as err:

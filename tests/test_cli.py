@@ -1055,6 +1055,31 @@ def test_src_forks_only_in_run_forked():
     assert name == "parallel.py" and primitive.lineno < line <= primitive.end_lineno
 
 
+def _data_stores(node, scope=""):
+    """(qualified function name, line) of each attribute store to ``.data``
+    under node, named by its enclosing classes and functions."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _data_stores(child, f"{scope}{child.name}.")
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr == "data"
+                and isinstance(child.ctx, ast.Store)):
+            yield scope.rstrip("."), child.lineno
+        yield from _data_stores(child, scope)
+
+
+def test_src_stores_parameter_data_only_where_the_buffer_is_built():
+    """``x.data = ...`` appears in src/ only in ``Tensor.__init__`` and
+    ``Backpack.__init__``: each parameter is a view of ``Backpack.flat`` for
+    the model's life, and a later rebind would drop it silently out of
+    training and out of every checkpoint."""
+    src = Path(backrank.__file__).parent
+    stores = [(f.name, scope, line) for f in sorted(src.glob("*.py"))
+              for scope, line in _data_stores(ast.parse(f.read_text(encoding="utf-8")))]
+    assert {(name, scope) for name, scope, _ in stores} == {
+        ("numkernel.py", "Tensor.__init__"), ("backpack.py", "Backpack.__init__")}, stores
+
+
 def test_console_script_entry_point(pipeline, tmp_path):
     """The module form works as a subprocess and honours BACKRANK_LOG."""
     # The child imports the same package as this process, installed or not.

@@ -238,7 +238,7 @@ def test_cutoffs_past_list_ends_warn_once_per_cutoff(caplog):
     ranked = {f"q{n}": [f"q{n}-d{i}" for i in range(n)] for n in (35, 5, 25)}
     tokens = {d: DOC1 for ids in ranked.values() for d in ids}
     with caplog.at_level(logging.WARNING, logger="backrank.metrics"):
-        bias_report([ranked], tokens, cutoffs=(30, 10, 30))
+        bias_report([ranked], tokens, cutoffs=(30, 10))
     assert [r.getMessage() for r in caplog.records] == [
         "bias cutoff 30 exceeds the length of 2 of 3 lists (shortest 5); using their prefix",
         "bias cutoff 10 exceeds the length of 1 of 3 lists (shortest 5); using their prefix"]
@@ -247,7 +247,7 @@ def test_cutoffs_past_list_ends_warn_once_per_cutoff(caplog):
     longer = {qid: ids + [f"{qid}-x{i}" for i in range(10)] for qid, ids in ranked.items()}
     tokens.update((d, DOC2) for ids in longer.values() for d in ids)
     with caplog.at_level(logging.WARNING, logger="backrank.metrics"):
-        bias_report([ranked, longer, ranked], tokens, cutoffs=(30, 10, 30))
+        bias_report([ranked, longer, ranked], tokens, cutoffs=(30, 10))
     assert [r.getMessage() for r in caplog.records] == [
         "bias cutoff 30 exceeds the length of 2 of 3 lists (shortest 5); using their prefix",
         "bias cutoff 10 exceeds the length of 1 of 3 lists (shortest 5); using their prefix",
@@ -339,8 +339,13 @@ def test_effectiveness_sorted_order_and_errors(simple_qrels):
     assert effectiveness(ranked, simple_qrels, (10,))[("mrr", 10)] == pytest.approx(0.75)
     with pytest.raises(DomainError):
         effectiveness({}, simple_qrels, (10,))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="must be >= 1, got 0"):
         effectiveness({"nope": ["d1"]}, simple_qrels, (10, 0))
+    # a repeated cutoff would be one mean under two names; none is no report
+    with pytest.raises(DomainError, match="each value once, got 2 more than once"):
+        effectiveness(ranked, simple_qrels, (2, 10, 2))
+    with pytest.raises(DomainError, match="at least one value"):
+        effectiveness(ranked, simple_qrels, ())
 
 
 @pytest.mark.parametrize("metric,fn", [("mrr", mrr_at_k), ("ndcg", ndcg_at_k)])
@@ -348,7 +353,7 @@ def test_queries_absent_from_qrels_are_one_warning_and_score_0(simple_qrels, cap
                                                                metric, fn):
     ranked = {"q2": ["d9"], "zz": ["d1"], "q1": ["d3", "d1"], "aa": ["d9"], "mm": []}
     with caplog.at_level(logging.WARNING, logger="backrank.metrics"):
-        got = effectiveness(ranked, simple_qrels, (10, 5, 10))
+        got = effectiveness(ranked, simple_qrels, (10, 5))
     # one warning per call, whatever the number of metrics and cutoffs
     assert [r.getMessage() for r in caplog.records] == [
         "3 of 5 queries absent from qrels (first aa); scoring them 0"]
@@ -368,7 +373,7 @@ def test_queries_absent_from_qrels_are_one_warning_and_score_0(simple_qrels, cap
 def test_effectiveness_equals_oracle_means_bit_for_bit(caplog):
     """One walk per list gives every (metric, cutoff) mean bit-equal to one
     oracle walk per (metric, cutoff), on random runs with graded qrels 0-2,
-    lists shorter than a cutoff, repeated and unsorted cutoffs, queries
+    lists shorter than a cutoff, unsorted cutoffs, queries
     absent from qrels and queries with no relevant documents."""
     rng = SplitMix64(2024)
     for trial in range(150):
@@ -386,8 +391,7 @@ def test_effectiveness_equals_oracle_means_bit_for_bit(caplog):
                 for did in pool:
                     grades[(qid, did)] = rng.randint(3)
         qrels = Qrels(grades)
-        cutoffs = [1 + rng.randint(30) for _ in range(1 + rng.randint(5))]
-        cutoffs += [cutoffs[0]]
+        cutoffs = list(dict.fromkeys(1 + rng.randint(30) for _ in range(1 + rng.randint(5))))
         with caplog.at_level(logging.ERROR):
             got = effectiveness(ranked, qrels, cutoffs)
             want = {(metric, k): mean_metric(ranked, qrels, metric, k)
@@ -426,8 +430,13 @@ def test_bias_report_validates():
     docs = {"d1": ["x"]}
     with pytest.raises(DomainError):
         bias_report([ranked], docs, variants=("nope",))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="must be >= 1, got 0"):
         bias_report([ranked], docs, cutoffs=(0,))
+    # a repeated cutoff would make sweep_lambda write each of its rows twice
+    with pytest.raises(DomainError, match="each value once, got 2 more than once"):
+        bias_report([ranked], docs, cutoffs=(2, 2))
+    with pytest.raises(DomainError, match="at least one value"):
+        bias_report([ranked], docs, cutoffs=())
     with pytest.raises(DomainError):
         bias_report([ranked, {}], docs)
     with pytest.raises(DomainError):

@@ -324,7 +324,7 @@ def _component_cases(rng, shapes=SMALL_SHAPES):
              RelevanceHead.logit, head_chain, [(b, 1, d)], ()),
         ]
         for name, obj, names, method, chain, extra, consts in parts:
-            arrays = [rng.normal_array(getattr(obj, a).shape, 0.5) for a in names]
+            arrays = [rng.normal_array(getattr(obj, a).data.shape, 0.5) for a in names]
             cases.append((name, _component(obj, names, method), _bound(obj, names, chain),
                           arrays + [rng.normal_array(shape) for shape in extra], consts))
         for weights in (None, (1.0,) * k, (0.05, 1.0, 0.5) + (0.2,) * (k - 3)):

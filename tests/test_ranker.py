@@ -11,7 +11,8 @@ from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, Qrels,
                       TrainConfig, TrainExample, Vocab, attribute_scores,
                       bias_report, build_eval_set, build_sense_map,
                       build_train_examples, effectiveness, generate_synthetic,
-                      listwise_loss, rank_all, sweep_lambda, train)
+                      listwise_loss, load_checkpoint, rank_all, save_checkpoint,
+                      sweep_lambda, train)
 from backrank import metrics, ranker
 from backrank.backpack import ContextEncoder, SenseTable
 from backrank.ranker import SWEEP_COLUMNS
@@ -190,9 +191,9 @@ def test_each_example_takes_one_sgd_step_in_shuffle_order():
         z, back = ref.logits_and_backward([ref.pack_sequence(ex.query, d) for d in ex.docs])
         loss, gz = listwise_loss(ex.labels, z)
         losses.append(loss)
-        grads = np.split(back(gz), np.cumsum([p.size for p in tensors])[:-1])
+        grads = np.split(back(gz), np.cumsum([p.data.size for p in tensors])[:-1])
         for p, g in zip(tensors, grads):
-            p.data = p.data - lr * g.reshape(p.shape)
+            p.data = p.data - lr * g.reshape(p.data.shape)
     model, history = train(dataset, TrainConfig(epochs=1, learning_rate=lr, seed=0),
                            fresh())
     assert history == losses
@@ -212,6 +213,42 @@ def test_zero_learning_rate_changes_nothing(tiny_model):
     assert sorted(history[:3]) == sorted(history[3:])
 
 
+def _assert_views_of_flat(model):
+    """Every parameter's data is a row-major view of ``model.flat`` at its
+    offset in registry order, and together they cover it."""
+    offset = 0
+    for name, p in model.parameters().items():
+        assert np.shares_memory(p.data, model.flat), name
+        assert p.data.ctypes.data == model.flat.ctypes.data + 8 * offset, name
+        assert p.data.flags.c_contiguous, name
+        offset += p.data.size
+    assert offset == model.flat.size
+
+
+def test_parameters_stay_views_of_one_buffer(tiny_model, tmp_path):
+    """A new model, a trained one, a loaded one and a resumed one each keep
+    every parameter a view of ``flat``, so a step and a checkpoint reach all
+    of them; a checkpoint's value bytes are flat's."""
+    rng = SplitMix64(4)
+    dataset = [make_example(rng) for _ in range(3)]
+    tokens = ["<pad>", "<unk>", "<sep>"] + [f"w{i}" for i in range(3, 30)]
+    path = tmp_path / "model.ckpt"
+    _assert_views_of_flat(tiny_model)
+    before = tiny_model.flat.copy()
+    model, _ = train(dataset, TrainConfig(epochs=1, learning_rate=0.05), tiny_model)
+    _assert_views_of_flat(model)
+    assert not np.array_equal(model.flat, before)
+    for _resume in range(2):
+        save_checkpoint(path, model, tokens)
+        blob = path.read_bytes()
+        assert blob[-8 * model.flat.size:] == model.flat.astype("<f8").tobytes()
+        model, _, _ = load_checkpoint(path)
+        _assert_views_of_flat(model)
+        assert model.flat.tobytes() == blob[-8 * model.flat.size:]
+        model, _ = train(dataset, TrainConfig(epochs=1, learning_rate=0.05), model)
+        _assert_views_of_flat(model)
+
+
 def test_listwise_gradient_through_ragged_batch():
     """The gradient of the listwise loss over one ragged 3-document batch
     (one document past the budget) matches central differences."""
@@ -222,7 +259,7 @@ def test_listwise_gradient_through_ragged_batch():
     seqs = [model.pack_sequence(q, d) for d in docs]
     z, back = model.logits_and_backward(seqs)
     params = list(model.parameters().values())
-    grads = np.split(back(listwise_loss(y, z)[1]), np.cumsum([p.size for p in params])[:-1])
+    grads = np.split(back(listwise_loss(y, z)[1]), np.cumsum([p.data.size for p in params])[:-1])
 
     def loss():
         return listwise_loss(y, model.relevance_logits(seqs, [None], sense_table(model))[0])[0]
@@ -258,7 +295,7 @@ def test_rank_orders_by_score_then_id(tiny_model):
 def test_rank_all_rejects_non_finite_logits(tiny_model, bad):
     """An infinite logit has a finite sigmoid (1 or 0), so only the logits
     show it."""
-    tiny_model.head.b2.data = np.array([bad])
+    tiny_model.head.b2.data[...] = bad
     with pytest.raises(DomainError, match="finite"):
         list(rank_all(tiny_model, _one_query_set((3, 4), [("a", (5, 6)), ("b", (7,))])))
 

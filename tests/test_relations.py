@@ -14,6 +14,9 @@ code. Every case runs at toy size: synth at 60 queries and skew 0.9.
   map gives the same outputs up to that renaming.
 - Duplicate queries: a run and its qrels with every query repeated under a
   new id keep every effectiveness and bias mean, up to summation rounding.
+- Sense permutation: renumbering the senses of a trained model permutes its
+  sense scores and sense maps, and keeps every sweep value and ranked list,
+  up to summation rounding.
 """
 
 import hashlib
@@ -21,6 +24,9 @@ from pathlib import Path
 
 import pytest
 
+from backrank import (Vocab, attribute_scores, build_eval_set, build_sense_map,
+                      default_pairs_path, load_checkpoint, load_polarity_lexicon, rank_all,
+                      sweep_lambda)
 from backrank.cli import main
 from backrank.corpus import (bm25_retrieve, load_collection, read_gender_tokens, read_qrels,
                              read_ranking, records_from_ranking, write_run)
@@ -217,3 +223,72 @@ def test_duplicating_every_query_keeps_every_mean(base, tmp_path):
         assert single.keys() == double.keys()
         for key, value in single.items():
             assert abs(double[key] - value) <= 1e-12, (field, key)
+
+
+# ---------------------------------------------------------------------------
+# sense permutation
+
+# A 3-cycle: unlike [2, 0, 3, 1] it does not commute with reversing the
+# senses, so weights applied in reverse order move every sense's weight. Sense
+# maps put one weight on a set, which reversal can still map onto itself
+# ({0, 1} here), so the lists are also ranked under distinct weights per sense.
+PERM = (1, 2, 0, 3)
+LAMBDAS = (1.0, 0.5)
+DISTINCT = (0.9, 0.7, 0.4, 0.2)
+
+
+def _permute_senses(model, perm):
+    """Renumber the senses in place: new sense i is old sense perm[i]. A
+    sense owns a column block of the sense table's first layer and of the
+    sense attention's projections, and a slice of the second layer along k."""
+    k = model.config.num_senses
+    for name, p in model.parameters().items():
+        if name in ("sense.w2", "sense.b2"):
+            p.data[...] = p.data[list(perm)]
+        elif name in ("sense.w1", "sense.b1", "ctx.aq", "ctx.abq", "ctx.ak", "ctx.abk"):
+            blocks = p.data.reshape(*p.data.shape[:-1], k, -1)
+            blocks[...] = blocks[..., list(perm), :]
+
+
+def test_permuting_the_senses_permutes_their_scores_and_keeps_every_output(base, tmp_path):
+    data, outputs = base
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(outputs["model.ckpt"])
+    model, tokens, _ = load_checkpoint(ckpt)
+    permuted = load_checkpoint(ckpt)[0]
+    _permute_senses(permuted, PERM)
+    assert model.config.num_senses == len(PERM)
+    vocab = Vocab(tokens)
+    pairs = load_polarity_lexicon(default_pairs_path(), vocab=vocab)
+    scores, perm_scores = (attribute_scores(net, pairs, vocab) for net in (model, permuted))
+    # each sense's cosines are computed alone: the scores move bit for bit
+    assert perm_scores.s == tuple(scores.s[i] for i in PERM)
+    assert len(set(scores.s)) == len(PERM)    # no tie, so only the scores pick
+    maps = [build_sense_map(scores, lam, m) for lam in LAMBDAS for m in (1, 2)]
+    perm_maps = [build_sense_map(perm_scores, lam, m) for lam in LAMBDAS for m in (1, 2)]
+    assert perm_maps == [tuple(w[i] for i in PERM) for w in maps]
+
+    eval_set = build_eval_set(load_collection(*(data / name for name in INPUTS[:2])), vocab,
+                              candidate_depth=20)
+    for m in (1, 2):
+        rows, perm_rows = (sweep_lambda(net, eval_set, sc, LAMBDAS, cutoffs=(5, 10, 20), m=m)
+                           for net, sc in ((model, scores), (permuted, perm_scores)))
+        assert len(rows) == len(perm_rows) == 3 * len(LAMBDAS)
+        for row, perm_row in zip(rows, perm_rows):
+            assert row.keys() == perm_row.keys()
+            for column, value in row.items():
+                assert abs(perm_row[column] - value) <= 1e-12, (m, row["lambda"],
+                                                                row["cutoff"], column)
+
+    separated = 0
+    distinct = tuple(DISTINCT[i] for i in PERM)
+    for (qid, lists), (_, perm_lists) in zip(rank_all(model, eval_set, [*maps, DISTINCT]),
+                                            rank_all(permuted, eval_set, [*perm_maps, distinct])):
+        for ranked, perm_ranked in zip(lists, perm_lists):
+            perm_score = dict(perm_ranked.items)
+            assert all(abs(perm_score[did] - s) <= 1e-12 for did, s in ranked.items), qid
+            s = [score for _, score in ranked.items]
+            if all(a - b > 1e-12 for a, b in zip(s, s[1:])):
+                assert perm_ranked.doc_ids == ranked.doc_ids, qid
+                separated += 1
+    assert separated >= len(eval_set.queries)    # the order check ran on many lists
