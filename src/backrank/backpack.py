@@ -27,7 +27,6 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -210,28 +209,38 @@ class ContextEncoder:
 
         return np.add(rows, pos[:n], out=rows), backward
 
-    def alpha(self, ids, positions) -> np.ndarray:
+    def alpha(self, ids, positions) -> tuple[np.ndarray, Callable[[np.ndarray], dict]]:
         """B x k x m x n weights of query positions ``positions`` (B x m, or
-        m shared by every row) over key positions j, softmax-normalized over
-        j <= the query position. ``np.arange(n)`` gives the full k x n x n."""
-        hs = self._embed(ids)[0]
+        m shared by every row; unchecked, in [0, n)) over key positions j,
+        softmax-normalized over j <= the query position, and their backward:
+        g -> {component: parameter gradients} for this encoder and its layers.
+        ``np.arange(n)`` gives the full k x n x n."""
+        hs, embed_back = self._embed(ids)
+        layer_backs = []
         for layer in self.layers:
-            hs = layer.forward(hs, self.cfg.context_heads)[0]
-        b, n, _ = hs.shape
+            hs, back = layer.forward(hs, self.cfg.context_heads)
+            layer_backs.append((layer, back))
         pos = np.asarray(positions, dtype=np.intp)
-        pos = np.broadcast_to(pos, (b, pos.shape[-1]))
-        if pos.size and (pos.min() < 0 or pos.max() >= n):
-            raise DomainError(f"alpha: query positions must lie in [0, {n})")
-        return self._sense_attention(hs, pos)[0]
+        out, attention_back = self._sense_attention(hs, pos.reshape(-1, pos.shape[-1]))
+
+        def backward(g):
+            ghs, *gattention = attention_back(g)
+            grads = {}
+            for layer, back in reversed(layer_backs):
+                ghs, *grads[layer] = back(ghs)
+            grads[self] = [*embed_back(ghs), *gattention]
+            return grads
+
+        return out, backward
 
     def _sense_attention(self, x: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, Backward]:
-        """Per-sense attention of the B x m query positions ``pos`` over the
-        hidden states x, and its backward: g -> gradients of x, aq, abq, ak
-        and abk."""
+        """Per-sense attention of the B x m query positions ``pos`` (or 1 x m,
+        shared by every row) over the hidden states x, and its backward:
+        g -> gradients of x, aq, abq, ak and abk."""
         aq, abq, ak, abk = (t.data for t in (self.aq, self.abq, self.ak, self.abk))
         b, n, d = x.shape
         k = self.cfg.num_senses
-        ix = pos + n * np.arange(b)[:, None]    # in range: pos is checked by its callers
+        ix = pos + n * np.arange(b)[:, None]    # in range: the model builds every pos
         rows = x.reshape(b * n, d)[ix]
         q = nk.split_heads(nk.dense(rows, aq, abq), k)
         out, kt = nk.attention(q, nk.split_heads(nk.dense(x, ak, abk), k),
@@ -324,19 +333,17 @@ class Backpack:
     # ------------------------------------------------------------------
     # parameter registry
 
+    def _components(self) -> dict[str, object]:
+        """Name prefix -> component, in registry order."""
+        comps = {"sense": self.senses, "ctx": self.context, "head": self.head}
+        comps.update((f"ctx.layer{i}", layer) for i, layer in enumerate(self.context.layers))
+        return comps
+
     def parameters(self) -> dict[str, Tensor]:
         """Stable name -> tensor mapping over every trainable parameter; each
         tensor's data is a view of ``flat``, in this order."""
-        comps: dict[str, object] = {"sense": self.senses, "ctx": self.context,
-                                    "head": self.head}
-        for i, layer in enumerate(self.context.layers):
-            comps[f"ctx.layer{i}"] = layer
-        out: dict[str, Tensor] = {}
-        for prefix, comp in comps.items():
-            for attr, value in vars(comp).items():
-                if isinstance(value, Tensor):
-                    out[f"{prefix}.{attr}"] = value
-        return out
+        return {f"{prefix}.{attr}": value for prefix, comp in self._components().items()
+                for attr, value in vars(comp).items() if isinstance(value, Tensor)}
 
     # ------------------------------------------------------------------
     # forward
@@ -360,7 +367,7 @@ class Backpack:
         """Per-position output vectors, B x n x d, for B token sequences
         right-padded to the longest; ``weights`` scales whole senses."""
         ids = self._pad(seqs)
-        alpha = self.context.alpha(ids, np.arange(ids.shape[1]))
+        alpha = self.context.alpha(ids, np.arange(ids.shape[1]))[0]
         return aggregate(alpha, self.senses.senses_for(ids)[0], weights)[0]
 
     def packed_length(self, query_len: int, doc_len: int) -> int:
@@ -393,7 +400,7 @@ class Backpack:
         are bit-identical to each row scored alone.
         """
         ids = self._pad(seqs)
-        alpha = self.context.alpha(ids, [[len(s) - 1] for s in seqs])
+        alpha = self.context.alpha(ids, [[len(s) - 1] for s in seqs])[0]
         senses = table[np.arange(table.shape[0])[:, None], ids[:, None]]
         return [self.head.logit(aggregate(alpha, senses, w)[0])[0] for w in weight_sets]
 
@@ -405,13 +412,7 @@ class Backpack:
         component's backward runs once, in reverse; no output feeds two
         components, so no gradient is summed across them."""
         ids = self._pad(seqs)
-        hs, embed_back = self.context._embed(ids)
-        layer_backs = []
-        for layer in self.context.layers:
-            hs, back = layer.forward(hs, self.config.context_heads)
-            layer_backs.append(back)
-        pos = np.array([[len(s) - 1] for s in seqs], dtype=np.intp)
-        alpha, alpha_back = self.context._sense_attention(hs, pos)
+        alpha, alpha_back = self.context.alpha(ids, [[len(s) - 1] for s in seqs])
         senses, senses_back = self.senses.senses_for(ids)
         pooled, aggregate_back = aggregate(alpha, senses)
         z, head_back = self.head.logit(pooled)
@@ -419,14 +420,9 @@ class Backpack:
         def backward(g):
             gpooled, *ghead = head_back(g)
             galpha, gsenses = aggregate_back(gpooled)
-            ghs, *galpha_params = alpha_back(galpha)
-            glayers = []
-            for back in reversed(layer_backs):
-                ghs, *grads = back(ghs)
-                glayers.append(grads)
-            grads = chain(senses_back(gsenses), embed_back(ghs), galpha_params, ghead,
-                          *reversed(glayers))
-            return np.concatenate([g.ravel() for g in grads])
+            grads = {**alpha_back(galpha), self.senses: senses_back(gsenses), self.head: ghead}
+            return np.concatenate([g.ravel() for comp in self._components().values()
+                                   for g in grads[comp]])
 
         return z, backward
 

@@ -38,14 +38,10 @@ from .senses import (attribute_scores, build_sense_map, default_pairs_path,
 log = logging.getLogger("backrank.cli")
 
 
-def _check_paths(inputs: dict, outputs) -> None:
-    """Before any work starts: every input named in ``inputs`` exists, and
-    the directory of every output exists or is created. None stands for an
-    option not given and is skipped. A file where an output's directory
-    should be is left alone, so opening that output fails naming it."""
-    for name, path in sorted(inputs.items()):
-        if path is not None and not Path(path).exists():
-            raise FileNotFoundError(f"{name} path does not exist: {path}")
+def _make_parents(*outputs) -> None:
+    """Before any work starts, create each missing output directory (None: an
+    option not given). A file where a directory should be is left alone, so
+    opening that output fails naming it."""
     for path in outputs:
         if path is not None and not Path(path).parent.exists():
             Path(path).parent.mkdir(parents=True)
@@ -111,6 +107,7 @@ def _tag(text: str) -> str:
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _TOP_SENSES = _checked(int, lambda v: v >= 0, ">= 0")
 _LAMBDA = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_INPUT = _checked(str, os.path.exists, "an existing path")
 # train's model-shape options and the BackpackConfig fields they set
 _SHAPE_OPTIONS = (("--embed-dim", "embed_dim"), ("--senses", "num_senses"),
                   ("--sense-hidden", "sense_hidden"), ("--layers", "context_layers"),
@@ -167,8 +164,6 @@ def cmd_train(args) -> int:
     tcfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
     shape = {field: getattr(args, field) for _flag, field in _SHAPE_OPTIONS
              if getattr(args, field) is not None}
-    _check_paths({"corpus": args.corpus, "queries": args.queries, "qrels": args.qrels,
-                  "resume": args.resume}, [])
     if args.resume:    # the model comes from the checkpoint: a shape option must match it
         model, vocab, meta = _load_model(args.resume)
         for flag, field in _SHAPE_OPTIONS:
@@ -183,7 +178,7 @@ def cmd_train(args) -> int:
     else:    # vocab_size is filled in once the vocabulary is built
         cfg = BackpackConfig(vocab_size=1, **shape)
         step_base = 0
-    _check_paths({}, [args.out, args.loss_csv])
+    _make_parents(args.out, args.loss_csv)
 
     coll = load_collection(args.corpus, args.queries, args.qrels)
     if not args.resume:
@@ -205,8 +200,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    _check_paths({"checkpoint": args.checkpoint, "corpus": args.corpus,
-                  "queries": args.queries, "pairs": args.pairs}, [args.out])
+    _make_parents(args.out)
 
     model, vocab, meta = _load_model(args.checkpoint)
     tag = args.tag or f"backrank-s{meta.get('seed', 0)}"
@@ -227,7 +221,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _check_paths({"run": args.run, "qrels": args.qrels}, [args.out])
+    _make_parents(args.out)
     grouped = _read_run(args.run)
     qrels = read_qrels(args.qrels)
     means = effectiveness(grouped, qrels, args.cutoffs)
@@ -239,7 +233,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bias(args) -> int:
     variants = ("tf", "bool") if args.variant == "both" else (args.variant,)
-    _check_paths({"run": args.run, "corpus": args.corpus}, [args.out])
+    _make_parents(args.out)
     # a helper reads the corpus (all RaB/ARaB read of a document) while this process reads the run
     grouped, doc_tokens = run_forked([functools.partial(_read_run, args.run),
                                       functools.partial(read_gender_tokens, args.corpus)])
@@ -258,7 +252,7 @@ def cmd_bias(args) -> int:
 
 
 def cmd_senses(args) -> int:
-    _check_paths({"checkpoint": args.checkpoint, "pairs": args.pairs}, [args.out])
+    _make_parents(args.out)
     model, vocab, meta = _load_model(args.checkpoint)
     scores = _sense_scores(model, vocab, args.pairs)
     rows = [{"sense": i, "score": s} for i, s in enumerate(scores.s)]
@@ -275,9 +269,7 @@ def cmd_senses(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_paths({"checkpoint": args.checkpoint, "corpus": args.corpus,
-                  "queries": args.queries, "qrels": args.qrels, "pairs": args.pairs},
-                 [args.out])
+    _make_parents(args.out)
 
     model, vocab, meta = _load_model(args.checkpoint)
     coll = load_collection(args.corpus, args.queries, args.qrels)
@@ -303,18 +295,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub_parser = functools.partial(sub.add_parser, exit_on_error=False)
 
     p = sub_parser("synth", help="generate a synthetic collection")
-    p.add_argument("--config", help="key=value synthesis config file")
+    p.add_argument("--config", type=_INPUT, help="key=value synthesis config file")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
     p = sub_parser("train", help="train the ranker on a collection")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--qrels", required=True)
+    p.add_argument("--corpus", type=_INPUT, required=True)
+    p.add_argument("--queries", type=_INPUT, required=True)
+    p.add_argument("--qrels", type=_INPUT, required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--loss-csv", default="loss.csv")
-    p.add_argument("--resume", help="checkpoint to continue training from")
+    p.add_argument("--resume", type=_INPUT, help="checkpoint to continue training from")
     p.add_argument("--epochs", type=int, default=4)
     p.add_argument("--lr", type=float, default=0.015)
     p.add_argument("--seed", type=int, default=0)
@@ -326,50 +318,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub_parser("rank", help="write a TREC run, optionally debiased")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--queries", required=True)
+    p.add_argument("--checkpoint", type=_INPUT, required=True)
+    p.add_argument("--corpus", type=_INPUT, required=True)
+    p.add_argument("--queries", type=_INPUT, required=True)
     p.add_argument("--out", required=True, help="run file path")
     p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=1.0,
                    help="sense suppression factor in (0, 1]")
     p.add_argument("--top-senses", type=_TOP_SENSES, default=2,
                    help="how many senses to suppress")
-    p.add_argument("--pairs", help="polarity pair lexicon (default built-in)")
+    p.add_argument("--pairs", type=_INPUT, help="polarity pair lexicon (default built-in)")
     p.add_argument("--depth", type=_COUNT, default=100)
     p.add_argument("--tag", type=_tag, help="run tag (default backrank-s<seed>)")
     p.set_defaults(func=cmd_rank)
 
     p = sub_parser("eval", help="MRR/NDCG of a run against qrels")
-    p.add_argument("--run", required=True)
-    p.add_argument("--qrels", required=True)
+    p.add_argument("--run", type=_INPUT, required=True)
+    p.add_argument("--qrels", type=_INPUT, required=True)
     p.add_argument("--out", required=True, help="CSV path")
     p.add_argument("--cutoffs", type=_list_of(_COUNT), default=(10, 20, 30, 40))
     p.set_defaults(func=cmd_eval)
 
     p = sub_parser("bias", help="RaB/ARaB bias report for a run")
-    p.add_argument("--run", required=True)
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--run", type=_INPUT, required=True)
+    p.add_argument("--corpus", type=_INPUT, required=True)
     p.add_argument("--out", required=True, help="CSV path")
     p.add_argument("--cutoffs", type=_list_of(_COUNT), default=(10, 20, 30, 40))
     p.add_argument("--variant", choices=("tf", "bool", "both"), default="both")
     p.set_defaults(func=cmd_bias)
 
     p = sub_parser("senses", help="per-sense gender sensitivity scores")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--pairs", help="polarity pair lexicon (default built-in)")
+    p.add_argument("--checkpoint", type=_INPUT, required=True)
+    p.add_argument("--pairs", type=_INPUT, help="polarity pair lexicon (default built-in)")
     p.add_argument("--out", help="CSV path (prints a table when omitted)")
     p.set_defaults(func=cmd_senses)
 
     p = sub_parser("sweep", help="lambda sweep: effectiveness vs bias CSV")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--qrels", required=True)
+    p.add_argument("--checkpoint", type=_INPUT, required=True)
+    p.add_argument("--corpus", type=_INPUT, required=True)
+    p.add_argument("--queries", type=_INPUT, required=True)
+    p.add_argument("--qrels", type=_INPUT, required=True)
     p.add_argument("--out", required=True, help="CSV path")
     p.add_argument("--lambdas", type=_list_of(_LAMBDA), default=(1.0, 0.7, 0.5))
     p.add_argument("--top-senses", type=_TOP_SENSES, default=2)
     p.add_argument("--cutoffs", type=_list_of(_COUNT), default=(10, 20, 30, 40))
-    p.add_argument("--pairs", help="polarity pair lexicon (default built-in)")
+    p.add_argument("--pairs", type=_INPUT, help="polarity pair lexicon (default built-in)")
     p.add_argument("--depth", type=_COUNT, default=100)
     p.set_defaults(func=cmd_sweep)
 

@@ -103,17 +103,25 @@ def _gender_delta(doc_tokens: Sequence[str], variant: str) -> float:
 # effectiveness
 
 
+def distinct(name: str, values: Iterable) -> tuple:
+    """A non-empty tuple of distinct ``values``, as the CLI's list options
+    take them: a repeated one would report, and write, its rows twice."""
+    values = tuple(values)
+    if not values:
+        raise DomainError(f"{name} must list at least one value, got {values}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise DomainError(f"{name} must list each value once, got {value} more than once")
+    return values
+
+
 def _cutoffs(cutoffs: Sequence[int]) -> tuple[int, ...]:
-    """A non-empty tuple of distinct int cutoffs >= 1, as the CLI's --cutoffs
-    takes them: a repeated one would report, and write, its rows twice."""
+    """A non-empty tuple of distinct int cutoffs >= 1, as --cutoffs takes them."""
     ks = tuple(int(c) for c in cutoffs)
-    if not ks:
-        raise DomainError(f"cutoffs must list at least one value, got {ks}")
-    for i, k in enumerate(ks):
-        if k < 1 or k in ks[:i]:
-            raise DomainError(f"cutoffs must be >= 1, got {k}" if k < 1 else
-                              f"cutoffs must list each value once, got {k} more than once")
-    return ks
+    for k in ks:
+        if k < 1:
+            raise DomainError(f"cutoffs must be >= 1, got {k}")
+    return distinct("cutoffs", ks)
 
 
 def _prefix_dcg(grades: Sequence[int]) -> list[float]:
@@ -198,6 +206,7 @@ def bias_report(
         raise DomainError("bias_report takes a sequence of rankings, not one ranking")
     if not all(rankings):
         raise DomainError("no queries to evaluate")
+    variants = distinct("variants", variants)
     for v in variants:
         if v not in VARIANTS:
             raise DomainError(f"unknown magnitude variant {v!r}")
@@ -205,8 +214,8 @@ def bias_report(
     depth = max(cutoffs)
     qids = [sorted(ranked) for ranked in rankings]
     tops = [[ranked[qid][:depth] for qid in ids] for ranked, ids in zip(rankings, qids)]
-    distinct = dict.fromkeys(d for per_ranking in tops for top in per_ranking for d in top)
-    deltas = {variant: {d: _gender_delta(doc_tokens[d], variant) for d in distinct}
+    top_docs = dict.fromkeys(d for per_ranking in tops for top in per_ranking for d in top)
+    deltas = {variant: {d: _gender_delta(doc_tokens[d], variant) for d in top_docs}
               for variant in variants}
     reports = []
     for ranked, ids, per_ranking in zip(rankings, qids, tops):
@@ -217,7 +226,7 @@ def bias_report(
         # a cutoff past a list's end reads the whole list
         at = np.minimum(np.array(cutoffs, dtype=np.intp), np.array(lengths)[:, None]) - 1
         x = np.arange(1, width + 1)
-        report = BiasReport(cutoffs=cutoffs, variants=tuple(variants), num_queries=len(ranked))
+        report = BiasReport(cutoffs=cutoffs, variants=variants, num_queries=len(ranked))
         for variant, delta in deltas.items():
             # RaB@x and ARaB@x of every query and depth x, zero-padded past a
             # list's end; np.cumsum adds left to right, the definitions' order

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import DomainError, ShapeError
-from .metrics import Qrels, bias_report, effectiveness
+from .metrics import Qrels, bias_report, distinct, effectiveness
 from .parallel import run_forked, usable_cores
 from .rng import SplitMix64
 from .senses import AttributeScores, build_sense_map
@@ -216,8 +216,7 @@ def sweep_lambda(
     suppressed senses (the suppressed set is the same at every lambda). The
     lambda = 1.0 rows equal an unmitigated evaluation exactly.
     """
-    if not lambdas:
-        raise DomainError("sweep needs at least one lambda")
+    lambdas = distinct("lambdas", lambdas)
     weight_sets = [build_sense_map(scores, lam, m) for lam in lambdas]
     # only doc ids are kept across queries
     ranked_ids: list[dict[str, list[str]]] = [{} for _ in lambdas]

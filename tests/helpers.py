@@ -594,7 +594,7 @@ def build_planted_model(seed, k=4, p=2, d=8):
 
 def forward_triple_loop(model, token_ids):
     """Independent evaluation of the aggregation sum, one scalar at a time."""
-    alpha = model.context.alpha([list(token_ids)], np.arange(len(token_ids)))[0]
+    alpha = model.context.alpha([list(token_ids)], np.arange(len(token_ids)))[0][0]
     senses = model.senses.senses_for([list(token_ids)])[0][0]
     k, n, d = senses.shape
     out = np.zeros((n, d))

@@ -170,7 +170,8 @@ def test_train_resume_rejects_a_shape_option_the_checkpoint_lacks(pipeline, tmp_
               "--out", str(out / "a" / "m.ckpt"), "--loss-csv", str(out / "b" / "l.csv")]
     for flag, value, field, saved in (("--heads", "4", "context_heads", 2),
                                       ("--embed-dim", "7", "embed_dim", 16),
-                                      ("--max-seq-len", "64", "max_seq_len", 32)):
+                                      ("--max-seq-len", "64", "max_seq_len", 32),
+                                      ("--layers", "2", "context_layers", 1)):
         assert main([*resume, "--embed-dim", "16", flag, value]) == 2
         assert capsys.readouterr().err == (f"error: {flag} {value} does not match {field} "
                                            f"{saved} of {pipeline['ckpt']}\n")
@@ -181,6 +182,15 @@ def test_train_resume_rejects_a_shape_option_the_checkpoint_lacks(pipeline, tmp_
         assert main([*resume, *shape]) == 0
         model1, _, _ = load_checkpoint(out / "a" / "m.ckpt")
         assert model1.config == model0.config
+    # --layers 2 builds a two-layer encoder, and a resume that names it trains on
+    fresh = resume[:7] + resume[9:]    # resume without "--resume <checkpoint>"
+    assert main([*fresh, "--layers", "2", "--out", str(out / "two.ckpt")]) == 0
+    model2, _, _ = load_checkpoint(out / "two.ckpt")
+    assert model2.config.context_layers == 2
+    assert main([*fresh, "--resume", str(out / "two.ckpt"), "--layers", "2"]) == 0
+    model3, _, meta3 = load_checkpoint(out / "a" / "m.ckpt")
+    steps = len(read_csv(out / "b" / "l.csv")[1])    # one epoch, as the fresh run took
+    assert model3.config == model2.config and meta3["steps"] == 2 * steps
 
 
 def test_train_missing_corpus_is_exit_2(pipeline, tmp_path, capsys):
@@ -928,9 +938,20 @@ def test_each_writing_subcommand_creates_missing_output_directories(pipeline, tm
     ("sweep", "--top-senses", "-1", "--top-senses must be >= 0, got -1"),
     ("sweep", "--cutoffs", "0", "--cutoffs must be >= 1, got 0"),
     ("sweep", "--depth", "0", "--depth must be >= 1, got 0"),
+    ("train", "--corpus", "missing.txt", "--corpus must be an existing path, got missing.txt"),
+    ("train", "--resume", "missing.txt", "--resume must be an existing path, got missing.txt"),
+    ("rank", "--checkpoint", "missing.txt", "--checkpoint must be an existing path, got missing.txt"),
+    ("rank", "--pairs", "missing.txt", "--pairs must be an existing path, got missing.txt"),
+    ("eval", "--run", "missing.txt", "--run must be an existing path, got missing.txt"),
+    ("eval", "--qrels", "missing.txt", "--qrels must be an existing path, got missing.txt"),
+    ("bias", "--corpus", "missing.txt", "--corpus must be an existing path, got missing.txt"),
+    ("senses", "--checkpoint", "missing.txt", "--checkpoint must be an existing path, got missing.txt"),
+    ("sweep", "--queries", "missing.txt", "--queries must be an existing path, got missing.txt"),
+    ("sweep", "--qrels", "missing.txt", "--qrels must be an existing path, got missing.txt"),
 ])
 def test_a_rejected_option_reads_and_creates_nothing(pipeline, tmp_path, capsys, monkeypatch,
                                                      command, flag, value, message):
+    monkeypatch.chdir(tmp_path)    # a relative input path resolves where nothing exists
     calls = []
     for name in ("load_collection", "load_checkpoint"):
         real = getattr(cli, name)
@@ -1055,17 +1076,22 @@ def test_src_forks_only_in_run_forked():
     assert name == "parallel.py" and primitive.lineno < line <= primitive.end_lineno
 
 
-def _data_stores(node, scope=""):
-    """(qualified function name, line) of each attribute store to ``.data``
-    under node, named by its enclosing classes and functions."""
+def _sites(node, match, scope=""):
+    """(qualified function name, line) of each node under node that ``match``
+    accepts, named by its enclosing classes and functions."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _data_stores(child, f"{scope}{child.name}.")
+            yield from _sites(child, match, f"{scope}{child.name}.")
             continue
-        if (isinstance(child, ast.Attribute) and child.attr == "data"
-                and isinstance(child.ctx, ast.Store)):
+        if match(child):
             yield scope.rstrip("."), child.lineno
-        yield from _data_stores(child, scope)
+        yield from _sites(child, match, scope)
+
+
+def _src_sites(match):
+    """(file name, qualified function name, line) of each match in src/."""
+    return [(f.name, scope, line) for f in sorted(Path(backrank.__file__).parent.glob("*.py"))
+            for scope, line in _sites(ast.parse(f.read_text(encoding="utf-8")), match)]
 
 
 def test_src_stores_parameter_data_only_where_the_buffer_is_built():
@@ -1073,11 +1099,22 @@ def test_src_stores_parameter_data_only_where_the_buffer_is_built():
     ``Backpack.__init__``: each parameter is a view of ``Backpack.flat`` for
     the model's life, and a later rebind would drop it silently out of
     training and out of every checkpoint."""
-    src = Path(backrank.__file__).parent
-    stores = [(f.name, scope, line) for f in sorted(src.glob("*.py"))
-              for scope, line in _data_stores(ast.parse(f.read_text(encoding="utf-8")))]
+    stores = _src_sites(lambda n: isinstance(n, ast.Attribute) and n.attr == "data"
+                        and isinstance(n.ctx, ast.Store))
     assert {(name, scope) for name, scope, _ in stores} == {
         ("numkernel.py", "Tensor.__init__"), ("backpack.py", "Backpack.__init__")}, stores
+
+
+def test_src_composes_the_encoder_only_in_alpha():
+    """``_embed(``, ``_sense_attention(`` and an encoder layer's ``.forward(``
+    are called in src/ only inside ``ContextEncoder.alpha``, once each:
+    training and ranking share that one composition, so the function
+    training fits is the one ranking scores. (src/ calls no other
+    ``.forward(``; ``Backpack.forward`` is for callers of the library.)"""
+    calls = _src_sites(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                       and n.func.attr in ("_embed", "_sense_attention", "forward"))
+    assert [(name, scope) for name, scope, _ in calls] == [
+        ("backpack.py", "ContextEncoder.alpha")] * 3, calls
 
 
 def test_console_script_entry_point(pipeline, tmp_path):

@@ -437,6 +437,11 @@ def test_bias_report_validates():
         bias_report([ranked], docs, cutoffs=(2, 2))
     with pytest.raises(DomainError, match="at least one value"):
         bias_report([ranked], docs, cutoffs=())
+    # a caller that writes a row per report.variants entry would write none, or each twice
+    with pytest.raises(DomainError, match=r"variants must list at least one value, got \(\)"):
+        bias_report([ranked], docs, variants=())
+    with pytest.raises(DomainError, match="variants must list each value once, got tf more"):
+        bias_report([ranked], docs, variants=("tf", "tf"))
     with pytest.raises(DomainError):
         bias_report([ranked, {}], docs)
     with pytest.raises(DomainError):

@@ -703,7 +703,8 @@ def test_sweep_encodes_each_pair_once(synth_setup, monkeypatch, tmp_path):
 
 def test_sweep_computes_each_gender_delta_once_across_lambdas(synth_setup, monkeypatch):
     """Three lambdas make as many gender-delta calls as one: each document's
-    delta is computed once per variant for the whole sweep."""
+    delta is computed once per variant for the whole sweep. Cutoff 8 reads
+    every candidate, so each lambda's lists hold the same documents."""
     model, vocab, _, eval_set = synth_setup
     scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
     calls = []
@@ -711,9 +712,9 @@ def test_sweep_computes_each_gender_delta_once_across_lambdas(synth_setup, monke
     monkeypatch.setattr(metrics, "_gender_delta",
                         lambda doc, variant: calls.append(variant) or real(doc, variant))
     per_sweep = []
-    for lambdas in ((1.0,), (1.0, 1.0, 1.0)):
+    for lambdas in ((1.0,), (1.0, 0.7, 0.5)):
         calls.clear()
-        sweep_lambda(model, eval_set, scores, lambdas, cutoffs=(3, 5), m=2)
+        sweep_lambda(model, eval_set, scores, lambdas, cutoffs=(3, 8), m=2)
         per_sweep.append(len(calls))
     assert per_sweep[0] == per_sweep[1] > 0
 
@@ -730,10 +731,13 @@ def test_sweep_suppression_changes_rankings(synth_setup):
 def test_sweep_validates_lambdas(synth_setup):
     model, vocab, _, eval_set = synth_setup
     scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"lambdas must list at least one value, got \(\)"):
         sweep_lambda(model, eval_set, scores, [])
     with pytest.raises(DomainError):
         sweep_lambda(model, eval_set, scores, [0.0])
+    # a repeated lambda would return, and write, each of its rows twice
+    with pytest.raises(DomainError, match="lambdas must list each value once, got 0.5 more"):
+        sweep_lambda(model, eval_set, scores, [0.5, 0.5])
 
 
 def test_training_example_pipeline_end_to_end(synth_setup):
