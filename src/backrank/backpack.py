@@ -268,8 +268,8 @@ class RelevanceHead:
         self.b2 = _zeros((1,))
 
     def logit(self, x: np.ndarray) -> tuple[np.ndarray, Backward]:
-        """B x d, or B x 1 x d, pooled vectors -> (B,) logits, and their
-        backward: g -> gradients of x, w1, b1, w2 and b2."""
+        """... x 1 x d pooled vectors -> (...) logits, and their backward:
+        g -> gradients of x, w1, b1, w2 and b2."""
         w1, b1, w2, b2 = (t.data for t in (self.w1, self.b1, self.w2, self.b2))
         h = nk.dense(x, w1, b1, squash=True)
         out = nk.dense(h, w2, b2)
@@ -279,37 +279,34 @@ class RelevanceHead:
             gx, gw1, gb1 = nk.linear_grads(gh * (1.0 - h * h), x, w1, b1.shape)
             return gx, gw1, gb1, gw2, gb2
 
-        return out.reshape(x.shape[0]), backward
+        return out.reshape(x.shape[:-2]), backward
 
 
-def aggregate(a: np.ndarray, s: np.ndarray, weights=None) -> tuple[np.ndarray, Backward]:
-    """Weighted sense aggregation, B x m x d for B x k x m x n weights a and
-    B x k x n x d senses s: out[b, i] = sum_l w_l sum_j a[b, l, i, j] s[b, l, j],
-    and its backward: g -> gradients of a and s.
+def aggregate(a: np.ndarray, s: np.ndarray, weights) -> tuple[np.ndarray, Backward]:
+    """Weighted sense aggregation, W x B x m x d for B x k x m x n weights a
+    and B x k x n x d senses s: out[w, b, i] = sum_l weights[w, l] sum_j
+    a[b, l, i, j] s[b, l, j], and its backward: g -> gradients of a and s.
 
-    ``weights`` is a length-k finite positive per-sense multiplier applied
-    outside alpha with no renormalization; None is all ones, applied by the
-    same multiply, which is exact. It is the only place weights act.
+    ``weights`` is a W x k matrix of finite positive per-sense multipliers,
+    applied outside alpha with no renormalization; an all-ones row is exact.
+    a @ s is computed once for all W rows. It is the only place weights act.
     """
     if a.ndim != 4 or s.ndim != 4 or a.shape[:2] != s.shape[:2] or a.shape[3] != s.shape[2]:
         raise DomainError("aggregate expects B x k x m x n weights and B x k x n x d senses")
     k = a.shape[1]
-    if weights is None:
-        w = np.ones((k, 1, 1))
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (k,):
-            raise DomainError(f"sense weights must have length {k}, got shape {w.shape}")
-        if not np.all(np.isfinite(w) & (w > 0.0)):    # w <= 0 alone would pass nan
-            raise DomainError("sense weights must be finite and strictly positive")
-        w = w.reshape(k, 1, 1)
+    w = np.asarray(weights, dtype=np.float64)    # ragged rows: numpy's ValueError
+    if w.ndim != 2 or w.shape[1] != k:
+        raise DomainError(f"sense weights must be a W x {k} matrix, got shape {w.shape}")
+    if not np.all(np.isfinite(w) & (w > 0.0)):    # w <= 0 alone would pass nan
+        raise DomainError("sense weights must be finite and strictly positive")
+    w = w[:, None, :, None, None]    # W x 1 x k x 1 x 1
     ctx = (a @ s) * w
 
     def backward(g):
-        gctx = np.expand_dims(g, 1) * w
+        gctx = np.add.reduce(np.expand_dims(g, 2) * w, axis=0)
         return gctx @ s.swapaxes(-1, -2), a.swapaxes(-1, -2) @ gctx
 
-    return ctx.sum(axis=1), backward
+    return ctx.sum(axis=2), backward
 
 
 class Backpack:
@@ -365,10 +362,11 @@ class Backpack:
 
     def forward(self, seqs: Sequence[Sequence[int]], weights=None) -> np.ndarray:
         """Per-position output vectors, B x n x d, for B token sequences
-        right-padded to the longest; ``weights`` scales whole senses."""
+        right-padded to the longest; ``weights`` (None: all ones) scales senses."""
         ids = self._pad(seqs)
         alpha = self.context.alpha(ids, np.arange(ids.shape[1]))[0]
-        return aggregate(alpha, self.senses.senses_for(ids)[0], weights)[0]
+        w = np.ones((1, self.config.num_senses)) if weights is None else [weights]
+        return aggregate(alpha, self.senses.senses_for(ids)[0], w)[0][0]
 
     def packed_length(self, query_len: int, doc_len: int) -> int:
         """Length of the packed sequence of a query and a document of these
@@ -381,11 +379,11 @@ class Backpack:
         q = list(query_ids[:n - 1])
         return q + [Vocab.SEP] + list(doc_ids[:n - 1 - len(q)])
 
-    def relevance_logits(self, seqs: Sequence[Sequence[int]], weight_sets: Sequence,
-                         table: np.ndarray) -> list[np.ndarray]:
+    def relevance_logits(self, seqs: Sequence[Sequence[int]], weights,
+                         table: np.ndarray) -> np.ndarray:
         """Pre-sigmoid relevance of each packed sequence (``pack_sequence``),
-        one (B,) array per entry of ``weight_sets`` (each None or a per-sense
-        weight vector): the one inference path.
+        W x B for a W x k matrix of per-sense ``weights`` (all ones: none):
+        the one inference path.
 
         ``table`` is the k x V x d sense table of the whole vocabulary,
         ``senses.senses_for`` of the 1 x V ids 0..V-1: senses are
@@ -395,18 +393,18 @@ class Backpack:
 
         Each row is pooled at its own last real position: alpha is computed
         for that position alone (B x k x 1 x n), so ``aggregate`` returns the
-        pooled B x 1 x d. The encoder runs once for the batch; only the
-        weighted aggregation and the head run per entry. Rows of one length
-        are bit-identical to each row scored alone.
+        pooled W x B x 1 x d. The encoder, aggregation and head run once per
+        batch. Rows of one length, and rows of ``weights``, are bit-identical
+        to each scored alone.
         """
         ids = self._pad(seqs)
         alpha = self.context.alpha(ids, [[len(s) - 1] for s in seqs])[0]
         senses = table[np.arange(table.shape[0])[:, None], ids[:, None]]
-        return [self.head.logit(aggregate(alpha, senses, w)[0])[0] for w in weight_sets]
+        return self.head.logit(aggregate(alpha, senses, weights)[0])[0]
 
     def logits_and_backward(self, seqs: Sequence[Sequence[int]]
                             ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        """The (B,) logits ``relevance_logits`` gives with no sense weights,
+        """The (B,) logits ``relevance_logits`` gives under all-ones weights,
         and one closure that maps their gradient to the gradient of every
         parameter, concatenated flat in ``parameters()`` order. Each
         component's backward runs once, in reverse; no output feeds two
@@ -414,12 +412,12 @@ class Backpack:
         ids = self._pad(seqs)
         alpha, alpha_back = self.context.alpha(ids, [[len(s) - 1] for s in seqs])
         senses, senses_back = self.senses.senses_for(ids)
-        pooled, aggregate_back = aggregate(alpha, senses)
-        z, head_back = self.head.logit(pooled)
+        pooled, aggregate_back = aggregate(alpha, senses, np.ones((1, self.config.num_senses)))
+        z, head_back = self.head.logit(pooled[0])
 
         def backward(g):
             gpooled, *ghead = head_back(g)
-            galpha, gsenses = aggregate_back(gpooled)
+            galpha, gsenses = aggregate_back(gpooled[None])
             grads = {**alpha_back(galpha), self.senses: senses_back(gsenses), self.head: ghead}
             return np.concatenate([g.ravel() for comp in self._components().values()
                                    for g in grads[comp]])

@@ -117,10 +117,14 @@ def distinct(name: str, values: Iterable) -> tuple:
 
 def _cutoffs(cutoffs: Sequence[int]) -> tuple[int, ...]:
     """A non-empty tuple of distinct int cutoffs >= 1, as --cutoffs takes them."""
-    ks = tuple(int(c) for c in cutoffs)
-    for k in ks:
-        if k < 1:
-            raise DomainError(f"cutoffs must be >= 1, got {k}")
+    ks = []
+    for c in cutoffs:
+        try:    # an int or a numpy integer; a float or a string is not converted
+            ks.append(operator.index(c))
+        except TypeError:
+            raise DomainError(f"cutoffs must be integers, got {c!r}") from None
+        if ks[-1] < 1:
+            raise DomainError(f"cutoffs must be >= 1, got {c}")
     return distinct("cutoffs", ks)
 
 

@@ -38,7 +38,7 @@ def run_forked(tasks) -> list:
                     os._exit(1)
             os.close(write_end)
             helpers.append((pid, open(read_end, "rb")))
-        results = [tasks[0]()]
+        results = [task() for task in tasks[:1]]    # none for no tasks
         for task, (_, pipe) in zip(tasks[1:], helpers):
             try:    # bytes from this call's own helper, or fewer
                 results.append(pickle.loads(pipe.read()))

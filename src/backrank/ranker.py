@@ -58,12 +58,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise DomainError("epochs must be >= 1")
+        if type(self.epochs) is not int or self.epochs < 1:    # range() takes ints only
+            raise DomainError(f"epochs must be an int >= 1, got {self.epochs!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise DomainError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.seed < 0:
-            raise DomainError("seed must be non-negative")
+        if type(self.seed) is not int or self.seed < 0:
+            raise DomainError(f"seed must be a non-negative int, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -175,22 +175,20 @@ def rank_all(model, eval_set: EvalSet,
     chunks = [group[start:start + _CHUNK_ROWS]
               for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)
               for start in range(0, len(group), _CHUNK_ROWS)]
-    logits = np.empty((len(weight_sets), len(docs)))
+    weights = [np.ones(model.config.num_senses) if w is None else w for w in weight_sets]
+    logits = np.empty((len(weights), len(docs)))
     table = model.senses.senses_for(np.arange(model.config.vocab_size)[None])[0][0]
 
-    def score(share):
-        for rows in share:
-            seqs = [model.pack_sequence(eval_set.queries[qids[q]], docs[p])
-                    for q, p in zip(query_of[rows].tolist(), rows.tolist())]
-            for out, z in zip(logits, model.relevance_logits(seqs, weight_sets, table)):
-                out[rows] = z
-        return logits   # a helper's copy holds the logits of its own share
+    def score(share):   # the W x (pairs in share) logits, chunk after chunk
+        return np.hstack([model.relevance_logits(
+            [model.pack_sequence(eval_set.queries[qids[q]], docs[p])
+             for q, p in zip(query_of[rows].tolist(), rows.tolist())], weights, table)
+            for rows in share])
 
-    workers = max(1, min(usable_cores(), len(chunks)))
+    workers = min(usable_cores(), len(chunks))    # no share at all when there are no pairs
     shares = [chunks[i::workers] for i in range(workers)]
     for share, scored in zip(shares, run_forked([lambda s=s: score(s) for s in shares])):
-        for rows in share:
-            logits[:, rows] = scored[:, rows]
+        logits[:, np.hstack(share)] = scored
     # an infinite logit has a finite sigmoid, so it is rejected here
     if not np.all(np.isfinite(logits)):
         raise DomainError("relevance logits must be finite")

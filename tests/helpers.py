@@ -211,8 +211,10 @@ def sense_table(model):
 
 
 def logits(model, query, docs, weights=None):
-    """The (B,) relevance logits of each document of docs for the query."""
-    return model.relevance_logits([model.pack_sequence(query, d) for d in docs], [weights],
+    """The (B,) relevance logits of each document of docs for the query,
+    under one per-sense weight vector (None for all ones)."""
+    w = np.ones((1, model.config.num_senses)) if weights is None else [weights]
+    return model.relevance_logits([model.pack_sequence(query, d) for d in docs], w,
                                   sense_table(model))[0]
 
 

@@ -165,7 +165,14 @@ def test_aggregate_validates_weights(model):
     with pytest.raises(DomainError):
         model.forward([ids], (1.0, 0.0, 1.0))     # non-positive
     with pytest.raises(DomainError):
-        aggregate(np.ones((2, 2)), np.ones((2, 2, 3)))
+        aggregate(np.ones((2, 2)), np.ones((2, 2, 3)), np.ones((1, 2)))
+    a, s = np.ones((1, 3, 1, 2)), np.ones((1, 3, 2, 4))
+    for bad in ((1.0, 1.0, 1.0), np.ones((2, 2)), np.ones((1, 1, 3))):
+        with pytest.raises(DomainError, match="must be a W x 3 matrix, got shape"):
+            aggregate(a, s, bad)    # one set, not a W x k matrix, or one more axis
+    for bad in ([[1.0, 1.0, 1.0], [1.0, 1.0]], "abc"):
+        with pytest.raises(ValueError):    # numpy's: no matrix of numbers at all
+            aggregate(a, s, bad)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -236,7 +243,7 @@ def test_every_model_entry_point_names_the_first_id_outside_the_vocabulary(model
     """Token ids are range-checked once, where they are first gathered, before
     any other use; the message names the first bad id in row-major order."""
     entry_points = (model.forward, model.logits_and_backward,
-                    lambda seqs: model.relevance_logits(seqs, [None], sense_table(model)))
+                    lambda seqs: model.relevance_logits(seqs, np.ones((1, 3)), sense_table(model)))
     for seqs, needle in (([[1, 2], [3, 12, -1]], "row index 12 out of range for 12 rows"),
                          ([[-1]], "row index -1 out of range for 12 rows")):
         for call in entry_points:
@@ -270,23 +277,25 @@ def test_relevance_logits_pool_forward_at_each_last_position(model):
         query, docs = _random_list(rng, 1 + rng.randint(6))
         seqs = [model.pack_sequence(query, d) for d in docs]
         last = [len(s) - 1 for s in seqs]
-        zs = model.relevance_logits(seqs, weight_sets, sense_table(model))
+        zs = model.relevance_logits(seqs, [np.ones(3) if w is None else w for w in weight_sets],
+                                    sense_table(model))
+        assert zs.shape == (len(weight_sets), len(docs))
         for w, z in zip(weight_sets, zs):
             out = model.forward(seqs, w)
-            want = model.head.logit(out[np.arange(len(seqs)), last])[0]
-            assert z.shape == (len(docs),)
+            want = model.head.logit(out[np.arange(len(seqs)), last][:, None])[0]
             assert np.max(np.abs(z - want)) <= 1e-12
-        assert np.array_equal(zs[0], zs[1])    # all-ones is None, bit for bit
+        assert np.array_equal(zs[0], zs[1])    # None and (1, 1, 1) are one ones row
 
 
 def test_relevance_logits_gather_the_senses_senses_for_computes(model, monkeypatch):
     """The senses relevance_logits gathers from the vocabulary-wide table
     equal senses_for of the batch's padded ids bit for bit, on ragged
-    batches of one to nine sequences, padding included."""
+    batches of one to nine sequences, padding included; one aggregate call
+    serves every weight set."""
     seen = []
     real = backpack.aggregate
     monkeypatch.setattr(backpack, "aggregate",
-                        lambda a, s, w=None: seen.append(s) or real(a, s, w))
+                        lambda a, s, w: seen.append(s) or real(a, s, w))
     table = sense_table(model)
     assert table.shape == (3, 12, 8)
     rng = SplitMix64(14)
@@ -296,9 +305,9 @@ def test_relevance_logits_gather_the_senses_senses_for_computes(model, monkeypat
         seqs = [model.pack_sequence(query, d) for d in docs]
         ragged += len(set(map(len, seqs))) > 1
         seen.clear()
-        model.relevance_logits(seqs, [None, (0.5, 1.0, 1.0)], table)
+        model.relevance_logits(seqs, [(1.0, 1.0, 1.0), (0.5, 1.0, 1.0)], table)
         want = model.senses.senses_for(model._pad(seqs))[0]
-        assert len(seen) == 2 and all(np.array_equal(s, want) for s in seen)
+        assert len(seen) == 1 and np.array_equal(seen[0], want)
     assert ragged >= 20
 
 
@@ -311,7 +320,8 @@ def test_logits_and_backward_scores_as_inference_does(small_cfg):
         model = Backpack(dataclasses.replace(small_cfg, context_layers=layers), seed=11)
         seqs = [model.pack_sequence(query, d) for d in docs]
         z, back = model.logits_and_backward(seqs)
-        assert np.array_equal(z, model.relevance_logits(seqs, [None], sense_table(model))[0])
+        ones = np.ones((1, model.config.num_senses))
+        assert np.array_equal(z, model.relevance_logits(seqs, ones, sense_table(model))[0])
         grad = back(np.ones_like(z))
         assert grad.shape == (sum(p.data.size for p in model.parameters().values()),)
 

@@ -1117,6 +1117,25 @@ def test_src_composes_the_encoder_only_in_alpha():
         ("backpack.py", "ContextEncoder.alpha")] * 3, calls
 
 
+def test_src_aggregates_every_weight_set_in_one_call():
+    """``aggregate(`` is called in src/ once in each of ``Backpack.forward``,
+    ``relevance_logits`` and ``logits_and_backward``, and never inside a loop
+    or a comprehension: the weight sets reach it as one W x k matrix, so
+    ``a @ s`` and the head run once per batch, whatever W is."""
+    def is_call(n):
+        return (isinstance(n, ast.Call)
+                and getattr(n.func, "id", getattr(n.func, "attr", None)) == "aggregate")
+
+    calls = _src_sites(is_call)
+    assert sorted((name, scope) for name, scope, _ in calls) == [
+        ("backpack.py", f"Backpack.{f}")
+        for f in ("forward", "logits_and_backward", "relevance_logits")], calls
+    repeated = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+                ast.GeneratorExp)
+    loops = _src_sites(lambda n: isinstance(n, repeated) and any(map(is_call, ast.walk(n))))
+    assert not loops, loops
+
+
 def test_console_script_entry_point(pipeline, tmp_path):
     """The module form works as a subprocess and honours BACKRANK_LOG."""
     # The child imports the same package as this process, installed or not.

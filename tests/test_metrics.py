@@ -346,6 +346,12 @@ def test_effectiveness_sorted_order_and_errors(simple_qrels):
         effectiveness(ranked, simple_qrels, (2, 10, 2))
     with pytest.raises(DomainError, match="at least one value"):
         effectiveness(ranked, simple_qrels, ())
+    # a float is not truncated to the cutoff below it, nor a string parsed
+    for bad in (2.5, 2.0, "2"):
+        with pytest.raises(DomainError, match=f"cutoffs must be integers, got {bad!r}"):
+            effectiveness(ranked, simple_qrels, (10, bad))
+    assert (effectiveness(ranked, simple_qrels, (np.int64(10),))
+            == effectiveness(ranked, simple_qrels, (10,)))
 
 
 @pytest.mark.parametrize("metric,fn", [("mrr", mrr_at_k), ("ndcg", ndcg_at_k)])
@@ -437,6 +443,9 @@ def test_bias_report_validates():
         bias_report([ranked], docs, cutoffs=(2, 2))
     with pytest.raises(DomainError, match="at least one value"):
         bias_report([ranked], docs, cutoffs=())
+    for bad in (2.5, "2"):    # reported as cutoff 2, or accepted, before they were checked
+        with pytest.raises(DomainError, match=f"cutoffs must be integers, got {bad!r}"):
+            bias_report([ranked], docs, cutoffs=(bad,))
     # a caller that writes a row per report.variants entry would write none, or each twice
     with pytest.raises(DomainError, match=r"variants must list at least one value, got \(\)"):
         bias_report([ranked], docs, variants=())

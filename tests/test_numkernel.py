@@ -270,6 +270,13 @@ def _component(obj, names, method):
     return call
 
 
+def _aggregate_one(a, s, weights):
+    """``aggregate`` under the one weight set ``weights`` (None: all ones),
+    as the oracle takes it: row 0 of its output, and a gradient for that row."""
+    out, back = aggregate(a, s, np.ones((1, a.shape[1])) if weights is None else [weights])
+    return out[0], lambda g: back(g[None])
+
+
 def _loss_node(z, y):
     """listwise_loss as one node; its gradient is the loss's own, scaled by
     the upstream gradient."""
@@ -328,7 +335,7 @@ def _component_cases(rng, shapes=SMALL_SHAPES):
             cases.append((name, _component(obj, names, method), _bound(obj, names, chain),
                           arrays + [rng.normal_array(shape) for shape in extra], consts))
         for weights in (None, (1.0,) * k, (0.05, 1.0, 0.5) + (0.2,) * (k - 3)):
-            cases.append(("aggregate", lambda a, s, w: node(aggregate, (a, s), w),
+            cases.append(("aggregate", lambda a, s, w: node(_aggregate_one, (a, s), w),
                           aggregate_chain,
                           [rng.normal_array((b, k, 1, n)), rng.normal_array((b, k, n, d))],
                           (weights,)))

@@ -68,6 +68,10 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(DomainError):
         TrainConfig(learning_rate=-1e-3)
+    # range() and the PRNG would fail on these only once training started
+    for field, bad in (("epochs", 2.5), ("seed", 1.5), ("epochs", 2.0), ("seed", "1")):
+        with pytest.raises(DomainError, match=f"^{field} must be .*int.*, got {bad!r}$"):
+            TrainConfig(**{field: bad})
 
 
 def test_eval_set_rejects_a_duplicate_candidate():
@@ -262,7 +266,8 @@ def test_listwise_gradient_through_ragged_batch():
     grads = np.split(back(listwise_loss(y, z)[1]), np.cumsum([p.data.size for p in params])[:-1])
 
     def loss():
-        return listwise_loss(y, model.relevance_logits(seqs, [None], sense_table(model))[0])[0]
+        return listwise_loss(y, model.relevance_logits(seqs, np.ones((1, 2)),
+                                                       sense_table(model))[0])[0]
 
     assert max(central_diff_error(loss, p.data, g) for p, g in zip(params, grads)) <= 1e-4
 
@@ -471,9 +476,9 @@ def test_rank_all_rejects_non_finite_logits_from_a_helper(tiny_model, monkeypatc
     real = Backpack.relevance_logits
     n_long = len(tiny_model.pack_sequence((3, 4), (7, 9, 8)))
 
-    def spoiled(self, seqs, weight_sets, table):
-        out = real(self, seqs, weight_sets, table)
-        return [z + bad for z in out] if len(seqs[0]) == n_long else out
+    def spoiled(self, seqs, weights, table):
+        out = real(self, seqs, weights, table)
+        return out + bad if len(seqs[0]) == n_long else out
 
     monkeypatch.setattr(Backpack, "relevance_logits", spoiled)
     log = tmp_path / "calls"

@@ -17,11 +17,14 @@ code. Every case runs at toy size: synth at 60 queries and skew 0.9.
 - Sense permutation: renumbering the senses of a trained model permutes its
   sense scores and sense maps, and keeps every sweep value and ranked list,
   up to summation rounding.
+- Weight-set batching: scoring a batch under several sense-weight sets at
+  once gives each set the logits it gets alone, bit for bit.
 """
 
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from backrank import (Vocab, attribute_scores, build_eval_set, build_sense_map,
@@ -32,6 +35,7 @@ from backrank.corpus import (bm25_retrieve, load_collection, read_gender_tokens,
                              read_ranking, records_from_ranking, write_run)
 from backrank.metrics import Qrels, bias_report, effectiveness
 from backrank.rng import SplitMix64
+from helpers import sense_table
 
 SYNTH_CFG = "skew = 0.9\nnum_queries = 60\n"
 TRAIN = ["--senses", "4", "--lr", "0.015", "--depth", "20", "--epochs", "1"]
@@ -292,3 +296,27 @@ def test_permuting_the_senses_permutes_their_scores_and_keeps_every_output(base,
                 assert perm_ranked.doc_ids == ranked.doc_ids, qid
                 separated += 1
     assert separated >= len(eval_set.queries)    # the order check ran on many lists
+
+
+# ---------------------------------------------------------------------------
+# weight-set batching
+
+
+def test_weight_sets_scored_together_each_equal_that_set_scored_alone(base, tmp_path):
+    """Row w of a 3-set relevance_logits call is the 1-set call under row w,
+    bit for bit, on every query's ragged candidate batch of a trained model:
+    the sets share one encoder pass and one a @ s, and none moves another."""
+    data, outputs = base
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(outputs["model.ckpt"])
+    model, tokens, _ = load_checkpoint(ckpt)
+    eval_set = build_eval_set(load_collection(*(data / name for name in INPUTS[:2])),
+                              Vocab(tokens), candidate_depth=20)
+    table = sense_table(model)
+    weights = np.array([(1.0,) * len(PERM), DISTINCT, (1.0, 0.05, 1.0, 0.5)])
+    for qid, query in sorted(eval_set.queries.items()):
+        seqs = [model.pack_sequence(query, doc) for _, doc in eval_set.candidates[qid]]
+        together = model.relevance_logits(seqs, weights, table)
+        assert together.shape == (3, len(seqs))
+        for w, row in zip(weights, together):
+            assert np.array_equal(row, model.relevance_logits(seqs, w[None], table)[0]), qid
