@@ -16,9 +16,11 @@ after it: a padded row matches the row alone up to rounding (about 1e-16).
 
 For ranking, query and document are packed as query ++ <sep> ++ document,
 pooled at the last real position, and passed through a two-layer MLP; the
-sigmoid of its output is the relevance score. Only that position's alpha
-row reaches the score, so ranking and training compute alpha for it alone
-(m = 1); ``Backpack.forward`` computes every position (m = n).
+sigmoid of its output is the relevance score. ``Backpack.relevance_logits``
+is the one scoring method: training uses the backward it returns, ranking
+drops it. Only the pooled position's alpha row reaches the score, so it
+computes alpha for that position alone (m = 1); ``Backpack.forward``
+computes every position (m = n).
 """
 
 from __future__ import annotations
@@ -379,45 +381,31 @@ class Backpack:
         q = list(query_ids[:n - 1])
         return q + [Vocab.SEP] + list(doc_ids[:n - 1 - len(q)])
 
-    def relevance_logits(self, seqs: Sequence[Sequence[int]], weights,
-                         table: np.ndarray) -> np.ndarray:
+    def relevance_logits(self, seqs: Sequence[Sequence[int]], weights
+                         ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         """Pre-sigmoid relevance of each packed sequence (``pack_sequence``),
-        W x B for a W x k matrix of per-sense ``weights`` (all ones: none):
-        the one inference path.
-
-        ``table`` is the k x V x d sense table of the whole vocabulary,
-        ``senses.senses_for`` of the 1 x V ids 0..V-1: senses are
-        non-contextual, so a caller scoring many batches computes it once.
-        The senses gathered from it equal ``senses_for(ids)`` bit for bit
-        when the batch is two or more positions long.
+        W x B for a W x k matrix of per-sense ``weights`` (all ones: none),
+        and one closure that maps their W x B gradient to the gradient of
+        every parameter, concatenated flat in ``parameters()`` order: the
+        one scoring path, for training and ranking alike.
 
         Each row is pooled at its own last real position: alpha is computed
         for that position alone (B x k x 1 x n), so ``aggregate`` returns the
-        pooled W x B x 1 x d. The encoder, aggregation and head run once per
-        batch. Rows of one length, and rows of ``weights``, are bit-identical
-        to each scored alone.
+        pooled W x B x 1 x d. The encoder, sense table, aggregation and head
+        run once per batch. Rows of one length, and rows of ``weights``, are
+        bit-identical to each scored alone. Each component's backward runs
+        once, in reverse; no output feeds two components, so no gradient is
+        summed across them.
         """
-        ids = self._pad(seqs)
-        alpha = self.context.alpha(ids, [[len(s) - 1] for s in seqs])[0]
-        senses = table[np.arange(table.shape[0])[:, None], ids[:, None]]
-        return self.head.logit(aggregate(alpha, senses, weights)[0])[0]
-
-    def logits_and_backward(self, seqs: Sequence[Sequence[int]]
-                            ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        """The (B,) logits ``relevance_logits`` gives under all-ones weights,
-        and one closure that maps their gradient to the gradient of every
-        parameter, concatenated flat in ``parameters()`` order. Each
-        component's backward runs once, in reverse; no output feeds two
-        components, so no gradient is summed across them."""
         ids = self._pad(seqs)
         alpha, alpha_back = self.context.alpha(ids, [[len(s) - 1] for s in seqs])
         senses, senses_back = self.senses.senses_for(ids)
-        pooled, aggregate_back = aggregate(alpha, senses, np.ones((1, self.config.num_senses)))
-        z, head_back = self.head.logit(pooled[0])
+        pooled, aggregate_back = aggregate(alpha, senses, weights)
+        z, head_back = self.head.logit(pooled)
 
         def backward(g):
             gpooled, *ghead = head_back(g)
-            galpha, gsenses = aggregate_back(gpooled[None])
+            galpha, gsenses = aggregate_back(gpooled)
             grads = {**alpha_back(galpha), self.senses: senses_back(gsenses), self.head: ghead}
             return np.concatenate([g.ravel() for comp in self._components().values()
                                    for g in grads[comp]])

@@ -29,7 +29,7 @@ from .corpus import (SynthConfig, Vocab, build_eval_set, build_train_examples,
                      read_qrels, read_ranking,
                      records_from_ranking, write_collection, write_run)
 from .errors import BackrankError, DomainError, ParseError, read_lines
-from .metrics import bias_report, effectiveness
+from .metrics import bias_report, distinct, effectiveness
 from .parallel import run_forked
 from .ranker import SWEEP_COLUMNS, TrainConfig, rank_all, sweep_lambda, train
 from .senses import (attribute_scores, build_sense_map, default_pairs_path,
@@ -83,16 +83,16 @@ def _checked(convert, ok, rule: str):
 
 
 def _list_of(item):
-    """A non-empty comma-separated list of distinct ``item`` values, as a tuple."""
+    """A comma-separated list of ``item`` values, as a tuple, under
+    ``metrics.distinct``'s rule; an empty list is named by its text."""
     def parse(text):
         values = tuple(item(part) for part in text.split(",") if part.strip())
         if not values:
             raise argparse.ArgumentTypeError(f"must list at least one value, got {text!r}")
-        for i, value in enumerate(values):
-            if value in values[:i]:    # it would write, or score, the same row twice
-                raise argparse.ArgumentTypeError(f"must list each value once, got {value} "
-                                                 "more than once")
-        return values
+        try:
+            return distinct("list", values)
+        except DomainError as exc:    # main puts the option's name in front
+            raise argparse.ArgumentTypeError(str(exc).removeprefix("list ")) from None
     parse.__name__ = f"{item.__name__} list"
     return parse
 

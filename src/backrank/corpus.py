@@ -267,13 +267,18 @@ class SynthConfig:
 
     @staticmethod
     def _check_value(name: str, value) -> None:
-        """The checks on a single field; DomainError names the field."""
-        if name == "seed":
-            if value < 0:
-                raise DomainError("seed must be non-negative")
-        elif name in _UNIT_FIELDS:
+        """The checks on a single field; DomainError names the field. A unit
+        field takes an int or a float, every other field an int."""
+        if name in _UNIT_FIELDS:
+            if type(value) not in (int, float):
+                raise DomainError(f"{name} must be a number, got {value!r}")
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"{name} must be in [0, 1]")
+        elif type(value) is not int:
+            raise DomainError(f"{name} must be an int, got {value!r}")
+        elif name == "seed":
+            if value < 0:
+                raise DomainError("seed must be non-negative")
         elif value < 1:
             raise DomainError(f"{name} must be positive")
 

@@ -107,6 +107,7 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
         raise DomainError("training dataset is empty")
     rng = SplitMix64(cfg.seed)
     history: list[float] = []
+    ones = np.ones((1, model.config.num_senses))    # no sense is scaled in training
     # A diverging run overflows to inf and nan; it is reported below and by the
     # per-step loss check as a DomainError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -115,14 +116,14 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
             rng.shuffle(order)
             for idx in order:
                 ex = dataset[idx]
-                z, back = model.logits_and_backward(
-                    [model.pack_sequence(ex.query, d) for d in ex.docs])
-                loss, gz = listwise_loss(ex.labels, z)
+                z, back = model.relevance_logits(
+                    [model.pack_sequence(ex.query, d) for d in ex.docs], ones)
+                loss, gz = listwise_loss(ex.labels, z[0])
                 history.append(loss)
                 if not math.isfinite(loss):
                     raise DomainError(f"training diverged at step {len(history)}: "
                                       f"loss is {loss}")
-                grad = back(gz)
+                grad = back(gz[None])
                 del back    # free this step's intermediates before the next forward
                 # every parameter is a view of model.flat: a step is one update
                 model.flat -= np.multiply(grad, cfg.learning_rate, out=grad)
@@ -160,10 +161,9 @@ def rank_all(model, eval_set: EvalSet,
     first, in calls of at most ``_CHUNK_ROWS`` pairs of one packed length
     (``packed_length``, so each pair is packed once, when it is scored):
     no row is padded, so a pair's logit is bit-identical to it scored alone.
-    The sense table of the whole vocabulary is computed once per call and
-    shared by every chunk. The chunks are dealt round-robin into one share
-    per usable core, and forked helpers score every share but the first: a
-    chunk's logits are the same bits in any process."""
+    The chunks are dealt round-robin into one share per usable core, and
+    forked helpers score every share but the first: a chunk's logits are the
+    same bits in any process."""
     qids = sorted(eval_set.queries)
     counts = [len(eval_set.candidates[qid]) for qid in qids]
     query_of = np.repeat(np.arange(len(qids)), counts)
@@ -177,12 +177,11 @@ def rank_all(model, eval_set: EvalSet,
               for start in range(0, len(group), _CHUNK_ROWS)]
     weights = [np.ones(model.config.num_senses) if w is None else w for w in weight_sets]
     logits = np.empty((len(weights), len(docs)))
-    table = model.senses.senses_for(np.arange(model.config.vocab_size)[None])[0][0]
 
     def score(share):   # the W x (pairs in share) logits, chunk after chunk
         return np.hstack([model.relevance_logits(
             [model.pack_sequence(eval_set.queries[qids[q]], docs[p])
-             for q, p in zip(query_of[rows].tolist(), rows.tolist())], weights, table)
+             for q, p in zip(query_of[rows].tolist(), rows.tolist())], weights)[0]
             for rows in share])
 
     workers = min(usable_cores(), len(chunks))    # no share at all when there are no pairs

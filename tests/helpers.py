@@ -204,18 +204,11 @@ def finite_diff_check(f, x, eps=1e-5):
     return central_diff_error(lambda: f(probe).item(), probe.data, analytic, eps)
 
 
-def sense_table(model):
-    """The k x V x d sense table of the model's whole vocabulary, as
-    ``rank_all`` computes it for ``relevance_logits``."""
-    return model.senses.senses_for(np.arange(model.config.vocab_size)[None])[0][0]
-
-
 def logits(model, query, docs, weights=None):
     """The (B,) relevance logits of each document of docs for the query,
     under one per-sense weight vector (None for all ones)."""
     w = np.ones((1, model.config.num_senses)) if weights is None else [weights]
-    return model.relevance_logits([model.pack_sequence(query, d) for d in docs], w,
-                                  sense_table(model))[0]
+    return model.relevance_logits([model.pack_sequence(query, d) for d in docs], w)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,8 @@ def _central_diff_param_grads(model, q, doc):
     """Max relative error of d(sigmoid(logit))/d(theta) over every parameter
     coordinate, analytic gradient vs central differences."""
     params = list(model.parameters().values())
-    z, back = model.logits_and_backward([model.pack_sequence(q, doc)])
+    z, back = model.relevance_logits([model.pack_sequence(q, doc)],
+                                     np.ones((1, model.config.num_senses)))
     s = nk.sigmoid(z)
     analytic = np.split(back(s * (1.0 - s)), np.cumsum([p.data.size for p in params])[:-1])
     return max(central_diff_error(lambda: nk.sigmoid(logits(model, q, [doc]))[0], p.data, a)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from backrank import backpack
+from backrank import numkernel as nk
 from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, ParseError,
                       Qrels, SplitMix64, Tensor, Vocab, aggregate, load_checkpoint,
                       rank_all, save_checkpoint)
-from helpers import forward_triple_loop, logits, rewrite_checkpoint_header, sense_table
+from helpers import forward_triple_loop, logits, rewrite_checkpoint_header
 
 
 @pytest.fixture
@@ -242,8 +243,7 @@ def test_pad_builds_ragged_and_equal_length_batches_alike(model):
 def test_every_model_entry_point_names_the_first_id_outside_the_vocabulary(model):
     """Token ids are range-checked once, where they are first gathered, before
     any other use; the message names the first bad id in row-major order."""
-    entry_points = (model.forward, model.logits_and_backward,
-                    lambda seqs: model.relevance_logits(seqs, np.ones((1, 3)), sense_table(model)))
+    entry_points = (model.forward, lambda seqs: model.relevance_logits(seqs, np.ones((1, 3))))
     for seqs, needle in (([[1, 2], [3, 12, -1]], "row index 12 out of range for 12 rows"),
                          ([[-1]], "row index -1 out of range for 12 rows")):
         for call in entry_points:
@@ -277,8 +277,7 @@ def test_relevance_logits_pool_forward_at_each_last_position(model):
         query, docs = _random_list(rng, 1 + rng.randint(6))
         seqs = [model.pack_sequence(query, d) for d in docs]
         last = [len(s) - 1 for s in seqs]
-        zs = model.relevance_logits(seqs, [np.ones(3) if w is None else w for w in weight_sets],
-                                    sense_table(model))
+        zs = model.relevance_logits(seqs, [np.ones(3) if w is None else w for w in weight_sets])[0]
         assert zs.shape == (len(weight_sets), len(docs))
         for w, z in zip(weight_sets, zs):
             out = model.forward(seqs, w)
@@ -287,41 +286,26 @@ def test_relevance_logits_pool_forward_at_each_last_position(model):
         assert np.array_equal(zs[0], zs[1])    # None and (1, 1, 1) are one ones row
 
 
-def test_relevance_logits_gather_the_senses_senses_for_computes(model, monkeypatch):
-    """The senses relevance_logits gathers from the vocabulary-wide table
-    equal senses_for of the batch's padded ids bit for bit, on ragged
-    batches of one to nine sequences, padding included; one aggregate call
-    serves every weight set."""
-    seen = []
-    real = backpack.aggregate
-    monkeypatch.setattr(backpack, "aggregate",
-                        lambda a, s, w: seen.append(s) or real(a, s, w))
-    table = sense_table(model)
-    assert table.shape == (3, 12, 8)
-    rng = SplitMix64(14)
-    ragged = 0
-    for _ in range(40):
-        query, docs = _random_list(rng, 1 + rng.randint(9))
-        seqs = [model.pack_sequence(query, d) for d in docs]
-        ragged += len(set(map(len, seqs))) > 1
-        seen.clear()
-        model.relevance_logits(seqs, [(1.0, 1.0, 1.0), (0.5, 1.0, 1.0)], table)
-        want = model.senses.senses_for(model._pad(seqs))[0]
-        assert len(seen) == 1 and np.array_equal(seen[0], want)
-    assert ragged >= 20
-
-
-def test_logits_and_backward_scores_as_inference_does(small_cfg):
-    """The training chain's logits are the unweighted inference logits, bit
-    for bit, and its closure returns one gradient entry per parameter
-    value, at one to three encoder layers."""
+def test_rank_all_scores_the_sigmoid_of_the_logits_training_fits(small_cfg):
+    """rank_all's scores are the sigmoid of relevance_logits under all-ones
+    weights, bit for bit, on a ragged list and on a one-position model. The
+    ragged batch a training step scores in one call agrees with them up to
+    padding's rounding, and its closure returns one gradient entry per
+    parameter value, at one to three encoder layers."""
     query, docs = _random_list(SplitMix64(9), 8)
-    for layers in (1, 2, 3):
-        model = Backpack(dataclasses.replace(small_cfg, context_layers=layers), seed=11)
+    cands = [(f"d{i}", d) for i, d in enumerate(docs)]
+    for layers, max_len in ((1, 10), (2, 10), (3, 10), (1, 1)):
+        model = Backpack(dataclasses.replace(small_cfg, context_layers=layers,
+                                             max_seq_len=max_len), seed=11)
         seqs = [model.pack_sequence(query, d) for d in docs]
-        z, back = model.logits_and_backward(seqs)
+        assert (len(set(map(len, seqs))) > 1) == (max_len > 1)    # ragged, or one position
         ones = np.ones((1, model.config.num_senses))
-        assert np.array_equal(z, model.relevance_logits(seqs, ones, sense_table(model))[0])
+        alone = np.array([model.relevance_logits([s], ones)[0][0, 0] for s in seqs])
+        [(_, [ranked])] = rank_all(model, EvalSet({"q": query}, {"q": cands}, Qrels({}), {}))
+        assert dict(ranked.items) == dict(zip((did for did, _ in cands),
+                                              nk.sigmoid(alone).tolist()))
+        z, back = model.relevance_logits(seqs, ones)
+        assert np.max(np.abs(z[0] - alone)) <= 1e-12
         grad = back(np.ones_like(z))
         assert grad.shape == (sum(p.data.size for p in model.parameters().values()),)
 

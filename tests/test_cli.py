@@ -1118,22 +1118,31 @@ def test_src_composes_the_encoder_only_in_alpha():
 
 
 def test_src_aggregates_every_weight_set_in_one_call():
-    """``aggregate(`` is called in src/ once in each of ``Backpack.forward``,
-    ``relevance_logits`` and ``logits_and_backward``, and never inside a loop
-    or a comprehension: the weight sets reach it as one W x k matrix, so
-    ``a @ s`` and the head run once per batch, whatever W is."""
-    def is_call(n):
+    """``aggregate(`` is called in src/ once in each of ``Backpack.forward``
+    and ``relevance_logits``, and never inside a loop or a comprehension:
+    the weight sets reach it as one W x k matrix, so ``a @ s`` and the head
+    run once per batch, whatever W is. There is one scoring path: the head's
+    ``.logit(`` is called once, in ``relevance_logits``, and ``senses_for(``
+    only there, in ``Backpack.forward`` and in ``senses.attribute_scores``,
+    so training and ranking gather their senses alike."""
+    def is_call(n, name="aggregate"):
         return (isinstance(n, ast.Call)
-                and getattr(n.func, "id", getattr(n.func, "attr", None)) == "aggregate")
+                and getattr(n.func, "id", getattr(n.func, "attr", None)) == name)
 
     calls = _src_sites(is_call)
     assert sorted((name, scope) for name, scope, _ in calls) == [
-        ("backpack.py", f"Backpack.{f}")
-        for f in ("forward", "logits_and_backward", "relevance_logits")], calls
+        ("backpack.py", f"Backpack.{f}") for f in ("forward", "relevance_logits")], calls
     repeated = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
                 ast.GeneratorExp)
     loops = _src_sites(lambda n: isinstance(n, repeated) and any(map(is_call, ast.walk(n))))
     assert not loops, loops
+    heads = _src_sites(lambda n: is_call(n, "logit"))
+    assert [(name, scope) for name, scope, _ in heads] == [
+        ("backpack.py", "Backpack.relevance_logits")], heads
+    senses = _src_sites(lambda n: is_call(n, "senses_for"))
+    assert sorted((name, scope) for name, scope, _ in senses) == [
+        ("backpack.py", "Backpack.forward"), ("backpack.py", "Backpack.relevance_logits"),
+        ("senses.py", "attribute_scores")], senses
 
 
 def test_console_script_entry_point(pipeline, tmp_path):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import string
 import subprocess
 import sys
@@ -329,6 +330,15 @@ def test_synth_config_validation():
         SynthConfig(query_len=20, doc_len=10)
     with pytest.raises(DomainError):
         SynthConfig(gender_min_repeat=4, gender_max_repeat=2)
+    # an int field takes only an int, a unit field an int or a float
+    for field, bad, needle in (("num_queries", 2.5, "num_queries must be an int, got 2.5"),
+                               ("seed", 1.5, "seed must be an int, got 1.5"),
+                               ("seed", True, "seed must be an int, got True"),
+                               ("skew", "0.5", "skew must be a number, got '0.5'"),
+                               ("gender_rate", None, "gender_rate must be a number, got None")):
+        with pytest.raises(DomainError, match=f"^{re.escape(needle)}$"):
+            SynthConfig(**{field: bad})
+    assert SynthConfig(skew=1, gender_rate=0).skew == 1
 
 
 def test_synth_config_file_round_trip(tmp_path):

@@ -14,13 +14,13 @@ from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, Qrels,
                       listwise_loss, load_checkpoint, rank_all, save_checkpoint,
                       sweep_lambda, train)
 from backrank import metrics, ranker
-from backrank.backpack import ContextEncoder, SenseTable
+from backrank.backpack import ContextEncoder
 from backrank.ranker import SWEEP_COLUMNS
 from backrank.senses import PolarityPair
 from backrank import numkernel as nk
 from helpers import (ScalarSplitMix64, Tape, assert_ranking_invariants, backward,
                      central_diff_error, forbid_fork, listwise_loss_chain, logits,
-                     pin_cores, relevance_logit_chain, sense_table, tracked)
+                     pin_cores, relevance_logit_chain, tracked)
 
 
 @pytest.fixture
@@ -192,10 +192,11 @@ def test_each_example_takes_one_sgd_step_in_shuffle_order():
     losses = []
     for idx in order:
         ex = dataset[idx]
-        z, back = ref.logits_and_backward([ref.pack_sequence(ex.query, d) for d in ex.docs])
-        loss, gz = listwise_loss(ex.labels, z)
+        z, back = ref.relevance_logits([ref.pack_sequence(ex.query, d) for d in ex.docs],
+                                       np.ones((1, 2)))
+        loss, gz = listwise_loss(ex.labels, z[0])
         losses.append(loss)
-        grads = np.split(back(gz), np.cumsum([p.data.size for p in tensors])[:-1])
+        grads = np.split(back(gz[None]), np.cumsum([p.data.size for p in tensors])[:-1])
         for p, g in zip(tensors, grads):
             p.data = p.data - lr * g.reshape(p.data.shape)
     model, history = train(dataset, TrainConfig(epochs=1, learning_rate=lr, seed=0),
@@ -261,13 +262,13 @@ def test_listwise_gradient_through_ragged_batch():
     model = Backpack(cfg, seed=4)
     q, docs, y = (1, 2), ((3,), (4, 5, 3), (5, 4, 3, 2, 1)), (0.0, 1.0, 0.0)
     seqs = [model.pack_sequence(q, d) for d in docs]
-    z, back = model.logits_and_backward(seqs)
+    z, back = model.relevance_logits(seqs, np.ones((1, 2)))
     params = list(model.parameters().values())
-    grads = np.split(back(listwise_loss(y, z)[1]), np.cumsum([p.data.size for p in params])[:-1])
+    grads = np.split(back(listwise_loss(y, z[0])[1][None]),
+                     np.cumsum([p.data.size for p in params])[:-1])
 
     def loss():
-        return listwise_loss(y, model.relevance_logits(seqs, np.ones((1, 2)),
-                                                       sense_table(model))[0])[0]
+        return listwise_loss(y, model.relevance_logits(seqs, np.ones((1, 2)))[0][0])[0]
 
     assert max(central_diff_error(loss, p.data, g) for p, g in zip(params, grads)) <= 1e-4
 
@@ -476,9 +477,9 @@ def test_rank_all_rejects_non_finite_logits_from_a_helper(tiny_model, monkeypatc
     real = Backpack.relevance_logits
     n_long = len(tiny_model.pack_sequence((3, 4), (7, 9, 8)))
 
-    def spoiled(self, seqs, weights, table):
-        out = real(self, seqs, weights, table)
-        return out + bad if len(seqs[0]) == n_long else out
+    def spoiled(self, seqs, weights):
+        out, back = real(self, seqs, weights)
+        return (out + bad if len(seqs[0]) == n_long else out), back
 
     monkeypatch.setattr(Backpack, "relevance_logits", spoiled)
     log = tmp_path / "calls"
@@ -552,27 +553,6 @@ def test_rank_all_packs_each_pair_once(tiny_model, monkeypatch, tmp_path):
     calls = _logged(log)
     assert len(calls) == 15
     assert len({pid for pid, _ in calls}) == 2
-
-
-@pytest.mark.parametrize("weight_sets", [(None,), (None, (0.5, 1.0), (1.0, 0.2), (1.0, 1.0))])
-def test_rank_all_computes_the_sense_table_once(tiny_model, monkeypatch, weight_sets):
-    """One vocabulary-wide sense table per call, however many chunks and
-    weight sets it scores."""
-    rng = SplitMix64(13)
-    queries = {f"q{i}": tuple(3 + rng.randint(27) for _ in range(1 + i % 3)) for i in range(6)}
-    cands = {qid: [(f"d{j}", tuple(3 + rng.randint(27) for _ in range(2 + j % 4)))
-                   for j in range(30)] for qid in queries}
-    calls = []
-    senses_for = SenseTable.senses_for
-
-    def counting(self, ids):
-        calls.append(np.shape(ids))
-        return senses_for(self, ids)
-
-    monkeypatch.setattr(SenseTable, "senses_for", counting)
-    ranked = list(rank_all(tiny_model, EvalSet(queries, cands, Qrels({}), {}), weight_sets))
-    assert len(ranked) == 6 and all(len(lists) == len(weight_sets) for _, lists in ranked)
-    assert calls == [(1, tiny_model.config.vocab_size)]
 
 
 @pytest.mark.parametrize("layers", [1, 2])

@@ -35,7 +35,6 @@ from backrank.corpus import (bm25_retrieve, load_collection, read_gender_tokens,
                              read_ranking, records_from_ranking, write_run)
 from backrank.metrics import Qrels, bias_report, effectiveness
 from backrank.rng import SplitMix64
-from helpers import sense_table
 
 SYNTH_CFG = "skew = 0.9\nnum_queries = 60\n"
 TRAIN = ["--senses", "4", "--lr", "0.015", "--depth", "20", "--epochs", "1"]
@@ -312,11 +311,10 @@ def test_weight_sets_scored_together_each_equal_that_set_scored_alone(base, tmp_
     model, tokens, _ = load_checkpoint(ckpt)
     eval_set = build_eval_set(load_collection(*(data / name for name in INPUTS[:2])),
                               Vocab(tokens), candidate_depth=20)
-    table = sense_table(model)
     weights = np.array([(1.0,) * len(PERM), DISTINCT, (1.0, 0.05, 1.0, 0.5)])
     for qid, query in sorted(eval_set.queries.items()):
         seqs = [model.pack_sequence(query, doc) for _, doc in eval_set.candidates[qid]]
-        together = model.relevance_logits(seqs, weights, table)
+        together = model.relevance_logits(seqs, weights)[0]
         assert together.shape == (3, len(seqs))
         for w, row in zip(weights, together):
-            assert np.array_equal(row, model.relevance_logits(seqs, w[None], table)[0]), qid
+            assert np.array_equal(row, model.relevance_logits(seqs, w[None])[0][0]), qid
