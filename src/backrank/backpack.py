@@ -25,9 +25,12 @@ computes every position (m = n).
 
 from __future__ import annotations
 
+import array
 import functools
+import itertools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
@@ -105,11 +108,11 @@ class SenseTable:
         self.b2 = _zeros((k, 1, d))
         self._k = k
 
-    def senses_for(self, ids) -> tuple[np.ndarray, Backward]:
-        """Sense vectors for a B x n id matrix, shaped B x k x n x d, and
+    def senses_for(self, ids: np.ndarray) -> tuple[np.ndarray, Backward]:
+        """Sense vectors for a B x n intp id matrix, shaped B x k x n x d, and
         their backward: g -> gradients of base, w1, b1, w2, b2."""
         base, w1, b1, w2, b2 = (t.data for t in (self.base, self.w1, self.b1, self.w2, self.b2))
-        ix, rows = nk.gather_rows(base, ids)
+        rows = base[ids]
         h = nk.dense(rows, w1, b1, squash=True)
         hk = nk.split_heads(h, self._k)
 
@@ -117,7 +120,7 @@ class SenseTable:
             ghk, gw2, gb2 = nk.linear_grads(g, hk, w2, b2.shape)
             grows, gw1, gb1 = nk.linear_grads(nk.merge_heads(ghk) * (1.0 - h * h),
                                               rows, w1, b1.shape)
-            return nk.scatter_rows(base.shape, ix, grows), gw1, gb1, gw2, gb2
+            return nk.scatter_rows(base.shape, ids, grows), gw1, gb1, gw2, gb2
 
         return nk.dense(hk, w2, b2), backward
 
@@ -197,17 +200,17 @@ class ContextEncoder:
         self.ak = _param(rng, (d, k * self.alpha_dim), w_sigma)
         self.abk = _zeros((k * self.alpha_dim,))
 
-    def _embed(self, ids) -> tuple[np.ndarray, Backward]:
-        """Token plus position embeddings, B x n x d, and their backward:
-        g -> gradients of tok_emb and pos_emb."""
+    def _embed(self, ids: np.ndarray) -> tuple[np.ndarray, Backward]:
+        """Token plus position embeddings of a B x n intp id matrix, B x n x d,
+        and their backward: g -> gradients of tok_emb and pos_emb."""
         tok, pos = self.tok_emb.data, self.pos_emb.data
-        ix, rows = nk.gather_rows(tok, ids)
-        n = ix.shape[1]
+        rows = tok[ids]
+        n = rows.shape[1]
 
         def backward(g):
             gpos = np.zeros(pos.shape)
             gpos[:n] += np.add.reduce(g, axis=0)    # 0.0 + each sum, as the scatter adds
-            return nk.scatter_rows(tok.shape, ix, g), gpos
+            return nk.scatter_rows(tok.shape, ids, g), gpos
 
         return np.add(rows, pos[:n], out=rows), backward
 
@@ -348,18 +351,32 @@ class Backpack:
     # forward
 
     def _pad(self, seqs: Sequence[Sequence[int]]) -> np.ndarray:
-        """A B x n id matrix, right-padded with id 0; ``_embed`` range-checks the ids."""
+        """A B x n intp id matrix, right-padded with id 0: the one check of
+        token ids. A non-integer id is a DomainError naming it, and so is the
+        first id outside [0, vocab_size) in row-major order."""
         if len(seqs) == 0:
             raise DomainError("batch must hold at least one sequence")
-        if min(map(len, seqs)) == 0:
+        lengths = [len(s) for s in seqs]
+        if min(lengths) == 0:
             raise DomainError("token sequence must be non-empty")
-        n = max(map(len, seqs))
+        n = max(lengths)
         if n > self.config.max_seq_len:
             raise DomainError(
                 f"sequence length {n} exceeds max_seq_len {self.config.max_seq_len}")
+        flat = list(itertools.chain.from_iterable(seqs))
+        try:    # array.array takes what operator.index takes, up to 64 bits
+            values = np.frombuffer(array.array("q", flat), np.int64)
+        except (TypeError, OverflowError):    # a non-integer, or an int past 64 bits
+            values = np.array(flat, dtype=object)
+            non_int = [x for x in flat if not isinstance(x, numbers.Integral)]
+            if non_int:
+                raise DomainError(f"token id {non_int[0]!r} is not an integer") from None
+        v = self.config.vocab_size
+        bad = values[(values < 0) | (values >= v)]
+        if bad.size:
+            raise DomainError(f"row index {bad[0]} out of range for {v} rows")
         ids = np.zeros((len(seqs), n), dtype=np.intp)
-        for row, seq in zip(ids, seqs):
-            row[:len(seq)] = seq
+        ids[np.arange(n) < np.array(lengths)[:, None]] = values
         return ids
 
     def forward(self, seqs: Sequence[Sequence[int]], weights=None) -> np.ndarray:

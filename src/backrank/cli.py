@@ -47,26 +47,17 @@ def _make_parents(*outputs) -> None:
             Path(path).parent.mkdir(parents=True)
 
 
-def _meta_comment(seed, lambdas) -> str:
+def _write_csv(path, columns, rows, seed=None, lambdas=None) -> None:
+    """Header + rows + one trailing metadata comment; floats at 6 decimals."""
     # a checkpoint's meta.seed is free-form: json keeps it on the comment line
     seed_s = "-" if seed is None else json.dumps(seed)
     lam_s = "-" if lambdas is None else "|".join(repr(float(v)) for v in lambdas)
-    return f"# backrank={__version__} seed={seed_s} lambda={lam_s}\n"
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
-def _write_csv(path, columns, rows, seed=None, lambdas=None) -> None:
-    """Header + rows + one trailing metadata comment; floats at 6 decimals."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(row[c]) for c in columns) + "\n")
-        fh.write(_meta_comment(seed, lambdas))
+            cells = (row[c] for c in columns)
+            fh.write(",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in cells) + "\n")
+        fh.write(f"# backrank={__version__} seed={seed_s} lambda={lam_s}\n")
 
 
 def _checked(convert, ok, rule: str):
@@ -208,10 +199,7 @@ def cmd_rank(args) -> int:
         raise ParseError(f"run tag {tag!r} must not contain whitespace", path=args.checkpoint)
     coll = load_collection(args.corpus, args.queries)
     eval_set = build_eval_set(coll, vocab, candidate_depth=args.depth)
-    weights = None
-    if args.lam < 1.0:
-        weights = build_sense_map(_sense_scores(model, vocab, args.pairs),
-                                  args.lam, args.top_senses)
+    weights = build_sense_map(_sense_scores(model, vocab, args.pairs), args.lam, args.top_senses)
     records = []
     for _qid, (ranked,) in rank_all(model, eval_set, (weights,)):
         records.extend(records_from_ranking(ranked, tag=tag))

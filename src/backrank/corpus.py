@@ -120,16 +120,16 @@ class Vocab:
 
 
 class Collection:
-    """Immutable bundle of tokenized documents, queries, and relevance labels."""
+    """Tokenized documents and queries, kept as given (not copied), and their qrels."""
 
     def __init__(
         self,
-        docs: Mapping[str, Sequence[str]],
-        queries: Mapping[str, Sequence[str]],
+        docs: Mapping[str, list[str]],
+        queries: Mapping[str, list[str]],
         qrels: Qrels | None = None,
     ):
-        self.docs: dict[str, list[str]] = {d: list(t) for d, t in docs.items()}
-        self.queries: dict[str, list[str]] = {q: list(t) for q, t in queries.items()}
+        self.docs: dict[str, list[str]] = dict(docs)
+        self.queries: dict[str, list[str]] = dict(queries)
         self.qrels = qrels if qrels is not None else Qrels({})
         for (qid, did), _grade in self.qrels.items():
             if qid not in self.queries:

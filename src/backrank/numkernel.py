@@ -102,20 +102,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return arr
 
 
-def gather_rows(table: np.ndarray, idx) -> tuple[np.ndarray, np.ndarray]:
-    """(index array, rows of a 2-D table at it, shaped idx.shape + (columns,));
-    the first index outside the table, in row-major order, is a DomainError."""
-    ix = np.asarray(idx, dtype=np.intp)
-    if ix.size and (ix.min() < 0 or ix.max() >= table.shape[0]):
-        bad = ix[(ix < 0) | (ix >= table.shape[0])][0]
-        raise DomainError(f"row index {bad} out of range for {table.shape[0]} rows")
-    return ix, table[ix]
-
-
 def scatter_rows(shape: tuple[int, int], ix: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of ``gather_rows``: the rows of g summed into zeros of
-    ``shape`` at ix. Each bin adds its rows in index order starting from 0.0,
-    as np.add.at does, so the sums are bit-equal to it."""
+    """Gradient of the row gather ``table[ix]``: the rows of g summed into
+    zeros of ``shape`` at ix. Each bin adds its rows in index order starting
+    from 0.0, as np.add.at does, so the sums are bit-equal to it."""
     rows, cols = shape
     bins = (ix[..., None] * cols + np.arange(cols)).ravel()
     return np.bincount(bins, weights=g.ravel(), minlength=rows * cols).reshape(shape)

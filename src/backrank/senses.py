@@ -17,6 +17,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError, ParseError, read_lines
 from .numkernel import cosine_similarity
 
@@ -68,7 +70,7 @@ def attribute_scores(model, pairs: Sequence[PolarityPair], vocab) -> AttributeSc
         for term in (p.negative, p.positive):
             if term not in vocab:
                 raise DomainError(f"polarity term {term!r} not in vocabulary")
-    ids = [[vocab.token_id(p.negative), vocab.token_id(p.positive)] for p in pairs]
+    ids = np.array([[vocab.token_id(p.negative), vocab.token_id(p.positive)] for p in pairs])
     vecs = model.senses.senses_for(ids)[0]    # pairs x k x 2 x d
     scores = []
     for sense in range(vecs.shape[1]):

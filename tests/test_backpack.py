@@ -241,11 +241,15 @@ def test_pad_builds_ragged_and_equal_length_batches_alike(model):
 
 
 def test_every_model_entry_point_names_the_first_id_outside_the_vocabulary(model):
-    """Token ids are range-checked once, where they are first gathered, before
-    any other use; the message names the first bad id in row-major order."""
+    """Token ids are checked once, in ``_pad``, before any other use: an id
+    that is not an integer is named, not truncated or parsed, and the range
+    message names the first bad id in row-major order."""
     entry_points = (model.forward, lambda seqs: model.relevance_logits(seqs, np.ones((1, 3))))
     for seqs, needle in (([[1, 2], [3, 12, -1]], "row index 12 out of range for 12 rows"),
-                         ([[-1]], "row index -1 out of range for 12 rows")):
+                         ([[-1]], "row index -1 out of range for 12 rows"),
+                         ([[1.7, 2]], "token id 1.7 is not an integer"),
+                         ([["3", 2]], "token id '3' is not an integer"),
+                         ([[1], [2**64]], f"row index {2**64} out of range for 12 rows")):
         for call in entry_points:
             with pytest.raises(DomainError, match=needle):
                 call(seqs)

@@ -281,6 +281,23 @@ def test_rank_suppression_changes_the_run(pipeline, tmp_path):
     assert out.read_bytes() != pipeline["run"].read_bytes()
 
 
+def test_rank_reads_the_lexicon_at_every_lambda(pipeline, tmp_path, capsys):
+    """rank takes one path at every lambda: at 1, where no sense is scaled,
+    a malformed --pairs file is still exit 2 at its line, and so is a
+    --top-senses above the model's sense count."""
+    data = pipeline["data"]
+    argv = ["rank", "--checkpoint", str(pipeline["ckpt"]), "--corpus", str(data / "corpus.tsv"),
+            "--queries", str(data / "queries.tsv"), "--out", str(tmp_path / "x.txt"),
+            "--lambda", "1", "--depth", "8"]
+    bad = tmp_path / "bad_pairs.txt"
+    bad.write_text("he she\nking\n")
+    assert main([*argv, "--pairs", str(bad)]) == 2
+    assert f"{bad}:2: expected 'negative positive', got 1 fields" in capsys.readouterr().err
+    assert main([*argv, "--top-senses", "99"]) == 2
+    assert "error: m must be in [0, 4]" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_rank_rejects_lambda_zero(pipeline, tmp_path, capsys):
     code = main(["rank", "--checkpoint", str(pipeline["ckpt"]),
                  "--corpus", str(pipeline["data"] / "corpus.tsv"),
@@ -1143,6 +1160,19 @@ def test_src_aggregates_every_weight_set_in_one_call():
     assert sorted((name, scope) for name, scope, _ in senses) == [
         ("backpack.py", "Backpack.forward"), ("backpack.py", "Backpack.relevance_logits"),
         ("senses.py", "attribute_scores")], senses
+
+
+def test_src_checks_token_ids_only_in_pad():
+    """The token-id range check (its message, ``out of range for``) appears
+    in src/ once, in ``Backpack._pad``, and ``gather_rows`` nowhere: the
+    model checks its ids where they enter it, and nothing below re-checks
+    them."""
+    checks = _src_sites(lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
+                        and "out of range for" in n.value)
+    assert [(name, scope) for name, scope, _ in checks] == [
+        ("backpack.py", "Backpack._pad")], checks
+    src = Path(backrank.__file__).parent
+    assert not [f.name for f in src.glob("*.py") if "gather_rows" in f.read_text(encoding="utf-8")]
 
 
 def test_console_script_entry_point(pipeline, tmp_path):

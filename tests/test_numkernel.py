@@ -202,8 +202,6 @@ def test_scatter_rows_is_bit_equal_to_add_at():
         want = np.zeros((rows, cols))
         np.add.at(want, ix, g)
         assert nk.scatter_rows((rows, cols), ix, g).tobytes() == want.tobytes()
-    with pytest.raises(DomainError):
-        nk.gather_rows(np.zeros((3, 2)), [[0, 3]])
 
 
 # ---------------------------------------------------------------------------
