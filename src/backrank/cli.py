@@ -32,8 +32,8 @@ from .errors import BackrankError, DomainError, ParseError, read_lines
 from .metrics import bias_report, distinct, effectiveness
 from .parallel import run_forked
 from .ranker import SWEEP_COLUMNS, TrainConfig, rank_all, sweep_lambda, train
-from .senses import (attribute_scores, build_sense_map, default_pairs_path,
-                     load_polarity_lexicon)
+from .senses import (AttributeScores, attribute_scores, build_sense_map,
+                     default_pairs_path, load_polarity_lexicon)
 
 log = logging.getLogger("backrank.cli")
 
@@ -47,17 +47,26 @@ def _make_parents(*outputs) -> None:
             Path(path).parent.mkdir(parents=True)
 
 
-def _write_csv(path, columns, rows, seed=None, lambdas=None) -> None:
-    """Header + rows + one trailing metadata comment; floats at 6 decimals."""
+def _meta_comment(seed, lambdas) -> str:
     # a checkpoint's meta.seed is free-form: json keeps it on the comment line
     seed_s = "-" if seed is None else json.dumps(seed)
     lam_s = "-" if lambdas is None else "|".join(repr(float(v)) for v in lambdas)
+    return f"# backrank={__version__} seed={seed_s} lambda={lam_s}\n"
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value)
+
+
+def _write_csv(path, columns, rows, seed=None, lambdas=None) -> None:
+    """Header + rows + one trailing metadata comment; floats at 6 decimals."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            cells = (row[c] for c in columns)
-            fh.write(",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in cells) + "\n")
-        fh.write(f"# backrank={__version__} seed={seed_s} lambda={lam_s}\n")
+            fh.write(",".join(_cell(row[c]) for c in columns) + "\n")
+        fh.write(_meta_comment(seed, lambdas))
 
 
 def _checked(convert, ok, rule: str):
@@ -199,7 +208,12 @@ def cmd_rank(args) -> int:
         raise ParseError(f"run tag {tag!r} must not contain whitespace", path=args.checkpoint)
     coll = load_collection(args.corpus, args.queries)
     eval_set = build_eval_set(coll, vocab, candidate_depth=args.depth)
-    weights = build_sense_map(_sense_scores(model, vocab, args.pairs), args.lam, args.top_senses)
+    if args.lam < 1.0:
+        scores, m = _sense_scores(model, vocab, args.pairs), 2
+    else:    # every weight is 1: the lexicon is parsed (a malformed file fails), not scored
+        load_polarity_lexicon(args.pairs or default_pairs_path())
+        scores, m = AttributeScores((0.0,) * model.config.num_senses), 0
+    weights = build_sense_map(scores, args.lam, m if args.top_senses is None else args.top_senses)
     records = []
     for _qid, (ranked,) in rank_all(model, eval_set, (weights,)):
         records.extend(records_from_ranking(ranked, tag=tag))
@@ -312,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="run file path")
     p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=1.0,
                    help="sense suppression factor in (0, 1]")
-    p.add_argument("--top-senses", type=_TOP_SENSES, default=2,
-                   help="how many senses to suppress")
+    p.add_argument("--top-senses", type=_TOP_SENSES,
+                   help="how many senses to suppress (default 2; 0 at lambda 1)")
     p.add_argument("--pairs", type=_INPUT, help="polarity pair lexicon (default built-in)")
     p.add_argument("--depth", type=_COUNT, default=100)
     p.add_argument("--tag", type=_tag, help="run tag (default backrank-s<seed>)")

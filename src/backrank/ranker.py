@@ -60,8 +60,9 @@ class TrainConfig:
     def __post_init__(self):
         if type(self.epochs) is not int or self.epochs < 1:    # range() takes ints only
             raise DomainError(f"epochs must be an int >= 1, got {self.epochs!r}")
-        lr = self.learning_rate    # an int or a float, as SynthConfig's rates
-        if type(lr) not in (int, float) or not (math.isfinite(lr) and lr >= 0.0):
+        lr = self.learning_rate    # an int or a float (numpy's float64 too), not a bool
+        ok = isinstance(lr, (int, float)) and type(lr) is not bool
+        if not (ok and math.isfinite(lr) and lr >= 0.0):
             raise DomainError(f"learning_rate must be a finite number >= 0, got {lr!r}")
         if type(self.seed) is not int or self.seed < 0:
             raise DomainError(f"seed must be a non-negative int, got {self.seed!r}")

@@ -71,6 +71,8 @@ def attribute_scores(model, pairs: Sequence[PolarityPair], vocab) -> AttributeSc
             if term not in vocab:
                 raise DomainError(f"polarity term {term!r} not in vocabulary")
     ids = np.array([[vocab.token_id(p.negative), vocab.token_id(p.positive)] for p in pairs])
+    if ids.min() < 0 or ids.max() >= model.config.vocab_size:    # _pad is not on this path
+        raise DomainError("vocabulary does not match the model")
     vecs = model.senses.senses_for(ids)[0]    # pairs x k x 2 x d
     scores = []
     for sense in range(vecs.shape[1]):

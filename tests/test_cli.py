@@ -17,6 +17,7 @@ import pytest
 import backrank
 from backrank import __version__, cli, load_checkpoint
 from backrank.cli import main
+from backrank.corpus import records_from_ranking
 from backrank.ranker import SWEEP_COLUMNS
 from helpers import forbid_fork, pin_cores, read_run, rewrite_checkpoint_header
 
@@ -296,6 +297,50 @@ def test_rank_reads_the_lexicon_at_every_lambda(pipeline, tmp_path, capsys):
     assert main([*argv, "--top-senses", "99"]) == 2
     assert "error: m must be in [0, 4]" in capsys.readouterr().err
     assert not (tmp_path / "x.txt").exists()
+
+
+# words that hold none of the built-in lexicon's pairs; q1 and q2 each match two documents
+GENDER_FREE = {"corpus.tsv": "d1\talpha beta\nd2\talpha gamma\nd3\tdelta epsilon\n"
+                             "d4\tdelta zeta\nd5\teta theta\nd6\tiota kappa\n",
+               "queries.tsv": "q1\talpha\nq2\tdelta\n",
+               "qrels.txt": "q1 0 d1 1\nq2 0 d4 1\n"}
+
+
+@pytest.mark.parametrize("case,message", [
+    ("gender-free", "error: attribute_scores needs at least one polarity pair\n"),
+    ("one-sense", "error: m must be in [0, 1]\n")], ids=["gender-free", "one-sense"])
+def test_rank_at_lambda_1_scores_no_lexicon_pair(pipeline, tmp_path, capsys, case, message):
+    """At lambda 1 every sense weight is 1, so rank with its default flags
+    writes the unweighted run, silently, on a model whose vocabulary holds no
+    lexicon pair and on a one-sense model; below 1 each still needs what it
+    lacks."""
+    data, train_args = pipeline["data"], TRAIN_ARGS
+    if case == "gender-free":
+        data = tmp_path
+        for name, text in GENDER_FREE.items():
+            (data / name).write_text(text)
+    else:
+        train_args = [*TRAIN_ARGS, "--senses", "1"]
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--corpus", str(data / "corpus.tsv"),
+                 "--queries", str(data / "queries.tsv"), "--qrels", str(data / "qrels.txt"),
+                 "--out", str(ckpt), "--loss-csv", str(tmp_path / "loss.csv"), *train_args]) == 0
+    capsys.readouterr()
+    argv = ["rank", "--checkpoint", str(ckpt), "--corpus", str(data / "corpus.tsv"),
+            "--queries", str(data / "queries.tsv"), "--out", str(tmp_path / "run.txt"),
+            "--depth", "8"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    model, tokens, _ = load_checkpoint(ckpt)
+    eval_set = backrank.build_eval_set(
+        backrank.load_collection(data / "corpus.tsv", data / "queries.tsv"),
+        backrank.Vocab(tokens), candidate_depth=8)
+    records = [rec for _qid, (ranked,) in backrank.rank_all(model, eval_set, (None,))
+               for rec in records_from_ranking(ranked, tag="backrank-s7")]
+    backrank.write_run(tmp_path / "want.txt", records)
+    assert (tmp_path / "run.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+    assert main([*argv, "--lambda", "0.5"]) == 2
+    assert capsys.readouterr().err.endswith(message)
 
 
 def test_rank_rejects_lambda_zero(pipeline, tmp_path, capsys):

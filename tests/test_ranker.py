@@ -72,11 +72,14 @@ def test_train_config_validation():
     for field, bad in (("epochs", 2.5), ("seed", 1.5), ("epochs", 2.0), ("seed", "1")):
         with pytest.raises(DomainError, match=f"^{field} must be .*int.*, got {bad!r}$"):
             TrainConfig(**{field: bad})
-    # an int or a float, as SynthConfig's rates: text fails here, not in math.isfinite
+    # an int or a float, numpy's too: text fails here, not in math.isfinite, and so does a bool
     TrainConfig(learning_rate=1)
+    TrainConfig(learning_rate=np.logspace(-3, -1, 3)[0])    # numpy's float64, a float
     with pytest.raises(DomainError, match="^learning_rate must be a finite number >= 0, "
                                           "got '0.1'$"):
         TrainConfig(learning_rate="0.1")
+    with pytest.raises(DomainError, match="^learning_rate must be .*, got True$"):
+        TrainConfig(learning_rate=True)
 
 
 def test_eval_set_rejects_a_duplicate_candidate():

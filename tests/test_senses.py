@@ -103,6 +103,10 @@ def test_attribute_scores_validates(toy):
         attribute_scores(model, [], vocab)
     with pytest.raises(DomainError):
         attribute_scores(model, [PolarityPair("she", "ghost")], vocab)
+    # a vocabulary larger than the model's: its ids never pass through Backpack._pad
+    wider = Vocab([*vocab.tokens, "ghost"])
+    with pytest.raises(DomainError, match="^vocabulary does not match the model$"):
+        attribute_scores(model, [PolarityPair("she", "ghost")], wider)
 
 
 def test_planted_sense_is_detected_and_suppressed():
