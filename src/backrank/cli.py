@@ -32,8 +32,7 @@ from .errors import BackrankError, DomainError, ParseError, read_lines
 from .metrics import bias_report, distinct, effectiveness
 from .parallel import run_forked
 from .ranker import SWEEP_COLUMNS, TrainConfig, rank_all, sweep_lambda, train
-from .senses import (AttributeScores, attribute_scores, build_sense_map,
-                     default_pairs_path, load_polarity_lexicon)
+from .senses import attribute_scores, build_sense_map, default_pairs_path, load_polarity_lexicon
 
 log = logging.getLogger("backrank.cli")
 
@@ -106,6 +105,7 @@ def _tag(text: str) -> str:
 
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _TOP_SENSES = _checked(int, lambda v: v >= 0, ">= 0")
+_TOP_SENSES_HELP = "how many senses to suppress (default 2, or 0 when every lambda is 1)"
 _LAMBDA = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _INPUT = _checked(str, os.path.exists, "an existing path")
 # train's model-shape options and the BackpackConfig fields they set
@@ -125,11 +125,6 @@ def _read_run(path):
     if not grouped:
         raise DomainError(f"run file {path} holds no records")
     return grouped
-
-
-def _sense_scores(model, vocab, pairs_path):
-    pairs = load_polarity_lexicon(pairs_path or default_pairs_path(), vocab=vocab)
-    return attribute_scores(model, pairs, vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +201,12 @@ def cmd_rank(args) -> int:
     tag = args.tag or f"backrank-s{meta.get('seed', 0)}"
     if any(ch.isspace() for ch in tag):    # only a default tag: --tag is checked as it parses
         raise ParseError(f"run tag {tag!r} must not contain whitespace", path=args.checkpoint)
+    pairs = load_polarity_lexicon(args.pairs or default_pairs_path())
+    maps = build_sense_map(model, pairs, vocab, (args.lam,), args.top_senses)
     coll = load_collection(args.corpus, args.queries)
     eval_set = build_eval_set(coll, vocab, candidate_depth=args.depth)
-    if args.lam < 1.0:
-        scores, m = _sense_scores(model, vocab, args.pairs), 2
-    else:    # every weight is 1: the lexicon is parsed (a malformed file fails), not scored
-        load_polarity_lexicon(args.pairs or default_pairs_path())
-        scores, m = AttributeScores((0.0,) * model.config.num_senses), 0
-    weights = build_sense_map(scores, args.lam, m if args.top_senses is None else args.top_senses)
     records = []
-    for _qid, (ranked,) in rank_all(model, eval_set, (weights,)):
+    for _qid, (ranked,) in rank_all(model, eval_set, (maps[args.lam],)):
         records.extend(records_from_ranking(ranked, tag=tag))
     write_run(args.out, records)
     log.info("ranked %d queries into %s", len(eval_set.queries), args.out)
@@ -256,7 +247,8 @@ def cmd_bias(args) -> int:
 def cmd_senses(args) -> int:
     _make_parents(args.out)
     model, vocab, meta = _load_model(args.checkpoint)
-    scores = _sense_scores(model, vocab, args.pairs)
+    pairs = load_polarity_lexicon(args.pairs or default_pairs_path())
+    scores = attribute_scores(model, pairs, vocab)
     rows = [{"sense": i, "score": s} for i, s in enumerate(scores.s)]
     if args.out:
         _write_csv(args.out, ("sense", "score"), rows,
@@ -274,11 +266,11 @@ def cmd_sweep(args) -> int:
     _make_parents(args.out)
 
     model, vocab, meta = _load_model(args.checkpoint)
+    pairs = load_polarity_lexicon(args.pairs or default_pairs_path())
+    maps = build_sense_map(model, pairs, vocab, args.lambdas, args.top_senses)
     coll = load_collection(args.corpus, args.queries, args.qrels)
     eval_set = build_eval_set(coll, vocab, candidate_depth=args.depth)
-    scores = _sense_scores(model, vocab, args.pairs)
-    rows = sweep_lambda(model, eval_set, scores, args.lambdas,
-                        cutoffs=args.cutoffs, m=args.top_senses)
+    rows = sweep_lambda(model, eval_set, maps, cutoffs=args.cutoffs)
     _write_csv(args.out, SWEEP_COLUMNS, rows, seed=meta.get("seed"), lambdas=args.lambdas)
     return 0
 
@@ -326,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="run file path")
     p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=1.0,
                    help="sense suppression factor in (0, 1]")
-    p.add_argument("--top-senses", type=_TOP_SENSES,
-                   help="how many senses to suppress (default 2; 0 at lambda 1)")
+    p.add_argument("--top-senses", type=_TOP_SENSES, help=_TOP_SENSES_HELP)
     p.add_argument("--pairs", type=_INPUT, help="polarity pair lexicon (default built-in)")
     p.add_argument("--depth", type=_COUNT, default=100)
     p.add_argument("--tag", type=_tag, help="run tag (default backrank-s<seed>)")
@@ -361,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qrels", type=_INPUT, required=True)
     p.add_argument("--out", required=True, help="CSV path")
     p.add_argument("--lambdas", type=_list_of(_LAMBDA), default=(1.0, 0.7, 0.5))
-    p.add_argument("--top-senses", type=_TOP_SENSES, default=2)
+    p.add_argument("--top-senses", type=_TOP_SENSES, help=_TOP_SENSES_HELP)
     p.add_argument("--cutoffs", type=_list_of(_COUNT), default=(10, 20, 30, 40))
     p.add_argument("--pairs", type=_INPUT, help="polarity pair lexicon (default built-in)")
     p.add_argument("--depth", type=_COUNT, default=100)

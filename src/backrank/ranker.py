@@ -18,10 +18,9 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import DomainError, ShapeError
-from .metrics import Qrels, bias_report, distinct, effectiveness
+from .metrics import Qrels, bias_report, effectiveness
 from .parallel import run_forked, usable_cores
 from .rng import SplitMix64
-from .senses import AttributeScores, build_sense_map
 
 _CHUNK_ROWS = 32    # most pairs per relevance_logits call in rank_all
 
@@ -155,17 +154,17 @@ class EvalSet:
                 raise DomainError(f"query {qid} lists a candidate document twice")
 
 
-def rank_all(model, eval_set: EvalSet,
-             weight_sets=(None,)) -> Iterator[tuple[str, list[RankedList]]]:
-    """Rank every query of the eval set, in sorted id order, under each entry
-    of ``weight_sets`` (None or a per-sense weight tuple): yields (query id,
-    one RankedList per entry), with sigmoid scores. Every pair is scored
-    first, in calls of at most ``_CHUNK_ROWS`` pairs of one packed length
-    (``packed_length``, so each pair is packed once, when it is scored):
-    no row is padded, so a pair's logit is bit-identical to it scored alone.
-    The chunks are dealt round-robin into one share per usable core, and
-    forked helpers score every share but the first: a chunk's logits are the
-    same bits in any process."""
+def rank_all(model, eval_set: EvalSet, weight_sets: Sequence[Sequence[float]]
+             ) -> Iterator[tuple[str, list[RankedList]]]:
+    """Rank every query of the eval set, in sorted id order, under each
+    per-sense weight tuple of ``weight_sets`` (all ones: no sense scaled):
+    yields (query id, one RankedList per tuple), with sigmoid scores. Every
+    pair is scored first, in calls of at most ``_CHUNK_ROWS`` pairs of one
+    packed length (``packed_length``, so each pair is packed once, when it is
+    scored): no row is padded, so a pair's logit is bit-identical to it
+    scored alone. The chunks are dealt round-robin into one share per usable
+    core, and forked helpers score every share but the first: a chunk's
+    logits are the same bits in any process."""
     qids = sorted(eval_set.queries)
     counts = [len(eval_set.candidates[qid]) for qid in qids]
     query_of = np.repeat(np.arange(len(qids)), counts)
@@ -177,13 +176,12 @@ def rank_all(model, eval_set: EvalSet,
     chunks = [group[start:start + _CHUNK_ROWS]
               for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)
               for start in range(0, len(group), _CHUNK_ROWS)]
-    weights = [np.ones(model.config.num_senses) if w is None else w for w in weight_sets]
-    logits = np.empty((len(weights), len(docs)))
+    logits = np.empty((len(weight_sets), len(docs)))
 
     def score(share):   # the W x (pairs in share) logits, chunk after chunk
         return np.hstack([model.relevance_logits(
             [model.pack_sequence(eval_set.queries[qids[q]], docs[p])
-             for q, p in zip(query_of[rows].tolist(), rows.tolist())], weights)[0]
+             for q, p in zip(query_of[rows].tolist(), rows.tolist())], weight_sets)[0]
             for rows in share])
 
     workers = min(usable_cores(), len(chunks))    # no share at all when there are no pairs
@@ -201,30 +199,21 @@ def rank_all(model, eval_set: EvalSet,
                     for s in block]
 
 
-def sweep_lambda(
-    model,
-    eval_set: EvalSet,
-    scores: AttributeScores,
-    lambdas: Sequence[float],
-    cutoffs: Sequence[int] = (10, 20, 30, 40),
-    m: int = 2,
-) -> list[dict]:
-    """Effectiveness/bias trade-off rows, one per (lambda, cutoff).
-
-    ``scores`` are the per-sense attribute scores used to pick the m
-    suppressed senses (the suppressed set is the same at every lambda). The
-    lambda = 1.0 rows equal an unmitigated evaluation exactly.
+def sweep_lambda(model, eval_set: EvalSet, maps: Mapping[float, Sequence[float]],
+                 cutoffs: Sequence[int] = (10, 20, 30, 40)) -> list[dict]:
+    """Effectiveness/bias trade-off rows, one per (lambda, cutoff), for each
+    lambda -> per-sense weights entry of ``maps`` (``build_sense_map``), in
+    its order. A lambda whose weights are all ones, as lambda = 1.0's are,
+    gives rows equal to an unmitigated evaluation exactly.
     """
-    lambdas = distinct("lambdas", lambdas)
-    weight_sets = [build_sense_map(scores, lam, m) for lam in lambdas]
     # only doc ids are kept across queries
-    ranked_ids: list[dict[str, list[str]]] = [{} for _ in lambdas]
-    for qid, lists in rank_all(model, eval_set, weight_sets):
+    ranked_ids: list[dict[str, list[str]]] = [{} for _ in maps]
+    for qid, lists in rank_all(model, eval_set, list(maps.values())):
         for per_lambda, ranked in zip(ranked_ids, lists):
             per_lambda[qid] = ranked.doc_ids
     reports = bias_report(ranked_ids, eval_set.doc_tokens, cutoffs=cutoffs)
     rows: list[dict] = []
-    for lam, ranked, report in zip(lambdas, ranked_ids, reports):
+    for lam, ranked, report in zip(maps, ranked_ids, reports):
         means = effectiveness(ranked, eval_set.qrels, (10,))
         for cutoff in report.cutoffs:
             rows.append({

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ParseError, read_lines
+from .metrics import distinct
 from .numkernel import cosine_similarity
 
 log = logging.getLogger(__name__)
@@ -58,19 +59,21 @@ class AttributeScores:
 def attribute_scores(model, pairs: Sequence[PolarityPair], vocab) -> AttributeScores:
     """Mean pair cosine per sense, from one sense-table pass over every pair.
 
-    ``vocab`` is anything with ``__contains__`` and ``token_id``. Pair order
-    never matters: per-sense similarities are sorted before summation so the
-    mean is reproducible bit for bit under permutation. A zero sense vector
-    scores 0 with a warning: an untrained toy model can produce one, and 0
-    reads as "uninformative" rather than aborting.
+    ``vocab`` is anything with ``__contains__`` and ``token_id``. A pair with
+    a term outside it is dropped, and the drops are counted in one warning;
+    at least one pair must remain. Pair order never matters: per-sense
+    similarities are sorted before summation so the mean is reproducible bit
+    for bit under permutation. A zero sense vector scores 0 with a warning:
+    an untrained toy model can produce one, and 0 reads as "uninformative"
+    rather than aborting.
     """
-    if not pairs:
+    kept = [p for p in pairs if p.negative in vocab and p.positive in vocab]
+    if len(kept) < len(pairs):
+        log.warning("dropped %d polarity pairs with out-of-vocabulary terms",
+                    len(pairs) - len(kept))
+    if not kept:
         raise DomainError("attribute_scores needs at least one polarity pair")
-    for p in pairs:
-        for term in (p.negative, p.positive):
-            if term not in vocab:
-                raise DomainError(f"polarity term {term!r} not in vocabulary")
-    ids = np.array([[vocab.token_id(p.negative), vocab.token_id(p.positive)] for p in pairs])
+    ids = np.array([[vocab.token_id(p.negative), vocab.token_id(p.positive)] for p in kept])
     if ids.min() < 0 or ids.max() >= model.config.vocab_size:    # _pad is not on this path
         raise DomainError("vocabulary does not match the model")
     vecs = model.senses.senses_for(ids)[0]    # pairs x k x 2 x d
@@ -89,36 +92,42 @@ def attribute_scores(model, pairs: Sequence[PolarityPair], vocab) -> AttributeSc
     return AttributeScores(tuple(scores))
 
 
-def build_sense_map(scores: AttributeScores, lam: float, m: int = 2) -> tuple[float, ...]:
-    """Per-sense weights: lam on the m most attribute-sensitive senses, 1.0
-    on every other sense.
+def build_sense_map(model, pairs: Sequence[PolarityPair], vocab, lambdas: Sequence[float],
+                    m: int | None = None) -> dict[float, tuple[float, ...]]:
+    """Per-sense weights for each of ``lambdas``, keyed by lambda in the given
+    order: lambda on the m senses of ``model`` that ``attribute_scores``
+    ranks most sensitive under ``pairs``, 1.0 on every other sense.
 
-    Ties on the score are broken toward the lower sense index. lam = 1 or
-    m = 0 yields the all-ones (identity) weights.
+    The lambdas must be distinct and in (0, 1]. m defaults to 2 when some
+    lambda is below 1 and to 0 when every lambda is 1, and must be in
+    [0, k]. The pairs are scored only when some lambda is below 1 and m > 0,
+    so lambda = 1 gives the all-ones (identity) weights whatever the
+    vocabulary holds. Ties on the score go to the lower sense index.
     """
-    k = len(scores.s)
-    if not 0.0 < lam <= 1.0:
-        raise DomainError("lambda must be in (0, 1]")
+    lambdas = distinct("lambdas", lambdas)
+    if not all(0.0 < lam <= 1.0 for lam in lambdas):
+        raise DomainError(f"lambda must be in (0, 1], got {lambdas}")
+    damped = min(lambdas) < 1.0
+    k = model.config.num_senses
+    m = (2 if damped else 0) if m is None else m
     if not 0 <= m <= k:
         raise DomainError(f"m must be in [0, {k}]")
-    suppressed = scores.ranked()[:m]
-    return tuple(lam if i in suppressed else 1.0 for i in range(k))
+    suppressed = attribute_scores(model, pairs, vocab).ranked()[:m] if damped and m else ()
+    return {lam: tuple(lam if i in suppressed else 1.0 for i in range(k)) for lam in lambdas}
 
 
 # ---------------------------------------------------------------------------
 # lexicon files
 
 
-def load_polarity_lexicon(path, vocab=None) -> list[PolarityPair]:
+def load_polarity_lexicon(path) -> list[PolarityPair]:
     """Parse a pair-per-line lexicon: ``negative positive``, # comments allowed.
 
-    Duplicate pairs collapse to the first occurrence. With a vocabulary
-    given, pairs containing out-of-vocabulary terms are dropped and counted
-    in a warning.
+    Duplicate pairs collapse to the first occurrence. Every pair is kept:
+    ``attribute_scores`` drops those a vocabulary does not hold.
     """
     pairs: list[PolarityPair] = []
     seen: set[tuple[str, str]] = set()
-    dropped = 0
     for lineno, raw in read_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -134,13 +143,7 @@ def load_polarity_lexicon(path, vocab=None) -> list[PolarityPair]:
         if (neg, pos) in seen:
             continue
         seen.add((neg, pos))
-        if vocab is not None and (neg not in vocab or pos not in vocab):
-            dropped += 1
-            continue
         pairs.append(PolarityPair(neg, pos))
-    if dropped:
-        log.warning("lexicon %s: dropped %d pairs with out-of-vocabulary terms",
-                    path, dropped)
     return pairs
 
 

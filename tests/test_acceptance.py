@@ -67,8 +67,10 @@ def test_criterion_1_identity_map():
                               sense_hidden=2, context_heads=2, max_seq_len=24)
         model = Backpack(mcfg, seed=trial)
         es = build_eval_set(coll, vocab, candidate_depth=6)
-        plain = {q: rl for q, (rl,) in rank_all(model, es, (None,))}
-        ones = {q: rl for q, (rl,) in rank_all(model, es, ((1.0,) * 4,))}
+        # lambda 1 on every sense: the identity map, built with no pair scored
+        [identity] = build_sense_map(model, (), vocab, (1.0,), m=4).values()
+        plain = {q: rl for q, (rl,) in rank_all(model, es, ((1.0,) * 4,))}
+        ones = {q: rl for q, (rl,) in rank_all(model, es, (identity,))}
         if any(plain[q].doc_ids != ones[q].doc_ids for q in plain):
             mismatched += 1
     elapsed = time.monotonic() - t0
@@ -256,7 +258,8 @@ def test_criterion_5_sense_detection():
         scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
         others = [v for i, v in enumerate(scores.s) if i != planted]
         unique_min = scores.s[planted] < min(others) - 1e-9
-        weights = build_sense_map(scores, 0.5, m=1)
+        [weights] = build_sense_map(model, [PolarityPair("she", "he")], vocab, (0.5,),
+                                    m=1).values()
         want = tuple(0.5 if i == planted else 1.0 for i in range(len(scores.s)))
         if not (unique_min and weights == want):
             failures.append(seed)
@@ -282,10 +285,10 @@ def _tradeoff_for_seed(seed):
     model = Backpack(mcfg, seed=seed)
     model, _ = train(examples,
                      TrainConfig(epochs=2, learning_rate=0.015, seed=seed), model)
-    pairs = load_polarity_lexicon(default_pairs_path(), vocab=vocab)
-    scores = attribute_scores(model, pairs, vocab)
+    maps = build_sense_map(model, load_polarity_lexicon(default_pairs_path()), vocab,
+                           [1.0, 0.5], m=3)
     es = build_eval_set(coll, vocab, candidate_depth=20)
-    base, damped = sweep_lambda(model, es, scores, [1.0, 0.5], cutoffs=(10,), m=3)
+    base, damped = sweep_lambda(model, es, maps, cutoffs=(10,))
     return base, damped
 
 

@@ -208,7 +208,7 @@ def test_relevance_score_is_sigmoid_of_logit(model):
     q, d = [1, 2], [5, 6, 7]
     z = logits(model, q, [d]).item()
     es = EvalSet({"q": q}, {"q": [("d", d)]}, Qrels({}), {})
-    [(_, [ranked])] = rank_all(model, es)
+    [(_, [ranked])] = rank_all(model, es, ((1.0,) * model.config.num_senses,))
     [s] = [s for _, s in ranked.items]
     assert 0.0 < s < 1.0
     assert s == pytest.approx(1.0 / (1.0 + np.exp(-z)), abs=1e-15)
@@ -305,7 +305,8 @@ def test_rank_all_scores_the_sigmoid_of_the_logits_training_fits(small_cfg):
         assert (len(set(map(len, seqs))) > 1) == (max_len > 1)    # ragged, or one position
         ones = np.ones((1, model.config.num_senses))
         alone = np.array([model.relevance_logits([s], ones)[0][0, 0] for s in seqs])
-        [(_, [ranked])] = rank_all(model, EvalSet({"q": query}, {"q": cands}, Qrels({}), {}))
+        [(_, [ranked])] = rank_all(model, EvalSet({"q": query}, {"q": cands}, Qrels({}), {}),
+                                   ones)
         assert dict(ranked.items) == dict(zip((did for did, _ in cands),
                                               nk.sigmoid(alone).tolist()))
         z, back = model.relevance_logits(seqs, ones)

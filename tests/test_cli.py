@@ -310,10 +310,11 @@ GENDER_FREE = {"corpus.tsv": "d1\talpha beta\nd2\talpha gamma\nd3\tdelta epsilon
     ("gender-free", "error: attribute_scores needs at least one polarity pair\n"),
     ("one-sense", "error: m must be in [0, 1]\n")], ids=["gender-free", "one-sense"])
 def test_rank_at_lambda_1_scores_no_lexicon_pair(pipeline, tmp_path, capsys, case, message):
-    """At lambda 1 every sense weight is 1, so rank with its default flags
-    writes the unweighted run, silently, on a model whose vocabulary holds no
-    lexicon pair and on a one-sense model; below 1 each still needs what it
-    lacks."""
+    """At lambda 1 every sense weight is 1, so rank and sweep with their
+    default flags write the unweighted run and rows, silently, on a model
+    whose vocabulary holds no lexicon pair and on a one-sense model; so does
+    rank below 1 with --top-senses 0. Below 1 with the default m, each still
+    needs what it lacks."""
     data, train_args = pipeline["data"], TRAIN_ARGS
     if case == "gender-free":
         data = tmp_path
@@ -326,21 +327,58 @@ def test_rank_at_lambda_1_scores_no_lexicon_pair(pipeline, tmp_path, capsys, cas
                  "--queries", str(data / "queries.tsv"), "--qrels", str(data / "qrels.txt"),
                  "--out", str(ckpt), "--loss-csv", str(tmp_path / "loss.csv"), *train_args]) == 0
     capsys.readouterr()
-    argv = ["rank", "--checkpoint", str(ckpt), "--corpus", str(data / "corpus.tsv"),
-            "--queries", str(data / "queries.tsv"), "--out", str(tmp_path / "run.txt"),
-            "--depth", "8"]
-    assert main(argv) == 0
-    assert capsys.readouterr().err == ""
+    inputs = ["--checkpoint", str(ckpt), "--corpus", str(data / "corpus.tsv"),
+              "--queries", str(data / "queries.tsv"), "--depth", "8"]
+    argv = ["rank", *inputs, "--out", str(tmp_path / "run.txt")]
+    sweep = ["sweep", *inputs, "--qrels", str(data / "qrels.txt"), "--cutoffs", "2",
+             "--out", str(tmp_path / "sweep.csv")]
     model, tokens, _ = load_checkpoint(ckpt)
+    ones = (1.0,) * model.config.num_senses
     eval_set = backrank.build_eval_set(
-        backrank.load_collection(data / "corpus.tsv", data / "queries.tsv"),
+        backrank.load_collection(data / "corpus.tsv", data / "queries.tsv", data / "qrels.txt"),
         backrank.Vocab(tokens), candidate_depth=8)
-    records = [rec for _qid, (ranked,) in backrank.rank_all(model, eval_set, (None,))
+    records = [rec for _qid, (ranked,) in backrank.rank_all(model, eval_set, (ones,))
                for rec in records_from_ranking(ranked, tag="backrank-s7")]
     backrank.write_run(tmp_path / "want.txt", records)
-    assert (tmp_path / "run.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+    cli._write_csv(tmp_path / "want.csv", SWEEP_COLUMNS,
+                   backrank.sweep_lambda(model, eval_set, {1.0: ones}, cutoffs=(2,)),
+                   seed=7, lambdas=(1.0,))
+    for extra in ([], ["--lambda", "0.5", "--top-senses", "0"]):
+        assert main([*argv, *extra]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "run.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+    assert main([*sweep, "--lambdas", "1.0"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     assert main([*argv, "--lambda", "0.5"]) == 2
     assert capsys.readouterr().err.endswith(message)
+    assert main([*sweep, "--lambdas", "0.5"]) == 2
+    assert capsys.readouterr().err.endswith(message)
+
+
+@pytest.mark.parametrize("fault", ["pairs", "top-senses"])
+@pytest.mark.parametrize("subcommand", ["rank", "sweep"])
+def test_sense_weights_fail_before_the_collection_is_read(pipeline, tmp_path, capsys,
+                                                          monkeypatch, subcommand, fault):
+    """rank and sweep build their sense weights right after they load the
+    checkpoint: a malformed --pairs file, or a --top-senses above the
+    model's sense count, is exit 2 at lambda 1 before the collection is read."""
+    calls = []
+    monkeypatch.setattr(cli, "load_collection", lambda *a: calls.append(a))
+    bad = tmp_path / "bad_pairs.txt"
+    bad.write_text("he she\nking\n")
+    option, message = {
+        "pairs": (["--pairs", str(bad)], f"{bad}:2: expected 'negative positive', got 1 fields"),
+        "top-senses": (["--top-senses", "99"], "error: m must be in [0, 4]")}[fault]
+    data = pipeline["data"]
+    argv = [subcommand, "--checkpoint", str(pipeline["ckpt"]),
+            "--corpus", str(data / "corpus.tsv"), "--queries", str(data / "queries.tsv"),
+            "--out", str(tmp_path / "x.out"), "--depth", "8", *option]
+    if subcommand == "sweep":
+        argv += ["--qrels", str(data / "qrels.txt"), "--lambdas", "1.0"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "x.out").exists()
 
 
 def test_rank_rejects_lambda_zero(pipeline, tmp_path, capsys):
@@ -898,6 +936,23 @@ def test_sweep_identity_row_matches_eval_and_bias(pipeline, tmp_path):
     assert srows[0]["arab_tf"] == tf["arab"]
 
 
+def test_sweep_lambda_1_rows_do_not_depend_on_the_other_lambdas(pipeline, tmp_path):
+    """Scoring the lexicon never moves a lambda 1 row: alone, lambda 1 takes
+    m = 0 and scores nothing, and its data rows are byte-equal to the
+    lambda 1 rows of a sweep that scores the lexicon for lambda 0.5."""
+    data = pipeline["data"]
+    base = ["sweep", "--checkpoint", str(pipeline["ckpt"]), "--corpus", str(data / "corpus.tsv"),
+            "--queries", str(data / "queries.tsv"), "--qrels", str(data / "qrels.txt"),
+            "--cutoffs", "5,8", "--depth", "8"]
+    rows = {}
+    for lambdas in ("1.0", "1.0,0.5"):
+        out = tmp_path / f"sweep-{lambdas}.csv"
+        assert main([*base, "--lambdas", lambdas, "--out", str(out)]) == 0
+        rows[lambdas] = out.read_bytes().splitlines()[1:-1]
+    assert len(rows["1.0"]) == 2 and len(rows["1.0,0.5"]) == 4
+    assert rows["1.0"] == [r for r in rows["1.0,0.5"] if r.startswith(b"1.000000,")]
+
+
 def test_rank_then_eval_and_bias_equal_the_sweep_row(tmp_path):
     """Ranking under one lambda and scoring the run file gives the cells of
     that lambda's sweep row."""
@@ -1179,6 +1234,20 @@ def test_src_composes_the_encoder_only_in_alpha():
         ("backpack.py", "ContextEncoder.alpha")] * 3, calls
 
 
+def _is_call(node, name):
+    """Whether node calls ``name``, as a plain name or as an attribute."""
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name)
+
+
+def _calls_in_loops(name):
+    """Each loop or comprehension in src/ that holds a call of ``name``."""
+    repeated = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+                ast.GeneratorExp)
+    return _src_sites(lambda n: isinstance(n, repeated)
+                      and any(_is_call(c, name) for c in ast.walk(n)))
+
+
 def test_src_aggregates_every_weight_set_in_one_call():
     """``aggregate(`` is called in src/ once in each of ``Backpack.forward``
     and ``relevance_logits``, and never inside a loop or a comprehension:
@@ -1187,21 +1256,14 @@ def test_src_aggregates_every_weight_set_in_one_call():
     ``.logit(`` is called once, in ``relevance_logits``, and ``senses_for(``
     only there, in ``Backpack.forward`` and in ``senses.attribute_scores``,
     so training and ranking gather their senses alike."""
-    def is_call(n, name="aggregate"):
-        return (isinstance(n, ast.Call)
-                and getattr(n.func, "id", getattr(n.func, "attr", None)) == name)
-
-    calls = _src_sites(is_call)
+    calls = _src_sites(lambda n: _is_call(n, "aggregate"))
     assert sorted((name, scope) for name, scope, _ in calls) == [
         ("backpack.py", f"Backpack.{f}") for f in ("forward", "relevance_logits")], calls
-    repeated = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
-                ast.GeneratorExp)
-    loops = _src_sites(lambda n: isinstance(n, repeated) and any(map(is_call, ast.walk(n))))
-    assert not loops, loops
-    heads = _src_sites(lambda n: is_call(n, "logit"))
+    assert not _calls_in_loops("aggregate")
+    heads = _src_sites(lambda n: _is_call(n, "logit"))
     assert [(name, scope) for name, scope, _ in heads] == [
         ("backpack.py", "Backpack.relevance_logits")], heads
-    senses = _src_sites(lambda n: is_call(n, "senses_for"))
+    senses = _src_sites(lambda n: _is_call(n, "senses_for"))
     assert sorted((name, scope) for name, scope, _ in senses) == [
         ("backpack.py", "Backpack.forward"), ("backpack.py", "Backpack.relevance_logits"),
         ("senses.py", "attribute_scores")], senses
@@ -1218,6 +1280,22 @@ def test_src_checks_token_ids_only_in_pad():
         ("backpack.py", "Backpack._pad")], checks
     src = Path(backrank.__file__).parent
     assert not [f.name for f in src.glob("*.py") if "gather_rows" in f.read_text(encoding="utf-8")]
+
+
+def test_src_turns_lambdas_into_weights_only_in_build_sense_map():
+    """``attribute_scores(`` is called in src/ only in ``build_sense_map``
+    and ``cmd_senses``, the out-of-vocabulary check (``term in vocab``) runs
+    only in ``attribute_scores``, and no ``build_sense_map(`` call is inside
+    a loop: rank, sweep and the library share one rule for weights from
+    lambda, and a sweep scores the lexicon at most once."""
+    scorers = _src_sites(lambda n: _is_call(n, "attribute_scores"))
+    assert sorted((name, scope) for name, scope, _ in scorers) == [
+        ("cli.py", "cmd_senses"), ("senses.py", "build_sense_map")], scorers
+    oov = _src_sites(lambda n: isinstance(n, ast.Compare)
+                     and any(isinstance(op, (ast.In, ast.NotIn)) for op in n.ops)
+                     and any(getattr(c, "id", None) == "vocab" for c in n.comparators))
+    assert {(name, scope) for name, scope, _ in oov} == {("senses.py", "attribute_scores")}, oov
+    assert not _calls_in_loops("build_sense_map")
 
 
 def test_console_script_entry_point(pipeline, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, Qrels,
                       ShapeError, SplitMix64, SynthConfig,
-                      TrainConfig, TrainExample, Vocab, attribute_scores,
+                      TrainConfig, TrainExample, Vocab,
                       bias_report, build_eval_set, build_sense_map,
                       build_train_examples, effectiveness, generate_synthetic,
                       listwise_loss, load_checkpoint, rank_all, save_checkpoint,
@@ -21,6 +21,9 @@ from backrank import numkernel as nk
 from helpers import (ScalarSplitMix64, Tape, assert_ranking_invariants, backward,
                      central_diff_error, forbid_fork, listwise_loss_chain, logits,
                      pin_cores, relevance_logit_chain, tracked)
+
+
+ONES = (1.0, 1.0)    # tiny_model's identity weights: no sense scaled
 
 
 @pytest.fixture
@@ -296,7 +299,7 @@ def _one_query_set(query, cands):
 
 def test_rank_orders_by_score_then_id(tiny_model):
     cands = [("b", (5, 6)), ("a", (5, 6)), ("c", (9, 9))]
-    [(qid, [ranked])] = rank_all(tiny_model, _one_query_set((3, 4), cands))
+    [(qid, [ranked])] = rank_all(tiny_model, _one_query_set((3, 4), cands), (ONES,))
     assert qid == "q1" and len(ranked.items) == 3
     # identical token lists score identically; id breaks the tie
     pos_a, pos_b = ranked.doc_ids.index("a"), ranked.doc_ids.index("b")
@@ -311,7 +314,8 @@ def test_rank_all_rejects_non_finite_logits(tiny_model, bad):
     show it."""
     tiny_model.head.b2.data[...] = bad
     with pytest.raises(DomainError, match="finite"):
-        list(rank_all(tiny_model, _one_query_set((3, 4), [("a", (5, 6)), ("b", (7,))])))
+        list(rank_all(tiny_model, _one_query_set((3, 4), [("a", (5, 6)), ("b", (7,))]),
+                      (ONES,)))
 
 
 def test_rank_requires_candidates():
@@ -325,14 +329,13 @@ def test_rank_requires_candidates():
 def test_rank_all_gives_one_list_per_sense_map(tiny_model):
     """Each map's list equals ranking under that map alone."""
     es = _one_query_set((3, 4), [("a", (5, 6)), ("b", (7, 8, 9)), ("c", (9, 9))])
-    maps = (None, (0.2, 1.0), (1.0, 1.0))
+    maps = (ONES, (0.2, 1.0), (1.0, 0.2))
     [(_, lists)] = rank_all(tiny_model, es, maps)
     assert len(lists) == 3
     for weights, got in zip(maps, lists):
         [(_, [alone])] = rank_all(tiny_model, es, (weights,))
         assert got == alone
-    assert lists[0] == lists[2]
-    assert [s for _, s in lists[0].items] != [s for _, s in lists[1].items]
+    assert len({tuple(s for _, s in got.items) for got in lists}) == 3
 
 
 def _log_calls(monkeypatch, cls, name, path, record=lambda *args: "-"):
@@ -380,7 +383,7 @@ def test_rank_all_logits_equal_each_pair_scored_alone(tiny_model):
     of one length than one scoring call holds, every score is bit-identical
     to its pair scored alone: nothing else in a list moves it."""
     es = _ragged_set(tiny_model)
-    weight_sets = (None, (1.0, 1.0), (0.3, 1.0))
+    weight_sets = (ONES, (1.0, 0.05), (0.3, 1.0))
     for qid, lists in rank_all(tiny_model, es, weight_sets):
         for weights, ranked in zip(weight_sets, lists):
             for did, score in ranked.items:
@@ -394,7 +397,7 @@ def test_rank_all_gives_equal_bits_under_one_and_two_workers(tiny_model, monkeyp
     one a single process gives, bit for bit (the scores are positive floats,
     so == on them is equality of bits)."""
     es = _ragged_set(tiny_model)
-    weight_sets = (None, (1.0, 1.0), (0.3, 1.0))
+    weight_sets = (ONES, (1.0, 0.05), (0.3, 1.0))
     log = tmp_path / "calls"
     _log_calls(monkeypatch, Backpack, "relevance_logits", log)
     ranked, pids = {}, {}
@@ -431,7 +434,7 @@ def test_rank_all_lists_hold_the_ranking_invariants(tiny_model, monkeypatch, wor
     holds each candidate once, by finite score descending, ties in ascending
     doc id; permuting each query's candidates leaves every list equal."""
     pin_cores(monkeypatch, workers)
-    choices = [None, (1.0, 1.0), (0.3, 1.0), (1.0, 0.05)]
+    choices = [ONES, (0.5, 0.5), (0.3, 1.0), (1.0, 0.05)]
     ties = moved = 0
     for seed in range(8):
         rng = SplitMix64(seed)
@@ -468,7 +471,7 @@ def test_rank_all_raises_a_helpers_error_with_its_message(tiny_model, monkeypatc
     _log_calls(monkeypatch, Backpack, "relevance_logits", log,
                lambda seqs, *_: len(seqs[0]))
     with pytest.raises(DomainError, match="^row index 99 out of range for 30 rows$"):
-        list(rank_all(tiny_model, _two_chunk_set((7, 99, 8))))
+        list(rank_all(tiny_model, _two_chunk_set((7, 99, 8)), (ONES,)))
     long_calls = [pid for pid, n in _logged(log) if int(n) == n_long]
     if workers == 1:
         assert long_calls == [os.getpid()]
@@ -494,7 +497,7 @@ def test_rank_all_rejects_non_finite_logits_from_a_helper(tiny_model, monkeypatc
     _log_calls(monkeypatch, Backpack, "relevance_logits", log,
                lambda seqs, *_: len(seqs[0]))
     with pytest.raises(DomainError, match="relevance logits must be finite"):
-        list(rank_all(tiny_model, _two_chunk_set((7, 9, 8))))
+        list(rank_all(tiny_model, _two_chunk_set((7, 9, 8)), (ONES,)))
     by_length = dict((int(n), pid) for pid, n in _logged(log))
     assert len(by_length) == 2 and by_length[n_long] != os.getpid()
 
@@ -504,9 +507,9 @@ def test_rank_all_forks_nothing_for_no_pairs_or_one_chunk(tiny_model, monkeypatc
     itself, however many cores it may use."""
     pin_cores(monkeypatch, 2)
     forbid_fork(monkeypatch)
-    assert list(rank_all(tiny_model, EvalSet({}, {}, Qrels({}), {}))) == []
+    assert list(rank_all(tiny_model, EvalSet({}, {}, Qrels({}), {}), (ONES,))) == []
     es = _one_query_set((3, 4), [("a", (5, 6)), ("b", (7, 8)), ("c", (9, 9))])
-    [(qid, [ranked])] = rank_all(tiny_model, es)
+    [(qid, [ranked])] = rank_all(tiny_model, es, (ONES,))
     assert qid == "q1" and sorted(ranked.doc_ids) == ["a", "b", "c"]
 
 
@@ -515,14 +518,14 @@ def test_rank_all_forks_nothing_while_another_thread_runs(tiny_model, monkeypatc
     second thread alive every chunk is scored in this process."""
     es = _ragged_set(tiny_model)
     pin_cores(monkeypatch, 1)
-    alone = list(rank_all(tiny_model, es))
+    alone = list(rank_all(tiny_model, es, (ONES,)))
     pin_cores(monkeypatch, 2)
     forbid_fork(monkeypatch)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        assert list(rank_all(tiny_model, es)) == alone
+        assert list(rank_all(tiny_model, es, (ONES,))) == alone
     finally:
         release.set()
         waiter.join(timeout=10)
@@ -534,7 +537,7 @@ def test_rank_all_scores_a_share_itself_when_fork_fails(tiny_model, monkeypatch)
     gone to is scored in this process, to the same bits."""
     es = _ragged_set(tiny_model)
     pin_cores(monkeypatch, 1)
-    alone = list(rank_all(tiny_model, es, (None, (0.3, 1.0))))
+    alone = list(rank_all(tiny_model, es, (ONES, (0.3, 1.0))))
     pin_cores(monkeypatch, 3)
     forks = []
 
@@ -543,7 +546,7 @@ def test_rank_all_scores_a_share_itself_when_fork_fails(tiny_model, monkeypatch)
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", failing_fork)
-    assert list(rank_all(tiny_model, es, (None, (0.3, 1.0)))) == alone
+    assert list(rank_all(tiny_model, es, (ONES, (0.3, 1.0)))) == alone
     assert len(forks) == 2
 
 
@@ -557,7 +560,7 @@ def test_rank_all_packs_each_pair_once(tiny_model, monkeypatch, tmp_path):
     pin_cores(monkeypatch, 2)
     log = tmp_path / "calls"
     _log_calls(monkeypatch, Backpack, "pack_sequence", log)
-    list(rank_all(tiny_model, EvalSet(queries, cands, Qrels({}), {}), (None, (0.5, 1.0))))
+    list(rank_all(tiny_model, EvalSet(queries, cands, Qrels({}), {}), (ONES, (0.5, 1.0))))
     calls = _logged(log)
     assert len(calls) == 15
     assert len({pid for pid, _ in calls}) == 2
@@ -597,6 +600,10 @@ def test_train_steps_are_bit_equal_to_the_reference_chain(layers):
         assert got.data.tobytes() == p.data.tobytes(), name
 
 
+SYNTH_ONES = (1.0,) * 4    # synth_setup's identity weights
+SHE_HE = [PolarityPair("she", "he")]
+
+
 @pytest.fixture(scope="module")
 def synth_setup():
     cfg = SynthConfig(seed=2, num_queries=20, docs_per_query=8,
@@ -612,7 +619,7 @@ def synth_setup():
 
 def test_rank_all_covers_sorted_queries(synth_setup):
     model, _, _, eval_set = synth_setup
-    ranked = dict((qid, rl) for qid, (rl,) in rank_all(model, eval_set))
+    ranked = dict((qid, rl) for qid, (rl,) in rank_all(model, eval_set, (SYNTH_ONES,)))
     assert list(ranked) == sorted(eval_set.queries)
     for qid, rl in ranked.items():
         assert rl.query_id == qid
@@ -622,12 +629,12 @@ def test_rank_all_covers_sorted_queries(synth_setup):
 def test_sweep_identity_row_equals_direct_evaluation(synth_setup):
     """The lambda=1.0 sweep row must be bit-equal to an unmitigated eval."""
     model, vocab, _, eval_set = synth_setup
-    scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
-    rows = sweep_lambda(model, eval_set, scores, [1.0, 0.5], cutoffs=(5,), m=2)
+    maps = build_sense_map(model, SHE_HE, vocab, [1.0, 0.5], m=2)
+    rows = sweep_lambda(model, eval_set, maps, cutoffs=(5,))
     assert len(rows) == 2
     assert set(rows[0]) == set(SWEEP_COLUMNS)
 
-    ranked = {qid: rl.doc_ids for qid, (rl,) in rank_all(model, eval_set)}
+    ranked = {qid: rl.doc_ids for qid, (rl,) in rank_all(model, eval_set, (SYNTH_ONES,))}
     [report] = bias_report([ranked], eval_set.doc_tokens, cutoffs=(5,))
     base = rows[0]
     assert base["lambda"] == 1.0
@@ -644,14 +651,14 @@ def test_sweep_rows_equal_rank_all_under_each_lambda(synth_setup):
     """Every row of a 3-lambda sweep is bit-equal to ranking the whole eval
     set under that lambda's sense map and evaluating it directly."""
     model, vocab, _, eval_set = synth_setup
-    scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
     lambdas, cutoffs = [1.0, 0.6, 0.3], (3, 5)
-    rows = sweep_lambda(model, eval_set, scores, lambdas, cutoffs=cutoffs, m=2)
+    rows = sweep_lambda(model, eval_set, build_sense_map(model, SHE_HE, vocab, lambdas, m=2),
+                        cutoffs=cutoffs)
 
     expected = []
     for lam in lambdas:
-        ranked = {qid: rl.doc_ids for qid, (rl,) in
-                  rank_all(model, eval_set, (build_sense_map(scores, lam, 2),))}
+        [weights] = build_sense_map(model, SHE_HE, vocab, (lam,), m=2).values()
+        ranked = {qid: rl.doc_ids for qid, (rl,) in rank_all(model, eval_set, (weights,))}
         means = effectiveness(ranked, eval_set.qrels, (10,))
         mrr, ndcg = means[("mrr", 10)], means[("ndcg", 10)]
         [report] = bias_report([ranked], eval_set.doc_tokens, cutoffs=cutoffs)
@@ -674,7 +681,6 @@ def test_sweep_encodes_each_pair_once(synth_setup, monkeypatch, tmp_path):
     in the same order in one process, and as the same multiset of shapes
     when a helper encodes part of them."""
     model, vocab, _, eval_set = synth_setup
-    scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
     log = tmp_path / "alpha"
     _log_calls(monkeypatch, ContextEncoder, "alpha", log,
                lambda ids, positions: "x".join(map(str, np.shape(ids))))
@@ -682,7 +688,8 @@ def test_sweep_encodes_each_pair_once(synth_setup, monkeypatch, tmp_path):
         pin_cores(monkeypatch, workers)
         per_sweep = []
         for lambdas in ([1.0], [1.0, 0.7, 0.5, 0.3]):
-            sweep_lambda(model, eval_set, scores, lambdas, cutoffs=(5,), m=2)
+            sweep_lambda(model, eval_set, build_sense_map(model, SHE_HE, vocab, lambdas, m=2),
+                         cutoffs=(5,))
             calls = _logged(log)
             log.unlink()
             assert len({pid for pid, _ in calls}) == workers
@@ -699,7 +706,6 @@ def test_sweep_computes_each_gender_delta_once_across_lambdas(synth_setup, monke
     delta is computed once per variant for the whole sweep. Cutoff 8 reads
     every candidate, so each lambda's lists hold the same documents."""
     model, vocab, _, eval_set = synth_setup
-    scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
     calls = []
     real = metrics._gender_delta
     monkeypatch.setattr(metrics, "_gender_delta",
@@ -707,30 +713,31 @@ def test_sweep_computes_each_gender_delta_once_across_lambdas(synth_setup, monke
     per_sweep = []
     for lambdas in ((1.0,), (1.0, 0.7, 0.5)):
         calls.clear()
-        sweep_lambda(model, eval_set, scores, lambdas, cutoffs=(3, 8), m=2)
+        sweep_lambda(model, eval_set, build_sense_map(model, SHE_HE, vocab, lambdas, m=2),
+                     cutoffs=(3, 8))
         per_sweep.append(len(calls))
     assert per_sweep[0] == per_sweep[1] > 0
 
 
 def test_sweep_suppression_changes_rankings(synth_setup):
     model, vocab, _, eval_set = synth_setup
-    scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
-    weights = build_sense_map(scores, 0.3, m=2)
+    weights = build_sense_map(model, SHE_HE, vocab, (0.3,), m=2)[0.3]
     changed = sum([s for _, s in plain.items] != [s for _, s in damped.items]
-                  for _, (plain, damped) in rank_all(model, eval_set, (None, weights)))
+                  for _, (plain, damped) in rank_all(model, eval_set, (SYNTH_ONES, weights)))
     assert changed > 0
 
 
 def test_sweep_validates_lambdas(synth_setup):
-    model, vocab, _, eval_set = synth_setup
-    scores = attribute_scores(model, [PolarityPair("she", "he")], vocab)
+    """A sweep's lambdas are checked where its weights are built, in
+    ``build_sense_map``: one map per lambda, each in (0, 1]."""
+    model, vocab, _, _ = synth_setup
     with pytest.raises(DomainError, match=r"lambdas must list at least one value, got \(\)"):
-        sweep_lambda(model, eval_set, scores, [])
-    with pytest.raises(DomainError):
-        sweep_lambda(model, eval_set, scores, [0.0])
+        build_sense_map(model, SHE_HE, vocab, [])
+    with pytest.raises(DomainError, match=r"^lambda must be in \(0, 1\], got \(1.0, 0.0\)$"):
+        build_sense_map(model, SHE_HE, vocab, [1.0, 0.0])
     # a repeated lambda would return, and write, each of its rows twice
     with pytest.raises(DomainError, match="lambdas must list each value once, got 0.5 more"):
-        sweep_lambda(model, eval_set, scores, [0.5, 0.5])
+        build_sense_map(model, SHE_HE, vocab, [0.5, 0.5])
 
 
 def test_training_example_pipeline_end_to_end(synth_setup):
@@ -739,9 +746,9 @@ def test_training_example_pipeline_end_to_end(synth_setup):
     examples = build_train_examples(coll, vocab, num_negatives=3, seed=2,
                                     candidate_depth=8)
     fresh = Backpack(model.config, seed=6)
-    before = effectiveness({q: r.doc_ids for q, (r,) in rank_all(fresh, eval_set)},
+    before = effectiveness({q: r.doc_ids for q, (r,) in rank_all(fresh, eval_set, (SYNTH_ONES,))},
                            eval_set.qrels, (10,))[("ndcg", 10)]
     fresh, _ = train(examples, TrainConfig(epochs=3, learning_rate=0.05, seed=2), fresh)
-    after = effectiveness({q: r.doc_ids for q, (r,) in rank_all(fresh, eval_set)},
+    after = effectiveness({q: r.doc_ids for q, (r,) in rank_all(fresh, eval_set, (SYNTH_ONES,))},
                           eval_set.qrels, (10,))[("ndcg", 10)]
     assert after > before

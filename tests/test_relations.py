@@ -262,20 +262,22 @@ def test_permuting_the_senses_permutes_their_scores_and_keeps_every_output(base,
     _permute_senses(permuted, PERM)
     assert model.config.num_senses == len(PERM)
     vocab = Vocab(tokens)
-    pairs = load_polarity_lexicon(default_pairs_path(), vocab=vocab)
+    pairs = load_polarity_lexicon(default_pairs_path())
     scores, perm_scores = (attribute_scores(net, pairs, vocab) for net in (model, permuted))
     # each sense's cosines are computed alone: the scores move bit for bit
     assert perm_scores.s == tuple(scores.s[i] for i in PERM)
     assert len(set(scores.s)) == len(PERM)    # no tie, so only the scores pick
-    maps = [build_sense_map(scores, lam, m) for lam in LAMBDAS for m in (1, 2)]
-    perm_maps = [build_sense_map(perm_scores, lam, m) for lam in LAMBDAS for m in (1, 2)]
+    by_m, perm_by_m = ({m: build_sense_map(net, pairs, vocab, LAMBDAS, m) for m in (1, 2)}
+                       for net in (model, permuted))
+    maps = [w for per_lambda in by_m.values() for w in per_lambda.values()]
+    perm_maps = [w for per_lambda in perm_by_m.values() for w in per_lambda.values()]
     assert perm_maps == [tuple(w[i] for i in PERM) for w in maps]
 
     eval_set = build_eval_set(load_collection(*(data / name for name in INPUTS[:2])), vocab,
                               candidate_depth=20)
     for m in (1, 2):
-        rows, perm_rows = (sweep_lambda(net, eval_set, sc, LAMBDAS, cutoffs=(5, 10, 20), m=m)
-                           for net, sc in ((model, scores), (permuted, perm_scores)))
+        rows, perm_rows = (sweep_lambda(net, eval_set, per_m[m], cutoffs=(5, 10, 20))
+                           for net, per_m in ((model, by_m), (permuted, perm_by_m)))
         assert len(rows) == len(perm_rows) == 3 * len(LAMBDAS)
         for row, perm_row in zip(rows, perm_rows):
             assert row.keys() == perm_row.keys()

@@ -9,6 +9,7 @@ from backrank import (AttributeScores, Backpack, BackpackConfig, DomainError,
                       ParseError, PolarityPair, SenseTable, Vocab,
                       attribute_scores, build_sense_map, default_pairs_path,
                       load_polarity_lexicon)
+from backrank import senses
 from helpers import build_planted_model
 
 
@@ -116,32 +117,53 @@ def test_planted_sense_is_detected_and_suppressed():
     assert scores.s[planted] == pytest.approx(-1.0, abs=1e-9)
     others = [v for i, v in enumerate(scores.s) if i != planted]
     assert min(others) > scores.s[planted] + 0.5
-    weights = build_sense_map(scores, 0.4, m=1)
-    assert weights == tuple(0.4 if i == planted else 1.0 for i in range(len(scores.s)))
+    maps = build_sense_map(model, [PolarityPair("she", "he")], vocab, (0.4,), m=1)
+    assert maps == {0.4: tuple(0.4 if i == planted else 1.0 for i in range(len(scores.s)))}
 
 
 # ---------------------------------------------------------------------------
 # map construction
 
 
-def test_build_sense_map_selection_and_ties():
-    scores = AttributeScores((-0.5, 0.9, -0.5, -0.8))
+def test_build_sense_map_selection_and_ties(monkeypatch):
+    """One weight tuple per lambda, in the given order, from one scoring of
+    the pairs; m defaults to 2 below lambda 1 and to 0 at 1, and the pairs
+    are scored only when some sense is scaled."""
+    model = Backpack(BackpackConfig(vocab_size=7, embed_dim=8, num_senses=4, sense_hidden=2,
+                                    context_heads=2, max_seq_len=8), seed=5)
+    calls = []
+    monkeypatch.setattr(senses, "attribute_scores", lambda *args: calls.append(args)
+                        or AttributeScores((-0.5, 0.9, -0.5, -0.8)))
     # most negative (3), then the tie at the lower index (0)
-    assert build_sense_map(scores, 0.5, m=2) == (0.5, 1.0, 1.0, 0.5)
-    assert build_sense_map(scores, 0.5, m=0) == (1.0,) * 4
-    assert build_sense_map(scores, 1.0, m=2) == (1.0,) * 4
+    maps = build_sense_map(model, "pairs", "vocab", (0.5, 1.0, 0.2), m=2)
+    assert list(maps.items()) == [(0.5, (0.5, 1.0, 1.0, 0.5)), (1.0, (1.0,) * 4),
+                                  (0.2, (0.2, 1.0, 1.0, 0.2))]
+    assert calls == [(model, "pairs", "vocab")]
+    assert build_sense_map(model, "pairs", "vocab", (0.5,)) == {0.5: (0.5, 1.0, 1.0, 0.5)}
+    calls.clear()
+    assert build_sense_map(model, "pairs", "vocab", (0.5,), m=0) == {0.5: (1.0,) * 4}
+    assert build_sense_map(model, "pairs", "vocab", (1.0,), m=2) == {1.0: (1.0,) * 4}
+    assert build_sense_map(model, "pairs", "vocab", (1.0,)) == {1.0: (1.0,) * 4}
+    assert calls == []
 
 
-def test_build_sense_map_validates():
-    scores = AttributeScores((0.1, 0.2))
+def test_build_sense_map_validates(toy):
+    """A lambda outside (0, 1], and an explicit m outside [0, k] at any
+    lambda, are DomainErrors; at lambda 1 no pair need be in the vocabulary."""
+    model, vocab = toy
+    pairs = [PolarityPair("she", "he")]
     with pytest.raises(DomainError):
-        build_sense_map(scores, 0.0, m=1)
+        build_sense_map(model, pairs, vocab, (0.0,), m=1)
     with pytest.raises(DomainError):
-        build_sense_map(scores, 1.1, m=1)
-    with pytest.raises(DomainError):
-        build_sense_map(scores, 0.5, m=3)
-    with pytest.raises(DomainError):
-        build_sense_map(scores, 0.5, m=-1)
+        build_sense_map(model, pairs, vocab, (1.1,), m=1)
+    for lam in (0.5, 1.0):
+        for m in (4, -1):
+            with pytest.raises(DomainError, match=r"^m must be in \[0, 3\]$"):
+                build_sense_map(model, pairs, vocab, (lam,), m=m)
+    assert build_sense_map(model, [PolarityPair("witch", "wizard")], vocab, (1.0,), m=3) == {
+        1.0: (1.0,) * 3}
+    with pytest.raises(DomainError, match="needs at least one polarity pair"):
+        build_sense_map(model, [PolarityPair("witch", "wizard")], vocab, (1.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +177,20 @@ def test_load_polarity_lexicon(tmp_path):
     assert pairs == [PolarityPair("she", "he"), PolarityPair("queen", "king")]
 
 
-def test_load_polarity_lexicon_drops_oov(tmp_path):
+def test_attribute_scores_drops_oov_pairs_with_one_warning(toy, tmp_path, caplog):
+    """The lexicon keeps every pair; attribute_scores drops each pair with a
+    term outside the vocabulary and counts the drops in one warning."""
+    model, vocab = toy
     p = tmp_path / "pairs.txt"
-    p.write_text("she he\nwitch wizard\n")
-    vocab = Vocab(["<pad>", "<unk>", "<sep>", "she", "he"])
-    pairs = load_polarity_lexicon(p, vocab=vocab)
-    assert pairs == [PolarityPair("she", "he")]
+    p.write_text("she he\nwitch wizard\nqueen ghost\n")
+    pairs = load_polarity_lexicon(p)
+    assert len(pairs) == 3
+    want = attribute_scores(model, [PolarityPair("she", "he")], vocab)
+    assert not caplog.records
+    with caplog.at_level(logging.WARNING, logger="backrank.senses"):
+        assert attribute_scores(model, pairs, vocab) == want
+    assert [r.getMessage() for r in caplog.records] == [
+        "dropped 2 polarity pairs with out-of-vocabulary terms"]
 
 
 def test_load_polarity_lexicon_errors(tmp_path):
