@@ -539,36 +539,31 @@ def build_train_examples(
 
     Queries are taken in sorted id order, so the lists and the seeded draw of
     negatives do not depend on line order. Negatives come from the query's
-    BM25 candidates that carry no positive label. Queries without positives,
-    or whose candidates yield no negatives, are skipped with a warning. Each
-    distinct document is encoded once, and every list naming it shares it.
+    ``build_eval_set`` candidates that carry no positive label. Queries
+    without positives, or whose candidates yield no negatives, are skipped
+    with a warning. Every list naming a document shares one encoded tuple.
     """
     if num_negatives < 1:
         raise DomainError("num_negatives must be >= 1")
+    eval_set = build_eval_set(coll, vocab, candidate_depth)
+    encoded = {did: ids for cands in eval_set.candidates.values() for did, ids in cands}
     rng = SplitMix64(seed)
     examples: list[TrainExample] = []
-    encoded: dict[str, tuple[int, ...]] = {}    # each distinct document, encoded once
     skipped = 0
-    for qid, qtokens in sorted(coll.queries.items()):
+    for qid in sorted(coll.queries):
         positives = coll.qrels.relevant(qid)
-        if not positives:
+        pool = [d for d, _ in eval_set.candidates.get(qid, ()) if coll.qrels.grade(qid, d) == 0]
+        if not positives or not pool:
             skipped += 1
             continue
-        retrieved = bm25_retrieve(qtokens, coll, candidate_depth, query_id=qid)
-        pool = [d for d in retrieved.doc_ids if coll.qrels.grade(qid, d) == 0]
-        if not pool:
-            skipped += 1
-            continue
-        query_ids = tuple(vocab.encode(qtokens))
         for pos in sorted(positives):
+            if pos not in encoded:    # a positive BM25 did not retrieve
+                encoded[pos] = tuple(vocab.encode(coll.docs[pos]))
             negs = rng.sample(pool, min(num_negatives, len(pool)))
             doc_ids = (pos, *negs)
-            for d in doc_ids:
-                if d not in encoded:
-                    encoded[d] = tuple(vocab.encode(coll.docs[d]))
             examples.append(TrainExample(
                 query_id=qid,
-                query=query_ids,
+                query=eval_set.queries[qid],
                 doc_ids=doc_ids,
                 docs=tuple(encoded[d] for d in doc_ids),
                 labels=(1.0,) + (0.0,) * len(negs),

@@ -165,6 +165,8 @@ def rank_all(model, eval_set: EvalSet, weight_sets: Sequence[Sequence[float]]
     scored alone. The chunks are dealt round-robin into one share per usable
     core, and forked helpers score every share but the first: a chunk's
     logits are the same bits in any process."""
+    if len(weight_sets) == 0:
+        raise DomainError("rank_all needs at least one weight set")
     qids = sorted(eval_set.queries)
     counts = [len(eval_set.candidates[qid]) for qid in qids]
     query_of = np.repeat(np.arange(len(qids)), counts)

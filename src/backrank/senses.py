@@ -99,8 +99,8 @@ def build_sense_map(model, pairs: Sequence[PolarityPair], vocab, lambdas: Sequen
     ranks most sensitive under ``pairs``, 1.0 on every other sense.
 
     The lambdas must be distinct and in (0, 1]. m defaults to 2 when some
-    lambda is below 1 and to 0 when every lambda is 1, and must be in
-    [0, k]. The pairs are scored only when some lambda is below 1 and m > 0,
+    lambda is below 1 and to 0 when every lambda is 1, and must be an int
+    in [0, k]. The pairs are scored only when some lambda is below 1 and m > 0,
     so lambda = 1 gives the all-ones (identity) weights whatever the
     vocabulary holds. Ties on the score go to the lower sense index.
     """
@@ -110,6 +110,8 @@ def build_sense_map(model, pairs: Sequence[PolarityPair], vocab, lambdas: Sequen
     damped = min(lambdas) < 1.0
     k = model.config.num_senses
     m = (2 if damped else 0) if m is None else m
+    if type(m) is not int:
+        raise DomainError(f"m must be an int, got {m!r}")
     if not 0 <= m <= k:
         raise DomainError(f"m must be in [0, {k}]")
     suppressed = attribute_scores(model, pairs, vocab).ranked()[:m] if damped and m else ()

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from backrank import (Backpack, BackpackConfig, DomainError, ParseError, Qrels, ShapeError,
-                      SplitMix64, Vocab)
+                      SplitMix64, TrainExample, Vocab, bm25_retrieve)
 from backrank import numkernel as nk
 from backrank.backpack import _causal_mask
 from backrank.corpus import BM25_B, BM25_K1
@@ -806,6 +806,42 @@ class CounterBm25Index:
             impact *= BM25_K1 + 1.0
             impact /= denom
             self.postings[term] = (rr, impact)
+
+
+def build_train_examples_reference(coll, vocab, num_negatives=7, seed=0, candidate_depth=100):
+    """``corpus.build_train_examples`` with its own BM25 retrieval per query
+    and its own encode-once cache: the oracle for the lists, and the draws,
+    that the library forms from ``build_eval_set``'s candidates."""
+    if num_negatives < 1:
+        raise DomainError("num_negatives must be >= 1")
+    rng = SplitMix64(seed)
+    examples = []
+    encoded = {}    # each distinct document, encoded once
+    for qid, qtokens in sorted(coll.queries.items()):
+        positives = coll.qrels.relevant(qid)
+        if not positives:
+            continue
+        retrieved = bm25_retrieve(qtokens, coll, candidate_depth, query_id=qid)
+        pool = [d for d in retrieved.doc_ids if coll.qrels.grade(qid, d) == 0]
+        if not pool:
+            continue
+        query_ids = tuple(vocab.encode(qtokens))
+        for pos in sorted(positives):
+            negs = rng.sample(pool, min(num_negatives, len(pool)))
+            doc_ids = (pos, *negs)
+            for d in doc_ids:
+                if d not in encoded:
+                    encoded[d] = tuple(vocab.encode(coll.docs[d]))
+            examples.append(TrainExample(
+                query_id=qid,
+                query=query_ids,
+                doc_ids=doc_ids,
+                docs=tuple(encoded[d] for d in doc_ids),
+                labels=(1.0,) + (0.0,) * len(negs),
+            ))
+    if not examples:
+        raise DomainError("no training examples could be built from the collection")
+    return examples
 
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")

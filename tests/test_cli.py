@@ -1298,6 +1298,13 @@ def test_src_turns_lambdas_into_weights_only_in_build_sense_map():
     assert not _calls_in_loops("build_sense_map")
 
 
+def test_src_retrieves_candidates_only_in_build_eval_set():
+    """``bm25_retrieve(`` is called in src/ only in ``build_eval_set``:
+    train, rank and sweep rerank candidate lists formed in one place."""
+    sites = _src_sites(lambda n: _is_call(n, "bm25_retrieve"))
+    assert [(name, scope) for name, scope, _ in sites] == [("corpus.py", "build_eval_set")], sites
+
+
 def test_console_script_entry_point(pipeline, tmp_path):
     """The module form works as a subprocess and honours BACKRANK_LOG."""
     # The child imports the same package as this process, installed or not.

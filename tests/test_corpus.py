@@ -23,8 +23,8 @@ from backrank import (Collection, DomainError, ParseError, Qrels, SplitMix64,
 from backrank import corpus
 from backrank.corpus import read_gender_tokens, read_tsv, records_from_ranking
 from backrank.metrics import FEMALE_TERMS, MALE_TERMS
-from helpers import (CounterBm25Index, ScalarSplitMix64, assert_ranking_invariants, group_run,
-                     read_run, regex_tokenize)
+from helpers import (CounterBm25Index, ScalarSplitMix64, assert_ranking_invariants,
+                     build_train_examples_reference, group_run, read_run, regex_tokenize)
 
 
 @pytest.fixture
@@ -685,14 +685,16 @@ def test_build_train_examples_negatives_equal_the_scalar_oracle_stream(monkeypat
 
 def test_build_train_examples_encodes_each_document_once(monkeypatch):
     """Examples that name one document share one encoded tuple, and the
-    vocabulary encodes each query and each distinct document at most once."""
+    vocabulary encodes exactly once each query BM25 retrieves for, each
+    distinct candidate and each positive that no query retrieved."""
     coll = generate_synthetic(SynthConfig(seed=3, num_queries=30, docs_per_query=6,
                                           relevant_per_query=2, vocab_size=40))
     vocab = Vocab.build(list(coll.docs.values()) + list(coll.queries.values()))
+    retrieved = {qid: bm25_retrieve(q, coll, 3).doc_ids for qid, q in coll.queries.items()}
     calls = []
     real = Vocab.encode
-    monkeypatch.setattr(Vocab, "encode", lambda self, t: calls.append(1) or real(self, t))
-    examples = build_train_examples(coll, vocab, num_negatives=3, seed=2, candidate_depth=6)
+    monkeypatch.setattr(Vocab, "encode", lambda self, t: calls.append(t) or real(self, t))
+    examples = build_train_examples(coll, vocab, num_negatives=3, seed=2, candidate_depth=3)
     first = {}
     for ex in examples:
         assert ex.query == tuple(real(vocab, coll.queries[ex.query_id]))
@@ -700,7 +702,47 @@ def test_build_train_examples_encodes_each_document_once(monkeypatch):
         for did, enc in zip(ex.doc_ids, ex.docs):
             assert enc is first.setdefault(did, enc)
     assert len(first) < sum(len(ex.doc_ids) for ex in examples)
-    assert len(calls) <= len(first) + len(coll.queries)
+    candidates = {d for ids in retrieved.values() for d in ids}
+    unretrieved = {ex.doc_ids[0] for ex in examples} - candidates
+    assert unretrieved    # at depth 3 some positives are retrieved for no query
+    want = ([coll.queries[qid] for qid, ids in retrieved.items() if ids]
+            + [coll.docs[d] for d in candidates | unretrieved])
+    assert sorted(map(id, calls)) == sorted(map(id, want))
+
+
+@pytest.mark.parametrize("depth", [6, 20, 100])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_build_train_examples_equal_the_reference(seed, depth):
+    """The lists drawn from ``build_eval_set``'s candidates equal those of
+    a retrieval of their own: same queries, pools and draws."""
+    coll = generate_synthetic(SynthConfig(seed=seed, num_queries=40, docs_per_query=8,
+                                          relevant_per_query=2, vocab_size=60))
+    vocab = Vocab.build(list(coll.docs.values()) + list(coll.queries.values()))
+    got = build_train_examples(coll, vocab, num_negatives=5, seed=seed, candidate_depth=depth)
+    assert got == build_train_examples_reference(coll, vocab, num_negatives=5, seed=seed,
+                                                 candidate_depth=depth)
+    first = {}
+    for ex in got:
+        for did, enc in zip(ex.doc_ids, ex.docs):
+            assert enc is first.setdefault(did, enc)
+
+
+def test_build_train_examples_warn_of_a_missed_positive_and_an_empty_query(caplog):
+    """A positive outside the candidates is still listed first; a query that
+    retrieves nothing is dropped by the eval set and skipped by training."""
+    docs = {"d1": ["cat", "cat", "dog"], "d2": ["cat", "fish"], "d3": ["bird"],
+            "d4": ["tree"], "d5": ["sun"], "d6": ["moon"]}
+    queries = {"q1": ["cat"], "q2": ["zebra"]}
+    coll = Collection(docs, queries, Qrels({("q1", "d2"): 1, ("q2", "d3"): 1}))
+    vocab = Vocab.build(list(docs.values()) + list(queries.values()))
+    assert bm25_retrieve(["cat"], coll, 1).doc_ids == ["d1"]
+    with caplog.at_level("WARNING", logger="backrank.corpus"):
+        got = build_train_examples(coll, vocab, num_negatives=3, candidate_depth=1)
+    assert [(ex.query_id, ex.doc_ids) for ex in got] == [("q1", ("d2", "d1"))]
+    assert got == build_train_examples_reference(coll, vocab, num_negatives=3, candidate_depth=1)
+    assert [r.getMessage() for r in caplog.records] == [
+        "dropped 1 queries with no retrievable candidates",
+        "skipped 1 queries without usable training lists"]
 
 
 def test_build_train_examples_needs_some_labels():

@@ -740,6 +740,18 @@ def test_sweep_validates_lambdas(synth_setup):
         build_sense_map(model, SHE_HE, vocab, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("call", [lambda model, es: list(rank_all(model, es, [])),
+                                  lambda model, es: sweep_lambda(model, es, {}, (10,))],
+                         ids=["rank_all", "sweep_lambda"])
+def test_no_weight_sets_is_an_error_naming_rank_all(synth_setup, monkeypatch, call):
+    """No weight sets at all is rejected, by name, before any pair is packed;
+    a sweep over no lambdas inherits the check."""
+    model, _, _, eval_set = synth_setup
+    monkeypatch.setattr(Backpack, "pack_sequence", lambda *a: pytest.fail("a pair was packed"))
+    with pytest.raises(DomainError, match="^rank_all needs at least one weight set$"):
+        call(model, eval_set)
+
+
 def test_training_example_pipeline_end_to_end(synth_setup):
     """Queries gain effectiveness after a few epochs on their own corpus."""
     model, vocab, coll, eval_set = synth_setup

@@ -148,8 +148,9 @@ def test_build_sense_map_selection_and_ties(monkeypatch):
 
 
 def test_build_sense_map_validates(toy):
-    """A lambda outside (0, 1], and an explicit m outside [0, k] at any
-    lambda, are DomainErrors; at lambda 1 no pair need be in the vocabulary."""
+    """A lambda outside (0, 1], and an explicit m that is not an int in
+    [0, k] at any lambda, are DomainErrors; at lambda 1 no pair need be in
+    the vocabulary."""
     model, vocab = toy
     pairs = [PolarityPair("she", "he")]
     with pytest.raises(DomainError):
@@ -159,6 +160,9 @@ def test_build_sense_map_validates(toy):
     for lam in (0.5, 1.0):
         for m in (4, -1):
             with pytest.raises(DomainError, match=r"^m must be in \[0, 3\]$"):
+                build_sense_map(model, pairs, vocab, (lam,), m=m)
+        for m in (2.0, True):
+            with pytest.raises(DomainError, match=rf"^m must be an int, got {m!r}$"):
                 build_sense_map(model, pairs, vocab, (lam,), m=m)
     assert build_sense_map(model, [PolarityPair("witch", "wizard")], vocab, (1.0,), m=3) == {
         1.0: (1.0,) * 3}
