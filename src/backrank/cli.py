@@ -24,14 +24,14 @@ from pathlib import Path
 
 from . import __version__
 from .backpack import Backpack, BackpackConfig, load_checkpoint, save_checkpoint
-from .corpus import (SynthConfig, Vocab, build_eval_set, build_train_examples,
+from .corpus import (SynthConfig, Vocab, build_train_examples,
                      generate_synthetic, load_collection, read_gender_tokens,
                      read_qrels, read_ranking,
                      records_from_ranking, write_collection, write_run)
 from .errors import BackrankError, DomainError, ParseError, read_lines
 from .metrics import bias_report, distinct, effectiveness
 from .parallel import run_forked
-from .ranker import SWEEP_COLUMNS, TrainConfig, rank_all, sweep_lambda, train
+from .ranker import SWEEP_COLUMNS, TrainConfig, rank_collection, sweep_collection, train
 from .senses import attribute_scores, build_sense_map, default_pairs_path, load_polarity_lexicon
 
 log = logging.getLogger("backrank.cli")
@@ -204,12 +204,9 @@ def cmd_rank(args) -> int:
     pairs = load_polarity_lexicon(args.pairs or default_pairs_path())
     maps = build_sense_map(model, pairs, vocab, (args.lam,), args.top_senses)
     coll = load_collection(args.corpus, args.queries)
-    eval_set = build_eval_set(coll, vocab, candidate_depth=args.depth)
-    records = []
-    for _qid, (ranked,) in rank_all(model, eval_set, (maps[args.lam],)):
-        records.extend(records_from_ranking(ranked, tag=tag))
-    write_run(args.out, records)
-    log.info("ranked %d queries into %s", len(eval_set.queries), args.out)
+    lists = rank_collection(model, coll, vocab, maps[args.lam], candidate_depth=args.depth)
+    write_run(args.out, (rec for ranked in lists for rec in records_from_ranking(ranked, tag=tag)))
+    log.info("ranked %d queries into %s", len(lists), args.out)
     return 0
 
 
@@ -269,8 +266,7 @@ def cmd_sweep(args) -> int:
     pairs = load_polarity_lexicon(args.pairs or default_pairs_path())
     maps = build_sense_map(model, pairs, vocab, args.lambdas, args.top_senses)
     coll = load_collection(args.corpus, args.queries, args.qrels)
-    eval_set = build_eval_set(coll, vocab, candidate_depth=args.depth)
-    rows = sweep_lambda(model, eval_set, maps, cutoffs=args.cutoffs)
+    rows = sweep_collection(model, coll, vocab, maps, args.cutoffs, candidate_depth=args.depth)
     _write_csv(args.out, SWEEP_COLUMNS, rows, seed=meta.get("seed"), lambdas=args.lambdas)
     return 0
 

@@ -160,12 +160,12 @@ class _Bm25Index:
         n = len(self.doc_ids)
         doc_len = np.array([len(docs[did]) for did in self.doc_ids], dtype=np.int64)
         avgdl = int(doc_len.sum()) / n if n else 0.0
-        # one pass numbers the terms in first-occurrence order; a stable sort
-        # by term then keeps each term's tokens in row order
+        # one pass numbers the terms in first-occurrence order; a stable sort by
+        # term (a radix sort on ids of the smallest type) keeps rows in order
         tokens = [docs[did] for did in self.doc_ids]
         terms = {t: i for i, t in enumerate(dict.fromkeys(itertools.chain.from_iterable(tokens)))}
         term_ids = np.fromiter(map(terms.__getitem__, itertools.chain.from_iterable(tokens)),
-                               dtype=np.int32, count=int(doc_len.sum()))
+                               dtype=np.min_scalar_type(len(terms)), count=int(doc_len.sum()))
         order = np.argsort(term_ids, kind="stable")
         term_ids = term_ids[order]
         rows = np.repeat(np.arange(n, dtype=np.int32), doc_len)[order]
@@ -546,6 +546,7 @@ def build_train_examples(
     if num_negatives < 1:
         raise DomainError("num_negatives must be >= 1")
     eval_set = build_eval_set(coll, vocab, candidate_depth)
+    report_retrieval(len(coll.queries), len(eval_set.queries))
     encoded = {did: ids for cands in eval_set.candidates.values() for did, ids in cands}
     rng = SplitMix64(seed)
     examples: list[TrainExample] = []
@@ -579,35 +580,37 @@ def build_eval_set(
     coll: Collection,
     vocab: Vocab,
     candidate_depth: int = 100,
+    query_ids: Iterable[str] | None = None,
 ) -> EvalSet:
-    """First-stage candidates of every query plus everything the reranker
-    sweep consumes.
-
-    Queries whose BM25 retrieval comes back empty are dropped with a warning.
-    Each distinct candidate document is encoded once, and every list naming
-    it shares that tuple.
-    """
+    """First-stage candidates of each of ``query_ids`` (default: every query
+    of the collection) plus everything the reranker sweep consumes. A query
+    BM25 retrieves nothing for is left out silently (``report_retrieval``
+    warns of it). Each distinct candidate document is encoded once, and every
+    list naming it shares that tuple."""
     queries: dict[str, tuple[int, ...]] = {}
     candidates: dict[str, list[tuple[str, tuple[int, ...]]]] = {}
     encoded: dict[str, tuple[int, ...]] = {}
-    empty = 0
-    for qid, qtokens in coll.queries.items():
-        retrieved = bm25_retrieve(qtokens, coll, candidate_depth, query_id=qid)
+    for qid in coll.queries if query_ids is None else query_ids:
+        retrieved = bm25_retrieve(coll.queries[qid], coll, candidate_depth, query_id=qid)
         if not retrieved.items:
-            empty += 1
             continue
-        queries[qid] = tuple(vocab.encode(qtokens))
+        queries[qid] = tuple(vocab.encode(coll.queries[qid]))
         for did in retrieved.doc_ids:
             if did not in encoded:
                 encoded[did] = tuple(vocab.encode(coll.docs[did]))
         candidates[qid] = [(did, encoded[did]) for did in retrieved.doc_ids]
     doc_tokens = {did: coll.docs[did] for did in encoded}  # not copied
-    if empty:
-        log.warning("dropped %d queries with no retrievable candidates", empty)
-    if not queries:
-        raise DomainError("no queries with candidates to evaluate")
     return EvalSet(queries=queries, candidates=candidates,
                    qrels=coll.qrels, doc_tokens=doc_tokens)
+
+
+def report_retrieval(asked: int, kept: int) -> None:
+    """One warning for the ``asked - kept`` queries that retrieved nothing;
+    a DomainError when no query kept a candidate."""
+    if kept < asked:
+        log.warning("dropped %d queries with no retrievable candidates", asked - kept)
+    if not kept:
+        raise DomainError("no queries with candidates to evaluate")
 
 
 @_gc_paused()

@@ -17,6 +17,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
@@ -115,7 +116,7 @@ def distinct(name: str, values: Iterable) -> tuple:
     return values
 
 
-def _cutoffs(cutoffs: Sequence[int]) -> tuple[int, ...]:
+def check_cutoffs(cutoffs: Sequence[int]) -> tuple[int, ...]:
     """A non-empty tuple of distinct int cutoffs >= 1, as --cutoffs takes them."""
     ks = []
     for c in cutoffs:
@@ -135,6 +136,42 @@ def _prefix_dcg(grades: Sequence[int]) -> list[float]:
     return list(accumulate(gains, initial=0.0))
 
 
+def mean(values: Sequence[float]) -> float:
+    """The mean of ``values``, added left to right from 0.0."""
+    return reduce(operator.add, values, 0.0) / len(values)
+
+
+def effectiveness_per_query(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
+                            cutoffs: tuple[int, ...]) -> dict[tuple[str, int], list[float]]:
+    """``effectiveness``'s per-query pass: each query's MRR@k and NDCG@k at
+    every checked cutoff k, in sorted id order, from one walk of its list."""
+    depth = max(cutoffs)
+    columns = {(metric, k): [] for k in cutoffs for metric in ("mrr", "ndcg")}
+    for qid in sorted(ranked):
+        relevant = qrels.relevant(qid)
+        grades = [relevant.get(did, 0) for did in ranked[qid][:depth]]
+        first = next((i + 1 for i, g in enumerate(grades) if g > 0), depth + 1)
+        dcg = _prefix_dcg(grades)
+        ideal = _prefix_dcg(sorted(relevant.values(), reverse=True)[:depth])
+        for k in cutoffs:
+            columns[("mrr", k)].append(1.0 / first if first <= k else 0.0)
+            columns[("ndcg", k)].append(
+                dcg[min(k, len(dcg) - 1)] / ideal[min(k, len(ideal) - 1)] if relevant else 0.0)
+    return columns
+
+
+def effectiveness_means(per_ranking: Sequence[Mapping], qids: Sequence[str],
+                        qrels: Qrels) -> list[dict[tuple[str, int], float]]:
+    """``effectiveness``'s reduction: the column means of each ranking's
+    per-query values, every ranking over the sorted ``qids``. The queries
+    qrels lacks are one warning, naming how many and the first."""
+    absent = [qid for qid in qids if not qrels.has_query(qid)]
+    if absent:
+        log.warning("%d of %d queries absent from qrels (first %s); scoring them 0",
+                    len(absent), len(qids), absent[0])
+    return [{key: mean(column) for key, column in columns.items()} for columns in per_ranking]
+
+
 def effectiveness(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
                   cutoffs: Sequence[int]) -> dict[tuple[str, int], float]:
     """Mean MRR@k and NDCG@k over queries at every cutoff k, keyed
@@ -148,25 +185,8 @@ def effectiveness(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
     """
     if not ranked:
         raise DomainError("no queries to evaluate")
-    cutoffs = _cutoffs(cutoffs)
-    depth = max(cutoffs)
-    totals = {(metric, k): 0.0 for k in cutoffs for metric in ("mrr", "ndcg")}
-    for qid in sorted(ranked):
-        relevant = qrels.relevant(qid)
-        grades = [relevant.get(did, 0) for did in ranked[qid][:depth]]
-        first = next((i + 1 for i, g in enumerate(grades) if g > 0), depth + 1)
-        dcg = _prefix_dcg(grades)
-        ideal = _prefix_dcg(sorted(relevant.values(), reverse=True)[:depth])
-        for k in cutoffs:
-            if first <= k:
-                totals[("mrr", k)] += 1.0 / first
-            if relevant:
-                totals[("ndcg", k)] += dcg[min(k, len(dcg) - 1)] / ideal[min(k, len(ideal) - 1)]
-    absent = sorted(qid for qid in ranked if not qrels.has_query(qid))
-    if absent:
-        log.warning("%d of %d queries absent from qrels (first %s); scoring them 0",
-                    len(absent), len(ranked), absent[0])
-    return {key: total / len(ranked) for key, total in totals.items()}
+    columns = effectiveness_per_query(ranked, qrels, check_cutoffs(cutoffs))
+    return effectiveness_means([columns], sorted(ranked), qrels)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +210,62 @@ class BiasReport:
     per_query: dict = field(default_factory=dict)   # (variant, cutoff) -> [(rab, arab)]
 
 
+def bias_per_query(rankings: Sequence[Mapping[str, Sequence[str]]],
+                   doc_tokens: Mapping[str, Sequence[str]], cutoffs: tuple[int, ...],
+                   variants: tuple[str, ...]) -> list[dict]:
+    """``bias_report``'s per-query pass: each ranking's signed (RaB, ARaB) of
+    every query, in sorted id order, keyed (variant, cutoff). Magnitudes are per document: each document within the largest cutoff of
+    some list of some ranking gets its delta once per variant, reused by
+    every list ranking it. Every cutoff of every list of a ranking is then
+    read from two cumulative sums over its queries x depth matrix of deltas.
+    """
+    depth = max(cutoffs)
+    qids = [sorted(ranked) for ranked in rankings]
+    tops = [[ranked[qid][:depth] for qid in ids] for ranked, ids in zip(rankings, qids)]
+    top_docs = dict.fromkeys(d for per_ranking in tops for top in per_ranking for d in top)
+    deltas = {variant: {d: _gender_delta(doc_tokens[d], variant) for d in top_docs}
+              for variant in variants}
+    signed = []
+    for ranked, ids, per_ranking in zip(rankings, qids, tops):
+        lengths = [len(ranked[qid]) for qid in ids]
+        if 0 in lengths:
+            raise DomainError("bias metrics need at least one ranked document")
+        width = max(map(len, per_ranking))
+        # a cutoff past a list's end reads the whole list
+        at = np.minimum(np.array(cutoffs, dtype=np.intp), np.array(lengths)[:, None]) - 1
+        x = np.arange(1, width + 1)
+        per_query = {}
+        for variant, delta in deltas.items():
+            # RaB@x and ARaB@x of every query and depth x, zero-padded past a
+            # list's end; np.cumsum adds left to right, the definitions' order
+            rab = np.cumsum([[delta[d] for d in top] + [0.0] * (width - len(top))
+                             for top in per_ranking], axis=1) / x
+            arab = np.cumsum(rab, axis=1) / x
+            for cutoff, rabs, arabs in zip(cutoffs, np.take_along_axis(rab, at, 1).T.tolist(),
+                                           np.take_along_axis(arab, at, 1).T.tolist()):
+                per_query[(variant, cutoff)] = list(zip(rabs, arabs))
+        signed.append(per_query)
+    return signed
+
+
+def bias_means(per_ranking: Sequence[dict], cutoffs: tuple[int, ...],
+               variants: tuple[str, ...], lengths: Sequence[int]) -> list[BiasReport]:
+    """``bias_report``'s reduction: a report per ranking, whose means sum the
+    absolute per-query values in query order. Every ranking's lists have
+    ``lengths``; a cutoff past the end of some of them is one warning."""
+    reports = [BiasReport(
+        cutoffs=cutoffs, variants=variants, num_queries=len(lengths), per_query=per_query,
+        mean_rab={key: mean([abs(rab) for rab, _ in s]) for key, s in per_query.items()},
+        mean_arab={key: mean([abs(arab) for _, arab in s]) for key, s in per_query.items()})
+        for per_query in per_ranking]
+    for cutoff in cutoffs:
+        short = [n for n in lengths if n < cutoff]
+        if short:
+            log.warning("bias cutoff %d exceeds the length of %d of %d lists (shortest %d); "
+                        "using their prefix", cutoff, len(short), len(lengths), min(short))
+    return reports
+
+
 def bias_report(
     rankings: Sequence[Mapping[str, Sequence[str]]],
     doc_tokens: Mapping[str, Sequence[str]],
@@ -197,14 +273,8 @@ def bias_report(
     variants: Sequence[str] = VARIANTS,
 ) -> list[BiasReport]:
     """Aggregate RaB/ARaB over each of several runs, each ranked doc ids per
-    query id: one report per ranking, in order.
-
-    Magnitudes are per document: each document within the largest cutoff of
-    some list of some ranking gets its delta once per variant, reused by
-    every list ranking it. Every cutoff of every list of a ranking is then
-    read from two cumulative sums over its queries x depth matrix of deltas.
-    A cutoff past the end of some lists of a ranking is one warning for that
-    ranking, naming how many and the shortest.
+    query id: one report per ranking, in order. A cutoff past the end of some
+    lists of a ranking is one warning for that ranking (``bias_means``).
     """
     if isinstance(rankings, Mapping):
         raise DomainError("bias_report takes a sequence of rankings, not one ranking")
@@ -214,43 +284,9 @@ def bias_report(
     for v in variants:
         if v not in VARIANTS:
             raise DomainError(f"unknown magnitude variant {v!r}")
-    cutoffs = _cutoffs(cutoffs)
-    depth = max(cutoffs)
-    qids = [sorted(ranked) for ranked in rankings]
-    tops = [[ranked[qid][:depth] for qid in ids] for ranked, ids in zip(rankings, qids)]
-    top_docs = dict.fromkeys(d for per_ranking in tops for top in per_ranking for d in top)
-    deltas = {variant: {d: _gender_delta(doc_tokens[d], variant) for d in top_docs}
-              for variant in variants}
+    cutoffs = check_cutoffs(cutoffs)
     reports = []
-    for ranked, ids, per_ranking in zip(rankings, qids, tops):
-        lengths = [len(ranked[qid]) for qid in ids]
-        if 0 in lengths:
-            raise DomainError("bias metrics need at least one ranked document")
-        width = max(map(len, per_ranking))
-        # a cutoff past a list's end reads the whole list
-        at = np.minimum(np.array(cutoffs, dtype=np.intp), np.array(lengths)[:, None]) - 1
-        x = np.arange(1, width + 1)
-        report = BiasReport(cutoffs=cutoffs, variants=variants, num_queries=len(ranked))
-        for variant, delta in deltas.items():
-            # RaB@x and ARaB@x of every query and depth x, zero-padded past a
-            # list's end; np.cumsum adds left to right, the definitions' order
-            rab = np.cumsum([[delta[d] for d in top] + [0.0] * (width - len(top))
-                             for top in per_ranking], axis=1) / x
-            arab = np.cumsum(rab, axis=1) / x
-            for cutoff, rabs, arabs in zip(cutoffs, np.take_along_axis(rab, at, 1).T.tolist(),
-                                           np.take_along_axis(arab, at, 1).T.tolist()):
-                signed = list(zip(rabs, arabs))
-                rab_sum = arab_sum = 0.0
-                for query_rab, query_arab in signed:
-                    rab_sum += abs(query_rab)
-                    arab_sum += abs(query_arab)
-                report.mean_rab[(variant, cutoff)] = rab_sum / len(ids)
-                report.mean_arab[(variant, cutoff)] = arab_sum / len(ids)
-                report.per_query[(variant, cutoff)] = signed
-        for cutoff in cutoffs:
-            short = [n for n in lengths if n < cutoff]
-            if short:
-                log.warning("bias cutoff %d exceeds the length of %d of %d lists (shortest %d); "
-                            "using their prefix", cutoff, len(short), len(lengths), min(short))
-        reports.append(report)
+    for ranked, per_query in zip(rankings, bias_per_query(rankings, doc_tokens,
+                                                          cutoffs, variants)):
+        reports += bias_means([per_query], cutoffs, variants, list(map(len, ranked.values())))
     return reports

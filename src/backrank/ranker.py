@@ -16,9 +16,11 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import corpus
 from . import numkernel as nk
 from .errors import DomainError, ShapeError
-from .metrics import Qrels, bias_report, effectiveness
+from .metrics import (VARIANTS, Qrels, bias_means, bias_per_query, check_cutoffs,
+                      effectiveness_means, effectiveness_per_query)
 from .parallel import run_forked, usable_cores
 from .rng import SplitMix64
 
@@ -162,9 +164,8 @@ def rank_all(model, eval_set: EvalSet, weight_sets: Sequence[Sequence[float]]
     pair is scored first, in calls of at most ``_CHUNK_ROWS`` pairs of one
     packed length (``packed_length``, so each pair is packed once, when it is
     scored): no row is padded, so a pair's logit is bit-identical to it
-    scored alone. The chunks are dealt round-robin into one share per usable
-    core, and forked helpers score every share but the first: a chunk's
-    logits are the same bits in any process."""
+    scored alone, whatever else the eval set holds. It runs in the calling
+    process; ``rank`` and ``sweep`` run it once per block of queries."""
     if len(weight_sets) == 0:
         raise DomainError("rank_all needs at least one weight set")
     qids = sorted(eval_set.queries)
@@ -175,21 +176,13 @@ def rank_all(model, eval_set: EvalSet, weight_sets: Sequence[Sequence[float]]
                            for q, d in zip(query_of.tolist(), docs)),
                           dtype=np.intp, count=len(docs))
     order = np.argsort(lengths, kind="stable")
-    chunks = [group[start:start + _CHUNK_ROWS]
-              for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)
-              for start in range(0, len(group), _CHUNK_ROWS)]
     logits = np.empty((len(weight_sets), len(docs)))
-
-    def score(share):   # the W x (pairs in share) logits, chunk after chunk
-        return np.hstack([model.relevance_logits(
-            [model.pack_sequence(eval_set.queries[qids[q]], docs[p])
-             for q, p in zip(query_of[rows].tolist(), rows.tolist())], weight_sets)[0]
-            for rows in share])
-
-    workers = min(usable_cores(), len(chunks))    # no share at all when there are no pairs
-    shares = [chunks[i::workers] for i in range(workers)]
-    for share, scored in zip(shares, run_forked([lambda s=s: score(s) for s in shares])):
-        logits[:, np.hstack(share)] = scored
+    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        for start in range(0, len(group), _CHUNK_ROWS):
+            rows = group[start:start + _CHUNK_ROWS]
+            logits[:, rows] = model.relevance_logits(
+                [model.pack_sequence(eval_set.queries[qids[q]], docs[p])
+                 for q, p in zip(query_of[rows].tolist(), rows.tolist())], weight_sets)[0]
     # an infinite logit has a finite sigmoid, so it is rejected here
     if not np.all(np.isfinite(logits)):
         raise DomainError("relevance logits must be finite")
@@ -201,31 +194,85 @@ def rank_all(model, eval_set: EvalSet, weight_sets: Sequence[Sequence[float]]
                     for s in block]
 
 
+def _in_query_blocks(coll, vocab, candidate_depth: int, task) -> list:
+    """``task(eval_set)`` of each block of the collection's sorted query ids
+    that retrieves something, in order: one contiguous block per usable core,
+    of equal size (+-1), run by ``run_forked`` from retrieval on. The BM25
+    index is built here, once, for helpers to read copy-on-write."""
+    coll.bm25_index()
+    qids = sorted(coll.queries)
+    n = max(1, min(usable_cores(), len(qids)))
+
+    def block(ids):
+        eval_set = corpus.build_eval_set(coll, vocab, candidate_depth, ids)
+        return len(eval_set.queries), (task(eval_set) if eval_set.queries else None)
+
+    blocks = [qids[len(qids) * i // n:len(qids) * (i + 1) // n] for i in range(n)]
+    done = run_forked([lambda ids=ids: block(ids) for ids in blocks])
+    corpus.report_retrieval(len(qids), sum(kept for kept, _ in done))
+    return [out for kept, out in done if kept]
+
+
+def rank_collection(model, coll, vocab, weights: Sequence[float],
+                    candidate_depth: int = 100) -> list[RankedList]:
+    """``rank``: each query's BM25 candidates, in sorted id order, ranked by
+    ``rank_all`` under one weight tuple, block by block."""
+    blocks = _in_query_blocks(coll, vocab, candidate_depth, lambda eval_set: [
+        ranked for _, (ranked,) in rank_all(model, eval_set, (weights,))])
+    return [ranked for block in blocks for ranked in block]
+
+
+def _sweep_pass(model, eval_set: EvalSet, maps, cutoffs: tuple[int, ...]) -> tuple:
+    """A sweep's per-query values over a non-empty eval set, in sorted id order:
+    list lengths, then per lambda MRR@10 and NDCG@10, then signed RaB/ARaB."""
+    ranked_ids: list[dict[str, list[str]]] = [{} for _ in maps]    # only doc ids are kept
+    for qid, lists in rank_all(model, eval_set, list(maps.values())):
+        for per_lambda, ranked in zip(ranked_ids, lists):
+            per_lambda[qid] = ranked.doc_ids
+    return ({qid: len(eval_set.candidates[qid]) for qid in sorted(eval_set.queries)},
+            [effectiveness_per_query(ranked, eval_set.qrels, (10,)) for ranked in ranked_ids],
+            bias_per_query(ranked_ids, eval_set.doc_tokens, cutoffs, VARIANTS))
+
+
+def _sweep_rows(passes: Sequence[tuple], maps, cutoffs: tuple[int, ...], qrels) -> list[dict]:
+    """The rows of the ``_sweep_pass`` values of consecutive query blocks,
+    joined in sorted id order: each warning is logged once for the sweep."""
+    lengths = {qid: n for block, _, _ in passes for qid, n in block.items()}
+
+    def joined(blocks):    # each lambda's per-query values, block after block
+        return [{key: [v for block in blocks for v in block[i][key]] for key in blocks[0][i]}
+                for i in range(len(maps))]
+
+    reports = bias_means(joined([bias for _, _, bias in passes]), cutoffs, VARIANTS,
+                         list(lengths.values()))
+    effs = effectiveness_means(joined([eff for _, eff, _ in passes]), list(lengths), qrels)
+    return [{"lambda": lam, "mrr@10": means[("mrr", 10)], "ndcg@10": means[("ndcg", 10)],
+             "rab_tf": report.mean_rab[("tf", cutoff)],
+             "arab_tf": report.mean_arab[("tf", cutoff)],
+             "rab_bool": report.mean_rab[("bool", cutoff)],
+             "arab_bool": report.mean_arab[("bool", cutoff)], "cutoff": cutoff}
+            for lam, means, report in zip(maps, effs, reports) for cutoff in cutoffs]
+
+
 def sweep_lambda(model, eval_set: EvalSet, maps: Mapping[float, Sequence[float]],
                  cutoffs: Sequence[int] = (10, 20, 30, 40)) -> list[dict]:
     """Effectiveness/bias trade-off rows, one per (lambda, cutoff), for each
     lambda -> per-sense weights entry of ``maps`` (``build_sense_map``), in
-    its order. A lambda whose weights are all ones, as lambda = 1.0's are,
-    gives rows equal to an unmitigated evaluation exactly.
-    """
-    # only doc ids are kept across queries
-    ranked_ids: list[dict[str, list[str]]] = [{} for _ in maps]
-    for qid, lists in rank_all(model, eval_set, list(maps.values())):
-        for per_lambda, ranked in zip(ranked_ids, lists):
-            per_lambda[qid] = ranked.doc_ids
-    reports = bias_report(ranked_ids, eval_set.doc_tokens, cutoffs=cutoffs)
-    rows: list[dict] = []
-    for lam, ranked, report in zip(maps, ranked_ids, reports):
-        means = effectiveness(ranked, eval_set.qrels, (10,))
-        for cutoff in report.cutoffs:
-            rows.append({
-                "lambda": lam,
-                "mrr@10": means[("mrr", 10)],
-                "ndcg@10": means[("ndcg", 10)],
-                "rab_tf": report.mean_rab[("tf", cutoff)],
-                "arab_tf": report.mean_arab[("tf", cutoff)],
-                "rab_bool": report.mean_rab[("bool", cutoff)],
-                "arab_bool": report.mean_arab[("bool", cutoff)],
-                "cutoff": cutoff,
-            })
-    return rows
+    its order: ``sweep``'s per-query pass and reduction over one block. A
+    lambda whose weights are all ones, as lambda = 1.0's are, gives rows
+    equal to an unmitigated evaluation exactly."""
+    cutoffs = check_cutoffs(cutoffs)
+    if not eval_set.queries:
+        raise DomainError("no queries to evaluate")
+    return _sweep_rows([_sweep_pass(model, eval_set, maps, cutoffs)], maps, cutoffs,
+                       eval_set.qrels)
+
+
+def sweep_collection(model, coll, vocab, maps: Mapping[float, Sequence[float]],
+                     cutoffs: Sequence[int], candidate_depth: int = 100) -> list[dict]:
+    """``sweep``: ``sweep_lambda``'s rows of the collection's BM25 candidates,
+    with the per-query pass run block by block."""
+    cutoffs = check_cutoffs(cutoffs)
+    passes = _in_query_blocks(coll, vocab, candidate_depth,
+                              lambda eval_set: _sweep_pass(model, eval_set, maps, cutoffs))
+    return _sweep_rows(passes, maps, cutoffs, coll.qrels)

@@ -985,6 +985,136 @@ def test_rank_then_eval_and_bias_equal_the_sweep_row(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# rank and sweep by query block
+
+
+class _StderrHandler(logging.StreamHandler):
+    """A handler on whatever ``sys.stderr`` is when a record arrives."""
+
+    def emit(self, record):
+        self.stream = sys.stderr
+        super().emit(record)
+
+
+@pytest.fixture
+def log_to_stderr(capfd):
+    """The CLI's log lines on the captured stderr, formatted as ``main``
+    configures them; pytest's own root handlers keep ``basicConfig`` from
+    adding one in this process. A helper that logged would write there too."""
+    handler = _StderrHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logging.getLogger("backrank").addHandler(handler)
+    yield
+    logging.getLogger("backrank").removeHandler(handler)
+
+
+def _warned_calls(pipeline, tmp_path):
+    """rank and a 3-lambda sweep, by output name, on the pipeline's
+    collection plus a query that retrieves nothing, with qrels for 2 of its
+    12 other queries and a cutoff past the end of every list."""
+    data = pipeline["data"]
+    queries, qrels = tmp_path / "queries.tsv", tmp_path / "partial.qrels"
+    queries.write_text((data / "queries.tsv").read_text() + "q9999\tnothing retrieves this\n")
+    qrels.write_text("".join((data / "qrels.txt").read_text().splitlines(True)[:4]))
+    inputs = ["--checkpoint", str(pipeline["ckpt"]), "--corpus", str(data / "corpus.tsv"),
+              "--queries", str(queries), "--depth", "8"]
+    return {"run.txt": ["rank", *inputs, "--lambda", "0.5", "--top-senses", "2",
+                        "--out", str(tmp_path / "run.txt")],
+            "sweep.csv": ["sweep", *inputs, "--qrels", str(qrels), "--lambdas", "1.0,0.7,0.5",
+                          "--cutoffs", "5,10", "--out", str(tmp_path / "sweep.csv")]}
+
+
+def test_sweep_prints_each_warning_once(pipeline, tmp_path, capfd, log_to_stderr):
+    """Every lambda ranks the same queries with the same candidate lists, so
+    the dropped query, the cutoff past the lists' end and the queries absent
+    from qrels are one line each, however many lambdas the sweep has."""
+    assert main(_warned_calls(pipeline, tmp_path)["sweep.csv"]) == 0
+    assert capfd.readouterr().err == (
+        "WARNING backrank.senses: dropped 5 polarity pairs with out-of-vocabulary terms\n"
+        "WARNING backrank.corpus: dropped 1 queries with no retrievable candidates\n"
+        "WARNING backrank.metrics: bias cutoff 10 exceeds the length of 12 of 12 lists "
+        "(shortest 8); using their prefix\n"
+        "WARNING backrank.metrics: 10 of 12 queries absent from qrels (first q0003); "
+        "scoring them 0\n")
+
+
+def test_rank_and_sweep_write_the_same_bytes_and_stderr_under_one_and_two_workers(
+        pipeline, tmp_path, monkeypatch, capfd, log_to_stderr):
+    """Each block of queries but the first is ranked, and in a sweep scored,
+    by a forked helper that logs nothing: the run file, the CSV and stderr,
+    where a helper's own writes would show, are the same bytes under one and
+    two usable cores, and each call forks workers - 1 helpers."""
+    calls = _warned_calls(pipeline, tmp_path)
+    forks = _counted_forks(monkeypatch)
+    seen = {}
+    for workers in (1, 2):
+        pin_cores(monkeypatch, workers)
+        for name, argv in calls.items():
+            forks.clear()
+            assert main(argv) == 0
+            assert len(forks) == workers - 1
+            seen[workers, name] = (tmp_path / name).read_bytes(), capfd.readouterr()
+    for name in calls:
+        assert seen[1, name] == seen[2, name]
+    assert all(seen[1, name][1].err for name in calls)    # each warns of the dropped query
+
+
+def _one_query_retrieves(tmp_path):
+    """A checkpoint trained on the gender-free corpus with q1, which
+    retrieves d1 and d2, and q2, which retrieves nothing; the files' paths."""
+    for name, text in {**GENDER_FREE, "queries.tsv": "q1\talpha\nq2\tomega\n",
+                       "qrels.txt": "q1 0 d1 1\n"}.items():
+        (tmp_path / name).write_text(text)
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--corpus", str(tmp_path / "corpus.tsv"),
+                 "--queries", str(tmp_path / "queries.tsv"), "--qrels", str(tmp_path / "qrels.txt"),
+                 "--out", str(ckpt), "--loss-csv", str(tmp_path / "loss.csv"), *TRAIN_ARGS]) == 0
+
+    def argv(subcommand, queries):
+        inputs = ["--checkpoint", str(ckpt), "--corpus", str(tmp_path / "corpus.tsv"),
+                  "--queries", str(queries), "--out", str(tmp_path / f"{subcommand}.out")]
+        if subcommand == "sweep":
+            inputs += ["--qrels", str(tmp_path / "qrels.txt"), "--lambdas", "1.0", "--cutoffs", "2"]
+        return [subcommand, *inputs]
+    return argv
+
+
+def test_a_block_whose_queries_retrieve_nothing_is_no_error(tmp_path, monkeypatch, capfd,
+                                                             log_to_stderr):
+    """Under two workers q2 is the helper's block, and BM25 retrieves nothing
+    for it: rank and sweep exit 0 with q1's outputs and one warning."""
+    argv = _one_query_retrieves(tmp_path)
+    capfd.readouterr()
+    pin_cores(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    for subcommand in ("rank", "sweep"):
+        forks.clear()
+        assert main(argv(subcommand, tmp_path / "queries.tsv")) == 0
+        assert capfd.readouterr().err == (
+            "WARNING backrank.corpus: dropped 1 queries with no retrievable candidates\n")
+        assert len(forks) == 1
+    assert {line.split()[0] for line in (tmp_path / "rank.out").read_text().splitlines()} == {"q1"}
+
+
+def test_a_collection_where_nothing_retrieves_is_exit_2(tmp_path, monkeypatch, capfd,
+                                                       log_to_stderr):
+    """When no block's queries retrieve anything, rank and sweep fail with
+    one warning and today's message, under one and two workers alike."""
+    argv = _one_query_retrieves(tmp_path)
+    queries = tmp_path / "none.tsv"
+    queries.write_text("q1\tomega\nq2\tpsi\n")
+    capfd.readouterr()
+    for workers in (1, 2):
+        pin_cores(monkeypatch, workers)
+        for subcommand in ("rank", "sweep"):
+            assert main(argv(subcommand, queries)) == 2
+            assert capfd.readouterr().err == (
+                "WARNING backrank.corpus: dropped 2 queries with no retrievable candidates\n"
+                "error: no queries with candidates to evaluate\n")
+            assert not (tmp_path / f"{subcommand}.out").exists()
+
+
+# ---------------------------------------------------------------------------
 # plumbing
 
 
@@ -1303,6 +1433,16 @@ def test_src_retrieves_candidates_only_in_build_eval_set():
     train, rank and sweep rerank candidate lists formed in one place."""
     sites = _src_sites(lambda n: _is_call(n, "bm25_retrieve"))
     assert [(name, scope) for name, scope, _ in sites] == [("corpus.py", "build_eval_set")], sites
+
+
+def test_src_forks_ranking_only_in_the_query_block_driver():
+    """``run_forked(`` is called in src/ only in ``cmd_bias`` and in
+    ``ranker._in_query_blocks``, the driver that gives each usable core one
+    block of queries: ``rank_all``, and everything a block runs, never forks
+    again."""
+    sites = _src_sites(lambda n: _is_call(n, "run_forked"))
+    assert sorted((name, scope) for name, scope, _ in sites) == [
+        ("cli.py", "cmd_bias"), ("ranker.py", "_in_query_blocks")], sites
 
 
 def test_console_script_entry_point(pipeline, tmp_path):

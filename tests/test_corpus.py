@@ -186,11 +186,15 @@ def assert_same_index(got, want):
 def test_bm25_index_equals_the_counter_build():
     """Doc ids, posting key order, rows (intp) and impacts are bit-equal to
     the per-document Counter build, on the seed-1 and seed-4 synthetic
-    collections, random_bm25_cases and the edge cases: no documents, one
-    empty document, only empty documents, and a term in every document (its
-    idf floors to 0, so it has no postings)."""
+    collections (206 terms: uint8 term ids), one of 400 terms (uint16 ids),
+    random_bm25_cases and the edge cases: no documents, one empty document,
+    only empty documents, and a term in every document (its idf floors to 0,
+    so it has no postings)."""
     collections = [generate_synthetic(SynthConfig(seed=seed, skew=0.9)).docs
                    for seed in (1, 4)]
+    collections.append({f"d{i:03d}": [f"w{(i * 7 + j * j) % 400}" for j in range(1 + i % 9)]
+                        for i in range(300)})
+    assert len({t for doc in collections[-1].values() for t in doc}) > 256
     collections += [docs for docs, _query, _top_n in random_bm25_cases()]
     collections += [{}, {"d1": []}, {"d1": ["a", "b"], "d2": [], "d3": ["b", "c", "b"]},
                     {"d1": [], "d2": [], "d3": []},

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, Qrels,
+from backrank import (Backpack, BackpackConfig, Collection, DomainError, EvalSet, Qrels,
                       ShapeError, SplitMix64, SynthConfig,
                       TrainConfig, TrainExample, Vocab,
                       bias_report, build_eval_set, build_sense_map,
@@ -15,7 +15,7 @@ from backrank import (Backpack, BackpackConfig, DomainError, EvalSet, Qrels,
                       sweep_lambda, train)
 from backrank import metrics, ranker
 from backrank.backpack import ContextEncoder
-from backrank.ranker import SWEEP_COLUMNS
+from backrank.ranker import SWEEP_COLUMNS, rank_collection, sweep_collection
 from backrank.senses import PolarityPair
 from backrank import numkernel as nk
 from helpers import (ScalarSplitMix64, Tape, assert_ranking_invariants, backward,
@@ -392,25 +392,6 @@ def test_rank_all_logits_equal_each_pair_scored_alone(tiny_model):
                 assert score == nk.sigmoid(alone).item()
 
 
-def test_rank_all_gives_equal_bits_under_one_and_two_workers(tiny_model, monkeypatch, tmp_path):
-    """Forked helpers score part of the chunks, and every RankedList is the
-    one a single process gives, bit for bit (the scores are positive floats,
-    so == on them is equality of bits)."""
-    es = _ragged_set(tiny_model)
-    weight_sets = (ONES, (1.0, 0.05), (0.3, 1.0))
-    log = tmp_path / "calls"
-    _log_calls(monkeypatch, Backpack, "relevance_logits", log)
-    ranked, pids = {}, {}
-    for workers in (1, 2):
-        pin_cores(monkeypatch, workers)
-        ranked[workers] = list(rank_all(tiny_model, es, weight_sets))
-        pids[workers] = [pid for pid, _ in _logged(log)]
-        log.unlink()
-    assert ranked[1] == ranked[2]
-    assert set(pids[1]) == {os.getpid()}
-    assert len(set(pids[2])) == 2 and len(pids[2]) == len(pids[1])
-
-
 def _random_eval_set(rng, permute=None):
     """Up to 4 queries of 1 to 12 candidates, each drawn from 4 token lists
     of 1 to 6 tokens, so that scores tie and lists pack to mixed lengths.
@@ -453,106 +434,10 @@ def test_rank_all_lists_hold_the_ranking_invariants(tiny_model, monkeypatch, wor
     assert ties >= 10 and moved >= 6, (ties, moved)
 
 
-def _two_chunk_set(doc_b):
-    """One query whose two candidates pack to two lengths: the short one is
-    chunk 0, scored in this process, and ``doc_b`` is chunk 1, the one helper's
-    share under two workers."""
-    return _one_query_set((3, 4), [("a", (5, 6)), ("b", doc_b)])
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_rank_all_raises_a_helpers_error_with_its_message(tiny_model, monkeypatch,
-                                                         tmp_path, workers):
-    """An id outside the vocabulary in the helper's share fails the helper;
-    this process scores that share again and raises the same DomainError."""
-    pin_cores(monkeypatch, workers)
-    n_long = len(tiny_model.pack_sequence((3, 4), (7, 99, 8)))
-    log = tmp_path / "calls"
-    _log_calls(monkeypatch, Backpack, "relevance_logits", log,
-               lambda seqs, *_: len(seqs[0]))
-    with pytest.raises(DomainError, match="^row index 99 out of range for 30 rows$"):
-        list(rank_all(tiny_model, _two_chunk_set((7, 99, 8)), (ONES,)))
-    long_calls = [pid for pid, n in _logged(log) if int(n) == n_long]
-    if workers == 1:
-        assert long_calls == [os.getpid()]
-    else:   # the helper hit it first, then this process did
-        assert len(long_calls) == 2 and long_calls[0] != os.getpid() == long_calls[1]
-
-
-@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
-def test_rank_all_rejects_non_finite_logits_from_a_helper(tiny_model, monkeypatch,
-                                                          tmp_path, bad):
-    """Non-finite logits that only the helper's share holds still fail the
-    whole call, after they arrive through the pipe."""
-    pin_cores(monkeypatch, 2)
-    real = Backpack.relevance_logits
-    n_long = len(tiny_model.pack_sequence((3, 4), (7, 9, 8)))
-
-    def spoiled(self, seqs, weights):
-        out, back = real(self, seqs, weights)
-        return (out + bad if len(seqs[0]) == n_long else out), back
-
-    monkeypatch.setattr(Backpack, "relevance_logits", spoiled)
-    log = tmp_path / "calls"
-    _log_calls(monkeypatch, Backpack, "relevance_logits", log,
-               lambda seqs, *_: len(seqs[0]))
-    with pytest.raises(DomainError, match="relevance logits must be finite"):
-        list(rank_all(tiny_model, _two_chunk_set((7, 9, 8)), (ONES,)))
-    by_length = dict((int(n), pid) for pid, n in _logged(log))
-    assert len(by_length) == 2 and by_length[n_long] != os.getpid()
-
-
-def test_rank_all_forks_nothing_for_no_pairs_or_one_chunk(tiny_model, monkeypatch):
-    """With no pairs, or all of them in one chunk, this process scores them
-    itself, however many cores it may use."""
-    pin_cores(monkeypatch, 2)
-    forbid_fork(monkeypatch)
-    assert list(rank_all(tiny_model, EvalSet({}, {}, Qrels({}), {}), (ONES,))) == []
-    es = _one_query_set((3, 4), [("a", (5, 6)), ("b", (7, 8)), ("c", (9, 9))])
-    [(qid, [ranked])] = rank_all(tiny_model, es, (ONES,))
-    assert qid == "q1" and sorted(ranked.doc_ids) == ["a", "b", "c"]
-
-
-def test_rank_all_forks_nothing_while_another_thread_runs(tiny_model, monkeypatch):
-    """A forked child would inherit any lock another thread holds, so with a
-    second thread alive every chunk is scored in this process."""
-    es = _ragged_set(tiny_model)
-    pin_cores(monkeypatch, 1)
-    alone = list(rank_all(tiny_model, es, (ONES,)))
-    pin_cores(monkeypatch, 2)
-    forbid_fork(monkeypatch)
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait)
-    waiter.start()
-    try:
-        assert list(rank_all(tiny_model, es, (ONES,))) == alone
-    finally:
-        release.set()
-        waiter.join(timeout=10)
-    assert not waiter.is_alive()
-
-
-def test_rank_all_scores_a_share_itself_when_fork_fails(tiny_model, monkeypatch):
-    """A fork that fails costs time, not the call: the share it would have
-    gone to is scored in this process, to the same bits."""
-    es = _ragged_set(tiny_model)
-    pin_cores(monkeypatch, 1)
-    alone = list(rank_all(tiny_model, es, (ONES, (0.3, 1.0))))
-    pin_cores(monkeypatch, 3)
-    forks = []
-
-    def failing_fork():
-        forks.append(1)
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", failing_fork)
-    assert list(rank_all(tiny_model, es, (ONES, (0.3, 1.0)))) == alone
-    assert len(forks) == 2
-
-
 def test_rank_all_packs_each_pair_once(tiny_model, monkeypatch, tmp_path):
     """Lengths come from packed_length; pack_sequence runs only when a pair
-    is scored, by this process or by a helper."""
+    is scored, once per pair, in this process however many cores it may use:
+    rank_all forks nothing."""
     rng = SplitMix64(12)
     queries = {f"q{i}": tuple(3 + rng.randint(27) for _ in range(1 + i)) for i in range(3)}
     cands = {qid: [(f"d{j}", tuple(3 + rng.randint(27) for _ in range(1 + 4 * j)))
@@ -563,7 +448,7 @@ def test_rank_all_packs_each_pair_once(tiny_model, monkeypatch, tmp_path):
     list(rank_all(tiny_model, EvalSet(queries, cands, Qrels({}), {}), (ONES, (0.5, 1.0))))
     calls = _logged(log)
     assert len(calls) == 15
-    assert len({pid for pid, _ in calls}) == 2
+    assert {pid for pid, _ in calls} == {os.getpid()}
 
 
 @pytest.mark.parametrize("layers", [1, 2])
@@ -679,8 +564,8 @@ def test_sweep_encodes_each_pair_once(synth_setup, monkeypatch, tmp_path):
     """The encoder's cost does not grow with the number of lambdas: its rows
     add up to the number of pairs, and 1 and 4 lambdas make the same calls,
     in the same order in one process, and as the same multiset of shapes
-    when a helper encodes part of them."""
-    model, vocab, _, eval_set = synth_setup
+    when a helper ranks the second block of queries."""
+    model, vocab, coll, eval_set = synth_setup
     log = tmp_path / "alpha"
     _log_calls(monkeypatch, ContextEncoder, "alpha", log,
                lambda ids, positions: "x".join(map(str, np.shape(ids))))
@@ -688,8 +573,8 @@ def test_sweep_encodes_each_pair_once(synth_setup, monkeypatch, tmp_path):
         pin_cores(monkeypatch, workers)
         per_sweep = []
         for lambdas in ([1.0], [1.0, 0.7, 0.5, 0.3]):
-            sweep_lambda(model, eval_set, build_sense_map(model, SHE_HE, vocab, lambdas, m=2),
-                         cutoffs=(5,))
+            sweep_collection(model, coll, vocab,
+                             build_sense_map(model, SHE_HE, vocab, lambdas, m=2), (5,), 8)
             calls = _logged(log)
             log.unlink()
             assert len({pid for pid, _ in calls}) == workers
@@ -703,8 +588,9 @@ def test_sweep_encodes_each_pair_once(synth_setup, monkeypatch, tmp_path):
 
 def test_sweep_computes_each_gender_delta_once_across_lambdas(synth_setup, monkeypatch):
     """Three lambdas make as many gender-delta calls as one: each document's
-    delta is computed once per variant for the whole sweep. Cutoff 8 reads
-    every candidate, so each lambda's lists hold the same documents."""
+    delta is computed once per variant per block of queries, for the whole
+    sweep. Cutoff 8 reads every candidate, so each lambda's lists hold the
+    same documents."""
     model, vocab, _, eval_set = synth_setup
     calls = []
     real = metrics._gender_delta
@@ -717,6 +603,149 @@ def test_sweep_computes_each_gender_delta_once_across_lambdas(synth_setup, monke
                      cutoffs=(3, 8))
         per_sweep.append(len(calls))
     assert per_sweep[0] == per_sweep[1] > 0
+
+
+# ---------------------------------------------------------------------------
+# query blocks: rank and sweep split their queries, from retrieval on
+
+
+def test_rank_and_sweep_give_equal_bits_under_one_and_two_workers(synth_setup, monkeypatch,
+                                                                  tmp_path):
+    """Under two usable cores a forked helper ranks and scores the second
+    block of queries, and rank_collection's lists and sweep_collection's rows
+    are those of rank_all and sweep_lambda over the whole eval set in one
+    process, bit for bit. Each pair is packed once, by one of the processes."""
+    model, vocab, coll, eval_set = synth_setup
+    maps = build_sense_map(model, SHE_HE, vocab, [1.0, 0.5], m=2)
+    whole = [ranked for _, (ranked,) in rank_all(model, eval_set, (maps[0.5],))]
+    rows = sweep_lambda(model, eval_set, maps, cutoffs=(3, 5))
+    log = tmp_path / "calls"
+    _log_calls(monkeypatch, Backpack, "pack_sequence", log)
+    for workers in (1, 2):
+        pin_cores(monkeypatch, workers)
+        assert rank_collection(model, coll, vocab, maps[0.5], candidate_depth=8) == whole
+        calls = _logged(log)
+        log.unlink()
+        assert len(calls) == sum(map(len, eval_set.candidates.values()))
+        assert len({pid for pid, _ in calls}) == workers
+        assert sweep_collection(model, coll, vocab, maps, (3, 5), candidate_depth=8) == rows
+        log.unlink()
+
+
+def _two_query_collection():
+    """q1 retrieves d1 and d2, q2 retrieves d3 and d4; q2 also holds "zzz",
+    the vocabulary's last id, so that a model one id short fails on q2's
+    pairs alone. Under two workers q2 is the helper's block."""
+    docs = {"d1": ["cat", "dog"], "d2": ["cat", "fish"], "d3": ["bird", "tree"],
+            "d4": ["bird", "sun"], "d5": ["moon"], "d6": ["star"]}
+    queries = {"q1": ["cat"], "q2": ["bird", "zzz"]}
+    vocab = Vocab.build(list(docs.values()) + list(queries.values()))
+    assert vocab.tokens[-1] == "zzz"
+    return Collection(docs, queries), vocab
+
+
+def _small_model(vocab_size):
+    return Backpack(BackpackConfig(vocab_size=vocab_size, embed_dim=8, num_senses=2,
+                                   sense_hidden=2, context_heads=2, max_seq_len=16), seed=3)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_query_blocks_raise_a_helpers_error_with_its_message(monkeypatch, tmp_path, workers):
+    """An id outside the vocabulary in the second block's query fails the
+    helper that ranks it; this process ranks that block again and raises the
+    same DomainError."""
+    coll, vocab = _two_query_collection()
+    bad = vocab.token_id("zzz")
+    pin_cores(monkeypatch, workers)
+    log = tmp_path / "calls"
+    _log_calls(monkeypatch, Backpack, "relevance_logits", log,
+               lambda seqs, *_: int(any(bad in seq for seq in seqs)))
+    with pytest.raises(DomainError, match=f"^row index {bad} out of range for {bad} rows$"):
+        rank_collection(_small_model(bad), coll, vocab, ONES, candidate_depth=5)
+    failed = [pid for pid, hit in _logged(log) if hit == "1"]
+    if workers == 1:
+        assert failed == [os.getpid()]
+    else:   # the helper hit it first, then this process did
+        assert len(failed) == 2 and failed[0] != os.getpid() == failed[1]
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_query_blocks_reject_non_finite_logits_from_a_helper(monkeypatch, tmp_path, bad):
+    """Non-finite logits that only the helper's block holds fail the whole
+    call: the helper rejects them, and so does this process, ranking that
+    block again."""
+    coll, vocab = _two_query_collection()
+    real = Backpack.relevance_logits
+    q2 = vocab.token_id("bird")    # the first id of each of q2's sequences
+
+    def spoiled(self, seqs, weights):
+        out, back = real(self, seqs, weights)
+        return (out + bad if seqs[0][0] == q2 else out), back
+
+    monkeypatch.setattr(Backpack, "relevance_logits", spoiled)
+    log = tmp_path / "calls"
+    _log_calls(monkeypatch, Backpack, "relevance_logits", log,
+               lambda seqs, *_: int(seqs[0][0] == q2))
+    pin_cores(monkeypatch, 2)
+    with pytest.raises(DomainError, match="^relevance logits must be finite$"):
+        rank_collection(_small_model(len(vocab)), coll, vocab, ONES, candidate_depth=5)
+    spoilt = [pid for pid, hit in _logged(log) if hit == "1"]
+    assert len(spoilt) == 2 and spoilt[0] != os.getpid() == spoilt[1]
+
+
+def test_query_blocks_fork_nothing_for_one_block(synth_setup, monkeypatch):
+    """One usable core, or a collection of one query, makes one block, which
+    this process ranks itself; a list is the same bits in any block. An
+    empty eval set ranks to nothing, and sweep_lambda has no queries for it."""
+    model, vocab, coll, eval_set = synth_setup
+    forbid_fork(monkeypatch)
+    empty = EvalSet({}, {}, Qrels({}), {})
+    assert list(rank_all(model, empty, (SYNTH_ONES,))) == []
+    with pytest.raises(DomainError, match="^no queries to evaluate$"):
+        sweep_lambda(model, empty, {1.0: SYNTH_ONES}, (5,))
+    pin_cores(monkeypatch, 1)
+    lists = rank_collection(model, coll, vocab, SYNTH_ONES, candidate_depth=8)
+    assert [ranked.query_id for ranked in lists] == sorted(eval_set.queries)
+    pin_cores(monkeypatch, 2)
+    alone = Collection(coll.docs, {"q0001": coll.queries["q0001"]})
+    assert rank_collection(model, alone, vocab, SYNTH_ONES, candidate_depth=8) == lists[:1]
+
+
+def test_query_blocks_fork_nothing_while_another_thread_runs(synth_setup, monkeypatch):
+    """A forked child would inherit any lock another thread holds, so with a
+    second thread alive every block is ranked in this process."""
+    model, vocab, coll, _ = synth_setup
+    pin_cores(monkeypatch, 1)
+    alone = rank_collection(model, coll, vocab, SYNTH_ONES, candidate_depth=8)
+    pin_cores(monkeypatch, 2)
+    forbid_fork(monkeypatch)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert rank_collection(model, coll, vocab, SYNTH_ONES, candidate_depth=8) == alone
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+
+
+def test_query_blocks_run_a_block_here_when_fork_fails(synth_setup, monkeypatch):
+    """A fork that fails costs time, not the call: the block it would have
+    gone to is ranked in this process, to the same bits."""
+    model, vocab, coll, _ = synth_setup
+    pin_cores(monkeypatch, 1)
+    alone = rank_collection(model, coll, vocab, SYNTH_ONES, candidate_depth=8)
+    pin_cores(monkeypatch, 3)
+    forks = []
+
+    def failing_fork():
+        forks.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert rank_collection(model, coll, vocab, SYNTH_ONES, candidate_depth=8) == alone
+    assert len(forks) == 2
 
 
 def test_sweep_suppression_changes_rankings(synth_setup):
