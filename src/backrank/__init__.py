@@ -13,7 +13,10 @@ from .backpack import (
 )
 from .corpus import (
     Collection,
+    EvalSet,
+    RankedList,
     SynthConfig,
+    TrainExample,
     Vocab,
     bm25_retrieve,
     build_eval_set,
@@ -35,12 +38,9 @@ from .metrics import (
     effectiveness,
     mag_bool,
 )
-from .numkernel import Tensor, cosine_similarity
+from .numkernel import Tensor
 from .ranker import (
-    EvalSet,
-    RankedList,
     TrainConfig,
-    TrainExample,
     listwise_loss,
     rank_all,
     sweep_lambda,
@@ -68,7 +68,7 @@ __all__ = [
     "Tensor", "TrainConfig", "TrainExample", "Vocab",
     "aggregate", "attribute_scores", "bias_report",
     "bm25_retrieve", "build_eval_set", "build_sense_map",
-    "build_train_examples", "cosine_similarity", "default_pairs_path",
+    "build_train_examples", "default_pairs_path",
     "effectiveness", "generate_synthetic", "listwise_loss", "load_checkpoint",
     "load_collection", "load_polarity_lexicon", "mag_bool", "rank_all",
     "read_qrels", "read_ranking", "save_checkpoint", "sweep_lambda",

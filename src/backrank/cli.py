@@ -29,7 +29,7 @@ from .corpus import (SynthConfig, Vocab, build_train_examples,
                      read_qrels, read_ranking,
                      records_from_ranking, write_collection, write_run)
 from .errors import BackrankError, DomainError, ParseError, read_lines
-from .metrics import bias_report, distinct, effectiveness
+from .metrics import VARIANTS, bias_report, distinct, effectiveness
 from .parallel import run_forked
 from .ranker import SWEEP_COLUMNS, TrainConfig, rank_collection, sweep_collection, train
 from .senses import attribute_scores, build_sense_map, default_pairs_path, load_polarity_lexicon
@@ -222,7 +222,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bias(args) -> int:
-    variants = ("tf", "bool") if args.variant == "both" else (args.variant,)
+    variants = VARIANTS if args.variant == "both" else (args.variant,)    # the rows written
     _make_parents(args.out)
     # a helper reads the corpus (all RaB/ARaB read of a document) while this process reads the run
     grouped, doc_tokens = run_forked([functools.partial(_read_run, args.run),
@@ -233,10 +233,10 @@ def cmd_bias(args) -> int:
             if parts and parts[2] not in doc_tokens:
                 raise ParseError(f"run document {parts[2]!r} (query {parts[0]}) missing "
                                  "from corpus", path=args.run, line=lineno)
-    [report] = bias_report([grouped], doc_tokens, cutoffs=args.cutoffs, variants=variants)
+    [report] = bias_report([grouped], doc_tokens, cutoffs=args.cutoffs)
     rows = [{"variant": v, "cutoff": c, "rab": report.mean_rab[(v, c)],
              "arab": report.mean_arab[(v, c)]}
-            for v in report.variants for c in report.cutoffs]
+            for v in variants for c in report.cutoffs]
     _write_csv(args.out, ("variant", "cutoff", "rab", "arab"), rows)
     return 0
 

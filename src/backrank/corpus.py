@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import DomainError, ParseError, read_lines
 from .metrics import FEMALE_TERMS, MALE_TERMS, MAX_GRADE, Qrels
-from .ranker import EvalSet, RankedList, TrainExample
 from .rng import SplitMix64
 
 log = logging.getLogger(__name__)
@@ -199,6 +198,19 @@ class _Bm25Index:
             term_impact *= v
         impact *= BM25_K1 + 1.0
         impact /= denom
+
+
+@dataclass(frozen=True)
+class RankedList:
+    """(doc id, score) pairs for one query in its producer's sort order: each
+    document once, by finite score descending, then doc id ascending."""
+
+    query_id: str
+    items: tuple[tuple[str, float], ...]
+
+    @property
+    def doc_ids(self) -> list[str]:
+        return [d for d, _ in self.items]
 
 
 def bm25_retrieve(query: Sequence[str], collection: Collection, top_n: int = 100,
@@ -526,6 +538,47 @@ def records_from_ranking(ranked: RankedList,
     """The ``write_run`` records of a ranked list, ranked from 1."""
     return [(ranked.query_id, did, i + 1, score, tag)
             for i, (did, score) in enumerate(ranked.items)]
+
+
+@dataclass(frozen=True)
+class TrainExample:
+    """One query with a labeled candidate list (token indices, not strings)."""
+
+    query_id: str
+    query: tuple[int, ...]
+    doc_ids: tuple[str, ...]
+    docs: tuple[tuple[int, ...], ...]
+    labels: tuple[float, ...]
+
+    def __post_init__(self):
+        m = len(self.docs)
+        if m < 2:
+            raise DomainError("a listwise example needs at least 2 candidates")
+        if len(self.doc_ids) != m or len(self.labels) != m:
+            raise DomainError("doc_ids, docs, and labels must align")
+        if not all(0.0 <= y < math.inf for y in self.labels):
+            raise DomainError(f"relevance labels of query {self.query_id} must be finite and >= 0")
+        if not any(y > 0 for y in self.labels):
+            raise DomainError("an example needs at least one positive label")
+
+
+@dataclass(frozen=True)
+class EvalSet:
+    """Everything the sweep needs: encoded queries with non-empty candidate
+    lists, labels, and each document's string tokens for the gender magnitudes."""
+
+    queries: Mapping[str, Sequence[int]]
+    candidates: Mapping[str, Sequence[tuple[str, Sequence[int]]]]
+    qrels: Qrels
+    doc_tokens: Mapping[str, Sequence[str]]
+
+    def __post_init__(self):
+        for qid in self.queries:
+            cands = self.candidates.get(qid)
+            if not cands:
+                raise DomainError(f"no candidates to rank for query {qid}")
+            if len({did for did, _ in cands}) != len(cands):
+                raise DomainError(f"query {qid} lists a candidate document twice")
 
 
 def build_train_examples(

@@ -94,7 +94,7 @@ def mag_bool(doc_tokens: Sequence[str], terms: Iterable[str]) -> int:
 
 
 def _gender_delta(doc_tokens: Sequence[str], variant: str) -> float:
-    """Female minus male magnitude; ``variant`` is in VARIANTS (bias_report checks)."""
+    """Female minus male magnitude; ``variant`` is one of VARIANTS."""
     if variant == "tf":    # the lexicons are sorted and distinct: the definition's order
         return _log_counts(doc_tokens, FEMALE_TERMS) - _log_counts(doc_tokens, MALE_TERMS)
     return float(mag_bool(doc_tokens, FEMALE_TERMS) - mag_bool(doc_tokens, MALE_TERMS))
@@ -141,23 +141,27 @@ def mean(values: Sequence[float]) -> float:
     return reduce(operator.add, values, 0.0) / len(values)
 
 
-def effectiveness_per_query(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
-                            cutoffs: tuple[int, ...]) -> dict[tuple[str, int], list[float]]:
-    """``effectiveness``'s per-query pass: each query's MRR@k and NDCG@k at
-    every checked cutoff k, in sorted id order, from one walk of its list."""
+def effectiveness_per_query(rankings: Sequence[Mapping[str, Sequence[str]]], qrels: Qrels,
+                            cutoffs: tuple[int, ...]) -> list[dict[tuple[str, int], list[float]]]:
+    """``effectiveness``'s per-query pass: each ranking's MRR@k and NDCG@k of
+    every query at every checked cutoff k, in sorted id order, from one walk
+    of each list. The rankings rank one query set, so each query's relevant
+    grades and ideal DCG are read once, for every ranking."""
     depth = max(cutoffs)
-    columns = {(metric, k): [] for k in cutoffs for metric in ("mrr", "ndcg")}
-    for qid in sorted(ranked):
+    per_ranking = [{(metric, k): [] for k in cutoffs for metric in ("mrr", "ndcg")}
+                   for _ in rankings]
+    for qid in sorted(rankings[0]):
         relevant = qrels.relevant(qid)
-        grades = [relevant.get(did, 0) for did in ranked[qid][:depth]]
-        first = next((i + 1 for i, g in enumerate(grades) if g > 0), depth + 1)
-        dcg = _prefix_dcg(grades)
         ideal = _prefix_dcg(sorted(relevant.values(), reverse=True)[:depth])
-        for k in cutoffs:
-            columns[("mrr", k)].append(1.0 / first if first <= k else 0.0)
-            columns[("ndcg", k)].append(
-                dcg[min(k, len(dcg) - 1)] / ideal[min(k, len(ideal) - 1)] if relevant else 0.0)
-    return columns
+        for ranked, columns in zip(rankings, per_ranking):
+            grades = [relevant.get(did, 0) for did in ranked[qid][:depth]]
+            first = next((i + 1 for i, g in enumerate(grades) if g > 0), depth + 1)
+            dcg = _prefix_dcg(grades)
+            for k in cutoffs:
+                columns[("mrr", k)].append(1.0 / first if first <= k else 0.0)
+                columns[("ndcg", k)].append(
+                    dcg[min(k, len(dcg) - 1)] / ideal[min(k, len(ideal) - 1)] if relevant else 0.0)
+    return per_ranking
 
 
 def effectiveness_means(per_ranking: Sequence[Mapping], qids: Sequence[str],
@@ -185,8 +189,8 @@ def effectiveness(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
     """
     if not ranked:
         raise DomainError("no queries to evaluate")
-    columns = effectiveness_per_query(ranked, qrels, check_cutoffs(cutoffs))
-    return effectiveness_means([columns], sorted(ranked), qrels)[0]
+    per_ranking = effectiveness_per_query([ranked], qrels, check_cutoffs(cutoffs))
+    return effectiveness_means(per_ranking, sorted(ranked), qrels)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +199,7 @@ def effectiveness(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
 
 @dataclass(frozen=True)
 class BiasReport:
-    """RaB/ARaB per cutoff and variant over an evaluated query set.
+    """RaB/ARaB per cutoff and each of VARIANTS over an evaluated query set.
 
     ``per_query`` holds each query's signed (RaB, ARaB), in sorted query-id
     order. The means sum their absolute values in that order, so a mean
@@ -203,7 +207,6 @@ class BiasReport:
     """
 
     cutoffs: tuple[int, ...]
-    variants: tuple[str, ...]
     num_queries: int
     mean_rab: dict = field(default_factory=dict)    # (variant, cutoff) -> float
     mean_arab: dict = field(default_factory=dict)   # (variant, cutoff) -> float
@@ -211,8 +214,8 @@ class BiasReport:
 
 
 def bias_per_query(rankings: Sequence[Mapping[str, Sequence[str]]],
-                   doc_tokens: Mapping[str, Sequence[str]], cutoffs: tuple[int, ...],
-                   variants: tuple[str, ...]) -> list[dict]:
+                   doc_tokens: Mapping[str, Sequence[str]],
+                   cutoffs: tuple[int, ...]) -> list[dict]:
     """``bias_report``'s per-query pass: each ranking's signed (RaB, ARaB) of
     every query, in sorted id order, keyed (variant, cutoff). Magnitudes are per document: each document within the largest cutoff of
     some list of some ranking gets its delta once per variant, reused by
@@ -224,7 +227,7 @@ def bias_per_query(rankings: Sequence[Mapping[str, Sequence[str]]],
     tops = [[ranked[qid][:depth] for qid in ids] for ranked, ids in zip(rankings, qids)]
     top_docs = dict.fromkeys(d for per_ranking in tops for top in per_ranking for d in top)
     deltas = {variant: {d: _gender_delta(doc_tokens[d], variant) for d in top_docs}
-              for variant in variants}
+              for variant in VARIANTS}
     signed = []
     for ranked, ids, per_ranking in zip(rankings, qids, tops):
         lengths = [len(ranked[qid]) for qid in ids]
@@ -249,12 +252,12 @@ def bias_per_query(rankings: Sequence[Mapping[str, Sequence[str]]],
 
 
 def bias_means(per_ranking: Sequence[dict], cutoffs: tuple[int, ...],
-               variants: tuple[str, ...], lengths: Sequence[int]) -> list[BiasReport]:
+               lengths: Sequence[int]) -> list[BiasReport]:
     """``bias_report``'s reduction: a report per ranking, whose means sum the
     absolute per-query values in query order. Every ranking's lists have
     ``lengths``; a cutoff past the end of some of them is one warning."""
     reports = [BiasReport(
-        cutoffs=cutoffs, variants=variants, num_queries=len(lengths), per_query=per_query,
+        cutoffs=cutoffs, num_queries=len(lengths), per_query=per_query,
         mean_rab={key: mean([abs(rab) for rab, _ in s]) for key, s in per_query.items()},
         mean_arab={key: mean([abs(arab) for _, arab in s]) for key, s in per_query.items()})
         for per_query in per_ranking]
@@ -270,7 +273,6 @@ def bias_report(
     rankings: Sequence[Mapping[str, Sequence[str]]],
     doc_tokens: Mapping[str, Sequence[str]],
     cutoffs: Sequence[int] = (10, 20, 30, 40),
-    variants: Sequence[str] = VARIANTS,
 ) -> list[BiasReport]:
     """Aggregate RaB/ARaB over each of several runs, each ranked doc ids per
     query id: one report per ranking, in order. A cutoff past the end of some
@@ -280,13 +282,8 @@ def bias_report(
         raise DomainError("bias_report takes a sequence of rankings, not one ranking")
     if not all(rankings):
         raise DomainError("no queries to evaluate")
-    variants = distinct("variants", variants)
-    for v in variants:
-        if v not in VARIANTS:
-            raise DomainError(f"unknown magnitude variant {v!r}")
     cutoffs = check_cutoffs(cutoffs)
     reports = []
-    for ranked, per_query in zip(rankings, bias_per_query(rankings, doc_tokens,
-                                                          cutoffs, variants)):
-        reports += bias_means([per_query], cutoffs, variants, list(map(len, ranked.values())))
+    for ranked, per_query in zip(rankings, bias_per_query(rankings, doc_tokens, cutoffs)):
+        reports += bias_means([per_query], cutoffs, list(map(len, ranked.values())))
     return reports

@@ -15,8 +15,6 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-
 
 class Tensor:
     """A model parameter: a dense float64 array, ``data``."""
@@ -109,21 +107,3 @@ def scatter_rows(shape: tuple[int, int], ix: np.ndarray, g: np.ndarray) -> np.nd
     rows, cols = shape
     bins = (ix[..., None] * cols + np.arange(cols)).ravel()
     return np.bincount(bins, weights=g.ravel(), minlength=rows * cols).reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# utilities
-
-
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """cos(u, v) for equal-length 1-D arrays, clamped to [-1, 1]."""
-    ud = np.asarray(u, dtype=np.float64)
-    vd = np.asarray(v, dtype=np.float64)
-    if ud.ndim != 1 or vd.ndim != 1 or ud.shape != vd.shape or ud.size < 1:
-        raise ShapeError(f"cosine_similarity: expects equal-length vectors, got {ud.shape} and {vd.shape}")
-    nu = float(np.linalg.norm(ud))
-    nv = float(np.linalg.norm(vd))
-    if nu == 0.0 or nv == 0.0:
-        raise DomainError("cosine_similarity: zero vector")
-    c = float(ud @ vd) / (nu * nv)
-    return min(1.0, max(-1.0, c))

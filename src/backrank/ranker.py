@@ -16,11 +16,11 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import corpus
 from . import numkernel as nk
+from .corpus import EvalSet, RankedList, TrainExample, build_eval_set, report_retrieval
 from .errors import DomainError, ShapeError
-from .metrics import (VARIANTS, Qrels, bias_means, bias_per_query, check_cutoffs,
-                      effectiveness_means, effectiveness_per_query)
+from .metrics import (bias_means, bias_per_query, check_cutoffs, effectiveness_means,
+                      effectiveness_per_query)
 from .parallel import run_forked, usable_cores
 from .rng import SplitMix64
 
@@ -28,28 +28,6 @@ _CHUNK_ROWS = 32    # most pairs per relevance_logits call in rank_all
 
 SWEEP_COLUMNS = ("lambda", "mrr@10", "ndcg@10",
                  "rab_tf", "arab_tf", "rab_bool", "arab_bool", "cutoff")
-
-
-@dataclass(frozen=True)
-class TrainExample:
-    """One query with a labeled candidate list (token indices, not strings)."""
-
-    query_id: str
-    query: tuple[int, ...]
-    doc_ids: tuple[str, ...]
-    docs: tuple[tuple[int, ...], ...]
-    labels: tuple[float, ...]
-
-    def __post_init__(self):
-        m = len(self.docs)
-        if m < 2:
-            raise DomainError("a listwise example needs at least 2 candidates")
-        if len(self.doc_ids) != m or len(self.labels) != m:
-            raise DomainError("doc_ids, docs, and labels must align")
-        if not all(0.0 <= y < math.inf for y in self.labels):
-            raise DomainError(f"relevance labels of query {self.query_id} must be finite and >= 0")
-        if not any(y > 0 for y in self.labels):
-            raise DomainError("an example needs at least one positive label")
 
 
 @dataclass(frozen=True)
@@ -67,19 +45,6 @@ class TrainConfig:
             raise DomainError(f"learning_rate must be a finite number >= 0, got {lr!r}")
         if type(self.seed) is not int or self.seed < 0:
             raise DomainError(f"seed must be a non-negative int, got {self.seed!r}")
-
-
-@dataclass(frozen=True)
-class RankedList:
-    """(doc id, score) pairs for one query in its producer's sort order: each
-    document once, by finite score descending, then doc id ascending."""
-
-    query_id: str
-    items: tuple[tuple[str, float], ...]
-
-    @property
-    def doc_ids(self) -> list[str]:
-        return [d for d, _ in self.items]
 
 
 def listwise_loss(y: Sequence[float], z: np.ndarray) -> tuple[float, np.ndarray]:
@@ -137,25 +102,6 @@ def train(dataset: Sequence[TrainExample], cfg: TrainConfig, model) -> tuple[obj
     return model, history
 
 
-@dataclass(frozen=True)
-class EvalSet:
-    """Everything the sweep needs: encoded queries with non-empty candidate
-    lists, labels, and each document's string tokens for the gender magnitudes."""
-
-    queries: Mapping[str, Sequence[int]]
-    candidates: Mapping[str, Sequence[tuple[str, Sequence[int]]]]
-    qrels: Qrels
-    doc_tokens: Mapping[str, Sequence[str]]
-
-    def __post_init__(self):
-        for qid in self.queries:
-            cands = self.candidates.get(qid)
-            if not cands:
-                raise DomainError(f"no candidates to rank for query {qid}")
-            if len({did for did, _ in cands}) != len(cands):
-                raise DomainError(f"query {qid} lists a candidate document twice")
-
-
 def rank_all(model, eval_set: EvalSet, weight_sets: Sequence[Sequence[float]]
              ) -> Iterator[tuple[str, list[RankedList]]]:
     """Rank every query of the eval set, in sorted id order, under each
@@ -204,12 +150,12 @@ def _in_query_blocks(coll, vocab, candidate_depth: int, task) -> list:
     n = max(1, min(usable_cores(), len(qids)))
 
     def block(ids):
-        eval_set = corpus.build_eval_set(coll, vocab, candidate_depth, ids)
+        eval_set = build_eval_set(coll, vocab, candidate_depth, ids)
         return len(eval_set.queries), (task(eval_set) if eval_set.queries else None)
 
     blocks = [qids[len(qids) * i // n:len(qids) * (i + 1) // n] for i in range(n)]
     done = run_forked([lambda ids=ids: block(ids) for ids in blocks])
-    corpus.report_retrieval(len(qids), sum(kept for kept, _ in done))
+    report_retrieval(len(qids), sum(kept for kept, _ in done))
     return [out for kept, out in done if kept]
 
 
@@ -230,8 +176,8 @@ def _sweep_pass(model, eval_set: EvalSet, maps, cutoffs: tuple[int, ...]) -> tup
         for per_lambda, ranked in zip(ranked_ids, lists):
             per_lambda[qid] = ranked.doc_ids
     return ({qid: len(eval_set.candidates[qid]) for qid in sorted(eval_set.queries)},
-            [effectiveness_per_query(ranked, eval_set.qrels, (10,)) for ranked in ranked_ids],
-            bias_per_query(ranked_ids, eval_set.doc_tokens, cutoffs, VARIANTS))
+            effectiveness_per_query(ranked_ids, eval_set.qrels, (10,)),
+            bias_per_query(ranked_ids, eval_set.doc_tokens, cutoffs))
 
 
 def _sweep_rows(passes: Sequence[tuple], maps, cutoffs: tuple[int, ...], qrels) -> list[dict]:
@@ -243,8 +189,7 @@ def _sweep_rows(passes: Sequence[tuple], maps, cutoffs: tuple[int, ...], qrels) 
         return [{key: [v for block in blocks for v in block[i][key]] for key in blocks[0][i]}
                 for i in range(len(maps))]
 
-    reports = bias_means(joined([bias for _, _, bias in passes]), cutoffs, VARIANTS,
-                         list(lengths.values()))
+    reports = bias_means(joined([bias for _, _, bias in passes]), cutoffs, list(lengths.values()))
     effs = effectiveness_means(joined([eff for _, eff, _ in passes]), list(lengths), qrels)
     return [{"lambda": lam, "mrr@10": means[("mrr", 10)], "ndcg@10": means[("ndcg", 10)],
              "rab_tf": report.mean_rab[("tf", cutoff)],

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DomainError, ParseError, read_lines
 from .metrics import distinct
-from .numkernel import cosine_similarity
 
 log = logging.getLogger(__name__)
 
@@ -77,18 +76,16 @@ def attribute_scores(model, pairs: Sequence[PolarityPair], vocab) -> AttributeSc
     if ids.min() < 0 or ids.max() >= model.config.vocab_size:    # _pad is not on this path
         raise DomainError("vocabulary does not match the model")
     vecs = model.senses.senses_for(ids)[0]    # pairs x k x 2 x d
-    scores = []
-    for sense in range(vecs.shape[1]):
-        sims = []
-        for (a, b), (va, vb) in zip(ids, vecs[:, sense]):
-            try:
-                sims.append(cosine_similarity(va, vb))
-            except DomainError:
-                log.warning("zero sense vector in similarity (tokens %d/%d, sense %d); "
-                            "scoring 0", a, b, sense)
-                sims.append(0.0)
-        sims.sort()
-        scores.append(sum(sims) / len(sims))
+    a, b = vecs[:, :, 0, None, :], vecs[:, :, 1, None, :]    # pairs x k x 1 x d
+    # a stacked 1 x d @ d x 1 product is the 1-D dot u @ v, bit for bit
+    ab, aa, bb = ((u @ v.swapaxes(-1, -2))[..., 0, 0] for u, v in ((a, b), (a, a), (b, b)))
+    na, nb = np.sqrt(aa), np.sqrt(bb)
+    zero = (na == 0.0) | (nb == 0.0)    # pairs x k
+    for sense, p in zip(*np.nonzero(zero.T)):
+        log.warning("zero sense vector in similarity (tokens %d/%d, sense %d); scoring 0",
+                    ids[p][0], ids[p][1], sense)
+    cos = np.divide(ab, na * nb, out=np.zeros(zero.shape), where=~zero)
+    scores = [sum(sorted(col)) / len(col) for col in np.clip(cos, -1.0, 1.0).T.tolist()]
     return AttributeScores(tuple(scores))
 
 

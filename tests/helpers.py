@@ -5,7 +5,8 @@ reference), the run-file reader and record grouping that ``read_ranking``
 replaces, the scalar RaB/ARaB definitions, the per-(metric, cutoff) MRR and
 NDCG that ``effectiveness`` replaces, the per-document ``Counter`` BM25
 index build, the regular-expression tokenizer, the scalar SplitMix64
-whose stream the block-mixed ``SplitMix64`` serves, and the patches that
+whose stream the block-mixed ``SplitMix64`` serves, the per-pair cosine
+loop that ``attribute_scores`` replaces, and the patches that
 pin the usable cores or forbid a fork for the forked-helper tests."""
 
 import copy
@@ -585,6 +586,39 @@ def build_planted_model(seed, k=4, p=2, d=8):
     for name, value in (("base", base), ("w1", w1), ("b1", b1), ("w2", w2)):
         params[f"sense.{name}"].data[...] = value    # in place: it stays in model.flat
     return model, vocab, planted
+
+
+def cosine_similarity(u, v):
+    """cos(u, v) for equal-length 1-D arrays, clamped to [-1, 1]."""
+    ud = np.asarray(u, dtype=np.float64)
+    vd = np.asarray(v, dtype=np.float64)
+    if ud.ndim != 1 or vd.ndim != 1 or ud.shape != vd.shape or ud.size < 1:
+        raise ShapeError(f"cosine_similarity: expects equal-length vectors, got {ud.shape} and {vd.shape}")
+    nu = float(np.linalg.norm(ud))
+    nv = float(np.linalg.norm(vd))
+    if nu == 0.0 or nv == 0.0:
+        raise DomainError("cosine_similarity: zero vector")
+    c = float(ud @ vd) / (nu * nv)
+    return min(1.0, max(-1.0, c))
+
+
+def attribute_scores_reference(model, pairs, vocab):
+    """The per-sense scores ``attribute_scores`` gives for pairs that are all
+    in vocab, one cosine per (sense, pair): 0 for a zero vector, and each
+    sense's cosines summed in sorted order."""
+    ids = np.array([[vocab.token_id(p.negative), vocab.token_id(p.positive)] for p in pairs])
+    vecs = model.senses.senses_for(ids)[0]    # pairs x k x 2 x d
+    scores = []
+    for sense in range(vecs.shape[1]):
+        sims = []
+        for va, vb in vecs[:, sense]:
+            try:
+                sims.append(cosine_similarity(va, vb))
+            except DomainError:
+                sims.append(0.0)
+        sims.sort()
+        scores.append(sum(sims) / len(sims))
+    return tuple(scores)
 
 
 def forward_triple_loop(model, token_ids):

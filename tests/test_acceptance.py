@@ -184,8 +184,7 @@ def _reported(docs, variant, t):
     """The signed (RaB, ARaB) at cutoff t that bias_report keeps for one
     query ranking the token lists docs: what bias and sweep compute."""
     ids = [f"d{i}" for i in range(len(docs))]
-    [report] = bias_report([{"q": ids}], dict(zip(ids, docs)), cutoffs=(t,),
-                           variants=(variant,))
+    [report] = bias_report([{"q": ids}], dict(zip(ids, docs)), cutoffs=(t,))
     return report.per_query[(variant, t)][0]
 
 

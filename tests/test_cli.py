@@ -3,6 +3,7 @@
 import ast
 import csv
 import functools
+import graphlib
 import json
 import logging
 import os
@@ -705,6 +706,23 @@ def test_bias_csv_variants(pipeline, tmp_path):
     assert header == ["variant", "cutoff", "rab", "arab"]
     assert [r["variant"] for r in rows] == ["tf", "bool"]
     assert all(float(r["arab"]) > 0.0 for r in rows)    # skewed corpus
+
+
+def test_bias_variant_selects_the_rows_of_both(pipeline, tmp_path):
+    """``--variant tf`` and ``--variant bool`` write exactly the header, the
+    matching rows and the trailing comment of ``--variant both``."""
+    def written(variant):
+        out = tmp_path / f"bias.{variant}.csv"
+        assert main(["bias", "--run", str(pipeline["run"]),
+                     "--corpus", str(pipeline["data"] / "corpus.tsv"), "--out", str(out),
+                     "--cutoffs", "5,10", "--variant", variant]) == 0
+        return out.read_text().splitlines()
+
+    header, *rows, comment = written("both")
+    assert [row.split(",")[0] for row in rows] == ["tf", "tf", "bool", "bool"]
+    for variant in ("tf", "bool"):
+        assert written(variant) == [header, *(row for row in rows
+                                              if row.startswith(variant + ",")), comment]
 
 
 def test_bias_gender_free_corpus_is_all_zeros(tmp_path):
@@ -1443,6 +1461,28 @@ def test_src_forks_ranking_only_in_the_query_block_driver():
     sites = _src_sites(lambda n: _is_call(n, "run_forked"))
     assert sorted((name, scope) for name, scope, _ in sites) == [
         ("cli.py", "cmd_bias"), ("ranker.py", "_in_query_blocks")], sites
+
+
+def test_src_imports_form_no_cycle():
+    """The graph of the package's relative imports is acyclic, so
+    ``import backrank`` does not depend on the order in which ``__init__``
+    imports the modules. ``from . import x`` is an edge to module x, or to
+    ``__init__`` when no module is named x."""
+    src = Path(backrank.__file__).parent
+    modules = {f.stem for f in src.glob("*.py")}
+    graph = {}
+    for name in sorted(modules):
+        edges = graph[name] = set()
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    edges.add(node.module.split(".")[0])
+                else:
+                    edges.update(a.name if a.name in modules else "__init__" for a in node.names)
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as err:
+        pytest.fail(f"src/ imports form a cycle: {' -> '.join(err.args[1])}")
 
 
 def test_console_script_entry_point(pipeline, tmp_path):

@@ -26,8 +26,7 @@ def signed_bias(docs, variant="tf", t=None):
     bias_report keeps for one query ranking the token lists docs."""
     ids = [f"d{i}" for i in range(len(docs))]
     t = len(docs) if t is None else t
-    [report] = bias_report([{"q": ids}], dict(zip(ids, docs)), cutoffs=(t,),
-                           variants=(variant,))
+    [report] = bias_report([{"q": ids}], dict(zip(ids, docs)), cutoffs=(t,))
     return report.per_query[(variant, t)][0]
 
 
@@ -380,7 +379,9 @@ def test_effectiveness_equals_oracle_means_bit_for_bit(caplog):
     """One walk per list gives every (metric, cutoff) mean bit-equal to one
     oracle walk per (metric, cutoff), on random runs with graded qrels 0-2,
     lists shorter than a cutoff, unsorted cutoffs, queries
-    absent from qrels and queries with no relevant documents."""
+    absent from qrels and queries with no relevant documents. The per-query
+    pass over two rankings of one query set gives each ranking's values
+    exactly as that ranking alone does."""
     rng = SplitMix64(2024)
     for trial in range(150):
         num_queries = 1 + rng.randint(6)
@@ -404,6 +405,12 @@ def test_effectiveness_equals_oracle_means_bit_for_bit(caplog):
                     for k in cutoffs for metric in ("mrr", "ndcg")}
         assert got == want, (trial, cutoffs)
         assert all(type(v) is float for v in got.values())
+        # several rankings of one query set in one pass: each as if alone
+        reordered = {qid: SplitMix64(trial).sample(ids, len(ids)) for qid, ids in ranked.items()}
+        per_ranking = [metrics.effectiveness_per_query([r], qrels, tuple(cutoffs))[0]
+                       for r in (ranked, reordered)]
+        assert metrics.effectiveness_per_query([ranked, reordered], qrels,
+                                               tuple(cutoffs)) == per_ranking
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +441,6 @@ def test_bias_report_absolute_vs_signed():
 def test_bias_report_validates():
     ranked = {"q1": ["d1"]}
     docs = {"d1": ["x"]}
-    with pytest.raises(DomainError):
-        bias_report([ranked], docs, variants=("nope",))
     with pytest.raises(DomainError, match="must be >= 1, got 0"):
         bias_report([ranked], docs, cutoffs=(0,))
     # a repeated cutoff would make sweep_lambda write each of its rows twice
@@ -446,11 +451,6 @@ def test_bias_report_validates():
     for bad in (2.5, "2"):    # reported as cutoff 2, or accepted, before they were checked
         with pytest.raises(DomainError, match=f"cutoffs must be integers, got {bad!r}"):
             bias_report([ranked], docs, cutoffs=(bad,))
-    # a caller that writes a row per report.variants entry would write none, or each twice
-    with pytest.raises(DomainError, match=r"variants must list at least one value, got \(\)"):
-        bias_report([ranked], docs, variants=())
-    with pytest.raises(DomainError, match="variants must list each value once, got tf more"):
-        bias_report([ranked], docs, variants=("tf", "tf"))
     with pytest.raises(DomainError):
         bias_report([ranked, {}], docs)
     with pytest.raises(DomainError):

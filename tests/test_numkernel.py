@@ -10,7 +10,7 @@ import pytest
 
 from backrank import numkernel as nk
 from backrank import (Backpack, BackpackConfig, DomainError, ShapeError, SplitMix64,
-                      aggregate, cosine_similarity, listwise_loss)
+                      aggregate, listwise_loss)
 from backrank.backpack import ContextEncoder, RelevanceHead, SenseTable, _EncoderLayer
 from helpers import (ContractError, Tape, Tensor, add, aggregate_chain, attention_weights,
                      attention_weights_chain, backward, dot, embed_chain, finite_diff_check,
@@ -477,17 +477,3 @@ def test_shape_errors():
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises((ShapeError, DomainError)):
         dot(Tensor(np.ones(3)), Tensor(np.ones(4)))
-
-
-# ---------------------------------------------------------------------------
-# utilities
-
-
-def test_cosine_similarity_basics():
-    assert cosine_similarity(np.array([1.0, 0.0]), np.array([2.0, 0.0])) == 1.0
-    assert cosine_similarity(np.array([1.0, 0.0]), np.array([-3.0, 0.0])) == -1.0
-    assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 5.0])) == 0.0
-    with pytest.raises(DomainError):
-        cosine_similarity(np.zeros(2), np.ones(2))
-    with pytest.raises(ShapeError):
-        cosine_similarity(np.ones(2), np.ones(3))

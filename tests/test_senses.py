@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from backrank import (AttributeScores, Backpack, BackpackConfig, DomainError,
-                      ParseError, PolarityPair, SenseTable, Vocab,
+                      ParseError, PolarityPair, SenseTable, SplitMix64, Vocab,
                       attribute_scores, build_sense_map, default_pairs_path,
                       load_polarity_lexicon)
 from backrank import senses
-from helpers import build_planted_model
+from helpers import attribute_scores_reference, build_planted_model
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +86,51 @@ def test_zero_sense_vectors_score_zero_with_a_warning(toy, caplog):
     with caplog.at_level(logging.WARNING, logger="backrank.senses"):
         scores = attribute_scores(model, pairs, vocab)
     assert scores.s == (0.0, 0.0, 0.0)
-    warnings = [r for r in caplog.records if "zero sense vector" in r.getMessage()]
-    assert len(warnings) == len(pairs) * 3    # one per (pair, sense)
+    # one per (sense, pair), sense by sense, each pair in the given order
+    assert [r.getMessage() for r in caplog.records] == [
+        f"zero sense vector in similarity (tokens {ids}, sense {sense}); scoring 0"
+        for sense in range(3) for ids in ("4/3", "6/5")]
+
+
+def _random_model_and_pairs(seed, k):
+    rng = SplitMix64(seed)
+    words = [f"w{i}" for i in range(12)]
+    vocab = Vocab(["<pad>", "<unk>", "<sep>", *words])
+    model = Backpack(BackpackConfig(vocab_size=len(vocab), embed_dim=6, num_senses=k,
+                                    sense_hidden=2, context_heads=1, max_seq_len=8), seed=seed)
+    model.senses.b2.data[...] = rng.normal_array(model.senses.b2.data.shape, 0.3)
+    return model, vocab, [PolarityPair(*rng.sample(words, 2)) for _ in range(1 + rng.randint(30))]
+
+
+@pytest.mark.parametrize("k", [1, 4, 16])
+def test_attribute_scores_equal_the_per_pair_cosine_loop(k, caplog):
+    """The one array pass gives each score bit for bit as one 1-D cosine
+    per (sense, pair) does, summed in sorted order: on random models with
+    1 to 30 pairs, with a token whose every sense vector is zero, with the
+    senses zeroed, and on the planted model, whose cosines reach the clamp."""
+    for seed in range(12):
+        model, vocab, pairs = _random_model_and_pairs(seed, k)
+        assert attribute_scores(model, pairs, vocab).s == \
+            attribute_scores_reference(model, pairs, vocab)
+        # tanh(0) = 0 and b2 = 0: the token of the first pair's first term
+        # has zero sense vectors, every other token (almost surely) has not
+        model.senses.b1.data[...] = 0.0
+        model.senses.b2.data[...] = 0.0
+        model.senses.base.data[vocab.token_id(pairs[0].negative)] = 0.0
+        with caplog.at_level(logging.WARNING, logger="backrank.senses"):
+            got = attribute_scores(model, pairs, vocab).s
+        assert got == attribute_scores_reference(model, pairs, vocab)
+        assert caplog.records
+        caplog.clear()
+        model.senses.w2.data[...] = 0.0
+        with caplog.at_level(logging.WARNING, logger="backrank.senses"):
+            assert attribute_scores(model, pairs, vocab).s == (0.0,) * k
+        assert len(caplog.records) == k * len(pairs)
+        caplog.clear()
+    model, vocab, _ = build_planted_model(seed=123, k=k)
+    pairs = [PolarityPair("she", "he"), PolarityPair("cat", "dog"), PolarityPair("he", "dog")]
+    assert attribute_scores(model, pairs, vocab).s == \
+        attribute_scores_reference(model, pairs, vocab)
 
 
 def test_attribute_scores_permutation_invariant(toy):
