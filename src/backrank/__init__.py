@@ -35,7 +35,6 @@ from .metrics import (
     BiasReport,
     Qrels,
     bias_report,
-    effectiveness,
     mag_bool,
 )
 from .numkernel import Tensor
@@ -69,7 +68,7 @@ __all__ = [
     "aggregate", "attribute_scores", "bias_report",
     "bm25_retrieve", "build_eval_set", "build_sense_map",
     "build_train_examples", "default_pairs_path",
-    "effectiveness", "generate_synthetic", "listwise_loss", "load_checkpoint",
+    "generate_synthetic", "listwise_loss", "load_checkpoint",
     "load_collection", "load_polarity_lexicon", "mag_bool", "rank_all",
     "read_qrels", "read_ranking", "save_checkpoint", "sweep_lambda",
     "tokenize", "train", "write_collection", "write_qrels", "write_run",

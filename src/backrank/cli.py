@@ -24,13 +24,13 @@ from pathlib import Path
 
 from . import __version__
 from .backpack import Backpack, BackpackConfig, load_checkpoint, save_checkpoint
-from .corpus import (SynthConfig, Vocab, build_train_examples,
-                     generate_synthetic, load_collection, read_gender_tokens,
-                     read_qrels, read_ranking,
+from .corpus import (SynthConfig, Vocab, build_train_examples, generate_synthetic, load_collection,
+                     RUN_QUERY_END, parse_ranking, read_gender_tokens, read_qrels, read_ranking,
                      records_from_ranking, write_collection, write_run)
 from .errors import BackrankError, DomainError, ParseError, read_lines
-from .metrics import VARIANTS, bias_report, distinct, effectiveness
-from .parallel import run_forked
+from .metrics import (VARIANTS, bias_report, distinct, effectiveness_means,
+                      effectiveness_per_query)
+from .parallel import run_forked, usable_cores
 from .ranker import SWEEP_COLUMNS, TrainConfig, rank_collection, sweep_collection, train
 from .senses import attribute_scores, build_sense_map, default_pairs_path, load_polarity_lexicon
 
@@ -210,11 +210,48 @@ def cmd_rank(args) -> int:
     return 0
 
 
+def _effectiveness_by_run_block(path, qrels, cutoffs: tuple[int, ...]) -> dict:
+    """``eval``'s means of a run file, parsed and scored by ``run_forked`` in
+    one block of whole queries per usable core, joined in sorted id order,
+    so bit for bit one process's. After a failed block, a query in two blocks
+    or no records, ``_read_run`` reads the whole file: it names any fault as
+    one process does."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError:    # no records here: _read_run names the path
+        data = b""
+
+    def block(start, end):    # None if it does not parse: its lines count from its start
+        try:
+            text = str(memoryview(data)[start:end], "utf-8")
+            ranked = parse_ranking(enumerate(text.splitlines(), 1), path)
+        except ValueError:    # a ParseError or a UnicodeDecodeError
+            return None
+        return sorted(ranked), effectiveness_per_query([ranked], qrels, cutoffs)[0]
+
+    n = usable_cores()    # a cut per further core: from byte len * i / n on, past a query's end
+    cuts = [0, *(RUN_QUERY_END.search(data, len(data) * i // n).end() for i in range(1, n))]
+    blocks = run_forked([functools.partial(block, start, end)
+                         for start, end in zip(cuts, cuts[1:] + [len(data)])])
+    qids = [qid for done in blocks if done for qid in done[0]]
+    if None in blocks or not qids or len(set(qids)) < len(qids):
+        grouped = _read_run(path)
+        blocks = [(sorted(grouped), effectiveness_per_query([grouped], qrels, cutoffs)[0])]
+        qids = blocks[0][0]
+    order = sorted(range(len(qids)), key=qids.__getitem__)
+    columns = {key: [v for _, values in blocks for v in values[key]] for key in blocks[0][1]}
+    joined = {key: [column[i] for i in order] for key, column in columns.items()}
+    return effectiveness_means([joined], [qids[i] for i in order], qrels)[0]
+
+
 def cmd_eval(args) -> int:
     _make_parents(args.out)
-    grouped = _read_run(args.run)
-    qrels = read_qrels(args.qrels)
-    means = effectiveness(grouped, qrels, args.cutoffs)
+    try:
+        qrels = read_qrels(args.qrels)
+    except ParseError:    # a faulty run, or an empty one, is the error reported
+        _read_run(args.run)
+        raise
+    means = _effectiveness_by_run_block(args.run, qrels, args.cutoffs)
     rows = [{"cutoff": c, "mrr": means[("mrr", c)], "ndcg": means[("ndcg", c)]}
             for c in args.cutoffs]
     _write_csv(args.out, ("cutoff", "mrr", "ndcg"), rows)

@@ -19,6 +19,7 @@ import gc
 import itertools
 import logging
 import math
+import re
 import string
 import sys
 from collections import Counter
@@ -37,6 +38,8 @@ log = logging.getLogger(__name__)
 
 BM25_K1 = 0.9
 BM25_B = 0.4
+# the end of a run line whose next line (if any) names another query id, or of the data
+RUN_QUERY_END = re.compile(rb"(?m)^[ \t]*(\S+)[ \t][^\n]*\n(?![ \t]*\1[ \t])|\Z")
 
 
 class _Separators(dict):
@@ -495,24 +498,28 @@ def write_run(path, records: Iterable[tuple[str, str, int, float, str]]) -> None
 
 @_gc_paused()
 def read_ranking(path) -> dict[str, list[str]]:
-    """Each query's document ids in rank order, ties in file order, from a
-    run file in one pass; ranks need not be contiguous. Each line must hold
-    6 fields, an int rank and a finite score, and no query may list a
-    document twice; the first faulty line is named. Only ranks and ids are
-    kept; ids are interned strings."""
+    """``parse_ranking`` of a run file's lines."""
+    return parse_ranking(read_lines(path), path)
+
+
+@_gc_paused()
+def parse_ranking(lines: Iterable[tuple[int, str]], path) -> dict[str, list[str]]:
+    """Each query's document ids in rank order, ties in file order, from
+    numbered run lines: the one run parser. Each line must hold 6 fields, an
+    ASCII ``-?[0-9]+`` rank and a finite score, and no query may list a document
+    twice; the first faulty line is named. Ranks need not be contiguous; ids are interned."""
     ranked: dict[str, dict[str, int]] = {}    # query id -> doc id -> rank, in file order
     last_qid = None    # a query's lines come in runs: look its map up once per run
-    for lineno, raw in read_lines(path):
+    for lineno, raw in lines:
         parts = raw.split()
         if not parts:
             continue
         if len(parts) != 6:
             raise ParseError(f"expected 6 fields, got {len(parts)}", path=str(path), line=lineno)
         qid, _q0, did, rank, score, _tag = parts
-        try:
-            rank = int(rank)
-        except ValueError:
-            raise ParseError(f"bad rank {rank!r}", path=str(path), line=lineno) from None
+        # -?[0-9]+, as a qrels grade: int() would also read "1_0", "+3" and non-ASCII digits
+        if not (rank.isascii() and (rank.isdigit() or rank[:1] == "-" and rank[1:].isdigit())):
+            raise ParseError(f"bad rank {rank!r}", path=str(path), line=lineno)
         try:
             finite = math.isfinite(float(score))
         except ValueError:
@@ -528,7 +535,7 @@ def read_ranking(path) -> dict[str, list[str]]:
         if did in ranks:
             raise ParseError(f"query {qid} lists document {did!r} twice",
                              path=str(path), line=lineno)
-        ranks[sys.intern(did)] = rank
+        ranks[sys.intern(did)] = int(rank)
     # a stable sort: tied ranks keep file order
     return {qid: sorted(ranks, key=ranks.__getitem__) for qid, ranks in ranked.items()}
 

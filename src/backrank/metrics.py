@@ -143,10 +143,12 @@ def mean(values: Sequence[float]) -> float:
 
 def effectiveness_per_query(rankings: Sequence[Mapping[str, Sequence[str]]], qrels: Qrels,
                             cutoffs: tuple[int, ...]) -> list[dict[tuple[str, int], list[float]]]:
-    """``effectiveness``'s per-query pass: each ranking's MRR@k and NDCG@k of
-    every query at every checked cutoff k, in sorted id order, from one walk
-    of each list. The rankings rank one query set, so each query's relevant
-    grades and ideal DCG are read once, for every ranking."""
+    """Each ranking's MRR@k and NDCG@k of every query, keyed ("mrr", k) and
+    ("ndcg", k), at every checked cutoff k, in sorted id order, from one walk
+    of each list. MRR@k is 1/rank of the first relevant document in the top
+    k, else 0; NDCG@k is the top k's DCG over that of the k best grades, 0
+    for a query with no relevant document. The rankings rank one query set,
+    so each query's relevant grades and ideal DCG are read once."""
     depth = max(cutoffs)
     per_ranking = [{(metric, k): [] for k in cutoffs for metric in ("mrr", "ndcg")}
                    for _ in rankings]
@@ -166,31 +168,14 @@ def effectiveness_per_query(rankings: Sequence[Mapping[str, Sequence[str]]], qre
 
 def effectiveness_means(per_ranking: Sequence[Mapping], qids: Sequence[str],
                         qrels: Qrels) -> list[dict[tuple[str, int], float]]:
-    """``effectiveness``'s reduction: the column means of each ranking's
-    per-query values, every ranking over the sorted ``qids``. The queries
-    qrels lacks are one warning, naming how many and the first."""
+    """The column means of each ranking's ``effectiveness_per_query`` values,
+    every ranking over the sorted ``qids``, each added in that order. The
+    queries qrels lacks are one warning, naming how many and the first."""
     absent = [qid for qid in qids if not qrels.has_query(qid)]
     if absent:
         log.warning("%d of %d queries absent from qrels (first %s); scoring them 0",
                     len(absent), len(qids), absent[0])
     return [{key: mean(column) for key, column in columns.items()} for columns in per_ranking]
-
-
-def effectiveness(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
-                  cutoffs: Sequence[int]) -> dict[tuple[str, int], float]:
-    """Mean MRR@k and NDCG@k over queries at every cutoff k, keyed
-    ("mrr", k) and ("ndcg", k), from one walk of each query's list.
-
-    MRR@k is the reciprocal rank of the first relevant document in the top
-    k, else 0. NDCG@k is the DCG of the top k over that of the k best
-    grades, 0 when the query has no relevant documents. Queries are summed
-    in sorted id order. A query absent from qrels scores 0; all such queries
-    are one warning, naming how many and the first.
-    """
-    if not ranked:
-        raise DomainError("no queries to evaluate")
-    per_ranking = effectiveness_per_query([ranked], qrels, check_cutoffs(cutoffs))
-    return effectiveness_means(per_ranking, sorted(ranked), qrels)[0]
 
 
 # ---------------------------------------------------------------------------

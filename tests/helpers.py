@@ -3,8 +3,10 @@ gradient oracle, and the reverse-mode tape with the primitive ops and chains
 that the model's components replace (kept here as their bit-for-bit
 reference), the run-file reader and record grouping that ``read_ranking``
 replaces, the scalar RaB/ARaB definitions, the per-(metric, cutoff) MRR and
-NDCG that ``effectiveness`` replaces, the per-document ``Counter`` BM25
-index build, the regular-expression tokenizer, the scalar SplitMix64
+NDCG that ``effectiveness_per_query`` replaces, the one-process means
+(``effectiveness``) that ``eval``'s block driver replaces, the
+per-document ``Counter`` BM25 index build, the regular-expression
+tokenizer, the scalar SplitMix64
 whose stream the block-mixed ``SplitMix64`` serves, the per-pair cosine
 loop that ``attribute_scores`` replaces, and the patches that
 pin the usable cores or forbid a fork for the forked-helper tests."""
@@ -27,7 +29,8 @@ from backrank import numkernel as nk
 from backrank.backpack import _causal_mask
 from backrank.corpus import BM25_B, BM25_K1
 from backrank.errors import read_lines
-from backrank.metrics import FEMALE_TERMS, MALE_TERMS
+from backrank.metrics import (FEMALE_TERMS, MALE_TERMS, check_cutoffs, effectiveness_means,
+                              effectiveness_per_query)
 
 
 class ContractError(RuntimeError):
@@ -679,10 +682,9 @@ def read_run(path):
         if len(parts) != 6:
             raise ParseError(f"expected 6 fields, got {len(parts)}", path=str(path), line=lineno)
         qid, _q0, did, rank, score, tag = parts
-        try:
-            rank = int(rank)
-        except ValueError:
-            raise ParseError(f"bad rank {rank!r}", path=str(path), line=lineno) from None
+        if not re.fullmatch(r"-?[0-9]+", rank):    # the qrels grade rule
+            raise ParseError(f"bad rank {rank!r}", path=str(path), line=lineno)
+        rank = int(rank)
         try:
             value = float(score)
         except ValueError:
@@ -741,7 +743,8 @@ def arab(docs, variant, t):
 
 # ---------------------------------------------------------------------------
 # MRR@k and NDCG@k of one ranked list and their mean over queries, one walk
-# per (metric, cutoff): the oracles for ``effectiveness``
+# per (metric, cutoff): the oracles for ``effectiveness_per_query``; and
+# ``effectiveness``, the one-process means: the oracle for ``eval``
 
 log = logging.getLogger(__name__)
 
@@ -809,6 +812,19 @@ def mean_metric(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
         log.warning("%d of %d queries absent from qrels (first %s); scoring them 0",
                     len(absent), len(ranked), absent[0])
     return total / len(ranked)
+
+
+def effectiveness(ranked: Mapping[str, Sequence[str]], qrels: Qrels,
+                  cutoffs: Sequence[int]) -> dict[tuple[str, int], float]:
+    """Mean MRR@k and NDCG@k of one ranking over its queries, keyed ("mrr", k)
+    and ("ndcg", k): the library's per-query pass and reduction over the whole
+    ranking in one process, as ``eval`` scored a run before it scored blocks.
+    The oracle for ``eval``'s block driver; the metrics tests check it
+    against ``mean_metric``."""
+    if not ranked:
+        raise DomainError("no queries to evaluate")
+    per_ranking = effectiveness_per_query([ranked], qrels, check_cutoffs(cutoffs))
+    return effectiveness_means(per_ranking, sorted(ranked), qrels)[0]
 
 
 class CounterBm25Index:

@@ -17,14 +17,14 @@ from backrank import (Backpack, BackpackConfig, PolarityPair,
                       TrainConfig, TrainExample, Vocab, attribute_scores,
                       bias_report, build_eval_set, build_sense_map,
                       build_train_examples, bm25_retrieve, generate_synthetic,
-                      effectiveness, listwise_loss, load_checkpoint,
+                      listwise_loss, load_checkpoint,
                       rank_all, read_qrels, read_ranking, save_checkpoint,
                       sweep_lambda, train, write_qrels, write_run)
 from backrank import numkernel as nk
 from backrank.metrics import FEMALE_TERMS, MALE_TERMS
 from backrank.senses import default_pairs_path, load_polarity_lexicon
-from helpers import (build_planted_model, central_diff_error, forward_triple_loop, logits,
-                     read_run)
+from helpers import (build_planted_model, central_diff_error, effectiveness, forward_triple_loop,
+                     logits, read_run)
 
 
 def _verdict(name, ok, detail=""):

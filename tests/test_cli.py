@@ -18,9 +18,9 @@ import pytest
 import backrank
 from backrank import __version__, cli, load_checkpoint
 from backrank.cli import main
-from backrank.corpus import records_from_ranking
+from backrank.corpus import read_qrels, read_ranking, records_from_ranking
 from backrank.ranker import SWEEP_COLUMNS
-from helpers import forbid_fork, pin_cores, read_run, rewrite_checkpoint_header
+from helpers import effectiveness, forbid_fork, pin_cores, read_run, rewrite_checkpoint_header
 
 CFG = """\
 seed = 7
@@ -650,7 +650,7 @@ def test_eval_warns_once_for_queries_absent_from_qrels(pipeline, tmp_path, caplo
 
 
 def test_eval_csv_matches_library(pipeline, tmp_path):
-    from backrank import effectiveness, read_qrels, read_ranking
+    from backrank import read_qrels, read_ranking
     out = tmp_path / "eval.csv"
     assert main(["eval", "--run", str(pipeline["run"]),
                  "--qrels", str(pipeline["data"] / "qrels.txt"),
@@ -660,10 +660,10 @@ def test_eval_csv_matches_library(pipeline, tmp_path):
     assert [r["cutoff"] for r in rows] == ["5", "8"]
     grouped = read_ranking(pipeline["run"])
     means = effectiveness(grouped, read_qrels(pipeline["data"] / "qrels.txt"), (5, 8))
-    for row in rows:
+    for row in rows:    # the one-process means, as eval writes them
         k = int(row["cutoff"])
-        assert float(row["mrr"]) == pytest.approx(means[("mrr", k)], abs=5e-7)
-        assert float(row["ndcg"]) == pytest.approx(means[("ndcg", k)], abs=5e-7)
+        assert row["mrr"] == f"{means[('mrr', k)]:.6f}"
+        assert row["ndcg"] == f"{means[('ndcg', k)]:.6f}"
     assert comment.endswith("seed=- lambda=-")
 
 
@@ -1132,6 +1132,98 @@ def test_a_collection_where_nothing_retrieves_is_exit_2(tmp_path, monkeypatch, c
             assert not (tmp_path / f"{subcommand}.out").exists()
 
 
+def _run_cases(pipeline, tmp_path):
+    """name -> (run file bytes, the error eval reports or None) of the runs
+    that ``eval``'s block driver must score, or reject, as one process does."""
+    run = tmp_path / "run.txt"
+    lines = pipeline["run"].read_bytes().splitlines(True)
+    late = len(lines) - 3    # a line past the byte midpoint, 0-based
+    half = next(i for i, line in enumerate(lines) if line.startswith(b"q0007"))
+
+    def query(qid, n, first=1):
+        return b"".join(b"%s Q0 d%06d %d 0.5 t\n" % (qid, i, i) for i in range(first, first + n))
+
+    return {
+        "pipeline": (b"".join(lines), None),
+        # q0007-q0012 first: the blocks' values join in sorted id order
+        "unsorted": (b"".join(lines[half:] + lines[:half]), None),
+        # q0002's 40 lines hold the byte midpoint: the cut moves past them
+        "straddle": (query(b"q0001", 3) + query(b"q0002", 40) + query(b"q0003", 3), None),
+        # q0001 in both blocks: the whole file is read again
+        "two stretches": (query(b"q0001", 5) + query(b"q0002", 5) + query(b"q0001", 5, 6), None),
+        "faulty line": (b"".join(lines[:late] + [b"q0012 Q0 d000001 x 0.5 t\n"] + lines[late:]),
+                        f"{run}:{late + 1}: bad rank 'x'"),
+        "bad byte": (b"".join(lines[:late] + [b"caf\xff\n"] + lines[late:]),
+                     f"{run}:{late + 1}: byte 0xff is not valid UTF-8"),
+        "blank lines": (b"\n \n\n", f"run file {run} holds no records"),
+        "one query": (query(b"q0001", 2), None),
+    }
+
+
+@pytest.mark.parametrize("case", ["pipeline", "unsorted", "straddle", "two stretches",
+                                  "faulty line", "bad byte", "blank lines", "one query"])
+def test_eval_writes_the_same_bytes_and_stderr_under_one_and_two_workers(
+        pipeline, tmp_path, monkeypatch, capfd, log_to_stderr, case):
+    """Under two usable cores a forked helper parses and scores the second
+    block of the run: eval.csv and stderr (one absent-qrels warning, or the
+    error at the faulty line of the whole file) are the bytes one process
+    writes, and the means are the one-process ``effectiveness``. Only a
+    run that a block cannot score alone is read again whole."""
+    data, message = _run_cases(pipeline, tmp_path)[case]
+    run, qrels, out = tmp_path / "run.txt", tmp_path / "partial.qrels", tmp_path / "eval.csv"
+    run.write_bytes(data)
+    qrels.write_text("".join((pipeline["data"] / "qrels.txt").read_text().splitlines(True)[:4]))
+    argv = ["eval", "--run", str(run), "--qrels", str(qrels), "--out", str(out)]
+    forks, reads, read_ranking = _counted_forks(monkeypatch), [], cli.read_ranking
+    monkeypatch.setattr(cli, "read_ranking", lambda path: reads.append(1) or read_ranking(path))
+    capfd.readouterr()
+    seen = {}
+    for workers in (1, 2):
+        pin_cores(monkeypatch, workers)
+        forks.clear()
+        reads.clear()
+        out.unlink(missing_ok=True)
+        code = main(argv)
+        seen[workers] = code, out.read_bytes() if out.exists() else None, capfd.readouterr().err
+        assert len(forks) == workers - 1, workers
+        # only a faulty run, or one whose query lands in two blocks, is read again
+        assert len(reads) == (message is not None or (case, workers) == ("two stretches", 2))
+    assert seen[1] == seen[2]
+    code, csv_bytes, err = seen[1]
+    if message is not None:
+        assert (code, csv_bytes, err) == (2, None, f"error: {message}\n")
+        return
+    means = effectiveness(read_ranking(run), read_qrels(qrels), (10, 20, 30, 40))
+    assert code == 0 and csv_bytes.decode().splitlines()[1:-1] == [
+        f"{k},{means[('mrr', k)]:.6f},{means[('ndcg', k)]:.6f}" for k in (10, 20, 30, 40)]
+    assert err == capfd.readouterr().err    # the warning the oracle logs, if any
+    assert err.count("absent from qrels") == (case in ("pipeline", "unsorted", "straddle"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("run_text,message", [
+    ("q0001 Q0 d000001 1 0.5 t\nq0001 Q0 d000002 2 high t\n", "{run}:2: bad score 'high'"),
+    ("\n", "run file {run} holds no records"),
+])
+def test_eval_reports_the_runs_error_before_the_qrels(tmp_path, capsys, monkeypatch,
+                                                      workers, run_text, message):
+    """eval reads the qrels before its run blocks, yet when the run and the
+    qrels are both malformed, the run's error is the one reported, as when
+    eval read the run first; the empty-run error too."""
+    run, qrels = tmp_path / "run.txt", tmp_path / "bad.qrels"
+    run.write_text(run_text)
+    qrels.write_text("q0001 0 d000001 1\nq0001 0 d000002\n")
+    pin_cores(monkeypatch, workers)
+    assert main(["eval", "--run", str(run), "--qrels", str(qrels),
+                 "--out", str(tmp_path / "e.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(run=run)}\n"
+    run.write_text("q0001 Q0 d000001 1 0.5 t\n")
+    assert main(["eval", "--run", str(run), "--qrels", str(qrels),
+                 "--out", str(tmp_path / "e.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {qrels}:2: expected 4 fields, got 3\n"
+    assert not (tmp_path / "e.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -1453,14 +1545,29 @@ def test_src_retrieves_candidates_only_in_build_eval_set():
     assert [(name, scope) for name, scope, _ in sites] == [("corpus.py", "build_eval_set")], sites
 
 
-def test_src_forks_ranking_only_in_the_query_block_driver():
-    """``run_forked(`` is called in src/ only in ``cmd_bias`` and in
-    ``ranker._in_query_blocks``, the driver that gives each usable core one
-    block of queries: ``rank_all``, and everything a block runs, never forks
-    again."""
+def test_src_forks_only_in_the_block_drivers():
+    """``run_forked(`` is called in src/ only in ``cmd_bias`` and in the two
+    drivers that give each usable core one block of queries:
+    ``ranker._in_query_blocks`` (rank and sweep, from retrieval on) and
+    ``cli._effectiveness_by_run_block`` (eval, from the run's bytes on), once
+    each. ``rank_all``, the run parser, and everything a block runs never
+    fork again."""
     sites = _src_sites(lambda n: _is_call(n, "run_forked"))
     assert sorted((name, scope) for name, scope, _ in sites) == [
-        ("cli.py", "cmd_bias"), ("ranker.py", "_in_query_blocks")], sites
+        ("cli.py", "_effectiveness_by_run_block"), ("cli.py", "cmd_bias"),
+        ("ranker.py", "_in_query_blocks")], sites
+
+
+@pytest.mark.parametrize("message", ["expected 6 fields", "bad rank", "bad score"])
+def test_src_parses_run_lines_only_in_parse_ranking(message):
+    """Each of the run parser's line messages is raised in src/ from one
+    function, ``corpus.parse_ranking``: ``read_ranking`` and ``eval``'s run
+    blocks check every line through that one loop, so no second run parser
+    can drift from it."""
+    sites = _src_sites(lambda n: isinstance(n, ast.Raise) and any(
+        isinstance(c, ast.Constant) and isinstance(c.value, str) and c.value.startswith(message)
+        for c in ast.walk(n)))
+    assert [(name, scope) for name, scope, _ in sites] == [("corpus.py", "parse_ranking")], sites
 
 
 def test_src_imports_form_no_cycle():

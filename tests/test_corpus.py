@@ -427,9 +427,20 @@ def test_run_file_round_trip(tmp_path):
 @pytest.mark.parametrize("parse", [read_run, read_ranking], ids=lambda f: f.__name__)
 def test_read_run_rejects_malformed(tmp_path, parse):
     """read_ranking and its oracle give each malformed file the same
-    path:line message."""
+    path:line message. A rank is ASCII ``-?[0-9]+``, as a qrels grade is:
+    the other forms Python's int() reads (an underscore, a plus sign,
+    surrounding text, non-ASCII digits) are a bad rank; "-3" and "007" are
+    ranks."""
     p = tmp_path / "run.txt"
+    p.write_text("q1 Q0 d1 007 2.0 t\nq1 Q0 d2 -3 1.0 t\nq1 Q0 d3 -0 0.5 t\n")
+    assert parse(p) == ([("q1", "d1", 7, 2.0, "t"), ("q1", "d2", -3, 1.0, "t"),
+                         ("q1", "d3", 0, 0.5, "t")] if parse is read_run else
+                        {"q1": ["d2", "d3", "d1"]})
     cases = [("q1 Q0 d1 first 0.5 sys\n", "1: bad rank 'first'"),
+             # "1_0" would read as rank 10 and "+3" as rank 3, ranking d1 last
+             ("q1 Q0 d1 1_0 2.0 t\nq1 Q0 d2 2 1.0 t\nq1 Q0 d3 +3 0.5 t\n", "1: bad rank '1_0'"),
+             *((f"q1 Q0 d1 1 0.5 sys\nq1 Q0 d2 {bad} 0.4 sys\n", f"2: bad rank {bad!r}")
+               for bad in ("+3", "-", "--1", "\u0663", "1.0", "0x1", "1e2", "\uff11")),
              ("q1 Q0 d1 1 0.5\n", "1: expected 6 fields, got 5"),
              ("q1 Q0 d1 1 0.5 sys\n\nq1 Q0 d2 2 high sys\n", "3: bad score 'high'"),
              *((f"q1 Q0 d1 1 0.5 sys\nq1 Q0 d2 2 {bad} sys\n", f"2: non-finite score '{bad}'")
@@ -450,7 +461,7 @@ def test_read_run_rejects_malformed(tmp_path, parse):
              ("q1 Q0 d1 1 0.5 sys\nq1 Q0 d2 2 high sys\nq1 Q0 d1 3 0.4 sys\n",
               "2: bad score 'high'")]
     for text, message in cases:
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError) as err:
             parse(p)
         assert str(err.value) == f"{p}:{message}"

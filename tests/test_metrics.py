@@ -8,9 +8,9 @@ import pytest
 
 from backrank import metrics
 from backrank import (BiasReport, DomainError, Qrels, SplitMix64,
-                      bias_report, effectiveness, mag_bool)
+                      bias_report, mag_bool)
 from backrank.metrics import FEMALE_TERMS, MALE_TERMS
-from helpers import arab, mag_tf, mean_metric, mrr_at_k, ndcg_at_k, rab
+from helpers import arab, effectiveness, mag_tf, mean_metric, mrr_at_k, ndcg_at_k, rab
 
 # Two-document worked fixture. doc1 carries one female term twice (ln 2), doc2
 # is gender-free, so RaB over both is ln(2)/2 and ARaB averages the two

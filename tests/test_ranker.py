@@ -10,7 +10,7 @@ from backrank import (Backpack, BackpackConfig, Collection, DomainError, EvalSet
                       ShapeError, SplitMix64, SynthConfig,
                       TrainConfig, TrainExample, Vocab,
                       bias_report, build_eval_set, build_sense_map,
-                      build_train_examples, effectiveness, generate_synthetic,
+                      build_train_examples, generate_synthetic,
                       listwise_loss, load_checkpoint, rank_all, save_checkpoint,
                       sweep_lambda, train)
 from backrank import metrics, ranker
@@ -19,7 +19,7 @@ from backrank.ranker import SWEEP_COLUMNS, rank_collection, sweep_collection
 from backrank.senses import PolarityPair
 from backrank import numkernel as nk
 from helpers import (ScalarSplitMix64, Tape, assert_ranking_invariants, backward,
-                     central_diff_error, forbid_fork, listwise_loss_chain, logits,
+                     central_diff_error, effectiveness, forbid_fork, listwise_loss_chain, logits,
                      pin_cores, relevance_logit_chain, tracked)
 
 

@@ -33,8 +33,9 @@ from backrank import (Vocab, attribute_scores, build_eval_set, build_sense_map,
 from backrank.cli import main
 from backrank.corpus import (bm25_retrieve, load_collection, read_gender_tokens, read_qrels,
                              read_ranking, records_from_ranking, write_run)
-from backrank.metrics import Qrels, bias_report, effectiveness
+from backrank.metrics import Qrels, bias_report
 from backrank.rng import SplitMix64
+from helpers import effectiveness
 
 SYNTH_CFG = "skew = 0.9\nnum_queries = 60\n"
 TRAIN = ["--senses", "4", "--lr", "0.015", "--depth", "20", "--epochs", "1"]
