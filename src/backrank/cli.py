@@ -229,10 +229,9 @@ def _effectiveness_by_run_block(path, qrels, cutoffs: tuple[int, ...]) -> dict:
             return None
         return sorted(ranked), effectiveness_per_query([ranked], qrels, cutoffs)[0]
 
-    n = usable_cores()    # a cut per further core: from byte len * i / n on, past a query's end
-    cuts = [0, *(RUN_QUERY_END.search(data, len(data) * i // n).end() for i in range(1, n))]
-    blocks = run_forked([functools.partial(block, start, end)
-                         for start, end in zip(cuts, cuts[1:] + [len(data)])])
+    n = usable_cores()    # block i ends at the first query end from byte len * i / n on
+    ends = [RUN_QUERY_END.search(data, len(data) * i // n).end() for i in range(1, n + 1)]
+    blocks = run_forked([functools.partial(block, *span) for span in zip([0] + ends, ends)])
     qids = [qid for done in blocks if done for qid in done[0]]
     if None in blocks or not qids or len(set(qids)) < len(qids):
         grouped = _read_run(path)

@@ -509,6 +509,7 @@ def parse_ranking(lines: Iterable[tuple[int, str]], path) -> dict[str, list[str]
     ASCII ``-?[0-9]+`` rank and a finite score, and no query may list a document
     twice; the first faulty line is named. Ranks need not be contiguous; ids are interned."""
     ranked: dict[str, dict[str, int]] = {}    # query id -> doc id -> rank, in file order
+    value_of: dict[str, int] = {}    # rank field -> rank: each distinct field checked once
     last_qid = None    # a query's lines come in runs: look its map up once per run
     for lineno, raw in lines:
         parts = raw.split()
@@ -517,9 +518,10 @@ def parse_ranking(lines: Iterable[tuple[int, str]], path) -> dict[str, list[str]
         if len(parts) != 6:
             raise ParseError(f"expected 6 fields, got {len(parts)}", path=str(path), line=lineno)
         qid, _q0, did, rank, score, _tag = parts
-        # -?[0-9]+, as a qrels grade: int() would also read "1_0", "+3" and non-ASCII digits
-        if not (rank.isascii() and (rank.isdigit() or rank[:1] == "-" and rank[1:].isdigit())):
-            raise ParseError(f"bad rank {rank!r}", path=str(path), line=lineno)
+        if rank not in value_of:    # -?[0-9]+ as a qrels grade: int() also reads "1_0", "+3"
+            if not (rank.isascii() and rank.removeprefix("-").isdigit()):
+                raise ParseError(f"bad rank {rank!r}", path=str(path), line=lineno)
+            value_of[rank] = int(rank)
         try:
             finite = math.isfinite(float(score))
         except ValueError:
@@ -535,7 +537,7 @@ def parse_ranking(lines: Iterable[tuple[int, str]], path) -> dict[str, list[str]
         if did in ranks:
             raise ParseError(f"query {qid} lists document {did!r} twice",
                              path=str(path), line=lineno)
-        ranks[sys.intern(did)] = int(rank)
+        ranks[sys.intern(did)] = value_of[rank]
     # a stable sort: tied ranks keep file order
     return {qid: sorted(ranks, key=ranks.__getitem__) for qid, ranks in ranked.items()}
 
